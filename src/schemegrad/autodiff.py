@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGradient, ShapeMismatch
-from .runtime import apply_primitive, pow_immediate, select, PROPAGATE_POLICY
+from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, apply_primitive, matrix_inverse,
+                      pow_immediate, select)
 from .values import Value
 
 
@@ -405,8 +406,7 @@ def _vjp_trace(g, args, out, aux):
 
 
 def _vjp_det(g, args, out, aux):
-    a = args[0].data
-    inv_t = _swap(np.linalg.inv(a))
+    inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
     return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
 
 
@@ -629,7 +629,6 @@ def finite_diff_check(prog, inputs, params=None, h: float = 1e-5, tol: float = 1
     near-zero gradients are judged on an absolute scale.
     """
     from .machine import eval_program, eval_with_tape
-    from .runtime import ERROR_POLICY
 
     policy = policy or ERROR_POLICY
     inputs = {k: Value.of(v) for k, v in inputs.items()}

@@ -75,7 +75,17 @@ class DomainViolation(EvalError):
 
 
 class SingularMatrix(EvalError):
-    pass
+    """det or inv (forward, or the det gradient) met a numerically singular
+    matrix.
+
+    ``where`` is the first singular batch lane (0 for an unbatched matrix).
+    """
+
+    def __init__(self, op: str, where: int | None = None):
+        self.op = op
+        self.where = where
+        lane = f" (first singular lane {where})" if where is not None else ""
+        super().__init__(f"{op}: matrix is numerically singular{lane}")
 
 
 class DepthLimitExceeded(EvalError):

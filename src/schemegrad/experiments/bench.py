@@ -1,5 +1,6 @@
 """Hardware-independent performance properties: compile time, batch
-amortization of per-sample cost, and constant-stack-depth loop execution."""
+amortization of per-sample cost, and constant-stack-depth loop execution,
+plus an informational throughput row for batched det/inv."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ BATCH_SIZES = (1, 100, 10_000)
 AMORTIZATION_FLOOR = 50.0
 COMPILE_BUDGET_S = 0.010
 LOOP_ITERATIONS = 1_000_000
+LINALG_BATCH = 10_000
 
 
 def _inputs_for(names, batch: int, rng):
@@ -82,6 +84,17 @@ def long_loop_completes(n: int = LOOP_ITERATIONS) -> float:
     return float(out.data) - expected
 
 
+def linalg_samples_per_s(seed: int = 0) -> float:
+    """Samples/second of batched (det (inv M)) on LINALG_BATCH
+    well-conditioned 3x3 matrices, the workload of the batch-vectorised LU."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, size=(LINALG_BATCH, 3, 3)) + 3.0 * np.eye(3)
+    prog = compile_source("(det (inv M))", inputs=("M",))
+    ins = {"M": Value.batch_matrices(m)}
+    return LINALG_BATCH / _best_time(lambda: eval_program(prog, ins, None, PROPAGATE_POLICY),
+                              repeats=3, warmup=1)
+
+
 def run(seed: int = 0, epochs_scale: float = 1.0):
     rows = []
     table = throughput_table(seed=seed)
@@ -94,6 +107,8 @@ def run(seed: int = 0, epochs_scale: float = 1.0):
     for name, t in compile_times().items():
         rows.append(ResultRow("bench", "compiled", f"{name}:compile_seconds",
                               t, COMPILE_BUDGET_S, "<="))
+    rows.append(ResultRow("bench", "compiled", f"det_inv:samples_per_s_b{LINALG_BATCH}",
+                          linalg_samples_per_s(seed), informational=True))
     rows.append(ResultRow("bench", "compiled", "loop_1e6:residual",
                           long_loop_completes(), 0.0, "=="))
     return rows, {}

@@ -4,6 +4,12 @@ Reductions (dot, norm, vsum, trace, matvec, matmul, det) accumulate
 left-to-right over the trailing axes so that a batched evaluation is
 bit-identical to stacking unbatched evaluations regardless of how numpy
 would otherwise reassociate sums.
+
+det, inv and the det gradient share one LU, ``lu_factor``, vectorised
+across the batch axis.  Each lane does the float operations of an LU of
+that matrix alone, in the same order, and an unbatched matrix goes
+through it as a batch of one, so for them too a batched evaluation is
+bit-identical to stacked unbatched ones.
 """
 
 from __future__ import annotations
@@ -459,98 +465,121 @@ def _op_trace(args, policy):
     return Value(ordered_sum_last(diag), "scalar", m.batched)
 
 
-def _lu_factor(m: np.ndarray):
-    """LU with partial pivoting on one square matrix.
+def lu_factor(stack: np.ndarray):
+    """LU with partial pivoting on a (B, n, n) stack of square matrices.
 
-    Returns (lu, perm, sign, singular).  Row norms use the infinity norm;
-    a pivot below 1e-12 times the largest row norm flags singularity.
+    Returns (lu, perm, sign, singular) shaped (B, n, n), (B, n), (B,) and
+    (B,).  The batch axis is vectorised, but each lane does the same float
+    operations in the same order as an LU of its matrix alone: the pivot
+    is the first row of largest |a| in the column, rows swap only in the
+    lanes whose pivot is off the diagonal, every row below k is updated
+    with f = a_ik / piv and a_ij - f * a_kj, and a lane whose pivot is
+    exactly zero skips that step.  No lane reads another, so a lane's
+    factors are bit-identical whatever the batch around it, and batched ==
+    stacked holds bitwise.  A lane is singular when some pivot has
+    |piv| <= 1e-12 * max|a| over its matrix; row k is final once step k
+    has pivoted, so the pivots are the diagonal of ``lu``.
     """
-    n = m.shape[0]
-    lu = m.copy()
-    perm = np.arange(n)
-    sign = 1.0
-    row_scale = np.abs(m).max(axis=1).max() if n else 0.0
-    threshold = _SINGULAR_RTOL * row_scale
-    singular = False
+    b, n, _ = stack.shape
+    lu = stack.copy()
+    perm = np.tile(np.arange(n), (b, 1))
+    sign = np.ones(b)
+    scale = np.abs(stack).max(axis=(1, 2)) if n else np.zeros(b)
+    threshold = _SINGULAR_RTOL * scale
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= threshold:
-            singular = True
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        piv = lu[k, k]
-        if piv != 0.0:
-            for i in range(k + 1, n):
-                f = lu[i, k] / piv
-                lu[i, k] = f
-                lu[i, k + 1:] = lu[i, k + 1:] - f * lu[k, k + 1:]
+        below = np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        swap = np.nonzero(below)[0]
+        if swap.size:
+            ps = k + below[swap]
+            lu[swap, k], lu[swap, ps] = lu[swap, ps], lu[swap, k]
+            perm[swap, k], perm[swap, ps] = perm[swap, ps], perm[swap, k]
+            sign[swap] = -sign[swap]
+        if k + 1 == n:
+            break
+        piv = lu[:, k, k]
+        if piv.all():
+            _eliminate(lu, k, piv)
+        else:
+            live = piv != 0.0
+            part = lu[live]
+            _eliminate(part, k, piv[live])
+            lu[live] = part
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+    singular = (pivots <= threshold[:, None]).any(axis=1)
     return lu, perm, sign, singular
 
 
-def _det_one(m: np.ndarray, policy: SafeDomainPolicy) -> float:
-    lu, _, sign, singular = _lu_factor(m)
-    if singular and policy.raises:
-        raise SingularMatrix("det: matrix is numerically singular")
-    d = sign
-    for k in range(m.shape[0]):
-        d = d * lu[k, k]
-    return d
+def _eliminate(lu: np.ndarray, k: int, piv: np.ndarray) -> None:
+    # In-place updates of views: f and the trailing block are written
+    # straight into lu.
+    f = lu[:, k + 1:, k]
+    f /= piv[:, None]
+    trailing = lu[:, k + 1:, k + 1:]
+    trailing -= f[:, :, None] * lu[:, k, None, k + 1:]
 
 
-def _inv_one(m: np.ndarray, policy: SafeDomainPolicy) -> np.ndarray:
-    n = m.shape[0]
-    lu, perm, _, singular = _lu_factor(m)
-    if singular:
-        if policy.raises:
-            raise SingularMatrix("inv: matrix is numerically singular")
-        return np.full_like(m, np.nan)
-    inv = np.empty_like(m)
-    # Forward/back substitution, one unit column at a time.
-    for col in range(n):
-        e = np.zeros(n)
-        e[col] = 1.0
-        e = e[perm]
-        y = np.zeros(n)
-        for i in range(n):
-            y[i] = e[i]
-            for j in range(i):
-                y[i] -= lu[i, j] * y[j]
-        x = np.zeros(n)
-        for i in range(n - 1, -1, -1):
-            x[i] = y[i]
-            for j in range(i + 1, n):
-                x[i] -= lu[i, j] * x[j]
-            x[i] /= lu[i, i]
-        inv[:, col] = x
-    return inv
+def _lu_inverse(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Solve LU x = P e_col for every unit column of every lane at once.
+
+    Row i of the forward pass subtracts l_ij * y_j for j = 0, 1, ... and of
+    the back pass u_ij * x_j for j = i+1, i+2, ..., as the one-matrix
+    solve does.  The forward pass applies column j to all rows below it in
+    one update, which keeps that order.
+    """
+    n = lu.shape[-1]
+    x = np.eye(n)[perm]
+    rows = [x[:, i] for i in range(n)]  # views: in-place updates write x
+    for j in range(n - 1):
+        below = x[:, j + 1:]
+        below -= lu[:, j + 1:, j, None] * rows[j][:, None]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        for j in range(i + 1, n):
+            row -= lu[:, i, j, None] * rows[j]
+        row /= lu[:, i, i, None]
+    return x
+
+
+def _square_stack(m: Value, op: str) -> np.ndarray:
+    """The matrix as a (B, n, n) stack; an unbatched one is a batch of one."""
+    _require_kind(m, "matrix", op)
+    if m.core_shape[-1] != m.core_shape[-2]:
+        raise ShapeMismatch(f"{op}: matrix must be square")
+    return m.data if m.batched else m.data[None]
+
+
+def _refuse_singular(singular: np.ndarray, policy: SafeDomainPolicy, op: str) -> None:
+    if policy.raises and singular.any():
+        raise SingularMatrix(op, where=int(np.argmax(singular)))
+
+
+def matrix_inverse(m: Value, policy: SafeDomainPolicy, op: str = "inv") -> np.ndarray:
+    """Inverse of a (batched) square matrix through ``lu_factor``, shaped
+    like ``m.data``.  Singular lanes raise under the error policy and are
+    NaN otherwise; ``op`` names the caller in the error."""
+    stack = _square_stack(m, op)
+    lu, perm, _, singular = lu_factor(stack)
+    _refuse_singular(singular, policy, op)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = _lu_inverse(lu, perm)
+    inv[singular] = np.nan
+    return inv if m.batched else inv[0]
 
 
 def _op_det(args, policy):
     m = args[0]
-    _require_kind(m, "matrix", "det")
-    if m.core_shape[-1] != m.core_shape[-2]:
-        raise ShapeMismatch("det: matrix must be square")
-    if not m.batched:
-        return Value.scalar(_det_one(m.data, policy))
-    out = np.empty(m.data.shape[0])
-    for i in range(m.data.shape[0]):
-        out[i] = _det_one(m.data[i], policy)
-    return Value(out, "scalar", batched=True)
+    stack = _square_stack(m, "det")
+    lu, _, sign, singular = lu_factor(stack)
+    _refuse_singular(singular, policy, "det")
+    d = sign
+    for k in range(stack.shape[-1]):
+        d = d * lu[:, k, k]
+    return Value(d if m.batched else d[0], "scalar", m.batched)
 
 
 def _op_inv(args, policy):
     m = args[0]
-    _require_kind(m, "matrix", "inv")
-    if m.core_shape[-1] != m.core_shape[-2]:
-        raise ShapeMismatch("inv: matrix must be square")
-    if not m.batched:
-        return Value(_inv_one(m.data, policy), "matrix")
-    out = np.empty_like(m.data)
-    for i in range(m.data.shape[0]):
-        out[i] = _inv_one(m.data[i], policy)
-    return Value(out, "matrix", batched=True)
+    return Value(matrix_inverse(m, policy), "matrix", m.batched)
 
 
 def _op_outer(args, policy):

@@ -3,10 +3,10 @@ import pytest
 
 from schemegrad.autodiff import ParameterStore, TapeContext, backward, finite_diff_check
 from schemegrad.compiler import compile_source
-from schemegrad.errors import MissingGradient, ShapeMismatch
+from schemegrad.errors import MissingGradient, ShapeMismatch, SingularMatrix
 from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.training import truth_store
-from schemegrad.values import Value, bit_equal
+from schemegrad.values import Value, bit_equal, stack_batch
 
 from corpus import CORPUS
 
@@ -233,3 +233,49 @@ def _leaf_grad(ctx, out_ref, leaf_ref):
     res = _backward(tape, Value.scalar(1.0), wrt_inputs=["__probe"],
                     output_id=out_ref.tape_id)
     return float(res.input_grads["__probe"].data)
+
+
+# --- det/inv gradients through the batch-vectorised LU -------------------------
+
+
+def test_det_backward_on_singular_matrix_raises_singular_matrix():
+    prog = compile_source("(det (scale s M))", inputs=("M",), params=("s",))
+    ctx = TapeContext()
+    out = ctx.run(prog, {"M": Value.matrix([[1.0, 2.0], [2.0, 4.0]])},
+                  truth_store({"s": 1.0}))
+    with pytest.raises(SingularMatrix) as err:
+        ctx.backward(out)
+    assert err.value.where == 0
+
+
+def test_det_backward_names_first_singular_lane():
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(-1, 1, (5, 3, 3)) + 3 * np.eye(3)
+    stack[3] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 2.0]]
+    ctx = TapeContext()
+    out = ctx.run(compile_source("(det M)", inputs=("M",)),
+                  {"M": Value.batch_matrices(stack)})
+    with pytest.raises(SingularMatrix) as err:
+        ctx.backward(out)
+    assert err.value.where == 3
+
+
+def _pivoting_matrices(rng, batch):
+    # rows rolled off a dominant diagonal, so every LU swaps rows
+    return np.roll(rng.uniform(-1, 1, (batch, 3, 3)) + 3 * np.eye(3), 1, axis=1)
+
+
+@pytest.mark.parametrize("src", ["(det M)", "(inv M)"])
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_det_inv_gradients_batched_equal_stacked(src, batch):
+    prog = compile_source(src, inputs=("M",))
+    stack = _pivoting_matrices(np.random.default_rng(300 + batch), batch)
+
+    def grad_m(m):
+        ctx = TapeContext()
+        out = ctx.run(prog, {"M": m})
+        return ctx.backward(out, wrt_inputs=["M"]).input_grads["M"]
+
+    batched = grad_m(Value.batch_matrices(stack))
+    stacked = stack_batch([grad_m(Value.matrix(m)) for m in stack])
+    assert bit_equal(batched, stacked)

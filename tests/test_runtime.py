@@ -7,6 +7,7 @@ from schemegrad.runtime import (
     ERROR_POLICY,
     PROPAGATE_POLICY,
     apply_primitive,
+    lu_factor,
     pow_immediate,
     select,
 )
@@ -128,6 +129,119 @@ def test_singular_matrix_policy():
     assert np.isnan(out.data).all()
 
 
+def test_singular_matrix_names_first_singular_lane():
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(-1, 1, (5, 3, 3)) + 3 * np.eye(3)
+    stack[3] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 2.0]]
+    stack[4] = stack[3]
+    for op in ("det", "inv"):
+        with pytest.raises(SingularMatrix) as err:
+            apply_primitive(op, [Value.batch_matrices(stack)], ERROR_POLICY)
+        assert err.value.where == 3
+        assert "first singular lane 3" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the batch-vectorised LU against the one-matrix LU it replaced, bitwise
+
+
+def _oracle_lu_factor(m):
+    n = m.shape[0]
+    lu = m.copy()
+    perm = np.arange(n)
+    sign = 1.0
+    row_scale = np.abs(m).max(axis=1).max() if n else 0.0
+    threshold = 1e-12 * row_scale
+    singular = False
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) <= threshold:
+            singular = True
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        piv = lu[k, k]
+        if piv != 0.0:
+            for i in range(k + 1, n):
+                f = lu[i, k] / piv
+                lu[i, k] = f
+                lu[i, k + 1:] = lu[i, k + 1:] - f * lu[k, k + 1:]
+    return lu, perm, sign, singular
+
+
+def _oracle_det(m):
+    lu, _, sign, _ = _oracle_lu_factor(m)
+    d = sign
+    for k in range(m.shape[0]):
+        d = d * lu[k, k]
+    return d
+
+
+def _oracle_inv(m):
+    n = m.shape[0]
+    lu, perm, _, singular = _oracle_lu_factor(m)
+    if singular:
+        return np.full_like(m, np.nan)
+    inv = np.empty_like(m)
+    for col in range(n):
+        e = np.zeros(n)
+        e[col] = 1.0
+        e = e[perm]
+        y = np.zeros(n)
+        for i in range(n):
+            y[i] = e[i]
+            for j in range(i):
+                y[i] -= lu[i, j] * y[j]
+        x = np.zeros(n)
+        for i in range(n - 1, -1, -1):
+            x[i] = y[i]
+            for j in range(i + 1, n):
+                x[i] -= lu[i, j] * x[j]
+            x[i] /= lu[i, i]
+        inv[:, col] = x
+    return inv
+
+
+def _lu_stacks(n, rng, batch=12):
+    spd = rng.uniform(-1, 1, (batch, n, n))
+    spd = spd @ np.swapaxes(spd, 1, 2) + n * np.eye(n)
+    # a rolled diagonally dominant matrix pivots away from the diagonal
+    swapping = np.roll(rng.uniform(-1, 1, (batch, n, n)) + 3 * np.eye(n), 1, axis=1)
+    # small integers give exact cancellations, hence exact-zero pivots
+    # (and singular lanes) mid-stack
+    zero_pivot = rng.integers(-2, 3, (batch, n, n)).astype(float)
+    zero_pivot[batch // 2] = 0.0
+    zero_pivot[batch // 2, :, -1] = 1.0
+    return {"spd": spd, "swapping": swapping, "zero_pivot": zero_pivot}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_lu_matches_one_matrix_oracle(n):
+    rng = np.random.default_rng(700 + n)
+    for name, stack in _lu_stacks(n, rng).items():
+        lu, perm, sign, singular = lu_factor(stack)
+        det = apply_primitive("det", [Value.batch_matrices(stack)], PROPAGATE_POLICY).data
+        inv = apply_primitive("inv", [Value.batch_matrices(stack)], PROPAGATE_POLICY).data
+        for b, m in enumerate(stack):
+            o_lu, o_perm, o_sign, o_singular = _oracle_lu_factor(m)
+            assert np.array_equal(_bits(lu[b]), _bits(o_lu)), (name, b)
+            assert np.array_equal(perm[b], o_perm), (name, b)
+            assert (sign[b], singular[b]) == (o_sign, o_singular), (name, b)
+            assert _bits(det[b]) == _bits(_oracle_det(m)), (name, b)
+            assert np.array_equal(_bits(inv[b]), _bits(_oracle_inv(m))), (name, b)
+            if o_singular:
+                assert np.isnan(inv[b]).all()
+        if name == "swapping":
+            assert (perm != np.arange(n)).any() or n == 1
+        if name == "zero_pivot":
+            assert singular.any() and not singular.all()
+
+
 def test_domain_violations():
     with pytest.raises(DomainViolation):
         apply_primitive("/", [S(1), S(0)], ERROR_POLICY)
@@ -174,10 +288,13 @@ def test_batched_scalar_against_batched_vector():
 # batch consistency: every primitive, batched == stacked unbatched, bitwise
 
 
-def _args_for(op, rng):
+def _args_for(op, rng, matrices="spd"):
     two_vec = [V(*rng.uniform(0.5, 2.0, 3)), V(*rng.uniform(0.5, 2.0, 3))]
-    spd = rng.uniform(-1, 1, (3, 3))
-    spd = spd @ spd.T + 3 * np.eye(3)
+    if matrices == "spd":
+        spd = rng.uniform(-1, 1, (3, 3))
+        spd = spd @ spd.T + 3 * np.eye(3)
+    else:  # rows rolled off the diagonal, so the LU swaps rows
+        spd = np.roll(rng.uniform(-1, 1, (3, 3)) + 3 * np.eye(3), 1, axis=0)
     cases = {
         "+": [S(rng.uniform(0.5, 2)), S(rng.uniform(0.5, 2))],
         "-": [S(rng.uniform(0.5, 2)), S(rng.uniform(0.5, 2))],
@@ -231,20 +348,22 @@ def _args_for(op, rng):
 def test_batch_consistency_all_primitives(batch):
     rng = np.random.default_rng(100 + batch)
     skipped = {"ref", "vlen", "eye", "zeros", "ones"}  # static/structural ops
-    for op in sorted(PRIM_NAMES | {"if"}):
-        if op in skipped:
-            continue
-        per_point = [_args_for(op, rng) for _ in range(batch)]
-        n_args = len(per_point[0])
-        batched_args = [
-            stack_batch([per_point[b][i] for b in range(batch)])
-            for i in range(n_args)
-        ]
-        batched = apply_primitive(op, batched_args, PROPAGATE_POLICY)
-        singles = [apply_primitive(op, per_point[b], PROPAGATE_POLICY)
-                   for b in range(batch)]
-        stacked = stack_batch(singles)
-        assert bit_equal(batched, stacked), f"{op} diverges at batch {batch}"
+    for matrices in ("spd", "pivoting"):
+        for op in sorted(PRIM_NAMES | {"if"}):
+            if op in skipped:
+                continue
+            per_point = [_args_for(op, rng, matrices) for _ in range(batch)]
+            n_args = len(per_point[0])
+            batched_args = [
+                stack_batch([per_point[b][i] for b in range(batch)])
+                for i in range(n_args)
+            ]
+            batched = apply_primitive(op, batched_args, PROPAGATE_POLICY)
+            singles = [apply_primitive(op, per_point[b], PROPAGATE_POLICY)
+                       for b in range(batch)]
+            stacked = stack_batch(singles)
+            assert bit_equal(batched, stacked), \
+                f"{op} diverges at batch {batch} on {matrices} matrices"
 
 
 def test_batch_consistency_ref():
