@@ -196,6 +196,8 @@ _ELEMENTWISE_VJP_OPS = frozenset(
 
 
 def _reduce_elementwise(g: np.ndarray, arg: Value, out: Value) -> np.ndarray:
+    if g.shape == arg.data.shape:
+        return g  # no sum or broadcast applies
     core = len(out.core_shape)
     if arg.kind == "scalar" and core > 0:
         g = g.sum(axis=tuple(range(g.ndim - core, g.ndim)))

@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import ParameterStore, backward
 from .compiler import CompileConfig, compile_source, disassemble
 from .errors import ConfigError, SchemegradError
+from .lowering import DEFAULT_MAX_DEPTH
 from .machine import eval_program, eval_with_tape
 from .values import Value
 
@@ -201,7 +202,7 @@ def _add_program_args(p):
     p.add_argument("--expr", help="program text given inline")
     p.add_argument("--inputs", help="comma- or space-separated input names")
     p.add_argument("--params", help="comma- or space-separated parameter names")
-    p.add_argument("--max-recursion-depth", type=int, default=10_000)
+    p.add_argument("--max-recursion-depth", type=int, default=DEFAULT_MAX_DEPTH)
 
 
 def _add_common(p, default_out=None):

@@ -37,17 +37,10 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
     debug_names: dict = field(default_factory=dict, repr=False)
-    straight_line: bool = field(default=False, repr=False)
 
     @property
     def num_params(self) -> int:
         return len(self.param_names)
-
-
-def _is_straight_line(block: BlockIR) -> bool:
-    if block.tail[0] != "exit":
-        return False
-    return all(ins[0] in ("const", "input", "param", "prim", "select") for ins in block.instrs)
 
 
 def _collect_safe_domain_ops(block: BlockIR):
@@ -81,7 +74,7 @@ def compile_source(
         n.id: n.debug_name for n in graph.nodes if n.debug_name is not None
     }
     elapsed = time.perf_counter() - t0
-    prog = CompiledProgram(
+    return CompiledProgram(
         block=block,
         slot_count=len(frame.nodes),
         input_slots=dict(graph.input_slots),
@@ -97,8 +90,6 @@ def compile_source(
         max_recursion_depth=config.max_recursion_depth,
         debug_names=debug,
     )
-    prog.straight_line = _is_straight_line(block) and not prog.functions
-    return prog
 
 
 def _frame_block(graph: ComputeGraph) -> BlockIR:

@@ -78,14 +78,18 @@ class SingularMatrix(EvalError):
     """det or inv (forward, or the det gradient) met a numerically singular
     matrix.
 
-    ``where`` is the first singular batch lane (0 for an unbatched matrix).
+    ``where`` is the first singular batch lane (0 for an unbatched matrix);
+    ``instruction`` is the det/inv instruction when raised during program
+    evaluation, as for DomainViolation.
     """
 
-    def __init__(self, op: str, where: int | None = None):
+    def __init__(self, op: str, where: int | None = None, instruction: int | None = None):
         self.op = op
         self.where = where
+        self.instruction = instruction
+        loc = f" at instruction {instruction}" if instruction is not None else ""
         lane = f" (first singular lane {where})" if where is not None else ""
-        super().__init__(f"{op}: matrix is numerically singular{lane}")
+        super().__init__(f"{op}: matrix is numerically singular{loc}{lane}")
 
 
 class DepthLimitExceeded(EvalError):

@@ -1,6 +1,7 @@
 """Hardware-independent performance properties: compile time, batch
 amortization of per-sample cost, and constant-stack-depth loop execution,
-plus an informational throughput row for batched det/inv."""
+plus informational rows for batched det/inv throughput and the cost of one
+loop iteration."""
 
 from __future__ import annotations
 
@@ -69,9 +70,10 @@ def compile_times(repeats: int = 5):
     return out
 
 
-def long_loop_completes(n: int = LOOP_ITERATIONS) -> float:
+def long_loop_completes(n: int = LOOP_ITERATIONS) -> tuple[float, float]:
     """Tail-recursive accumulation over n iterations; executes iteratively
-    with constant auxiliary stack."""
+    with constant auxiliary stack.  Returns (residual, seconds per
+    iteration)."""
     src = f"""
     (loop ((i 0) (acc 0))
       (if (< i {n})
@@ -79,9 +81,11 @@ def long_loop_completes(n: int = LOOP_ITERATIONS) -> float:
           acc))
     """
     prog = compile_source(src)
+    t0 = time.perf_counter()
     out = eval_program(prog, {}, None, PROPAGATE_POLICY)
+    per_iteration = (time.perf_counter() - t0) / n
     expected = (n - 1) * n / 2.0
-    return float(out.data) - expected
+    return float(out.data) - expected, per_iteration
 
 
 def linalg_samples_per_s(seed: int = 0) -> float:
@@ -109,6 +113,8 @@ def run(seed: int = 0, epochs_scale: float = 1.0):
                               t, COMPILE_BUDGET_S, "<="))
     rows.append(ResultRow("bench", "compiled", f"det_inv:samples_per_s_b{LINALG_BATCH}",
                           linalg_samples_per_s(seed), informational=True))
-    rows.append(ResultRow("bench", "compiled", "loop_1e6:residual",
-                          long_loop_completes(), 0.0, "=="))
+    residual, per_iteration = long_loop_completes()
+    rows.append(ResultRow("bench", "compiled", "loop_1e6:residual", residual, 0.0, "=="))
+    rows.append(ResultRow("bench", "compiled", "loop_1e6:us_per_iteration",
+                          per_iteration * 1e6, informational=True))
     return rows, {}

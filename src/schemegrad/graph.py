@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .anf import (
     AnfProgram,
     CallApp,
@@ -24,7 +26,9 @@ from .anf import (
     TailRecur,
 )
 from .errors import CycleDetected, UnboundVariable
+from .lowering import DEFAULT_MAX_DEPTH
 from .sexpr import Const, Var
+from .values import Value
 
 # Node kinds that execute as instructions plus frame-entry kinds
 # (loopvar/capture) whose slots are written by the loop/call machinery.
@@ -58,7 +62,7 @@ class FnIR:
     slot_count: int
     block: "BlockIR"
     index: int
-    max_depth: int = 10_000
+    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 @dataclass
@@ -404,9 +408,17 @@ def _to_block(frame: _Frame, block_ids, tail) -> BlockIR:
     return BlockIR(instrs, tail)
 
 
+def _const_value(v: float) -> Value:
+    """The Value a const instruction stores into its slot on every run; its
+    array is read-only because every run and tape shares it."""
+    arr = np.array(v, dtype=np.float64)
+    arr.flags.writeable = False
+    return Value.trusted(arr, "scalar", False)
+
+
 def _node_to_instr(node: Node) -> tuple:
     if node.kind == "const":
-        return ("const", node.id, node.aux)
+        return ("const", node.id, node.aux, _const_value(node.aux))
     if node.kind == "input":
         return ("input", node.id, node.aux)
     if node.kind == "param":

@@ -1,16 +1,20 @@
 """Slot-machine evaluation of compiled programs.
 
-Straight-line programs run through a tight dispatch loop; programs with
-loops or function calls run on an explicit activation stack so that loop
-iteration count and recursion depth never grow the Python stack.  Both
-paths can record a tape for reverse-mode differentiation.
+One executor runs every program, straight-line or with loops and function
+calls.  It keeps the running block's instructions, program counter and
+slots in locals; entering a loop body or a function suspends the caller on
+an explicit frame stack, so loop iteration count and recursion depth never
+grow the Python stack.  ``eval_program`` and ``run_on_tape`` share it; with
+a tape it also records every value for reverse-mode differentiation.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DomainViolation, EvalError, MissingInput
+from .errors import DomainViolation, EvalError, MissingInput, SingularMatrix
 from .lowering import check_depth
 from .runtime import (
     ERROR_POLICY,
@@ -38,6 +42,10 @@ def _param_value(params, name: str) -> Value:
         raise MissingInput(f"missing parameter {name!r}") from None
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    return math.isfinite(data) if data.ndim == 0 else bool(np.isfinite(data).all())
+
+
 class _Violations:
     """Collects deferred domain violations (error mode only).  A violation
     is reported only if the program output ends up non-finite, so values
@@ -49,73 +57,18 @@ class _Violations:
         self.first = None
 
     def check(self, op: str, dest: int, value: Value) -> None:
-        if self.first is None and not np.all(np.isfinite(value.data)):
+        if self.first is None and not _all_finite(value.data):
             bad = np.nonzero(~np.isfinite(value.data).ravel())[0]
             where = int(bad[0]) if bad.size else None
             self.first = (op, dest, where)
 
     def finalize(self, out: Value, output_slot: int) -> None:
-        if np.all(np.isfinite(out.data)):
+        if _all_finite(out.data):
             return
         if self.first is not None:
             op, dest, where = self.first
             raise DomainViolation(op, where=where, instruction=dest)
         raise DomainViolation("non-finite output", instruction=output_slot)
-
-
-def _exec_prim(ins, slots, policy, violations):
-    _, dest, op, operands, aux = ins
-    if op == "pow" and aux is not None:
-        arg = slots[operands[0]]
-        out = pow_immediate(arg, aux, PROPAGATE_POLICY if violations is not None else policy)
-    else:
-        args = [slots[i] for i in operands]
-        if violations is not None and op not in _EAGER_DOMAIN_OPS:
-            out = apply_primitive(op, args, PROPAGATE_POLICY)
-        else:
-            out = apply_primitive(op, args, policy)
-    if violations is not None and op in PARTIAL_OPS:
-        violations.check(op, dest, out)
-    slots[dest] = out
-    return out
-
-
-def _run_block_simple(block, slots, inputs, params, policy, violations,
-                      tape=None, ids=None, store=None):
-    """Execute a block with no loops/calls (tail is exit, instrs are
-    leaf/prim/select).  Returns the exit slot."""
-    for ins in block.instrs:
-        kind = ins[0]
-        if kind == "prim":
-            out = _exec_prim(ins, slots, policy, violations)
-            if tape is not None:
-                dest = ins[1]
-                ids[dest] = tape.record(ins[2], tuple(ids[i] for i in ins[3]), out, ins[4])
-        elif kind == "const":
-            v = Value.scalar(ins[2])
-            slots[ins[1]] = v
-            if tape is not None:
-                ids[ins[1]] = tape.leaf(v)
-        elif kind == "input":
-            name = ins[2]
-            slots[ins[1]], ref = _fetch_input(inputs, name, tape)
-            if tape is not None:
-                ids[ins[1]] = ref if ref is not None else tape.input_leaf(name, slots[ins[1]])
-        elif kind == "param":
-            name = ins[2]
-            v = _param_value(params, name)
-            slots[ins[1]] = v
-            if tape is not None:
-                ids[ins[1]] = tape.param_leaf(store if store is not None else params, name, v)
-        elif kind == "select":
-            _, dest, c, t, e = ins
-            out = select(slots[c], slots[t], slots[e])
-            slots[dest] = out
-            if tape is not None:
-                ids[dest] = tape.record("select", (ids[c], ids[t], ids[e]), out, None)
-        else:
-            raise AssertionError(f"unexpected instruction {kind} in simple block")
-    return block.tail[1]
 
 
 def _fetch_input(inputs, name, tape):
@@ -128,162 +81,121 @@ def _fetch_input(inputs, name, tape):
     return Value.of(v), None
 
 
-# ---------------------------------------------------------------------------
-# general engine
+def _run(prog, inputs, params, policy, tape, store):
+    """Execute ``prog``; returns (output value, its tape id or None).
 
-
-class _Act:
-    __slots__ = ("slots", "ids", "instrs", "pc", "tail", "consumer", "fn")
-
-    def __init__(self, slots, ids, block, consumer, fn=None):
-        self.slots = slots
-        self.ids = ids
-        self.instrs = block.instrs
-        self.pc = 0
-        self.tail = block.tail
-        self.consumer = consumer
-        self.fn = fn
-
-
-def _run_general(prog, inputs, params, policy, violations,
-                 tape=None, store=None):
-    top_slots = [None] * prog.slot_count
-    top_ids = [None] * prog.slot_count if tape is not None else None
-    root = _Act(top_slots, top_ids, prog.block, ("top",))
-    stack = [root]
+    Non-eager partial ops run under the propagate policy; in error mode
+    their non-finite results are noted and reported only if the output is
+    non-finite.  det/inv raise at once, naming their instruction.
+    """
+    violations = _Violations() if policy.raises else None
+    taping = tape is not None
+    slots = [None] * prog.slot_count
+    ids = [None] * prog.slot_count if taping else None
+    block = prog.block
+    instrs, tail, pc, n = block.instrs, block.tail, 0, len(block.instrs)
+    body = None      # LoopBodyIR or FnIR of the running frame; None at top level
+    frames = []      # suspended callers: (slots, ids, instrs, tail, pc, body, dest, called)
     depth = 0
-    result = None
+    try:
+        while True:
+            while pc < n:
+                ins = instrs[pc]
+                pc += 1
+                kind = ins[0]
+                if kind == "prim":
+                    _, dest, op, operands, aux = ins
+                    if aux is not None:  # pow with a constant exponent
+                        out = pow_immediate(slots[operands[0]], aux, PROPAGATE_POLICY)
+                    else:
+                        if len(operands) == 2:  # the common arity, without a comprehension
+                            args = [slots[operands[0]], slots[operands[1]]]
+                        else:
+                            args = [slots[i] for i in operands]
+                        out = apply_primitive(
+                            op, args, policy if op in _EAGER_DOMAIN_OPS else PROPAGATE_POLICY)
+                    if violations is not None and op in PARTIAL_OPS:
+                        violations.check(op, dest, out)
+                    slots[dest] = out
+                    if taping:
+                        ids[dest] = tape.record(op, tuple([ids[i] for i in operands]), out, aux)
+                elif kind == "const":
+                    v = slots[ins[1]] = ins[3]
+                    if taping:
+                        ids[ins[1]] = tape.leaf(v)
+                elif kind == "input":
+                    v, ref = _fetch_input(inputs, ins[2], tape)
+                    slots[ins[1]] = v
+                    if taping:
+                        ids[ins[1]] = ref if ref is not None else tape.input_leaf(ins[2], v)
+                elif kind == "param":
+                    v = slots[ins[1]] = _param_value(params, ins[2])
+                    if taping:
+                        ids[ins[1]] = tape.param_leaf(store if store is not None else params,
+                                                      ins[2], v)
+                elif kind == "select":
+                    _, dest, c, t, e = ins
+                    out = slots[dest] = select(slots[c], slots[t], slots[e])
+                    if taping:
+                        ids[dest] = tape.record("select", (ids[c], ids[t], ids[e]), out, None)
+                else:  # loop or call: suspend this frame and enter the body
+                    _, dest, ir, outer, caps = ins
+                    if kind == "call":
+                        check_depth(ir, depth)
+                        depth += 1
+                        inner = ir.param_slots
+                    else:
+                        inner = ir.var_slots
+                    frames.append((slots, ids, instrs, tail, pc, body, dest, kind == "call"))
+                    # Iterated, not kept: tuple(zip(...)) per call fills CPython's
+                    # tuple free list, which tracemalloc counts as live memory.
+                    caller, slots = slots, [None] * ir.slot_count
+                    for s, o in zip(inner + ir.capture_slots, outer + caps):
+                        slots[s] = caller[o]
+                    if taping:
+                        caller, ids = ids, [None] * ir.slot_count
+                        for s, o in zip(inner + ir.capture_slots, outer + caps):
+                            ids[s] = caller[o]
+                    body = ir
+                    instrs, tail, pc, n = ir.block.instrs, ir.block.tail, 0, len(ir.block.instrs)
 
-    while stack:
-        act = stack[-1]
-        slots = act.slots
-        ids = act.ids
-        instrs = act.instrs
-        suspended = False
-        while act.pc < len(instrs):
-            ins = instrs[act.pc]
-            kind = ins[0]
-            if kind == "prim":
-                out = _exec_prim(ins, slots, policy, violations)
-                if tape is not None:
-                    ids[ins[1]] = tape.record(ins[2], tuple(ids[i] for i in ins[3]), out, ins[4])
-                act.pc += 1
-            elif kind == "const":
-                v = Value.scalar(ins[2])
-                slots[ins[1]] = v
-                if tape is not None:
-                    ids[ins[1]] = tape.leaf(v)
-                act.pc += 1
-            elif kind == "input":
-                name = ins[2]
-                slots[ins[1]], ref = _fetch_input(inputs, name, tape)
-                if tape is not None:
-                    ids[ins[1]] = ref if ref is not None else tape.input_leaf(name, slots[ins[1]])
-                act.pc += 1
-            elif kind == "param":
-                name = ins[2]
-                v = _param_value(params, name)
-                slots[ins[1]] = v
-                if tape is not None:
-                    ids[ins[1]] = tape.param_leaf(store if store is not None else params, name, v)
-                act.pc += 1
-            elif kind == "select":
-                _, dest, c, t, e = ins
-                out = select(slots[c], slots[t], slots[e])
-                slots[dest] = out
-                if tape is not None:
-                    ids[dest] = tape.record("select", (ids[c], ids[t], ids[e]), out, None)
-                act.pc += 1
-            elif kind == "loop":
-                _, dest, ir, init_slots, cap_slots = ins
-                body_slots = [None] * ir.slot_count
-                body_ids = [None] * ir.slot_count if tape is not None else None
-                for s, outer in zip(ir.var_slots, init_slots):
-                    body_slots[s] = slots[outer]
-                    if tape is not None:
-                        body_ids[s] = ids[outer]
-                for s, outer in zip(ir.capture_slots, cap_slots):
-                    body_slots[s] = slots[outer]
-                    if tape is not None:
-                        body_ids[s] = ids[outer]
-                act.pc += 1
-                stack.append(_Act(body_slots, body_ids, ir.block, ("loop", ir, act, dest)))
-                suspended = True
-                break
-            elif kind == "call":
-                _, dest, fn_ir, arg_slots, cap_slots = ins
-                check_depth(fn_ir, depth)
-                depth += 1
-                f_slots = [None] * fn_ir.slot_count
-                f_ids = [None] * fn_ir.slot_count if tape is not None else None
-                for s, outer in zip(fn_ir.param_slots, arg_slots):
-                    f_slots[s] = slots[outer]
-                    if tape is not None:
-                        f_ids[s] = ids[outer]
-                for s, outer in zip(fn_ir.capture_slots, cap_slots):
-                    f_slots[s] = slots[outer]
-                    if tape is not None:
-                        f_ids[s] = ids[outer]
-                act.pc += 1
-                stack.append(_Act(f_slots, f_ids, fn_ir.block, ("fnret", act, dest), fn=fn_ir))
-                suspended = True
-                break
-            else:
-                raise AssertionError(f"unknown instruction {kind}")
-        if suspended:
-            continue
+            # Instructions exhausted: resolve the tail.
+            if tail[0] == "branch":
+                cond = slots[tail[1]]
+                if cond.kind != "scalar" or cond.batched:
+                    raise EvalError(
+                        "recur cannot be guarded by a batched or non-scalar condition"
+                    )
+                chosen = tail[2] if float(cond.data) != 0.0 else tail[3]
+            elif tail[0] == "recur":
+                new_vals = [slots[s] for s in tail[1]]
+                for s, v in zip(body.var_slots, new_vals):
+                    slots[s] = v
+                if taping:
+                    new_ids = [ids[s] for s in tail[1]]
+                    for s, i in zip(body.var_slots, new_ids):
+                        ids[s] = i
+                chosen = body.block
+            else:  # exit
+                value = slots[tail[1]]
+                value_id = ids[tail[1]] if taping else None
+                if not frames:
+                    break
+                slots, ids, instrs, tail, pc, body, dest, called = frames.pop()
+                if called:
+                    depth -= 1
+                n = len(instrs)
+                slots[dest] = value
+                if taping:
+                    ids[dest] = value_id
+                continue
+            instrs, tail, pc, n = chosen.instrs, chosen.tail, 0, len(chosen.instrs)
+    except SingularMatrix as err:
+        raise SingularMatrix(err.op, where=err.where, instruction=ins[1]) from None
 
-        # Instructions exhausted: resolve the tail.
-        tail = act.tail
-        if tail[0] == "branch":
-            _, cond_slot, then_b, else_b = tail
-            cond = slots[cond_slot]
-            if cond.kind != "scalar" or cond.batched:
-                raise EvalError(
-                    "recur cannot be guarded by a batched or non-scalar condition"
-                )
-            chosen = then_b if float(cond.data) != 0.0 else else_b
-            act.instrs = chosen.instrs
-            act.pc = 0
-            act.tail = chosen.tail
-            continue  # execute the chosen block
-
-        if tail[0] == "recur":
-            kind_c = act.consumer[0]
-            if kind_c != "loop":
-                raise AssertionError("recur outside loop body")
-            _, ir, owner, dest = act.consumer
-            new_vals = [slots[s] for s in tail[1]]
-            new_ids = [ids[s] for s in tail[1]] if tape is not None else None
-            for i, s in enumerate(ir.var_slots):
-                slots[s] = new_vals[i]
-                if tape is not None:
-                    ids[s] = new_ids[i]
-            act.instrs = ir.block.instrs
-            act.pc = 0
-            act.tail = ir.block.tail
-            continue
-
-        assert tail[0] == "exit"
-        value = slots[tail[1]]
-        value_id = ids[tail[1]] if tape is not None else None
-        stack.pop()
-        consumer = act.consumer
-        if consumer[0] == "top":
-            result = (value, value_id)
-        elif consumer[0] == "fnret":
-            depth -= 1
-            _, caller, dest = consumer
-            caller.slots[dest] = value
-            if tape is not None:
-                caller.ids[dest] = value_id
-        elif consumer[0] == "loop":
-            _, ir, owner, dest = consumer
-            owner.slots[dest] = value
-            if tape is not None:
-                owner.ids[dest] = value_id
-
-    return result
+    if violations is not None:
+        violations.finalize(value, prog.output_slot)
+    return value, value_id
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +211,7 @@ def _check_inputs(prog, inputs):
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate a compiled program on concrete values."""
     _check_inputs(prog, inputs)
-    violations = _Violations() if policy.raises else None
-    if prog.straight_line:
-        slots = [None] * prog.slot_count
-        out_slot = _run_block_simple(prog.block, slots, inputs, params, policy, violations)
-        out = slots[out_slot]
-    else:
-        out, _ = _run_general(prog, inputs, params, policy, violations)
-    if violations is not None:
-        violations.finalize(out, prog.output_slot)
-    return out
+    return _run(prog, inputs, params, policy, None, None)[0]
 
 
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
@@ -316,22 +219,7 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
     """Evaluate while appending records to an existing tape.  Inputs may be
     Values or tape references; returns (value, tape node id)."""
     _check_inputs(prog, inputs)
-    violations = _Violations() if policy.raises else None
-    if prog.straight_line:
-        slots = [None] * prog.slot_count
-        ids = [None] * prog.slot_count
-        out_slot = _run_block_simple(
-            prog.block, slots, inputs, params, policy, violations,
-            tape=tape, ids=ids, store=store,
-        )
-        out, out_id = slots[out_slot], ids[out_slot]
-    else:
-        out, out_id = _run_general(
-            prog, inputs, params, policy, violations, tape=tape, store=store
-        )
-    if violations is not None:
-        violations.finalize(out, prog.output_slot)
-    return out, out_id
+    return _run(prog, inputs, params, policy, tape, store)
 
 
 def eval_with_tape(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY):

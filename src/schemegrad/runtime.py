@@ -68,8 +68,24 @@ def _align_elementwise(args: list[Value], op: str):
     """Return (arrays, kind, batched) for an elementwise application.
 
     Scalars broadcast against vectors/matrices; unbatched values broadcast
-    against batched ones.  Anything else must match exactly.
+    against batched ones.  Anything else must match exactly.  All-scalar
+    operands, the common case of small-batch programs, take a fast path
+    that only compares batch sizes: their arrays need no reshaping.
     """
+    size = None
+    arrays = []
+    for a in args:
+        if a.kind != "scalar":
+            break
+        if a.batched:
+            n = a.data.shape[0]
+            if size is not None and n != size:
+                raise ShapeMismatch(f"{op}: batch sizes {size} vs {n} differ")
+            size = n
+        arrays.append(a.data)
+    else:
+        return arrays, "scalar", size is not None
+
     kind = "scalar"
     core = None
     batch = None
@@ -135,42 +151,101 @@ def ordered_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
 # scalar / elementwise ops
 
 
-def _fold(arrs, fn):
-    out = arrs[0]
-    for a in arrs[1:]:
-        out = fn(out, a)
-    return out
+def _any(mask) -> bool:
+    """np.any without its dispatch overhead; a 0-d mask is a numpy bool."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
-def _ew(args, op, compute, policy=None):
-    arrays, kind, batched = _align_elementwise(args, op)
-    return Value(compute(arrays), kind, batched)
+def _result(data, kind: str, batched: bool) -> Value:
+    """Wrap an elementwise result.  An all-scalar one skips the Value
+    checks, since ``batched`` implies its ndim; ufuncs return numpy scalars
+    for 0-d operands, which become 0-d arrays again."""
+    if kind == "scalar":
+        return Value.trusted(np.asarray(data), "scalar", batched)
+    return Value(data, kind, batched)
 
 
-def _op_add(args, policy):
-    return _ew(args, "+", lambda xs: _fold(xs, np.add))
+def _as_float(mask) -> np.ndarray:
+    """Truth values as 1.0/0.0; a numpy bool becomes a 0-d array."""
+    return np.asarray(mask, dtype=np.float64)
+
+
+def _folding(op: str, ufunc):
+    """An n-ary elementwise op that folds ``ufunc`` left to right."""
+    def impl(args, policy):
+        arrays, kind, batched = _align_elementwise(args, op)
+        out = arrays[0]
+        for x in arrays[1:]:
+            out = ufunc(out, x)
+        return _result(out, kind, batched)
+    return impl
+
+
+def _unary(op: str, ufunc):
+    def impl(args, policy):
+        arrays, kind, batched = _align_elementwise(args, op)
+        return _result(ufunc(arrays[0]), kind, batched)
+    return impl
+
+
+def _comparing(op: str, ufunc):
+    """A binary comparison; true is 1.0 and false 0.0."""
+    def impl(args, policy):
+        arrays, kind, batched = _align_elementwise(args, op)
+        return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched)
+    return impl
+
+
+def _logical(op: str, ufunc):
+    """n-ary and/or over truth values (non-zero is true)."""
+    def impl(args, policy):
+        arrays, kind, batched = _align_elementwise(args, op)
+        out = arrays[0] != 0.0
+        for x in arrays[1:]:
+            out = ufunc(out, x != 0.0)
+        return _result(_as_float(out), kind, batched)
+    return impl
+
+
+_op_add = _folding("+", np.add)
+_op_mul = _folding("*", np.multiply)
+_op_min = _folding("min", np.minimum)
+_op_max = _folding("max", np.maximum)
+_op_abs = _unary("abs", np.abs)
+_op_sin = _unary("sin", np.sin)
+_op_cos = _unary("cos", np.cos)
+_op_exp = _unary("exp", np.exp)
+_op_eq = _comparing("=", np.equal)
+_op_lt = _comparing("<", np.less)
+_op_gt = _comparing(">", np.greater)
+_op_le = _comparing("<=", np.less_equal)
+_op_ge = _comparing(">=", np.greater_equal)
+_op_and = _logical("and", np.logical_and)
+_op_or = _logical("or", np.logical_or)
+_subtract = _folding("-", np.subtract)
+_sqrt = _unary("sqrt", np.sqrt)
+_log = _unary("log", np.log)
+
+
+_ZERO = Value.scalar(0.0)  # unary minus is 0 - x; shared, so read-only
+_ZERO.data.flags.writeable = False
 
 
 def _op_sub(args, policy):
     if len(args) == 1:
-        zero = Value.scalar(0.0)
-        return _ew([zero, args[0]], "-", lambda xs: np.subtract(xs[0], xs[1]))
-    return _ew(args, "-", lambda xs: _fold(xs, np.subtract))
-
-
-def _op_mul(args, policy):
-    return _ew(args, "*", lambda xs: _fold(xs, np.multiply))
+        return _subtract([_ZERO, args[0]], policy)
+    return _subtract(args, policy)
 
 
 def _op_div(args, policy):
     arrays, kind, batched = _align_elementwise(args, "/")
     out = arrays[0]
     for a in arrays[1:]:
-        if policy.raises and np.any(a == 0.0):
+        if policy.raises and _any(a == 0.0):
             _violation(policy, "division by zero", a == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.divide(out, a)
-    return Value(out, kind, batched)
+    return _result(out, kind, batched)
 
 
 def _op_pow(args, policy):
@@ -178,121 +253,68 @@ def _op_pow(args, policy):
     base, ex = np.broadcast_arrays(*arrays)
     if policy.raises:
         frac = (base < 0.0) & (ex != np.trunc(ex))
-        if np.any(frac):
+        if _any(frac):
             _violation(policy, "pow of negative base with non-integer exponent", frac)
         zneg = (base == 0.0) & (ex < 0.0)
-        if np.any(zneg):
+        if _any(zneg):
             _violation(policy, "division by zero", zneg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return Value(np.power(arrays[0], arrays[1]), kind, batched)
+        return _result(np.power(arrays[0], arrays[1]), kind, batched)
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
     """pow with a compile-time constant exponent (no exponent operand)."""
     if policy.raises:
-        if exponent != np.trunc(exponent) and np.any(base.data < 0.0):
+        if exponent != np.trunc(exponent) and _any(base.data < 0.0):
             _violation(policy, "pow of negative base with non-integer exponent",
                        base.data < 0.0)
-        if exponent < 0.0 and np.any(base.data == 0.0):
+        if exponent < 0.0 and _any(base.data == 0.0):
             _violation(policy, "division by zero", base.data == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return Value(np.power(base.data, exponent), base.kind, base.batched)
+        out = np.power(base.data, exponent)
+    # the result has the base's shape, so the base's kind and batching fit it
+    return Value.trusted(np.asarray(out), base.kind, base.batched)
 
 
 def _op_modulo(args, policy):
     arrays, kind, batched = _align_elementwise(args, "modulo")
-    if policy.raises and np.any(arrays[1] == 0.0):
+    if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return Value(np.mod(arrays[0], arrays[1]), kind, batched)
+        return _result(np.mod(arrays[0], arrays[1]), kind, batched)
 
 
 def _op_remainder(args, policy):
     arrays, kind, batched = _align_elementwise(args, "remainder")
-    if policy.raises and np.any(arrays[1] == 0.0):
+    if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return Value(np.fmod(arrays[0], arrays[1]), kind, batched)
-
-
-def _op_abs(args, policy):
-    return _ew(args, "abs", lambda xs: np.abs(xs[0]))
-
-
-def _op_min(args, policy):
-    return _ew(args, "min", lambda xs: _fold(xs, np.minimum))
-
-
-def _op_max(args, policy):
-    return _ew(args, "max", lambda xs: _fold(xs, np.maximum))
-
-
-def _op_sin(args, policy):
-    return _ew(args, "sin", lambda xs: np.sin(xs[0]))
-
-
-def _op_cos(args, policy):
-    return _ew(args, "cos", lambda xs: np.cos(xs[0]))
-
-
-def _op_exp(args, policy):
-    return _ew(args, "exp", lambda xs: np.exp(xs[0]))
+        return _result(np.fmod(arrays[0], arrays[1]), kind, batched)
 
 
 def _op_sqrt(args, policy):
-    if policy.raises and np.any(args[0].data < 0.0):
+    if policy.raises and _any(args[0].data < 0.0):
         _violation(policy, "sqrt of negative value", args[0].data < 0.0)
     with np.errstate(invalid="ignore"):
-        return _ew(args, "sqrt", lambda xs: np.sqrt(xs[0]))
+        return _sqrt(args, policy)
 
 
 def _op_log(args, policy):
-    if policy.raises and np.any(args[0].data <= 0.0):
+    if policy.raises and _any(args[0].data <= 0.0):
         _violation(policy, "log of non-positive value", args[0].data <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _ew(args, "log", lambda xs: np.log(xs[0]))
-
-
-def _bool(arr) -> np.ndarray:
-    return arr.astype(np.float64)
-
-
-def _op_eq(args, policy):
-    return _ew(args, "=", lambda xs: _bool(np.equal(xs[0], xs[1])))
-
-
-def _op_lt(args, policy):
-    return _ew(args, "<", lambda xs: _bool(np.less(xs[0], xs[1])))
-
-
-def _op_gt(args, policy):
-    return _ew(args, ">", lambda xs: _bool(np.greater(xs[0], xs[1])))
-
-
-def _op_le(args, policy):
-    return _ew(args, "<=", lambda xs: _bool(np.less_equal(xs[0], xs[1])))
-
-
-def _op_ge(args, policy):
-    return _ew(args, ">=", lambda xs: _bool(np.greater_equal(xs[0], xs[1])))
-
-
-def _op_and(args, policy):
-    return _ew(args, "and", lambda xs: _bool(_fold([x != 0.0 for x in xs], np.logical_and)))
-
-
-def _op_or(args, policy):
-    return _ew(args, "or", lambda xs: _bool(_fold([x != 0.0 for x in xs], np.logical_or)))
+        return _log(args, policy)
 
 
 def _op_not(args, policy):
-    return _ew(args, "not", lambda xs: _bool(np.equal(xs[0], 0.0)))
+    arrays, kind, batched = _align_elementwise(args, "not")
+    return _result(_as_float(np.equal(arrays[0], 0.0)), kind, batched)
 
 
 def select(cond: Value, then: Value, orelse: Value) -> Value:
     """Elementwise branch blend: picks `then` where cond is non-zero."""
     arrays, kind, batched = _align_elementwise([cond, then, orelse], "if")
-    return Value(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched)
+    return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched)
 
 
 def _op_select(args, policy):

@@ -8,6 +8,7 @@ import numpy as np
 from .errors import ShapeMismatch
 
 _CORE_NDIM = {"scalar": 0, "vector": 1, "matrix": 2}
+_new_value = object.__new__
 
 
 class Value:
@@ -59,6 +60,16 @@ class Value:
     @staticmethod
     def batch_matrices(arr) -> "Value":
         return Value(arr, "matrix", batched=True)
+
+    @staticmethod
+    def trusted(data: np.ndarray, kind: str, batched: bool) -> "Value":
+        """Wrap a float64 ndarray whose ndim the caller already knows to fit
+        ``kind`` and ``batched``; nothing is converted or checked."""
+        v = _new_value(Value)
+        v.data = data
+        v.kind = kind
+        v.batched = batched
+        return v
 
     @staticmethod
     def of(x) -> "Value":

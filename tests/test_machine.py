@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from schemegrad.autodiff import Tape
 from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation, EvalError, MissingInput
-from schemegrad.machine import eval_program, eval_with_tape
+from schemegrad.errors import DomainViolation, EvalError, MissingInput, SingularMatrix
+from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
-from schemegrad.values import Value
+from schemegrad.values import Value, bit_equal
 
 
 def test_missing_input_raises():
@@ -82,3 +83,48 @@ def test_safe_domain_ops_recorded_on_program():
     prog = compile_source("(/ (sqrt x) (log y))", inputs=("x", "y"))
     ops = {op for _, op in prog.safe_domain_ops}
     assert ops == {"/", "sqrt", "log"}
+
+
+def test_singular_matrix_names_its_instruction():
+    prog = compile_source("(+ 1 (det (inv M)))", inputs=("M",))
+    inv_slot = next(ins[1] for ins in prog.block.instrs
+                    if ins[0] == "prim" and ins[2] == "inv")
+    m = Value.matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SingularMatrix) as err:
+        eval_program(prog, {"M": m})
+    assert err.value.op == "inv" and err.value.where == 0
+    assert err.value.instruction == inv_slot
+    assert f"at instruction {inv_slot}" in str(err.value)
+    with pytest.raises(SingularMatrix) as err:
+        eval_with_tape(prog, {"M": m})
+    assert err.value.instruction == inv_slot
+
+
+# A straight-line program, a loop and a non-tail recursive call; each takes
+# one scalar input x.
+_EXECUTOR_PROGRAMS = {
+    "straight": "(/ (+ (* x x) (sin x)) (+ 2 (exp (- x))))",
+    "loop": "(loop ((k 0) (y x)) (if (< k 6) (recur (+ k 1) (+ (* y 0.5) (sqrt (abs y)))) y))",
+    "call": "(letrec ((f (lambda (k y) (if (< k 1) y (+ y (call f (- k 1) (* y 0.75))))))) "
+            "(call f 4 x))",
+}
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("name", sorted(_EXECUTOR_PROGRAMS))
+def test_eval_program_bit_equal_to_run_on_tape(name, batch):
+    prog = compile_source(_EXECUTOR_PROGRAMS[name], inputs=("x",))
+    x = Value.batch_scalars(np.linspace(-1.5, 2.5, batch))
+    plain = eval_program(prog, {"x": x})
+    tape = Tape()
+    taped, out_id = run_on_tape(prog, {"x": x}, None, tape)
+    assert bit_equal(plain, taped)
+    assert tape.value_of(out_id) is taped
+
+
+def test_constant_output_is_read_only_and_reused_intact():
+    prog = compile_source("2.0")
+    out = eval_program(prog, {})
+    with pytest.raises(ValueError):
+        out.data[...] = 3.0
+    assert eval_program(prog, {}).item() == 2.0

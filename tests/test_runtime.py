@@ -268,6 +268,22 @@ def test_shape_mismatches():
         batched2 = Value.batch_scalars(np.ones(2))
         batched3 = Value.batch_scalars(np.ones(3))
         apply_primitive("+", [batched2, batched3])
+    # every op with two or more operands on the all-scalar fast path, in
+    # both policies and wherever the second batch size appears
+    b2 = Value.batch_scalars(np.array([1.0, 2.0]))
+    b3 = Value.batch_scalars(np.array([1.0, 2.0, 3.0]))
+    mismatched = ([b2, b3], [S(1.0), b2, b3], [b3, S(1.0), b2])
+    for op in ("+", "-", "*", "/", "pow", "modulo", "remainder", "min", "max",
+               "=", "<", ">", "<=", ">=", "and", "or"):
+        for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+            for args in mismatched:
+                with pytest.raises(ShapeMismatch, match="batch sizes"):
+                    apply_primitive(op, args, policy)
+    for args in ([b2, b3, S(0.0)], [S(1.0), b2, b3], [b3, S(1.0), b2]):
+        with pytest.raises(ShapeMismatch, match="batch sizes"):
+            select(*args)
+        with pytest.raises(ShapeMismatch, match="batch sizes"):
+            apply_primitive("if", args)
 
 
 def test_scalar_tensor_promotion():
