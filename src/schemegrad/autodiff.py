@@ -676,7 +676,7 @@ def finite_diff_check(prog, inputs, params=None, h: float = 1e-5, tol: float = 1
     for name, v in inputs.items():
         ad = result.input_grads.get(name)
         ad_arr = ad.data if ad is not None else np.zeros_like(v.data)
-        arr = v.data.copy()
+        arr = np.array(v.data, dtype=np.float64)  # a writable copy, also of a numpy scalar
 
         def setter(a, _name=name, _v=v):
             inputs[_name] = Value(a, _v.kind, _v.batched)
@@ -688,7 +688,7 @@ def finite_diff_check(prog, inputs, params=None, h: float = 1e-5, tol: float = 1
         for pname in store.trainable_names():
             entry = store[pname]
             ad_arr = entry.grad if entry.grad is not None else np.zeros_like(entry.value.data)
-            arr = entry.value.data.copy()
+            arr = np.array(entry.value.data, dtype=np.float64)
             original = entry.value
 
             def psetter(a, _p=pname):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .anf import (
     AnfProgram,
     CallApp,
@@ -28,7 +26,7 @@ from .anf import (
 from .errors import CycleDetected, UnboundVariable
 from .lowering import DEFAULT_MAX_DEPTH
 from .sexpr import Const, Var
-from .values import Value
+from .values import Value, frozen_scalar, numpy_scalar
 
 # Node kinds that execute as instructions plus frame-entry kinds
 # (loopvar/capture) whose slots are written by the loop/call machinery.
@@ -408,17 +406,17 @@ def _to_block(frame: _Frame, block_ids, tail) -> BlockIR:
     return BlockIR(instrs, tail)
 
 
-def _const_value(v: float) -> Value:
-    """The Value a const instruction stores into its slot on every run; its
-    array is read-only because every run and tape shares it."""
-    arr = np.array(v, dtype=np.float64)
-    arr.flags.writeable = False
-    return Value.trusted(arr, "scalar", False)
+def _const_values(v: float) -> tuple[Value, Value]:
+    """The Values a const instruction stores into its slot, built once and
+    shared by every run and tape: a read-only 0-d array, and its
+    numpy-scalar form for runs whose inputs are all unbatched scalars."""
+    arr = frozen_scalar(v)
+    return arr, numpy_scalar(arr)
 
 
 def _node_to_instr(node: Node) -> tuple:
     if node.kind == "const":
-        return ("const", node.id, node.aux, _const_value(node.aux))
+        return ("const", node.id, node.aux) + _const_values(node.aux)
     if node.kind == "input":
         return ("input", node.id, node.aux)
     if node.kind == "param":

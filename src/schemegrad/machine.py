@@ -6,6 +6,14 @@ slots in locals; entering a loop body or a function suspends the caller on
 an explicit frame stack, so loop iteration count and recursion depth never
 grow the Python stack.  ``eval_program`` and ``run_on_tape`` share it; with
 a tape it also records every value for reverse-mode differentiation.
+
+A run whose inputs are all unbatched scalars holds its unbatched scalars
+as ``numpy.float64`` (``values.numpy_scalar``): input and parameter leaves
+are converted as they are fetched, and constants come in that form from
+emission.  The runtime's elementwise kernels then compute on numpy scalars
+directly.  Every other run takes its constants, inputs and parameters as
+0-d arrays, because a ufunc given a numpy scalar next to an array converts
+the scalar on every call.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .runtime import (
     pow_immediate,
     select,
 )
-from .values import Value
+from .values import F64, Value, frozen_scalar, numpy_scalar
 
 _EAGER_DOMAIN_OPS = frozenset(["det", "inv"])  # singularities raise immediately
 
@@ -81,8 +89,10 @@ def _fetch_input(inputs, name, tape):
     return Value.of(v), None
 
 
-def _run(prog, inputs, params, policy, tape, store):
+def _run(prog, inputs, params, policy, tape, store, scalar):
     """Execute ``prog``; returns (output value, its tape id or None).
+
+    ``scalar`` marks an all-scalar run (see the module docstring).
 
     Non-eager partial ops run under the propagate policy; in error mode
     their non-finite results are noted and reported only if the output is
@@ -90,6 +100,7 @@ def _run(prog, inputs, params, policy, tape, store):
     """
     violations = _Violations() if policy.raises else None
     taping = tape is not None
+    const_at = 4 if scalar else 3  # a const's numpy-scalar or 0-d array Value
     slots = [None] * prog.slot_count
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
@@ -120,16 +131,21 @@ def _run(prog, inputs, params, policy, tape, store):
                     if taping:
                         ids[dest] = tape.record(op, tuple([ids[i] for i in operands]), out, aux)
                 elif kind == "const":
-                    v = slots[ins[1]] = ins[3]
+                    v = slots[ins[1]] = ins[const_at]
                     if taping:
                         ids[ins[1]] = tape.leaf(v)
                 elif kind == "input":
                     v, ref = _fetch_input(inputs, ins[2], tape)
+                    if scalar:
+                        v = numpy_scalar(v)
                     slots[ins[1]] = v
                     if taping:
                         ids[ins[1]] = ref if ref is not None else tape.input_leaf(ins[2], v)
                 elif kind == "param":
-                    v = slots[ins[1]] = _param_value(params, ins[2])
+                    v = _param_value(params, ins[2])
+                    if scalar:
+                        v = numpy_scalar(v)
+                    slots[ins[1]] = v
                     if taping:
                         ids[ins[1]] = tape.param_leaf(store if store is not None else params,
                                                       ins[2], v)
@@ -202,24 +218,50 @@ def _run(prog, inputs, params, policy, tape, store):
 # public entry points
 
 
-def _check_inputs(prog, inputs):
+def _unbatched_scalar(v) -> bool:
+    """Whether an input other than a Value (a TapeRef, a number or an
+    array) is an unbatched scalar."""
+    if isinstance(v, (float, int)):  # numpy.ndim would build an array
+        return True
+    v = getattr(v, "value", v)  # a TapeRef holds its Value
+    if isinstance(v, Value):
+        return not v.batched and v.kind == "scalar"
+    return np.ndim(v) == 0
+
+
+def _check_inputs(prog, inputs) -> bool:
+    """Raise MissingInput for an absent input; return whether every input
+    is an unbatched scalar, which makes the run an all-scalar one.  The
+    test stops at the first input that is not, so a batched run whose
+    first input is batched pays it once."""
+    scalar = True
     for name in prog.input_slots:
-        if name not in inputs:
-            raise MissingInput(f"missing input {name!r}")
+        try:
+            v = inputs[name]
+        except KeyError:
+            raise MissingInput(f"missing input {name!r}") from None
+        if scalar:
+            if type(v) is Value:
+                scalar = not v.batched and v.kind == "scalar"
+            else:
+                scalar = _unbatched_scalar(v)
+    return scalar
 
 
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
-    """Evaluate a compiled program on concrete values."""
-    _check_inputs(prog, inputs)
-    return _run(prog, inputs, params, policy, None, None)[0]
+    """Evaluate a compiled program on concrete values.  An unbatched scalar
+    result is returned as a read-only 0-d array, as constants are."""
+    scalar = _check_inputs(prog, inputs)
+    out = _run(prog, inputs, params, policy, None, None, scalar)[0]
+    return frozen_scalar(out.data) if type(out.data) is F64 else out
 
 
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
                 store=None):
     """Evaluate while appending records to an existing tape.  Inputs may be
     Values or tape references; returns (value, tape node id)."""
-    _check_inputs(prog, inputs)
-    return _run(prog, inputs, params, policy, tape, store)
+    scalar = _check_inputs(prog, inputs)
+    return _run(prog, inputs, params, policy, tape, store, scalar)
 
 
 def eval_with_tape(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY):

@@ -10,18 +10,41 @@ across the batch axis.  Each lane does the float operations of an LU of
 that matrix alone, in the same order, and an unbatched matrix goes
 through it as a batch of one, so for them too a batched evaluation is
 bit-identical to stacked unbatched ones.
+
+Numpy-scalar path.  In a run whose inputs are all unbatched scalars the
+machine holds unbatched scalars as ``numpy.float64`` (see ``values``), and
+an elementwise op whose operands all have that exact type skips the shape
+alignment and the 0-d array round trip; the type implies an unbatched
+scalar, so nothing else is checked.  ``+ - *`` (and unary minus, 0 - x)
+use numpy's scalar operators and comparisons return shared 1.0/0.0
+values, ``if`` returns the chosen operand, ``/`` divides without
+``np.errstate`` when the divisor is finite and non-zero, and ``sqrt`` of
+x >= 0 is ``math.sqrt``.  These are all correctly rounded IEEE
+operations, so the results are bit-identical to the ufuncs.  ``exp sin
+cos abs log min max`` call their ufuncs on the scalars directly (``log``
+inside ``np.errstate``, as on arrays), and ``pow`` with a constant
+exponent of a base > 0, which raises no floating-point flag, calls
+``np.power`` without ``np.errstate``: numpy's SIMD transcendentals may
+differ from libm by an ulp, which would break batched == stacked.
+Operands of any other type, and every other op (``pow modulo remainder
+and or not`` among them), take the array path, which is unchanged; its
+0-d results are numpy scalars only when an operand is one, so a run that
+holds no numpy scalars sees the 0-d arrays it always did.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolation, ShapeMismatch, SingularMatrix
-from .values import Value
+from .values import F64, Value
 
 _SINGULAR_RTOL = 1e-12
+_isfinite = math.isfinite
 
 
 @dataclass(frozen=True)
@@ -156,12 +179,33 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
-def _result(data, kind: str, batched: bool) -> Value:
-    """Wrap an elementwise result.  An all-scalar one skips the Value
-    checks, since ``batched`` implies its ndim; ufuncs return numpy scalars
-    for 0-d operands, which become 0-d arrays again."""
+def _numpy_scalars(args: list[Value]) -> bool:
+    for a in args:
+        if type(a.data) is not F64:
+            return False
+    return True
+
+
+# Shared truth values of numpy-scalar comparisons; numpy scalars are immutable.
+_TRUE = Value.trusted(F64(1.0), "scalar", False)
+_FALSE = Value.trusted(F64(0.0), "scalar", False)
+_NP_ZERO = _FALSE.data  # unary minus of a numpy scalar is _NP_ZERO - x
+
+
+def _result(data, kind: str, batched: bool, arrays) -> Value:
+    """Wrap an elementwise result computed from ``arrays``.  An all-scalar
+    one skips the Value checks, since ``batched`` implies its ndim.  Ufuncs
+    return numpy scalars for 0-d operands: the result stays one when an
+    operand was one (an all-scalar run), and is a 0-d array again when all
+    were 0-d arrays, so other runs keep the types they always had."""
     if kind == "scalar":
-        return Value.trusted(np.asarray(data), "scalar", batched)
+        if type(data) is F64:
+            for x in arrays:
+                if type(x) is F64:
+                    break
+            else:
+                data = np.asarray(data)
+        return Value.trusted(data, "scalar", batched)
     return Value(data, kind, batched)
 
 
@@ -170,29 +214,50 @@ def _as_float(mask) -> np.ndarray:
     return np.asarray(mask, dtype=np.float64)
 
 
-def _folding(op: str, ufunc):
-    """An n-ary elementwise op that folds ``ufunc`` left to right."""
+def _folding(op: str, ufunc, scalar_op=None):
+    """An n-ary elementwise op that folds ``ufunc`` left to right; numpy
+    scalars fold ``scalar_op`` (by default the ufunc itself)."""
+    fold = scalar_op or ufunc
+
     def impl(args, policy):
+        out = args[0].data
+        if type(out) is F64:  # the one test a batched run pays
+            if len(args) == 2:  # the common arity, without a loop
+                b = args[1].data
+                if type(b) is F64:
+                    return Value.trusted(fold(out, b), "scalar", False)
+            elif _numpy_scalars(args):
+                for a in args[1:]:
+                    out = fold(out, a.data)
+                return Value.trusted(out, "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         out = arrays[0]
         for x in arrays[1:]:
             out = ufunc(out, x)
-        return _result(out, kind, batched)
+        return _result(out, kind, batched, arrays)
     return impl
 
 
 def _unary(op: str, ufunc):
     def impl(args, policy):
+        x = args[0].data
+        if type(x) is F64:
+            return Value.trusted(ufunc(x), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
-        return _result(ufunc(arrays[0]), kind, batched)
+        return _result(ufunc(arrays[0]), kind, batched, arrays)
     return impl
 
 
-def _comparing(op: str, ufunc):
+def _comparing(op: str, ufunc, scalar_op):
     """A binary comparison; true is 1.0 and false 0.0."""
     def impl(args, policy):
+        a = args[0].data
+        if type(a) is F64:
+            b = args[1].data
+            if type(b) is F64:
+                return _TRUE if scalar_op(a, b) else _FALSE
         arrays, kind, batched = _align_elementwise(args, op)
-        return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched)
+        return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched, arrays)
     return impl
 
 
@@ -203,26 +268,26 @@ def _logical(op: str, ufunc):
         out = arrays[0] != 0.0
         for x in arrays[1:]:
             out = ufunc(out, x != 0.0)
-        return _result(_as_float(out), kind, batched)
+        return _result(_as_float(out), kind, batched, arrays)
     return impl
 
 
-_op_add = _folding("+", np.add)
-_op_mul = _folding("*", np.multiply)
+_op_add = _folding("+", np.add, operator.add)
+_op_mul = _folding("*", np.multiply, operator.mul)
 _op_min = _folding("min", np.minimum)
 _op_max = _folding("max", np.maximum)
 _op_abs = _unary("abs", np.abs)
 _op_sin = _unary("sin", np.sin)
 _op_cos = _unary("cos", np.cos)
 _op_exp = _unary("exp", np.exp)
-_op_eq = _comparing("=", np.equal)
-_op_lt = _comparing("<", np.less)
-_op_gt = _comparing(">", np.greater)
-_op_le = _comparing("<=", np.less_equal)
-_op_ge = _comparing(">=", np.greater_equal)
+_op_eq = _comparing("=", np.equal, operator.eq)
+_op_lt = _comparing("<", np.less, operator.lt)
+_op_gt = _comparing(">", np.greater, operator.gt)
+_op_le = _comparing("<=", np.less_equal, operator.le)
+_op_ge = _comparing(">=", np.greater_equal, operator.ge)
 _op_and = _logical("and", np.logical_and)
 _op_or = _logical("or", np.logical_or)
-_subtract = _folding("-", np.subtract)
+_subtract = _folding("-", np.subtract, operator.sub)
 _sqrt = _unary("sqrt", np.sqrt)
 _log = _unary("log", np.log)
 
@@ -233,11 +298,19 @@ _ZERO.data.flags.writeable = False
 
 def _op_sub(args, policy):
     if len(args) == 1:
+        x = args[0].data
+        if type(x) is F64:
+            return Value.trusted(_NP_ZERO - x, "scalar", False)
         return _subtract([_ZERO, args[0]], policy)
     return _subtract(args, policy)
 
 
 def _op_div(args, policy):
+    a = args[0].data
+    if type(a) is F64 and len(args) == 2:
+        b = args[1].data
+        if type(b) is F64 and b != 0.0 and _isfinite(b):
+            return Value.trusted(a / b, "scalar", False)  # a finite non-zero divisor: no flag
     arrays, kind, batched = _align_elementwise(args, "/")
     out = arrays[0]
     for a in arrays[1:]:
@@ -245,13 +318,13 @@ def _op_div(args, policy):
             _violation(policy, "division by zero", a == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.divide(out, a)
-    return _result(out, kind, batched)
+    return _result(out, kind, batched, arrays)
 
 
 def _op_pow(args, policy):
     arrays, kind, batched = _align_elementwise(args, "pow")
-    base, ex = np.broadcast_arrays(*arrays)
     if policy.raises:
+        base, ex = np.broadcast_arrays(*arrays)
         frac = (base < 0.0) & (ex != np.trunc(ex))
         if _any(frac):
             _violation(policy, "pow of negative base with non-integer exponent", frac)
@@ -259,11 +332,14 @@ def _op_pow(args, policy):
         if _any(zneg):
             _violation(policy, "division by zero", zneg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.power(arrays[0], arrays[1]), kind, batched)
+        return _result(np.power(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
     """pow with a compile-time constant exponent (no exponent operand)."""
+    x = base.data
+    if type(x) is F64 and x > 0.0:  # a positive base raises no flag
+        return Value.trusted(np.power(x, exponent), "scalar", False)
     if policy.raises:
         if exponent != np.trunc(exponent) and _any(base.data < 0.0):
             _violation(policy, "pow of negative base with non-integer exponent",
@@ -272,8 +348,10 @@ def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Val
             _violation(policy, "division by zero", base.data == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.power(base.data, exponent)
+    if type(x) is not F64:
+        out = np.asarray(out)  # as _result: a 0-d base gives a 0-d array
     # the result has the base's shape, so the base's kind and batching fit it
-    return Value.trusted(np.asarray(out), base.kind, base.batched)
+    return Value.trusted(out, base.kind, base.batched)
 
 
 def _op_modulo(args, policy):
@@ -281,7 +359,7 @@ def _op_modulo(args, policy):
     if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.mod(arrays[0], arrays[1]), kind, batched)
+        return _result(np.mod(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def _op_remainder(args, policy):
@@ -289,10 +367,13 @@ def _op_remainder(args, policy):
     if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.fmod(arrays[0], arrays[1]), kind, batched)
+        return _result(np.fmod(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def _op_sqrt(args, policy):
+    x = args[0].data
+    if type(x) is F64 and x >= 0.0:
+        return Value.trusted(F64(math.sqrt(x)), "scalar", False)  # both correctly rounded
     if policy.raises and _any(args[0].data < 0.0):
         _violation(policy, "sqrt of negative value", args[0].data < 0.0)
     with np.errstate(invalid="ignore"):
@@ -308,13 +389,16 @@ def _op_log(args, policy):
 
 def _op_not(args, policy):
     arrays, kind, batched = _align_elementwise(args, "not")
-    return _result(_as_float(np.equal(arrays[0], 0.0)), kind, batched)
+    return _result(_as_float(np.equal(arrays[0], 0.0)), kind, batched, arrays)
 
 
 def select(cond: Value, then: Value, orelse: Value) -> Value:
     """Elementwise branch blend: picks `then` where cond is non-zero."""
+    c = cond.data
+    if type(c) is F64 and type(then.data) is F64 and type(orelse.data) is F64:
+        return then if c != 0.0 else orelse
     arrays, kind, batched = _align_elementwise([cond, then, orelse], "if")
-    return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched)
+    return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched, arrays)
 
 
 def _op_select(args, policy):

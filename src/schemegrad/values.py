@@ -9,14 +9,22 @@ from .errors import ShapeMismatch
 
 _CORE_NDIM = {"scalar": 0, "vector": 1, "matrix": 2}
 _new_value = object.__new__
+# The exact type of an unbatched scalar's data in its numpy-scalar form;
+# an operand of this type is an unbatched scalar, with no other check.
+F64 = np.float64
 
 
 class Value:
-    """An immutable-by-convention float64 array with a kind tag.
+    """An immutable float64 array with a kind tag.
 
     Shapes are [] / [n] / [n, m] for unbatched values and [B] / [B, n] /
     [B, n, m] when ``batched`` is set; the batch dimension is always
-    leading.
+    leading.  ``data`` is never written in place: values are shared
+    between slots, tapes and runs.  The constructors build ndarrays, but
+    the ``data`` of an unbatched scalar may also be a ``numpy.float64``,
+    which is how a run whose inputs are all unbatched scalars holds them
+    (see ``numpy_scalar``); numpy's scalar math gives the same IEEE
+    results as its ufuncs on 0-d arrays, at a fraction of the cost.
     """
 
     __slots__ = ("data", "kind", "batched")
@@ -63,7 +71,8 @@ class Value:
 
     @staticmethod
     def trusted(data: np.ndarray, kind: str, batched: bool) -> "Value":
-        """Wrap a float64 ndarray whose ndim the caller already knows to fit
+        """Wrap a float64 ndarray (or, for an unbatched scalar, a
+        ``numpy.float64``) whose ndim the caller already knows to fit
         ``kind`` and ``batched``; nothing is converted or checked."""
         v = _new_value(Value)
         v.data = data
@@ -107,6 +116,22 @@ class Value:
     def __repr__(self) -> str:
         b = f", batch={self.data.shape[0]}" if self.batched else ""
         return f"Value({self.kind}{b}, {self.data!r})"
+
+
+def numpy_scalar(v: Value) -> Value:
+    """The numpy-scalar form of an unbatched scalar: the same float64 held
+    as a ``numpy.float64``.  Any other value is returned as it is."""
+    if v.kind != "scalar" or v.batched or type(v.data) is F64:
+        return v
+    return Value.trusted(v.data[()], "scalar", False)
+
+
+def frozen_scalar(x) -> Value:
+    """An unbatched scalar around a read-only 0-d array, for a value that
+    callers may keep and share (compiled constants, program outputs)."""
+    arr = np.array(x, dtype=np.float64)
+    arr.flags.writeable = False
+    return Value.trusted(arr, "scalar", False)
 
 
 def bit_equal(a: Value, b: Value) -> bool:
