@@ -4,6 +4,15 @@ The tape is a flat record of every operation in execution order (loop
 iterations append one group per pass).  Backward walks it strictly in
 reverse, dispatching per-operation vector-Jacobian products and
 accumulating into input leaves and named parameters.
+
+Backward differentiates only the *active* part of the tape (activity
+analysis).  Its roots are every parameter leaf on the tape, trainable or
+frozen, and every input named in ``wrt_inputs``; a record is active when
+any of its arguments is.  Data inputs that were not asked for, constants
+and everything computed from them alone get no gradient: their records are
+not visited, and a VJP is told through its ``need`` mask which arguments
+to skip.  Every gradient it does compute is the sum of the same terms in
+the same order as a full pass, so it is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -231,114 +240,127 @@ def _swap(m):
     return np.swapaxes(m, -1, -2)
 
 
-# Each VJP returns a list of raw per-argument gradients (None = no flow),
-# shaped like the op output; the driver reduces them to argument shapes.
+# Each VJP returns a list of raw per-argument gradients, shaped like the op
+# output; backward reduces them to argument shapes.  ``need`` holds one
+# bool per argument: an argument that reaches no root of the backward pass
+# gets None, and its gradient is never computed.  Unary VJPs run only with
+# need == (True,) and ignore it.
 
 
-def _vjp_add(g, args, out, aux):
-    return [g for _ in args]
+def _vjp_add(g, args, out, aux, need):
+    return [g if n else None for n in need]
 
 
-def _vjp_sub(g, args, out, aux):
+def _vjp_sub(g, args, out, aux, need):
     if len(args) == 1:
         return [-g]
-    return [g] + [-g for _ in args[1:]]
+    return [g if need[0] else None] + [-g if n else None for n in need[1:]]
 
 
-def _vjp_mul(g, args, out, aux):
+def _vjp_mul(g, args, out, aux, need):
     outs = []
-    for i in range(len(args)):
-        p = g
-        for j, other in enumerate(args):
-            if j != i:
-                p = p * _aligned(other, out)
+    for i, n in enumerate(need):
+        p = None
+        if n:
+            p = g
+            for j, other in enumerate(args):
+                if j != i:
+                    p = p * _aligned(other, out)
         outs.append(p)
     return outs
 
 
-def _vjp_div(g, args, out, aux):
-    denom = None
-    for a in args[1:]:
-        arr = _aligned(a, out)
-        denom = arr if denom is None else denom * arr
-    grads = [g / denom]
-    for a in args[1:]:
-        grads.append(-g * out.data / _aligned(a, out))
+def _vjp_div(g, args, out, aux, need):
+    grads = [None]
+    if need[0]:
+        denom = None
+        for a in args[1:]:
+            arr = _aligned(a, out)
+            denom = arr if denom is None else denom * arr
+        grads[0] = g / denom
+    for a, n in zip(args[1:], need[1:]):
+        grads.append(-g * out.data / _aligned(a, out) if n else None)
     return grads
 
 
-def _vjp_pow(g, args, out, aux):
+def _vjp_pow(g, args, out, aux, need):
     if aux is not None:  # immediate exponent
         a = args[0].data
         return [g * aux * np.power(a, aux - 1.0)]
     a = _aligned(args[0], out)
     b = _aligned(args[1], out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        da = g * b * np.power(a, b - 1.0)
-        db = g * out.data * np.log(a)
+        da = g * b * np.power(a, b - 1.0) if need[0] else None
+        db = g * out.data * np.log(a) if need[1] else None
     return [da, db]
 
 
-def _vjp_modulo(g, args, out, aux):
-    a = _aligned(args[0], out)
-    b = _aligned(args[1], out)
-    return [g, -g * np.floor(a / b)]
+def _vjp_modulo(g, args, out, aux, need):
+    db = None
+    if need[1]:
+        db = -g * np.floor(_aligned(args[0], out) / _aligned(args[1], out))
+    return [g if need[0] else None, db]
 
 
-def _vjp_remainder(g, args, out, aux):
-    a = _aligned(args[0], out)
-    b = _aligned(args[1], out)
-    return [g, -g * np.trunc(a / b)]
+def _vjp_remainder(g, args, out, aux, need):
+    db = None
+    if need[1]:
+        db = -g * np.trunc(_aligned(args[0], out) / _aligned(args[1], out))
+    return [g if need[0] else None, db]
 
 
-def _vjp_abs(g, args, out, aux):
+def _vjp_abs(g, args, out, aux, need):
     return [g * np.sign(args[0].data)]
 
 
-def _vjp_minmax(g, args, out, aux):
+def _vjp_minmax(g, args, out, aux, need):
+    # an argument takes the gradient where it is the first to equal the
+    # output, so the mask runs over every argument, needed or not
     avail = np.ones(out.data.shape, dtype=bool)
     grads = []
-    for a in args:
+    for a, n in zip(args, need):
         take = (_aligned(a, out) == out.data) & avail
-        grads.append(g * take)
+        grads.append(g * take if n else None)
         avail = avail & ~take
     return grads
 
 
-def _vjp_sin(g, args, out, aux):
+def _vjp_sin(g, args, out, aux, need):
     return [g * np.cos(args[0].data)]
 
 
-def _vjp_cos(g, args, out, aux):
+def _vjp_cos(g, args, out, aux, need):
     return [-g * np.sin(args[0].data)]
 
 
-def _vjp_exp(g, args, out, aux):
+def _vjp_exp(g, args, out, aux, need):
     return [g * out.data]
 
 
-def _vjp_sqrt(g, args, out, aux):
+def _vjp_sqrt(g, args, out, aux, need):
     return [g * 0.5 / out.data]
 
 
-def _vjp_log(g, args, out, aux):
+def _vjp_log(g, args, out, aux, need):
     return [g / args[0].data]
 
 
-def _vjp_none(g, args, out, aux):
+def _vjp_none(g, args, out, aux, need):
     return [None for _ in args]
 
 
-def _vjp_select(g, args, out, aux):
+def _vjp_select(g, args, out, aux, need):
     c = _aligned(args[0], out)
-    return [None, g * (c != 0.0), g * (c == 0.0)]
+    return [None, g * (c != 0.0) if need[1] else None, g * (c == 0.0) if need[2] else None]
 
 
-def _vjp_vec(g, args, out, aux):
-    return [g[..., i] for i in range(len(args))]
+def _vjp_vec(g, args, out, aux, need):
+    return [g[..., i] if n else None for i, n in enumerate(need)]
 
 
-def _vjp_ref(g, args, out, aux):
+def _vjp_ref(g, args, out, aux, need):
+    if not need[0]:
+        return [None, None]
     v = args[0]
     idx = int(float(args[1].data))
     gv = np.zeros_like(v.data)
@@ -346,24 +368,25 @@ def _vjp_ref(g, args, out, aux):
     return [gv, None]
 
 
-def _vjp_dot(g, args, out, aux):
+def _vjp_dot(g, args, out, aux, need):
     a, b = args
     ge = np.asarray(g)[..., None]
-    return [ge * b.data, ge * a.data]
+    return [ge * b.data if need[0] else None, ge * a.data if need[1] else None]
 
 
-def _vjp_cross(g, args, out, aux):
+def _vjp_cross(g, args, out, aux, need):
     a, b = args
-    return [_cross_raw(b.data, g), _cross_raw(g, a.data)]
+    return [_cross_raw(b.data, g) if need[0] else None,
+            _cross_raw(g, a.data) if need[1] else None]
 
 
-def _vjp_norm(g, args, out, aux):
+def _vjp_norm(g, args, out, aux, need):
     v = args[0]
     n = np.asarray(out.data)[..., None]
     return [np.asarray(g)[..., None] * v.data / n]
 
 
-def _vjp_normalize(g, args, out, aux):
+def _vjp_normalize(g, args, out, aux, need):
     v = args[0].data
     n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     u = out.data
@@ -371,55 +394,60 @@ def _vjp_normalize(g, args, out, aux):
     return [(g - u * inner) / n]
 
 
-def _vjp_vsum(g, args, out, aux):
+def _vjp_vsum(g, args, out, aux, need):
     v = args[0]
     return [np.broadcast_to(np.asarray(g)[..., None], v.data.shape)]
 
 
-def _vjp_scale(g, args, out, aux):
+def _vjp_scale(g, args, out, aux, need):
     s, v = args
-    core = tuple(range(g.ndim - len(v.core_shape), g.ndim))
-    gs = (g * v.data).sum(axis=core) if core else g * v.data
-    return [gs, _aligned(s, out) * g]
+    gs = None
+    if need[0]:
+        core = tuple(range(g.ndim - len(v.core_shape), g.ndim))
+        gs = (g * v.data).sum(axis=core) if core else g * v.data
+    return [gs, _aligned(s, out) * g if need[1] else None]
 
 
-def _vjp_mat(g, args, out, aux):
-    return [g[..., i, :] for i in range(len(args))]
+def _vjp_mat(g, args, out, aux, need):
+    return [g[..., i, :] if n else None for i, n in enumerate(need)]
 
 
-def _vjp_matmul(g, args, out, aux):
+def _vjp_matmul(g, args, out, aux, need):
     a, b = args
-    return [np.matmul(g, _swap(b.data)), np.matmul(_swap(a.data), g)]
+    return [np.matmul(g, _swap(b.data)) if need[0] else None,
+            np.matmul(_swap(a.data), g) if need[1] else None]
 
 
-def _vjp_matvec(g, args, out, aux):
+def _vjp_matvec(g, args, out, aux, need):
     m, v = args
     ge = np.asarray(g)[..., :, None]
-    return [ge * v.data[..., None, :], (m.data * ge).sum(axis=-2)]
+    return [ge * v.data[..., None, :] if need[0] else None,
+            (m.data * ge).sum(axis=-2) if need[1] else None]
 
 
-def _vjp_transpose(g, args, out, aux):
+def _vjp_transpose(g, args, out, aux, need):
     return [_swap(g)]
 
 
-def _vjp_trace(g, args, out, aux):
+def _vjp_trace(g, args, out, aux, need):
     n = args[0].core_shape[-1]
     return [np.asarray(g)[..., None, None] * np.eye(n)]
 
 
-def _vjp_det(g, args, out, aux):
+def _vjp_det(g, args, out, aux, need):
     inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
     return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
 
 
-def _vjp_inv(g, args, out, aux):
+def _vjp_inv(g, args, out, aux, need):
     it = _swap(out.data)
     return [-np.matmul(np.matmul(it, g), it)]
 
 
-def _vjp_outer(g, args, out, aux):
+def _vjp_outer(g, args, out, aux, need):
     a, b = args
-    return [(g * b.data[..., None, :]).sum(axis=-1), (g * a.data[..., :, None]).sum(axis=-2)]
+    return [(g * b.data[..., None, :]).sum(axis=-1) if need[0] else None,
+            (g * a.data[..., :, None]).sum(axis=-2) if need[1] else None]
 
 
 _VJPS = {
@@ -471,7 +499,15 @@ _VJPS = {
 
 
 def register_vjp(op: str, fn) -> None:
-    """Extension hook for non-primitive tape records (dense layers etc.)."""
+    """Extension hook for non-primitive tape records (dense layers etc.).
+
+    ``fn(g, args, out, aux, need)`` gets the output gradient ``g``, the
+    argument Values, the output Value, the record's aux and ``need``, a
+    tuple with one bool per argument.  It returns one raw gradient per
+    argument and must return None wherever ``need`` is false: such an
+    argument reaches no parameter or requested input.  It is called only
+    when at least one ``need`` entry is true.
+    """
     _VJPS[op] = fn
 
 
@@ -480,10 +516,15 @@ def register_vjp(op: str, fn) -> None:
 
 
 def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> GradResult:
-    """Walk the tape in reverse, accumulating gradients.
+    """Walk the active part of the tape in reverse, accumulating gradients.
 
-    Parameter gradients are summed into their stores; gradients for the
-    requested input names are returned.  The seed must match the output
+    The roots are every parameter leaf in ``tape.param_entries`` and the
+    input leaves named in ``wrt_inputs``; one forward sweep marks a record
+    active when any of its arguments is.  The reverse loop visits only
+    active records, and a VJP computes contributions only for its active
+    arguments.  Parameter gradients are summed into their stores;
+    gradients for the requested input names are returned.  An output that
+    no root reaches gives no gradients.  The seed must match the output
     shape.
     """
     out_id = output_id if output_id is not None else tape.output_id
@@ -496,20 +537,35 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
             f"seed shape {seed.data.shape} != output shape {out_value.data.shape}"
         )
 
-    grads: dict[int, np.ndarray] = {out_id: seed.data}
     nodes = tape.nodes
-    for nid in range(out_id, -1, -1):
+    active = [False] * (out_id + 1)
+    roots = [nid for _, _, nid in tape.param_entries]
+    roots += [tape.input_ids[name] for name in wrt_inputs if name in tape.input_ids]
+    for nid in roots:
+        if nid <= out_id:
+            active[nid] = True
+    visit = []  # active records with arguments, in tape order
+    for nid in range(out_id + 1):
+        for a in nodes[nid][1]:
+            if active[a]:
+                active[nid] = True
+                visit.append(nid)
+                break
+
+    result = GradResult(output=out_value)
+    if not active[out_id]:
+        return result
+    grads: dict[int, np.ndarray] = {out_id: seed.data}
+    for nid in reversed(visit):
         g = grads.get(nid)
         if g is None:
             continue
         op, args, value, aux = nodes[nid]
-        if op == "leaf" or not args:
-            continue
         vjp = _VJPS.get(op)
         if vjp is None:
             raise MissingGradient(f"no gradient rule for op {op!r}")
         arg_values = [nodes[a][2] for a in args]
-        raw = vjp(g, arg_values, value, aux)
+        raw = vjp(g, arg_values, value, aux, tuple([active[a] for a in args]))
         elementwise = op in _ELEMENTWISE_VJP_OPS
         for a_id, contrib in zip(args, raw):
             if contrib is None:
@@ -527,7 +583,6 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
         if g is not None:
             store.accumulate_grad(name, g)
 
-    result = GradResult(output=out_value)
     for name in wrt_inputs:
         nid = tape.input_ids.get(name)
         if nid is not None and nid in grads:

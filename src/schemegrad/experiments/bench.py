@@ -1,7 +1,7 @@
 """Hardware-independent performance properties: compile time, batch
 amortization of per-sample cost, and constant-stack-depth loop execution,
-plus informational rows for batched det/inv throughput and the cost of one
-loop iteration."""
+plus informational rows for batched det/inv throughput, the cost of one
+loop iteration and the backward pass of one training step."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ import time
 
 import numpy as np
 
+from ..autodiff import TapeContext
 from ..compiler import compile_source
 from ..machine import eval_program
 from ..runtime import PROPAGATE_POLICY
+from ..training import draw_inputs, truth_store
 from ..values import Value
-from .registry import BENCH_PROGRAMS
+from .registry import BENCH_PROGRAMS, FEYNMAN
 from .report import ResultRow
 
 BATCH_SIZES = (1, 100, 10_000)
@@ -21,6 +23,7 @@ AMORTIZATION_FLOOR = 50.0
 COMPILE_BUDGET_S = 0.010
 LOOP_ITERATIONS = 1_000_000
 LINALG_BATCH = 10_000
+TRAIN_BATCH = 10_000
 
 
 def _inputs_for(names, batch: int, rng):
@@ -99,6 +102,28 @@ def linalg_samples_per_s(seed: int = 0) -> float:
                               repeats=3, warmup=1)
 
 
+def backward_us(seed: int = 0, repeats: int = 20) -> float:
+    """Median microseconds of one backward pass of a rel_energy MSE training
+    step at TRAIN_BATCH, as train_coefficients takes it."""
+    eq = FEYNMAN["rel_energy"]
+    prog = compile_source(eq.source, inputs=eq.inputs, params=tuple(eq.params))
+    rng = np.random.default_rng(seed)
+    store = truth_store(eq.params)
+    inputs = draw_inputs(eq.ranges, TRAIN_BATCH, rng)
+    clean = eval_program(prog, inputs, store, PROPAGATE_POLICY)
+    target = Value(clean.data * (1.0 + eq.noise * rng.standard_normal(clean.data.shape)),
+                   clean.kind, clean.batched)
+    ctx = TapeContext(PROPAGATE_POLICY)
+    loss = ctx.mse(ctx.run(prog, inputs, store), target)
+    times = []
+    for _ in range(repeats):
+        store.zero_grads()
+        t0 = time.perf_counter()
+        ctx.backward(loss)
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) * 1e6
+
+
 def run(seed: int = 0, epochs_scale: float = 1.0):
     rows = []
     table = throughput_table(seed=seed)
@@ -113,6 +138,8 @@ def run(seed: int = 0, epochs_scale: float = 1.0):
                               t, COMPILE_BUDGET_S, "<="))
     rows.append(ResultRow("bench", "compiled", f"det_inv:samples_per_s_b{LINALG_BATCH}",
                           linalg_samples_per_s(seed), informational=True))
+    rows.append(ResultRow("bench", "compiled", f"train_step:us_backward_b{TRAIN_BATCH}",
+                          backward_us(seed), informational=True))
     residual, per_iteration = long_loop_completes()
     rows.append(ResultRow("bench", "compiled", "loop_1e6:residual", residual, 0.0, "=="))
     rows.append(ResultRow("bench", "compiled", "loop_1e6:us_per_iteration",

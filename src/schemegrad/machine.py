@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .autodiff import TapeRef
 from .errors import DomainViolation, EvalError, MissingInput, SingularMatrix
 from .lowering import check_depth
 from .runtime import (
@@ -219,11 +220,10 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
 
 
 def _unbatched_scalar(v) -> bool:
-    """Whether an input other than a Value (a TapeRef, a number or an
+    """Whether an input other than a Value or a TapeRef (a number or an
     array) is an unbatched scalar."""
     if isinstance(v, (float, int)):  # numpy.ndim would build an array
         return True
-    v = getattr(v, "value", v)  # a TapeRef holds its Value
     if isinstance(v, Value):
         return not v.batched and v.kind == "scalar"
     return np.ndim(v) == 0
@@ -241,6 +241,8 @@ def _check_inputs(prog, inputs) -> bool:
         except KeyError:
             raise MissingInput(f"missing input {name!r}") from None
         if scalar:
+            if type(v) is TapeRef:  # a TapeRef holds its Value
+                v = v.value
             if type(v) is Value:
                 scalar = not v.batched and v.kind == "scalar"
             else:

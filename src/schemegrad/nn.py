@@ -48,32 +48,30 @@ def forward_record(op: str, vals: list[Value]) -> Value:
     raise ValueError(f"unknown record {op!r}")
 
 
-def _vjp_linear(g, args, out, aux):
+def _vjp_linear(g, args, out, aux, need):
     x, w, b = args
+    gx = np.matmul(g, w.data.T) if need[0] else None  # None for a data input
     if x.batched:
-        gx = np.matmul(g, w.data.T)
-        gw = np.matmul(x.data.T, g)
-        gb = g.sum(axis=0)
+        gw = np.matmul(x.data.T, g) if need[1] else None
+        gb = g.sum(axis=0) if need[2] else None
     else:
-        gx = np.matmul(g, w.data.T)
-        gw = np.outer(x.data, g)
-        gb = g
+        gw = np.outer(x.data, g) if need[1] else None
+        gb = g if need[2] else None
     return [gx, gw, gb]
 
 
-def _vjp_relu(g, args, out, aux):
+def _vjp_relu(g, args, out, aux, need):
     return [g * (args[0].data > 0.0)]
 
 
-def _vjp_tanh(g, args, out, aux):
+def _vjp_tanh(g, args, out, aux, need):
     return [g * (1.0 - out.data * out.data)]
 
 
-def _vjp_mse(g, args, out, aux):
+def _vjp_mse(g, args, out, aux, need):
     pred, target = args
-    n = pred.data.size
-    d = 2.0 * (pred.data - target.data) / n
-    return [g * d, -(g * d)]
+    gd = g * (2.0 * (pred.data - target.data) / pred.data.size)
+    return [gd if need[0] else None, -gd if need[1] else None]
 
 
 register_vjp("linear", _vjp_linear)

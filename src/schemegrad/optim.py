@@ -10,6 +10,7 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .errors import ShapeMismatch
+from .nn import _mse_forward, _vjp_mse
 from .values import Value
 
 
@@ -62,14 +63,15 @@ def cosine_lr(step: int, total: int, lr0: float, lr1: float) -> float:
 
 def mse_loss(pred: Value, target: Value):
     """Mean squared error plus the matching backward seed
-    2*(pred-target)/count."""
+    2*(pred-target)/count: the forward and, at g = 1, the VJP of the
+    tape's ``mse`` record."""
     pred = Value.of(pred)
     target = Value.of(target)
-    if pred.data.shape != target.data.shape:
+    try:
+        loss = _mse_forward(pred, target)
+    except ShapeMismatch:
         raise ShapeMismatch(
             f"mse_loss: shapes {pred.data.shape} vs {target.data.shape}"
-        )
-    d = pred.data - target.data
-    loss = Value.scalar(np.mean(d * d))
-    seed = Value(2.0 * d / d.size, pred.kind, pred.batched)
-    return loss, seed
+        ) from None
+    grad = _vjp_mse(1.0, (pred, target), loss, None, (True, False))[0]
+    return loss, Value(grad, pred.kind, pred.batched)

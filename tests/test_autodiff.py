@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from schemegrad.autodiff import ParameterStore, TapeContext, backward, finite_diff_check
+from schemegrad import autodiff
+from schemegrad.autodiff import (ParameterStore, TapeContext, backward, finite_diff_check,
+                                 register_vjp)
 from schemegrad.compiler import compile_source
 from schemegrad.errors import MissingGradient, ShapeMismatch, SingularMatrix
 from schemegrad.machine import eval_program, eval_with_tape
@@ -268,7 +270,7 @@ def test_det_backward_names_first_singular_lane():
     out = ctx.run(compile_source("(det M)", inputs=("M",)),
                   {"M": Value.batch_matrices(stack)})
     with pytest.raises(SingularMatrix) as err:
-        ctx.backward(out)
+        ctx.backward(out, wrt_inputs=["M"])  # no root reaches det unless M is asked for
     assert err.value.where == 3
 
 
@@ -291,3 +293,150 @@ def test_det_inv_gradients_batched_equal_stacked(src, batch):
     batched = grad_m(Value.batch_matrices(stack))
     stacked = stack_batch([grad_m(Value.matrix(m)) for m in stack])
     assert bit_equal(batched, stacked)
+
+
+# --- activity: only parameters and requested inputs are differentiated -------
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def _check_pruning_bits(compiled, inputs, store):
+    """Backward asking for no input, for all inputs and for each one alone:
+    parameter gradients agree bit for bit, and so does each input's
+    gradient alone and among all."""
+    out, tape = eval_with_tape(compiled, inputs, store)
+    seed = Value(np.ones_like(out.data), out.kind, out.batched)
+
+    def grads(wrt):
+        for entry in store.entries.values():
+            entry.grad = None
+        res = backward(tape, seed, wrt_inputs=wrt)
+        params = {n: _bits(e.grad) for n, e in store.entries.items() if e.grad is not None}
+        return params, {n: _bits(v.data) for n, v in res.input_grads.items()}
+
+    params_none, inputs_none = grads([])
+    params_all, inputs_all = grads(list(inputs))
+    assert params_none and not inputs_none
+    assert params_all == params_none
+    for name in inputs:
+        params_one, inputs_one = grads([name])
+        assert params_one == params_none, name
+        assert inputs_one == ({name: inputs_all[name]} if name in inputs_all else {}), name
+
+
+_PARAM_PROGRAMS = [p for p in CORPUS if p.differentiable and p.params]
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("prog", _PARAM_PROGRAMS, ids=lambda p: p.id)
+def test_pruning_changes_no_gradient_bits(prog, batch):
+    from corpus import integer_inputs
+
+    compiled = compile_source(prog.source, inputs=prog.inputs, params=tuple(prog.params))
+    inputs = integer_inputs(prog, prog.sampler(np.random.default_rng(batch), batch))
+    _check_pruning_bits(compiled, inputs, truth_store(prog.params))
+
+
+# VJPs whose arguments mix active and inactive ones; x, y are scalars, v, w
+# vectors, A, B matrices, and k the one parameter
+_MIXED_ACTIVITY = [
+    "(modulo x k)", "(modulo k x)", "(remainder (* k y) x)", "(min x k y)",
+    "(max y (* k x) x)", "(if (< x k) (* x y) k)", "(- x k y)", "(/ x k y)", "(/ k x y)",
+    "(pow x k)", "(pow k x)", "(* x k y)", "(ref (vec x k y) 1)", "(dot v (scale k w))",
+    "(vsum (cross v (scale k w)))", "(vsum (cross (scale k v) w))",
+    "(trace (outer v (scale k w)))", "(trace (matmul A (scale k B)))",
+    "(trace (matmul (scale k A) B))", "(vsum (matvec A (scale k v)))",
+    "(vsum (matvec (scale k A) v))", "(vsum (matvec (mat v (scale k w)) v))",
+    "(vsum (scale x (scale k v)))", "(det (+ A (scale k B)))",
+]
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("src", _MIXED_ACTIVITY)
+def test_pruning_changes_no_gradient_bits_on_mixed_arguments(src, batch, monkeypatch):
+    def keeps_need_contract(vjp):
+        def checked(g, args, out, aux, need):
+            raw = vjp(g, args, out, aux, need)
+            assert any(need) and len(need) == len(args)
+            assert all(r is None for r, n in zip(raw, need) if not n)
+            return raw
+
+        return checked
+
+    for op, vjp in list(autodiff._VJPS.items()):
+        monkeypatch.setitem(autodiff._VJPS, op, keeps_need_contract(vjp))
+    rng = np.random.default_rng(batch)
+    words = src.replace("(", " ").replace(")", " ").split()
+    names = [n for n in ("x", "y", "v", "w", "A", "B") if n in words]
+    inputs = {}
+    for n in names:
+        if n in "xy":
+            inputs[n] = Value.batch_scalars(rng.uniform(0.5, 2.0, batch))
+        elif n in "vw":
+            inputs[n] = Value.batch_vectors(rng.uniform(0.5, 2.0, (batch, 3)))
+        else:
+            inputs[n] = Value.batch_matrices(rng.uniform(-1.0, 1.0, (batch, 3, 3)) + 3 * np.eye(3))
+        if batch == 1:
+            inputs[n] = inputs[n].unbatch(0)
+    compiled = compile_source(src, inputs=tuple(names), params=("k",))
+    _check_pruning_bits(compiled, inputs, truth_store({"k": 1.3}))
+
+
+def test_vjp_of_a_record_no_root_reaches_is_never_called():
+    calls = []
+
+    def spy(op):
+        vjp = autodiff._VJPS[op]
+
+        def wrapped(g, args, out, aux, need):
+            calls.append((op, need))
+            return vjp(g, args, out, aux, need)
+
+        return vjp, wrapped
+
+    prog = compile_source("(* k (pow x 2))", inputs=("x",), params=("k",))
+    store = truth_store({"k": 1.5})
+    originals = {}
+    for op in ("pow", "*"):
+        originals[op], wrapped = spy(op)
+        register_vjp(op, wrapped)
+    try:
+        _, tape = eval_with_tape(prog, {"x": 3.0}, store)
+        backward(tape, Value.scalar(1.0))
+        assert calls == [("*", (True, False))]
+        assert store["k"].grad == 9.0
+        calls.clear()
+        res = backward(tape, Value.scalar(1.0), wrt_inputs=["x"])
+        assert calls == [("*", (True, True)), ("pow", (True,))]
+        assert res.input_grads["x"].item() == 9.0  # 2 k x
+    finally:
+        for op, vjp in originals.items():
+            register_vjp(op, vjp)
+
+
+def test_frozen_parameter_is_a_root():
+    prog = compile_source("(* k c x)", inputs=("x",), params=("k", "c"))
+    store = truth_store({"k": 1.5}, frozen_params={"c": 2.0})
+    _, tape = eval_with_tape(prog, {"x": 3.0}, store)
+    backward(tape, Value.scalar(1.0))
+    assert store["k"].grad == 6.0 and store["c"].grad == 4.5
+
+
+def test_singular_data_matrix_does_not_fail_a_parameter_gradient():
+    # d/dM is never asked for, so the det VJP, which inverts M, never runs
+    prog = compile_source("(* s (det M))", inputs=("M",), params=("s",))
+    stack = np.array([[[2.0, 0.0], [0.0, 2.0]],
+                      [[1.0, 2.0], [2.0, 4.0]],  # singular
+                      [[3.0, 1.0], [1.0, 2.0]]])
+    dets = np.array([4.0, 0.0, 5.0])
+    target = np.array([1.0, 0.5, 2.0])
+    store = truth_store({"s": 1.5})
+    ctx = TapeContext()
+    out = ctx.run(prog, {"M": Value.batch_matrices(stack)}, store)
+    loss = ctx.mse(out, Value.batch_scalars(target))
+    store.zero_grads()
+    ctx.backward(loss)
+    assert store["s"].grad == pytest.approx(np.mean(2.0 * (1.5 * dets - target) * dets))

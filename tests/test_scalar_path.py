@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemegrad import machine
-from schemegrad.autodiff import ParameterStore
+from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program, eval_with_tape
@@ -163,6 +163,17 @@ def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
         yi = y if case != "batched_y" else y.data[i]
         want = _all_scalar_run(xi, yi)
         assert bits(out.data[i]) == bits(want.data), f"{case}: element {i}"
+
+
+@pytest.mark.parametrize("case", ["scalar", "batched", "vector"])
+def test_tape_ref_inputs_take_the_run_kind_of_their_values(case):
+    x = {"scalar": Value.scalar(0.25), "batched": Value.batch_scalars(_XS),
+         "vector": Value.vector(_XS)}[case]
+    prog, inputs, _ = _run_kind_case(x, Value.scalar(1.5))
+    ctx = TapeContext()
+    refs = {name: ctx.constant(v) for name, v in inputs.items()}
+    assert machine._check_inputs(prog, refs) is machine._check_inputs(prog, inputs)
+    assert machine._check_inputs(prog, refs) is (case == "scalar")
 
 
 # ---------------------------------------------------------------------------
