@@ -2,8 +2,12 @@
 
 The tape is a flat record of every operation in execution order (loop
 iterations append one group per pass).  Backward walks it strictly in
-reverse, dispatching per-operation vector-Jacobian products and
-accumulating into input leaves and named parameters.
+reverse, calling the vector-Jacobian product of each record's op row
+(``ops.OPS``; the VJPs live in ``runtime`` beside their forwards) and
+accumulating into input leaves and named parameters.  The row's
+``elementwise`` flag says how a raw gradient is reduced to its argument's
+shape.  ``Tape.replay`` recomputes every record through its row's
+forward.
 
 Backward differentiates only the *active* part of the tape (activity
 analysis).  Its roots are every parameter leaf on the tape, trainable or
@@ -22,9 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGradient, ShapeMismatch
-from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, apply_primitive, matrix_inverse,
+from .ops import OPS
+# The kernels are called through these module globals, which the traced
+# benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
+from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, apply_primitive,  # noqa: F401
                       pow_immediate, select)
-from .values import Value
+from .values import Value, bit_equal
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +155,14 @@ class Tape:
         return self.nodes[nid][2]
 
     def replay(self) -> bool:
-        """Recompute every record from its stored operands and compare
-        bit-for-bit against the recorded outputs."""
-        from .values import bit_equal
-
+        """Recompute every record through its op row from its stored
+        operands and compare bit-for-bit against the recorded outputs."""
         for op, args, value, aux in self.nodes:
             if op == "leaf":
                 continue
             vals = [self.nodes[a][2] for a in args]
-            if op == "select":
-                redo = select(*vals)
-            elif op == "pow" and aux is not None:
+            if op == "pow" and aux is not None:
                 redo = pow_immediate(vals[0], aux, PROPAGATE_POLICY)
-            elif op in ("linear", "relu", "tanh", "mse"):
-                from . import nn
-
-                redo = nn.forward_record(op, vals)
             else:
                 redo = apply_primitive(op, vals, PROPAGATE_POLICY)
             if not bit_equal(redo, value):
@@ -178,30 +177,12 @@ class GradResult:
 
 
 # ---------------------------------------------------------------------------
-# vjp helpers
+# backward
 
 
-def _aligned(arg: Value, out_value: Value) -> np.ndarray:
-    """Mirror the forward elementwise alignment of a batched scalar against
-    a batched tensor so gradient arithmetic broadcasts the same way."""
-    arr = arg.data
-    if (
-        out_value.batched
-        and arg.batched
-        and arg.kind == "scalar"
-        and out_value.kind != "scalar"
-    ):
-        arr = arr.reshape((arr.shape[0],) + (1,) * len(out_value.core_shape))
-    return arr
-
-
-# Elementwise ops produce raw gradients shaped like the op output and need
-# the full broadcast undo; structural ops (vec, dot, matvec, ...) already
+# Elementwise rows produce raw gradients shaped like the op output and need
+# the full broadcast undo; structural rows (vec, dot, matvec, ...) already
 # return argument-shaped gradients, possibly with a leading batch to sum.
-_ELEMENTWISE_VJP_OPS = frozenset(
-    ["+", "-", "*", "/", "pow", "modulo", "remainder", "abs", "min", "max",
-     "sin", "cos", "exp", "sqrt", "log", "select"]
-)
 
 
 def _reduce_elementwise(g: np.ndarray, arg: Value, out: Value) -> np.ndarray:
@@ -223,296 +204,6 @@ def _reduce_structural(g: np.ndarray, arg: Value) -> np.ndarray:
     if g.ndim == arg.data.ndim + 1:
         return g.sum(axis=0)  # batched output feeding an unbatched argument
     return np.broadcast_to(g, arg.data.shape)
-
-
-def _cross_raw(a, b):
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
-
-
-def _swap(m):
-    return np.swapaxes(m, -1, -2)
-
-
-# Each VJP returns a list of raw per-argument gradients, shaped like the op
-# output; backward reduces them to argument shapes.  ``need`` holds one
-# bool per argument: an argument that reaches no root of the backward pass
-# gets None, and its gradient is never computed.  Unary VJPs run only with
-# need == (True,) and ignore it.
-
-
-def _vjp_add(g, args, out, aux, need):
-    return [g if n else None for n in need]
-
-
-def _vjp_sub(g, args, out, aux, need):
-    if len(args) == 1:
-        return [-g]
-    return [g if need[0] else None] + [-g if n else None for n in need[1:]]
-
-
-def _vjp_mul(g, args, out, aux, need):
-    outs = []
-    for i, n in enumerate(need):
-        p = None
-        if n:
-            p = g
-            for j, other in enumerate(args):
-                if j != i:
-                    p = p * _aligned(other, out)
-        outs.append(p)
-    return outs
-
-
-def _vjp_div(g, args, out, aux, need):
-    grads = [None]
-    if need[0]:
-        denom = None
-        for a in args[1:]:
-            arr = _aligned(a, out)
-            denom = arr if denom is None else denom * arr
-        grads[0] = g / denom
-    for a, n in zip(args[1:], need[1:]):
-        grads.append(-g * out.data / _aligned(a, out) if n else None)
-    return grads
-
-
-def _vjp_pow(g, args, out, aux, need):
-    if aux is not None:  # immediate exponent
-        a = args[0].data
-        return [g * aux * np.power(a, aux - 1.0)]
-    a = _aligned(args[0], out)
-    b = _aligned(args[1], out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        da = g * b * np.power(a, b - 1.0) if need[0] else None
-        db = g * out.data * np.log(a) if need[1] else None
-    return [da, db]
-
-
-def _vjp_modulo(g, args, out, aux, need):
-    db = None
-    if need[1]:
-        db = -g * np.floor(_aligned(args[0], out) / _aligned(args[1], out))
-    return [g if need[0] else None, db]
-
-
-def _vjp_remainder(g, args, out, aux, need):
-    db = None
-    if need[1]:
-        db = -g * np.trunc(_aligned(args[0], out) / _aligned(args[1], out))
-    return [g if need[0] else None, db]
-
-
-def _vjp_abs(g, args, out, aux, need):
-    return [g * np.sign(args[0].data)]
-
-
-def _vjp_minmax(g, args, out, aux, need):
-    # an argument takes the gradient where it is the first to equal the
-    # output, so the mask runs over every argument, needed or not
-    avail = np.ones(out.data.shape, dtype=bool)
-    grads = []
-    for a, n in zip(args, need):
-        take = (_aligned(a, out) == out.data) & avail
-        grads.append(g * take if n else None)
-        avail = avail & ~take
-    return grads
-
-
-def _vjp_sin(g, args, out, aux, need):
-    return [g * np.cos(args[0].data)]
-
-
-def _vjp_cos(g, args, out, aux, need):
-    return [-g * np.sin(args[0].data)]
-
-
-def _vjp_exp(g, args, out, aux, need):
-    return [g * out.data]
-
-
-def _vjp_sqrt(g, args, out, aux, need):
-    return [g * 0.5 / out.data]
-
-
-def _vjp_log(g, args, out, aux, need):
-    return [g / args[0].data]
-
-
-def _vjp_none(g, args, out, aux, need):
-    return [None for _ in args]
-
-
-def _vjp_select(g, args, out, aux, need):
-    c = _aligned(args[0], out)
-    return [None, g * (c != 0.0) if need[1] else None, g * (c == 0.0) if need[2] else None]
-
-
-def _vjp_vec(g, args, out, aux, need):
-    return [g[..., i] if n else None for i, n in enumerate(need)]
-
-
-def _vjp_ref(g, args, out, aux, need):
-    if not need[0]:
-        return [None, None]
-    v = args[0]
-    idx = int(float(args[1].data))
-    gv = np.zeros_like(v.data)
-    gv[..., idx] = np.broadcast_to(g, gv[..., idx].shape)
-    return [gv, None]
-
-
-def _vjp_dot(g, args, out, aux, need):
-    a, b = args
-    ge = np.asarray(g)[..., None]
-    return [ge * b.data if need[0] else None, ge * a.data if need[1] else None]
-
-
-def _vjp_cross(g, args, out, aux, need):
-    a, b = args
-    return [_cross_raw(b.data, g) if need[0] else None,
-            _cross_raw(g, a.data) if need[1] else None]
-
-
-def _vjp_norm(g, args, out, aux, need):
-    v = args[0]
-    n = np.asarray(out.data)[..., None]
-    return [np.asarray(g)[..., None] * v.data / n]
-
-
-def _vjp_normalize(g, args, out, aux, need):
-    v = args[0].data
-    n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    u = out.data
-    inner = (u * g).sum(axis=-1, keepdims=True)
-    return [(g - u * inner) / n]
-
-
-def _vjp_vsum(g, args, out, aux, need):
-    v = args[0]
-    return [np.broadcast_to(np.asarray(g)[..., None], v.data.shape)]
-
-
-def _vjp_scale(g, args, out, aux, need):
-    s, v = args
-    gs = None
-    if need[0]:
-        core = tuple(range(g.ndim - len(v.core_shape), g.ndim))
-        gs = (g * v.data).sum(axis=core) if core else g * v.data
-    return [gs, _aligned(s, out) * g if need[1] else None]
-
-
-def _vjp_mat(g, args, out, aux, need):
-    return [g[..., i, :] if n else None for i, n in enumerate(need)]
-
-
-def _vjp_matmul(g, args, out, aux, need):
-    a, b = args
-    return [np.matmul(g, _swap(b.data)) if need[0] else None,
-            np.matmul(_swap(a.data), g) if need[1] else None]
-
-
-def _vjp_matvec(g, args, out, aux, need):
-    m, v = args
-    ge = np.asarray(g)[..., :, None]
-    return [ge * v.data[..., None, :] if need[0] else None,
-            (m.data * ge).sum(axis=-2) if need[1] else None]
-
-
-def _vjp_transpose(g, args, out, aux, need):
-    return [_swap(g)]
-
-
-def _vjp_trace(g, args, out, aux, need):
-    n = args[0].core_shape[-1]
-    return [np.asarray(g)[..., None, None] * np.eye(n)]
-
-
-def _vjp_det(g, args, out, aux, need):
-    inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
-    return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
-
-
-def _vjp_inv(g, args, out, aux, need):
-    it = _swap(out.data)
-    return [-np.matmul(np.matmul(it, g), it)]
-
-
-def _vjp_outer(g, args, out, aux, need):
-    a, b = args
-    return [(g * b.data[..., None, :]).sum(axis=-1) if need[0] else None,
-            (g * a.data[..., :, None]).sum(axis=-2) if need[1] else None]
-
-
-_VJPS = {
-    "+": _vjp_add,
-    "-": _vjp_sub,
-    "*": _vjp_mul,
-    "/": _vjp_div,
-    "pow": _vjp_pow,
-    "modulo": _vjp_modulo,
-    "remainder": _vjp_remainder,
-    "abs": _vjp_abs,
-    "min": _vjp_minmax,
-    "max": _vjp_minmax,
-    "sin": _vjp_sin,
-    "cos": _vjp_cos,
-    "exp": _vjp_exp,
-    "sqrt": _vjp_sqrt,
-    "log": _vjp_log,
-    "=": _vjp_none,
-    "<": _vjp_none,
-    ">": _vjp_none,
-    "<=": _vjp_none,
-    ">=": _vjp_none,
-    "and": _vjp_none,
-    "or": _vjp_none,
-    "not": _vjp_none,
-    "select": _vjp_select,
-    "vec": _vjp_vec,
-    "ref": _vjp_ref,
-    "dot": _vjp_dot,
-    "cross": _vjp_cross,
-    "norm": _vjp_norm,
-    "normalize": _vjp_normalize,
-    "vsum": _vjp_vsum,
-    "vlen": _vjp_none,
-    "scale": _vjp_scale,
-    "mat": _vjp_mat,
-    "matmul": _vjp_matmul,
-    "matvec": _vjp_matvec,
-    "transpose": _vjp_transpose,
-    "trace": _vjp_trace,
-    "det": _vjp_det,
-    "inv": _vjp_inv,
-    "outer": _vjp_outer,
-    "eye": _vjp_none,
-    "zeros": _vjp_none,
-    "ones": _vjp_none,
-}
-
-
-def register_vjp(op: str, fn) -> None:
-    """Extension hook for non-primitive tape records (dense layers etc.).
-
-    ``fn(g, args, out, aux, need)`` gets the output gradient ``g``, the
-    argument Values, the output Value, the record's aux and ``need``, a
-    tuple with one bool per argument.  It returns one raw gradient per
-    argument and must return None wherever ``need`` is false: such an
-    argument reaches no parameter or requested input.  It is called only
-    when at least one ``need`` entry is true.
-    """
-    _VJPS[op] = fn
-
-
-# ---------------------------------------------------------------------------
-# backward
 
 
 def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> GradResult:
@@ -561,12 +252,12 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
         if g is None:
             continue
         op, args, value, aux = nodes[nid]
-        vjp = _VJPS.get(op)
-        if vjp is None:
+        row = OPS.get(op)
+        if row is None:
             raise MissingGradient(f"no gradient rule for op {op!r}")
         arg_values = [nodes[a][2] for a in args]
-        raw = vjp(g, arg_values, value, aux, tuple([active[a] for a in args]))
-        elementwise = op in _ELEMENTWISE_VJP_OPS
+        raw = row.vjp(g, arg_values, value, aux, tuple([active[a] for a in args]))
+        elementwise = row.elementwise
         for a_id, contrib in zip(args, raw):
             if contrib is None:
                 continue

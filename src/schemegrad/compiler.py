@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 from . import sexpr
 from .anf import to_anf
-from .graph import BlockIR, ComputeGraph, build_graph, toposort
+from .graph import BlockIR, ComputeGraph, build_graph
 from .lowering import DEFAULT_MAX_DEPTH, lower_tail_calls
-from .runtime import PARTIAL_OPS
+from .ops import OPS
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CompiledProgram:
 def _collect_safe_domain_ops(block: BlockIR):
     out = []
     for i, ins in enumerate(block.instrs):
-        if ins[0] == "prim" and ins[2] in PARTIAL_OPS:
+        if ins[0] == "prim" and OPS[ins[2]].partial:
             out.append((i, ins[2]))
     return tuple(out)
 
@@ -63,11 +63,8 @@ def compile_source(
     ast = sexpr.parse(source)
     sexpr.check_scope(ast, inputs, params)
     anf = to_anf(ast)
-    anf = lower_tail_calls(anf, max_depth=config.max_recursion_depth)
+    anf = lower_tail_calls(anf)
     graph = build_graph(anf, inputs, params)
-    toposort(graph)  # structural check; builder order is already topological
-    for fn in graph.functions:
-        fn.max_depth = config.max_recursion_depth
     frame = graph._frame
     block = _frame_block(graph)
     debug = {

@@ -24,7 +24,6 @@ from .anf import (
     TailRecur,
 )
 from .errors import CycleDetected, UnboundVariable
-from .lowering import DEFAULT_MAX_DEPTH
 from .sexpr import Const, Var
 from .values import Value, frozen_scalar, numpy_scalar
 
@@ -60,7 +59,6 @@ class FnIR:
     slot_count: int
     block: "BlockIR"
     index: int
-    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 @dataclass

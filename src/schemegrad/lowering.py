@@ -1,6 +1,7 @@
 """Tail-call lowering: letrec functions whose self-calls all sit in tail
 position become iterative loops; the rest stay as stack-dispatched
-recursive functions with a configurable depth limit."""
+recursive functions, whose depth limit the machine reads from the
+compiled program."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .anf import (
     TailIf,
     TailRecur,
 )
-from .errors import DepthLimitExceeded, LoweringError
+from .errors import LoweringError
 from .sexpr import Var
 
 DEFAULT_MAX_DEPTH = 10_000
@@ -32,13 +33,6 @@ class RecursiveFn:
     user_name: str
     params: tuple
     body: AnfProgram
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-
-def check_depth(fn, current_depth: int) -> None:
-    """Raise unless another frame for `fn` may be pushed."""
-    if current_depth >= fn.max_depth:
-        raise DepthLimitExceeded(fn.user_name, fn.max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def _finalize_tail_calls(prog: AnfProgram, temp_alloc) -> AnfProgram:
     return AnfProgram(tuple(bindings), tail, prog.functions, prog.scope_map)
 
 
-def lower_tail_calls(anf: AnfProgram, max_depth: int = DEFAULT_MAX_DEPTH) -> AnfProgram:
+def lower_tail_calls(anf: AnfProgram) -> AnfProgram:
     """Rewrite tail-recursive functions into loops.
 
     Functions with non-tail self-calls remain and will be dispatched on an
@@ -290,7 +284,7 @@ def lower_tail_calls(anf: AnfProgram, max_depth: int = DEFAULT_MAX_DEPTH) -> Anf
     kept = []
     for uid, fn in remaining.items():
         body = _finalize_tail_calls(fn.body, temp_alloc)
-        kept.append(RecursiveFn(uid, fn.user_name, fn.params, body, max_depth))
+        kept.append(RecursiveFn(uid, fn.user_name, fn.params, body))
     top = _finalize_tail_calls(top, temp_alloc)
 
     return AnfProgram(top.bindings, top.tail, tuple(kept), anf.scope_map)

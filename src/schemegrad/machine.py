@@ -23,20 +23,17 @@ import math
 import numpy as np
 
 from .autodiff import TapeRef
-from .errors import DomainViolation, EvalError, MissingInput, SingularMatrix
-from .lowering import check_depth
+from .errors import DepthLimitExceeded, DomainViolation, EvalError, MissingInput, SingularMatrix
+from .ops import OPS
 from .runtime import (
     ERROR_POLICY,
     PROPAGATE_POLICY,
-    PARTIAL_OPS,
     SafeDomainPolicy,
     apply_primitive,
     pow_immediate,
     select,
 )
 from .values import F64, Value, frozen_scalar, numpy_scalar
-
-_EAGER_DOMAIN_OPS = frozenset(["det", "inv"])  # singularities raise immediately
 
 
 def _param_value(params, name: str) -> Value:
@@ -95,9 +92,10 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
 
     ``scalar`` marks an all-scalar run (see the module docstring).
 
-    Non-eager partial ops run under the propagate policy; in error mode
-    their non-finite results are noted and reported only if the output is
-    non-finite.  det/inv raise at once, naming their instruction.
+    Ops run under the propagate policy, except that eager rows (det, inv)
+    get ``policy`` and so raise at once, naming their instruction.  In
+    error mode the non-finite results of partial rows are noted and
+    reported only if the output is non-finite.
     """
     violations = _Violations() if policy.raises else None
     taping = tape is not None
@@ -117,6 +115,7 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                 kind = ins[0]
                 if kind == "prim":
                     _, dest, op, operands, aux = ins
+                    row = OPS[op]
                     if aux is not None:  # pow with a constant exponent
                         out = pow_immediate(slots[operands[0]], aux, PROPAGATE_POLICY)
                     else:
@@ -125,8 +124,8 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                         else:
                             args = [slots[i] for i in operands]
                         out = apply_primitive(
-                            op, args, policy if op in _EAGER_DOMAIN_OPS else PROPAGATE_POLICY)
-                    if violations is not None and op in PARTIAL_OPS:
+                            op, args, policy if row.eager else PROPAGATE_POLICY)
+                    if violations is not None and row.partial:
                         violations.check(op, dest, out)
                     slots[dest] = out
                     if taping:
@@ -154,11 +153,12 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                     _, dest, c, t, e = ins
                     out = slots[dest] = select(slots[c], slots[t], slots[e])
                     if taping:
-                        ids[dest] = tape.record("select", (ids[c], ids[t], ids[e]), out, None)
+                        ids[dest] = tape.record("if", (ids[c], ids[t], ids[e]), out, None)
                 else:  # loop or call: suspend this frame and enter the body
                     _, dest, ir, outer, caps = ins
                     if kind == "call":
-                        check_depth(ir, depth)
+                        if depth >= prog.max_recursion_depth:
+                            raise DepthLimitExceeded(ir.user_name, prog.max_recursion_depth)
                         depth += 1
                         inner = ir.param_slots
                     else:

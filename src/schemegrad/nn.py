@@ -5,47 +5,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParameterStore, TapeContext, TapeRef, register_vjp
-from .errors import ShapeMismatch
+from .autodiff import ParameterStore, TapeContext, TapeRef
+from .errors import EmptyObservations, ShapeMismatch
+from .ops import Op, register
 from .values import Value
 
 
 # ---------------------------------------------------------------------------
-# tape records
+# tape records: op rows that are no language names
 
 
-def _linear_forward(x: Value, w: Value, b: Value) -> Value:
-    out = np.matmul(x.data, w.data) + b.data
-    return Value(out, "vector", x.batched)
+def _linear(args, policy=None) -> Value:
+    x, w, b = args
+    return Value(np.matmul(x.data, w.data) + b.data, "vector", x.batched)
 
 
-def _relu_forward(x: Value) -> Value:
+def _relu(args, policy=None) -> Value:
+    x = args[0]
     return Value(np.maximum(x.data, 0.0), x.kind, x.batched)
 
 
-def _tanh_forward(x: Value) -> Value:
+def _tanh(args, policy=None) -> Value:
+    x = args[0]
     return Value(np.tanh(x.data), x.kind, x.batched)
 
 
-def _mse_forward(pred: Value, target: Value) -> Value:
+def _mse(args, policy=None) -> Value:
+    pred, target = args
     if pred.data.shape != target.data.shape:
         raise ShapeMismatch(
             f"mse: prediction shape {pred.data.shape} != target shape {target.data.shape}"
         )
+    if pred.data.size == 0:
+        raise EmptyObservations("mse: the batch is empty")
     d = pred.data - target.data
     return Value.scalar(np.mean(d * d))
-
-
-def forward_record(op: str, vals: list[Value]) -> Value:
-    if op == "linear":
-        return _linear_forward(*vals)
-    if op == "relu":
-        return _relu_forward(*vals)
-    if op == "tanh":
-        return _tanh_forward(*vals)
-    if op == "mse":
-        return _mse_forward(*vals)
-    raise ValueError(f"unknown record {op!r}")
 
 
 def _vjp_linear(g, args, out, aux, need):
@@ -74,15 +68,15 @@ def _vjp_mse(g, args, out, aux, need):
     return [gd if need[0] else None, -gd if need[1] else None]
 
 
-register_vjp("linear", _vjp_linear)
-register_vjp("relu", _vjp_relu)
-register_vjp("tanh", _vjp_tanh)
-register_vjp("mse", _vjp_mse)
+register(Op("linear", "nn", 3, 3, _linear, _vjp_linear))
+register(Op("relu", "nn", 1, 1, _relu, _vjp_relu))
+register(Op("tanh", "nn", 1, 1, _tanh, _vjp_tanh))
+register(Op("mse", "nn", 2, 2, _mse, _vjp_mse))
 
 
 def mse_record(ctx: TapeContext, pred: TapeRef, target) -> TapeRef:
     tref = ctx.lift(target if isinstance(target, (TapeRef, Value)) else Value.of(target))
-    value = _mse_forward(pred.value, tref.value)
+    value = _mse([pred.value, tref.value])
     nid = ctx.tape.record("mse", (pred.tape_id, tref.tape_id), value)
     return TapeRef(nid, value)
 
@@ -148,11 +142,11 @@ def mlp_forward(ctx: TapeContext, model: MlpModel, x: TapeRef) -> TapeRef:
     for i, (wn, bn) in enumerate(model.weight_names()):
         w = ctx.param(model.store, wn)
         b = ctx.param(model.store, bn)
-        value = _linear_forward(h.value, w.value, b.value)
+        value = _linear([h.value, w.value, b.value])
         nid = ctx.tape.record("linear", (h.tape_id, w.tape_id, b.tape_id), value)
         h = TapeRef(nid, value)
         if i < model.num_layers - 1:
-            act_value = _relu_forward(h.value) if model.activation == "relu" else _tanh_forward(h.value)
+            act_value = (_relu if model.activation == "relu" else _tanh)([h.value])
             nid = ctx.tape.record(model.activation, (h.tape_id,), act_value)
             h = TapeRef(nid, act_value)
     return h

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .errors import ShapeMismatch
-from .nn import _mse_forward, _vjp_mse
+from .nn import _mse, _vjp_mse
 from .values import Value
 
 
@@ -68,7 +68,7 @@ def mse_loss(pred: Value, target: Value):
     pred = Value.of(pred)
     target = Value.of(target)
     try:
-        loss = _mse_forward(pred, target)
+        loss = _mse([pred, target])
     except ShapeMismatch:
         raise ShapeMismatch(
             f"mse_loss: shapes {pred.data.shape} vs {target.data.shape}"

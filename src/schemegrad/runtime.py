@@ -1,4 +1,10 @@
-"""Forward implementations of the primitive operations.
+"""Forward kernels and vector-Jacobian products of the primitive operations.
+
+Each op's row in the op table (``ops.py``) names its forward kernel here,
+an ``op_*(args, policy)`` function, and its VJP, a ``vjp_*(g, args, out,
+aux, need)`` function.  ``apply_primitive`` looks an op up by name in
+``OPS``, the table's name -> row lookup, and calls its forward; this module
+reads nothing else of the table.
 
 Reductions (dot, norm, vsum, trace, matvec, matmul, det) accumulate
 left-to-right over the trailing axes so that a batched evaluation is
@@ -68,10 +74,6 @@ class SafeDomainPolicy:
 
 ERROR_POLICY = SafeDomainPolicy("error")
 PROPAGATE_POLICY = SafeDomainPolicy("propagate_nan")
-
-# Ops whose domain is partial; the compiler records their instruction
-# indices so evaluation failures can point at the offending instruction.
-PARTIAL_OPS = frozenset(["/", "sqrt", "log", "pow", "normalize", "inv", "det"])
 
 
 def _violation(policy: SafeDomainPolicy, kind: str, mask) -> None:
@@ -272,21 +274,21 @@ def _logical(op: str, ufunc):
     return impl
 
 
-_op_add = _folding("+", np.add, operator.add)
-_op_mul = _folding("*", np.multiply, operator.mul)
-_op_min = _folding("min", np.minimum)
-_op_max = _folding("max", np.maximum)
-_op_abs = _unary("abs", np.abs)
-_op_sin = _unary("sin", np.sin)
-_op_cos = _unary("cos", np.cos)
-_op_exp = _unary("exp", np.exp)
-_op_eq = _comparing("=", np.equal, operator.eq)
-_op_lt = _comparing("<", np.less, operator.lt)
-_op_gt = _comparing(">", np.greater, operator.gt)
-_op_le = _comparing("<=", np.less_equal, operator.le)
-_op_ge = _comparing(">=", np.greater_equal, operator.ge)
-_op_and = _logical("and", np.logical_and)
-_op_or = _logical("or", np.logical_or)
+op_add = _folding("+", np.add, operator.add)
+op_mul = _folding("*", np.multiply, operator.mul)
+op_min = _folding("min", np.minimum)
+op_max = _folding("max", np.maximum)
+op_abs = _unary("abs", np.abs)
+op_sin = _unary("sin", np.sin)
+op_cos = _unary("cos", np.cos)
+op_exp = _unary("exp", np.exp)
+op_eq = _comparing("=", np.equal, operator.eq)
+op_lt = _comparing("<", np.less, operator.lt)
+op_gt = _comparing(">", np.greater, operator.gt)
+op_le = _comparing("<=", np.less_equal, operator.le)
+op_ge = _comparing(">=", np.greater_equal, operator.ge)
+op_and = _logical("and", np.logical_and)
+op_or = _logical("or", np.logical_or)
 _subtract = _folding("-", np.subtract, operator.sub)
 _sqrt = _unary("sqrt", np.sqrt)
 _log = _unary("log", np.log)
@@ -296,7 +298,7 @@ _ZERO = Value.scalar(0.0)  # unary minus is 0 - x; shared, so read-only
 _ZERO.data.flags.writeable = False
 
 
-def _op_sub(args, policy):
+def op_sub(args, policy):
     if len(args) == 1:
         x = args[0].data
         if type(x) is F64:
@@ -305,7 +307,7 @@ def _op_sub(args, policy):
     return _subtract(args, policy)
 
 
-def _op_div(args, policy):
+def op_div(args, policy):
     a = args[0].data
     if type(a) is F64 and len(args) == 2:
         b = args[1].data
@@ -321,7 +323,7 @@ def _op_div(args, policy):
     return _result(out, kind, batched, arrays)
 
 
-def _op_pow(args, policy):
+def op_pow(args, policy):
     arrays, kind, batched = _align_elementwise(args, "pow")
     if policy.raises:
         base, ex = np.broadcast_arrays(*arrays)
@@ -354,7 +356,7 @@ def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Val
     return Value.trusted(out, base.kind, base.batched)
 
 
-def _op_modulo(args, policy):
+def op_modulo(args, policy):
     arrays, kind, batched = _align_elementwise(args, "modulo")
     if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
@@ -362,7 +364,7 @@ def _op_modulo(args, policy):
         return _result(np.mod(arrays[0], arrays[1]), kind, batched, arrays)
 
 
-def _op_remainder(args, policy):
+def op_remainder(args, policy):
     arrays, kind, batched = _align_elementwise(args, "remainder")
     if policy.raises and _any(arrays[1] == 0.0):
         _violation(policy, "division by zero", arrays[1] == 0.0)
@@ -370,7 +372,7 @@ def _op_remainder(args, policy):
         return _result(np.fmod(arrays[0], arrays[1]), kind, batched, arrays)
 
 
-def _op_sqrt(args, policy):
+def op_sqrt(args, policy):
     x = args[0].data
     if type(x) is F64 and x >= 0.0:
         return Value.trusted(F64(math.sqrt(x)), "scalar", False)  # both correctly rounded
@@ -380,14 +382,14 @@ def _op_sqrt(args, policy):
         return _sqrt(args, policy)
 
 
-def _op_log(args, policy):
+def op_log(args, policy):
     if policy.raises and _any(args[0].data <= 0.0):
         _violation(policy, "log of non-positive value", args[0].data <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _log(args, policy)
 
 
-def _op_not(args, policy):
+def op_not(args, policy):
     arrays, kind, batched = _align_elementwise(args, "not")
     return _result(_as_float(np.equal(arrays[0], 0.0)), kind, batched, arrays)
 
@@ -401,7 +403,7 @@ def select(cond: Value, then: Value, orelse: Value) -> Value:
     return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched, arrays)
 
 
-def _op_select(args, policy):
+def op_if(args, policy):
     return select(args[0], args[1], args[2])
 
 
@@ -409,7 +411,7 @@ def _op_select(args, policy):
 # vector ops
 
 
-def _op_vec(args, policy):
+def op_vec(args, policy):
     batch = _batch_of(args, "vec")
     for a in args:
         _require_kind(a, "scalar", "vec")
@@ -431,7 +433,7 @@ def _static_index(a: Value, op: str) -> int:
     return int(idx)
 
 
-def _op_ref(args, policy):
+def op_ref(args, policy):
     v, i = args
     _require_kind(v, "vector", "ref")
     idx = _static_index(i, "ref")
@@ -440,7 +442,7 @@ def _op_ref(args, policy):
     return Value(v.data[..., idx], "scalar", v.batched)
 
 
-def _op_dot(args, policy):
+def op_dot(args, policy):
     a, b = args
     _require_kind(a, "vector", "dot")
     _require_kind(b, "vector", "dot")
@@ -451,32 +453,35 @@ def _op_dot(args, policy):
                  a.batched or b.batched)
 
 
-def _op_cross(args, policy):
+def op_cross(args, policy):
     a, b = args
     for x in (a, b):
         _require_kind(x, "vector", "cross")
         if x.core_shape != (3,):
             raise ShapeMismatch("cross: vectors must have length 3")
     _batch_of(args, "cross")
-    av, bv = a.data, b.data
-    out = np.stack(
+    return Value(_cross(a.data, b.data), "vector", a.batched or b.batched)
+
+
+def _cross(a, b):
+    """a x b over the last axis; also the cross VJP's two products."""
+    return np.stack(
         [
-            av[..., 1] * bv[..., 2] - av[..., 2] * bv[..., 1],
-            av[..., 2] * bv[..., 0] - av[..., 0] * bv[..., 2],
-            av[..., 0] * bv[..., 1] - av[..., 1] * bv[..., 0],
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
         ],
         axis=-1,
     )
-    return Value(out, "vector", a.batched or b.batched)
 
 
-def _op_norm(args, policy):
+def op_norm(args, policy):
     v = args[0]
     _require_kind(v, "vector", "norm")
     return Value(np.sqrt(ordered_sum_last(v.data * v.data)), "scalar", v.batched)
 
 
-def _op_normalize(args, policy):
+def op_normalize(args, policy):
     v = args[0]
     _require_kind(v, "vector", "normalize")
     n = np.sqrt(ordered_sum_last(v.data * v.data))
@@ -486,19 +491,19 @@ def _op_normalize(args, policy):
         return Value(v.data / n[..., None], "vector", v.batched)
 
 
-def _op_vsum(args, policy):
+def op_vsum(args, policy):
     v = args[0]
     _require_kind(v, "vector", "vsum")
     return Value(ordered_sum_last(v.data), "scalar", v.batched)
 
 
-def _op_vlen(args, policy):
+def op_vlen(args, policy):
     v = args[0]
     _require_kind(v, "vector", "vlen")
     return Value.scalar(float(v.core_shape[-1]))
 
 
-def _op_scale(args, policy):
+def op_scale(args, policy):
     s, v = args
     _require_kind(s, "scalar", "scale")
     if v.kind not in ("vector", "matrix"):
@@ -514,7 +519,7 @@ def _op_scale(args, policy):
 # matrix ops
 
 
-def _op_mat(args, policy):
+def op_mat(args, policy):
     batch = _batch_of(args, "mat")
     n = args[0].core_shape
     for a in args:
@@ -530,7 +535,7 @@ def _op_mat(args, policy):
     return Value(np.stack(parts, axis=-2), "matrix", batched=True)
 
 
-def _op_matmul(args, policy):
+def op_matmul(args, policy):
     a, b = args
     _require_kind(a, "matrix", "matmul")
     _require_kind(b, "matrix", "matmul")
@@ -543,7 +548,7 @@ def _op_matmul(args, policy):
     return Value(ordered_sum_axis(prod, -2), "matrix", a.batched or b.batched)
 
 
-def _op_matvec(args, policy):
+def op_matvec(args, policy):
     m, v = args
     _require_kind(m, "matrix", "matvec")
     _require_kind(v, "vector", "matvec")
@@ -556,13 +561,13 @@ def _op_matvec(args, policy):
     return Value(ordered_sum_last(prod), "vector", m.batched or v.batched)
 
 
-def _op_transpose(args, policy):
+def op_transpose(args, policy):
     m = args[0]
     _require_kind(m, "matrix", "transpose")
     return Value(np.swapaxes(m.data, -1, -2), "matrix", m.batched)
 
 
-def _op_trace(args, policy):
+def op_trace(args, policy):
     m = args[0]
     _require_kind(m, "matrix", "trace")
     if m.core_shape[-1] != m.core_shape[-2]:
@@ -672,7 +677,7 @@ def matrix_inverse(m: Value, policy: SafeDomainPolicy, op: str = "inv") -> np.nd
     return inv if m.batched else inv[0]
 
 
-def _op_det(args, policy):
+def op_det(args, policy):
     m = args[0]
     stack = _square_stack(m, "det")
     lu, _, sign, singular = lu_factor(stack)
@@ -683,12 +688,12 @@ def _op_det(args, policy):
     return Value(d if m.batched else d[0], "scalar", m.batched)
 
 
-def _op_inv(args, policy):
+def op_inv(args, policy):
     m = args[0]
     return Value(matrix_inverse(m, policy), "matrix", m.batched)
 
 
-def _op_outer(args, policy):
+def op_outer(args, policy):
     a, b = args
     _require_kind(a, "vector", "outer")
     _require_kind(b, "vector", "outer")
@@ -697,14 +702,14 @@ def _op_outer(args, policy):
     return Value(out, "matrix", a.batched or b.batched)
 
 
-def _op_eye(args, policy):
+def op_eye(args, policy):
     n = _static_index(args[0], "eye")
     if n <= 0:
         raise ShapeMismatch("eye: size must be positive")
     return Value(np.eye(n), "matrix")
 
 
-def _op_zeros(args, policy):
+def op_zeros(args, policy):
     dims = [_static_index(a, "zeros") for a in args]
     if any(d <= 0 for d in dims):
         raise ShapeMismatch("zeros: sizes must be positive")
@@ -713,7 +718,7 @@ def _op_zeros(args, policy):
     return Value(np.zeros((dims[0], dims[1])), "matrix")
 
 
-def _op_ones(args, policy):
+def op_ones(args, policy):
     dims = [_static_index(a, "ones") for a in args]
     if any(d <= 0 for d in dims):
         raise ShapeMismatch("ones: sizes must be positive")
@@ -722,58 +727,251 @@ def _op_ones(args, policy):
     return Value(np.ones((dims[0], dims[1])), "matrix")
 
 
-_IMPLS = {
-    "+": _op_add,
-    "-": _op_sub,
-    "*": _op_mul,
-    "/": _op_div,
-    "pow": _op_pow,
-    "modulo": _op_modulo,
-    "remainder": _op_remainder,
-    "abs": _op_abs,
-    "min": _op_min,
-    "max": _op_max,
-    "sin": _op_sin,
-    "cos": _op_cos,
-    "exp": _op_exp,
-    "sqrt": _op_sqrt,
-    "log": _op_log,
-    "=": _op_eq,
-    "<": _op_lt,
-    ">": _op_gt,
-    "<=": _op_le,
-    ">=": _op_ge,
-    "and": _op_and,
-    "or": _op_or,
-    "not": _op_not,
-    "if": _op_select,
-    "vec": _op_vec,
-    "ref": _op_ref,
-    "dot": _op_dot,
-    "cross": _op_cross,
-    "norm": _op_norm,
-    "normalize": _op_normalize,
-    "vsum": _op_vsum,
-    "vlen": _op_vlen,
-    "scale": _op_scale,
-    "mat": _op_mat,
-    "matmul": _op_matmul,
-    "matvec": _op_matvec,
-    "transpose": _op_transpose,
-    "trace": _op_trace,
-    "det": _op_det,
-    "inv": _op_inv,
-    "outer": _op_outer,
-    "eye": _op_eye,
-    "zeros": _op_zeros,
-    "ones": _op_ones,
-}
+# ---------------------------------------------------------------------------
+# vector-Jacobian products
+
+
+def _aligned(arg: Value, out_value: Value) -> np.ndarray:
+    """Mirror the forward elementwise alignment of a batched scalar against
+    a batched tensor so gradient arithmetic broadcasts the same way."""
+    arr = arg.data
+    if (
+        out_value.batched
+        and arg.batched
+        and arg.kind == "scalar"
+        and out_value.kind != "scalar"
+    ):
+        arr = arr.reshape((arr.shape[0],) + (1,) * len(out_value.core_shape))
+    return arr
+
+
+def _swap(m):
+    return np.swapaxes(m, -1, -2)
+
+
+# Each VJP returns a list of raw per-argument gradients, shaped like the op
+# output; backward reduces them to argument shapes.  ``need`` holds one
+# bool per argument: an argument that reaches no root of the backward pass
+# gets None, and its gradient is never computed.  Unary VJPs run only with
+# need == (True,) and ignore it.
+
+
+def vjp_add(g, args, out, aux, need):
+    return [g if n else None for n in need]
+
+
+def vjp_sub(g, args, out, aux, need):
+    if len(args) == 1:
+        return [-g]
+    return [g if need[0] else None] + [-g if n else None for n in need[1:]]
+
+
+def vjp_mul(g, args, out, aux, need):
+    outs = []
+    for i, n in enumerate(need):
+        p = None
+        if n:
+            p = g
+            for j, other in enumerate(args):
+                if j != i:
+                    p = p * _aligned(other, out)
+        outs.append(p)
+    return outs
+
+
+def vjp_div(g, args, out, aux, need):
+    grads = [None]
+    if need[0]:
+        denom = None
+        for a in args[1:]:
+            arr = _aligned(a, out)
+            denom = arr if denom is None else denom * arr
+        grads[0] = g / denom
+    for a, n in zip(args[1:], need[1:]):
+        grads.append(-g * out.data / _aligned(a, out) if n else None)
+    return grads
+
+
+def vjp_pow(g, args, out, aux, need):
+    if aux is not None:  # immediate exponent
+        a = args[0].data
+        return [g * aux * np.power(a, aux - 1.0)]
+    a = _aligned(args[0], out)
+    b = _aligned(args[1], out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        da = g * b * np.power(a, b - 1.0) if need[0] else None
+        db = g * out.data * np.log(a) if need[1] else None
+    return [da, db]
+
+
+def vjp_modulo(g, args, out, aux, need):
+    db = None
+    if need[1]:
+        db = -g * np.floor(_aligned(args[0], out) / _aligned(args[1], out))
+    return [g if need[0] else None, db]
+
+
+def vjp_remainder(g, args, out, aux, need):
+    db = None
+    if need[1]:
+        db = -g * np.trunc(_aligned(args[0], out) / _aligned(args[1], out))
+    return [g if need[0] else None, db]
+
+
+def vjp_abs(g, args, out, aux, need):
+    return [g * np.sign(args[0].data)]
+
+
+def vjp_minmax(g, args, out, aux, need):
+    # an argument takes the gradient where it is the first to equal the
+    # output, so the mask runs over every argument, needed or not
+    avail = np.ones(out.data.shape, dtype=bool)
+    grads = []
+    for a, n in zip(args, need):
+        take = (_aligned(a, out) == out.data) & avail
+        grads.append(g * take if n else None)
+        avail = avail & ~take
+    return grads
+
+
+def vjp_sin(g, args, out, aux, need):
+    return [g * np.cos(args[0].data)]
+
+
+def vjp_cos(g, args, out, aux, need):
+    return [-g * np.sin(args[0].data)]
+
+
+def vjp_exp(g, args, out, aux, need):
+    return [g * out.data]
+
+
+def vjp_sqrt(g, args, out, aux, need):
+    return [g * 0.5 / out.data]
+
+
+def vjp_log(g, args, out, aux, need):
+    return [g / args[0].data]
+
+
+def vjp_none(g, args, out, aux, need):
+    return [None for _ in args]
+
+
+def vjp_if(g, args, out, aux, need):
+    c = _aligned(args[0], out)
+    return [None, g * (c != 0.0) if need[1] else None, g * (c == 0.0) if need[2] else None]
+
+
+def vjp_vec(g, args, out, aux, need):
+    return [g[..., i] if n else None for i, n in enumerate(need)]
+
+
+def vjp_ref(g, args, out, aux, need):
+    if not need[0]:
+        return [None, None]
+    v = args[0]
+    idx = int(float(args[1].data))
+    gv = np.zeros_like(v.data)
+    gv[..., idx] = np.broadcast_to(g, gv[..., idx].shape)
+    return [gv, None]
+
+
+def vjp_dot(g, args, out, aux, need):
+    a, b = args
+    ge = np.asarray(g)[..., None]
+    return [ge * b.data if need[0] else None, ge * a.data if need[1] else None]
+
+
+def vjp_cross(g, args, out, aux, need):
+    a, b = args
+    return [_cross(b.data, g) if need[0] else None,
+            _cross(g, a.data) if need[1] else None]
+
+
+def vjp_norm(g, args, out, aux, need):
+    v = args[0]
+    n = np.asarray(out.data)[..., None]
+    return [np.asarray(g)[..., None] * v.data / n]
+
+
+def vjp_normalize(g, args, out, aux, need):
+    v = args[0].data
+    n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    u = out.data
+    inner = (u * g).sum(axis=-1, keepdims=True)
+    return [(g - u * inner) / n]
+
+
+def vjp_vsum(g, args, out, aux, need):
+    v = args[0]
+    return [np.broadcast_to(np.asarray(g)[..., None], v.data.shape)]
+
+
+def vjp_scale(g, args, out, aux, need):
+    s, v = args
+    gs = None
+    if need[0]:
+        core = tuple(range(g.ndim - len(v.core_shape), g.ndim))
+        gs = (g * v.data).sum(axis=core) if core else g * v.data
+    return [gs, _aligned(s, out) * g if need[1] else None]
+
+
+def vjp_mat(g, args, out, aux, need):
+    return [g[..., i, :] if n else None for i, n in enumerate(need)]
+
+
+def vjp_matmul(g, args, out, aux, need):
+    a, b = args
+    return [np.matmul(g, _swap(b.data)) if need[0] else None,
+            np.matmul(_swap(a.data), g) if need[1] else None]
+
+
+def vjp_matvec(g, args, out, aux, need):
+    m, v = args
+    ge = np.asarray(g)[..., :, None]
+    return [ge * v.data[..., None, :] if need[0] else None,
+            (m.data * ge).sum(axis=-2) if need[1] else None]
+
+
+def vjp_transpose(g, args, out, aux, need):
+    return [_swap(g)]
+
+
+def vjp_trace(g, args, out, aux, need):
+    n = args[0].core_shape[-1]
+    return [np.asarray(g)[..., None, None] * np.eye(n)]
+
+
+def vjp_det(g, args, out, aux, need):
+    inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
+    return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
+
+
+def vjp_inv(g, args, out, aux, need):
+    it = _swap(out.data)
+    return [-np.matmul(np.matmul(it, g), it)]
+
+
+def vjp_outer(g, args, out, aux, need):
+    a, b = args
+    return [(g * b.data[..., None, :]).sum(axis=-1) if need[0] else None,
+            (g * a.data[..., :, None]).sum(axis=-2) if need[1] else None]
+
+
+# ---------------------------------------------------------------------------
+# dispatch by name
+
+# name -> Op row for every row with kernels.  The rows are declared in
+# ``ops.py``, which fills this lookup when the package is imported;
+# ``apply_primitive``, the machine, ``Tape.replay`` and ``backward`` read it.
+OPS: dict = {}
 
 
 def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate one primitive application on already-computed values."""
     try:
-        impl = _IMPLS[op]
+        forward = OPS[op].forward
     except KeyError:
         raise ShapeMismatch(f"not an applicable primitive: {op!r}") from None
-    return impl(args, policy)
+    return forward(args, policy)

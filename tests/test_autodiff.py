@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from schemegrad import autodiff
-from schemegrad.autodiff import (ParameterStore, TapeContext, backward, finite_diff_check,
-                                 register_vjp)
+from schemegrad.autodiff import ParameterStore, TapeContext, backward, finite_diff_check
 from schemegrad.compiler import compile_source
 from schemegrad.errors import MissingGradient, ShapeMismatch, SingularMatrix
 from schemegrad.machine import eval_program, eval_with_tape
+from schemegrad.ops import OPS
 from schemegrad.runtime import apply_primitive
 from schemegrad.training import truth_store
 from schemegrad.values import Value, bit_equal, numpy_scalar, stack_batch
@@ -366,8 +367,8 @@ def test_pruning_changes_no_gradient_bits_on_mixed_arguments(src, batch, monkeyp
 
         return checked
 
-    for op, vjp in list(autodiff._VJPS.items()):
-        monkeypatch.setitem(autodiff._VJPS, op, keeps_need_contract(vjp))
+    for op, row in list(OPS.items()):
+        monkeypatch.setitem(OPS, op, dataclasses.replace(row, vjp=keeps_need_contract(row.vjp)))
     rng = np.random.default_rng(batch)
     words = src.replace("(", " ").replace(")", " ").split()
     names = [n for n in ("x", "y", "v", "w", "A", "B") if n in words]
@@ -385,36 +386,30 @@ def test_pruning_changes_no_gradient_bits_on_mixed_arguments(src, batch, monkeyp
     _check_pruning_bits(compiled, inputs, truth_store({"k": 1.3}))
 
 
-def test_vjp_of_a_record_no_root_reaches_is_never_called():
+def test_vjp_of_a_record_no_root_reaches_is_never_called(monkeypatch):
     calls = []
 
     def spy(op):
-        vjp = autodiff._VJPS[op]
+        vjp = OPS[op].vjp
 
         def wrapped(g, args, out, aux, need):
             calls.append((op, need))
             return vjp(g, args, out, aux, need)
 
-        return vjp, wrapped
+        return wrapped
 
     prog = compile_source("(* k (pow x 2))", inputs=("x",), params=("k",))
     store = truth_store({"k": 1.5})
-    originals = {}
     for op in ("pow", "*"):
-        originals[op], wrapped = spy(op)
-        register_vjp(op, wrapped)
-    try:
-        _, tape = eval_with_tape(prog, {"x": 3.0}, store)
-        backward(tape, Value.scalar(1.0))
-        assert calls == [("*", (True, False))]
-        assert store["k"].grad == 9.0
-        calls.clear()
-        res = backward(tape, Value.scalar(1.0), wrt_inputs=["x"])
-        assert calls == [("*", (True, True)), ("pow", (True,))]
-        assert res.input_grads["x"].item() == 9.0  # 2 k x
-    finally:
-        for op, vjp in originals.items():
-            register_vjp(op, vjp)
+        monkeypatch.setitem(OPS, op, dataclasses.replace(OPS[op], vjp=spy(op)))
+    _, tape = eval_with_tape(prog, {"x": 3.0}, store)
+    backward(tape, Value.scalar(1.0))
+    assert calls == [("*", (True, False))]
+    assert store["k"].grad == 9.0
+    calls.clear()
+    res = backward(tape, Value.scalar(1.0), wrt_inputs=["x"])
+    assert calls == [("*", (True, True)), ("pow", (True,))]
+    assert res.input_grads["x"].item() == 9.0  # 2 k x
 
 
 def test_frozen_parameter_is_a_root():

@@ -3,7 +3,7 @@ import pytest
 from schemegrad.anf import to_anf
 from schemegrad.compiler import CompileConfig, compile_source
 from schemegrad.errors import DepthLimitExceeded, LoweringError
-from schemegrad.lowering import DEFAULT_MAX_DEPTH, RecursiveFn, check_depth, lower_tail_calls
+from schemegrad.lowering import DEFAULT_MAX_DEPTH, RecursiveFn, lower_tail_calls
 from schemegrad.machine import eval_program
 from schemegrad.sexpr import parse
 
@@ -52,12 +52,15 @@ def test_fib_matches_iterative_oracle():
         assert eval_program(prog, {"k": float(k)}).item() == float(fib_iter(k))
 
 
-def test_check_depth_boundaries():
-    fn = RecursiveFn("f", "f", ("n",), None, max_depth=1000)
-    check_depth(fn, 0)
-    check_depth(fn, 999)
+def test_depth_limit_boundaries():
+    up = ("(letrec ((up (lambda (n) (if (< n 0.5) 0 (+ 1 (call up (- n 1)))))))"
+          " (call up {}))")
+    config = CompileConfig(max_recursion_depth=1000)
+    ok = compile_source(up.format(999), config=config)
+    assert eval_program(ok, {}).item() == 999.0
+    bad = compile_source(up.format(1000), config=config)
     with pytest.raises(DepthLimitExceeded):
-        check_depth(fn, 1000)
+        eval_program(bad, {})
 
 
 def test_default_depth_limit_is_10000():
