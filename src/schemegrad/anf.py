@@ -4,7 +4,9 @@ Compound subexpressions are let-bound to fresh ``__t<N>`` temporaries, one
 binding per operation, which gives the graph builder its one-node-per-binding
 correspondence.  Conditional branches stay as nested programs so the
 compiler can choose eager (select) or lazy lowering; loop and function
-bodies are nested programs with explicit tails.
+bodies are nested programs with explicit tails.  A function's call to
+itself in tail position is a ``TailRecur``, as a loop's ``recur`` is: the
+executor runs both as a jump back to the start of the body.
 """
 
 from __future__ import annotations
@@ -56,12 +58,6 @@ class Return:
 
 @dataclass(frozen=True)
 class TailRecur:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class TailCall:
-    fn: str
     args: tuple
 
 
@@ -183,18 +179,23 @@ def _hoist_function(node: Letrec, scope: dict, fns: dict, ctx: _Ctx) -> str:
         fn_scope[user] = Var(fresh)
     fn_fns = dict(fns)
     fn_fns[node.name] = uid
-    body = _norm_body(node.fnbody, fn_scope, fn_fns, ctx, lazy=True)
+    body = _norm_body(node.fnbody, fn_scope, fn_fns, ctx, lazy=True, self_uid=uid)
     ctx.functions.append(AnfFunction(uid, node.name, fresh_params, body))
     return uid
 
 
-def _norm_body(node: Node, scope: dict, fns: dict, ctx: _Ctx, lazy: bool) -> AnfProgram:
+def _norm_body(node: Node, scope: dict, fns: dict, ctx: _Ctx, lazy: bool,
+               self_uid: str | None = None) -> AnfProgram:
     b = _Builder(ctx)
-    tail = _norm_tail(node, scope, fns, b, ctx, lazy)
+    tail = _norm_tail(node, scope, fns, b, ctx, lazy, self_uid)
     return AnfProgram(tuple(b.bindings), tail)
 
 
-def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy: bool):
+def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy: bool,
+               self_uid: str | None = None):
+    """Normalize in tail position.  ``self_uid`` is the function whose body
+    this tail ends, if any: a call to it here is a jump back to the body's
+    start with new arguments, so it becomes a ``TailRecur``."""
     if isinstance(node, Recur):
         args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
         return TailRecur(args)
@@ -204,20 +205,19 @@ def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy:
             tv = _norm(expr, inner, fns, b, ctx)
             inner[name] = tv
             ctx.scope_map.setdefault(name, tv.name if isinstance(tv, Var) else repr(tv.value))
-        return _norm_tail(node.body, inner, fns, b, ctx, lazy)
+        return _norm_tail(node.body, inner, fns, b, ctx, lazy, self_uid)
     if isinstance(node, Letrec):
         uid = _hoist_function(node, scope, fns, ctx)
         inner_fns = dict(fns)
         inner_fns[node.name] = uid
-        return _norm_tail(node.body, scope, inner_fns, b, ctx, lazy)
+        return _norm_tail(node.body, scope, inner_fns, b, ctx, lazy, self_uid)
     if lazy and isinstance(node, If):
         cond = _norm(node.cond, scope, fns, b, ctx)
-        then = _norm_body(node.then, scope, fns, ctx, lazy=True)
-        orelse = _norm_body(node.orelse, scope, fns, ctx, lazy=True)
+        then = _norm_body(node.then, scope, fns, ctx, lazy=True, self_uid=self_uid)
+        orelse = _norm_body(node.orelse, scope, fns, ctx, lazy=True, self_uid=self_uid)
         return TailIf(cond, then, orelse)
-    if lazy and isinstance(node, Call):
-        args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
-        return TailCall(fns[node.name], args)
+    if isinstance(node, Call) and fns[node.name] == self_uid:
+        return TailRecur(tuple(_norm(a, scope, fns, b, ctx) for a in node.args))
     value = _norm(node, scope, fns, b, ctx)
     return Return(value)
 
@@ -272,7 +272,7 @@ def _free_names(ast: Node) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# counting helpers (used by tests and invariants)
+# name and counting helpers
 
 
 def count_prim_nodes(ast: Node) -> int:
@@ -309,6 +309,52 @@ def count_ast_nodes(ast: Node) -> int:
     if isinstance(ast, Letrec):
         return 1 + count_ast_nodes(ast.fnbody) + count_ast_nodes(ast.body)
     raise TypeError(f"not an AST node: {ast!r}")
+
+
+def names_in_program(prog: AnfProgram):
+    """(used, bound, called) name sets over a program, descending into
+    nested branch/loop bodies.  Names are globally unique, so flat sets
+    suffice."""
+    used: set[str] = set()
+    bound: set[str] = set()
+    called: set[str] = set()
+
+    def triv(t):
+        if isinstance(t, Var):
+            used.add(t.name)
+
+    def scan(p: AnfProgram):
+        for name, rhs in p.bindings:
+            bound.add(name)
+            if isinstance(rhs, PrimApp):
+                for a in rhs.args:
+                    triv(a)
+            elif isinstance(rhs, SelectApp):
+                triv(rhs.cond)
+                scan(rhs.then)
+                scan(rhs.orelse)
+            elif isinstance(rhs, LoopApp):
+                for vname, t in rhs.loop_vars:
+                    bound.add(vname)
+                    triv(t)
+                scan(rhs.body)
+            elif isinstance(rhs, CallApp):
+                called.add(rhs.fn)
+                for a in rhs.args:
+                    triv(a)
+        tail = p.tail
+        if isinstance(tail, Return):
+            triv(tail.value)
+        elif isinstance(tail, TailRecur):
+            for a in tail.args:
+                triv(a)
+        elif isinstance(tail, TailIf):
+            triv(tail.cond)
+            scan(tail.then)
+            scan(tail.orelse)
+
+    scan(prog)
+    return used, bound, called
 
 
 def count_bindings(prog: AnfProgram) -> int:
@@ -370,8 +416,6 @@ def _tail_text(tail) -> str:
         return _triv_text(tail.value)
     if isinstance(tail, TailRecur):
         return "(" + " ".join(["recur"] + [_triv_text(a) for a in tail.args]) + ")"
-    if isinstance(tail, TailCall):
-        return "(" + " ".join(["call", tail.fn] + [_triv_text(a) for a in tail.args]) + ")"
     if isinstance(tail, TailIf):
         return f"(if {_triv_text(tail.cond)} {anf_to_text(tail.then)} {anf_to_text(tail.orelse)})"
     raise TypeError(f"not an ANF tail: {tail!r}")

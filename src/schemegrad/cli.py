@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from .autodiff import ParameterStore, backward
-from .compiler import CompileConfig, compile_source, disassemble
+from .compiler import DEFAULT_MAX_DEPTH, CompileConfig, compile_source, disassemble
 from .errors import ConfigError, SchemegradError
-from .lowering import DEFAULT_MAX_DEPTH
 from .machine import eval_program, eval_with_tape
 from .values import Value
 

@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 from . import sexpr
 from .anf import to_anf
 from .graph import BlockIR, ComputeGraph, build_graph
-from .lowering import DEFAULT_MAX_DEPTH, lower_tail_calls
+from .lowering import lower_tail_calls
 from .ops import OPS
+
+DEFAULT_MAX_DEPTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class CompiledProgram:
     input_slots: dict
     param_slots: dict
     output_slot: int
-    functions: tuple  # FnIR, referenced by call instructions
+    functions: tuple  # function BodyIRs, referenced by call instructions
     input_names: tuple
     param_names: tuple
     source_text: str
@@ -57,7 +59,7 @@ def compile_source(
     params=(),
     config: CompileConfig | None = None,
 ) -> CompiledProgram:
-    """parse -> scope check -> ANF -> tail-call lowering -> graph -> emit."""
+    """parse -> scope check -> ANF -> letrec check -> graph -> emit."""
     config = config or CompileConfig()
     t0 = time.perf_counter()
     ast = sexpr.parse(source)
@@ -133,7 +135,9 @@ def _instr_text(ins) -> str:
 
 def disassemble(prog: CompiledProgram, roles: bool = True) -> str:
     """Slot-table text of the top-level instruction sequence, one line per
-    slot, mirroring the compiled execution order."""
+    slot, mirroring the compiled execution order.  Each loop body is listed,
+    indented, under its loop instruction, and each function body once, after
+    the top level.  A body numbers its own slots."""
     lines = []
     for ins in prog.block.instrs:
         dest = ins[1]
@@ -152,14 +156,21 @@ def disassemble(prog: CompiledProgram, roles: bool = True) -> str:
                 role = prog.debug_names.get(dest, "")
             if role:
                 text = f"{text:<34}; {role}"
-        lines.append(text)
+        lines.extend(_instr_lines(ins, text))
     tail = prog.block.tail
     if tail[0] != "exit" or tail[1] != (prog.block.instrs[-1][1] if prog.block.instrs else -1):
         lines.extend(_tail_lines(tail))
     for fn in prog.functions:
-        lines.append(f"function {fn.user_name}/{len(fn.param_slots)}:")
+        lines.append(f"function {fn.user_name}/{len(fn.var_slots)}:")
         lines.extend("  " + l for l in _block_lines(fn.block))
     return "\n".join(lines)
+
+
+def _instr_lines(ins, text: str) -> list[str]:
+    """An instruction's line; a loop's body follows it, indented."""
+    if ins[0] != "loop":
+        return [text]
+    return [text] + ["  " + l for l in _block_lines(ins[2].block)]
 
 
 def _tail_lines(tail) -> list[str]:
@@ -176,6 +187,8 @@ def _tail_lines(tail) -> list[str]:
 
 
 def _block_lines(block: BlockIR) -> list[str]:
-    lines = [f"slot[{ins[1]}] = {_instr_text(ins)}" for ins in block.instrs]
+    lines = []
+    for ins in block.instrs:
+        lines.extend(_instr_lines(ins, f"slot[{ins[1]}] = {_instr_text(ins)}"))
     lines.extend(_tail_lines(block.tail))
     return lines

@@ -9,8 +9,7 @@ from ..autodiff import ParameterStore, TapeContext
 from ..compiler import compile_source
 from ..machine import eval_program
 from ..nn import MlpModel, mlp_forward, pack_scalars
-from ..ode import gauss_newton
-from ..optim import AdamState, adam_step, cosine_lr
+from ..optim import AdamState, adam_step, cosine_lr, gauss_newton
 from ..runtime import PROPAGATE_POLICY
 from ..values import Value
 from .registry import GRAVITY3D

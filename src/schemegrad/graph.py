@@ -12,17 +12,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .anf import (
-    AnfProgram,
-    CallApp,
-    LoopApp,
-    PrimApp,
-    Return,
-    SelectApp,
-    TailCall,
-    TailIf,
-    TailRecur,
-)
+from .anf import (AnfProgram, CallApp, LoopApp, PrimApp, Return, SelectApp, TailIf,
+                  TailRecur, names_in_program)
 from .errors import CycleDetected, UnboundVariable
 from .sexpr import Const, Var
 from .values import Value, frozen_scalar, numpy_scalar
@@ -42,23 +33,18 @@ class Node:
 
 
 @dataclass
-class LoopBodyIR:
+class BodyIR:
+    """A loop or function body with its own slot space.  Entering it writes
+    the loop's initial values or the call's arguments into ``var_slots``
+    and the imported outer values into ``capture_slots``; a ``recur`` tail
+    writes new values into ``var_slots`` and jumps back to the start."""
+
     var_slots: tuple
     capture_slots: tuple
     slot_count: int
     block: "BlockIR"
-
-
-@dataclass
-class FnIR:
-    uid: str
-    user_name: str
-    param_slots: tuple
-    capture_names: tuple
-    capture_slots: tuple
-    slot_count: int
-    block: "BlockIR"
-    index: int
+    user_name: str | None = None  # functions only
+    capture_names: tuple = ()  # functions only: names each call site passes
 
 
 @dataclass
@@ -73,7 +59,7 @@ class ComputeGraph:
     output: int
     input_slots: dict
     param_slots: dict
-    functions: list  # FnIR in index order
+    functions: list  # function BodyIRs, in order of first call
     tail: tuple  # mirrors BlockIR tail over node ids ('exit', id) at top level
 
 
@@ -155,58 +141,12 @@ class _Frame:
         return nid
 
 
-def _names_in_program(prog: AnfProgram):
-    """(used, bound, called) name sets over a program, descending into
-    nested branch/loop bodies.  Names are globally unique, so flat sets
-    suffice."""
-    used: set[str] = set()
-    bound: set[str] = set()
-    called: set[str] = set()
-
-    def triv(t):
-        if isinstance(t, Var):
-            used.add(t.name)
-
-    def scan(p: AnfProgram):
-        for name, rhs in p.bindings:
-            bound.add(name)
-            if isinstance(rhs, PrimApp):
-                for a in rhs.args:
-                    triv(a)
-            elif isinstance(rhs, SelectApp):
-                triv(rhs.cond)
-                scan(rhs.then)
-                scan(rhs.orelse)
-            elif isinstance(rhs, LoopApp):
-                for vname, t in rhs.loop_vars:
-                    bound.add(vname)
-                    triv(t)
-                scan(rhs.body)
-            elif isinstance(rhs, CallApp):
-                called.add(rhs.fn)
-                for a in rhs.args:
-                    triv(a)
-        tail = p.tail
-        if isinstance(tail, Return):
-            triv(tail.value)
-        elif isinstance(tail, TailRecur):
-            for a in tail.args:
-                triv(a)
-        elif isinstance(tail, TailIf):
-            triv(tail.cond)
-            scan(tail.then)
-            scan(tail.orelse)
-
-    scan(prog)
-    return used, bound, called
-
-
 def _function_captures(functions) -> dict[str, tuple]:
     """Names each function must import from its call sites, including those
     needed only to forward to callees (fixpoint over the call graph)."""
     info = {}
     for fn in functions:
-        used, bound, called = _names_in_program(fn.body)
+        used, bound, called = names_in_program(fn.body)
         info[fn.uid] = {
             "free": used - bound - set(fn.params),
             "bound": bound | set(fn.params),
@@ -231,8 +171,7 @@ class _Builder:
         self.param_names = list(params)
         self.fn_defs = {fn.uid: fn for fn in functions}
         self.fn_captures = _function_captures(functions)
-        self.fn_irs: dict[str, FnIR] = {}
-        self.fn_order: list[FnIR] = []
+        self.fn_irs: dict[str, BodyIR] = {}
 
     # -- frames --
 
@@ -244,7 +183,7 @@ class _Builder:
             output=tail[1] if tail[0] == "exit" else -1,
             input_slots=frame.input_slots,
             param_slots=frame.param_slots,
-            functions=self.fn_order,
+            functions=list(self.fn_irs.values()),
             tail=tail,
         )
         graph._frame = frame
@@ -289,8 +228,6 @@ class _Builder:
             return frame._blocks[-1], (
                 "branch", cond, (tuple(then_ids), then_tail), (tuple(else_ids), else_tail)
             )
-        if isinstance(tail, TailCall):
-            raise AssertionError("tail calls must be lowered before graph construction")
         raise TypeError(f"not an ANF tail: {tail!r}")
 
     def _triv(self, frame: _Frame, t) -> int:
@@ -319,7 +256,7 @@ class _Builder:
             for (name, _), slot in zip(rhs.loop_vars, var_slots):
                 body.env[name] = slot
             block_ids, tail = self._build_program(body, rhs.body)
-            loop_ir = LoopBodyIR(
+            loop_ir = BodyIR(
                 var_slots=var_slots,
                 capture_slots=tuple(body.env[n] for n in body.capture_names),
                 slot_count=len(body.nodes),
@@ -355,17 +292,17 @@ class _Builder:
         operands = tuple(self._triv(frame, a) for a in args)
         return frame.new_node("prim", op=op, operands=operands, debug_name=temp)
 
-    def _fn_ir(self, uid: str) -> FnIR:
+    def _fn_ir(self, uid: str) -> BodyIR:
         ir = self.fn_irs.get(uid)
         if ir is not None:
             return ir
         fn = self.fn_defs[uid]
         capture_names = self.fn_captures[uid]
         frame = _Frame(self, parent=None)
-        param_slots = tuple(
+        var_slots = tuple(
             frame.new_node("loopvar", aux=p, executes=False) for p in fn.params
         )
-        for p, slot in zip(fn.params, param_slots):
+        for p, slot in zip(fn.params, var_slots):
             frame.env[p] = slot
         capture_slots = []
         for name in capture_names:
@@ -375,18 +312,8 @@ class _Builder:
             capture_slots.append(slot)
         # Registered before the body builds so recursive call sites resolve
         # against the final capture list.
-        ir = FnIR(
-            uid=uid,
-            user_name=fn.user_name,
-            param_slots=param_slots,
-            capture_names=capture_names,
-            capture_slots=tuple(capture_slots),
-            slot_count=0,
-            block=None,
-            index=len(self.fn_order),
-        )
+        ir = BodyIR(var_slots, tuple(capture_slots), 0, None, fn.user_name, capture_names)
         self.fn_irs[uid] = ir
-        self.fn_order.append(ir)
         block_ids, tail = self._build_program(frame, fn.body)
         assert tuple(frame.capture_names) == capture_names, (
             "capture analysis missed a name"
@@ -423,19 +350,14 @@ def _node_to_instr(node: Node) -> tuple:
         return ("prim", node.id, node.op, node.operands, node.aux)
     if node.kind == "select":
         return ("select", node.id) + node.operands
-    if node.kind == "loop":
-        ir: LoopBodyIR = node.aux
-        n = len(ir.var_slots)
-        return ("loop", node.id, ir, node.operands[:n], node.operands[n:])
-    if node.kind == "call":
-        ir: FnIR = node.aux
-        n = len(ir.param_slots)
-        return ("call", node.id, ir, node.operands[:n], node.operands[n:])
+    if node.kind in ("loop", "call"):
+        n = len(node.aux.var_slots)
+        return (node.kind, node.id, node.aux, node.operands[:n], node.operands[n:])
     raise AssertionError(f"node kind {node.kind} does not execute")
 
 
 def build_graph(anf: AnfProgram, inputs, params) -> ComputeGraph:
-    """Construct the compute graph for a lowered ANF program."""
+    """Construct the compute graph for an ANF program."""
     builder = _Builder(inputs, params, anf.functions)
     return builder.build_top(anf)
 

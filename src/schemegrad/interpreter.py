@@ -7,7 +7,7 @@ compiled path; used as the independent oracle for compiled evaluation.
 from __future__ import annotations
 
 from .errors import DepthLimitExceeded, EvalError
-from .lowering import DEFAULT_MAX_DEPTH
+from .compiler import DEFAULT_MAX_DEPTH
 from .runtime import ERROR_POLICY, SafeDomainPolicy, apply_primitive, pow_immediate, select
 from .sexpr import Call, Const, If, Let, Letrec, Loop, Node, Prim, Recur, Var
 from .values import Value

@@ -4,8 +4,10 @@ One executor runs every program, straight-line or with loops and function
 calls.  It keeps the running block's instructions, program counter and
 slots in locals; entering a loop body or a function suspends the caller on
 an explicit frame stack, so loop iteration count and recursion depth never
-grow the Python stack.  ``eval_program`` and ``run_on_tape`` share it; with
-a tape it also records every value for reverse-mode differentiation.
+grow the Python stack.  A ``recur`` tail, a loop's or a function's call to
+itself in tail position, restarts the running body in place and takes no
+depth.  ``eval_program`` and ``run_on_tape`` share the executor; with a
+tape it also records every value for reverse-mode differentiation.
 
 A run whose inputs are all unbatched scalars holds its unbatched scalars
 as ``numpy.float64`` (``values.numpy_scalar``): input and parameter leaves
@@ -104,7 +106,7 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
     instrs, tail, pc, n = block.instrs, block.tail, 0, len(block.instrs)
-    body = None      # LoopBodyIR or FnIR of the running frame; None at top level
+    body = None      # BodyIR of the running loop or function; None at top level
     frames = []      # suspended callers: (slots, ids, instrs, tail, pc, body, dest, called)
     depth = 0
     try:
@@ -156,22 +158,20 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                         ids[dest] = tape.record("if", (ids[c], ids[t], ids[e]), out, None)
                 else:  # loop or call: suspend this frame and enter the body
                     _, dest, ir, outer, caps = ins
-                    if kind == "call":
+                    called = kind == "call"
+                    if called:
                         if depth >= prog.max_recursion_depth:
                             raise DepthLimitExceeded(ir.user_name, prog.max_recursion_depth)
                         depth += 1
-                        inner = ir.param_slots
-                    else:
-                        inner = ir.var_slots
-                    frames.append((slots, ids, instrs, tail, pc, body, dest, kind == "call"))
+                    frames.append((slots, ids, instrs, tail, pc, body, dest, called))
                     # Iterated, not kept: tuple(zip(...)) per call fills CPython's
                     # tuple free list, which tracemalloc counts as live memory.
                     caller, slots = slots, [None] * ir.slot_count
-                    for s, o in zip(inner + ir.capture_slots, outer + caps):
+                    for s, o in zip(ir.var_slots + ir.capture_slots, outer + caps):
                         slots[s] = caller[o]
                     if taping:
                         caller, ids = ids, [None] * ir.slot_count
-                        for s, o in zip(inner + ir.capture_slots, outer + caps):
+                        for s, o in zip(ir.var_slots + ir.capture_slots, outer + caps):
                             ids[s] = caller[o]
                     body = ir
                     instrs, tail, pc, n = ir.block.instrs, ir.block.tail, 0, len(ir.block.instrs)

@@ -75,10 +75,7 @@ register(Op("mse", "nn", 2, 2, _mse, _vjp_mse))
 
 
 def mse_record(ctx: TapeContext, pred: TapeRef, target) -> TapeRef:
-    tref = ctx.lift(target if isinstance(target, (TapeRef, Value)) else Value.of(target))
-    value = _mse([pred.value, tref.value])
-    nid = ctx.tape.record("mse", (pred.tape_id, tref.tape_id), value)
-    return TapeRef(nid, value)
+    return ctx.prim("mse", pred, target)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +139,9 @@ def mlp_forward(ctx: TapeContext, model: MlpModel, x: TapeRef) -> TapeRef:
     for i, (wn, bn) in enumerate(model.weight_names()):
         w = ctx.param(model.store, wn)
         b = ctx.param(model.store, bn)
-        value = _linear([h.value, w.value, b.value])
-        nid = ctx.tape.record("linear", (h.tape_id, w.tape_id, b.tape_id), value)
-        h = TapeRef(nid, value)
+        h = ctx.prim("linear", h, w, b)
         if i < model.num_layers - 1:
-            act_value = (_relu if model.activation == "relu" else _tanh)([h.value])
-            nid = ctx.tape.record(model.activation, (h.tape_id,), act_value)
-            h = TapeRef(nid, act_value)
+            h = ctx.prim(model.activation, h)
     return h
 
 

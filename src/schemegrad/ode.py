@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import optim
 from .autodiff import TapeContext, TapeRef
 from .errors import EmptyObservations
 from .values import Value
@@ -146,52 +147,6 @@ def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) ->
     return np.asarray(res)
 
 
-def gauss_newton(store, names, residuals, iterations: int = 12,
-                 fd_step: float = 1e-6, damping: float = 1e-10) -> None:
-    """Deterministic Gauss-Newton on a residual vector over named scalar
-    parameters.
-
-    Once observations are drawn these fits are fixed nonlinear
-    least-squares objectives; first-order optimizers stall well above
-    machine precision in their ill-conditioned valleys, so the final
-    approach uses the normal equations with a finite-difference Jacobian.
-    """
-    for _ in range(iterations):
-        r0 = residuals()
-        m = r0.size
-        J = np.empty((m, len(names)))
-        for k, name in enumerate(names):
-            base = float(store[name].value.data)
-            store.set_value(name, base + fd_step)
-            up = residuals()
-            store.set_value(name, base - fd_step)
-            down = residuals()
-            store.set_value(name, base)
-            J[:, k] = (up - down) / (2.0 * fd_step)
-        jtj = J.T @ J
-        jtr = J.T @ r0
-        mu = damping * np.trace(jtj) / len(names)
-        try:
-            delta = np.linalg.solve(jtj + mu * np.eye(len(names)), -jtr)
-        except np.linalg.LinAlgError:
-            break
-        new_loss = None
-        scale = 1.0
-        loss0 = float(np.mean(r0 * r0))
-        for _ in range(8):  # backtracking keeps steps from overshooting
-            for k, name in enumerate(names):
-                store.set_value(name, float(store[name].value.data) + scale * delta[k])
-            r1 = residuals()
-            new_loss = float(np.mean(r1 * r1))
-            if new_loss <= loss0 or scale < 1e-6:
-                break
-            for k, name in enumerate(names):
-                store.set_value(name, float(store[name].value.data) - scale * delta[k])
-            scale *= 0.5
-        if new_loss is not None and abs(loss0 - new_loss) <= 1e-30:
-            break
-
-
 def gauss_newton_refine(store, sys_factory, cfg: ShootingConfig, names,
                         iterations: int = 12) -> None:
     """Gauss-Newton polish on the multiple-shooting residuals."""
@@ -200,7 +155,7 @@ def gauss_newton_refine(store, sys_factory, cfg: ShootingConfig, names,
         ctx = TapeContext()
         return shooting_residuals(ctx, sys_factory(store), cfg)
 
-    gauss_newton(store, names, residuals, iterations=iterations)
+    optim.gauss_newton(store, names, residuals, iterations=iterations)
 
 
 def make_compiled_rhs(programs, stores, input_names, extra_inputs=None):

@@ -1,5 +1,6 @@
-"""Adam with bias correction, the standalone MSE helper, and the cosine
-learning-rate schedule used for coefficient recovery."""
+"""Adam with bias correction, the standalone MSE helper, the cosine
+learning-rate schedule used for coefficient recovery, and the Gauss-Newton
+polish that ends each fit."""
 
 from __future__ import annotations
 
@@ -75,3 +76,49 @@ def mse_loss(pred: Value, target: Value):
         ) from None
     grad = _vjp_mse(1.0, (pred, target), loss, None, (True, False))[0]
     return loss, Value(grad, pred.kind, pred.batched)
+
+
+def gauss_newton(store, names, residuals, iterations: int = 12,
+                 fd_step: float = 1e-6, damping: float = 1e-10) -> None:
+    """Deterministic Gauss-Newton on a residual vector over named scalar
+    parameters.
+
+    Once observations are drawn these fits are fixed nonlinear
+    least-squares objectives; first-order optimizers stall well above
+    machine precision in their ill-conditioned valleys, so the final
+    approach uses the normal equations with a finite-difference Jacobian.
+    """
+    for _ in range(iterations):
+        r0 = residuals()
+        m = r0.size
+        J = np.empty((m, len(names)))
+        for k, name in enumerate(names):
+            base = float(store[name].value.data)
+            store.set_value(name, base + fd_step)
+            up = residuals()
+            store.set_value(name, base - fd_step)
+            down = residuals()
+            store.set_value(name, base)
+            J[:, k] = (up - down) / (2.0 * fd_step)
+        jtj = J.T @ J
+        jtr = J.T @ r0
+        mu = damping * np.trace(jtj) / len(names)
+        try:
+            delta = np.linalg.solve(jtj + mu * np.eye(len(names)), -jtr)
+        except np.linalg.LinAlgError:
+            break
+        new_loss = None
+        scale = 1.0
+        loss0 = float(np.mean(r0 * r0))
+        for _ in range(8):  # backtracking keeps steps from overshooting
+            for k, name in enumerate(names):
+                store.set_value(name, float(store[name].value.data) + scale * delta[k])
+            r1 = residuals()
+            new_loss = float(np.mean(r1 * r1))
+            if new_loss <= loss0 or scale < 1e-6:
+                break
+            for k, name in enumerate(names):
+                store.set_value(name, float(store[name].value.data) - scale * delta[k])
+            scale *= 0.5
+        if new_loss is not None and abs(loss0 - new_loss) <= 1e-30:
+            break

@@ -174,10 +174,18 @@ Node = Union[Const, Var, Let, If, Prim, Loop, Recur, Letrec, Call]
 # parser
 
 
+# The deepest nesting of open parens and brackets a source may have.  Every
+# compile phase and the reference interpreter recurse on the parse tree, a
+# few Python frames per level, so this keeps them all inside Python's
+# default recursion limit.
+MAX_NESTING = 200
+
+
 class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parens and brackets open at the read position
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -188,6 +196,13 @@ class _TokenStream:
             last = self.tokens[-1].pos if self.tokens else (1, 1)
             raise ParseError("unexpected end of input", last)
         self.i += 1
+        kind = tok.kind
+        if kind == "lparen" or kind == "lbracket":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        elif kind == "rparen" or kind == "rbracket":
+            self.depth -= 1
         return tok
 
     def expect(self, kind: str) -> Token:

@@ -11,7 +11,7 @@ import numpy as np
 from .autodiff import ParameterStore, TapeContext
 from .errors import NonFiniteLoss
 from .machine import eval_program
-from .optim import AdamState, adam_step, cosine_lr
+from .optim import AdamState, adam_step, cosine_lr, gauss_newton
 from .runtime import PROPAGATE_POLICY
 from .values import Value
 
@@ -131,8 +131,6 @@ def train_coefficients(
             curve.append((epoch, loss_val))
 
     if polish_samples > 0:
-        from .ode import gauss_newton
-
         fixed = draw_inputs(data.ranges, polish_samples, rng)
         clean = eval_program(prog, fixed, truth, PROPAGATE_POLICY)
         target = clean.data * (1.0 + data.noise * rng.standard_normal(clean.data.shape))

@@ -29,6 +29,27 @@ def test_two_op_disassembly_golden():
     assert prog.slot_count == 7
 
 
+LOOP_SUM_SRC = "(loop ((i 0) (acc 0)) (if (< i n) (recur (+ i 1) (+ acc i)) acc))"
+
+# The body numbers its own slots: i, acc, then the captured n.
+LOOP_SUM_DISASSEMBLY = """\
+slot[0] = 0.0                     ; constant
+slot[1] = n                       ; input
+slot[2] = loop(slot[0], slot[0], slot[1]); output
+  slot[3] = <(slot[0], slot[2])
+  if slot[3]:
+    slot[4] = 1.0
+    slot[5] = slot[0] + slot[4]
+    slot[6] = slot[1] + slot[0]
+    recur slot[5], slot[6]
+  else:
+    return slot[1]"""
+
+
+def test_loop_sum_disassembly_lists_the_body_golden():
+    assert disassemble(compile_source(LOOP_SUM_SRC, inputs=("n",))) == LOOP_SUM_DISASSEMBLY
+
+
 def test_two_op_graph_has_seven_nodes_in_order():
     anf = lower_tail_calls(to_anf(parse(TWO_OP_SRC)))
     graph = build_graph(anf, ("x", "y"), ())

@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
 
-from schemegrad.anf import to_anf
-from schemegrad.compiler import CompileConfig, compile_source
+from schemegrad.anf import AnfFunction, CallApp, TailIf, TailRecur, to_anf
+from schemegrad.autodiff import ParameterStore, finite_diff_check
+from schemegrad.compiler import DEFAULT_MAX_DEPTH, CompileConfig, compile_source, disassemble
 from schemegrad.errors import DepthLimitExceeded, LoweringError
-from schemegrad.lowering import DEFAULT_MAX_DEPTH, RecursiveFn, lower_tail_calls
-from schemegrad.machine import eval_program
+from schemegrad.interpreter import interpret_ast
+from schemegrad.lowering import lower_tail_calls
+from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.sexpr import parse
+from schemegrad.values import Value, bit_equal, stack_batch
 
 COUNTDOWN = ("(letrec ((down (lambda (n) (if (> n 0) (call down (- n 1)) n))))"
              " (call down 5))")
@@ -14,11 +18,13 @@ FIB = ("(letrec ((fib (lambda (n) (if (< n 2) n"
        " (call fib 10))")
 
 
-def test_tail_recursive_letrec_becomes_loop():
+def test_tail_self_call_is_a_jump():
     anf = lower_tail_calls(to_anf(parse(COUNTDOWN)))
-    assert anf.functions == ()  # fully lowered
+    (fn,) = anf.functions
+    assert isinstance(fn.body.tail, TailIf)
+    assert isinstance(fn.body.tail.then.tail, TailRecur)  # no call, no copied body
     prog = compile_source(COUNTDOWN)
-    assert len(prog.functions) == 0
+    assert len(prog.functions) == 1
     assert eval_program(prog, {}).item() == 0.0
 
 
@@ -31,8 +37,10 @@ def test_loop_syntax_sums_first_ten():
 
 def test_non_tail_recursion_stays_stack_dispatched():
     anf = lower_tail_calls(to_anf(parse(FIB)))
-    assert len(anf.functions) == 1
-    assert isinstance(anf.functions[0], RecursiveFn)
+    (fn,) = anf.functions
+    assert isinstance(fn, AnfFunction)
+    calls = [rhs for _, rhs in fn.body.tail.orelse.bindings if isinstance(rhs, CallApp)]
+    assert [c.fn for c in calls] == [fn.uid, fn.uid]
     prog = compile_source(FIB)
     assert eval_program(prog, {}).item() == 55.0
 
@@ -130,3 +138,102 @@ def test_nested_loops():
            "     total))")
     prog = compile_source(src)
     assert eval_program(prog, {}).item() == 12.0
+
+
+# letrec shapes over a data input x and a parameter a.  Branch conditions
+# read only unbatched trip counts, so every shape also runs batched in x.
+LETREC_CASES = (
+    ("tail_rec_two_sites",
+     "(letrec ((pw (lambda (k acc) (if (> k 0) (call pw (- k 1) (* acc x)) acc))))"
+     " (+ (call pw 3 a) (call pw 2 (* a x))))"),
+    ("helper_two_sites",
+     "(letrec ((sq (lambda (u) (* u u)))) (+ (call sq (* a x)) (call sq (- x a))))"),
+    ("mixed_tail_and_non_tail",
+     "(letrec ((f (lambda (k acc) (if (> k 2) (call f (- k 1) (+ acc (* a x)))"
+     " (if (> k 0) (+ acc (call f (- k 1) (* acc a))) acc)))))"
+     " (call f 5 x))"),
+    ("inner_shadows_outer",
+     "(letrec ((f (lambda (k acc) (if (> k 0) (call f (- k 1) (* acc a))"
+     " (letrec ((f (lambda (u) (+ u x)))) (call f acc))))))"
+     " (call f 3 x))"),
+    ("body_holds_loop",
+     "(letrec ((g (lambda (n u) (loop ((i 0) (s u))"
+     " (if (< i n) (recur (+ i 1) (+ s (* a u))) s)))))"
+     " (* (call g 3 x) (call g 2 a)))"),
+    ("captured_parameter",
+     "(letrec ((h (lambda (k acc) (if (> k 0) (call h (- k 1) (+ acc (* a k))) (* acc x)))))"
+     " (call h 4 x))"),
+)
+XS = (0.5, 1.25, -0.75, 2.0, 1.5)
+
+
+def _letrec_store():
+    store = ParameterStore()
+    store.add("a", 0.7)
+    return store
+
+
+@pytest.mark.parametrize("source", [src for _, src in LETREC_CASES],
+                         ids=[cid for cid, _ in LETREC_CASES])
+def test_letrec_shapes_match_interpreter_batched_and_fd(source):
+    prog = compile_source(source, inputs=("x",), params=("a",))
+    store = _letrec_store()
+    ast = parse(source)
+    singles = []
+    for x in XS:
+        got = eval_program(prog, {"x": x}, store)
+        assert bit_equal(got, interpret_ast(ast, {"x": x, "a": 0.7}))
+        singles.append(got)
+    xb = Value.batch_scalars(np.array(XS))
+    batched = eval_program(prog, {"x": xb}, store)
+    assert bit_equal(batched, interpret_ast(ast, {"x": xb, "a": 0.7}))
+    assert bit_equal(batched, stack_batch(singles))
+    report = finite_diff_check(prog, {"x": 1.25}, store)
+    assert report.passed, report.per_name
+
+
+def test_inner_letrec_tail_call_is_not_a_jump_of_the_outer_function():
+    anf = to_anf(parse(LETREC_CASES[3][1]))
+    (outer,) = [fn for fn in anf.functions if len(fn.params) == 2]
+    (inner,) = [fn for fn in anf.functions if len(fn.params) == 1]
+    assert isinstance(outer.body.tail.then.tail, TailRecur)
+    (call,) = [rhs for _, rhs in outer.body.tail.orelse.bindings if isinstance(rhs, CallApp)]
+    assert call.fn == inner.uid
+
+
+def test_tail_recursion_takes_no_depth():
+    src = ("(letrec ((down (lambda (n acc) (if (> n 0) (call down (- n 1) (+ acc 1)) acc))))"
+           " (call down 50000 0))")
+    prog = compile_source(src)
+    assert prog.max_recursion_depth == DEFAULT_MAX_DEPTH < 50_000
+    assert eval_program(prog, {}).item() == 50_000.0
+    out, tape = eval_with_tape(prog, {})
+    assert out.item() == 50_000.0
+
+
+def test_helper_call_counts_one_level_as_interpreter_does():
+    # A non-recursive helper takes one level while it runs, in both engines.
+    src = "(letrec ((sq (lambda (u) (* u u)))) (call sq 3))"
+    assert eval_program(compile_source(src), {}).item() == 9.0
+    with pytest.raises(DepthLimitExceeded):
+        eval_program(compile_source(src, config=CompileConfig(max_recursion_depth=0)), {})
+    with pytest.raises(DepthLimitExceeded):
+        interpret_ast(parse(src), {}, max_depth=0)
+
+
+def test_disassembly_lists_recur_in_function_body():
+    assert disassemble(compile_source(COUNTDOWN)) == COUNTDOWN_DISASSEMBLY
+
+
+COUNTDOWN_DISASSEMBLY = """\
+slot[0] = 5.0                     ; constant
+slot[1] = call down(slot[0])      ; output
+function down/1:
+  slot[1] = 0.0
+  slot[2] = >(slot[0], slot[1])
+  if slot[2]:
+    slot[3] = 1.0
+    slot[4] = slot[0] - slot[3]
+    recur slot[4]
+  else:
+    return slot[0]"""

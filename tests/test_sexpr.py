@@ -1,8 +1,16 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from schemegrad import ops
+from schemegrad.autodiff import ParameterStore, backward
+from schemegrad.compiler import compile_source
 from schemegrad.errors import LexError, ParseError, ScopeError
+from schemegrad.interpreter import interpret_ast
+from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.sexpr import (
+    MAX_NESTING,
     Const,
     Let,
     Prim,
@@ -12,6 +20,7 @@ from schemegrad.sexpr import (
     pretty,
     tokenize,
 )
+from schemegrad.values import Value, bit_equal
 
 
 def kinds(src):
@@ -189,3 +198,66 @@ def test_let_star_is_sequential_let():
 
 def test_nary_vsum_desugars_to_elementwise_sum():
     assert parse("(vsum a b c)") == parse("(vsum (+ a b c))")
+
+
+# Forms that wrap an inner expression {}; each nests it one or two levels.
+NESTING_FORMS = {
+    "prim": "(+ 1 {})",
+    "if": "(if (< x 5) {} 0)",
+    "loop": "(loop ((i 0)) (if (< i 2) (recur (+ i 1)) {}))",
+    "letrec": "(letrec ((f (lambda (k) (* k a)))) (call f {}))",
+}
+
+
+def _nesting(src: str) -> int:
+    depth = deepest = 0
+    for c in src:
+        depth += c in "(["
+        depth -= c in ")]"
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _nested_source(depth: int, forms) -> str:
+    """A source nesting exactly `depth` levels: the forms wrapped in turn
+    while they fit within the limit, then plain sums to make up the rest."""
+    src = "(* a x)"
+    for form in itertools.cycle(forms):
+        wrapped = form.format(src)
+        if _nesting(wrapped) > min(depth, MAX_NESTING):
+            break
+        src = wrapped
+    pad = depth - _nesting(src)
+    return "(+ 1 " * pad + src + ")" * pad
+
+
+@pytest.mark.parametrize("forms", [tuple(NESTING_FORMS)] + [(f,) for f in NESTING_FORMS],
+                         ids=lambda f: "+".join(f))
+def test_nesting_limit_program_runs_in_every_engine(forms):
+    src = _nested_source(MAX_NESTING, [NESTING_FORMS[f] for f in forms])
+    assert _nesting(src) == MAX_NESTING == 200
+    prog = compile_source(src, inputs=("x",), params=("a",))
+    store = ParameterStore()
+    store.add("a", 0.5)
+    got = eval_program(prog, {"x": 1.5}, store)
+    assert bit_equal(got, interpret_ast(parse(src), {"x": 1.5, "a": 0.5}))
+    out, tape = eval_with_tape(prog, {"x": 1.5}, store)
+    assert bit_equal(out, got)
+    backward(tape, Value(np.ones_like(out.data), out.kind, out.batched))
+    assert store["a"].grad is not None
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_past_limit_is_a_parse_error(depth):
+    src = _nested_source(depth, list(NESTING_FORMS.values()))
+    with pytest.raises(ParseError, match="nesting deeper than 200 levels"):
+        parse(src)
+    with pytest.raises(ParseError):
+        compile_source(src, inputs=("x",), params=("a",))
+
+
+def test_nesting_error_names_the_opening_token():
+    src = "[" * 150 + "\n" + "(+ 1 " * 60 + "x" + ")" * 60 + "]" * 150
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert err.value.pos == (2, 251)  # the 51st paren on line 2
