@@ -137,7 +137,8 @@ def disassemble(prog: CompiledProgram, roles: bool = True) -> str:
     """Slot-table text of the top-level instruction sequence, one line per
     slot, mirroring the compiled execution order.  Each loop body is listed,
     indented, under its loop instruction, and each function body once, after
-    the top level.  A body numbers its own slots."""
+    the top level.  A body numbers its own slots; its first line names the
+    slots that hold its loop variables (or arguments) and its captures."""
     lines = []
     for ins in prog.block.instrs:
         dest = ins[1]
@@ -162,7 +163,7 @@ def disassemble(prog: CompiledProgram, roles: bool = True) -> str:
         lines.extend(_tail_lines(tail))
     for fn in prog.functions:
         lines.append(f"function {fn.user_name}/{len(fn.var_slots)}:")
-        lines.extend("  " + l for l in _block_lines(fn.block))
+        lines.extend("  " + l for l in _body_lines(fn))
     return "\n".join(lines)
 
 
@@ -170,7 +171,15 @@ def _instr_lines(ins, text: str) -> list[str]:
     """An instruction's line; a loop's body follows it, indented."""
     if ins[0] != "loop":
         return [text]
-    return [text] + ["  " + l for l in _block_lines(ins[2].block)]
+    return [text] + ["  " + l for l in _body_lines(ins[2])]
+
+
+def _body_lines(ir) -> list[str]:
+    """A loop or function body: a header naming its var and capture slots."""
+    slots = [f"{label} " + ", ".join(_slot(s) for s in group)
+             for label, group in (("vars", ir.var_slots), ("captures", ir.capture_slots))
+             if group]
+    return ["; " + ("; ".join(slots) or "no vars or captures")] + _block_lines(ir.block)
 
 
 def _tail_lines(tail) -> list[str]:

@@ -12,8 +12,8 @@ from ..autodiff import TapeContext
 from ..compiler import compile_source
 from ..machine import eval_program
 from ..nn import MlpModel, mlp_forward
-from ..optim import AdamState, adam_step, cosine_lr
 from ..runtime import PROPAGATE_POLICY
+from ..training import fit
 from ..values import Value
 from .registry import COMPOSITION_CHAINS, COMPOSITION_OPS
 from .report import ResultRow
@@ -77,19 +77,10 @@ def train_op_mlps(seed: int = DEFAULT_SEED, epochs: int = MLP_EPOCHS):
         ys = closure(xs)
         xv = Value.batch_vectors(xs[:, None])
         yv = Value.batch_vectors(ys[:, None])
-        adam = AdamState(lr=3e-3)
-        curve = []
-        for epoch in range(epochs):
-            ctx = TapeContext(PROPAGATE_POLICY)
-            pred = mlp_forward(ctx, model, ctx.lift(xv))
-            loss = ctx.mse(pred, yv)
-            model.store.zero_grads()
-            ctx.backward(loss)
-            adam_step(model.store, adam, lr=cosine_lr(epoch, epochs, 3e-3, 1e-5))
-            if epoch % 100 == 0 or epoch == epochs - 1:
-                curve.append((epoch, float(loss.value.data)))
         models[name] = model
-        curves[f"comp_op_{name}"] = curve
+        curves[f"comp_op_{name}"] = fit(
+            lambda ctx: ctx.mse(mlp_forward(ctx, model, ctx.lift(xv)), yv),
+            [(model.store, 3e-3, 1e-5)], epochs, record_every=100)
     return models, curves
 
 

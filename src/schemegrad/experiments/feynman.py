@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff import TapeContext
 from ..compiler import compile_source
 from ..machine import eval_program
+from ..nn import MlpModel, mlp_forward, pack_scalars
 from ..runtime import PROPAGATE_POLICY
-from ..training import DataSpec, OptimSpec, draw_inputs, train_coefficients, truth_store
+from ..training import DataSpec, draw_inputs, fit, train_coefficients, truth_store
+from ..values import Value
 from .registry import FEYNMAN, FEYNMAN_ORDER, handcoded_oracle
 from .report import ResultRow
 
@@ -25,7 +28,7 @@ def fit_equation(eq, seed: int, epochs_scale: float = 1.0):
     data = DataSpec(ranges=eq.ranges, noise=eq.noise, batch=eq.batch)
     store, report = train_coefficients(
         prog, eq.params, data, epochs=epochs, seed=seed,
-        frozen_params=eq.frozen, optim=OptimSpec(lr0=1e-2, lr1=1e-4),
+        frozen_params=eq.frozen,
         polish_samples=0 if eq.expected_fail else 50_000,
     )
     return prog, store, report
@@ -99,38 +102,30 @@ def run(seed: int = 0, epochs_scale: float = 1.0, with_mlp: bool = False,
 
 def _mlp_rows(eq, seed: int, epochs_scale: float):
     """Informational dense-network baseline on the same data protocol."""
-    from ..autodiff import TapeContext
-    from ..nn import MlpModel, mlp_forward, pack_scalars
-    from ..optim import AdamState, adam_step
-    from ..values import Value
-
     rng = np.random.default_rng(seed + 999)
     model = MlpModel([len(eq.inputs), 64, 64, 64, 1], activation="relu", rng=rng)
     truth = truth_store(eq.params, eq.frozen)
     prog = compile_source(eq.source, inputs=eq.inputs,
                           params=tuple(eq.params) + tuple(eq.frozen))
-    adam = AdamState(lr=1e-3)
-    epochs = max(20, int(round(eq.epochs * epochs_scale)))
-    batch = 1024
-    for _ in range(epochs):
-        ins = draw_inputs(eq.ranges, batch, rng)
+
+    def pack(ctx, ins):
+        return pack_scalars(ctx, [ctx.lift(ins[name]) for name in eq.inputs])
+
+    def loss_fn(ctx):
+        ins = draw_inputs(eq.ranges, 1024, rng)
         clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
         noisy = clean.data * (1.0 + eq.noise * rng.standard_normal(clean.data.shape))
-        ctx = TapeContext(PROPAGATE_POLICY)
-        x = pack_scalars(ctx, [ctx.lift(ins[name]) for name in eq.inputs])
-        pred = mlp_forward(ctx, model, x)
         target = Value.batch_vectors(noisy[:, None])
-        loss = ctx.mse(pred, target)
-        model.store.zero_grads()
-        ctx.backward(loss)
-        adam_step(model.store, adam)
+        return ctx.mse(mlp_forward(ctx, model, pack(ctx, ins)), target)
+
+    epochs = max(20, int(round(eq.epochs * epochs_scale)))
+    fit(loss_fn, [(model.store, 1e-3, 1e-3)], epochs, record_every=epochs)
 
     test_rng = np.random.default_rng(seed + 101)
     ins = draw_inputs(eq.ranges, 10_000, test_rng)
     clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
     ctx = TapeContext(PROPAGATE_POLICY)
-    x = pack_scalars(ctx, [ctx.lift(ins[name]) for name in eq.inputs])
-    pred = mlp_forward(ctx, model, x)
+    pred = mlp_forward(ctx, model, pack(ctx, ins))
     mse = float(np.mean((pred.value.data[:, 0] - clean.data) ** 2))
     return [
         ResultRow("feynman", "mlp", f"{eq.id}:test_mse", mse, informational=True),

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import ParameterStore, TapeContext
+from .. import training
+from ..autodiff import TapeContext
 from ..compiler import compile_source
 from ..machine import eval_program
 from ..nn import MlpModel, mlp_forward, pack_scalars
-from ..optim import AdamState, adam_step, cosine_lr, gauss_newton
+from ..optim import gauss_newton
 from ..runtime import PROPAGATE_POLICY
+from ..training import init_param_store, truth_store
 from ..values import Value
 from .registry import GRAVITY3D
 from .report import ResultRow
@@ -41,38 +43,27 @@ def sample_inputs(rng, n: int):
     }
 
 
-def _truth_store() -> ParameterStore:
-    store = ParameterStore()
-    store.add("G", TRUE_G)
-    return store
+def _noisy_targets(prog, truth, ins, rng):
+    clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
+    return Value.batch_vectors(clean.data * (1.0 + NOISE * rng.standard_normal(clean.data.shape)))
 
 
 def fit_g(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS):
     rng = np.random.default_rng(seed)
     prog = program()
-    truth = _truth_store()
-    store = ParameterStore()
-    store.add("G", float(rng.uniform(0.5, 2.0)) * TRUE_G)
-    adam = AdamState(lr=1e-2)
-    curve = []
-    for epoch in range(epochs):
+    truth = truth_store({"G": TRUE_G})
+    store = init_param_store({"G": TRUE_G}, None, rng)
+
+    def loss_fn(ctx):
         ins = sample_inputs(rng, BATCH)
-        clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
-        noisy = clean.data * (1.0 + NOISE * rng.standard_normal(clean.data.shape))
-        ctx = TapeContext(PROPAGATE_POLICY)
-        out = ctx.run(prog, ins, store)
-        loss = ctx.mse(out, Value.batch_vectors(noisy))
-        store.zero_grads()
-        ctx.backward(loss)
-        adam_step(store, adam, lr=cosine_lr(epoch, epochs, 1e-2, 1e-4))
-        if epoch % 25 == 0 or epoch == epochs - 1:
-            curve.append((epoch, float(loss.value.data)))
+        target = _noisy_targets(prog, truth, ins, rng)
+        return ctx.mse(ctx.run(prog, ins, store), target)
+
+    curve = training.fit(loss_fn, [(store, 1e-2, 1e-4)], epochs, record_every=25)
 
     # least-squares polish on one fixed large draw
     fixed = sample_inputs(np.random.default_rng(seed + 55), 60_000)
-    clean = eval_program(prog, fixed, truth, PROPAGATE_POLICY)
-    noisy = clean.data * (1.0 + NOISE *
-                          np.random.default_rng(seed + 56).standard_normal(clean.data.shape))
+    noisy = _noisy_targets(prog, truth, fixed, np.random.default_rng(seed + 56)).data
 
     def residuals():
         pred = eval_program(prog, fixed, store, PROPAGATE_POLICY)
@@ -86,7 +77,7 @@ def fit_g(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS):
 def test_mse(predict_fn, seed: int, n: int = 10_000) -> float:
     rng = np.random.default_rng(seed + 101)
     ins = sample_inputs(rng, n)
-    clean = eval_program(program(), ins, _truth_store(), PROPAGATE_POLICY)
+    clean = eval_program(program(), ins, truth_store({"G": TRUE_G}), PROPAGATE_POLICY)
     pred = predict_fn(ins)
     return float(np.mean((pred - clean.data) ** 2))
 
@@ -94,20 +85,15 @@ def test_mse(predict_fn, seed: int, n: int = 10_000) -> float:
 def fit_mlp(seed: int = DEFAULT_SEED, epochs: int = MLP_EPOCHS):
     rng = np.random.default_rng(seed + 1)
     prog = program()
-    truth = _truth_store()
+    truth = truth_store({"G": TRUE_G})
     model = MlpModel([5, 64, 64, 64, 3], activation="relu", rng=rng)
-    adam = AdamState(lr=1e-3)
-    for _ in range(epochs):
+
+    def loss_fn(ctx):
         ins = sample_inputs(rng, 1024)
-        clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
-        noisy = clean.data * (1.0 + NOISE * rng.standard_normal(clean.data.shape))
-        ctx = TapeContext(PROPAGATE_POLICY)
-        x = _pack(ctx, ins)
-        pred = mlp_forward(ctx, model, x)
-        loss = ctx.mse(pred, Value.batch_vectors(noisy))
-        model.store.zero_grads()
-        ctx.backward(loss)
-        adam_step(model.store, adam)
+        target = _noisy_targets(prog, truth, ins, rng)
+        return ctx.mse(mlp_forward(ctx, model, _pack(ctx, ins)), target)
+
+    training.fit(loss_fn, [(model.store, 1e-3, 1e-3)], epochs, record_every=epochs)
     return model
 
 

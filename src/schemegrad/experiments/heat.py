@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import ParameterStore, TapeContext
+from .. import training
 from ..compiler import compile_source
+from ..machine import eval_program
 from ..nn import MlpModel, mlp_forward
-from ..optim import AdamState, adam_step, cosine_lr, gauss_newton
+from ..optim import gauss_newton
 from ..runtime import PROPAGATE_POLICY
+from ..training import init_param_store, truth_store
 from ..values import Value
 from .registry import HEAT_STEP
 from .report import ResultRow
@@ -42,19 +44,11 @@ def step_program():
     return compile_source(HEAT_STEP.source, inputs=("u", "L", "dt"), params=("alpha",))
 
 
-def _alpha_store(value: float) -> ParameterStore:
-    store = ParameterStore()
-    store.add("alpha", value)
-    return store
-
-
 def rollout(prog, store, u0: np.ndarray, n_steps: int, source: np.ndarray | None = None):
     """Batched explicit stepping; returns [n_steps, B, N] of states after
     each step."""
     L = Value.matrix(laplacian())
     u = Value.batch_vectors(np.asarray(u0, dtype=np.float64))
-    from ..machine import eval_program
-
     states = []
     for _ in range(n_steps):
         u = eval_program(prog, {"u": u, "L": L, "dt": DT}, store, PROPAGATE_POLICY)
@@ -67,7 +61,7 @@ def rollout(prog, store, u0: np.ndarray, n_steps: int, source: np.ndarray | None
 def make_dataset(rng, n_ic: int, n_steps: int, source: np.ndarray | None = None):
     u0 = rng.uniform(0.0, 1.0, size=(n_ic, N_GRID))
     prog = step_program()
-    states = rollout(prog, _alpha_store(TRUE_ALPHA), u0, n_steps, source)
+    states = rollout(prog, truth_store({"alpha": TRUE_ALPHA}), u0, n_steps, source)
     return u0, states
 
 
@@ -75,12 +69,10 @@ def fit_alpha(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS):
     rng = np.random.default_rng(seed)
     u0, targets = make_dataset(rng, N_TRAIN_IC, N_STEPS)
     prog = step_program()
-    store = _alpha_store(float(rng.uniform(0.5, 2.0)) * TRUE_ALPHA)
+    store = init_param_store({"alpha": TRUE_ALPHA}, None, rng)
     L = Value.matrix(laplacian())
-    adam = AdamState(lr=1e-3)
-    curve = []
-    for epoch in range(epochs):
-        ctx = TapeContext(PROPAGATE_POLICY)
+
+    def loss_fn(ctx):
         u = ctx.lift(Value.batch_vectors(u0))
         terms = []
         for step in range(N_STEPS):
@@ -89,11 +81,9 @@ def fit_alpha(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS):
         loss = terms[0]
         for t in terms[1:]:
             loss = ctx.add(loss, t)
-        store.zero_grads()
-        ctx.backward(loss)
-        adam_step(store, adam, lr=cosine_lr(epoch, epochs, 1e-3, 1e-6))
-        if epoch % 20 == 0 or epoch == epochs - 1:
-            curve.append((epoch, float(loss.value.data)))
+        return loss
+
+    curve = training.fit(loss_fn, [(store, 1e-3, 1e-6)], epochs, record_every=20)
 
     def residuals():
         pred = rollout(prog, store, u0, N_STEPS)
@@ -131,32 +121,19 @@ def fit_hybrid(seed: int = DEFAULT_SEED, epochs: int = HYBRID_EPOCHS):
     xs, ys = _one_step_pairs(rng, SOURCE_TERM)
     prog = step_program()
     model = MlpModel([N_GRID, 96, N_GRID], activation="tanh", rng=rng, zero_output=True)
-    alpha_store = ParameterStore()
-    alpha_store.add("alpha", float(rng.uniform(0.5, 2.0)) * TRUE_ALPHA)
+    alpha_store = init_param_store({"alpha": TRUE_ALPHA}, None, rng)
     L = Value.matrix(laplacian())
     x_v = Value.batch_vectors(xs)
     y_v = Value.batch_vectors(ys)
-    adam_mlp = AdamState(lr=1e-3)
-    adam_alpha = AdamState(lr=1e-4)
-    curve = []
-    final = None
-    for epoch in range(epochs):
-        ctx = TapeContext(PROPAGATE_POLICY)
+
+    def loss_fn(ctx):
         u = ctx.lift(x_v)
         known = ctx.run(prog, {"u": u, "L": L, "dt": DT}, alpha_store)
-        corr = mlp_forward(ctx, model, u)
-        pred = ctx.add(known, corr)
-        loss = ctx.mse(pred, y_v)
-        model.store.zero_grads()
-        alpha_store.zero_grads()
-        ctx.backward(loss)
-        adam_step(model.store, adam_mlp, lr=cosine_lr(epoch, epochs, 1e-3, 1e-5))
-        adam_step(alpha_store, adam_alpha, lr=cosine_lr(epoch, epochs, 1e-4, 1e-8))
-        final = float(loss.value.data)
-        if epoch % 50 == 0 or epoch == epochs - 1:
-            curve.append((epoch, final))
-    alpha = float(alpha_store["alpha"].value.data)
-    return model, final, alpha, curve
+        return ctx.mse(ctx.add(known, mlp_forward(ctx, model, u)), y_v)
+
+    curve = training.fit(loss_fn, [(model.store, 1e-3, 1e-5), (alpha_store, 1e-4, 1e-8)],
+                         epochs, record_every=50)
+    return model, curve[-1][1], float(alpha_store["alpha"].value.data), curve
 
 
 def fit_pure_mlp(seed: int = DEFAULT_SEED, epochs: int = HYBRID_EPOCHS):
@@ -165,20 +142,9 @@ def fit_pure_mlp(seed: int = DEFAULT_SEED, epochs: int = HYBRID_EPOCHS):
     model = MlpModel([N_GRID, 64, 64, 64, N_GRID], activation="relu", rng=rng)
     x_v = Value.batch_vectors(xs)
     y_v = Value.batch_vectors(ys)
-    adam = AdamState(lr=1e-3)
-    curve = []
-    final = None
-    for epoch in range(epochs):
-        ctx = TapeContext(PROPAGATE_POLICY)
-        pred = mlp_forward(ctx, model, ctx.lift(x_v))
-        loss = ctx.mse(pred, y_v)
-        model.store.zero_grads()
-        ctx.backward(loss)
-        adam_step(model.store, adam, lr=cosine_lr(epoch, epochs, 1e-3, 1e-5))
-        final = float(loss.value.data)
-        if epoch % 50 == 0 or epoch == epochs - 1:
-            curve.append((epoch, final))
-    return model, final, curve
+    curve = training.fit(lambda ctx: ctx.mse(mlp_forward(ctx, model, ctx.lift(x_v)), y_v),
+                         [(model.store, 1e-3, 1e-5)], epochs, record_every=50)
+    return model, curve[-1][1], curve
 
 
 def run(seed: int = DEFAULT_SEED, epochs_scale: float = 1.0):

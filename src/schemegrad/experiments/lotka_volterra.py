@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import TapeContext
+from .. import training
 from ..compiler import compile_source
-from ..errors import NonFiniteLoss
-from ..ode import OdeSystem, ShootingConfig, make_compiled_rhs, multiple_shooting_loss, rk4_step
-from ..optim import AdamState, adam_step, cosine_lr
-from ..runtime import PROPAGATE_POLICY
-from ..training import truth_store
-from ..values import Value
+from ..ode import (
+    OdeSystem,
+    ShootingConfig,
+    gauss_newton_refine,
+    make_compiled_rhs,
+    multiple_shooting_loss,
+    rollout,
+)
+from ..training import init_param_store, truth_store
 from .registry import LV_PRED, LV_PREY
 from .report import ResultRow
 
@@ -39,21 +42,10 @@ def make_system(store) -> OdeSystem:
     return OdeSystem(rhs=rhs, state_dim=2, dt=DT)
 
 
-def generate_observations(n_steps: int | None = None, dt: float = DT):
+def generate_observations():
     """Clean trajectory from the true parameters, produced by the same RK4
     stepper the model trains with."""
-    n_steps = n_steps if n_steps is not None else int(round(T_END / dt))
-    truth = truth_store(TRUE_PARAMS)
-    sys = make_system(truth)
-    ctx = TapeContext(PROPAGATE_POLICY)
-    state = tuple(ctx.constant(Value.scalar(v)) for v in Y0)
-    rows = [list(Y0)]
-    t = 0.0
-    for _ in range(n_steps):
-        state = rk4_step(ctx, sys, state, t, dt)
-        t += dt
-        rows.append([float(s.value.data) for s in state])
-    return np.asarray(rows)
+    return rollout(make_system(truth_store(TRUE_PARAMS)), Y0, int(round(T_END / DT)))
 
 
 def add_noise(obs: np.ndarray, noise: float, rng) -> np.ndarray:
@@ -62,40 +54,18 @@ def add_noise(obs: np.ndarray, noise: float, rng) -> np.ndarray:
     return obs * (1.0 + noise * rng.standard_normal(obs.shape))
 
 
-def fit(noise: float = 0.02, epochs: int = 3000, seed: int = 0,
-        segment_length: int = SEGMENT_LENGTH, lr0: float = 1e-2, lr1: float = 1e-5,
-        polish: bool = True):
+def fit(noise: float = 0.02, epochs: int = 3000, seed: int = 0):
     rng = np.random.default_rng(seed)
     clean = generate_observations()
     noisy = add_noise(clean, noise, rng)
-
-    from ..autodiff import ParameterStore
-    from ..ode import gauss_newton_refine
-
-    store = ParameterStore()
-    for name, truth_v in TRUE_PARAMS.items():
-        store.add(name, float(rng.uniform(0.5, 2.0)) * truth_v)
+    store = init_param_store(TRUE_PARAMS, None, rng)
     sys = make_system(store)
-    cfg = ShootingConfig(segment_length=segment_length, observations=noisy, noise_level=noise)
-    adam = AdamState(lr=lr0)
-    curve = []
-    for epoch in range(epochs):
-        ctx = TapeContext(PROPAGATE_POLICY)
-        loss = multiple_shooting_loss(ctx, sys, cfg)
-        lv = float(loss.value.data)
-        if not np.isfinite(lv):
-            raise NonFiniteLoss(epoch, lv)
-        store.zero_grads()
-        ctx.backward(loss)
-        adam_step(store, adam, lr=cosine_lr(epoch, epochs, lr0, lr1))
-        if epoch % 25 == 0 or epoch == epochs - 1:
-            curve.append((epoch, lv))
-
-    if polish:
-        # the shooting objective is deterministic once observations are
-        # drawn; finish the descent to its actual minimum
-        gauss_newton_refine(store, make_system, cfg, list(TRUE_PARAMS))
-
+    cfg = ShootingConfig(segment_length=SEGMENT_LENGTH, observations=noisy)
+    curve = training.fit(lambda ctx: multiple_shooting_loss(ctx, sys, cfg),
+                         [(store, 1e-2, 1e-5)], epochs, record_every=25)
+    # the shooting objective is deterministic once observations are drawn;
+    # finish the descent to its actual minimum
+    gauss_newton_refine(store, make_system, cfg, list(TRUE_PARAMS))
     errors = {
         name: abs(float(store[name].value.data) - tv) / abs(tv)
         for name, tv in TRUE_PARAMS.items()
@@ -106,23 +76,9 @@ def fit(noise: float = 0.02, epochs: int = 3000, seed: int = 0,
 def trajectory_mse(store, clean: np.ndarray, horizon_steps: int) -> float:
     """Rollout from the training initial condition under fitted parameters,
     compared to the true-parameter rollout over the given horizon."""
-    truth = truth_store(TRUE_PARAMS)
-    ref = _rollout(truth, horizon_steps)
-    fitted = _rollout(store, horizon_steps)
+    ref = rollout(make_system(truth_store(TRUE_PARAMS)), Y0, horizon_steps)
+    fitted = rollout(make_system(store), Y0, horizon_steps)
     return float(np.mean((ref - fitted) ** 2))
-
-
-def _rollout(store, n_steps: int) -> np.ndarray:
-    sys = make_system(store)
-    ctx = TapeContext(PROPAGATE_POLICY)
-    state = tuple(ctx.constant(Value.scalar(v)) for v in Y0)
-    rows = [list(Y0)]
-    t = 0.0
-    for _ in range(n_steps):
-        state = rk4_step(ctx, sys, state, t, sys.dt)
-        t += sys.dt
-        rows.append([float(s.value.data) for s in state])
-    return np.asarray(rows)
 
 
 DEFAULT_SEED = 42

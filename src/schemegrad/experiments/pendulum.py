@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import ParameterStore, TapeContext
+from .. import training
 from ..compiler import compile_source
 from ..nn import MlpModel, mlp_forward, pack_scalars, unpack_scalar
 from ..ode import (
@@ -16,12 +16,10 @@ from ..ode import (
     make_compiled_rhs,
     make_mlp_rhs,
     multiple_shooting_loss,
-    rk4_step,
+    rollout,
+    segment_count,
 )
-from ..optim import AdamState, adam_step, cosine_lr
-from ..runtime import PROPAGATE_POLICY
-from ..training import truth_store
-from ..values import Value
+from ..training import init_param_store, truth_store
 from .registry import PENDULUM_DOMEGA
 from .report import ResultRow
 
@@ -62,57 +60,35 @@ def make_system(store) -> OdeSystem:
     return OdeSystem(rhs=rhs, state_dim=2, dt=DT)
 
 
-def _rollout(sys: OdeSystem, n_steps: int, y0=Y0) -> np.ndarray:
-    ctx = TapeContext(PROPAGATE_POLICY)
-    state = tuple(ctx.constant(Value.scalar(v)) for v in y0)
-    rows = [list(y0)]
-    t = 0.0
-    for _ in range(n_steps):
-        state = rk4_step(ctx, sys, state, t, sys.dt)
-        t += sys.dt
-        rows.append([float(s.value.data) for s in state])
-    return np.asarray(rows)
-
-
-def generate_observations(ics=None, n_steps: int | None = None):
-    """Clean trajectories from the true parameters (list of [T+1, 2])."""
-    n_steps = n_steps if n_steps is not None else int(round(T_END / DT))
+def generate_observations(ics) -> list:
+    """Clean trajectories from the true parameters, one [T+1, 2] array per
+    initial condition."""
     sys = make_system(truth_store(TRUE_PARAMS))
-    if ics is None:
-        return _rollout(sys, n_steps)
-    return [_rollout(sys, n_steps, y0=ic) for ic in ics]
+    return [rollout(sys, ic, int(round(T_END / DT))) for ic in ics]
 
 
-def trajectory_mse(rollout_fn, horizon_steps: int) -> float:
-    ref = _rollout(make_system(truth_store(TRUE_PARAMS)), horizon_steps)
-    return float(np.mean((ref - rollout_fn(horizon_steps)) ** 2))
+def trajectory_mse(sys: OdeSystem, horizon_steps: int) -> float:
+    """MSE of the rollout of `sys` from Y0 against the true-parameter one."""
+    ref = rollout(make_system(truth_store(TRUE_PARAMS)), Y0, horizon_steps)
+    return float(np.mean((ref - rollout(sys, Y0, horizon_steps)) ** 2))
 
 
 MINIBATCH_SEGMENTS = 256
 
 
-def _shooting_train(sys, cfg, stores, epochs, lr0=1e-2, lr1=1e-5, seed=0):
-    from ..ode import segment_count
-
+def _shooting_fit(sys, cfg, groups, epochs, seed):
+    """Adam on the shooting loss over a random minibatch of segments each
+    epoch (all of them when there are few)."""
     rng = np.random.default_rng(seed + 77)
     n_seg = segment_count(cfg)
-    adam_states = [AdamState(lr=lr0) for _ in stores]
-    curve = []
-    for epoch in range(epochs):
+
+    def loss_fn(ctx):
         idx = None
         if n_seg > MINIBATCH_SEGMENTS:
             idx = rng.choice(n_seg, size=MINIBATCH_SEGMENTS, replace=False)
-        ctx = TapeContext(PROPAGATE_POLICY)
-        loss = multiple_shooting_loss(ctx, sys, cfg, segment_indices=idx)
-        for store in stores:
-            store.zero_grads()
-        ctx.backward(loss)
-        lr = cosine_lr(epoch, epochs, lr0, lr1)
-        for store, st in zip(stores, adam_states):
-            adam_step(store, st, lr=lr)
-        if epoch % 25 == 0 or epoch == epochs - 1:
-            curve.append((epoch, float(loss.value.data)))
-    return curve
+        return multiple_shooting_loss(ctx, sys, cfg, segment_indices=idx)
+
+    return training.fit(loss_fn, groups, epochs, record_every=25)
 
 
 def _noisy_observations(rng, noise: float):
@@ -123,12 +99,9 @@ def _noisy_observations(rng, noise: float):
 def fit_s1(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS, noise: float = NOISE):
     rng = np.random.default_rng(seed)
     noisy = _noisy_observations(rng, noise)
-    store = ParameterStore()
-    for name, tv in TRUE_PARAMS.items():
-        store.add(name, float(rng.uniform(0.5, 2.0)) * tv)
-    cfg = ShootingConfig(SEGMENT_LENGTH, noisy, noise)
-    sys = make_system(store)
-    curve = _shooting_train(sys, cfg, [store], epochs, seed=seed)
+    store = init_param_store(TRUE_PARAMS, None, rng)
+    cfg = ShootingConfig(SEGMENT_LENGTH, noisy)
+    curve = _shooting_fit(make_system(store), cfg, [(store, 1e-2, 1e-5)], epochs, seed)
     gauss_newton_refine(store, make_system, cfg, list(TRUE_PARAMS))
     errors = {n: abs(float(store[n].value.data) - tv) / tv for n, tv in TRUE_PARAMS.items()}
     return store, errors, curve, noisy
@@ -140,8 +113,8 @@ def fit_mlp_baseline(seed: int = DEFAULT_SEED, epochs: int = MLP_EPOCHS,
     noisy = _noisy_observations(rng, noise)
     model = MlpModel([2, 64, 64, 64, 2], activation="relu", rng=rng)
     sys = OdeSystem(rhs=make_mlp_rhs(model, 2), state_dim=2, dt=DT)
-    cfg = ShootingConfig(SEGMENT_LENGTH, noisy, noise)
-    curve = _shooting_train(sys, cfg, [model.store], epochs, lr0=3e-3, lr1=1e-4, seed=seed)
+    curve = _shooting_fit(sys, ShootingConfig(SEGMENT_LENGTH, noisy),
+                          [(model.store, 3e-3, 1e-4)], epochs, seed)
     return model, sys, curve
 
 
@@ -153,8 +126,7 @@ def fit_s2_hybrid(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS,
     noisy = _noisy_observations(rng, noise)
     gravity = compile_source("(* (- 0 g_L) (sin theta))",
                              inputs=("theta", "omega"), params=("g_L",))
-    store = ParameterStore()
-    store.add("g_L", float(rng.uniform(0.5, 2.0)) * TRUE_PARAMS["g_L"])
+    store = init_param_store({"g_L": TRUE_PARAMS["g_L"]}, None, rng)
     model = MlpModel([2, 33, 33, 1], activation="tanh", rng=rng)
 
     def rhs(ctx, state, t):
@@ -165,9 +137,8 @@ def fit_s2_hybrid(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS,
         return (omega, ctx.add(known, corr))
 
     sys = OdeSystem(rhs=rhs, state_dim=2, dt=DT)
-    cfg = ShootingConfig(SEGMENT_LENGTH, noisy, noise)
-    curve = _shooting_train(sys, cfg, [store, model.store], epochs,
-                            lr0=3e-3, lr1=1e-4, seed=seed)
+    curve = _shooting_fit(sys, ShootingConfig(SEGMENT_LENGTH, noisy),
+                          [(store, 3e-3, 1e-4), (model.store, 3e-3, 1e-4)], epochs, seed)
     final_loss = curve[-1][1]
     g_err = abs(float(store["g_L"].value.data) - TRUE_PARAMS["g_L"]) / TRUE_PARAMS["g_L"]
     return store, model, sys, final_loss, g_err, curve
@@ -185,13 +156,13 @@ def run(seed: int = DEFAULT_SEED, epochs_scale: float = 1.0):
     rows.append(ResultRow("pendulum", "compiled", "b:rel_err", errors["b"], 0.01, "<="))
     rows.append(ResultRow("pendulum", "compiled", "trainable_params",
                           float(store.num_trainable), 2.0, "=="))
-    compiled_mse = trajectory_mse(lambda h: _rollout(make_system(store), h), n)
+    compiled_mse = trajectory_mse(make_system(store), n)
     rows.append(ResultRow("pendulum", "compiled", "traj_mse_in_dist",
                           compiled_mse, informational=True))
 
     model, mlp_sys, curve = fit_mlp_baseline(seed=seed, epochs=max(50, int(round(MLP_EPOCHS * epochs_scale))))
     curves["pendulum_mlp"] = curve
-    mlp_mse = trajectory_mse(lambda h: _rollout(mlp_sys, h), n)
+    mlp_mse = trajectory_mse(mlp_sys, n)
     rows.append(ResultRow("pendulum", "mlp_ode_rhs", "traj_mse_in_dist",
                           mlp_mse, informational=True))
     ratio = mlp_mse / compiled_mse if compiled_mse > 0 else float("inf")
@@ -200,7 +171,7 @@ def run(seed: int = DEFAULT_SEED, epochs_scale: float = 1.0):
 
     h_store, h_model, h_sys, h_loss, h_gerr, curve = fit_s2_hybrid(seed=seed, epochs=epochs)
     curves["pendulum_s2_hybrid"] = curve
-    hybrid_mse = trajectory_mse(lambda h: _rollout(h_sys, h), n)
+    hybrid_mse = trajectory_mse(h_sys, n)
     rows.append(ResultRow("pendulum", "hybrid", "traj_mse_in_dist",
                           hybrid_mse, 5e-3, "<="))
     rows.append(ResultRow("pendulum", "hybrid", "beats_pure_mlp",

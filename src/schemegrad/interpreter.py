@@ -1,14 +1,19 @@
 """Reference tree-walking interpreter.
 
-Evaluates the parse tree directly with the same primitive semantics as the
-compiled path; used as the independent oracle for compiled evaluation.
+Evaluates the parse tree directly with the same primitive semantics and
+domain rule as the compiled path; used as the independent oracle for
+compiled evaluation.  It recurses in Python once per call, so past Python's
+recursion limit (below the compiled depth limit) it raises `EvalError`.
 """
 
 from __future__ import annotations
 
-from .errors import DepthLimitExceeded, EvalError
 from .compiler import DEFAULT_MAX_DEPTH
-from .runtime import ERROR_POLICY, SafeDomainPolicy, apply_primitive, pow_immediate, select
+from .errors import DepthLimitExceeded, EvalError
+from .machine import _Violations
+from .ops import OPS
+from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy, apply_primitive,
+                      pow_immediate, select)
 from .sexpr import Call, Const, If, Let, Letrec, Loop, Node, Prim, Recur, Var
 from .values import Value
 
@@ -37,6 +42,7 @@ def interpret_ast(
 ) -> Value:
     env = {k: Value.of(v) for k, v in env.items()}
     state = {"depth": 0}
+    violations = _Violations() if policy.raises else None
 
     def ev(node: Node, scope: dict, fns: dict) -> Value:
         if isinstance(node, Const):
@@ -47,11 +53,16 @@ def interpret_ast(
             except KeyError:
                 raise EvalError(f"unbound variable {node.name!r}") from None
         if isinstance(node, Prim):
+            row = OPS[node.op]
             if node.op == "pow" and isinstance(node.args[1], Const):
                 base = ev(node.args[0], scope, fns)
-                return pow_immediate(base, node.args[1].value, policy)
-            args = [ev(a, scope, fns) for a in node.args]
-            return apply_primitive(node.op, args, policy)
+                out = pow_immediate(base, node.args[1].value, PROPAGATE_POLICY)
+            else:
+                args = [ev(a, scope, fns) for a in node.args]
+                out = apply_primitive(node.op, args, policy if row.eager else PROPAGATE_POLICY)
+            if violations is not None and row.partial:
+                violations.check(node.op, None, out)
+            return out
         if isinstance(node, If):
             cond = ev(node.cond, scope, fns)
             if cond.kind == "scalar" and not cond.batched:
@@ -111,4 +122,11 @@ def interpret_ast(
                 state["depth"] -= 1
         raise TypeError(f"not an AST node: {node!r}")
 
-    return ev(ast, env, {})
+    try:
+        out = ev(ast, env, {})
+    except RecursionError:
+        raise EvalError("reference interpreter: call nesting exceeds Python's "
+                        "recursion limit") from None
+    if violations is not None:
+        violations.finalize(out, None)
+    return out

@@ -29,7 +29,6 @@ class OdeSystem:
 class ShootingConfig:
     segment_length: int
     observations: object  # [T+1, state_dim] array, or a list of them
-    noise_level: float = 0.0
 
     def trajectory_list(self) -> list:
         obs = self.observations
@@ -71,6 +70,14 @@ def integrate(ctx: TapeContext, sys: OdeSystem, state, t0: float, n_steps: int):
     return states
 
 
+def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
+    """[n_steps + 1, state_dim] rows of the RK4 trajectory from the scalar
+    state `y0` at t = 0; row 0 is `y0`."""
+    ctx = TapeContext()
+    states = integrate(ctx, sys, tuple(ctx.constant(Value.scalar(v)) for v in y0), 0.0, n_steps)
+    return np.asarray([list(y0)] + [[float(s.value.data) for s in st] for st in states])
+
+
 def _segment_table(cfg: ShootingConfig):
     trajs = cfg.trajectory_list()
     seg = max(1, int(cfg.segment_length))
@@ -89,13 +96,12 @@ def segment_count(cfg: ShootingConfig) -> int:
     return len(_segment_table(cfg)[2])
 
 
-def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
-                           segment_indices=None) -> TapeRef:
-    """Each segment restarts from an observed state and integrates
-    segment_length steps; the mean squared error is taken against every
-    observation the segments cover.  Segments from all trajectories are
-    batched together; `segment_indices` restricts one evaluation to a
-    minibatch of segments."""
+def _shooting_steps(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
+                    segment_indices=None):
+    """Step every segment together, lazily: after step j, yield the state,
+    one target array per component (observation row s + j, clipped to the
+    last row) and the mask of segments that row exists for.  Callers record
+    their terms for step j before step j + 1 is taken."""
     trajs, seg, entries = _segment_table(cfg)
     if segment_indices is not None:
         entries = [entries[i] for i in segment_indices]
@@ -103,20 +109,32 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
         ctx.constant_batch(np.array([trajs[ti][s, d] for ti, s in entries]))
         for d in range(sys.state_dim)
     )
-    terms = []
     t = 0.0
     for j in range(1, seg + 1):
         state = rk4_step(ctx, sys, state, t, sys.dt)
         t += sys.dt
         valid = np.array([s + j <= trajs[ti].shape[0] - 1 for ti, s in entries])
         rows = [min(s + j, trajs[ti].shape[0] - 1) for ti, s in entries]
-        for d in range(sys.state_dim):
-            target = np.array([trajs[ti][r, d] for (ti, _), r in zip(entries, rows)])
+        targets = [np.array([trajs[ti][r, d] for (ti, _), r in zip(entries, rows)])
+                   for d in range(sys.state_dim)]
+        yield state, targets, valid
+
+
+def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
+                           segment_indices=None) -> TapeRef:
+    """Each segment restarts from an observed state and integrates
+    segment_length steps; the mean squared error is taken against every
+    observation the segments cover.  Segments from all trajectories are
+    batched together; `segment_indices` restricts one evaluation to a
+    minibatch of segments."""
+    terms = []
+    for state, targets, valid in _shooting_steps(ctx, sys, cfg, segment_indices):
+        for y, target in zip(state, targets):
             if valid.all():
-                terms.append(ctx.mse(state[d], Value.batch_scalars(target)))
+                terms.append(ctx.mse(y, Value.batch_scalars(target)))
             else:
                 # ragged tail: mask the error to zero where no row exists
-                masked = ctx.mul(ctx.constant_batch(valid.astype(np.float64)), state[d])
+                masked = ctx.mul(ctx.constant_batch(valid.astype(np.float64)), y)
                 target = np.where(valid, target, 0.0)
                 terms.append(ctx.mse(masked, Value.batch_scalars(target)))
     total = terms[0]
@@ -127,24 +145,13 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
 
 def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) -> np.ndarray:
     """Flat residual vector (prediction minus observation) over every
-    point the shooting segments cover; the mean of its squares equals the
-    multiple-shooting loss."""
-    trajs, seg, entries = _segment_table(cfg)
-    state = tuple(
-        ctx.constant_batch(np.array([trajs[ti][s, d] for ti, s in entries]))
-        for d in range(sys.state_dim)
-    )
-    res = []
-    t = 0.0
-    for j in range(1, seg + 1):
-        state = rk4_step(ctx, sys, state, t, sys.dt)
-        t += sys.dt
-        for d in range(sys.state_dim):
-            pred = state[d].value.data
-            for ei, (ti, s) in enumerate(entries):
-                if s + j <= trajs[ti].shape[0] - 1:
-                    res.append(pred[ei] - trajs[ti][s + j, d])
-    return np.asarray(res)
+    point the shooting segments cover; when every segment is full, the
+    mean of its squares equals the multiple-shooting loss."""
+    return np.concatenate([
+        (y.value.data - target)[valid]
+        for state, targets, valid in _shooting_steps(ctx, sys, cfg)
+        for y, target in zip(state, targets)
+    ])
 
 
 def gauss_newton_refine(store, sys_factory, cfg: ShootingConfig, names,

@@ -1,10 +1,11 @@
-"""Coefficient-recovery training: draw batches from declared input ranges,
-compare against noisy targets, and fit the program's named parameters with
-Adam under a cosine learning-rate schedule."""
+"""The training loop every fit shares (`fit`: Adam under a cosine
+learning-rate schedule), and coefficient recovery on top of it: draw batches
+from declared input ranges, compare against noisy targets, and fit the
+program's named parameters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ class DataSpec:
     ranges: dict  # input name -> (lo, hi)
     noise: float = 0.02
     batch: int = 10_000
-    test_size: int = 10_000
 
 
 @dataclass
@@ -39,11 +39,42 @@ class TrainingReport:
     extrap_mse: float | None = None
     epochs: int = 0
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     @property
     def max_recovery_error(self) -> float:
         return max(self.recovery_errors.values()) if self.recovery_errors else 0.0
+
+
+TEST_SIZE = 10_000  # points in each held-out test and extrapolation draw
+
+
+def fit(loss_fn, groups, epochs: int, record_every: int) -> list:
+    """Adam under a cosine schedule, one epoch per loss.
+
+    Each epoch builds the loss with `loss_fn(ctx)` on a fresh
+    propagate-mode `TapeContext`, raises `NonFiniteLoss` if it is not
+    finite, zeroes every group's gradients, runs one backward, and steps
+    each `(store, lr0, lr1)` group with its own Adam state at
+    `cosine_lr(epoch, epochs, lr0, lr1)` (`lr0 == lr1` is a constant rate).
+    Returns the loss curve: `(epoch, loss)` every `record_every` epochs and
+    at the last one.
+    """
+    states = [AdamState(lr=lr0) for _, lr0, _ in groups]
+    curve = []
+    for epoch in range(epochs):
+        ctx = TapeContext(PROPAGATE_POLICY)
+        loss = loss_fn(ctx)
+        value = float(loss.value.data)
+        if not np.isfinite(value):
+            raise NonFiniteLoss(epoch, value)
+        for store, _, _ in groups:
+            store.zero_grads()
+        ctx.backward(loss)
+        for (store, lr0, lr1), state in zip(groups, states):
+            adam_step(store, state, lr=cosine_lr(epoch, epochs, lr0, lr1))
+        if epoch % record_every == 0 or epoch == epochs - 1:
+            curve.append((epoch, value))
+    return curve
 
 
 def init_param_store(true_params: dict, frozen_params: dict | None, rng,
@@ -94,8 +125,6 @@ def train_coefficients(
     optim: OptimSpec | None = None,
     frozen_params: dict | None = None,
     prior_scales: dict | None = None,
-    record_every: int = 10,
-    store: ParameterStore | None = None,
     polish_samples: int = 0,
 ) -> tuple[ParameterStore, TrainingReport]:
     """Fit the program's trainable parameters to noisy evaluations of the
@@ -107,28 +136,15 @@ def train_coefficients(
     optim = optim or OptimSpec()
     rng = np.random.default_rng(seed)
     truth = truth_store(true_params, frozen_params)
-    if store is None:
-        store = init_param_store(true_params, frozen_params, rng, prior_scales)
-    adam = AdamState(lr=optim.lr0)
-    curve = []
+    store = init_param_store(true_params, frozen_params, rng, prior_scales)
 
-    for epoch in range(epochs):
+    def loss_fn(ctx):
         inputs = draw_inputs(data.ranges, data.batch, rng)
         clean = eval_program(prog, inputs, truth, PROPAGATE_POLICY)
         noisy = clean.data * (1.0 + data.noise * rng.standard_normal(clean.data.shape))
-        target = Value(noisy, clean.kind, clean.batched)
+        return ctx.mse(ctx.run(prog, inputs, store), Value(noisy, clean.kind, clean.batched))
 
-        ctx = TapeContext(PROPAGATE_POLICY)
-        out = ctx.run(prog, inputs, store)
-        loss = ctx.mse(out, target)
-        loss_val = float(loss.value.data)
-        if not np.isfinite(loss_val):
-            raise NonFiniteLoss(epoch, loss_val)
-        store.zero_grads()
-        ctx.backward(loss)
-        adam_step(store, adam, lr=cosine_lr(epoch, epochs, optim.lr0, optim.lr1))
-        if epoch % record_every == 0 or epoch == epochs - 1:
-            curve.append((epoch, loss_val))
+    curve = fit(loss_fn, [(store, optim.lr0, optim.lr1)], epochs, record_every=10)
 
     if polish_samples > 0:
         fixed = draw_inputs(data.ranges, polish_samples, rng)
@@ -141,31 +157,22 @@ def train_coefficients(
 
         gauss_newton(store, list(true_params), residuals)
 
-    recovery = {}
-    finals = {}
-    for name, truth_v in true_params.items():
-        fitted = float(store[name].value.data)
-        finals[name] = fitted
-        recovery[name] = abs(fitted - truth_v) / abs(truth_v)
-
+    finals = {name: float(store[name].value.data) for name in true_params}
+    recovery = {name: abs(finals[name] - t) / abs(t) for name, t in true_params.items()}
     test_rng = np.random.default_rng(seed + 101)
-    test_inputs = draw_inputs(data.ranges, data.test_size, test_rng)
-    test_clean = eval_program(prog, test_inputs, truth, PROPAGATE_POLICY)
-    test_pred = eval_program(prog, test_inputs, store, PROPAGATE_POLICY)
-    test_mse = float(np.mean((test_pred.data - test_clean.data) ** 2))
 
-    ex_inputs = draw_inputs(extrapolation_ranges(data.ranges), data.test_size, test_rng)
-    ex_clean = eval_program(prog, ex_inputs, truth, PROPAGATE_POLICY)
-    ex_pred = eval_program(prog, ex_inputs, store, PROPAGATE_POLICY)
-    extrap_mse = float(np.mean((ex_pred.data - ex_clean.data) ** 2))
+    def held_out_mse(ranges) -> float:
+        ins = draw_inputs(ranges, TEST_SIZE, test_rng)
+        clean = eval_program(prog, ins, truth, PROPAGATE_POLICY)
+        pred = eval_program(prog, ins, store, PROPAGATE_POLICY)
+        return float(np.mean((pred.data - clean.data) ** 2))
 
-    report = TrainingReport(
+    return store, TrainingReport(
         final_params=finals,
         recovery_errors=recovery,
         loss_curve=curve,
-        test_mse=test_mse,
-        extrap_mse=extrap_mse,
+        test_mse=held_out_mse(data.ranges),
+        extrap_mse=held_out_mse(extrapolation_ranges(data.ranges)),
         epochs=epochs,
         seed=seed,
     )
-    return store, report

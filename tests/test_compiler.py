@@ -36,6 +36,7 @@ LOOP_SUM_DISASSEMBLY = """\
 slot[0] = 0.0                     ; constant
 slot[1] = n                       ; input
 slot[2] = loop(slot[0], slot[0], slot[1]); output
+  ; vars slot[0], slot[1]; captures slot[2]
   slot[3] = <(slot[0], slot[2])
   if slot[3]:
     slot[4] = 1.0

@@ -229,6 +229,7 @@ COUNTDOWN_DISASSEMBLY = """\
 slot[0] = 5.0                     ; constant
 slot[1] = call down(slot[0])      ; output
 function down/1:
+  ; vars slot[0]
   slot[1] = 0.0
   slot[2] = >(slot[0], slot[1])
   if slot[2]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schemegrad.compiler import compile_source
+from schemegrad.errors import DomainViolation, EvalError
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program
 from schemegrad.runtime import ERROR_POLICY
@@ -75,3 +76,30 @@ def test_gravity_unit_masses():
 def test_interpreter_basics():
     assert interpret_ast(parse("(+ 1 2)"), {}).item() == 3.0
     assert interpret_ast(parse("(pow 2 10)"), {}).item() == 1024.0
+
+
+def _both_engines(src, env):
+    compiled = compile_source(src, inputs=tuple(env))
+    return (lambda: eval_program(compiled, env, None, ERROR_POLICY),
+            lambda: interpret_ast(parse(src), env, ERROR_POLICY))
+
+
+def test_interpreter_defers_a_violation_that_a_batched_select_discards():
+    env = {"x": Value.batch_scalars(np.array([-1.0, 4.0]))}
+    for run in _both_engines("(if (> x 0) (sqrt x) 0)", env):
+        assert bit_equal(run(), Value.batch_scalars(np.array([0.0, 2.0])))
+
+
+@pytest.mark.parametrize("src, x", [("(/ 1 x)", float("nan")), ("(+ x 1e999)", 1.0)],
+                         ids=["nan_input", "infinite_literal"])
+def test_interpreter_raises_on_a_non_finite_output(src, x):
+    for run in _both_engines(src, {"x": Value.scalar(x)}):
+        with pytest.raises(DomainViolation):
+            run()
+
+
+def test_interpreter_past_python_recursion_raises_eval_error():
+    src = "(letrec ((down (lambda (n) (if (> n 0) (call down (- n 1)) n)))) (call down 2000))"
+    assert eval_program(compile_source(src), {}).item() == 0.0
+    with pytest.raises(EvalError, match="recursion limit"):
+        interpret_ast(parse(src), {})

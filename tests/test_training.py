@@ -1,18 +1,26 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import schemegrad
+
 from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
-from schemegrad.errors import EmptyObservations, ShapeMismatch
+from schemegrad.errors import EmptyObservations, NonFiniteLoss, ShapeMismatch
 from schemegrad.nn import MlpModel, compose_chain, hybrid_forward, mlp_forward
 from schemegrad.ode import (
     OdeSystem,
     ShootingConfig,
+    integrate,
     multiple_shooting_loss,
     rk4_step,
+    rollout,
+    shooting_residuals,
 )
 from schemegrad.optim import AdamState, adam_step, cosine_lr, mse_loss
-from schemegrad.training import DataSpec, train_coefficients, truth_store
+from schemegrad.training import DataSpec, fit, train_coefficients, truth_store
 from schemegrad.values import Value, bit_equal
 
 
@@ -217,6 +225,101 @@ def test_segments_start_from_observed_states():
     loss = multiple_shooting_loss(ctx, _lv_like_system(store),
                                   ShootingConfig(10, corrupted))
     assert float(loss.value.data) > 1e-6
+
+
+def test_shooting_residuals_cover_every_observation_and_square_to_the_loss():
+    store = truth_store({"r": 0.4})
+    sys = _lv_like_system(store)
+    # 23 rows in segments of 10: the ragged last segment covers two rows
+    ragged = _generate(store, 22) + 0.01
+    assert shooting_residuals(TapeContext(), sys, ShootingConfig(10, ragged)).shape == (22,)
+    obs = _generate(store, 20) + 0.01
+    loss = multiple_shooting_loss(TapeContext(), sys, ShootingConfig(10, obs))
+    res = shooting_residuals(TapeContext(), sys, ShootingConfig(10, obs))
+    assert float(np.mean(res * res)) == pytest.approx(float(loss.value.data), rel=1e-12)
+
+
+def test_rollout_starts_at_y0_and_follows_integrate():
+    sys = _lv_like_system(truth_store({"r": 0.4}))
+    rows = rollout(sys, (1.5,), 12)
+    assert rows.shape == (13, 1)
+    assert rows[0, 0] == 1.5
+    ctx = TapeContext()
+    states = integrate(ctx, sys, (ctx.constant(1.5),), 0.0, 12)
+    assert np.array_equal(rows[1:], [[float(s[0].value.data)] for s in states])
+
+
+# --- fit ----------------------------------------------------------------------
+
+
+def test_fit_raises_non_finite_loss_at_its_epoch():
+    prog = compile_source("(* p x)", inputs=("x",), params=("p",))
+    store = truth_store({"p": 2.0})
+    xs = iter([1.0, 2.0, 3.0, float("inf"), 4.0])
+
+    def loss_fn(ctx):
+        return ctx.mse(ctx.run(prog, {"x": next(xs)}, store), Value.scalar(0.0))
+
+    with pytest.raises(NonFiniteLoss) as err:
+        fit(loss_fn, [(store, 1e-2, 1e-3)], epochs=5, record_every=1)
+    assert err.value.epoch == 3
+
+
+def _two_group_problem():
+    xs = np.linspace(-1.0, 1.0, 9)
+    scale = compile_source("(* a x)", inputs=("x",), params=("a",))
+    shift = compile_source("(+ b (* 0.5 x))", inputs=("x",), params=("b",))
+    sa, sb = truth_store({"a": 1.0}), truth_store({"b": -0.5})
+    x, y = Value.batch_scalars(xs), Value.batch_scalars(3.0 * xs + 0.25)
+
+    def loss_fn(ctx):
+        pred = ctx.add(ctx.run(scale, {"x": x}, sa), ctx.run(shift, {"x": x}, sb))
+        return ctx.mse(pred, y)
+
+    return sa, sb, loss_fn
+
+
+def test_two_group_fit_matches_a_hand_written_loop_bitwise():
+    epochs = 30
+    sa, sb, loss_fn = _two_group_problem()
+    curve = fit(loss_fn, [(sa, 1e-2, 1e-4), (sb, 0.05, 0.05)], epochs, record_every=4)
+
+    ha, hb, hand_loss = _two_group_problem()
+    adam_a, adam_b = AdamState(), AdamState()
+    hand_curve = []
+    for epoch in range(epochs):
+        ctx = TapeContext()
+        loss = hand_loss(ctx)
+        ha.zero_grads()
+        hb.zero_grads()
+        ctx.backward(loss)
+        adam_step(ha, adam_a, lr=cosine_lr(epoch, epochs, 1e-2, 1e-4))
+        adam_step(hb, adam_b, lr=0.05)
+        if epoch % 4 == 0 or epoch == epochs - 1:
+            hand_curve.append((epoch, float(loss.value.data)))
+
+    assert curve == hand_curve
+    assert bit_equal(sa["a"].value, ha["a"].value)
+    assert bit_equal(sb["b"].value, hb["b"].value)
+
+
+def _callee_name(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_adam_step_is_called_only_from_training_fit():
+    root = Path(schemegrad.__file__).parent
+    callers = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node id -> innermost enclosing function (outer ones walk first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner.update((id(n), getattr(fn, "name", "<lambda>")) for n in ast.walk(fn))
+        callers += [(path.relative_to(root).as_posix(), owner.get(id(n)))
+                    for n in ast.walk(tree)
+                    if isinstance(n, ast.Call) and _callee_name(n) == "adam_step"]
+    assert callers == [("training.py", "fit")]
 
 
 # --- train_coefficients -------------------------------------------------------
