@@ -11,7 +11,7 @@ executor runs both as a jump back to the start of the body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sexpr import Call, Const, If, Let, Letrec, Loop, Node, Prim, Recur, Var
 
@@ -81,7 +81,6 @@ class AnfProgram:
     bindings: tuple  # of (temp name, rhs)
     tail: object
     functions: tuple = ()  # populated on the top-level program only
-    scope_map: dict = field(default_factory=dict)  # user name -> trivial
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,6 @@ class _Ctx:
         self.var_counter = 0
         self.fn_counter = 0
         self.functions: list[AnfFunction] = []
-        self.scope_map: dict[str, str] = {}
 
     def temp(self) -> str:
         name = fresh_temp(self.temp_counter)
@@ -123,16 +121,12 @@ class _Builder:
         return Var(name)
 
 
-def _trivial(node) -> bool:
-    return isinstance(node, (Const, Var))
-
-
 def _norm(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx):
     """Normalize in value context; returns a trivial."""
     if isinstance(node, Const):
         return Const(node.value)
-    if isinstance(node, Var):
-        return scope[node.name]
+    if isinstance(node, Var):  # a name bound outside the program is itself
+        return scope.get(node.name) or Var(node.name)
     if isinstance(node, Prim):
         args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
         return b.emit(PrimApp(node.op, args))
@@ -144,15 +138,13 @@ def _norm(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx):
     if isinstance(node, Let):
         inner = dict(scope)
         for name, expr in node.bindings:
-            tv = _norm(expr, inner, fns, b, ctx)
-            inner[name] = tv  # alias, no copy binding
-            ctx.scope_map.setdefault(name, tv.name if isinstance(tv, Var) else repr(tv.value))
+            inner[name] = _norm(expr, inner, fns, b, ctx)  # alias, no copy binding
         return _norm(node.body, inner, fns, b, ctx)
     if isinstance(node, Loop):
         inner = dict(scope)
         lvars = []
         for name, expr in node.vars:
-            init = _norm(expr, inner, fns, b, ctx)
+            init = _norm(expr, scope, fns, b, ctx)  # initial values see the enclosing scope
             fresh = ctx.var(name)
             inner[name] = Var(fresh)
             lvars.append((fresh, init))
@@ -202,9 +194,7 @@ def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy:
     if isinstance(node, Let):
         inner = dict(scope)
         for name, expr in node.bindings:
-            tv = _norm(expr, inner, fns, b, ctx)
-            inner[name] = tv
-            ctx.scope_map.setdefault(name, tv.name if isinstance(tv, Var) else repr(tv.value))
+            inner[name] = _norm(expr, inner, fns, b, ctx)
         return _norm_tail(node.body, inner, fns, b, ctx, lazy, self_uid)
     if isinstance(node, Letrec):
         uid = _hoist_function(node, scope, fns, ctx)
@@ -225,90 +215,12 @@ def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy:
 def to_anf(ast: Node) -> AnfProgram:
     """Flatten a parse tree to A-normal form."""
     ctx = _Ctx()
-    scope = {name: Var(name) for name in _free_names(ast)}
-    prog = _norm_body(ast, scope, {}, ctx, lazy=False)
-    return AnfProgram(prog.bindings, prog.tail, tuple(ctx.functions), ctx.scope_map)
-
-
-def _free_names(ast: Node) -> set[str]:
-    free: set[str] = set()
-
-    def walk(node, bound):
-        if isinstance(node, Var):
-            if node.name not in bound:
-                free.add(node.name)
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, Prim):
-            for a in node.args:
-                walk(a, bound)
-        elif isinstance(node, If):
-            walk(node.cond, bound)
-            walk(node.then, bound)
-            walk(node.orelse, bound)
-        elif isinstance(node, Let):
-            inner = set(bound)
-            for name, expr in node.bindings:
-                walk(expr, inner)
-                inner.add(name)
-            walk(node.body, inner)
-        elif isinstance(node, Loop):
-            inner = set(bound)
-            for name, expr in node.vars:
-                walk(expr, bound)
-                inner.add(name)
-            walk(node.body, inner)
-        elif isinstance(node, (Recur, Call)):
-            for a in node.args:
-                walk(a, bound)
-        elif isinstance(node, Letrec):
-            walk(node.fnbody, bound | set(node.params))
-            walk(node.body, bound)
-        else:
-            raise TypeError(f"not an AST node: {node!r}")
-
-    walk(ast, set())
-    return free
+    prog = _norm_body(ast, {}, {}, ctx, lazy=False)
+    return AnfProgram(prog.bindings, prog.tail, tuple(ctx.functions))
 
 
 # ---------------------------------------------------------------------------
 # name and counting helpers
-
-
-def count_prim_nodes(ast: Node) -> int:
-    if isinstance(ast, (Const, Var)):
-        return 0
-    if isinstance(ast, Prim):
-        return 1 + sum(count_prim_nodes(a) for a in ast.args)
-    if isinstance(ast, If):
-        return sum(count_prim_nodes(x) for x in (ast.cond, ast.then, ast.orelse))
-    if isinstance(ast, Let):
-        return sum(count_prim_nodes(e) for _, e in ast.bindings) + count_prim_nodes(ast.body)
-    if isinstance(ast, Loop):
-        return sum(count_prim_nodes(e) for _, e in ast.vars) + count_prim_nodes(ast.body)
-    if isinstance(ast, (Recur, Call)):
-        return sum(count_prim_nodes(a) for a in ast.args)
-    if isinstance(ast, Letrec):
-        return count_prim_nodes(ast.fnbody) + count_prim_nodes(ast.body)
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
-def count_ast_nodes(ast: Node) -> int:
-    if isinstance(ast, (Const, Var)):
-        return 1
-    if isinstance(ast, Prim):
-        return 1 + sum(count_ast_nodes(a) for a in ast.args)
-    if isinstance(ast, If):
-        return 1 + sum(count_ast_nodes(x) for x in (ast.cond, ast.then, ast.orelse))
-    if isinstance(ast, Let):
-        return 1 + sum(count_ast_nodes(e) for _, e in ast.bindings) + count_ast_nodes(ast.body)
-    if isinstance(ast, Loop):
-        return 1 + sum(count_ast_nodes(e) for _, e in ast.vars) + count_ast_nodes(ast.body)
-    if isinstance(ast, (Recur, Call)):
-        return 1 + sum(count_ast_nodes(a) for a in ast.args)
-    if isinstance(ast, Letrec):
-        return 1 + count_ast_nodes(ast.fnbody) + count_ast_nodes(ast.body)
-    raise TypeError(f"not an AST node: {ast!r}")
 
 
 def names_in_program(prog: AnfProgram):
@@ -369,89 +281,3 @@ def count_bindings(prog: AnfProgram) -> int:
     for fn in prog.functions:
         total += count_bindings(fn.body)
     return total
-
-
-def count_prim_bindings(prog: AnfProgram) -> int:
-    total = 0
-    for _, rhs in prog.bindings:
-        if isinstance(rhs, PrimApp):
-            total += 1
-        elif isinstance(rhs, SelectApp):
-            total += count_prim_bindings(rhs.then) + count_prim_bindings(rhs.orelse)
-        elif isinstance(rhs, LoopApp):
-            total += count_prim_bindings(rhs.body)
-    if isinstance(prog.tail, TailIf):
-        total += count_prim_bindings(prog.tail.then) + count_prim_bindings(prog.tail.orelse)
-    for fn in prog.functions:
-        total += count_prim_bindings(fn.body)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# debug text form (nested lets)
-
-
-def _triv_text(t) -> str:
-    if isinstance(t, Const):
-        v = t.value
-        return repr(v)
-    return t.name
-
-
-def _rhs_text(rhs) -> str:
-    if isinstance(rhs, PrimApp):
-        return "(" + " ".join([rhs.op] + [_triv_text(a) for a in rhs.args]) + ")"
-    if isinstance(rhs, SelectApp):
-        return f"(if {_triv_text(rhs.cond)} {anf_to_text(rhs.then)} {anf_to_text(rhs.orelse)})"
-    if isinstance(rhs, LoopApp):
-        bs = " ".join(f"({n} {_triv_text(t)})" for n, t in rhs.loop_vars)
-        return f"(loop ({bs}) {anf_to_text(rhs.body)})"
-    if isinstance(rhs, CallApp):
-        return "(" + " ".join(["call", rhs.fn] + [_triv_text(a) for a in rhs.args]) + ")"
-    raise TypeError(f"not an ANF rhs: {rhs!r}")
-
-
-def _tail_text(tail) -> str:
-    if isinstance(tail, Return):
-        return _triv_text(tail.value)
-    if isinstance(tail, TailRecur):
-        return "(" + " ".join(["recur"] + [_triv_text(a) for a in tail.args]) + ")"
-    if isinstance(tail, TailIf):
-        return f"(if {_triv_text(tail.cond)} {anf_to_text(tail.then)} {anf_to_text(tail.orelse)})"
-    raise TypeError(f"not an ANF tail: {tail!r}")
-
-
-def anf_to_text(prog: AnfProgram) -> str:
-    """Nested-let text form; the final binding is inlined as the body when
-    it directly feeds the result."""
-    bindings = list(prog.bindings)
-    if (
-        bindings
-        and isinstance(prog.tail, Return)
-        and isinstance(prog.tail.value, Var)
-        and prog.tail.value.name == bindings[-1][0]
-        and not _temp_used_elsewhere(prog, bindings[-1][0])
-    ):
-        name, rhs = bindings.pop()
-        body = _rhs_text(rhs)
-    else:
-        body = _tail_text(prog.tail)
-    for name, rhs in reversed(bindings):
-        body = f"(let (({name} {_rhs_text(rhs)})) {body})"
-    return body
-
-
-def _temp_used_elsewhere(prog: AnfProgram, temp: str) -> bool:
-    def in_trivs(args):
-        return any(isinstance(a, Var) and a.name == temp for a in args)
-
-    for _, rhs in prog.bindings:
-        if isinstance(rhs, PrimApp) and in_trivs(rhs.args):
-            return True
-        if isinstance(rhs, SelectApp) and isinstance(rhs.cond, Var) and rhs.cond.name == temp:
-            return True
-        if isinstance(rhs, LoopApp) and in_trivs([t for _, t in rhs.loop_vars]):
-            return True
-        if isinstance(rhs, CallApp) and in_trivs(rhs.args):
-            return True
-    return False

@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 
 from . import sexpr
 from .anf import to_anf
-from .graph import BlockIR, ComputeGraph, build_graph
+from .graph import BlockIR, build_graph
 from .lowering import lower_tail_calls
-from .ops import OPS
 
 DEFAULT_MAX_DEPTH = 10_000
 
@@ -34,7 +33,6 @@ class CompiledProgram:
     input_names: tuple
     param_names: tuple
     source_text: str
-    safe_domain_ops: tuple = ()  # (instruction index, op) for partial ops
     node_count: int = 0
     compile_seconds: float = 0.0
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
@@ -43,14 +41,6 @@ class CompiledProgram:
     @property
     def num_params(self) -> int:
         return len(self.param_names)
-
-
-def _collect_safe_domain_ops(block: BlockIR):
-    out = []
-    for i, ins in enumerate(block.instrs):
-        if ins[0] == "prim" and OPS[ins[2]].partial:
-            out.append((i, ins[2]))
-    return tuple(out)
 
 
 def compile_source(
@@ -67,15 +57,13 @@ def compile_source(
     anf = to_anf(ast)
     anf = lower_tail_calls(anf)
     graph = build_graph(anf, inputs, params)
-    frame = graph._frame
-    block = _frame_block(graph)
     debug = {
         n.id: n.debug_name for n in graph.nodes if n.debug_name is not None
     }
     elapsed = time.perf_counter() - t0
     return CompiledProgram(
-        block=block,
-        slot_count=len(frame.nodes),
+        block=graph.block,
+        slot_count=len(graph.nodes),
         input_slots=dict(graph.input_slots),
         param_slots=dict(graph.param_slots),
         output_slot=graph.output,
@@ -83,18 +71,11 @@ def compile_source(
         input_names=tuple(inputs),
         param_names=tuple(params),
         source_text=source,
-        safe_domain_ops=_collect_safe_domain_ops(block),
-        node_count=len(frame.nodes),
+        node_count=len(graph.nodes),
         compile_seconds=elapsed,
         max_recursion_depth=config.max_recursion_depth,
         debug_names=debug,
     )
-
-
-def _frame_block(graph: ComputeGraph) -> BlockIR:
-    from .graph import _to_block
-
-    return _to_block(graph._frame, graph._block_ids, graph.tail)
 
 
 # ---------------------------------------------------------------------------

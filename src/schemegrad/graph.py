@@ -60,7 +60,7 @@ class ComputeGraph:
     input_slots: dict
     param_slots: dict
     functions: list  # function BodyIRs, in order of first call
-    tail: tuple  # mirrors BlockIR tail over node ids ('exit', id) at top level
+    block: BlockIR  # the top level's instructions and tail
 
 
 def _const_key(v: float) -> bytes:
@@ -178,17 +178,14 @@ class _Builder:
     def build_top(self, prog: AnfProgram) -> ComputeGraph:
         frame = _Frame(self, parent=None, is_top=True)
         block_ids, tail = self._build_program(frame, prog)
-        graph = ComputeGraph(
+        return ComputeGraph(
             nodes=frame.nodes,
             output=tail[1] if tail[0] == "exit" else -1,
             input_slots=frame.input_slots,
             param_slots=frame.param_slots,
             functions=list(self.fn_irs.values()),
-            tail=tail,
+            block=_to_block(frame, block_ids, tail),
         )
-        graph._frame = frame
-        graph._block_ids = block_ids
-        return graph
 
     def _resolve_leaf(self, frame: _Frame, name: str) -> int:
         """Top-frame resolution: declared inputs/params become leaf nodes."""

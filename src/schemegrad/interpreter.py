@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from .compiler import DEFAULT_MAX_DEPTH
 from .errors import DepthLimitExceeded, EvalError
-from .machine import _Violations
 from .ops import OPS
-from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy, apply_primitive,
-                      pow_immediate, select)
+from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy, Violations,
+                      apply_primitive, pow_immediate, select)
 from .sexpr import Call, Const, If, Let, Letrec, Loop, Node, Prim, Recur, Var
 from .values import Value
 
@@ -42,7 +41,7 @@ def interpret_ast(
 ) -> Value:
     env = {k: Value.of(v) for k, v in env.items()}
     state = {"depth": 0}
-    violations = _Violations() if policy.raises else None
+    violations = Violations() if policy.raises else None
 
     def ev(node: Node, scope: dict, fns: dict) -> Value:
         if isinstance(node, Const):
@@ -82,12 +81,10 @@ def interpret_ast(
                 inner[name] = ev(expr, inner, fns)
             return ev(node.body, inner, fns)
         if isinstance(node, Loop):
+            # every initial value is read in the enclosing scope
             inner = dict(scope)
-            vals = []
             for name, expr in node.vars:
-                v = ev(expr, inner, fns)
-                inner[name] = v
-                vals.append(v)
+                inner[name] = ev(expr, scope, fns)
             names = [name for name, _ in node.vars]
             while True:
                 try:

@@ -20,17 +20,16 @@ the scalar on every call.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .autodiff import TapeRef
-from .errors import DepthLimitExceeded, DomainViolation, EvalError, MissingInput, SingularMatrix
+from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 from .ops import OPS
 from .runtime import (
     ERROR_POLICY,
     PROPAGATE_POLICY,
     SafeDomainPolicy,
+    Violations,
     apply_primitive,
     pow_immediate,
     select,
@@ -50,35 +49,6 @@ def _param_value(params, name: str) -> Value:
         raise MissingInput(f"missing parameter {name!r}") from None
 
 
-def _all_finite(data: np.ndarray) -> bool:
-    return math.isfinite(data) if data.ndim == 0 else bool(np.isfinite(data).all())
-
-
-class _Violations:
-    """Collects deferred domain violations (error mode only).  A violation
-    is reported only if the program output ends up non-finite, so values
-    discarded by a select never abort evaluation."""
-
-    __slots__ = ("first",)
-
-    def __init__(self):
-        self.first = None
-
-    def check(self, op: str, dest: int, value: Value) -> None:
-        if self.first is None and not _all_finite(value.data):
-            bad = np.nonzero(~np.isfinite(value.data).ravel())[0]
-            where = int(bad[0]) if bad.size else None
-            self.first = (op, dest, where)
-
-    def finalize(self, out: Value, output_slot: int) -> None:
-        if _all_finite(out.data):
-            return
-        if self.first is not None:
-            op, dest, where = self.first
-            raise DomainViolation(op, where=where, instruction=dest)
-        raise DomainViolation("non-finite output", instruction=output_slot)
-
-
 def _fetch_input(inputs, name, tape):
     try:
         v = inputs[name]
@@ -96,10 +66,9 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
 
     Ops run under the propagate policy, except that eager rows (det, inv)
     get ``policy`` and so raise at once, naming their instruction.  In
-    error mode the non-finite results of partial rows are noted and
-    reported only if the output is non-finite.
+    error mode the run applies the rule of ``runtime.Violations``.
     """
-    violations = _Violations() if policy.raises else None
+    violations = Violations() if policy.raises else None
     taping = tape is not None
     const_at = 4 if scalar else 3  # a const's numpy-scalar or 0-d array Value
     slots = [None] * prog.slot_count

@@ -72,10 +72,17 @@ def integrate(ctx: TapeContext, sys: OdeSystem, state, t0: float, n_steps: int):
 
 def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
     """[n_steps + 1, state_dim] rows of the RK4 trajectory from the scalar
-    state `y0` at t = 0; row 0 is `y0`."""
-    ctx = TapeContext()
-    states = integrate(ctx, sys, tuple(ctx.constant(Value.scalar(v)) for v in y0), 0.0, n_steps)
-    return np.asarray([list(y0)] + [[float(s.value.data) for s in st] for st in states])
+    state `y0` at t = 0; row 0 is `y0`.  Nothing differentiates a rollout,
+    so each step records on a fresh tape and only the state values carry
+    over: memory stays that of one step however long the horizon."""
+    rows = [list(y0)]
+    t = 0.0
+    for _ in range(n_steps):
+        ctx = TapeContext()
+        state = tuple(ctx.constant(Value.scalar(v)) for v in rows[-1])
+        rows.append([float(s.value.data) for s in rk4_step(ctx, sys, state, t, sys.dt)])
+        t += sys.dt
+    return np.asarray(rows)
 
 
 def _segment_table(cfg: ShootingConfig):
@@ -124,12 +131,14 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
                            segment_indices=None) -> TapeRef:
     """Each segment restarts from an observed state and integrates
     segment_length steps; the mean squared error is taken against every
-    observation the segments cover.  Segments from all trajectories are
-    batched together; `segment_indices` restricts one evaluation to a
-    minibatch of segments."""
+    observation the segments cover, each covered point weighted equally.
+    Segments from all trajectories are batched together; `segment_indices`
+    restricts one evaluation to a minibatch of segments."""
     terms = []
+    covered = 0  # observed points the terms cover; each term averages over all lanes
     for state, targets, valid in _shooting_steps(ctx, sys, cfg, segment_indices):
         for y, target in zip(state, targets):
+            covered += int(valid.sum())
             if valid.all():
                 terms.append(ctx.mse(y, Value.batch_scalars(target)))
             else:
@@ -140,13 +149,13 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
     total = terms[0]
     for term in terms[1:]:
         total = ctx.add(total, term)
-    return ctx.mul(ctx.constant(1.0 / len(terms)), total)
+    return ctx.mul(ctx.constant(len(valid) / covered), total)
 
 
 def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) -> np.ndarray:
     """Flat residual vector (prediction minus observation) over every
-    point the shooting segments cover; when every segment is full, the
-    mean of its squares equals the multiple-shooting loss."""
+    point the shooting segments cover; the mean of its squares equals the
+    multiple-shooting loss."""
     return np.concatenate([
         (y.value.data - target)[valid]
         for state, targets, valid in _shooting_steps(ctx, sys, cfg)

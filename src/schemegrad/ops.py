@@ -3,10 +3,10 @@
 A row holds everything the package knows about an op: its name, category
 and arity, which the parser checks; its forward kernel and its VJP, both
 in ``runtime``; and three flags.  ``elementwise`` tells ``backward`` to
-undo broadcasting on the VJP's gradients, ``partial`` makes an error-mode
-run of a compiled program name the op's instruction when its result is
-non-finite, and ``eager`` passes the error policy to the kernel, so the op
-raises at once (det and inv, on a singular matrix).
+undo broadcasting on the VJP's gradients, ``partial`` puts the op under
+the error policy's safe-domain rule (``runtime.Violations``), and
+``eager`` passes the error policy to the kernel, so the op raises at once
+(det and inv, on a singular matrix).
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,

@@ -29,7 +29,7 @@ x >= 0 is ``math.sqrt``.  These are all correctly rounded IEEE
 operations, so the results are bit-identical to the ufuncs.  ``exp sin
 cos abs log min max`` call their ufuncs on the scalars directly (``log``
 inside ``np.errstate``, as on arrays), and ``pow`` with a constant
-exponent of a base > 0, which raises no floating-point flag, calls
+exponent of a base > 0, which raises no invalid or divide flag, calls
 ``np.power`` without ``np.errstate``: numpy's SIMD transcendentals may
 differ from libm by an ulp, which would break batched == stacked.
 Operands of any other type, and every other op (``pow modulo remainder
@@ -57,8 +57,9 @@ _isfinite = math.isfinite
 class SafeDomainPolicy:
     """How partial operations behave outside their domain.
 
-    ``error`` raises DomainViolation/SingularMatrix; ``propagate_nan``
-    lets IEEE non-finite values flow through.
+    ``error`` raises DomainViolation/SingularMatrix under the rule of
+    ``Violations``; ``propagate_nan`` lets IEEE non-finite values flow
+    through.
     """
 
     mode: str = "error"
@@ -66,23 +67,51 @@ class SafeDomainPolicy:
     def __post_init__(self):
         if self.mode not in ("error", "propagate_nan"):
             raise ValueError(f"unknown safe-domain mode {self.mode!r}")
-
-    @property
-    def raises(self) -> bool:
-        return self.mode == "error"
+        # a plain attribute, not a property: apply_primitive reads it per call
+        object.__setattr__(self, "raises", self.mode == "error")
 
 
 ERROR_POLICY = SafeDomainPolicy("error")
 PROPAGATE_POLICY = SafeDomainPolicy("propagate_nan")
 
 
-def _violation(policy: SafeDomainPolicy, kind: str, mask) -> None:
-    if policy.raises:
-        where = None
-        bad = np.nonzero(np.asarray(mask).ravel())[0]
-        if bad.size:
-            where = int(bad[0])
-        raise DomainViolation(kind, where=where)
+def _all_finite(data) -> bool:
+    return _isfinite(data) if data.ndim == 0 else bool(np.isfinite(data).all())
+
+
+class Violations:
+    """The safe-domain rule of the error policy.  The first non-finite
+    result of a partial op is noted and reported only if the output ends up
+    non-finite, so values a select discards never abort.  A program run
+    notes every partial instruction (``dest`` is its slot); a lone op
+    (``apply_primitive``, ``pow_immediate``) is judged as the one-op
+    program: its result is the output.  det and inv also raise at once on
+    a singular matrix, in their kernels."""
+
+    __slots__ = ("first",)
+
+    def __init__(self):
+        self.first = None
+
+    def check(self, op: str, dest, value: Value) -> None:
+        if self.first is None and not _all_finite(value.data):
+            bad = np.nonzero(~np.isfinite(value.data).ravel())[0]
+            self.first = (op, dest, int(bad[0]) if bad.size else None)
+
+    def finalize(self, out: Value, output_slot) -> None:
+        if _all_finite(out.data):
+            return
+        if self.first is not None:
+            op, dest, where = self.first
+            raise DomainViolation(op, where=where, instruction=dest)
+        raise DomainViolation("non-finite output", instruction=output_slot)
+
+
+def _judge(op: str, value: Value) -> Value:
+    rule = Violations()
+    rule.check(op, None, value)
+    rule.finalize(value, None)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +205,6 @@ def ordered_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
 # scalar / elementwise ops
 
 
-def _any(mask) -> bool:
-    """np.any without its dispatch overhead; a 0-d mask is a numpy bool."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
-
-
 def _numpy_scalars(args: list[Value]) -> bool:
     for a in args:
         if type(a.data) is not F64:
@@ -221,7 +245,7 @@ def _folding(op: str, ufunc, scalar_op=None):
     scalars fold ``scalar_op`` (by default the ufunc itself)."""
     fold = scalar_op or ufunc
 
-    def impl(args, policy):
+    def impl(args, policy=None):
         out = args[0].data
         if type(out) is F64:  # the one test a batched run pays
             if len(args) == 2:  # the common arity, without a loop
@@ -241,7 +265,7 @@ def _folding(op: str, ufunc, scalar_op=None):
 
 
 def _unary(op: str, ufunc):
-    def impl(args, policy):
+    def impl(args, policy=None):
         x = args[0].data
         if type(x) is F64:
             return Value.trusted(ufunc(x), "scalar", False)
@@ -303,8 +327,8 @@ def op_sub(args, policy):
         x = args[0].data
         if type(x) is F64:
             return Value.trusted(_NP_ZERO - x, "scalar", False)
-        return _subtract([_ZERO, args[0]], policy)
-    return _subtract(args, policy)
+        return _subtract([_ZERO, args[0]])
+    return _subtract(args)
 
 
 def op_div(args, policy):
@@ -316,8 +340,6 @@ def op_div(args, policy):
     arrays, kind, batched = _align_elementwise(args, "/")
     out = arrays[0]
     for a in arrays[1:]:
-        if policy.raises and _any(a == 0.0):
-            _violation(policy, "division by zero", a == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.divide(out, a)
     return _result(out, kind, batched, arrays)
@@ -325,49 +347,34 @@ def op_div(args, policy):
 
 def op_pow(args, policy):
     arrays, kind, batched = _align_elementwise(args, "pow")
-    if policy.raises:
-        base, ex = np.broadcast_arrays(*arrays)
-        frac = (base < 0.0) & (ex != np.trunc(ex))
-        if _any(frac):
-            _violation(policy, "pow of negative base with non-integer exponent", frac)
-        zneg = (base == 0.0) & (ex < 0.0)
-        if _any(zneg):
-            _violation(policy, "division by zero", zneg)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _result(np.power(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
-    """pow with a compile-time constant exponent (no exponent operand)."""
+    """pow with a compile-time constant exponent (no exponent operand),
+    judged under the error policy as ``apply_primitive`` judges pow."""
     x = base.data
-    if type(x) is F64 and x > 0.0:  # a positive base raises no flag
-        return Value.trusted(np.power(x, exponent), "scalar", False)
-    if policy.raises:
-        if exponent != np.trunc(exponent) and _any(base.data < 0.0):
-            _violation(policy, "pow of negative base with non-integer exponent",
-                       base.data < 0.0)
-        if exponent < 0.0 and _any(base.data == 0.0):
-            _violation(policy, "division by zero", base.data == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.power(base.data, exponent)
-    if type(x) is not F64:
-        out = np.asarray(out)  # as _result: a 0-d base gives a 0-d array
-    # the result has the base's shape, so the base's kind and batching fit it
-    return Value.trusted(out, base.kind, base.batched)
+    if type(x) is F64 and x > 0.0:  # a positive base raises no invalid or divide flag
+        out = Value.trusted(np.power(x, exponent), "scalar", False)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            data = np.power(x, exponent)
+        if type(x) is not F64:
+            data = np.asarray(data)  # as _result: a 0-d base gives a 0-d array
+        # the result has the base's shape, so the base's kind and batching fit it
+        out = Value.trusted(data, base.kind, base.batched)
+    return _judge("pow", out) if policy.raises else out
 
 
 def op_modulo(args, policy):
     arrays, kind, batched = _align_elementwise(args, "modulo")
-    if policy.raises and _any(arrays[1] == 0.0):
-        _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _result(np.mod(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def op_remainder(args, policy):
     arrays, kind, batched = _align_elementwise(args, "remainder")
-    if policy.raises and _any(arrays[1] == 0.0):
-        _violation(policy, "division by zero", arrays[1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _result(np.fmod(arrays[0], arrays[1]), kind, batched, arrays)
 
@@ -376,17 +383,13 @@ def op_sqrt(args, policy):
     x = args[0].data
     if type(x) is F64 and x >= 0.0:
         return Value.trusted(F64(math.sqrt(x)), "scalar", False)  # both correctly rounded
-    if policy.raises and _any(args[0].data < 0.0):
-        _violation(policy, "sqrt of negative value", args[0].data < 0.0)
     with np.errstate(invalid="ignore"):
-        return _sqrt(args, policy)
+        return _sqrt(args)
 
 
 def op_log(args, policy):
-    if policy.raises and _any(args[0].data <= 0.0):
-        _violation(policy, "log of non-positive value", args[0].data <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _log(args, policy)
+        return _log(args)
 
 
 def op_not(args, policy):
@@ -485,8 +488,6 @@ def op_normalize(args, policy):
     v = args[0]
     _require_kind(v, "vector", "normalize")
     n = np.sqrt(ordered_sum_last(v.data * v.data))
-    if policy.raises and np.any(n == 0.0):
-        _violation(policy, "normalize of zero vector", n == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return Value(v.data / n[..., None], "vector", v.batched)
 
@@ -969,9 +970,13 @@ OPS: dict = {}
 
 
 def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
-    """Evaluate one primitive application on already-computed values."""
+    """Evaluate one primitive application on already-computed values.  Under
+    the error policy a partial op is judged as the one-op program (see
+    ``Violations``); det and inv judge their matrix in the kernel."""
     try:
-        forward = OPS[op].forward
+        row = OPS[op]
     except KeyError:
         raise ShapeMismatch(f"not an applicable primitive: {op!r}") from None
-    return forward(args, policy)
+    if policy.raises and row.partial and not row.eager:
+        return _judge(op, row.forward(args, policy))
+    return row.forward(args, policy)

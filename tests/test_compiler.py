@@ -5,7 +5,7 @@ from schemegrad.anf import to_anf
 from schemegrad.compiler import compile_source, disassemble
 from schemegrad.errors import CycleDetected, UnboundVariable
 from schemegrad.experiments.registry import FEYNMAN
-from schemegrad.graph import ComputeGraph, Node, build_graph, toposort
+from schemegrad.graph import BlockIR, ComputeGraph, Node, build_graph, toposort
 from schemegrad.lowering import lower_tail_calls
 from schemegrad.machine import eval_program
 from schemegrad.sexpr import parse
@@ -89,7 +89,7 @@ def test_toposort_diamond():
 def test_cycle_detected_defensively():
     graph = ComputeGraph(
         nodes=[Node(0, "prim", "+", (1,)), Node(1, "prim", "+", (0,))],
-        output=0, input_slots={}, param_slots={}, functions=[], tail=("exit", 0),
+        output=0, input_slots={}, param_slots={}, functions=[], block=BlockIR((), ("exit", 0)),
     )
     with pytest.raises(CycleDetected):
         toposort(graph)

@@ -79,12 +79,6 @@ def test_scratch_state_is_per_call():
     assert (a.item(), b.item()) == (9.0, 16.0)
 
 
-def test_safe_domain_ops_recorded_on_program():
-    prog = compile_source("(/ (sqrt x) (log y))", inputs=("x", "y"))
-    ops = {op for _, op in prog.safe_domain_ops}
-    assert ops == {"/", "sqrt", "log"}
-
-
 def test_singular_matrix_names_its_instruction():
     prog = compile_source("(+ 1 (det (inv M)))", inputs=("M",))
     inv_slot = next(ins[1] for ins in prog.block.instrs

@@ -139,14 +139,49 @@ def test_error_mode_names_the_partial_op_instruction(op):
     inner, data, where = _BAD_LANE_1[op]
     prog = compile_source(f"(+ 1 {inner})", inputs=tuple(data))
     slot = next(ins[1] for ins in prog.block.instrs if ins[0] == "prim" and ins[2] == op)
-    assert (slot, op) in prog.safe_domain_ops
     assert slot != prog.output_slot
     with pytest.raises((DomainViolation, SingularMatrix)) as err:
         eval_program(prog, {n: _lanes(d) for n, d in data.items()}, policy=ERROR_POLICY)
-    named = err.value.op if isinstance(err.value, SingularMatrix) else err.value.kind
-    assert named == op
+    assert _named(err.value) == op
     assert err.value.instruction == slot
     assert err.value.where == where
+
+
+def _named(err):
+    return err.op if isinstance(err, SingularMatrix) else err.kind
+
+
+# A lone op follows the program rule: op -> (source, inputs, first bad element)
+_LONE_OP_CASES = {
+    **{op: (op,) + case for op, case in _BAD_LANE_1.items()},
+    "nan input": ("/", "(/ x y)", {"x": [1.0, np.nan], "y": [2.0, 2.0]}, 1),
+    "overflow": ("/", "(/ x y)", {"x": [1.0, 1e300], "y": [2.0, 1e-300]}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONE_OP_CASES))
+def test_a_lone_op_raises_where_its_one_op_program_raises(case):
+    op, source, data, where = _LONE_OP_CASES[case]
+    args = {n: _lanes(d) for n, d in data.items()}
+    errors = (DomainViolation, SingularMatrix)
+    with np.errstate(over="ignore"):  # numpy also warns on the overflow
+        with pytest.raises(errors) as program:
+            eval_program(compile_source(source, inputs=tuple(data)), args, policy=ERROR_POLICY)
+        with pytest.raises(errors) as lone:
+            runtime.apply_primitive(op, list(args.values()), ERROR_POLICY)
+    assert type(lone.value) is type(program.value)
+    assert ((_named(lone.value), lone.value.where)
+            == (_named(program.value), program.value.where) == (op, where))
+
+
+def test_a_tape_context_judges_pow_with_a_constant_exponent():
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainViolation) as lone:
+            TapeContext(ERROR_POLICY).prim("pow", 1e200, aux=2.0)
+        with pytest.raises(DomainViolation) as program:
+            eval_program(compile_source("(pow x 2)", inputs=("x",)), {"x": 1e200})
+    assert (lone.value.kind, lone.value.where) == (program.value.kind, program.value.where)
+    assert program.value.kind == "pow"
 
 
 # ---------------------------------------------------------------------------

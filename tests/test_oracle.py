@@ -103,3 +103,10 @@ def test_interpreter_past_python_recursion_raises_eval_error():
     assert eval_program(compile_source(src), {}).item() == 0.0
     with pytest.raises(EvalError, match="recursion limit"):
         interpret_ast(parse(src), {})
+
+
+def test_loop_initial_values_read_the_enclosing_scope():
+    # `y`'s initial value is the input x, not the loop variable x beside it
+    src = "(loop ((x 1) (y x)) (if (< x 3) (recur (+ x 1) y) y))"
+    for run in _both_engines(src, {"x": Value.scalar(10.0)}):
+        assert run().item() == 10.0

@@ -1,6 +1,10 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from schemegrad import interpreter, runtime
 from schemegrad.errors import DomainViolation, ShapeMismatch, SingularMatrix
 from schemegrad.ops import PRIM_NAMES
 from schemegrad.runtime import (
@@ -253,6 +257,31 @@ def test_domain_violations():
         apply_primitive("pow", [S(-2), S(0.5)], ERROR_POLICY)
     assert np.isnan(apply_primitive("sqrt", [S(-1)], PROPAGATE_POLICY).data)
     assert np.isinf(apply_primitive("/", [S(1), S(0)], PROPAGATE_POLICY).data)
+
+
+def _loads(fn: ast.FunctionDef, name: str) -> bool:
+    """Whether ``fn`` itself, not a function nested in it, reads ``name``."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        if not isinstance(node, ast.FunctionDef):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_only_the_rule_and_the_det_inv_path_read_the_policy():
+    tree = ast.parse(inspect.getsource(runtime))
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and _loads(fn, "policy")}
+    assert readers == {"apply_primitive", "pow_immediate",  # the rule on a lone op
+                       "op_det", "op_inv", "matrix_inverse", "_refuse_singular"}
+    # the reference interpreter imports nothing of the machine it checks
+    imports = [node for node in ast.walk(ast.parse(inspect.getsource(interpreter)))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(isinstance(node, ast.ImportFrom) and node.module != "machine"
+                           for node in imports)
 
 
 def test_shape_mismatches():

@@ -233,10 +233,10 @@ def test_shooting_residuals_cover_every_observation_and_square_to_the_loss():
     # 23 rows in segments of 10: the ragged last segment covers two rows
     ragged = _generate(store, 22) + 0.01
     assert shooting_residuals(TapeContext(), sys, ShootingConfig(10, ragged)).shape == (22,)
-    obs = _generate(store, 20) + 0.01
-    loss = multiple_shooting_loss(TapeContext(), sys, ShootingConfig(10, obs))
-    res = shooting_residuals(TapeContext(), sys, ShootingConfig(10, obs))
-    assert float(np.mean(res * res)) == pytest.approx(float(loss.value.data), rel=1e-12)
+    for obs in (_generate(store, 20) + 0.01, ragged):
+        loss = multiple_shooting_loss(TapeContext(), sys, ShootingConfig(10, obs))
+        res = shooting_residuals(TapeContext(), sys, ShootingConfig(10, obs))
+        assert float(np.mean(res * res)) == pytest.approx(float(loss.value.data), rel=1e-12)
 
 
 def test_rollout_starts_at_y0_and_follows_integrate():
