@@ -37,6 +37,7 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
     debug_names: dict = field(default_factory=dict, repr=False)
+    scalar_closed: bool = False  # every prim has a scalar kernel (see machine)
 
     @property
     def num_params(self) -> int:
@@ -75,6 +76,7 @@ def compile_source(
         compile_seconds=elapsed,
         max_recursion_depth=config.max_recursion_depth,
         debug_names=debug,
+        scalar_closed=graph.scalar_closed,
     )
 
 
@@ -96,7 +98,7 @@ def _instr_text(ins) -> str:
     if kind in ("input", "param"):
         return str(ins[2])
     if kind == "prim":
-        _, _, op, operands, aux = ins
+        op, operands, aux = ins[2:5]
         if op in _INFIX and len(operands) == 2:
             return f"{_slot(operands[0])} {op} {_slot(operands[1])}"
         if op == "pow" and aux is not None:

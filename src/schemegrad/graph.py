@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .anf import (AnfProgram, CallApp, LoopApp, PrimApp, Return, SelectApp, TailIf,
                   TailRecur, names_in_program)
 from .errors import CycleDetected, UnboundVariable
+from .ops import OPS
 from .sexpr import Const, Var
-from .values import Value, frozen_scalar, numpy_scalar
+from .values import Value, frozen_scalar
 
 # Node kinds that execute as instructions plus frame-entry kinds
 # (loopvar/capture) whose slots are written by the loop/call machinery.
@@ -61,6 +62,7 @@ class ComputeGraph:
     param_slots: dict
     functions: list  # function BodyIRs, in order of first call
     block: BlockIR  # the top level's instructions and tail
+    scalar_closed: bool = False  # every prim in every block has a scalar kernel to apply
 
 
 def _const_key(v: float) -> bytes:
@@ -172,6 +174,7 @@ class _Builder:
         self.fn_defs = {fn.uid: fn for fn in functions}
         self.fn_captures = _function_captures(functions)
         self.fn_irs: dict[str, BodyIR] = {}
+        self.scalar_closed = True  # noted as prim nodes are built
 
     # -- frames --
 
@@ -185,6 +188,7 @@ class _Builder:
             param_slots=frame.param_slots,
             functions=list(self.fn_irs.values()),
             block=_to_block(frame, block_ids, tail),
+            scalar_closed=self.scalar_closed,
         )
 
     def _resolve_leaf(self, frame: _Frame, name: str) -> int:
@@ -283,6 +287,9 @@ class _Builder:
             zero = frame.intern_const(0.0)
             x = self._triv(frame, args[0])
             return frame.new_node("prim", op="-", operands=(zero, x), debug_name=temp)
+        row = OPS[op]
+        if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
+            self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
         order = reversed(args) if op in _RIGHT_FOLD else args
         for a in order:
             self._triv(frame, a)  # intern in fold order; resolution is idempotent
@@ -328,12 +335,14 @@ def _to_block(frame: _Frame, block_ids, tail) -> BlockIR:
     return BlockIR(instrs, tail)
 
 
-def _const_values(v: float) -> tuple[Value, Value]:
-    """The Values a const instruction stores into its slot, built once and
-    shared by every run and tape: a read-only 0-d array, and its
-    numpy-scalar form for runs whose inputs are all unbatched scalars."""
+def _const_values(v: float) -> tuple:
+    """What a const instruction stores into its slot, built once and shared
+    by every run and tape: a read-only 0-d array Value, its numpy-scalar
+    form for runs whose inputs are all unbatched scalars, and the bare
+    float64 of a raw-slot run."""
     arr = frozen_scalar(v)
-    return arr, numpy_scalar(arr)
+    x = arr.data[()]
+    return arr, Value.trusted(x, "scalar", False), x
 
 
 def _node_to_instr(node: Node) -> tuple:
@@ -344,7 +353,7 @@ def _node_to_instr(node: Node) -> tuple:
     if node.kind == "param":
         return ("param", node.id, node.aux)
     if node.kind == "prim":
-        return ("prim", node.id, node.op, node.operands, node.aux)
+        return ("prim", node.id, node.op, node.operands, node.aux, OPS[node.op])
     if node.kind == "select":
         return ("select", node.id) + node.operands
     if node.kind in ("loop", "call"):

@@ -60,7 +60,7 @@ def interpret_ast(
                 args = [ev(a, scope, fns) for a in node.args]
                 out = apply_primitive(node.op, args, policy if row.eager else PROPAGATE_POLICY)
             if violations is not None and row.partial:
-                violations.check(node.op, None, out)
+                violations.check(node.op, None, out.data)
             return out
         if isinstance(node, If):
             cond = ev(node.cond, scope, fns)
@@ -125,5 +125,5 @@ def interpret_ast(
         raise EvalError("reference interpreter: call nesting exceeds Python's "
                         "recursion limit") from None
     if violations is not None:
-        violations.finalize(out, None)
+        violations.finalize(out.data, None)
     return out

@@ -9,13 +9,18 @@ itself in tail position, restarts the running body in place and takes no
 depth.  ``eval_program`` and ``run_on_tape`` share the executor; with a
 tape it also records every value for reverse-mode differentiation.
 
-A run whose inputs are all unbatched scalars holds its unbatched scalars
-as ``numpy.float64`` (``values.numpy_scalar``): input and parameter leaves
-are converted as they are fetched, and constants come in that form from
-emission.  The runtime's elementwise kernels then compute on numpy scalars
-directly.  Every other run takes its constants, inputs and parameters as
-0-d arrays, because a ufunc given a numpy scalar next to an array converts
-the scalar on every call.
+Run kinds.  A run whose inputs and parameters are all unbatched scalars
+fetches each one's float once, as a ``numpy.float64``.  If the program is
+also scalar-closed (every prim in every block has a scalar kernel, noted
+at emission), the run is a raw-slot run: its slots hold bare
+``numpy.float64`` values, a prim calls its row's ``scalar`` kernel, and a
+``Value`` is built only where one leaves the run: the output, and the
+records of a tape.  Other all-scalar runs hold their scalars as Values
+around ``numpy.float64`` (constants come in that form from emission), on
+which the elementwise forwards call the same scalar kernels.  Every other
+run takes its constants, inputs and parameters as 0-d arrays, because a
+ufunc given a numpy scalar next to an array converts the scalar on every
+call.  The values, tapes and errors of the three are bitwise the same.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .autodiff import TapeRef
 from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
-from .ops import OPS
 from .runtime import (
     ERROR_POLICY,
     PROPAGATE_POLICY,
@@ -32,9 +36,10 @@ from .runtime import (
     Violations,
     apply_primitive,
     pow_immediate,
+    scalar_if,
     select,
 )
-from .values import F64, Value, frozen_scalar, numpy_scalar
+from .values import F64, Value, frozen_scalar
 
 
 def _param_value(params, name: str) -> Value:
@@ -49,20 +54,12 @@ def _param_value(params, name: str) -> Value:
         raise MissingInput(f"missing parameter {name!r}") from None
 
 
-def _fetch_input(inputs, name, tape):
-    try:
-        v = inputs[name]
-    except KeyError:
-        raise MissingInput(f"missing input {name!r}") from None
-    if tape is not None and hasattr(v, "tape_id"):
-        return v.value, v.tape_id
-    return Value.of(v), None
+def _run(prog, inputs, params, policy, tape, store, leaves):
+    """Execute ``prog``; returns (output, its tape id or None).  The output
+    is a Value, or a ``numpy.float64`` from a raw-slot run.
 
-
-def _run(prog, inputs, params, policy, tape, store, scalar):
-    """Execute ``prog``; returns (output value, its tape id or None).
-
-    ``scalar`` marks an all-scalar run (see the module docstring).
+    ``leaves`` holds the floats of an all-scalar run by name (see the module
+    docstring), None in any other run.
 
     Ops run under the propagate policy, except that eager rows (det, inv)
     get ``policy`` and so raise at once, naming their instruction.  In
@@ -70,7 +67,9 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
     """
     violations = Violations() if policy.raises else None
     taping = tape is not None
-    const_at = 4 if scalar else 3  # a const's numpy-scalar or 0-d array Value
+    raw = leaves is not None and prog.scalar_closed
+    # a const's bare float64, numpy-scalar Value or 0-d array Value
+    const_at = 5 if raw else 4 if leaves is not None else 3
     slots = [None] * prog.slot_count
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
@@ -85,9 +84,20 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                 pc += 1
                 kind = ins[0]
                 if kind == "prim":
-                    _, dest, op, operands, aux = ins
-                    row = OPS[op]
-                    if aux is not None:  # pow with a constant exponent
+                    _, dest, op, operands, aux, row = ins
+                    if raw:
+                        fn = row.scalar
+                        if len(operands) == 2:
+                            out = fn(slots[operands[0]], slots[operands[1]])
+                        elif aux is not None:  # pow with a constant exponent
+                            out = fn(slots[operands[0]], aux)
+                        elif len(operands) == 1:
+                            out = fn(slots[operands[0]])
+                        else:  # n-ary: fold left
+                            out = slots[operands[0]]
+                            for i in operands[1:]:
+                                out = fn(out, slots[i])
+                    elif aux is not None:
                         out = pow_immediate(slots[operands[0]], aux, PROPAGATE_POLICY)
                     else:
                         if len(operands) == 2:  # the common arity, without a comprehension
@@ -97,34 +107,47 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
                         out = apply_primitive(
                             op, args, policy if row.eager else PROPAGATE_POLICY)
                     if violations is not None and row.partial:
-                        violations.check(op, dest, out)
+                        violations.check(op, dest, out if raw else out.data)
                     slots[dest] = out
                     if taping:
-                        ids[dest] = tape.record(op, tuple([ids[i] for i in operands]), out, aux)
+                        ids[dest] = tape.record(
+                            op, tuple([ids[i] for i in operands]),
+                            Value.trusted(out, "scalar", False) if raw else out, aux)
                 elif kind == "const":
-                    v = slots[ins[1]] = ins[const_at]
+                    slots[ins[1]] = ins[const_at]
                     if taping:
-                        ids[ins[1]] = tape.leaf(v)
-                elif kind == "input":
-                    v, ref = _fetch_input(inputs, ins[2], tape)
-                    if scalar:
-                        v = numpy_scalar(v)
-                    slots[ins[1]] = v
+                        ids[ins[1]] = tape.leaf(ins[4] if raw else ins[const_at])
+                elif kind == "input" or kind == "param":
+                    dest, name = ins[1], ins[2]
+                    if leaves is not None:
+                        v = leaves[name] if raw else Value.trusted(leaves[name], "scalar", False)
+                    elif kind == "param":
+                        v = _param_value(params, name)
+                    else:
+                        v = inputs[name]  # present: _check_inputs raised for an absent input
+                        v = v.value if type(v) is TapeRef else Value.of(v)
+                    slots[dest] = v
                     if taping:
-                        ids[ins[1]] = ref if ref is not None else tape.input_leaf(ins[2], v)
-                elif kind == "param":
-                    v = _param_value(params, ins[2])
-                    if scalar:
-                        v = numpy_scalar(v)
-                    slots[ins[1]] = v
-                    if taping:
-                        ids[ins[1]] = tape.param_leaf(store if store is not None else params,
-                                                      ins[2], v)
+                        if raw:
+                            v = Value.trusted(v, "scalar", False)
+                        if kind == "param":
+                            ids[dest] = tape.param_leaf(
+                                store if store is not None else params, name, v)
+                        elif type(inputs[name]) is TapeRef:
+                            ids[dest] = inputs[name].tape_id
+                        else:
+                            ids[dest] = tape.input_leaf(name, v)
                 elif kind == "select":
                     _, dest, c, t, e = ins
-                    out = slots[dest] = select(slots[c], slots[t], slots[e])
+                    if raw:
+                        out = scalar_if(slots[c], slots[t], slots[e])
+                    else:
+                        out = select(slots[c], slots[t], slots[e])
+                    slots[dest] = out
                     if taping:
-                        ids[dest] = tape.record("if", (ids[c], ids[t], ids[e]), out, None)
+                        ids[dest] = tape.record(
+                            "if", (ids[c], ids[t], ids[e]),
+                            Value.trusted(out, "scalar", False) if raw else out, None)
                 else:  # loop or call: suspend this frame and enter the body
                     _, dest, ir, outer, caps = ins
                     called = kind == "call"
@@ -148,11 +171,13 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
             # Instructions exhausted: resolve the tail.
             if tail[0] == "branch":
                 cond = slots[tail[1]]
-                if cond.kind != "scalar" or cond.batched:
-                    raise EvalError(
-                        "recur cannot be guarded by a batched or non-scalar condition"
-                    )
-                chosen = tail[2] if float(cond.data) != 0.0 else tail[3]
+                if not raw:
+                    if cond.kind != "scalar" or cond.batched:
+                        raise EvalError(
+                            "recur cannot be guarded by a batched or non-scalar condition"
+                        )
+                    cond = float(cond.data)
+                chosen = tail[2] if cond != 0.0 else tail[3]
             elif tail[0] == "recur":
                 new_vals = [slots[s] for s in tail[1]]
                 for s, v in zip(body.var_slots, new_vals):
@@ -180,7 +205,7 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
         raise SingularMatrix(err.op, where=err.where, instruction=ins[1]) from None
 
     if violations is not None:
-        violations.finalize(value, prog.output_slot)
+        violations.finalize(value if raw else value.data, prog.output_slot)
     return value, value_id
 
 
@@ -188,42 +213,53 @@ def _run(prog, inputs, params, policy, tape, store, scalar):
 # public entry points
 
 
-def _unbatched_scalar(v) -> bool:
-    """Whether an input other than a Value or a TapeRef (a number or an
-    array) is an unbatched scalar."""
-    if isinstance(v, (float, int)):  # numpy.ndim would build an array
-        return True
-    if isinstance(v, Value):
-        return not v.batched and v.kind == "scalar"
-    return np.ndim(v) == 0
+def _scalar_float(v):
+    """The ``numpy.float64`` of an input or parameter that is an unbatched
+    scalar (a Value, a TapeRef's Value, a number or a 0-d array), else None."""
+    if type(v) is TapeRef:
+        v = v.value
+    if type(v) is Value:
+        if v.batched or v.kind != "scalar":
+            return None
+        return v.data if type(v.data) is F64 else v.data[()]
+    if isinstance(v, (float, int)) or np.ndim(v) == 0:  # numpy.ndim would build an array
+        return F64(v)
+    return None
 
 
-def _check_inputs(prog, inputs) -> bool:
-    """Raise MissingInput for an absent input; return whether every input
-    is an unbatched scalar, which makes the run an all-scalar one.  The
-    test stops at the first input that is not, so a batched run whose
-    first input is batched pays it once."""
-    scalar = True
+def _check_inputs(prog, inputs, params):
+    """Raise MissingInput for an absent input.  When every input and
+    parameter the program reads is an unbatched scalar, which makes the run
+    an all-scalar one, return their floats by name; else None.  The test
+    stops at the first leaf that is not, so a batched run whose first
+    input is batched pays it once."""
+    leaves = {}
     for name in prog.input_slots:
         try:
             v = inputs[name]
         except KeyError:
             raise MissingInput(f"missing input {name!r}") from None
-        if scalar:
-            if type(v) is TapeRef:  # a TapeRef holds its Value
-                v = v.value
-            if type(v) is Value:
-                scalar = not v.batched and v.kind == "scalar"
-            else:
-                scalar = _unbatched_scalar(v)
-    return scalar
+        if leaves is not None:
+            x = leaves[name] = _scalar_float(v)
+            if x is None:
+                leaves = None
+    if leaves is not None:
+        for name in prog.param_slots:
+            try:
+                x = leaves[name] = _scalar_float(_param_value(params, name))
+            except MissingInput:  # raised where the run reads it, as in other runs
+                return None
+            if x is None:
+                return None
+    return leaves
 
 
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate a compiled program on concrete values.  An unbatched scalar
     result is returned as a read-only 0-d array, as constants are."""
-    scalar = _check_inputs(prog, inputs)
-    out = _run(prog, inputs, params, policy, None, None, scalar)[0]
+    out = _run(prog, inputs, params, policy, None, None, _check_inputs(prog, inputs, params))[0]
+    if type(out) is F64:  # a raw-slot run's output
+        return frozen_scalar(out)
     return frozen_scalar(out.data) if type(out.data) is F64 else out
 
 
@@ -231,8 +267,9 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
                 store=None):
     """Evaluate while appending records to an existing tape.  Inputs may be
     Values or tape references; returns (value, tape node id)."""
-    scalar = _check_inputs(prog, inputs)
-    return _run(prog, inputs, params, policy, tape, store, scalar)
+    out, out_id = _run(prog, inputs, params, policy, tape, store,
+                       _check_inputs(prog, inputs, params))
+    return (Value.trusted(out, "scalar", False) if type(out) is F64 else out), out_id
 
 
 def eval_with_tape(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY):

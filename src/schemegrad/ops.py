@@ -2,11 +2,14 @@
 
 A row holds everything the package knows about an op: its name, category
 and arity, which the parser checks; its forward kernel and its VJP, both
-in ``runtime``; and three flags.  ``elementwise`` tells ``backward`` to
-undo broadcasting on the VJP's gradients, ``partial`` puts the op under
-the error policy's safe-domain rule (``runtime.Violations``), and
-``eager`` passes the error policy to the kernel, so the op raises at once
-(det and inv, on a singular matrix).
+in ``runtime``; for the 24 scalar ops, its scalar kernel (``scalar``, also
+in ``runtime``), the op on ``numpy.float64`` operands, which the machine
+calls in a raw-slot run and the forward calls on numpy-scalar operands;
+and three flags.  ``elementwise`` tells ``backward`` to undo broadcasting
+on the VJP's gradients, ``partial`` puts the op under the error policy's
+safe-domain rule (``runtime.Violations``), and ``eager`` passes the error
+policy to the kernel, so the op raises at once (det and inv, on a
+singular matrix).
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,
@@ -36,37 +39,43 @@ class Op:
     max_arity: int | None  # None = unbounded
     forward: Callable | None = None  # (args, policy) -> Value; None for control forms
     vjp: Callable | None = None  # (g, args, out, aux, need) -> raw gradient per argument
+    scalar: Callable | None = None  # on numpy.float64 operands, two at a time if n-ary
     elementwise: bool = False  # gradients are output-shaped; backward undoes broadcasting
     partial: bool = False  # partial domain
     eager: bool = False  # raises at once under the error policy
 
 
 _ROWS = (
-    Op("+", "scalar", 1, None, rt.op_add, rt.vjp_add, elementwise=True),
-    Op("-", "scalar", 1, None, rt.op_sub, rt.vjp_sub, elementwise=True),
-    Op("*", "scalar", 1, None, rt.op_mul, rt.vjp_mul, elementwise=True),
-    Op("/", "scalar", 2, None, rt.op_div, rt.vjp_div, elementwise=True, partial=True),
-    Op("pow", "scalar", 2, 2, rt.op_pow, rt.vjp_pow, elementwise=True, partial=True),
-    Op("modulo", "scalar", 2, 2, rt.op_modulo, rt.vjp_modulo, elementwise=True, partial=True),
-    Op("remainder", "scalar", 2, 2, rt.op_remainder, rt.vjp_remainder, elementwise=True,
-       partial=True),
-    Op("abs", "scalar", 1, 1, rt.op_abs, rt.vjp_abs, elementwise=True),
-    Op("min", "scalar", 1, None, rt.op_min, rt.vjp_minmax, elementwise=True),
-    Op("max", "scalar", 1, None, rt.op_max, rt.vjp_minmax, elementwise=True),
-    Op("sin", "scalar", 1, 1, rt.op_sin, rt.vjp_sin, elementwise=True),
-    Op("cos", "scalar", 1, 1, rt.op_cos, rt.vjp_cos, elementwise=True),
-    Op("exp", "scalar", 1, 1, rt.op_exp, rt.vjp_exp, elementwise=True),
-    Op("sqrt", "scalar", 1, 1, rt.op_sqrt, rt.vjp_sqrt, elementwise=True, partial=True),
-    Op("log", "scalar", 1, 1, rt.op_log, rt.vjp_log, elementwise=True, partial=True),
-    Op("=", "scalar", 2, 2, rt.op_eq, rt.vjp_none),
-    Op("<", "scalar", 2, 2, rt.op_lt, rt.vjp_none),
-    Op(">", "scalar", 2, 2, rt.op_gt, rt.vjp_none),
-    Op("<=", "scalar", 2, 2, rt.op_le, rt.vjp_none),
-    Op(">=", "scalar", 2, 2, rt.op_ge, rt.vjp_none),
-    Op("and", "scalar", 1, None, rt.op_and, rt.vjp_none),
-    Op("or", "scalar", 1, None, rt.op_or, rt.vjp_none),
-    Op("not", "scalar", 1, 1, rt.op_not, rt.vjp_none),
-    Op("if", "scalar", 3, 3, rt.op_if, rt.vjp_if, elementwise=True),
+    Op("+", "scalar", 1, None, rt.op_add, rt.vjp_add, rt.scalar_add, elementwise=True),
+    Op("-", "scalar", 1, None, rt.op_sub, rt.vjp_sub, rt.scalar_sub, elementwise=True),
+    Op("*", "scalar", 1, None, rt.op_mul, rt.vjp_mul, rt.scalar_mul, elementwise=True),
+    Op("/", "scalar", 2, None, rt.op_div, rt.vjp_div, rt.scalar_div,
+       elementwise=True, partial=True),
+    Op("pow", "scalar", 2, 2, rt.op_pow, rt.vjp_pow, rt.scalar_pow,
+       elementwise=True, partial=True),
+    Op("modulo", "scalar", 2, 2, rt.op_modulo, rt.vjp_modulo, rt.scalar_modulo,
+       elementwise=True, partial=True),
+    Op("remainder", "scalar", 2, 2, rt.op_remainder, rt.vjp_remainder, rt.scalar_remainder,
+       elementwise=True, partial=True),
+    Op("abs", "scalar", 1, 1, rt.op_abs, rt.vjp_abs, rt.scalar_abs, elementwise=True),
+    Op("min", "scalar", 1, None, rt.op_min, rt.vjp_minmax, rt.scalar_min, elementwise=True),
+    Op("max", "scalar", 1, None, rt.op_max, rt.vjp_minmax, rt.scalar_max, elementwise=True),
+    Op("sin", "scalar", 1, 1, rt.op_sin, rt.vjp_sin, rt.scalar_sin, elementwise=True),
+    Op("cos", "scalar", 1, 1, rt.op_cos, rt.vjp_cos, rt.scalar_cos, elementwise=True),
+    Op("exp", "scalar", 1, 1, rt.op_exp, rt.vjp_exp, rt.scalar_exp, elementwise=True),
+    Op("sqrt", "scalar", 1, 1, rt.op_sqrt, rt.vjp_sqrt, rt.scalar_sqrt,
+       elementwise=True, partial=True),
+    Op("log", "scalar", 1, 1, rt.op_log, rt.vjp_log, rt.scalar_log,
+       elementwise=True, partial=True),
+    Op("=", "scalar", 2, 2, rt.op_eq, rt.vjp_none, rt.scalar_eq),
+    Op("<", "scalar", 2, 2, rt.op_lt, rt.vjp_none, rt.scalar_lt),
+    Op(">", "scalar", 2, 2, rt.op_gt, rt.vjp_none, rt.scalar_gt),
+    Op("<=", "scalar", 2, 2, rt.op_le, rt.vjp_none, rt.scalar_le),
+    Op(">=", "scalar", 2, 2, rt.op_ge, rt.vjp_none, rt.scalar_ge),
+    Op("and", "scalar", 1, None, rt.op_and, rt.vjp_none, rt.scalar_and),
+    Op("or", "scalar", 1, None, rt.op_or, rt.vjp_none, rt.scalar_or),
+    Op("not", "scalar", 1, 1, rt.op_not, rt.vjp_none, rt.scalar_not),
+    Op("if", "scalar", 3, 3, rt.op_if, rt.vjp_if, rt.scalar_if, elementwise=True),
 
     Op("vec", "vector", 1, None, rt.op_vec, rt.vjp_vec),
     Op("ref", "vector", 2, 2, rt.op_ref, rt.vjp_ref),

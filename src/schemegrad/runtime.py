@@ -17,25 +17,17 @@ that matrix alone, in the same order, and an unbatched matrix goes
 through it as a batch of one, so for them too a batched evaluation is
 bit-identical to stacked unbatched ones.
 
-Numpy-scalar path.  In a run whose inputs are all unbatched scalars the
-machine holds unbatched scalars as ``numpy.float64`` (see ``values``), and
-an elementwise op whose operands all have that exact type skips the shape
-alignment and the 0-d array round trip; the type implies an unbatched
-scalar, so nothing else is checked.  ``+ - *`` (and unary minus, 0 - x)
-use numpy's scalar operators and comparisons return shared 1.0/0.0
-values, ``if`` returns the chosen operand, ``/`` divides without
-``np.errstate`` when the divisor is finite and non-zero, and ``sqrt`` of
-x >= 0 is ``math.sqrt``.  These are all correctly rounded IEEE
-operations, so the results are bit-identical to the ufuncs.  ``exp sin
-cos abs log min max`` call their ufuncs on the scalars directly (``log``
-inside ``np.errstate``, as on arrays), and ``pow`` with a constant
-exponent of a base > 0, which raises no invalid or divide flag, calls
-``np.power`` without ``np.errstate``: numpy's SIMD transcendentals may
-differ from libm by an ulp, which would break batched == stacked.
-Operands of any other type, and every other op (``pow modulo remainder
-and or not`` among them), take the array path, which is unchanged; its
-0-d results are numpy scalars only when an operand is one, so a run that
-holds no numpy scalars sees the 0-d arrays it always did.
+Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
+kernel (the table's ``scalar`` column): the op on ``numpy.float64``
+operands, returning a ``numpy.float64`` with the bits of the forward on
+0-d arrays.  The machine calls them directly in a raw-slot run (see
+``machine``).  The elementwise forwards call them too when every operand
+is a ``numpy.float64``, as in an all-scalar run of a program with
+non-scalar ops or on such a run's results in ``TapeContext.prim``; the
+type implies an unbatched scalar, so nothing else is checked.  Operands
+of any other type take the array path, whose 0-d results are numpy
+scalars only when an operand is one, so a run that holds no numpy
+scalars sees the 0-d arrays it always did.
 """
 
 from __future__ import annotations
@@ -93,13 +85,13 @@ class Violations:
     def __init__(self):
         self.first = None
 
-    def check(self, op: str, dest, value: Value) -> None:
-        if self.first is None and not _all_finite(value.data):
-            bad = np.nonzero(~np.isfinite(value.data).ravel())[0]
+    def check(self, op: str, dest, data) -> None:
+        if self.first is None and not _all_finite(data):
+            bad = np.nonzero(~np.isfinite(data).ravel())[0]
             self.first = (op, dest, int(bad[0]) if bad.size else None)
 
-    def finalize(self, out: Value, output_slot) -> None:
-        if _all_finite(out.data):
+    def finalize(self, data, output_slot) -> None:
+        if _all_finite(data):
             return
         if self.first is not None:
             op, dest, where = self.first
@@ -109,8 +101,8 @@ class Violations:
 
 def _judge(op: str, value: Value) -> Value:
     rule = Violations()
-    rule.check(op, None, value)
-    rule.finalize(value, None)
+    rule.check(op, None, value.data)
+    rule.finalize(value.data, None)
     return value
 
 
@@ -212,18 +204,110 @@ def _numpy_scalars(args: list[Value]) -> bool:
     return True
 
 
-# Shared truth values of numpy-scalar comparisons; numpy scalars are immutable.
-_TRUE = Value.trusted(F64(1.0), "scalar", False)
-_FALSE = Value.trusted(F64(0.0), "scalar", False)
-_NP_ZERO = _FALSE.data  # unary minus of a numpy scalar is _NP_ZERO - x
+# ---------------------------------------------------------------------------
+# scalar kernels: the op table's ``scalar`` column
+#
+# Each takes numpy.float64 operands, an n-ary op two at a time (folded left),
+# and returns a numpy.float64 with the bits of the row's forward on 0-d
+# arrays.  ``+ - * /`` and sqrt are correctly rounded IEEE operations, so
+# numpy's scalar operators and ``math.sqrt`` give the ufuncs' bits; min, max,
+# comparisons and truth ops are plain Python with numpy's rules.  exp, sin,
+# cos, log, pow, modulo and remainder call their ufuncs: numpy's SIMD
+# transcendentals may differ from libm by an ulp, which would break batched
+# == stacked.  ``np.errstate`` costs more than the op, so it is entered only
+# where a divide or invalid flag can fire.
+
+_T = F64(1.0)
+_F = F64(0.0)
+
+
+def _quiet(ufunc):
+    """``ufunc`` with numpy's divide and invalid flags ignored."""
+    def call(*xs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ufunc(*xs)
+    return call
+
+
+_divide, _power, _sqrt, _log = (_quiet(f) for f in (np.divide, np.power, np.sqrt, np.log))
+scalar_add, scalar_sub, scalar_mul, scalar_abs = operator.add, operator.sub, operator.mul, abs
+scalar_sin, scalar_cos, scalar_exp = np.sin, np.cos, np.exp
+scalar_modulo, scalar_remainder = _quiet(np.mod), _quiet(np.fmod)
+
+
+def scalar_div(a, b):
+    return a / b if b != 0.0 and _isfinite(b) else _divide(a, b)  # a finite b: no flag
+
+
+def scalar_pow(a, b):
+    """pow of a base and an exponent; the exponent may be a compile-time float."""
+    return np.power(a, b) if a > 0.0 else _power(a, b)  # a positive base raises no flag
+
+
+def scalar_sqrt(x):
+    return F64(math.sqrt(x)) if x >= 0.0 else _sqrt(x)
+
+
+def scalar_log(x):
+    return np.log(x) if x > 0.0 else _log(x)
+
+
+def scalar_min(a, b):
+    """np.minimum's rule: a NaN wins (the first, if both are), and of equal
+    operands, 0.0 and -0.0 among them, the second is returned."""
+    return a if a < b or a != a else b
+
+
+def scalar_max(a, b):
+    return a if a > b or a != a else b
+
+
+def scalar_eq(a, b):
+    return _T if a == b else _F
+
+
+def scalar_lt(a, b):
+    return _T if a < b else _F
+
+
+def scalar_gt(a, b):
+    return _T if a > b else _F
+
+
+def scalar_le(a, b):
+    return _T if a <= b else _F
+
+
+def scalar_ge(a, b):
+    return _T if a >= b else _F
+
+
+def scalar_and(a, b):
+    return _T if a != 0.0 and b != 0.0 else _F  # NaN is true, as on arrays
+
+
+def scalar_or(a, b):
+    return _T if a != 0.0 or b != 0.0 else _F
+
+
+def scalar_not(x):
+    return _T if x == 0.0 else _F
+
+
+def scalar_if(c, then, orelse):
+    return then if c != 0.0 else orelse
+
+
+# ---------------------------------------------------------------------------
+# elementwise forwards
 
 
 def _result(data, kind: str, batched: bool, arrays) -> Value:
     """Wrap an elementwise result computed from ``arrays``.  An all-scalar
     one skips the Value checks, since ``batched`` implies its ndim.  Ufuncs
     return numpy scalars for 0-d operands: the result stays one when an
-    operand was one (an all-scalar run), and is a 0-d array again when all
-    were 0-d arrays, so other runs keep the types they always had."""
+    operand was one, and is a 0-d array again when all were 0-d arrays, so
+    runs on 0-d arrays keep the types they always had."""
     if kind == "scalar":
         if type(data) is F64:
             for x in arrays:
@@ -240,21 +324,19 @@ def _as_float(mask) -> np.ndarray:
     return np.asarray(mask, dtype=np.float64)
 
 
-def _folding(op: str, ufunc, scalar_op=None):
+def _folding(op: str, ufunc, scalar):
     """An n-ary elementwise op that folds ``ufunc`` left to right; numpy
-    scalars fold ``scalar_op`` (by default the ufunc itself)."""
-    fold = scalar_op or ufunc
-
+    scalars fold the row's scalar kernel."""
     def impl(args, policy=None):
         out = args[0].data
         if type(out) is F64:  # the one test a batched run pays
             if len(args) == 2:  # the common arity, without a loop
                 b = args[1].data
                 if type(b) is F64:
-                    return Value.trusted(fold(out, b), "scalar", False)
+                    return Value.trusted(scalar(out, b), "scalar", False)
             elif _numpy_scalars(args):
                 for a in args[1:]:
-                    out = fold(out, a.data)
+                    out = scalar(out, a.data)
                 return Value.trusted(out, "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         out = arrays[0]
@@ -264,24 +346,22 @@ def _folding(op: str, ufunc, scalar_op=None):
     return impl
 
 
-def _unary(op: str, ufunc):
+def _unary(op: str, ufunc, scalar):
     def impl(args, policy=None):
         x = args[0].data
         if type(x) is F64:
-            return Value.trusted(ufunc(x), "scalar", False)
+            return Value.trusted(scalar(x), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         return _result(ufunc(arrays[0]), kind, batched, arrays)
     return impl
 
 
-def _comparing(op: str, ufunc, scalar_op):
+def _comparing(op: str, ufunc, scalar):
     """A binary comparison; true is 1.0 and false 0.0."""
     def impl(args, policy):
-        a = args[0].data
-        if type(a) is F64:
-            b = args[1].data
-            if type(b) is F64:
-                return _TRUE if scalar_op(a, b) else _FALSE
+        a, b = args[0].data, args[1].data
+        if type(a) is F64 and type(b) is F64:
+            return Value.trusted(scalar(a, b), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched, arrays)
     return impl
@@ -298,98 +378,50 @@ def _logical(op: str, ufunc):
     return impl
 
 
-op_add = _folding("+", np.add, operator.add)
-op_mul = _folding("*", np.multiply, operator.mul)
-op_min = _folding("min", np.minimum)
-op_max = _folding("max", np.maximum)
-op_abs = _unary("abs", np.abs)
-op_sin = _unary("sin", np.sin)
-op_cos = _unary("cos", np.cos)
-op_exp = _unary("exp", np.exp)
-op_eq = _comparing("=", np.equal, operator.eq)
-op_lt = _comparing("<", np.less, operator.lt)
-op_gt = _comparing(">", np.greater, operator.gt)
-op_le = _comparing("<=", np.less_equal, operator.le)
-op_ge = _comparing(">=", np.greater_equal, operator.ge)
+op_add = _folding("+", np.add, scalar_add)
+_subtract = _folding("-", np.subtract, scalar_sub)
+op_mul = _folding("*", np.multiply, scalar_mul)
+op_div = _folding("/", _divide, scalar_div)
+op_pow = _folding("pow", _power, scalar_pow)
+op_modulo = _folding("modulo", scalar_modulo, scalar_modulo)
+op_remainder = _folding("remainder", scalar_remainder, scalar_remainder)
+op_min = _folding("min", np.minimum, scalar_min)
+op_max = _folding("max", np.maximum, scalar_max)
+op_abs = _unary("abs", np.abs, scalar_abs)
+op_sin = _unary("sin", np.sin, scalar_sin)
+op_cos = _unary("cos", np.cos, scalar_cos)
+op_exp = _unary("exp", np.exp, scalar_exp)
+op_sqrt = _unary("sqrt", _sqrt, scalar_sqrt)
+op_log = _unary("log", _log, scalar_log)
+op_eq = _comparing("=", np.equal, scalar_eq)
+op_lt = _comparing("<", np.less, scalar_lt)
+op_gt = _comparing(">", np.greater, scalar_gt)
+op_le = _comparing("<=", np.less_equal, scalar_le)
+op_ge = _comparing(">=", np.greater_equal, scalar_ge)
 op_and = _logical("and", np.logical_and)
 op_or = _logical("or", np.logical_or)
-_subtract = _folding("-", np.subtract, operator.sub)
-_sqrt = _unary("sqrt", np.sqrt)
-_log = _unary("log", np.log)
 
-
-_ZERO = Value.scalar(0.0)  # unary minus is 0 - x; shared, so read-only
+# unary minus is 0 - x; shared, so read-only
+_ZERO = Value.scalar(0.0)
 _ZERO.data.flags.writeable = False
+_NP_ZERO = Value.trusted(_F, "scalar", False)
 
 
 def op_sub(args, policy):
     if len(args) == 1:
-        x = args[0].data
-        if type(x) is F64:
-            return Value.trusted(_NP_ZERO - x, "scalar", False)
-        return _subtract([_ZERO, args[0]])
+        args = [_NP_ZERO if type(args[0].data) is F64 else _ZERO, args[0]]
     return _subtract(args)
-
-
-def op_div(args, policy):
-    a = args[0].data
-    if type(a) is F64 and len(args) == 2:
-        b = args[1].data
-        if type(b) is F64 and b != 0.0 and _isfinite(b):
-            return Value.trusted(a / b, "scalar", False)  # a finite non-zero divisor: no flag
-    arrays, kind, batched = _align_elementwise(args, "/")
-    out = arrays[0]
-    for a in arrays[1:]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.divide(out, a)
-    return _result(out, kind, batched, arrays)
-
-
-def op_pow(args, policy):
-    arrays, kind, batched = _align_elementwise(args, "pow")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.power(arrays[0], arrays[1]), kind, batched, arrays)
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
     """pow with a compile-time constant exponent (no exponent operand),
     judged under the error policy as ``apply_primitive`` judges pow."""
     x = base.data
-    if type(x) is F64 and x > 0.0:  # a positive base raises no invalid or divide flag
-        out = Value.trusted(np.power(x, exponent), "scalar", False)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            data = np.power(x, exponent)
-        if type(x) is not F64:
-            data = np.asarray(data)  # as _result: a 0-d base gives a 0-d array
-        # the result has the base's shape, so the base's kind and batching fit it
-        out = Value.trusted(data, base.kind, base.batched)
+    if type(x) is F64:
+        out = Value.trusted(scalar_pow(x, exponent), "scalar", False)
+    else:  # the result has the base's shape, so the base's kind and batching fit it
+        out = Value.trusted(np.asarray(_power(x, exponent)), base.kind, base.batched)
     return _judge("pow", out) if policy.raises else out
-
-
-def op_modulo(args, policy):
-    arrays, kind, batched = _align_elementwise(args, "modulo")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.mod(arrays[0], arrays[1]), kind, batched, arrays)
-
-
-def op_remainder(args, policy):
-    arrays, kind, batched = _align_elementwise(args, "remainder")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.fmod(arrays[0], arrays[1]), kind, batched, arrays)
-
-
-def op_sqrt(args, policy):
-    x = args[0].data
-    if type(x) is F64 and x >= 0.0:
-        return Value.trusted(F64(math.sqrt(x)), "scalar", False)  # both correctly rounded
-    with np.errstate(invalid="ignore"):
-        return _sqrt(args)
-
-
-def op_log(args, policy):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _log(args)
 
 
 def op_not(args, policy):
@@ -401,7 +433,7 @@ def select(cond: Value, then: Value, orelse: Value) -> Value:
     """Elementwise branch blend: picks `then` where cond is non-zero."""
     c = cond.data
     if type(c) is F64 and type(then.data) is F64 and type(orelse.data) is F64:
-        return then if c != 0.0 else orelse
+        return scalar_if(c, then, orelse)
     arrays, kind, batched = _align_elementwise([cond, then, orelse], "if")
     return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched, arrays)
 

@@ -1,5 +1,11 @@
 """Numeric values: float64 scalars, vectors and matrices with an optional
-leading batch dimension."""
+leading batch dimension.
+
+A ``Value`` is what crosses every interface: program inputs and outputs,
+tape records, parameters.  Inside one run the machine may hold less: a
+raw-slot run (see ``machine``) keeps bare ``numpy.float64`` values in its
+slots and wraps one in a Value only where it leaves the run.
+"""
 
 from __future__ import annotations
 
@@ -22,9 +28,9 @@ class Value:
     leading.  ``data`` is never written in place: values are shared
     between slots, tapes and runs.  The constructors build ndarrays, but
     the ``data`` of an unbatched scalar may also be a ``numpy.float64``,
-    which is how a run whose inputs are all unbatched scalars holds them
-    (see ``numpy_scalar``); numpy's scalar math gives the same IEEE
-    results as its ufuncs on 0-d arrays, at a fraction of the cost.
+    as in the tape records of an all-scalar run (see ``machine``);
+    the ops' scalar kernels give the same bits on it as the ufuncs on 0-d
+    arrays, at a fraction of the cost.
     """
 
     __slots__ = ("data", "kind", "batched")
@@ -118,19 +124,11 @@ class Value:
         return f"Value({self.kind}{b}, {self.data!r})"
 
 
-def numpy_scalar(v: Value) -> Value:
-    """The numpy-scalar form of an unbatched scalar: the same float64 held
-    as a ``numpy.float64``.  Any other value is returned as it is."""
-    if v.kind != "scalar" or v.batched or type(v.data) is F64:
-        return v
-    return Value.trusted(v.data[()], "scalar", False)
-
-
 def frozen_scalar(x) -> Value:
     """An unbatched scalar around a read-only 0-d array, for a value that
     callers may keep and share (compiled constants, program outputs)."""
     arr = np.array(x, dtype=np.float64)
-    arr.flags.writeable = False
+    arr.setflags(write=False)  # cheaper than setting arr.flags.writeable
     return Value.trusted(arr, "scalar", False)
 
 

@@ -4,6 +4,7 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import time
 
 import numpy as np
+import pytest
 
 from schemegrad.compiler import compile_source, disassemble
 from schemegrad.interpreter import interpret_ast
@@ -16,6 +17,7 @@ from schemegrad.values import Value, bit_equal
 
 from corpus import CORPUS, integer_inputs
 
+pytestmark = pytest.mark.acceptance
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"

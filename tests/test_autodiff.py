@@ -10,7 +10,7 @@ from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.ops import OPS
 from schemegrad.runtime import apply_primitive
 from schemegrad.training import truth_store
-from schemegrad.values import Value, bit_equal, numpy_scalar, stack_batch
+from schemegrad.values import Value, bit_equal, stack_batch
 
 from corpus import CORPUS
 
@@ -184,11 +184,15 @@ def test_finite_diff_quadratic_tight():
     assert report.max_rel_err < 1e-9
 
 
+def _numpy_scalar(x) -> Value:
+    return Value.trusted(np.float64(x), "scalar", False)
+
+
 def test_finite_diff_check_on_numpy_scalar_data():
     # apply_primitive on numpy scalars returns numpy.float64 data; perturbing
     # a copy of it must still reach the input and the parameter
-    x = apply_primitive("+", [numpy_scalar(Value.scalar(0.5)), numpy_scalar(Value.scalar(0.2))])
-    k = apply_primitive("*", [numpy_scalar(Value.scalar(1.5)), numpy_scalar(Value.scalar(2.0))])
+    x = apply_primitive("+", [_numpy_scalar(0.5), _numpy_scalar(0.2)])
+    k = apply_primitive("*", [_numpy_scalar(1.5), _numpy_scalar(2.0)])
     assert type(x.data) is np.float64 and type(k.data) is np.float64
     prog = compile_source("(+ (* k (* x x)) (* 2 x))", inputs=("x",), params=("k",))
     report = finite_diff_check(prog, {"x": x}, {"k": k}, h=1e-5)

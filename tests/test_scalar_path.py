@@ -1,7 +1,9 @@
-"""The numpy-scalar path: runs whose inputs are all unbatched scalars hold
-their scalars as numpy.float64 and compute on them directly.  Each test
-checks it bit for bit against the array path it bypasses."""
+"""The scalar paths: runs whose inputs and parameters are all unbatched
+scalars hold their scalars as numpy.float64, as bare slots when every prim
+has a scalar kernel (a raw-slot run) and as Values otherwise.  Each test
+checks them bit for bit against the array path they bypass."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,13 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemegrad import machine
-from schemegrad.autodiff import ParameterStore, TapeContext
-from schemegrad.compiler import compile_source
+from schemegrad.autodiff import ParameterStore, TapeContext, backward
+from schemegrad.compiler import CompileConfig, compile_source
+from schemegrad.errors import DepthLimitExceeded, DomainViolation
+from schemegrad.experiments.registry import BENCH_PROGRAMS
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program, eval_with_tape
-from schemegrad.runtime import PROPAGATE_POLICY, apply_primitive
+from schemegrad.ops import OPS
+from schemegrad.runtime import PROPAGATE_POLICY, apply_primitive, pow_immediate
 from schemegrad.sexpr import parse
-from schemegrad.values import Value, numpy_scalar
+from schemegrad.values import Value, bit_equal
 
 INF, NAN = float("inf"), float("nan")
 SPECIAL = [0.0, -0.0, INF, -INF, NAN, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -68,7 +73,8 @@ def _check_parity(src, values, expected):
         batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
         oracle = interpret_ast(parse(src), env, PROPAGATE_POLICY)
         # the compiler turns (- a) into (- 0.0 a); apply it as written too
-        direct = apply_primitive(op, [numpy_scalar(env[n]) for n in names],
+        direct = apply_primitive(op, [Value.trusted(env[n].data[()], "scalar", False)
+                                      for n in names],
                                  PROPAGATE_POLICY)
         want = expected()
     assert not scalar.batched and scalar.data.shape == ()
@@ -104,6 +110,87 @@ def test_select_numpy_scalar_path_is_bitwise_np_where(c, a, b):
 
 
 # ---------------------------------------------------------------------------
+# the scalar column of the op table
+
+
+SCALAR_ROWS = sorted(name for name, row in OPS.items() if row.scalar is not None)
+IMMEDIATES = (2.0, 3.0, 0.5, -1.0, 1e3)
+_COLUMN_PROGS = {}
+
+
+def _column_case(name):
+    """A one-op program applying a scalar row, and its operand names."""
+    if name == "if":
+        return "(if c a b)", "cab"
+    if OPS[name].max_arity == 1:
+        return f"({name} a)", "a"
+    return f"({name} a b)", "ab"
+
+
+def _assert_column_parity(src, names, env, got, forward):
+    """``got``, a scalar kernel's result, == ``forward`` (the row's forward
+    on 0-d arrays) == the program's raw-slot run == lane 0 of its B=2 run
+    == interpret_ast, bitwise."""
+    prog = _COLUMN_PROGS.get(src)
+    if prog is None:
+        prog = _COLUMN_PROGS[src] = compile_source(src, inputs=tuple(names))
+    assert prog.scalar_closed
+    scalars = {n: Value.scalar(env[n]) for n in names}
+    lanes = {n: Value.batch_scalars(np.array([env[n], 1.25])) for n in names}
+    with np.errstate(all="ignore"):  # inf - inf and overflow warn on every path
+        raw = eval_program(prog, scalars, policy=PROPAGATE_POLICY)
+        batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
+        oracle = interpret_ast(parse(src), scalars, PROPAGATE_POLICY)
+    assert type(got) is np.float64 and type(forward.data) is np.ndarray
+    for label, other in (("forward on 0-d arrays", forward.data), ("raw-slot run", raw.data),
+                         ("lane 0 of B=2", batched.data[0]), ("interpret_ast", oracle.data)):
+        assert bits(got) == bits(other), f"{src} at {env}: scalar kernel != {label}"
+
+
+@pytest.mark.parametrize("name", SCALAR_ROWS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.sampled_from(SPECIAL) | floats, b=st.sampled_from(SPECIAL) | floats, c=floats)
+def test_scalar_kernel_is_bitwise_the_forward(name, a, b, c):
+    src, names = _column_case(name)
+    env = {"a": a, "b": b, "c": c}
+    operands = [env[n] for n in names]
+    row = OPS[name]
+    with np.errstate(all="ignore"):
+        got = row.scalar(*[np.float64(x) for x in operands])
+        forward = row.forward([Value.scalar(x) for x in operands], PROPAGATE_POLICY)
+    _assert_column_parity(src, names, env, got, forward)
+
+
+@pytest.mark.parametrize("exponent", IMMEDIATES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.sampled_from(SPECIAL) | floats)
+def test_pow_immediate_scalar_kernel_is_bitwise_the_forward(exponent, a):
+    with np.errstate(all="ignore"):
+        got = OPS["pow"].scalar(np.float64(a), exponent)
+        forward = pow_immediate(Value.scalar(a), exponent, PROPAGATE_POLICY)
+    _assert_column_parity(f"(pow a {exponent!r})", "a", {"a": a}, got, forward)
+
+
+def test_every_scalar_row_and_no_other_row_has_a_scalar_kernel():
+    for name, row in OPS.items():
+        assert (row.scalar is not None) is (row.category == "scalar"), name
+    assert len(SCALAR_ROWS) == 24
+
+
+def test_min_max_scalar_kernels_follow_numpy_on_signed_zeros_and_nans():
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002],
+                            dtype=np.uint64).view(np.float64)
+    cases = [np.float64(x) for x in (0.0, -0.0, 1.0, -INF, INF)] + [nan_a, nan_b]
+    for name, ufunc in (("min", np.minimum), ("max", np.maximum)):
+        for a in cases:
+            for b in cases:
+                want = ufunc(np.array(a), np.array(b))
+                assert bits(OPS[name].scalar(a, b)) == bits(want), (name, a, b)
+    assert bits(OPS["min"].scalar(np.float64(0.0), np.float64(-0.0))) == bits(-0.0)
+    assert bits(OPS["min"].scalar(np.float64(-0.0), np.float64(0.0))) == bits(0.0)
+
+
+# ---------------------------------------------------------------------------
 # the run-kind decision
 
 
@@ -132,14 +219,22 @@ def _unbatched_scalar_types(prog, inputs, store):
             if value.kind == "scalar" and not value.batched}
 
 
-def test_all_scalar_run_holds_numpy_scalars():
+def _forbidden(*args):
+    raise AssertionError("a raw-slot run called a Value kernel")
+
+
+def test_all_scalar_run_holds_bare_floats(monkeypatch):
     prog, inputs, store = _run_kind_case(Value.scalar(0.25), 1.5)
-    assert machine._check_inputs(prog, inputs) is True
-    # inputs, the param and the constants enter as numpy scalars, and
-    # every result stays one
-    assert _unbatched_scalar_types(prog, inputs, store) == {np.float64}
+    assert prog.scalar_closed
+    leaves = machine._check_inputs(prog, inputs, store)
+    assert {n: type(x) for n, x in leaves.items()} == dict.fromkeys("xyk", np.float64)
+    # the slots hold the floats: no Value kernel runs
+    for name in ("apply_primitive", "pow_immediate", "select"):
+        monkeypatch.setattr(machine, name, _forbidden)
     out = eval_program(prog, inputs, store)
     assert type(out.data) is np.ndarray and not out.data.flags.writeable
+    # the tape's leaves and results are Values around numpy scalars
+    assert _unbatched_scalar_types(prog, inputs, store) == {np.float64}
 
 
 @pytest.mark.parametrize("case", ["batched", "vector", "batched_y"])
@@ -152,7 +247,7 @@ def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
     else:  # a batched input other than the first
         x, y = Value.scalar(_XS[0]), Value.batch_scalars(np.array([1.5, -0.5, 3.0]))
     prog, inputs, store = _run_kind_case(x, y)
-    assert machine._check_inputs(prog, inputs) is False
+    assert machine._check_inputs(prog, inputs, store) is None
     # the param, the constants and what is computed from them alone, such
     # as (* 0.5 y) for an unbatched y, stay 0-d arrays
     assert _unbatched_scalar_types(prog, inputs, store) == {np.ndarray}
@@ -169,11 +264,97 @@ def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
 def test_tape_ref_inputs_take_the_run_kind_of_their_values(case):
     x = {"scalar": Value.scalar(0.25), "batched": Value.batch_scalars(_XS),
          "vector": Value.vector(_XS)}[case]
-    prog, inputs, _ = _run_kind_case(x, Value.scalar(1.5))
+    prog, inputs, store = _run_kind_case(x, Value.scalar(1.5))
     ctx = TapeContext()
     refs = {name: ctx.constant(v) for name, v in inputs.items()}
-    assert machine._check_inputs(prog, refs) is machine._check_inputs(prog, inputs)
-    assert machine._check_inputs(prog, refs) is (case == "scalar")
+    leaves = machine._check_inputs(prog, refs, store)
+    assert leaves == machine._check_inputs(prog, inputs, store)
+    assert (leaves is not None) is (case == "scalar")
+
+
+def test_a_vector_parameter_takes_the_value_path():
+    prog = compile_source("(* k x)", inputs=("x",), params=("k",))
+    store = ParameterStore()
+    store.add("k", np.array([0.5, -2.0, 3.0]))
+    inputs = {"x": Value.scalar(1.5)}
+    assert machine._check_inputs(prog, inputs, store) is None
+    out = eval_program(prog, inputs, store)
+    want = interpret_ast(parse("(* k x)"), {**inputs, "k": store.value_of("k")})
+    assert out.kind == "vector" and bit_equal(out, want)
+
+
+@pytest.mark.parametrize("src", [BENCH_PROGRAMS["dot4"][0], "(+ x)", "(and x)", "(min x)"])
+def test_programs_that_are_not_scalar_closed_match_the_interpreter(src):
+    # dot4 has vector ops; an n-ary op given one operand has nothing to fold
+    names = BENCH_PROGRAMS["dot4"][1] if "dot" in src else ("x",)
+    prog = compile_source(src, inputs=names)
+    assert not prog.scalar_closed
+    for x in (0.0, -0.0, 2.5, NAN):
+        env = {n: Value.scalar(x + i) for i, n in enumerate(names)}
+        assert machine._check_inputs(prog, env, None) is not None
+        assert bit_equal(eval_program(prog, env, policy=PROPAGATE_POLICY),
+                         interpret_ast(parse(src), env, PROPAGATE_POLICY))
+
+
+# (source, op, instruction): a domain error in a loop or a function body,
+# named as the Value path names it
+RAW_DOMAIN_ERRORS = [
+    ("(loop ((i 0) (acc 0)) (if (< i 4) (recur (+ i 1) (+ acc (log (- 2 i)))) acc))",
+     "log", 8),
+    ("(letrec ((f (lambda (n) (if (< n 1) 0 (+ (sqrt (- n 2)) (call f (- n 1)))))))"
+     " (call f 3))", "sqrt", 6),
+    ("(letrec ((f (lambda (n acc) (if (< n 1) acc"
+     " (call f (- n 1) (* acc (/ 1 (- n 2)))))))) (call f 3 1))", "/", 8),
+]
+
+
+@pytest.mark.parametrize("src, op, instruction", RAW_DOMAIN_ERRORS)
+def test_raw_run_domain_errors_name_the_op_instruction_and_element(src, op, instruction):
+    prog = compile_source(src)
+    assert prog.scalar_closed
+    for p in (prog, dataclasses.replace(prog, scalar_closed=False)):
+        with pytest.raises(DomainViolation) as err:
+            eval_program(p, {})
+        assert (err.value.kind, err.value.instruction, err.value.where) == (op, instruction, 0)
+
+
+def test_raw_run_depth_limit_fires_at_the_same_depth():
+    src = "(letrec ((f (lambda (n) (if (< n 1) 0 (+ 1 (call f (- n 1))))))) (call f n))"
+    prog = compile_source(src, inputs=("n",), config=CompileConfig(max_recursion_depth=20))
+    assert prog.scalar_closed
+    assert eval_program(prog, {"n": 19.0}).item() == 19.0
+    with pytest.raises(DepthLimitExceeded) as err:
+        eval_program(prog, {"n": 20.0})
+    assert (err.value.fn_name, err.value.limit) == ("f", 20)
+
+
+@pytest.mark.parametrize("src", [
+    _RUN_KIND_SOURCE,
+    "(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (+ (* y k) (pow y 2))) (sqrt (abs y))))",
+])
+def test_a_taped_raw_run_records_the_value_path_tape(src):
+    prog = compile_source(src, inputs=("x", "y"), params=("k",))
+    assert prog.scalar_closed
+    inputs = {"x": Value.scalar(0.25), "y": Value.scalar(1.5)}
+    tapes, grads = [], []
+    for p in (prog, dataclasses.replace(prog, scalar_closed=False)):  # raw, then Values
+        store = ParameterStore()
+        store.add("k", 0.8)
+        out, tape = eval_with_tape(p, inputs, store)
+        result = backward(tape, Value.scalar(1.0), wrt_inputs=("x", "y"))
+        tapes.append(tape)
+        grads.append({"k": store.require_grad("k"),
+                      **{n: g.data for n, g in result.input_grads.items()}})
+        assert tape.replay()
+    raw, boxed = tapes
+    assert len(raw) == len(boxed)
+    for (op, args, value, aux), (op2, args2, value2, aux2) in zip(raw.nodes, boxed.nodes):
+        assert (op, args, aux) == (op2, args2, aux2)
+        assert type(value.data) is type(value2.data) is np.float64
+        assert bits(value.data) == bits(value2.data)
+    assert grads[0].keys() == grads[1].keys() and "x" in grads[0]
+    for name, g in grads[0].items():
+        assert bits(g) == bits(grads[1][name]), name
 
 
 # ---------------------------------------------------------------------------
