@@ -42,13 +42,19 @@ def _json_arg(s: str | None, flag: str) -> dict:
     if not s:
         return {}
     try:
-        return json.loads(s)
+        obj = json.loads(s)
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON for {flag}: {e}") from e
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{flag} must be a JSON object of name: value")
+    return obj
 
 
 def _value_of(v) -> Value:
-    arr = np.asarray(v, dtype=np.float64)
+    try:
+        arr = np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"not a number or an array of numbers: {v!r}") from e
     return Value.of(arr)
 
 

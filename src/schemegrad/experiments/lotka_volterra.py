@@ -65,7 +65,7 @@ def fit(noise: float = 0.02, epochs: int = 3000, seed: int = 0):
                          [(store, 1e-2, 1e-5)], epochs, record_every=25)
     # the shooting objective is deterministic once observations are drawn;
     # finish the descent to its actual minimum
-    gauss_newton_refine(store, make_system, cfg, list(TRUE_PARAMS))
+    gauss_newton_refine(store, sys, cfg, list(TRUE_PARAMS))
     errors = {
         name: abs(float(store[name].value.data) - tv) / abs(tv)
         for name, tv in TRUE_PARAMS.items()

@@ -101,8 +101,9 @@ def fit_s1(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS, noise: float = N
     noisy = _noisy_observations(rng, noise)
     store = init_param_store(TRUE_PARAMS, None, rng)
     cfg = ShootingConfig(SEGMENT_LENGTH, noisy)
-    curve = _shooting_fit(make_system(store), cfg, [(store, 1e-2, 1e-5)], epochs, seed)
-    gauss_newton_refine(store, make_system, cfg, list(TRUE_PARAMS))
+    sys = make_system(store)
+    curve = _shooting_fit(sys, cfg, [(store, 1e-2, 1e-5)], epochs, seed)
+    gauss_newton_refine(store, sys, cfg, list(TRUE_PARAMS))
     errors = {n: abs(float(store[n].value.data) - tv) / tv for n, tv in TRUE_PARAMS.items()}
     return store, errors, curve, noisy
 

@@ -3,6 +3,7 @@ the pass/fail exit contract."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -89,6 +90,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     deterministic for a given spec, only the directory name varies.
     """
     runner = _RUNNERS[spec.id]
+    unknown = set(spec.options) - set(inspect.signature(runner).parameters)
+    if unknown:
+        raise ConfigError(f"experiment {spec.id!r} takes no option {sorted(unknown)}")
     seed = spec.seed if spec.seed is not None else DEFAULT_SEEDS[spec.id]
     kwargs = {"seed": seed, "epochs_scale": spec.epochs_scale}
     kwargs.update(spec.options)

@@ -17,7 +17,7 @@ from .anf import (AnfProgram, CallApp, LoopApp, PrimApp, Return, SelectApp, Tail
 from .errors import CycleDetected, UnboundVariable
 from .ops import OPS
 from .sexpr import Const, Var
-from .values import Value, frozen_scalar
+from .values import frozen_scalar
 
 # Node kinds that execute as instructions plus frame-entry kinds
 # (loopvar/capture) whose slots are written by the loop/call machinery.
@@ -337,12 +337,10 @@ def _to_block(frame: _Frame, block_ids, tail) -> BlockIR:
 
 def _const_values(v: float) -> tuple:
     """What a const instruction stores into its slot, built once and shared
-    by every run and tape: a read-only 0-d array Value, its numpy-scalar
-    form for runs whose inputs are all unbatched scalars, and the bare
-    float64 of a raw-slot run."""
+    by every run and tape: a read-only 0-d array Value, and its bare
+    float64 for a raw-slot run (see ``machine``)."""
     arr = frozen_scalar(v)
-    x = arr.data[()]
-    return arr, Value.trusted(x, "scalar", False), x
+    return arr, arr.data[()]
 
 
 def _node_to_instr(node: Node) -> tuple:

@@ -9,18 +9,15 @@ itself in tail position, restarts the running body in place and takes no
 depth.  ``eval_program`` and ``run_on_tape`` share the executor; with a
 tape it also records every value for reverse-mode differentiation.
 
-Run kinds.  A run whose inputs and parameters are all unbatched scalars
-fetches each one's float once, as a ``numpy.float64``.  If the program is
-also scalar-closed (every prim in every block has a scalar kernel, noted
-at emission), the run is a raw-slot run: its slots hold bare
-``numpy.float64`` values, a prim calls its row's ``scalar`` kernel, and a
-``Value`` is built only where one leaves the run: the output, and the
-records of a tape.  Other all-scalar runs hold their scalars as Values
-around ``numpy.float64`` (constants come in that form from emission), on
-which the elementwise forwards call the same scalar kernels.  Every other
-run takes its constants, inputs and parameters as 0-d arrays, because a
-ufunc given a numpy scalar next to an array converts the scalar on every
-call.  The values, tapes and errors of the three are bitwise the same.
+Run kinds.  A run of a scalar-closed program (every prim in every block
+has a scalar kernel, noted at emission) whose inputs and parameters are
+all unbatched scalars is a raw-slot run: it fetches each leaf's float
+once, its slots hold bare ``numpy.float64`` values, a prim calls its row's
+``scalar`` kernel, and a ``Value`` is built only where one leaves the run:
+the output, and the records of a tape.  Every other run takes its
+constants, inputs and parameters as 0-d arrays, because a ufunc given a
+numpy scalar next to an array converts the scalar on every call.  The
+values, tapes and errors of the two are bitwise the same.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
     """Execute ``prog``; returns (output, its tape id or None).  The output
     is a Value, or a ``numpy.float64`` from a raw-slot run.
 
-    ``leaves`` holds the floats of an all-scalar run by name (see the module
+    ``leaves`` holds the floats of a raw-slot run by name (see the module
     docstring), None in any other run.
 
     Ops run under the propagate policy, except that eager rows (det, inv)
@@ -67,9 +64,8 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
     """
     violations = Violations() if policy.raises else None
     taping = tape is not None
-    raw = leaves is not None and prog.scalar_closed
-    # a const's bare float64, numpy-scalar Value or 0-d array Value
-    const_at = 5 if raw else 4 if leaves is not None else 3
+    raw = leaves is not None
+    const_at = 4 if raw else 3  # a const's bare float64 or 0-d array Value
     slots = [None] * prog.slot_count
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
@@ -116,11 +112,11 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                 elif kind == "const":
                     slots[ins[1]] = ins[const_at]
                     if taping:
-                        ids[ins[1]] = tape.leaf(ins[4] if raw else ins[const_at])
+                        ids[ins[1]] = tape.leaf(ins[3])
                 elif kind == "input" or kind == "param":
                     dest, name = ins[1], ins[2]
-                    if leaves is not None:
-                        v = leaves[name] if raw else Value.trusted(leaves[name], "scalar", False)
+                    if raw:
+                        v = leaves[name]
                     elif kind == "param":
                         v = _param_value(params, name)
                     else:
@@ -228,12 +224,12 @@ def _scalar_float(v):
 
 
 def _check_inputs(prog, inputs, params):
-    """Raise MissingInput for an absent input.  When every input and
-    parameter the program reads is an unbatched scalar, which makes the run
-    an all-scalar one, return their floats by name; else None.  The test
-    stops at the first leaf that is not, so a batched run whose first
-    input is batched pays it once."""
-    leaves = {}
+    """Raise MissingInput for an absent input.  When the program is
+    scalar-closed and every input and parameter it reads is an unbatched
+    scalar, which makes the run a raw-slot one, return their floats by
+    name; else None.  The test stops at the first leaf that is not, so a
+    batched run whose first input is batched pays it once."""
+    leaves = {} if prog.scalar_closed else None
     for name in prog.input_slots:
         try:
             v = inputs[name]

@@ -163,13 +163,13 @@ def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) ->
     ])
 
 
-def gauss_newton_refine(store, sys_factory, cfg: ShootingConfig, names,
+def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names,
                         iterations: int = 12) -> None:
-    """Gauss-Newton polish on the multiple-shooting residuals."""
+    """Gauss-Newton polish on the multiple-shooting residuals of ``sys``,
+    whose right-hand side reads ``names`` from ``store`` on every run."""
 
     def residuals() -> np.ndarray:
-        ctx = TapeContext()
-        return shooting_residuals(ctx, sys_factory(store), cfg)
+        return shooting_residuals(TapeContext(), sys, cfg)
 
     optim.gauss_newton(store, names, residuals, iterations=iterations)
 

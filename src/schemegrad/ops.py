@@ -4,12 +4,12 @@ A row holds everything the package knows about an op: its name, category
 and arity, which the parser checks; its forward kernel and its VJP, both
 in ``runtime``; for the 24 scalar ops, its scalar kernel (``scalar``, also
 in ``runtime``), the op on ``numpy.float64`` operands, which the machine
-calls in a raw-slot run and the forward calls on numpy-scalar operands;
-and three flags.  ``elementwise`` tells ``backward`` to undo broadcasting
-on the VJP's gradients, ``partial`` puts the op under the error policy's
-safe-domain rule (``runtime.Violations``), and ``eager`` passes the error
-policy to the kernel, so the op raises at once (det and inv, on a
-singular matrix).
+calls in a raw-slot run and a two-operand fold calls on two numpy
+scalars; and three flags.  ``elementwise`` tells ``backward`` to undo
+broadcasting on the VJP's gradients, ``partial`` puts the op under the
+error policy's safe-domain rule (``runtime.Violations``), and ``eager``
+passes the error policy to the kernel, so the op raises at once (det and
+inv, on a singular matrix).
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,

@@ -21,13 +21,12 @@ Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
 kernel (the table's ``scalar`` column): the op on ``numpy.float64``
 operands, returning a ``numpy.float64`` with the bits of the forward on
 0-d arrays.  The machine calls them directly in a raw-slot run (see
-``machine``).  The elementwise forwards call them too when every operand
-is a ``numpy.float64``, as in an all-scalar run of a program with
-non-scalar ops or on such a run's results in ``TapeContext.prim``; the
-type implies an unbatched scalar, so nothing else is checked.  Operands
-of any other type take the array path, whose 0-d results are numpy
-scalars only when an operand is one, so a run that holds no numpy
-scalars sees the 0-d arrays it always did.
+``machine``).  The forwards take the array path, except that a fold of
+two ``numpy.float64`` operands calls the row's kernel: ``TapeContext``
+arithmetic on raw-slot outputs does that.  Ufuncs return numpy scalars
+for 0-d operands; an elementwise result stays one when an operand was
+one, and is a 0-d array when all were 0-d arrays, so a run that holds no
+numpy scalars sees the 0-d arrays it always did.
 """
 
 from __future__ import annotations
@@ -194,17 +193,6 @@ def ordered_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar / elementwise ops
-
-
-def _numpy_scalars(args: list[Value]) -> bool:
-    for a in args:
-        if type(a.data) is not F64:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # scalar kernels: the op table's ``scalar`` column
 #
 # Each takes numpy.float64 operands, an n-ary op two at a time (folded left),
@@ -325,19 +313,15 @@ def _as_float(mask) -> np.ndarray:
 
 
 def _folding(op: str, ufunc, scalar):
-    """An n-ary elementwise op that folds ``ufunc`` left to right; numpy
-    scalars fold the row's scalar kernel."""
+    """An n-ary elementwise op that folds ``ufunc`` left to right; two numpy
+    scalars, such as raw-slot outputs in ``TapeContext`` arithmetic, take
+    the row's scalar kernel."""
     def impl(args, policy=None):
         out = args[0].data
-        if type(out) is F64:  # the one test a batched run pays
-            if len(args) == 2:  # the common arity, without a loop
-                b = args[1].data
-                if type(b) is F64:
-                    return Value.trusted(scalar(out, b), "scalar", False)
-            elif _numpy_scalars(args):
-                for a in args[1:]:
-                    out = scalar(out, a.data)
-                return Value.trusted(out, "scalar", False)
+        if type(out) is F64 and len(args) == 2:  # the one test a batched run pays
+            b = args[1].data
+            if type(b) is F64:
+                return Value.trusted(scalar(out, b), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         out = arrays[0]
         for x in arrays[1:]:
@@ -346,22 +330,16 @@ def _folding(op: str, ufunc, scalar):
     return impl
 
 
-def _unary(op: str, ufunc, scalar):
+def _unary(op: str, ufunc):
     def impl(args, policy=None):
-        x = args[0].data
-        if type(x) is F64:
-            return Value.trusted(scalar(x), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         return _result(ufunc(arrays[0]), kind, batched, arrays)
     return impl
 
 
-def _comparing(op: str, ufunc, scalar):
+def _comparing(op: str, ufunc):
     """A binary comparison; true is 1.0 and false 0.0."""
     def impl(args, policy):
-        a, b = args[0].data, args[1].data
-        if type(a) is F64 and type(b) is F64:
-            return Value.trusted(scalar(a, b), "scalar", False)
         arrays, kind, batched = _align_elementwise(args, op)
         return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched, arrays)
     return impl
@@ -387,40 +365,36 @@ op_modulo = _folding("modulo", scalar_modulo, scalar_modulo)
 op_remainder = _folding("remainder", scalar_remainder, scalar_remainder)
 op_min = _folding("min", np.minimum, scalar_min)
 op_max = _folding("max", np.maximum, scalar_max)
-op_abs = _unary("abs", np.abs, scalar_abs)
-op_sin = _unary("sin", np.sin, scalar_sin)
-op_cos = _unary("cos", np.cos, scalar_cos)
-op_exp = _unary("exp", np.exp, scalar_exp)
-op_sqrt = _unary("sqrt", _sqrt, scalar_sqrt)
-op_log = _unary("log", _log, scalar_log)
-op_eq = _comparing("=", np.equal, scalar_eq)
-op_lt = _comparing("<", np.less, scalar_lt)
-op_gt = _comparing(">", np.greater, scalar_gt)
-op_le = _comparing("<=", np.less_equal, scalar_le)
-op_ge = _comparing(">=", np.greater_equal, scalar_ge)
+op_abs = _unary("abs", np.abs)
+op_sin = _unary("sin", np.sin)
+op_cos = _unary("cos", np.cos)
+op_exp = _unary("exp", np.exp)
+op_sqrt = _unary("sqrt", _sqrt)
+op_log = _unary("log", _log)
+op_eq = _comparing("=", np.equal)
+op_lt = _comparing("<", np.less)
+op_gt = _comparing(">", np.greater)
+op_le = _comparing("<=", np.less_equal)
+op_ge = _comparing(">=", np.greater_equal)
 op_and = _logical("and", np.logical_and)
 op_or = _logical("or", np.logical_or)
 
 # unary minus is 0 - x; shared, so read-only
 _ZERO = Value.scalar(0.0)
 _ZERO.data.flags.writeable = False
-_NP_ZERO = Value.trusted(_F, "scalar", False)
 
 
 def op_sub(args, policy):
     if len(args) == 1:
-        args = [_NP_ZERO if type(args[0].data) is F64 else _ZERO, args[0]]
+        args = [_ZERO, args[0]]
     return _subtract(args)
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
     """pow with a compile-time constant exponent (no exponent operand),
     judged under the error policy as ``apply_primitive`` judges pow."""
-    x = base.data
-    if type(x) is F64:
-        out = Value.trusted(scalar_pow(x, exponent), "scalar", False)
-    else:  # the result has the base's shape, so the base's kind and batching fit it
-        out = Value.trusted(np.asarray(_power(x, exponent)), base.kind, base.batched)
+    # the result has the base's shape, so the base's kind and batching fit it
+    out = Value.trusted(np.asarray(_power(base.data, exponent)), base.kind, base.batched)
     return _judge("pow", out) if policy.raises else out
 
 
@@ -431,9 +405,6 @@ def op_not(args, policy):
 
 def select(cond: Value, then: Value, orelse: Value) -> Value:
     """Elementwise branch blend: picks `then` where cond is non-zero."""
-    c = cond.data
-    if type(c) is F64 and type(then.data) is F64 and type(orelse.data) is F64:
-        return scalar_if(c, then, orelse)
     arrays, kind, batched = _align_elementwise([cond, then, orelse], "if")
     return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched, arrays)
 

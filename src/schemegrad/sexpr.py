@@ -53,20 +53,20 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        starts_number = c.isdigit() or (
-            c in "+-." and i + 1 < n and (source[i + 1].isdigit() or source[i + 1] == ".")
-        ) or (c == "." and i + 1 < n and source[i + 1].isdigit())
+        starts_number = c.isdecimal() or (
+            c in "+-." and i + 1 < n and (source[i + 1].isdecimal() or source[i + 1] == ".")
+        ) or (c == "." and i + 1 < n and source[i + 1].isdecimal())
         if starts_number:
             j = i
             if source[j] in "+-":
                 j += 1
             digits = False
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
                 digits = True
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
                     digits = True
             if not digits:
@@ -75,9 +75,9 @@ def tokenize(source: str) -> list[Token]:
                 j += 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j >= n or not source[j].isdigit():
+                if j >= n or not source[j].isdecimal():
                     raise LexError("unterminated number: exponent has no digits", pos)
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             if j < n and _is_symbol_char(source[j]):
                 raise LexError(f"unterminated number before {source[j]!r}", pos)

@@ -28,9 +28,8 @@ class Value:
     leading.  ``data`` is never written in place: values are shared
     between slots, tapes and runs.  The constructors build ndarrays, but
     the ``data`` of an unbatched scalar may also be a ``numpy.float64``,
-    as in the tape records of an all-scalar run (see ``machine``);
-    the ops' scalar kernels give the same bits on it as the ufuncs on 0-d
-    arrays, at a fraction of the cost.
+    as in the output and tape records of a raw-slot run (see ``machine``);
+    the ops' forwards give the same bits on it as on a 0-d array.
     """
 
     __slots__ = ("data", "kind", "batched")

@@ -97,3 +97,22 @@ def test_experiment_bench_exit_contract(tmp_path, capsys):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["experiment", "warp"])
+
+
+def test_option_the_experiment_does_not_take_is_config_error(tmp_path, capsys):
+    assert main(["experiment", "heat", "--parallel", "2"]) == 2
+    assert "config error" in capsys.readouterr().err
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"id": "bench", "options": {"parallel": 2}}))
+    assert main(["experiment", "bench", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_numeric_input_value_is_config_error(capsys):
+    assert main(["eval", "--expr", "x", "--inputs", "x", "--at", '{"x": "a"}']) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_json_that_is_not_an_object_is_config_error(capsys):
+    assert main(["eval", "--expr", "x", "--inputs", "x", "--at", "[1, 2]"]) == 2
+    assert "config error" in capsys.readouterr().err

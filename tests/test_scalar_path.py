@@ -1,7 +1,8 @@
-"""The scalar paths: runs whose inputs and parameters are all unbatched
-scalars hold their scalars as numpy.float64, as bare slots when every prim
-has a scalar kernel (a raw-slot run) and as Values otherwise.  Each test
-checks them bit for bit against the array path they bypass."""
+"""The scalar path: a run of a scalar-closed program whose inputs and
+parameters are all unbatched scalars holds bare numpy.float64 slots and
+calls the op table's scalar kernels (a raw-slot run); every other run
+takes the array path on 0-d arrays.  Each test checks the scalar kernels
+and the raw-slot run bit for bit against the array path they bypass."""
 
 import dataclasses
 import warnings
@@ -81,7 +82,7 @@ def _check_parity(src, values, expected):
     got = bits(scalar.data)
     assert got == bits(batched.data[0]), f"{src} {values}: scalar != lane 0 of B=2"
     assert got == bits(oracle.data), f"{src} {values}: compiled != interpret_ast"
-    assert type(direct.data) is np.float64
+    assert not direct.batched and np.shape(direct.data) == ()
     assert got == bits(direct.data), f"{src} {values}: != {op} on numpy scalars"
     assert got == bits(want), f"{src} {values}: != ufunc on 0-d arrays"
 
@@ -212,11 +213,15 @@ def _all_scalar_run(x, y):
 
 
 def _unbatched_scalar_types(prog, inputs, store):
-    """The data types of every unbatched scalar the run records: leaves
-    and intermediate results."""
+    """The data types of the unbatched scalars the run records: (those of
+    its constants, those of its inputs, parameters and results)."""
     _, tape = eval_with_tape(prog, inputs, store)
-    return {type(value.data) for _, _, value, _ in tape.nodes
-            if value.kind == "scalar" and not value.batched}
+    named = set(tape.input_ids.values()) | {nid for _, _, nid in tape.param_entries}
+    consts, others = set(), set()
+    for nid, (op, _, value, _) in enumerate(tape.nodes):
+        if value.kind == "scalar" and not value.batched:
+            (consts if op == "leaf" and nid not in named else others).add(type(value.data))
+    return consts, others
 
 
 def _forbidden(*args):
@@ -233,8 +238,9 @@ def test_all_scalar_run_holds_bare_floats(monkeypatch):
         monkeypatch.setattr(machine, name, _forbidden)
     out = eval_program(prog, inputs, store)
     assert type(out.data) is np.ndarray and not out.data.flags.writeable
-    # the tape's leaves and results are Values around numpy scalars
-    assert _unbatched_scalar_types(prog, inputs, store) == {np.float64}
+    # the tape's inputs, parameters and results are Values around numpy
+    # scalars; its constants are the compiled read-only 0-d arrays
+    assert _unbatched_scalar_types(prog, inputs, store) == ({np.ndarray}, {np.float64})
 
 
 @pytest.mark.parametrize("case", ["batched", "vector", "batched_y"])
@@ -250,7 +256,7 @@ def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
     assert machine._check_inputs(prog, inputs, store) is None
     # the param, the constants and what is computed from them alone, such
     # as (* 0.5 y) for an unbatched y, stay 0-d arrays
-    assert _unbatched_scalar_types(prog, inputs, store) == {np.ndarray}
+    assert _unbatched_scalar_types(prog, inputs, store) == ({np.ndarray}, {np.ndarray})
     out = eval_program(prog, inputs, store)
     assert out.data.shape == (3,)
     for i in range(3):
@@ -272,6 +278,29 @@ def test_tape_ref_inputs_take_the_run_kind_of_their_values(case):
     assert (leaves is not None) is (case == "scalar")
 
 
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("leaf", ["scalars", "batched_input", "vector_input", "vector_param"])
+def test_a_run_is_raw_slot_exactly_when_closed_and_every_leaf_is_an_unbatched_scalar(
+        closed, leaf, monkeypatch):
+    src = "(+ (* k x) y)" if closed else "(+ (* k x) (vsum (vec y y)))"
+    prog = compile_source(src, inputs=("x", "y"), params=("k",))
+    assert prog.scalar_closed is closed
+    x = {"batched_input": Value.batch_scalars(_XS), "vector_input": Value.vector(_XS)}.get(
+        leaf, Value.scalar(0.25))
+    store = ParameterStore()
+    store.add("k", np.array([0.5, -2.0, 3.0]) if leaf == "vector_param" else 0.8)
+    inputs = {"x": x, "y": Value.scalar(1.5)}
+    raw = closed and leaf == "scalars"
+    assert (machine._check_inputs(prog, inputs, store) is not None) is raw
+    kernels = []
+    apply = machine.apply_primitive
+    monkeypatch.setattr(machine, "apply_primitive",
+                        lambda op, *rest: kernels.append(op) or apply(op, *rest))
+    out = eval_program(prog, inputs, store)
+    assert (not kernels) is raw  # a raw-slot run calls the scalar column only
+    assert bit_equal(out, interpret_ast(parse(src), {**inputs, "k": store.value_of("k")}))
+
+
 def test_a_vector_parameter_takes_the_value_path():
     prog = compile_source("(* k x)", inputs=("x",), params=("k",))
     store = ParameterStore()
@@ -291,9 +320,10 @@ def test_programs_that_are_not_scalar_closed_match_the_interpreter(src):
     assert not prog.scalar_closed
     for x in (0.0, -0.0, 2.5, NAN):
         env = {n: Value.scalar(x + i) for i, n in enumerate(names)}
-        assert machine._check_inputs(prog, env, None) is not None
-        assert bit_equal(eval_program(prog, env, policy=PROPAGATE_POLICY),
-                         interpret_ast(parse(src), env, PROPAGATE_POLICY))
+        assert machine._check_inputs(prog, env, None) is None  # the array path
+        out = eval_program(prog, env, policy=PROPAGATE_POLICY)
+        assert not out.batched and out.data.shape == ()
+        assert bit_equal(out, interpret_ast(parse(src), env, PROPAGATE_POLICY))
 
 
 # (source, op, instruction): a domain error in a loop or a function body,
@@ -337,7 +367,7 @@ def test_a_taped_raw_run_records_the_value_path_tape(src):
     assert prog.scalar_closed
     inputs = {"x": Value.scalar(0.25), "y": Value.scalar(1.5)}
     tapes, grads = [], []
-    for p in (prog, dataclasses.replace(prog, scalar_closed=False)):  # raw, then Values
+    for p in (prog, dataclasses.replace(prog, scalar_closed=False)):  # raw, then arrays
         store = ParameterStore()
         store.add("k", 0.8)
         out, tape = eval_with_tape(p, inputs, store)
@@ -346,11 +376,12 @@ def test_a_taped_raw_run_records_the_value_path_tape(src):
         grads.append({"k": store.require_grad("k"),
                       **{n: g.data for n, g in result.input_grads.items()}})
         assert tape.replay()
-    raw, boxed = tapes
-    assert len(raw) == len(boxed)
-    for (op, args, value, aux), (op2, args2, value2, aux2) in zip(raw.nodes, boxed.nodes):
+    raw, arrays = tapes
+    assert len(raw) == len(arrays)
+    for (op, args, value, aux), (op2, args2, value2, aux2) in zip(raw.nodes, arrays.nodes):
         assert (op, args, aux) == (op2, args2, aux2)
-        assert type(value.data) is type(value2.data) is np.float64
+        assert (value.kind, value.batched) == (value2.kind, value2.batched) == ("scalar", False)
+        assert np.shape(value.data) == np.shape(value2.data) == ()
         assert bits(value.data) == bits(value2.data)
     assert grads[0].keys() == grads[1].keys() and "x" in grads[0]
     for name, g in grads[0].items():

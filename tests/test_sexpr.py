@@ -6,7 +6,7 @@ import pytest
 from schemegrad import ops
 from schemegrad.autodiff import ParameterStore, backward
 from schemegrad.compiler import compile_source
-from schemegrad.errors import LexError, ParseError, ScopeError
+from schemegrad.errors import LexError, ParseError, SchemegradError, ScopeError
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.sexpr import (
@@ -66,6 +66,16 @@ def test_tokenize_numbers():
     toks = tokenize("1 -2.5 3e4 -1.5e-3 .5")
     assert all(t.kind == "number" for t in toks)
     assert [float(t.text) for t in toks] == [1.0, -2.5, 3e4, -1.5e-3, 0.5]
+
+
+def test_only_decimal_digits_start_a_number():
+    # a superscript two is a digit to str.isdigit but not to float()
+    assert [(t.kind, t.text) for t in tokenize("x² ²")] == [("symbol", "x²"), ("symbol", "²")]
+    assert parse("(+ x ²)") == Prim("+", (Var("x"), Var("²")))
+    with pytest.raises(SchemegradError):
+        compile_source("(+ x ²)", inputs=("x",))
+    # non-ASCII decimal digits are numbers, as float() reads them
+    assert [float(t.text) for t in tokenize("١٢.٥")] == [12.5]
 
 
 def test_comments_skipped():
