@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 
 import numpy as np
@@ -43,18 +44,31 @@ def _json_arg(s: str | None, flag: str) -> dict:
         return {}
     try:
         obj = json.loads(s)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(f"invalid JSON for {flag}: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"{flag} must be a JSON object of name: value")
     return obj
 
 
+def _numbers(v, depth: int = 2) -> bool:
+    """A JSON number (not a boolean), a list of them (a vector) or a list of
+    such lists (a matrix)."""
+    if isinstance(v, list):
+        return depth > 0 and all(_numbers(x, depth - 1) for x in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _value_of(v) -> Value:
+    """An input or parameter value given as JSON: a finite number, vector or
+    matrix.  Anything else is a ConfigError; null, booleans and strings in
+    particular are not read as NaN, 1.0/0.0 or the number they spell."""
     try:
-        arr = np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"not a number or an array of numbers: {v!r}") from e
+        arr = np.asarray(v, dtype=np.float64) if _numbers(v) else None
+    except (ValueError, OverflowError):  # a ragged list; an integer beyond float64
+        arr = None
+    if arr is None or not np.isfinite(arr).all():  # NaN, Infinity, 1e999
+        raise ConfigError(f"not a finite number, vector or matrix: {reprlib.repr(v)}")
     return Value.of(arr)
 
 

@@ -104,9 +104,6 @@ def _instr_text(ins) -> str:
         if op == "pow" and aux is not None:
             return f"pow({_slot(operands[0])}, {aux!r})"
         return f"{op}(" + ", ".join(_slot(o) for o in operands) + ")"
-    if kind == "select":
-        _, _, c, t, e = ins
-        return f"select({_slot(c)}, {_slot(t)}, {_slot(e)})"
     if kind == "loop":
         _, _, ir, inits, caps = ins
         return "loop(" + ", ".join(_slot(o) for o in inits + caps) + ")"

@@ -3,8 +3,10 @@
 Each binding becomes one node; constants dedupe by bit pattern within a
 block; inputs and parameters get one node per name on first use.  A `pow`
 whose exponent is a literal folds the exponent into the node instead of
-materializing a constant.  Loop and function bodies become nested frames
-that import outer values through capture nodes.
+materializing a constant.  A value-position `if` is a prim node of the
+`if` row over its condition and both arms' results; a tail `if` ends its
+block in a branch.  Loop and function bodies become nested frames that
+import outer values through capture nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .values import frozen_scalar
 @dataclass
 class Node:
     id: int
-    kind: str  # const | input | param | prim | select | loop | call | loopvar | capture
+    kind: str  # const | input | param | prim | loop | call | loopvar | capture
     op: str | None = None
     operands: tuple = ()
     aux: object = None
@@ -244,9 +246,8 @@ class _Builder:
             then_ids, then_tail = self._build_program(frame, rhs.then)
             else_ids, else_tail = self._build_program(frame, rhs.orelse)
             assert then_tail[0] == "exit" and else_tail[0] == "exit"
-            return frame.new_node(
-                "select", operands=(cond, then_tail[1], else_tail[1]), debug_name=temp
-            )
+            return frame.new_node("prim", op="if", operands=(cond, then_tail[1], else_tail[1]),
+                                  debug_name=temp)
         if isinstance(rhs, LoopApp):
             init_ids = tuple(self._triv(frame, t) for _, t in rhs.loop_vars)
             body = _Frame(self, parent=frame)
@@ -352,8 +353,6 @@ def _node_to_instr(node: Node) -> tuple:
         return ("param", node.id, node.aux)
     if node.kind == "prim":
         return ("prim", node.id, node.op, node.operands, node.aux, OPS[node.op])
-    if node.kind == "select":
-        return ("select", node.id) + node.operands
     if node.kind in ("loop", "call"):
         n = len(node.aux.var_slots)
         return (node.kind, node.id, node.aux, node.operands[:n], node.operands[n:])

@@ -2,8 +2,10 @@
 
 Evaluates the parse tree directly with the same primitive semantics and
 domain rule as the compiled path; used as the independent oracle for
-compiled evaluation.  It recurses in Python once per call, so past Python's
-recursion limit (below the compiled depth limit) it raises `EvalError`.
+compiled evaluation.  Every primitive and every batched `if` goes through
+``apply_primitive``; a literal `pow` exponent is an operand, not folded.
+It recurses in Python once per call, so past Python's recursion limit
+(below the compiled depth limit) it raises `EvalError`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from .compiler import DEFAULT_MAX_DEPTH
 from .errors import DepthLimitExceeded, EvalError
 from .ops import OPS
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy, Violations,
-                      apply_primitive, pow_immediate, select)
+                      apply_primitive)
 from .sexpr import Call, Const, If, Let, Letrec, Loop, Node, Prim, Recur, Var
 from .values import Value
 
@@ -53,12 +55,8 @@ def interpret_ast(
                 raise EvalError(f"unbound variable {node.name!r}") from None
         if isinstance(node, Prim):
             row = OPS[node.op]
-            if node.op == "pow" and isinstance(node.args[1], Const):
-                base = ev(node.args[0], scope, fns)
-                out = pow_immediate(base, node.args[1].value, PROPAGATE_POLICY)
-            else:
-                args = [ev(a, scope, fns) for a in node.args]
-                out = apply_primitive(node.op, args, policy if row.eager else PROPAGATE_POLICY)
+            args = [ev(a, scope, fns) for a in node.args]
+            out = apply_primitive(node.op, args, policy if row.eager else PROPAGATE_POLICY)
             if violations is not None and row.partial:
                 violations.check(node.op, None, out.data)
             return out
@@ -74,7 +72,7 @@ def interpret_ast(
                 raise EvalError(
                     "recur cannot be guarded by a batched or non-scalar condition"
                 ) from None
-            return select(cond, then, orelse)
+            return apply_primitive("if", [cond, then, orelse], PROPAGATE_POLICY)
         if isinstance(node, Let):
             inner = dict(scope)
             for name, expr in node.bindings:

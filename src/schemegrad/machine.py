@@ -7,17 +7,20 @@ an explicit frame stack, so loop iteration count and recursion depth never
 grow the Python stack.  A ``recur`` tail, a loop's or a function's call to
 itself in tail position, restarts the running body in place and takes no
 depth.  ``eval_program`` and ``run_on_tape`` share the executor; with a
-tape it also records every value for reverse-mode differentiation.
+tape it also records every value for reverse-mode differentiation.  Every
+op, a value-position ``if`` included, is a ``prim`` instruction of its row.
 
 Run kinds.  A run of a scalar-closed program (every prim in every block
 has a scalar kernel, noted at emission) whose inputs and parameters are
 all unbatched scalars is a raw-slot run: it fetches each leaf's float
 once, its slots hold bare ``numpy.float64`` values, a prim calls its row's
-``scalar`` kernel, and a ``Value`` is built only where one leaves the run:
-the output, and the records of a tape.  Every other run takes its
-constants, inputs and parameters as 0-d arrays, because a ufunc given a
-numpy scalar next to an array converts the scalar on every call.  The
-values, tapes and errors of the two are bitwise the same.
+``scalar`` kernel (two operands at a time for a row of unbounded arity,
+all of them at once for a fixed-arity row such as ``if``), and a ``Value``
+is built only where one leaves the run: the output, and the records of a
+tape.  Every other run takes its constants, inputs and parameters as 0-d
+arrays, because a ufunc given a numpy scalar next to an array converts the
+scalar on every call.  The values, tapes and errors of the two are bitwise
+the same.
 """
 
 from __future__ import annotations
@@ -26,16 +29,10 @@ import numpy as np
 
 from .autodiff import TapeRef
 from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
-from .runtime import (
-    ERROR_POLICY,
-    PROPAGATE_POLICY,
-    SafeDomainPolicy,
-    Violations,
-    apply_primitive,
-    pow_immediate,
-    scalar_if,
-    select,
-)
+# The kernels are called through these module globals, which the traced
+# benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
+from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa: F401
+                      Violations, apply_primitive, pow_immediate, select)
 from .values import F64, Value, frozen_scalar
 
 
@@ -89,10 +86,12 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                             out = fn(slots[operands[0]], aux)
                         elif len(operands) == 1:
                             out = fn(slots[operands[0]])
-                        else:  # n-ary: fold left
+                        elif row.max_arity is None:  # n-ary: fold left
                             out = slots[operands[0]]
                             for i in operands[1:]:
                                 out = fn(out, slots[i])
+                        else:  # fixed arity three (if): the kernel takes all three
+                            out = fn(slots[operands[0]], slots[operands[1]], slots[operands[2]])
                     elif aux is not None:
                         out = pow_immediate(slots[operands[0]], aux, PROPAGATE_POLICY)
                     else:
@@ -133,17 +132,6 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                             ids[dest] = inputs[name].tape_id
                         else:
                             ids[dest] = tape.input_leaf(name, v)
-                elif kind == "select":
-                    _, dest, c, t, e = ins
-                    if raw:
-                        out = scalar_if(slots[c], slots[t], slots[e])
-                    else:
-                        out = select(slots[c], slots[t], slots[e])
-                    slots[dest] = out
-                    if taping:
-                        ids[dest] = tape.record(
-                            "if", (ids[c], ids[t], ids[e]),
-                            Value.trusted(out, "scalar", False) if raw else out, None)
                 else:  # loop or call: suspend this frame and enter the body
                     _, dest, ir, outer, caps = ins
                     called = kind == "call"
@@ -251,8 +239,9 @@ def _check_inputs(prog, inputs, params):
 
 
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
-    """Evaluate a compiled program on concrete values.  An unbatched scalar
-    result is returned as a read-only 0-d array, as constants are."""
+    """Evaluate a compiled program on concrete values.  A raw-slot run's
+    result and a constant are read-only 0-d arrays; an array run returns its
+    output slot's Value, writable for ``(+ (dot v v) 1)``."""
     out = _run(prog, inputs, params, policy, None, None, _check_inputs(prog, inputs, params))[0]
     if type(out) is F64:  # a raw-slot run's output
         return frozen_scalar(out)

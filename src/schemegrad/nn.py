@@ -89,14 +89,13 @@ class MlpModel:
     biases start at zero.
     """
 
-    def __init__(self, layer_sizes, activation: str = "relu", rng=None, prefix: str = "",
+    def __init__(self, layer_sizes, activation: str = "relu", rng=None,
                  zero_output: bool = False):
         if activation not in ("relu", "tanh"):
             raise ValueError(f"unsupported activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.activation = activation
-        self.prefix = prefix
         self.store = ParameterStore()
         last = len(self.layer_sizes) - 2
         for i, (n_in, n_out) in enumerate(zip(self.layer_sizes, self.layer_sizes[1:])):
@@ -109,8 +108,8 @@ class MlpModel:
                 # correction heads start as a pure bias so the known term
                 # carries the model until a residual is actually needed
                 w = np.zeros((n_in, n_out))
-            self.store.add(f"{prefix}w{i}", Value.matrix(w))
-            self.store.add(f"{prefix}b{i}", Value.vector(np.zeros(n_out)))
+            self.store.add(f"w{i}", Value.matrix(w))
+            self.store.add(f"b{i}", Value.vector(np.zeros(n_out)))
 
     @property
     def num_layers(self) -> int:
@@ -124,7 +123,7 @@ class MlpModel:
 
     def weight_names(self):
         for i in range(self.num_layers):
-            yield f"{self.prefix}w{i}", f"{self.prefix}b{i}"
+            yield f"w{i}", f"b{i}"
 
 
 def mlp_forward(ctx: TapeContext, model: MlpModel, x: TapeRef) -> TapeRef:

@@ -163,25 +163,22 @@ def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) ->
     ])
 
 
-def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names,
-                        iterations: int = 12) -> None:
+def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names) -> None:
     """Gauss-Newton polish on the multiple-shooting residuals of ``sys``,
     whose right-hand side reads ``names`` from ``store`` on every run."""
 
     def residuals() -> np.ndarray:
         return shooting_residuals(TapeContext(), sys, cfg)
 
-    optim.gauss_newton(store, names, residuals, iterations=iterations)
+    optim.gauss_newton(store, names, residuals)
 
 
-def make_compiled_rhs(programs, stores, input_names, extra_inputs=None):
+def make_compiled_rhs(programs, stores, input_names):
     """RHS from one compiled program per state component.  Each program
-    sees the state components under `input_names` plus any fixed extras."""
+    sees the state components under `input_names`."""
 
     def rhs(ctx, state, t):
         feed = {name: ref for name, ref in zip(input_names, state)}
-        if extra_inputs:
-            feed.update(extra_inputs)
         outs = []
         for prog, store in zip(programs, stores):
             outs.append(ctx.run(prog, feed, store))

@@ -78,8 +78,11 @@ def mse_loss(pred: Value, target: Value):
     return loss, Value(grad, pred.kind, pred.batched)
 
 
-def gauss_newton(store, names, residuals, iterations: int = 12,
-                 fd_step: float = 1e-6, damping: float = 1e-10) -> None:
+GAUSS_NEWTON_ITERATIONS = 12
+GAUSS_NEWTON_DAMPING = 1e-10  # times the mean diagonal of J^T J
+
+
+def gauss_newton(store, names, residuals, fd_step: float = 1e-6) -> None:
     """Deterministic Gauss-Newton on a residual vector over named scalar
     parameters.
 
@@ -88,7 +91,7 @@ def gauss_newton(store, names, residuals, iterations: int = 12,
     machine precision in their ill-conditioned valleys, so the final
     approach uses the normal equations with a finite-difference Jacobian.
     """
-    for _ in range(iterations):
+    for _ in range(GAUSS_NEWTON_ITERATIONS):
         r0 = residuals()
         m = r0.size
         J = np.empty((m, len(names)))
@@ -102,7 +105,7 @@ def gauss_newton(store, names, residuals, iterations: int = 12,
             J[:, k] = (up - down) / (2.0 * fd_step)
         jtj = J.T @ J
         jtr = J.T @ r0
-        mu = damping * np.trace(jtj) / len(names)
+        mu = GAUSS_NEWTON_DAMPING * np.trace(jtj) / len(names)
         try:
             delta = np.linalg.solve(jtj + mu * np.eye(len(names)), -jtr)
         except np.linalg.LinAlgError:

@@ -433,13 +433,13 @@ def pretty(node: Node) -> str:
 
 def check_scope(ast: Node, inputs, params) -> None:
     """Verify every variable and call is bound.  Inputs and params are the
-    externally declared names."""
-    inputs = tuple(inputs)
-    params = tuple(params)
-    overlap = set(inputs) & set(params)
-    if overlap:
-        raise ScopeError(f"names declared both input and parameter: {sorted(overlap)}")
-    for name in inputs + params:
+    externally declared names; each is declared once and is no reserved
+    name."""
+    declared = tuple(inputs) + tuple(params)
+    twice = sorted({name for name in declared if declared.count(name) > 1})
+    if twice:
+        raise ScopeError(f"names declared more than once as input or parameter: {twice}")
+    for name in declared:
         if name in RESERVED_NAMES or name == "if":
             raise ScopeError(f"declared name {name!r} is a reserved primitive")
 
@@ -497,4 +497,4 @@ def check_scope(ast: Node, inputs, params) -> None:
             return
         raise TypeError(f"not an AST node: {node!r}")
 
-    walk(ast, frozenset(inputs + params), {})
+    walk(ast, frozenset(declared), {})

@@ -116,3 +116,26 @@ def test_non_numeric_input_value_is_config_error(capsys):
 def test_json_that_is_not_an_object_is_config_error(capsys):
     assert main(["eval", "--expr", "x", "--inputs", "x", "--at", "[1, 2]"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["null", "true", "false", '"1.5"', "[1, null]", "[true, 2]",
+                                   '["1.5"]', "NaN", "-Infinity", "1e999", "[[1], [1, 2]]",
+                                   "[[1, 2], 3]", "[[[1]]]",
+                                   pytest.param("[" * 900 + "1" + "]" * 900, id="nested900"),
+                                   pytest.param("[" * 5000 + "1" + "]" * 5000, id="nested5000")])
+@pytest.mark.parametrize("flag", ["--at", "--param-values"])
+def test_value_that_is_no_finite_number_vector_or_matrix_is_config_error(capsys, flag, value):
+    values = {"--at": '{"x": 1}', "--param-values": '{"k": 1}'}
+    name = "x" if flag == "--at" else "k"
+    values[flag] = f'{{"{name}": {value}}}'
+    rc = main(["eval", "--expr", "(+ x k)", "--inputs", "x", "--params", "k",
+               "--at", values["--at"], "--param-values", values["--param-values"]])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_finite_numbers_and_vectors_are_accepted(capsys):
+    rc = main(["eval", "--expr", "(+ x k)", "--inputs", "x", "--params", "k",
+               "--at", '{"x": [1, 2.5]}', "--param-values", '{"k": -1}'])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == [0.0, 1.5]

@@ -8,8 +8,11 @@ from schemegrad.experiments.registry import FEYNMAN
 from schemegrad.graph import BlockIR, ComputeGraph, Node, build_graph, toposort
 from schemegrad.lowering import lower_tail_calls
 from schemegrad.machine import eval_program
+from schemegrad.ops import OPS
 from schemegrad.sexpr import parse
 from schemegrad.values import Value, bit_equal
+
+from corpus import CORPUS, CorpusProgram
 
 TWO_OP_SRC = "(* (+ x 1) (- y 2))"
 
@@ -196,3 +199,63 @@ def test_lazy_branch_in_loop_tail_terminates():
 def test_disassembly_shows_pow_immediate():
     prog = compile_source("(pow r 2)", inputs=("r",))
     assert "pow(slot[0], 2.0)" in disassemble(prog)
+
+
+VALUE_IF_SRC = "(* 2 (if (> x 0) (sqrt x) (- 0 x)))"
+
+VALUE_IF_DISASSEMBLY = """\
+slot[0] = x                       ; input
+slot[1] = 0.0                     ; constant
+slot[2] = >(slot[0], slot[1])     ; __t0
+slot[3] = sqrt(slot[0])           ; __t1
+slot[4] = slot[1] - slot[0]       ; __t2
+slot[5] = if(slot[2], slot[3], slot[4]); __t3
+slot[6] = 2.0                     ; constant
+slot[7] = slot[6] * slot[5]       ; output"""
+
+
+def test_value_position_if_is_a_prim_of_the_if_row():
+    prog = compile_source(VALUE_IF_SRC, inputs=("x",))
+    assert disassemble(prog) == VALUE_IF_DISASSEMBLY
+    ins = prog.block.instrs[5]
+    assert ins[:4] == ("prim", 5, "if", (2, 3, 4)) and ins[5] is OPS["if"]
+
+
+def _instruction_kinds(prog) -> set:
+    """The kinds of every instruction in every block of ``prog``: the top
+    block, branch arms, loop bodies and function bodies."""
+    kinds, seen = set(), set()
+
+    def body(ir):
+        if id(ir) not in seen:
+            seen.add(id(ir))
+            block(ir.block)
+
+    def block(b):
+        for ins in b.instrs:
+            kinds.add(ins[0])
+            if ins[0] in ("loop", "call"):
+                body(ins[2])
+        if b.tail[0] == "branch":
+            block(b.tail[2])
+            block(b.tail[3])
+
+    block(prog.block)
+    for fn in prog.functions:
+        body(fn)
+    return kinds
+
+
+VALUE_IF_PROGRAMS = [
+    CorpusProgram("value_if", VALUE_IF_SRC, ("x",)),
+    CorpusProgram("value_if_in_loop", "(loop ((i 0) (acc 0)) (if (< i 4)"
+                  " (recur (+ i 1) (+ acc (if (> x i) x 0))) acc))", ("x",)),
+    CorpusProgram("value_if_in_function", "(letrec ((f (lambda (n) (if (> n 0)"
+                  " (call f (- n 1)) (+ n (if (> x 0) x 1)))))) (call f 2))", ("x",)),
+]
+
+
+@pytest.mark.parametrize("prog", CORPUS + VALUE_IF_PROGRAMS, ids=lambda p: p.id)
+def test_every_instruction_is_one_of_six_kinds(prog):
+    compiled = compile_source(prog.source, inputs=prog.inputs, params=tuple(prog.params))
+    assert _instruction_kinds(compiled) <= {"const", "input", "param", "prim", "loop", "call"}

@@ -115,7 +115,7 @@ def test_select_numpy_scalar_path_is_bitwise_np_where(c, a, b):
 
 
 SCALAR_ROWS = sorted(name for name, row in OPS.items() if row.scalar is not None)
-IMMEDIATES = (2.0, 3.0, 0.5, -1.0, 1e3)
+IMMEDIATES = (2.0, 3.0, 0.5, -1.0, 1.5, -2.5, 1e3)
 _COLUMN_PROGS = {}
 
 

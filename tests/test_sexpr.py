@@ -195,6 +195,12 @@ def test_scope_check():
         )
     with pytest.raises(ScopeError):
         check_scope(parse("x"), inputs=["x"], params=["x"])
+    with pytest.raises(ScopeError, match="more than once"):
+        check_scope(parse("(+ x x)"), inputs=["x", "x"], params=[])
+    with pytest.raises(ScopeError, match="more than once"):
+        check_scope(parse("(* k x)"), inputs=["x"], params=["k", "k"])
+    with pytest.raises(ScopeError, match="more than once"):
+        compile_source("(+ x x)", inputs=("x", "x"))
 
 
 def test_begin_means_last_expression():
