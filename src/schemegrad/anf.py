@@ -7,6 +7,12 @@ compiler can choose eager (select) or lazy lowering; loop and function
 bodies are nested programs with explicit tails.  A function's call to
 itself in tail position is a ``TailRecur``, as a loop's ``recur`` is: the
 executor runs both as a jump back to the start of the body.
+
+ANF nodes are slotted dataclasses, like the AST's (see ``sexpr``): they are
+not frozen, which would make them over twice as costly to build, but no
+phase assigns to one after building it, since equality and hashing read its
+fields.  The trivials are ``Const`` and ``Var`` nodes, often the parse
+tree's own.
 """
 
 from __future__ import annotations
@@ -25,50 +31,52 @@ def fresh_temp(counter: int) -> str:
 # ---------------------------------------------------------------------------
 # ANF structures
 
+_anf_node = dataclass(slots=True, unsafe_hash=True)
 
-@dataclass(frozen=True)
+
+@_anf_node
 class PrimApp:
     op: str
     args: tuple  # trivials (Const | Var)
 
 
-@dataclass(frozen=True)
+@_anf_node
 class SelectApp:
     cond: object  # trivial
     then: "AnfProgram"
     orelse: "AnfProgram"
 
 
-@dataclass(frozen=True)
+@_anf_node
 class LoopApp:
     loop_vars: tuple  # of (name, trivial)
     body: "AnfProgram"
 
 
-@dataclass(frozen=True)
+@_anf_node
 class CallApp:
     fn: str  # unique function id
     args: tuple
 
 
-@dataclass(frozen=True)
+@_anf_node
 class Return:
     value: object  # trivial
 
 
-@dataclass(frozen=True)
+@_anf_node
 class TailRecur:
     args: tuple
 
 
-@dataclass(frozen=True)
+@_anf_node
 class TailIf:
     cond: object
     then: "AnfProgram"
     orelse: "AnfProgram"
 
 
-@dataclass
+@dataclass(slots=True)
 class AnfFunction:
     uid: str
     user_name: str
@@ -76,7 +84,7 @@ class AnfFunction:
     body: "AnfProgram"
 
 
-@dataclass
+@dataclass(slots=True)
 class AnfProgram:
     bindings: tuple  # of (temp name, rhs)
     tail: object
@@ -85,138 +93,131 @@ class AnfProgram:
 
 # ---------------------------------------------------------------------------
 # the transform
+#
+# ``scope`` maps a source name to the trivial that holds its value, ``fns``
+# a function's source name to its unique id, and ``out`` is the binding list
+# of the program being built.
 
 
-class _Ctx:
+class _Normalizer:
+    """Fresh-name counters and the hoisted functions of one transform."""
+
     def __init__(self):
         self.temp_counter = 0
         self.var_counter = 0
         self.fn_counter = 0
         self.functions: list[AnfFunction] = []
 
-    def temp(self) -> str:
-        name = fresh_temp(self.temp_counter)
-        self.temp_counter += 1
-        return name
-
-    def var(self, user: str) -> str:
+    def fresh_var(self, user: str) -> str:
         name = f"__v{self.var_counter}_{user}"
         self.var_counter += 1
         return name
 
-    def fn_uid(self, user: str) -> str:
-        uid = f"__f{self.fn_counter}_{user}"
-        self.fn_counter += 1
-        return uid
-
-
-class _Builder:
-    def __init__(self, ctx: _Ctx):
-        self.ctx = ctx
-        self.bindings: list = []
-
-    def emit(self, rhs) -> Var:
-        name = self.ctx.temp()
-        self.bindings.append((name, rhs))
+    def emit(self, rhs, out: list) -> Var:
+        name = fresh_temp(self.temp_counter)
+        self.temp_counter += 1
+        out.append((name, rhs))
         return Var(name)
 
+    def value(self, node: Node, scope: dict, fns: dict, out: list):
+        """Normalize in value context; returns a trivial."""
+        cls = node.__class__
+        if cls is Var:  # a name bound outside the program is itself
+            return scope.get(node.name, node)
+        if cls is Const:
+            return node
+        if cls is Prim:
+            args = []
+            for a in node.args:
+                kind = a.__class__
+                if kind is Var:
+                    a = scope.get(a.name, a)
+                elif kind is not Const:
+                    a = self.value(a, scope, fns, out)
+                args.append(a)
+            return self.emit(PrimApp(node.op, tuple(args)), out)
+        if cls is If:
+            cond = self.value(node.cond, scope, fns, out)
+            then = self.body(node.then, scope, fns, lazy=False)
+            orelse = self.body(node.orelse, scope, fns, lazy=False)
+            return self.emit(SelectApp(cond, then, orelse), out)
+        if cls is Let:
+            inner = dict(scope)
+            for name, expr in node.bindings:
+                inner[name] = self.value(expr, inner, fns, out)  # alias, no copy binding
+            return self.value(node.body, inner, fns, out)
+        if cls is Loop:
+            inner = dict(scope)
+            lvars = []
+            for name, expr in node.vars:
+                init = self.value(expr, scope, fns, out)  # initial values see the enclosing scope
+                fresh = self.fresh_var(name)
+                inner[name] = Var(fresh)
+                lvars.append((fresh, init))
+            body = self.body(node.body, inner, fns, lazy=True)
+            return self.emit(LoopApp(tuple(lvars), body), out)
+        if cls is Letrec:
+            return self.value(node.body, scope, self.hoist(node, scope, fns), out)
+        if cls is Call:
+            args = tuple([self.value(a, scope, fns, out) for a in node.args])
+            return self.emit(CallApp(fns[node.name], args), out)
+        if cls is Recur:
+            raise AssertionError("recur outside tail position survived parsing")
+        raise TypeError(f"not an AST node: {node!r}")
 
-def _norm(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx):
-    """Normalize in value context; returns a trivial."""
-    if isinstance(node, Const):
-        return Const(node.value)
-    if isinstance(node, Var):  # a name bound outside the program is itself
-        return scope.get(node.name) or Var(node.name)
-    if isinstance(node, Prim):
-        args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
-        return b.emit(PrimApp(node.op, args))
-    if isinstance(node, If):
-        cond = _norm(node.cond, scope, fns, b, ctx)
-        then = _norm_body(node.then, scope, fns, ctx, lazy=False)
-        orelse = _norm_body(node.orelse, scope, fns, ctx, lazy=False)
-        return b.emit(SelectApp(cond, then, orelse))
-    if isinstance(node, Let):
-        inner = dict(scope)
-        for name, expr in node.bindings:
-            inner[name] = _norm(expr, inner, fns, b, ctx)  # alias, no copy binding
-        return _norm(node.body, inner, fns, b, ctx)
-    if isinstance(node, Loop):
-        inner = dict(scope)
-        lvars = []
-        for name, expr in node.vars:
-            init = _norm(expr, scope, fns, b, ctx)  # initial values see the enclosing scope
-            fresh = ctx.var(name)
-            inner[name] = Var(fresh)
-            lvars.append((fresh, init))
-        body = _norm_body(node.body, inner, fns, ctx, lazy=True)
-        return b.emit(LoopApp(tuple(lvars), body))
-    if isinstance(node, Letrec):
-        uid = _hoist_function(node, scope, fns, ctx)
+    def hoist(self, node: Letrec, scope: dict, fns: dict) -> dict:
+        """Lift a letrec function to the top level; returns ``fns`` with its
+        name bound."""
+        uid = f"__f{self.fn_counter}_{node.name}"
+        self.fn_counter += 1
+        fresh_params = tuple([self.fresh_var(p) for p in node.params])
+        fn_scope = dict(scope)
+        for user, fresh in zip(node.params, fresh_params):
+            fn_scope[user] = Var(fresh)
         inner_fns = dict(fns)
         inner_fns[node.name] = uid
-        return _norm(node.body, scope, inner_fns, b, ctx)
-    if isinstance(node, Call):
-        args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
-        return b.emit(CallApp(fns[node.name], args))
-    if isinstance(node, Recur):
-        raise AssertionError("recur outside tail position survived parsing")
-    raise TypeError(f"not an AST node: {node!r}")
+        body = self.body(node.fnbody, fn_scope, inner_fns, lazy=True, self_uid=uid)
+        self.functions.append(AnfFunction(uid, node.name, fresh_params, body))
+        return inner_fns
 
+    def body(self, node: Node, scope: dict, fns: dict, lazy: bool,
+             self_uid: str | None = None) -> AnfProgram:
+        out = []
+        tail = self.tail(node, scope, fns, out, lazy, self_uid)
+        return AnfProgram(tuple(out), tail)
 
-def _hoist_function(node: Letrec, scope: dict, fns: dict, ctx: _Ctx) -> str:
-    uid = ctx.fn_uid(node.name)
-    fresh_params = tuple(ctx.var(p) for p in node.params)
-    fn_scope = dict(scope)
-    for user, fresh in zip(node.params, fresh_params):
-        fn_scope[user] = Var(fresh)
-    fn_fns = dict(fns)
-    fn_fns[node.name] = uid
-    body = _norm_body(node.fnbody, fn_scope, fn_fns, ctx, lazy=True, self_uid=uid)
-    ctx.functions.append(AnfFunction(uid, node.name, fresh_params, body))
-    return uid
-
-
-def _norm_body(node: Node, scope: dict, fns: dict, ctx: _Ctx, lazy: bool,
-               self_uid: str | None = None) -> AnfProgram:
-    b = _Builder(ctx)
-    tail = _norm_tail(node, scope, fns, b, ctx, lazy, self_uid)
-    return AnfProgram(tuple(b.bindings), tail)
-
-
-def _norm_tail(node: Node, scope: dict, fns: dict, b: _Builder, ctx: _Ctx, lazy: bool,
-               self_uid: str | None = None):
-    """Normalize in tail position.  ``self_uid`` is the function whose body
-    this tail ends, if any: a call to it here is a jump back to the body's
-    start with new arguments, so it becomes a ``TailRecur``."""
-    if isinstance(node, Recur):
-        args = tuple(_norm(a, scope, fns, b, ctx) for a in node.args)
-        return TailRecur(args)
-    if isinstance(node, Let):
-        inner = dict(scope)
-        for name, expr in node.bindings:
-            inner[name] = _norm(expr, inner, fns, b, ctx)
-        return _norm_tail(node.body, inner, fns, b, ctx, lazy, self_uid)
-    if isinstance(node, Letrec):
-        uid = _hoist_function(node, scope, fns, ctx)
-        inner_fns = dict(fns)
-        inner_fns[node.name] = uid
-        return _norm_tail(node.body, scope, inner_fns, b, ctx, lazy, self_uid)
-    if lazy and isinstance(node, If):
-        cond = _norm(node.cond, scope, fns, b, ctx)
-        then = _norm_body(node.then, scope, fns, ctx, lazy=True, self_uid=self_uid)
-        orelse = _norm_body(node.orelse, scope, fns, ctx, lazy=True, self_uid=self_uid)
-        return TailIf(cond, then, orelse)
-    if isinstance(node, Call) and fns[node.name] == self_uid:
-        return TailRecur(tuple(_norm(a, scope, fns, b, ctx) for a in node.args))
-    value = _norm(node, scope, fns, b, ctx)
-    return Return(value)
+    def tail(self, node: Node, scope: dict, fns: dict, out: list, lazy: bool,
+             self_uid: str | None):
+        """Normalize in tail position.  ``self_uid`` is the function whose body
+        this tail ends, if any: a call to it here is a jump back to the body's
+        start with new arguments, so it becomes a ``TailRecur``."""
+        cls = node.__class__
+        if cls is Recur:
+            return TailRecur(tuple([self.value(a, scope, fns, out) for a in node.args]))
+        if cls is Let:
+            inner = dict(scope)
+            for name, expr in node.bindings:
+                inner[name] = self.value(expr, inner, fns, out)
+            return self.tail(node.body, inner, fns, out, lazy, self_uid)
+        if cls is Letrec:
+            return self.tail(node.body, scope, self.hoist(node, scope, fns), out, lazy,
+                             self_uid)
+        if lazy and cls is If:
+            cond = self.value(node.cond, scope, fns, out)
+            then = self.body(node.then, scope, fns, lazy=True, self_uid=self_uid)
+            orelse = self.body(node.orelse, scope, fns, lazy=True, self_uid=self_uid)
+            return TailIf(cond, then, orelse)
+        if cls is Call and fns[node.name] == self_uid:
+            return TailRecur(tuple([self.value(a, scope, fns, out) for a in node.args]))
+        return Return(self.value(node, scope, fns, out))
 
 
 def to_anf(ast: Node) -> AnfProgram:
     """Flatten a parse tree to A-normal form."""
-    ctx = _Ctx()
-    prog = _norm_body(ast, {}, {}, ctx, lazy=False)
-    return AnfProgram(prog.bindings, prog.tail, tuple(ctx.functions))
+    norm = _Normalizer()
+    out = []
+    tail = norm.tail(ast, {}, {}, out, lazy=False, self_uid=None)
+    return AnfProgram(tuple(out), tail, tuple(norm.functions))
 
 
 # ---------------------------------------------------------------------------

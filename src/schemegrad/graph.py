@@ -7,32 +7,33 @@ materializing a constant.  A value-position `if` is a prim node of the
 `if` row over its condition and both arms' results; a tail `if` ends its
 block in a branch.  Loop and function bodies become nested frames that
 import outer values through capture nodes.
+
+The builder makes each node's instruction tuple (see ``machine``) as it
+makes the node, in one pass.  A ``Node`` is a named tuple, so it cannot
+change once built; ``ComputeGraph.nodes`` lists the top level's nodes, whose
+ids are their slots.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .anf import (AnfProgram, CallApp, LoopApp, PrimApp, Return, SelectApp, TailIf,
                   TailRecur, names_in_program)
 from .errors import CycleDetected, UnboundVariable
 from .ops import OPS
-from .sexpr import Const, Var
+from .sexpr import Const
 from .values import frozen_scalar
 
-# Node kinds that execute as instructions plus frame-entry kinds
-# (loopvar/capture) whose slots are written by the loop/call machinery.
+# kind: const | input | param | prim | loop | call execute as instructions;
+# loopvar | capture are frame entries whose slots the loop/call machinery
+# writes.
+Node = namedtuple("Node", "id kind op operands aux debug_name",
+                  defaults=(None, (), None, None))
 
-
-@dataclass
-class Node:
-    id: int
-    kind: str  # const | input | param | prim | loop | call | loopvar | capture
-    op: str | None = None
-    operands: tuple = ()
-    aux: object = None
-    debug_name: str | None = None
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -67,81 +68,71 @@ class ComputeGraph:
     scalar_closed: bool = False  # every prim in every block has a scalar kernel to apply
 
 
-def _const_key(v: float) -> bytes:
-    return struct.pack("<d", v)
-
-
 # Ops whose n-ary application folds from the right; their operands are
 # interned right-to-left (accumulator order), everything else left-to-right.
 _RIGHT_FOLD = frozenset(["+", "*"])
 
+_pack_double = struct.Struct("<d").pack
+
+
+def _const_values(v: float) -> tuple:
+    """What a const instruction stores into its slot, built once and shared
+    by every run and tape: a read-only 0-d array Value, and its bare
+    float64 for a raw-slot run (see ``machine``)."""
+    arr = frozen_scalar(v)
+    return arr, arr.data[()]
+
 
 class _Frame:
     """Graph-building state for one slot space (top level, loop body, or
-    function body)."""
+    function body).  ``instrs`` and ``consts`` belong to the open block:
+    a constant first seen inside a lazy branch must not be shared with code
+    outside it."""
 
-    def __init__(self, builder: "_Builder", parent: "_Frame | None", is_top: bool = False):
+    __slots__ = ("builder", "parent", "nodes", "env", "capture_names", "capture_outer",
+                 "instrs", "consts")
+
+    def __init__(self, builder: "_Builder", parent: "_Frame | None"):
         self.builder = builder
-        self.parent = parent
-        self.is_top = is_top
+        self.parent = parent  # the enclosing frame of a loop body
         self.nodes: list[Node] = []
         self.env: dict[str, int] = {}
-        self.input_slots: dict[str, int] = {}
-        self.param_slots: dict[str, int] = {}
         self.capture_names: list[str] = []
         self.capture_outer: list[int] = []  # parent ids (loop bodies)
-        # Constant pools are per block: a value first seen inside a lazy
-        # branch must not be shared with code outside it.
-        self._const_pools: list[dict[bytes, int]] = [{}]
-        self._blocks: list[list[int]] = [[]]  # node ids per open block
+        self.instrs: list[tuple] = []
+        self.consts: dict[bytes, int] = {}  # bit pattern -> node id
 
-    # -- node allocation --
-
-    def new_node(self, kind, op=None, operands=(), aux=None, debug_name=None,
-                 executes=True) -> int:
+    def node(self, kind, op=None, operands=(), aux=None, debug_name=None) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(nid, kind, op, operands, aux, debug_name))
-        if executes:
-            self._blocks[-1].append(nid)
+        self.nodes.append(_new_tuple(Node, (nid, kind, op, operands, aux, debug_name)))
         return nid
 
-    def _push_block(self):
-        self._blocks.append([])
-        self._const_pools.append({})
-
-    def _pop_block(self) -> list[int]:
-        self._const_pools.pop()
-        return self._blocks.pop()
-
-    # -- interning --
-
-    def intern_const(self, v: float) -> int:
-        pool = self._const_pools[-1]
-        key = _const_key(v)
-        nid = pool.get(key)
+    def const(self, v: float) -> int:
+        key = _pack_double(v)
+        nid = self.consts.get(key)
         if nid is None:
-            nid = self.new_node("const", aux=v)
-            pool[key] = nid
+            nid = self.consts[key] = self.node("const", aux=v)
+            self.instrs.append(("const", nid, v) + _const_values(v))
         return nid
+
+    def triv(self, t) -> int:
+        if t.__class__ is Const:
+            return self.const(t.value)
+        nid = self.env.get(t.name)
+        return self.resolve(t.name) if nid is None else nid
 
     def resolve(self, name: str) -> int:
         nid = self.env.get(name)
         if nid is not None:
             return nid
-        if self.is_top:
-            return self.builder._resolve_leaf(self, name)
+        if self is self.builder.top:
+            return self.builder.leaf(name)
+        nid = self.env[name] = self.node("capture", aux=name)
+        self.capture_names.append(name)
         if self.parent is not None:
             # loop body: import the outer value through a capture slot
-            outer = self.parent.resolve(name)
-            nid = self.new_node("capture", aux=name, executes=False)
-            self.env[name] = nid
-            self.capture_names.append(name)
-            self.capture_outer.append(outer)
-            return nid
-        # function frame: captures are resolved by name at each call site
-        nid = self.new_node("capture", aux=name, executes=False)
-        self.env[name] = nid
-        self.capture_names.append(name)
+            self.capture_outer.append(self.parent.resolve(name))
+        # a function frame's captures are resolved by name at each call site
         return nid
 
 
@@ -171,131 +162,136 @@ def _function_captures(functions) -> dict[str, tuple]:
 
 class _Builder:
     def __init__(self, inputs, params, functions):
-        self.input_names = list(inputs)
-        self.param_names = list(params)
+        self.input_names = tuple(inputs)
+        self.param_names = tuple(params)
+        self.input_slots: dict[str, int] = {}
+        self.param_slots: dict[str, int] = {}
         self.fn_defs = {fn.uid: fn for fn in functions}
-        self.fn_captures = _function_captures(functions)
+        self.fn_captures = _function_captures(functions) if functions else {}
         self.fn_irs: dict[str, BodyIR] = {}
         self.scalar_closed = True  # noted as prim nodes are built
-
-    # -- frames --
+        self.top = _Frame(self, None)
 
     def build_top(self, prog: AnfProgram) -> ComputeGraph:
-        frame = _Frame(self, parent=None, is_top=True)
-        block_ids, tail = self._build_program(frame, prog)
+        frame = self.top
+        block = self._block(frame, prog)
         return ComputeGraph(
             nodes=frame.nodes,
-            output=tail[1] if tail[0] == "exit" else -1,
-            input_slots=frame.input_slots,
-            param_slots=frame.param_slots,
+            output=block.tail[1] if block.tail[0] == "exit" else -1,
+            input_slots=self.input_slots,
+            param_slots=self.param_slots,
             functions=list(self.fn_irs.values()),
-            block=_to_block(frame, block_ids, tail),
+            block=block,
             scalar_closed=self.scalar_closed,
         )
 
-    def _resolve_leaf(self, frame: _Frame, name: str) -> int:
+    def leaf(self, name: str) -> int:
         """Top-frame resolution: declared inputs/params become leaf nodes."""
-        if name in frame.env:
-            return frame.env[name]
+        frame = self.top
         if name in self.input_names:
-            nid = frame.new_node("input", aux=name)
-            frame.env[name] = nid
-            frame.input_slots[name] = nid
-            return nid
-        if name in self.param_names:
-            nid = frame.new_node("param", aux=name)
-            frame.env[name] = nid
-            frame.param_slots[name] = nid
-            return nid
-        raise UnboundVariable(f"unbound variable {name!r}")
+            kind, slots = "input", self.input_slots
+        elif name in self.param_names:
+            kind, slots = "param", self.param_slots
+        else:
+            raise UnboundVariable(f"unbound variable {name!r}")
+        nid = frame.env[name] = slots[name] = frame.node(kind, aux=name)
+        frame.instrs.append((kind, nid, name))
+        return nid
 
-    def _build_program(self, frame: _Frame, prog: AnfProgram):
-        """Emit nodes for a program's bindings into the frame's current
-        block; returns (block node ids, tail tuple over node ids)."""
+    def _block(self, frame: _Frame, prog: AnfProgram) -> BlockIR:
+        """A program built into the frame's open block, as that block."""
+        tail = self._build_program(frame, prog)
+        return BlockIR(tuple(frame.instrs), tail)
+
+    def _build_program(self, frame: _Frame, prog: AnfProgram) -> tuple:
+        """Emit a program's bindings into the frame's open block; returns
+        its tail over node ids."""
+        env = frame.env
         for temp, rhs in prog.bindings:
-            nid = self._build_rhs(frame, rhs, temp)
-            frame.env[temp] = nid
+            if rhs.__class__ is PrimApp:
+                env[temp] = self._build_prim(frame, rhs, temp)
+            else:
+                env[temp] = self._build_rhs(frame, rhs, temp)
         tail = prog.tail
-        if isinstance(tail, Return):
-            return frame._blocks[-1], ("exit", self._triv(frame, tail.value))
-        if isinstance(tail, TailRecur):
-            return frame._blocks[-1], ("recur", tuple(self._triv(frame, a) for a in tail.args))
-        if isinstance(tail, TailIf):
-            cond = self._triv(frame, tail.cond)
-            frame._push_block()
-            then_ids, then_tail = self._build_program(frame, tail.then)
-            frame._pop_block()
-            frame._push_block()
-            else_ids, else_tail = self._build_program(frame, tail.orelse)
-            frame._pop_block()
-            return frame._blocks[-1], (
-                "branch", cond, (tuple(then_ids), then_tail), (tuple(else_ids), else_tail)
-            )
+        if tail.__class__ is Return:
+            return "exit", frame.triv(tail.value)
+        if tail.__class__ is TailRecur:
+            return "recur", tuple([frame.triv(a) for a in tail.args])
+        if tail.__class__ is TailIf:
+            cond = frame.triv(tail.cond)
+            outer = frame.instrs, frame.consts
+            frame.instrs, frame.consts = [], {}
+            then_block = self._block(frame, tail.then)
+            frame.instrs, frame.consts = [], {}
+            else_block = self._block(frame, tail.orelse)
+            frame.instrs, frame.consts = outer
+            return "branch", cond, then_block, else_block
         raise TypeError(f"not an ANF tail: {tail!r}")
 
-    def _triv(self, frame: _Frame, t) -> int:
-        if isinstance(t, Const):
-            return frame.intern_const(t.value)
-        return frame.resolve(t.name)
-
     def _build_rhs(self, frame: _Frame, rhs, temp: str) -> int:
-        if isinstance(rhs, PrimApp):
-            return self._build_prim(frame, rhs, temp)
         if isinstance(rhs, SelectApp):
-            cond = self._triv(frame, rhs.cond)
-            then_ids, then_tail = self._build_program(frame, rhs.then)
-            else_ids, else_tail = self._build_program(frame, rhs.orelse)
+            cond = frame.triv(rhs.cond)
+            then_tail = self._build_program(frame, rhs.then)
+            else_tail = self._build_program(frame, rhs.orelse)
             assert then_tail[0] == "exit" and else_tail[0] == "exit"
-            return frame.new_node("prim", op="if", operands=(cond, then_tail[1], else_tail[1]),
-                                  debug_name=temp)
+            operands = (cond, then_tail[1], else_tail[1])
+            nid = frame.node("prim", "if", operands, debug_name=temp)
+            frame.instrs.append(("prim", nid, "if", operands, None, OPS["if"]))
+            return nid
         if isinstance(rhs, LoopApp):
-            init_ids = tuple(self._triv(frame, t) for _, t in rhs.loop_vars)
+            init_ids = tuple([frame.triv(t) for _, t in rhs.loop_vars])
             body = _Frame(self, parent=frame)
-            var_slots = tuple(
-                body.new_node("loopvar", aux=name, executes=False)
-                for name, _ in rhs.loop_vars
-            )
-            for (name, _), slot in zip(rhs.loop_vars, var_slots):
-                body.env[name] = slot
-            block_ids, tail = self._build_program(body, rhs.body)
+            var_slots = []
+            for name, _ in rhs.loop_vars:
+                slot = body.env[name] = body.node("loopvar", aux=name)
+                var_slots.append(slot)
+            block = self._block(body, rhs.body)
             loop_ir = BodyIR(
-                var_slots=var_slots,
-                capture_slots=tuple(body.env[n] for n in body.capture_names),
+                var_slots=tuple(var_slots),
+                capture_slots=tuple([body.env[n] for n in body.capture_names]),
                 slot_count=len(body.nodes),
-                block=_to_block(body, block_ids, tail),
+                block=block,
             )
-            cap_outer = tuple(body.capture_outer)
-            return frame.new_node(
-                "loop", operands=init_ids + cap_outer, aux=loop_ir, debug_name=temp
-            )
+            return self._call_node(frame, "loop", loop_ir, init_ids,
+                                   tuple(body.capture_outer), temp)
         if isinstance(rhs, CallApp):
             fn_ir = self._fn_ir(rhs.fn)
-            arg_ids = tuple(self._triv(frame, a) for a in rhs.args)
-            cap_ids = tuple(self._triv(frame, Var(n)) for n in fn_ir.capture_names)
-            return frame.new_node(
-                "call", operands=arg_ids + cap_ids, aux=fn_ir, debug_name=temp
-            )
+            arg_ids = tuple([frame.triv(a) for a in rhs.args])
+            cap_ids = tuple([frame.resolve(n) for n in fn_ir.capture_names])
+            return self._call_node(frame, "call", fn_ir, arg_ids, cap_ids, temp)
         raise TypeError(f"not an ANF rhs: {rhs!r}")
+
+    @staticmethod
+    def _call_node(frame: _Frame, kind: str, ir: BodyIR, var_ids: tuple, cap_ids: tuple,
+                   temp: str) -> int:
+        nid = frame.node(kind, operands=var_ids + cap_ids, aux=ir, debug_name=temp)
+        frame.instrs.append((kind, nid, ir, var_ids, cap_ids))
+        return nid
 
     def _build_prim(self, frame: _Frame, rhs: PrimApp, temp: str) -> int:
         op = rhs.op
         args = rhs.args
-        if op == "pow" and isinstance(args[1], Const):
-            base = self._triv(frame, args[0])
-            return frame.new_node("prim", op="pow", operands=(base,),
-                                  aux=args[1].value, debug_name=temp)
-        if op == "-" and len(args) == 1:
-            zero = frame.intern_const(0.0)
-            x = self._triv(frame, args[0])
-            return frame.new_node("prim", op="-", operands=(zero, x), debug_name=temp)
-        row = OPS[op]
-        if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
-            self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
-        order = reversed(args) if op in _RIGHT_FOLD else args
-        for a in order:
-            self._triv(frame, a)  # intern in fold order; resolution is idempotent
-        operands = tuple(self._triv(frame, a) for a in args)
-        return frame.new_node("prim", op=op, operands=operands, debug_name=temp)
+        aux = None
+        if op == "pow" and args[1].__class__ is Const:
+            aux = args[1].value
+            operands = (frame.triv(args[0]),)
+        elif op == "-" and len(args) == 1:
+            zero = frame.const(0.0)
+            operands = (zero, frame.triv(args[0]))
+        else:
+            row = OPS[op]
+            if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
+                self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
+            if op in _RIGHT_FOLD:
+                # intern in fold order
+                operands = [frame.triv(a) for a in reversed(args)]
+                operands.reverse()
+                operands = tuple(operands)
+            else:
+                operands = tuple([frame.triv(a) for a in args])
+        nid = frame.node("prim", op, operands, aux, temp)
+        frame.instrs.append(("prim", nid, op, operands, aux, OPS[op]))
+        return nid
 
     def _fn_ir(self, uid: str) -> BodyIR:
         ir = self.fn_irs.get(uid)
@@ -304,59 +300,26 @@ class _Builder:
         fn = self.fn_defs[uid]
         capture_names = self.fn_captures[uid]
         frame = _Frame(self, parent=None)
-        var_slots = tuple(
-            frame.new_node("loopvar", aux=p, executes=False) for p in fn.params
-        )
-        for p, slot in zip(fn.params, var_slots):
-            frame.env[p] = slot
+        var_slots = []
+        for p in fn.params:
+            slot = frame.env[p] = frame.node("loopvar", aux=p)
+            var_slots.append(slot)
         capture_slots = []
         for name in capture_names:
-            slot = frame.new_node("capture", aux=name, executes=False)
-            frame.env[name] = slot
+            slot = frame.env[name] = frame.node("capture", aux=name)
             frame.capture_names.append(name)
             capture_slots.append(slot)
         # Registered before the body builds so recursive call sites resolve
         # against the final capture list.
-        ir = BodyIR(var_slots, tuple(capture_slots), 0, None, fn.user_name, capture_names)
+        ir = BodyIR(tuple(var_slots), tuple(capture_slots), 0, None, fn.user_name,
+                    capture_names)
         self.fn_irs[uid] = ir
-        block_ids, tail = self._build_program(frame, fn.body)
+        ir.block = self._block(frame, fn.body)
         assert tuple(frame.capture_names) == capture_names, (
             "capture analysis missed a name"
         )
         ir.slot_count = len(frame.nodes)
-        ir.block = _to_block(frame, block_ids, tail)
         return ir
-
-
-def _to_block(frame: _Frame, block_ids, tail) -> BlockIR:
-    instrs = tuple(_node_to_instr(frame.nodes[i]) for i in block_ids)
-    if tail[0] == "branch":
-        _, cond, (t_ids, t_tail), (e_ids, e_tail) = tail
-        tail = ("branch", cond, _to_block(frame, t_ids, t_tail), _to_block(frame, e_ids, e_tail))
-    return BlockIR(instrs, tail)
-
-
-def _const_values(v: float) -> tuple:
-    """What a const instruction stores into its slot, built once and shared
-    by every run and tape: a read-only 0-d array Value, and its bare
-    float64 for a raw-slot run (see ``machine``)."""
-    arr = frozen_scalar(v)
-    return arr, arr.data[()]
-
-
-def _node_to_instr(node: Node) -> tuple:
-    if node.kind == "const":
-        return ("const", node.id, node.aux) + _const_values(node.aux)
-    if node.kind == "input":
-        return ("input", node.id, node.aux)
-    if node.kind == "param":
-        return ("param", node.id, node.aux)
-    if node.kind == "prim":
-        return ("prim", node.id, node.op, node.operands, node.aux, OPS[node.op])
-    if node.kind in ("loop", "call"):
-        n = len(node.aux.var_slots)
-        return (node.kind, node.id, node.aux, node.operands[:n], node.operands[n:])
-    raise AssertionError(f"node kind {node.kind} does not execute")
 
 
 def build_graph(anf: AnfProgram, inputs, params) -> ComputeGraph:

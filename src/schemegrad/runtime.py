@@ -228,7 +228,11 @@ def scalar_div(a, b):
 
 
 def scalar_pow(a, b):
-    """pow of a base and an exponent; the exponent may be a compile-time float."""
+    """pow of a base and an exponent; the exponent may be a compile-time float.
+    A square is one multiply, bit for bit what np.power returns on 0-d
+    arrays, which square the same way."""
+    if b == 2.0:
+        return a * a
     return np.power(a, b) if a > 0.0 else _power(a, b)  # a positive base raises no flag
 
 

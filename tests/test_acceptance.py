@@ -2,6 +2,7 @@
 PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def test_criterion_01_compilation_correctness_oracle():
                                   params=tuple(prog.params))
         ast = parse(prog.source)
         store = truth_store(prog.params) if prog.params else None
-        rng = np.random.default_rng(abs(hash(prog.id)) % (2 ** 32))
+        rng = np.random.default_rng(zlib.crc32(prog.id.encode()) % (2 ** 32))
         n_points = 25 if prog.has_loops else 100
         if prog.has_loops:
             for _ in range(n_points):
@@ -76,7 +77,7 @@ def test_criterion_02_gradient_correctness():
         compiled = compile_source(prog.source, inputs=prog.inputs,
                                   params=tuple(prog.params))
         store = truth_store(prog.params) if prog.params else None
-        rng = np.random.default_rng(abs(hash(prog.id)) % 65521)
+        rng = np.random.default_rng(zlib.crc32(prog.id.encode()) % 65521)
         for _ in range(20):
             inputs = integer_inputs(prog, prog.sampler(rng, 1))
             report = finite_diff_check(compiled, inputs, store, h=1e-5, tol=1e-6)

@@ -1,4 +1,5 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_forward_value_matches_eval_program_bitwise():
         compiled = compile_source(prog.source, inputs=prog.inputs,
                                   params=tuple(prog.params))
         store = truth_store(prog.params) if prog.params else None
-        rng = np.random.default_rng(hash(prog.id) % 100000)
+        rng = np.random.default_rng(zlib.crc32(prog.id.encode()) % 100000)
         inputs = prog.sampler(rng, 4)
         plain = eval_program(compiled, inputs, store)
         taped, _ = eval_with_tape(compiled, inputs, store)
@@ -169,7 +170,7 @@ def test_finite_difference_check_corpus(prog):
     compiled = compile_source(prog.source, inputs=prog.inputs,
                               params=tuple(prog.params))
     store = truth_store(prog.params) if prog.params else None
-    rng = np.random.default_rng(hash(prog.id) % 7919)
+    rng = np.random.default_rng(zlib.crc32(prog.id.encode()) % 7919)
     from corpus import integer_inputs
 
     for _ in range(3):

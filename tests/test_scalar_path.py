@@ -164,12 +164,16 @@ def test_scalar_kernel_is_bitwise_the_forward(name, a, b, c):
 
 @pytest.mark.parametrize("exponent", IMMEDIATES)
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(a=st.sampled_from(SPECIAL) | floats)
-def test_pow_immediate_scalar_kernel_is_bitwise_the_forward(exponent, a):
-    with np.errstate(all="ignore"):
-        got = OPS["pow"].scalar(np.float64(a), exponent)
-        forward = pow_immediate(Value.scalar(a), exponent, PROPAGATE_POLICY)
-    _assert_column_parity(f"(pow a {exponent!r})", "a", {"a": a}, got, forward)
+@given(a=st.sampled_from(SPECIAL) | floats, pattern=st.integers(0, 2**64 - 1))
+def test_pow_immediate_scalar_kernel_is_bitwise_the_forward(exponent, a, pattern):
+    # The kernel squares by one multiply, so at exponent 2 it also meets any
+    # bit pattern: NaN payloads, subnormals and overflowing values.
+    bases = (a, float(np.uint64(pattern).view(np.float64))) if exponent == 2.0 else (a,)
+    for base in bases:
+        with np.errstate(all="ignore"):
+            got = OPS["pow"].scalar(np.float64(base), exponent)
+            forward = pow_immediate(Value.scalar(base), exponent, PROPAGATE_POLICY)
+        _assert_column_parity(f"(pow a {exponent!r})", "a", {"a": base}, got, forward)
 
 
 def test_every_scalar_row_and_no_other_row_has_a_scalar_kernel():
