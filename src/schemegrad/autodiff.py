@@ -9,14 +9,22 @@ accumulating into input leaves and named parameters.  The row's
 shape.  ``Tape.replay`` recomputes every record through its row's
 forward.
 
+A taped run through a generated kernel (see ``kernels``) is one ``fused``
+record in place of one record per instruction.  Its arguments list a leaf
+once per use, and its emitted VJP returns one contribution per use,
+already reduced, in the order the per-instruction records would give
+them; the loop below adds them one at a time, so the sums are the same.
+``Tape.replay`` recomputes a fused record through its kernel.
+
 Backward differentiates only the *active* part of the tape (activity
 analysis).  Its roots are every parameter leaf on the tape, trainable or
-frozen, and every input named in ``wrt_inputs``; a record is active when
-any of its arguments is.  Data inputs that were not asked for, constants
-and everything computed from them alone get no gradient: their records are
-not visited, and a VJP is told through its ``need`` mask which arguments
-to skip.  Every gradient it does compute is the sum of the same terms in
-the same order as a full pass, so it is bit-identical to one.
+frozen, and every input name or ``TapeRef`` in ``wrt_inputs``; a record
+is active when any of its arguments is.  Data inputs that were not asked
+for, constants and everything computed from them alone get no gradient:
+their records are not visited, and a VJP is told through its ``need``
+mask which arguments to skip.  Every gradient it does compute is the sum
+of the same terms in the same order as a full pass, so it is
+bit-identical to one.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGradient, ShapeMismatch
+from .kernels import FUSED
 from .ops import OPS
 # The kernels are called through these module globals, which the traced
 # benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
@@ -155,13 +164,16 @@ class Tape:
         return self.nodes[nid][2]
 
     def replay(self) -> bool:
-        """Recompute every record through its op row from its stored
-        operands and compare bit-for-bit against the recorded outputs."""
+        """Recompute every record through its op row (a fused record through
+        its kernel) from its stored operands and compare bit-for-bit
+        against the recorded outputs."""
         for op, args, value, aux in self.nodes:
             if op == "leaf":
                 continue
             vals = [self.nodes[a][2] for a in args]
-            if op == "pow" and aux is not None:
+            if op == FUSED:
+                redo = aux.replay(vals)
+            elif op == "pow" and aux is not None:
                 redo = pow_immediate(vals[0], aux, PROPAGATE_POLICY)
             else:
                 redo = apply_primitive(op, vals, PROPAGATE_POLICY)
@@ -209,14 +221,16 @@ def _reduce_structural(g: np.ndarray, arg: Value) -> np.ndarray:
 def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> GradResult:
     """Walk the active part of the tape in reverse, accumulating gradients.
 
-    The roots are every parameter leaf in ``tape.param_entries`` and the
-    input leaves named in ``wrt_inputs``; one forward sweep marks a record
-    active when any of its arguments is.  The reverse loop visits only
-    active records, and a VJP computes contributions only for its active
-    arguments.  Parameter gradients are summed into their stores;
-    gradients for the requested input names are returned.  An output that
-    no root reaches gives no gradients.  The seed must match the output
-    shape.
+    The roots are every parameter leaf in ``tape.param_entries`` and each
+    entry of ``wrt_inputs``: an input name, or a ``TapeRef`` for any node
+    on the tape (a ``TapeContext.constant``, a program's output).  One
+    forward sweep marks a record active when any of its arguments is.  The
+    reverse loop visits only active records, and a VJP computes
+    contributions only for its active arguments.  Parameter gradients are
+    summed into their stores; the gradients of the ``wrt_inputs`` are
+    returned in ``input_grads``, keyed by input name or by ``tape_id``.  An
+    output that no root reaches gives no gradients.  The seed must match
+    the output shape.
     """
     out_id = output_id if output_id is not None else tape.output_id
     if out_id is None:
@@ -231,7 +245,9 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
     nodes = tape.nodes
     active = [False] * (out_id + 1)
     roots = [nid for _, _, nid in tape.param_entries]
-    roots += [tape.input_ids[name] for name in wrt_inputs if name in tape.input_ids]
+    wrt = [(w.tape_id, w.tape_id) if type(w) is TapeRef else (w, tape.input_ids.get(w))
+           for w in wrt_inputs]  # (result key, node id)
+    roots += [nid for _, nid in wrt if nid is not None]
     for nid in roots:
         if nid <= out_id:
             active[nid] = True
@@ -257,15 +273,16 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
             raise MissingGradient(f"no gradient rule for op {op!r}")
         arg_values = [nodes[a][2] for a in args]
         raw = row.vjp(g, arg_values, value, aux, tuple([active[a] for a in args]))
-        elementwise = row.elementwise
+        elementwise, fused = row.elementwise, op == FUSED
         for a_id, contrib in zip(args, raw):
             if contrib is None:
                 continue
-            contrib = np.asarray(contrib)
-            if elementwise:
-                reduced = _reduce_elementwise(contrib, nodes[a_id][2], value)
+            if fused:  # reduced in the kernel, as below
+                reduced = contrib
+            elif elementwise:
+                reduced = _reduce_elementwise(np.asarray(contrib), nodes[a_id][2], value)
             else:
-                reduced = _reduce_structural(contrib, nodes[a_id][2])
+                reduced = _reduce_structural(np.asarray(contrib), nodes[a_id][2])
             prev = grads.get(a_id)
             grads[a_id] = reduced if prev is None else prev + reduced
 
@@ -274,11 +291,10 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
         if g is not None:
             store.accumulate_grad(name, g)
 
-    for name in wrt_inputs:
-        nid = tape.input_ids.get(name)
+    for key, nid in wrt:
         if nid is not None and nid in grads:
-            result.input_grads[name] = Value(grads[nid], tape.value_of(nid).kind,
-                                             tape.value_of(nid).batched)
+            result.input_grads[key] = Value(grads[nid], tape.value_of(nid).kind,
+                                            tape.value_of(nid).batched)
     return result
 
 

@@ -21,7 +21,9 @@ class CompileConfig:
 
 @dataclass
 class CompiledProgram:
-    """A frozen compiled program.  Nothing here mutates after compilation;
+    """A frozen compiled program.  Nothing here mutates after compilation
+    but the kernel cache, ``kernels``, which a straight-line program's
+    array runs fill with code generated for it (see ``kernels``);
     evaluation state lives in per-call slot arrays."""
 
     block: BlockIR
@@ -38,6 +40,7 @@ class CompiledProgram:
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
     debug_names: dict = field(default_factory=dict, repr=False)
     scalar_closed: bool = False  # every prim has a scalar kernel (see machine)
+    kernels: object = field(default=None, repr=False, compare=False)  # a kernels.Cache
 
     @property
     def num_params(self) -> int:

@@ -1,0 +1,668 @@
+"""Generated kernels for reused straight-line programs.
+
+A straight-line program is a top-level block with an ``exit`` tail whose
+output is an op's result and that holds no ``loop`` or ``call``
+instruction, and whose every op has emit forms (an eager row, det or inv,
+has none).  Its array runs (every run that is not a raw-slot one, see
+``machine``) can go through Python source generated for it here:
+
+- the signature of a run is each input's and parameter's batchedness and
+  core shape (its kind follows from the core's rank); batch sizes are
+  checked equal at entry, not keyed.  A signature with an unbatched scalar
+  held as a ``numpy.float64``, or with an empty core axis, takes the
+  executor;
+- an untaped run and a taped run each get their kernel on the second run
+  of that kind with that signature, and keep it in the program's
+  ``kernels`` cache; the first run of each kind takes the executor, as does
+  every run of a program or signature that gets no kernel.  Programs
+  compiled from the same text share their kernels, so a formula compiled
+  again for another fit generates nothing.
+
+The forward kernel keeps slots as locals, calls each op's ufunc with the
+shape alignment resolved at generation, inlines a result read once into
+the expression that reads it and deletes every other temporary after its
+last use, and runs with numpy's floating-point errors ignored, as under
+``np.errstate(all="ignore")``.  It makes the calls the executor makes, on
+arrays of the same shapes, so its values are bitwise the executor's; an
+unbatched scalar it returns or keeps is a 0-d array, as in a Value.  The
+machine tests only the output under the error policy and redoes a
+non-finite run through the executor, which raises the error such a run
+has always raised.
+
+A taped run through a kernel appends its input and parameter leaves and
+then one ``fused`` record, whose value is the output.  The record keeps
+only the values its reverse sweep reads (the to-be-recorded analysis of
+Hascoet, Naumann & Pascual, FGCS 21(8), 2005).  Its arguments are the tape
+ids of the leaves, one entry per use of a leaf, in the order a reverse
+sweep over one record per instruction reaches those uses.  Its VJP is
+emitted per ``need`` mask on first use, from the rows' VJP emit forms; it
+makes the calls ``backward`` would make, and returns one contribution per
+use, already reduced to the leaf's shape.  ``backward`` adds them to its
+running sums one by one, so every gradient is the sum of the same terms in
+the same order as over one record per instruction, and bitwise the same.
+
+The emit forms are columns of the op table (``ops.py``): ``emit(ops,
+types, aux)`` returns the source of the op's result from its operands'
+sources and static types, and ``emit_vjp(g, ops, out, types, out_type,
+aux, need)`` returns statements to run first and, per operand, the
+source and static shape of its raw gradient or None, mirroring the row's
+``vjp`` in ``runtime``.  A static type is ``(kind, batched, core)``; a
+static shape is ``(batched, core)``.  ``B`` is the batch size in the
+generated source; a form raises ``Refuse`` on operands its forward would
+reject, and the executor then runs and raises.
+"""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+
+from . import runtime as rt
+from .values import Value
+
+FUSED = "fused"  # the op name of a taped kernel run's record
+
+_SCALAR = ("scalar", False, ())
+_KINDS = ("scalar", "vector", "matrix")
+
+try:  # numpy >= 2: np.errstate sets a context variable; set it without building one
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+
+    _IGNORE = _make_extobj(all="ignore")
+
+    def _quiet():
+        return _extobj_contextvar.set(_IGNORE)
+
+    _restore = _extobj_contextvar.reset
+except ImportError:  # numpy 1: the same through the global error state
+    def _quiet():
+        return np.seterr(all="ignore")
+
+    def _restore(saved):
+        np.seterr(**saved)
+
+
+def quietly(fn, *args):
+    """``fn(*args)`` with numpy's floating-point errors ignored, as under
+    ``np.errstate(all="ignore")``: every generated function runs so."""
+    saved = _quiet()
+    try:
+        return fn(*args)
+    finally:
+        _restore(saved)
+
+
+# The globals of every generated function, besides its constants: the numpy
+# functions the emit forms call, by their numpy names, and runtime's helpers.
+_NAMESPACE = {name: getattr(np, name) for name in (
+    "add", "subtract", "multiply", "divide", "power", "mod", "fmod", "minimum", "maximum",
+    "abs", "sin", "cos", "exp", "sqrt", "log", "equal", "less", "greater", "less_equal",
+    "greater_equal", "logical_and", "logical_or", "where", "stack", "ones", "sign", "floor",
+    "trunc", "asarray", "broadcast_to")}
+_NAMESPACE.update(_as_float=rt._as_float, _osl=rt.ordered_sum_last, _ZERO=rt._ZERO.data)
+
+
+class Refuse(Exception):
+    """The program or signature gets no kernel; the executor runs it."""
+
+
+_HOLES = tuple(f"{{{i}}}" for i in range(16))
+
+
+def _holes(n: int) -> tuple:
+    """Placeholders ``{0}``, ``{1}``, ... for the sources of n operands."""
+    return _HOLES[:n] if n <= len(_HOLES) else tuple(f"{{{i}}}" for i in range(n))
+
+
+def _names_in(src: str, prefix: str) -> set:
+    """The numbers n of the names ``<prefix>n`` that ``src`` reads: slots
+    (``s``) and leaves (``l``)."""
+    return {int(d) for d in re.findall(rf"\b{prefix}(\d+)\b", src)}
+
+
+def _shape_src(batched: bool, core: tuple) -> str:
+    dims = (["B"] if batched else []) + [str(d) for d in core]
+    return "(" + ", ".join(dims) + ("," if len(dims) == 1 else "") + ")"
+
+
+def _aligned(o: str, t: tuple, out: tuple) -> str:
+    """The executor's alignment of a batched scalar against a batched
+    vector or matrix: (B,) -> (B, 1[, 1])."""
+    if out[1] and t[1] and t[0] == "scalar" and out[0] != "scalar":
+        return f"{o}.reshape((B{', 1' * len(out[2])}))"
+    return o
+
+
+def _elementwise(types: list) -> tuple:
+    kind, core = "scalar", ()
+    for k, _, c in types:
+        if k != "scalar":
+            if kind != "scalar" and (k != kind or c != core):
+                raise Refuse
+            kind, core = k, c
+    return kind, any(t[1] for t in types), core
+
+
+# ---------------------------------------------------------------------------
+# forward emit forms: (ops, types, aux) -> (source, static type)
+
+
+def fold(ufunc: str):
+    """An n-ary elementwise op folding ``ufunc`` left to right; one operand
+    is the result itself."""
+    def emit(ops, types, aux):
+        out = _elementwise(types)
+        src, *rest = [_aligned(o, t, out) for o, t in zip(ops, types)]
+        for x in rest:
+            src = f"{ufunc}({src}, {x})"
+        return src, out
+    return emit
+
+
+_subtract, _power = fold("subtract"), fold("power")
+
+
+def emit_sub(ops, types, aux):
+    if len(ops) == 1:  # unary minus is 0 - x
+        ops, types = ["_ZERO", *ops], [_SCALAR, *types]
+    return _subtract(ops, types, aux)
+
+
+def emit_pow(ops, types, aux):
+    if aux is not None:  # a constant exponent: pow_immediate, on the base as it is
+        return f"power({ops[0]}, {aux})", types[0]
+    return _power(ops, types, aux)
+
+
+def unary(ufunc: str):
+    def emit(ops, types, aux):
+        return f"{ufunc}({ops[0]})", types[0]
+    return emit
+
+
+def compare(ufunc: str):
+    def emit(ops, types, aux):
+        out = _elementwise(types)
+        a, b = [_aligned(o, t, out) for o, t in zip(ops, types)]
+        return f"_as_float({ufunc}({a}, {b}))", out
+    return emit
+
+
+def logical(ufunc: str):
+    def emit(ops, types, aux):
+        out = _elementwise(types)
+        src, *rest = [f"({_aligned(o, t, out)} != 0.0)" for o, t in zip(ops, types)]
+        for x in rest:
+            src = f"{ufunc}({src}, {x})"
+        return f"_as_float({src})", out
+    return emit
+
+
+def emit_not(ops, types, aux):
+    return f"_as_float(equal({ops[0]}, 0.0))", types[0]
+
+
+def emit_if(ops, types, aux):
+    out = _elementwise(types)
+    c, t, e = [_aligned(o, t, out) for o, t in zip(ops, types)]
+    return f"where(({c} != 0.0), {t}, {e})", out
+
+
+def emit_vec(ops, types, aux):
+    if any(t[0] != "scalar" for t in types):
+        raise Refuse
+    batched = any(t[1] for t in types)
+    if batched:
+        ops = [o if t[1] else f"broadcast_to({o}, (B,))" for o, t in zip(ops, types)]
+    return f"stack([{', '.join(ops)}], axis=-1)", ("vector", batched, (len(ops),))
+
+
+def emit_scale(ops, types, aux):
+    (s, v), (ts, tv) = ops, types
+    if ts[0] != "scalar" or tv[0] == "scalar":
+        raise Refuse
+    if ts[1]:
+        s = f"{s}.reshape((B{', 1' * len(tv[2])}))"
+    return f"({s} * {v})", (tv[0], ts[1] or tv[1], tv[2])
+
+
+def emit_norm(ops, types, aux):
+    if types[0][0] != "vector":
+        raise Refuse
+    return f"sqrt(_osl(({ops[0]} * {ops[0]})))", ("scalar", types[0][1], ())
+
+
+def emit_dot(ops, types, aux):
+    (a, b), (ta, tb) = ops, types
+    if ta[0] != "vector" or tb[0] != "vector" or ta[2] != tb[2]:
+        raise Refuse
+    return f"_osl(({a} * {b}))", ("scalar", ta[1] or tb[1], ())
+
+
+def emit_vsum(ops, types, aux):
+    if types[0][0] != "vector":
+        raise Refuse
+    return f"_osl({ops[0]})", ("scalar", types[0][1], ())
+
+
+def emit_matvec(ops, types, aux):
+    (m, v), (tm, tv) = ops, types
+    if tm[0] != "matrix" or tv[0] != "vector" or tm[2][-1] != tv[2][-1]:
+        raise Refuse
+    return f"_osl(({m} * {v}[..., None, :]))", ("vector", tm[1] or tv[1], tm[2][:1])
+
+
+# ---------------------------------------------------------------------------
+# VJP emit forms: (g, ops, out, types, out_type, aux, need) ->
+# (statements, [(source, static shape) or None per operand]), as runtime's vjp_*
+
+
+def _each(out_t, srcs) -> tuple:
+    """Elementwise raw gradients, shaped like the output."""
+    return [], [None if s is None else (s, out_t[1:]) for s in srcs]
+
+
+def vjp_add(g, ops, out, types, out_t, aux, need):
+    return _each(out_t, [g if n else None for n in need])
+
+
+def vjp_sub(g, ops, out, types, out_t, aux, need):
+    if len(ops) == 1:
+        return _each(out_t, [f"(-{g})"])
+    return _each(out_t, [g if need[0] else None] + [f"(-{g})" if n else None for n in need[1:]])
+
+
+def vjp_mul(g, ops, out, types, out_t, aux, need):
+    al = [_aligned(o, t, out_t) for o, t in zip(ops, types)]
+    srcs = []
+    for i, n in enumerate(need):
+        p = None
+        if n:
+            p = g
+            for j, a in enumerate(al):
+                if j != i:
+                    p = f"({p} * {a})"
+        srcs.append(p)
+    return _each(out_t, srcs)
+
+
+def vjp_div(g, ops, out, types, out_t, aux, need):
+    al = [_aligned(o, t, out_t) for o, t in zip(ops, types)]
+    srcs = [None]
+    if need[0]:
+        denom, *rest = al[1:]
+        for a in rest:
+            denom = f"({denom} * {a})"
+        srcs[0] = f"({g} / {denom})"
+    srcs += [f"(-{g} * {out} / {a})" if n else None for a, n in zip(al[1:], need[1:])]
+    return _each(out_t, srcs)
+
+
+def vjp_pow(g, ops, out, types, out_t, aux, need):
+    if aux is not None:
+        return _each(out_t, [f"(({g} * {aux}) * power({ops[0]}, ({aux} - 1.0)))"])
+    a, b = [_aligned(o, t, out_t) for o, t in zip(ops, types)]
+    return _each(out_t, [f"(({g} * {b}) * power({a}, ({b} - 1.0)))" if need[0] else None,
+                         f"(({g} * {out}) * log({a}))" if need[1] else None])
+
+
+def rounding_vjp(rounder: str):
+    """modulo (floor) and remainder (trunc)."""
+    def vjp(g, ops, out, types, out_t, aux, need):
+        a, b = [_aligned(o, t, out_t) for o, t in zip(ops, types)]
+        return _each(out_t, [g if need[0] else None,
+                             f"(-{g} * {rounder}(({a} / {b})))" if need[1] else None])
+    return vjp
+
+
+def vjp_minmax(g, ops, out, types, out_t, aux, need):
+    avail = f"m{out}"
+    lines = [f"{avail} = ones({_shape_src(*out_t[1:])}, dtype=bool)"]
+    srcs = []
+    for i, (o, t, n) in enumerate(zip(ops, types, need)):
+        take = f"m{out}_{i}"
+        lines += [f"{take} = (({_aligned(o, t, out_t)} == {out}) & {avail})",
+                  f"{avail} = ({avail} & ~{take})"]
+        srcs.append(f"({g} * {take})" if n else None)
+    return lines, _each(out_t, srcs)[1]
+
+
+def unary_vjp(template: str):
+    """A one-operand VJP: ``template`` formatted with g, x and out."""
+    def vjp(g, ops, out, types, out_t, aux, need):
+        return _each(out_t, [template.format(g=g, x=ops[0], out=out)])
+    return vjp
+
+
+def vjp_none(g, ops, out, types, out_t, aux, need):
+    return [], [None] * len(ops)
+
+
+def vjp_if(g, ops, out, types, out_t, aux, need):
+    c = _aligned(ops[0], types[0], out_t)
+    return _each(out_t, [None, f"({g} * ({c} != 0.0))" if need[1] else None,
+                         f"({g} * ({c} == 0.0))" if need[2] else None])
+
+
+def vjp_vec(g, ops, out, types, out_t, aux, need):
+    return [], [(f"{g}[..., {i}]", (out_t[1], ())) if n else None for i, n in enumerate(need)]
+
+
+def vjp_scale(g, ops, out, types, out_t, aux, need):
+    (s, v), (ts, tv) = ops, types
+    nd = out_t[1] + len(tv[2])
+    axes = tuple(range(nd - len(tv[2]), nd))
+    return [], [(f"({g} * {v}).sum(axis={axes!r})", (out_t[1], ())) if need[0] else None,
+                (f"({_aligned(s, ts, out_t)} * {g})", out_t[1:]) if need[1] else None]
+
+
+def vjp_norm(g, ops, out, types, out_t, aux, need):
+    v = ops[0]
+    return [], [(f"((asarray({g})[..., None] * {v}) / asarray({out})[..., None])",
+                 types[0][1:])]
+
+
+def vjp_dot(g, ops, out, types, out_t, aux, need):
+    (a, b), (ta, tb) = ops, types
+    ge = f"asarray({g})[..., None]"
+    return [], [(f"({ge} * {b})", (out_t[1], ta[2])) if need[0] else None,
+                (f"({ge} * {a})", (out_t[1], tb[2])) if need[1] else None]
+
+
+def vjp_vsum(g, ops, out, types, out_t, aux, need):
+    t = types[0]
+    return [], [(f"broadcast_to(asarray({g})[..., None], {_shape_src(*t[1:])})", t[1:])]
+
+
+def vjp_matvec(g, ops, out, types, out_t, aux, need):
+    (m, v), (tm, tv) = ops, types
+    ge = f"asarray({g})[..., :, None]"
+    return [], [(f"({ge} * {v}[..., None, :])", (out_t[1], tm[2])) if need[0] else None,
+                (f"({m} * {ge}).sum(axis=-2)", (out_t[1], tv[2])) if need[1] else None]
+
+
+def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
+    """``backward``'s reduction of a raw gradient to its argument's shape,
+    resolved at generation: ``_reduce_elementwise`` or
+    ``_reduce_structural``."""
+    b, core = shape
+    if (b, core) == arg[1:]:
+        return src
+    if not elementwise:
+        if b + len(core) == arg[1] + len(arg[2]) + 1:
+            return f"{src}.sum(axis=0)"
+        return f"broadcast_to({src}, {_shape_src(*arg[1:])})"
+    n = len(out[2])
+    if arg[0] == "scalar" and n:
+        nd = b + len(core)
+        src, core = f"{src}.sum(axis={tuple(range(nd - n, nd))!r})", core[:len(core) - n]
+    if out[1] and not arg[1]:
+        src, b = f"{src}.sum(axis=0)", False
+    if (b, core) != arg[1:]:
+        src = f"broadcast_to({src}, {_shape_src(*arg[1:])})"
+    return src
+
+
+# ---------------------------------------------------------------------------
+# per-program cache and kernels
+
+
+class Cache:
+    """A program's kernels and the runs it has made.  ``leaves`` lists the
+    program's inputs and parameters in instruction order as (is a
+    parameter, name), or is None when the program is not straight-line."""
+
+    __slots__ = ("leaves", "untaped", "taped")
+
+    def __init__(self, prog):
+        # per run kind, signature -> False after its first run, then the
+        # kernel, or None if it gets none
+        self.untaped, self.taped = {}, {}
+        block, prims = prog.block, set()
+        self.leaves = None
+        for ins in block.instrs:
+            if ins[0] in ("loop", "call") or ins[0] == "prim" and ins[5].emit is None:
+                return
+            if ins[0] == "prim":
+                prims.add(ins[1])
+        if block.tail[0] == "exit" and block.tail[1] in prims:
+            self.leaves = tuple((ins[0] == "param", ins[2]) for ins in block.instrs
+                                if ins[0] in ("input", "param"))
+
+    def get(self, prog, sig: tuple, taped: bool):
+        """The kernel for a run of ``prog`` of this kind and signature, its
+        forward (or taped forward) defined, or None: the first run of each
+        kind, and every run of a signature that gets no kernel, take the
+        executor."""
+        runs = self.taped if taped else self.untaped
+        k = runs.get(sig)
+        if k:
+            return k
+        if sig not in runs:
+            runs[sig] = False
+            return None
+        if k is None:
+            return None
+        k = runs[sig] = _shared_kernel(prog, sig)
+        if k is not None:
+            k.define_taped() if taped else k.define_forward()
+        return k
+
+
+# Kernels by (source text, input names, parameter names, signature), oldest
+# first.  Programs compiled from the same text get the same kernel, as the
+# Lotka-Volterra experiment's, which compiles its two programs for every
+# fit: generating a kernel costs one to two times compiling the program.
+_SHARED: dict = {}
+_SHARED_MAX = 256
+
+
+def _shared_kernel(prog, sig):
+    """The kernel of ``prog`` for ``sig`` (None if it gets none), made once
+    for every program compiled from the same text."""
+    key = (prog.source_text, prog.input_names, prog.param_names, sig)
+    if key in _SHARED:
+        k = _SHARED.pop(key)
+    else:
+        try:
+            k = Kernel(prog, sig)
+        except Refuse:
+            k = None
+        if len(_SHARED) >= _SHARED_MAX:
+            del _SHARED[next(iter(_SHARED))]
+    _SHARED[key] = k  # the most recently used last
+    return k
+
+
+class Kernel:
+    """The generated code of one straight-line program for one leaf
+    signature: ``forward(*leaf arrays, B)`` returns the output array;
+    ``taped(*leaf arrays, B)`` returns it with the values the reverse sweep
+    reads; ``vjp(need)`` is the reverse sweep for one ``need`` mask of a
+    ``fused`` record."""
+
+    def __init__(self, prog, sig):
+        self.ns = dict(_NAMESPACE)
+        self.forward = self.taped = None
+        self.vjps = {}
+        ref, types, self.leaf_slots, prims = {}, {}, [], []
+        for ins in prog.block.instrs:
+            kind, dest = ins[0], ins[1]
+            if kind == "const":
+                ref[dest] = f"c{dest}"
+                self.ns[ref[dest]] = ins[3].data
+                types[dest] = _SCALAR
+            elif kind == "prim":
+                aux = None
+                if ins[4] is not None:
+                    aux = f"a{dest}"
+                    self.ns[aux] = ins[4]
+                ops = ins[3]
+                # the forward's source as a template over the operands' sources
+                src, types[dest] = ins[5].emit(_holes(len(ops)), [types[o] for o in ops], aux)
+                prims.append((dest, ins[5], ops, aux, src))
+            else:  # input or param
+                batched, core = sig[len(self.leaf_slots)]
+                if 0 in core:
+                    raise Refuse
+                ref[dest] = f"l{len(self.leaf_slots)}"
+                types[dest] = (_KINDS[len(core)], batched, core)
+                self.leaf_slots.append(dest)
+        self.out = prog.output_slot
+        live = {self.out}
+        for dest, _, ops, _, _ in reversed(prims):
+            if dest in live:
+                live.update(ops)
+        self.prims = [p for p in prims if p[0] in live]
+        self.ref, self.types = ref, types
+        self.out_kind, self.out_batched = types[self.out][:2]
+        leaf_index = {s: i for i, s in enumerate(self.leaf_slots)}
+        # (consumer slot, operand position, leaf index): the fused record's
+        # arguments, in the order the reverse sweep reaches them
+        self.uses = [(dest, pos, leaf_index[o]) for dest, _, ops, _, _ in reversed(self.prims)
+                     for pos, o in enumerate(ops) if o in leaf_index]
+        self.use_leaf = tuple(u[2] for u in self.uses)
+        self.kept = self.kept_leaves = ()  # read by the reverse sweep, set with the taped forward
+
+    # -- code generation -----------------------------------------------------
+
+    def _define(self, name: str, params: str, body: list):
+        """A function of ``params`` running ``body``; a body that is one
+        ``return`` compiles as a lambda, which costs less to compile."""
+        if len(body) == 1 and body[0].startswith("return "):
+            return eval(compile(f"lambda {params}: ({body[0][7:]})", f"<kernel {name}>", "eval",
+                                dont_inherit=True), self.ns)
+        src = "\n".join([f"def {name}({params}):"] + ["    " + line for line in body])
+        exec(compile(src, f"<kernel {name}>", "exec", dont_inherit=True), self.ns)
+        return self.ns[name]
+
+    def _forward_body(self, keep) -> tuple:
+        """The forward's statements and the source of its output.  Results
+        read once are inlined unless kept; other temporaries are deleted
+        after the statement that reads them last."""
+        uses = {}  # slot -> times the sources read it (norm's reads its operand twice)
+        for _, _, ops, _, template in self.prims:
+            for o, hole in zip(ops, _holes(len(ops))):
+                uses[o] = uses.get(o, 0) + template.count(hole)
+        ref, reads_of, left, lines = dict(self.ref), {}, {}, []
+        for dest, _, ops, _, template in self.prims:
+            src = template.format(*[ref[o] for o in ops])
+            reads = [r for o, hole in zip(ops, _holes(len(ops))) if o in reads_of
+                     for r in reads_of[o] * template.count(hole)]
+            if dest != self.out and dest not in keep and uses.get(dest) == 1:
+                ref[dest], reads_of[dest] = src, reads
+                continue
+            if (dest == self.out or dest in keep) and self.types[dest][:2] == ("scalar", False):
+                # a 0-d array, as a Value holds it.  Inside the forward a ufunc's numpy
+                # scalar gives the same bits, but Python's operators in the reverse
+                # sweep would take numpy's scalar math on it, not the ufunc.
+                src = f"asarray({src})"
+            if dest == self.out and dest not in keep:
+                return lines, src
+            lines.append(f"s{dest} = {src}")
+            ref[dest], reads_of[dest], left[dest] = f"s{dest}", [dest], uses.get(dest, 0)
+            dead = []
+            for r in reads:
+                left[r] -= 1
+                if left[r] == 0 and r not in keep:
+                    dead.append(f"s{r}")
+            if dead:
+                lines.append("del " + ", ".join(dead))
+        return lines, f"s{self.out}"
+
+    def _leaf_params(self) -> str:
+        return "".join(f"l{i}, " for i in range(len(self.leaf_slots))) + "B"
+
+    def define_forward(self) -> None:
+        if self.forward is not None:
+            return
+        lines, out = self._forward_body(())
+        self.forward = self._define("forward", self._leaf_params(), lines + [f"return {out}"])
+
+    def define_taped(self) -> None:
+        """The taped forward, which also returns the internal values the
+        reverse sweep reads with every leaf active; a sweep with fewer
+        active reads fewer."""
+        if self.taped is not None:
+            return
+        sweep = "\n".join(self._vjp_body((True,) * len(self.leaf_slots)))
+        self.kept = tuple(sorted(_names_in(sweep, "s")))
+        self.kept_leaves = tuple(sorted(_names_in(sweep, "l")))
+        lines, out = self._forward_body(set(self.kept))
+        kept = "".join(f"s{s}, " for s in self.kept)
+        self.taped = self._define("taped", self._leaf_params(),
+                                  lines + [f"return {out}, ({kept})"])
+
+    def _vjp_body(self, active_leaves) -> list:
+        """The reverse sweep's statements for the given leaf activity."""
+        active = dict(zip(self.leaf_slots, active_leaves))
+        for dest, _, ops, _, _ in self.prims:
+            active[dest] = any(active.get(o, False) for o in ops)
+        use_of = {(dest, pos): k for k, (dest, pos, _) in enumerate(self.uses)}
+        has, lines, ret = {self.out}, [], ["None"] * len(self.uses)
+        for dest, row, ops, aux, _ in reversed(self.prims):
+            if not active[dest] or dest not in has:
+                continue
+            types = [self.types[o] for o in ops]
+            pre, raw = row.emit_vjp(f"g{dest}", [self.ref.get(o, f"s{o}") for o in ops], f"s{dest}",
+                                    types, self.types[dest], aux,
+                                    [active.get(o, False) for o in ops])
+            lines += pre
+            for pos, (o, c) in enumerate(zip(ops, raw)):
+                if c is None:
+                    continue
+                src = c[0] if c[1] != (False, ()) else f"asarray({c[0]})"  # as backward does
+                src = _reduce(src, c[1], self.types[o], self.types[dest], row.elementwise)
+                if (dest, pos) in use_of:
+                    k = use_of[(dest, pos)]
+                    lines.append(f"u{k} = {src}")
+                    ret[k] = f"u{k}"
+                elif o in has:
+                    lines.append(f"g{o} = g{o} + {src}")
+                else:
+                    lines.append(f"g{o} = {src}")
+                    has.add(o)
+            lines.append(f"del g{dest}")
+        lines.append(f"return ({''.join(r + ', ' for r in ret)})")
+        return lines
+
+    def vjp(self, need: tuple):
+        """The reverse sweep of a ``fused`` record for ``need``, one flag
+        per use: fn(g, leaf arrays, kept values, B) -> one contribution or
+        None per use."""
+        fn = self.vjps.get(need)
+        if fn is None:
+            active = [False] * len(self.leaf_slots)
+            for n, li in zip(need, self.use_leaf):
+                active[li] = n
+            unpack = [names + "= " + src for names, src in (
+                ("".join(f"l{i}, " for i in self.kept_leaves), "L"),
+                ("".join(f"s{s}, " for s in self.kept), "K")) if names]
+            lines = self._vjp_body(active)
+            fn = self.vjps[need] = self._define("vjp", f"g{self.out}, L, K, B", unpack + lines)
+        return fn
+
+
+class Fused:
+    """The ``aux`` of a ``fused`` tape record: its kernel, the leaf arrays
+    and internal values its reverse sweep reads, and the batch size."""
+
+    __slots__ = ("kernel", "leaves", "kept", "batch")
+
+    def __init__(self, kernel, leaves, kept, batch):
+        self.kernel, self.leaves, self.kept, self.batch = kernel, leaves, kept, batch
+
+    def replay(self, args: list):
+        """The record's output recomputed through the forward kernel from
+        its argument values (one per use)."""
+        k = self.kernel
+        k.define_forward()
+        leaves = [None] * len(k.leaf_slots)  # a leaf with no use is read by nothing
+        for li, v in zip(k.use_leaf, args):
+            leaves[li] = v.data
+        return Value.trusted(quietly(k.forward, *leaves, self.batch), k.out_kind, k.out_batched)
+
+
+def vjp_fused(g, args, out, aux, need):
+    return quietly(aux.kernel.vjp(need), g, aux.leaves, aux.kept, aux.batch)

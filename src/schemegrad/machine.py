@@ -21,18 +21,28 @@ tape.  Every other run takes its constants, inputs and parameters as 0-d
 arrays, because a ufunc given a numpy scalar next to an array converts the
 scalar on every call.  The values, tapes and errors of the two are bitwise
 the same.
+
+Generated kernels.  An array run of a straight-line program (one block, no
+loop, call, branch or eager row) goes through Python source generated for
+that program and that signature of its leaves from the second run of its
+kind on (see ``kernels``): ``eval_program`` calls the generated forward,
+and ``run_on_tape`` appends the run's leaves and one ``fused`` record whose
+VJP is generated too.  Under the error policy such a run tests only its
+output; a non-finite one is redone by the executor, which raises.  Values,
+gradients and errors are bitwise the executor's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .autodiff import TapeRef
 from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 # The kernels are called through these module globals, which the traced
 # benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa: F401
-                      Violations, apply_primitive, pow_immediate, select)
+                      Violations, all_finite, apply_primitive, pow_immediate, select)
 from .values import F64, Value, frozen_scalar
 
 
@@ -238,11 +248,68 @@ def _check_inputs(prog, inputs, params):
     return leaves
 
 
+def _kernel(prog, inputs, params, taped: bool):
+    """(kernel, leaf Values, leaf arrays, batch size) for an array run that
+    goes through the program's generated kernel, else None (see
+    ``kernels``): the executor takes raw-slot runs, first runs of a kind,
+    everything a kernel does not cover, and a missing input or parameter,
+    whose error it raises.  The leaves are the program's inputs and
+    parameters in instruction order; their signature keys the kernel."""
+    cache = prog.kernels
+    if cache is None:
+        cache = prog.kernels = kernels.Cache(prog)
+    leaves = cache.leaves
+    if leaves is None:
+        return None
+    values, arrays, sig, batch = [], [], [], None
+    value_of = getattr(params, "value_of", None)
+    try:
+        for is_param, name in leaves:
+            if not is_param:
+                v = inputs[name]
+                if type(v) is not Value:
+                    v = v.value if type(v) is TapeRef else Value.of(v)
+            else:
+                v = value_of(name) if value_of is not None else _param_value(params, name)
+            d = v.data
+            if v.batched:
+                if batch is None:
+                    batch = d.shape[0]
+                elif d.shape[0] != batch:  # the executor raises ShapeMismatch
+                    return None
+                sig.append((True, d.shape[1:]))
+            elif type(d) is F64:
+                return None
+            else:
+                sig.append((False, d.shape))
+            values.append(v)
+            arrays.append(d)
+    except (KeyError, MissingInput):
+        return None
+    if batch is None and prog.scalar_closed and not any(s[1] for s in sig):
+        return None  # a raw-slot run
+    k = cache.get(prog, tuple(sig), taped)
+    return None if k is None else (k, values, arrays, batch)
+
+
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate a compiled program on concrete values.  A raw-slot run's
     result and a constant are read-only 0-d arrays; an array run returns its
-    output slot's Value, writable for ``(+ (dot v v) 1)``."""
-    out = _run(prog, inputs, params, policy, None, None, _check_inputs(prog, inputs, params))[0]
+    output slot's Value, writable for ``(+ (dot v v) 1)``.  An array run of
+    a straight-line program goes through its generated kernel from the
+    second such run on; under the error policy a non-finite output is
+    redone through the executor, which raises."""
+    if prog.kernels is not None:  # the program has made an array run
+        run = _kernel(prog, inputs, params, False)
+        if run is not None:
+            k, _, arrays, batch = run
+            out = kernels.quietly(k.forward, *arrays, batch)
+            if not policy.raises or all_finite(out):
+                return Value.trusted(out, k.out_kind, k.out_batched)
+    leaves = _check_inputs(prog, inputs, params)
+    if leaves is None and prog.kernels is None:
+        _kernel(prog, inputs, params, False)  # the first array run: noted, not taken
+    out = _run(prog, inputs, params, policy, None, None, leaves)[0]
     if type(out) is F64:  # a raw-slot run's output
         return frozen_scalar(out)
     return frozen_scalar(out.data) if type(out.data) is F64 else out
@@ -251,9 +318,32 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
                 store=None):
     """Evaluate while appending records to an existing tape.  Inputs may be
-    Values or tape references; returns (value, tape node id)."""
-    out, out_id = _run(prog, inputs, params, policy, tape, store,
-                       _check_inputs(prog, inputs, params))
+    Values or tape references; returns (value, tape node id).  A run through
+    a generated kernel appends its input and parameter leaves and one
+    ``fused`` record (see ``kernels``)."""
+    if prog.kernels is not None:
+        run = _kernel(prog, inputs, params, True)
+        if run is not None:
+            k, values, arrays, batch = run
+            out, kept = kernels.quietly(k.taped, *arrays, batch)
+            if not policy.raises or all_finite(out):
+                ids = []
+                for (is_param, name), v in zip(prog.kernels.leaves, values):
+                    if is_param:
+                        ids.append(tape.param_leaf(store if store is not None else params,
+                                                   name, v))
+                    elif type(inputs[name]) is TapeRef:
+                        ids.append(inputs[name].tape_id)
+                    else:
+                        ids.append(tape.input_leaf(name, v))
+                value = Value.trusted(out, k.out_kind, k.out_batched)
+                aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
+                return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
+                                          value, aux)
+    leaves = _check_inputs(prog, inputs, params)
+    if leaves is None and prog.kernels is None:
+        _kernel(prog, inputs, params, True)
+    out, out_id = _run(prog, inputs, params, policy, tape, store, leaves)
     return (Value.trusted(out, "scalar", False) if type(out) is F64 else out), out_id
 
 

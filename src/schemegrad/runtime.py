@@ -66,7 +66,8 @@ ERROR_POLICY = SafeDomainPolicy("error")
 PROPAGATE_POLICY = SafeDomainPolicy("propagate_nan")
 
 
-def _all_finite(data) -> bool:
+def all_finite(data) -> bool:
+    """Whether every element of an array (or numpy scalar) is finite."""
     return _isfinite(data) if data.ndim == 0 else bool(np.isfinite(data).all())
 
 
@@ -85,12 +86,12 @@ class Violations:
         self.first = None
 
     def check(self, op: str, dest, data) -> None:
-        if self.first is None and not _all_finite(data):
+        if self.first is None and not all_finite(data):
             bad = np.nonzero(~np.isfinite(data).ravel())[0]
             self.first = (op, dest, int(bad[0]) if bad.size else None)
 
     def finalize(self, data, output_slot) -> None:
-        if _all_finite(data):
+        if all_finite(data):
             return
         if self.first is not None:
             op, dest, where = self.first

@@ -234,7 +234,9 @@ def _name(toks: list, i: int, depth: int) -> tuple:
 
 def _bindings(toks: list, i: int, depth: int, distinct: bool) -> tuple:
     """A binding list ``((name expr) ...)``; with ``distinct``, naming a
-    variable twice is an error at its second binding."""
+    variable twice is an error at its second binding.  An unclosed list is
+    reported at its open paren, as an unclosed argument list is."""
+    pos = toks[i][2]
     i = _expect(toks, i, "lparen", depth)
     depth += 1
     bindings = []
@@ -243,7 +245,7 @@ def _bindings(toks: list, i: int, depth: int, distinct: bool) -> tuple:
         if kind == "rparen":
             return tuple(bindings), i + 1
         if kind == _END:
-            raise ParseError("unbalanced parens in binding list", toks[i][2])
+            raise ParseError("unbalanced parens in binding list", pos)
         i = _expect(toks, i, "lparen", depth)
         name_pos = toks[i][2]
         name, i = _name(toks, i, depth + 1)

@@ -264,10 +264,9 @@ def test_criterion_12_gradient_scaling():
         ctx = TapeContext()
         x = ctx.constant(1.5)
         out = compose_chain(ctx, [square] * k, x)
-        ctx.tape.input_ids["x"] = x.tape_id
-        res = backward(ctx.tape, Value.scalar(1.0), wrt_inputs=["x"],
+        res = backward(ctx.tape, Value.scalar(1.0), wrt_inputs=[x],
                        output_id=out.tape_id)
-        got = abs(float(res.input_grads["x"].data))
+        got = abs(float(res.input_grads[x.tape_id].data))
         zs = [1.5 ** (2 ** i) for i in range(k)]
         expected = (2.0 ** k) * float(np.prod(zs))
         if abs(got - expected) > 1e-9 * expected:
@@ -276,10 +275,9 @@ def test_criterion_12_gradient_scaling():
     ctx = TapeContext()
     x = ctx.constant(0.0)
     out = compose_chain(ctx, [residual] * 8, x)
-    ctx.tape.input_ids["x"] = x.tape_id
-    res = backward(ctx.tape, Value.scalar(1.0), wrt_inputs=["x"],
+    res = backward(ctx.tape, Value.scalar(1.0), wrt_inputs=[x],
                    output_id=out.tape_id)
-    residual_grad = float(res.input_grads["x"].data)
+    residual_grad = float(res.input_grads[x.tape_id].data)
     ok = ok and residual_grad >= 1.0
     _verdict("criterion-12 gradient scaling (2^k chain + residual path)",
              ok, f"residual-chain grad at 0 = {residual_grad}"

@@ -247,12 +247,9 @@ def test_residual_chain_keeps_gradient_path_at_zero():
 def _leaf_grad(ctx, out_ref, leaf_ref):
     from schemegrad.autodiff import backward as _backward
 
-    tape = ctx.tape
-    # wire the leaf as a named input so backward reports it
-    tape.input_ids["__probe"] = leaf_ref.tape_id
-    res = _backward(tape, Value.scalar(1.0), wrt_inputs=["__probe"],
+    res = _backward(ctx.tape, Value.scalar(1.0), wrt_inputs=[leaf_ref],
                     output_id=out_ref.tape_id)
-    return float(res.input_grads["__probe"].data)
+    return float(res.input_grads[leaf_ref.tape_id].data)
 
 
 # --- det/inv gradients through the batch-vectorised LU -------------------------

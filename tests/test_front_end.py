@@ -179,7 +179,7 @@ MALFORMED = [
      "recur takes 2 argument(s) to match the loop variables, got 1", (1, 21)),
     ("(begin)", ParseError, "begin needs at least one expression", (1, 1)),
     ("(loop () 1)", ParseError, "loop needs at least one variable", (1, 1)),
-    ("(let ((a 1)", ParseError, "unbalanced parens in binding list", (1, 11)),
+    ("(let ((a 1)", ParseError, "unbalanced parens in binding list", (1, 6)),
     ("(let (a 1) a)", ParseError, "expected lparen, got 'a'", (1, 7)),
     ("(let ((1 2)) 3)", ParseError, "expected a name, got '1'", (1, 8)),
     ("(let ((sin 1)) sin)", ParseError, "'sin' is a reserved primitive name", (1, 8)),
