@@ -182,6 +182,10 @@ def _batch_of(args: list[Value], op: str) -> int | None:
 
 
 def ordered_sum_last(arr: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, folded left to right; over an empty axis,
+    the empty sum 0.0."""
+    if arr.shape[-1] == 0:
+        return np.zeros(arr.shape[:-1])
     out = arr[..., 0]
     for i in range(1, arr.shape[-1]):
         out = out + arr[..., i]

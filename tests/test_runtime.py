@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from schemegrad import interpreter, runtime
+from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, ShapeMismatch, SingularMatrix
+from schemegrad.machine import eval_program
 from schemegrad.ops import PRIM_NAMES
 from schemegrad.runtime import (
     ERROR_POLICY,
@@ -15,6 +17,7 @@ from schemegrad.runtime import (
     pow_immediate,
     select,
 )
+from schemegrad.sexpr import parse
 from schemegrad.values import Value, bit_equal, stack_batch
 
 
@@ -418,6 +421,28 @@ def test_batch_consistency_ref():
     batched = apply_primitive("ref", [stack_batch(vecs), idx])
     singles = stack_batch([apply_primitive("ref", [v, idx]) for v in vecs])
     assert bit_equal(batched, singles)
+
+
+@pytest.mark.parametrize("src, leaf", [
+    ("(norm v)", Value.vector([])),
+    ("(vsum v)", Value.vector([])),
+    ("(dot v v)", Value.vector([])),
+    ("(trace v)", Value.matrix(np.zeros((0, 0)))),
+    ("(norm v)", Value.batch_vectors(np.zeros((3, 0)))),
+])
+def test_an_empty_sum_is_zero_in_both_engines(src, leaf):
+    prog = compile_source(src, inputs=("v",))
+    want = np.zeros(leaf.data.shape[:1] if leaf.batched else ())
+    for _ in range(3):  # the executor, then a kernel where one is generated
+        got = eval_program(prog, {"v": leaf})
+        assert (got.kind, got.batched) == ("scalar", leaf.batched)
+        assert bit_equal(got, Value(want, "scalar", leaf.batched))
+    assert bit_equal(interpreter.interpret_ast(parse(src), {"v": leaf}), got)
+
+
+def test_a_nonempty_ordered_sum_still_folds_left():
+    arr = np.array([[1e16, 1.0, -1e16, 1.0]])
+    assert runtime.ordered_sum_last(arr)[0] == ((1e16 + 1.0) - 1e16) + 1.0 == 1.0
 
 
 def test_pow_immediate_matches_power():
