@@ -2,9 +2,10 @@
 
 The tape is a flat record of every operation in execution order (loop
 iterations append one group per pass).  Backward walks it strictly in
-reverse, calling the vector-Jacobian product of each record's op row
-(``ops.OPS``; the VJPs live in ``runtime`` beside their forwards) and
-accumulating into input leaves and named parameters.  The row's
+reverse, with numpy's floating-point errors ignored, calling the
+vector-Jacobian product of each record's op row (``ops.OPS``; most are
+generated from the rows' emit forms, see ``kernels``) and accumulating
+into input leaves and named parameters.  The row's
 ``elementwise`` flag says how a raw gradient is reduced to its argument's
 shape.  ``Tape.replay`` recomputes every record through its row's
 forward.
@@ -39,7 +40,7 @@ from .ops import OPS
 # The kernels are called through these module globals, which the traced
 # benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, apply_primitive,  # noqa: F401
-                      pow_immediate, select)
+                      pow_immediate, quiet, restore, select)
 from .values import Value, bit_equal
 
 
@@ -262,7 +263,26 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
     result = GradResult(output=out_value)
     if not active[out_id]:
         return result
-    grads: dict[int, np.ndarray] = {out_id: seed.data}
+    saved = quiet()  # the VJPs and the sums run with numpy's errors ignored
+    try:
+        grads = _sweep(nodes, visit, active, out_id, seed.data)
+        for store, name, nid in tape.param_entries:
+            g = grads.get(nid)
+            if g is not None:
+                store.accumulate_grad(name, g)
+    finally:
+        restore(saved)
+
+    for key, nid in wrt:
+        if nid is not None and nid in grads:
+            result.input_grads[key] = Value(grads[nid], tape.value_of(nid).kind,
+                                            tape.value_of(nid).batched)
+    return result
+
+
+def _sweep(nodes, visit, active, out_id, seed) -> dict:
+    """The reverse loop of ``backward``: node id -> summed gradient."""
+    grads: dict[int, np.ndarray] = {out_id: seed}
     for nid in reversed(visit):
         g = grads.get(nid)
         if g is None:
@@ -285,17 +305,7 @@ def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> G
                 reduced = _reduce_structural(np.asarray(contrib), nodes[a_id][2])
             prev = grads.get(a_id)
             grads[a_id] = reduced if prev is None else prev + reduced
-
-    for store, name, nid in tape.param_entries:
-        g = grads.get(nid)
-        if g is not None:
-            store.accumulate_grad(name, g)
-
-    for key, nid in wrt:
-        if nid is not None and nid in grads:
-            result.input_grads[key] = Value(grads[nid], tape.value_of(nid).kind,
-                                            tape.value_of(nid).batched)
-    return result
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,54 @@
-"""Generated kernels for reused straight-line programs.
+"""The emit forms of the ops, and the code generated from them.
 
-A straight-line program is a top-level block with an ``exit`` tail whose
-output is an op's result and that holds no ``loop`` or ``call``
-instruction, and whose every op has emit forms (an eager row, det or inv,
-has none).  Its array runs (every run that is not a raw-slot one, see
-``machine``) can go through Python source generated for it here:
+The emit forms are columns of the op table (``ops.py``) and the one array
+definition of the 38 rows that have them: the 24 scalar rows and vec, dot,
+norm, vsum, scale, matvec, cross, normalize, mat, matmul, transpose, trace,
+outer and vlen.  ``emit(ops, types, aux)`` returns the source of the op's
+result from its operands' sources and static types, with its static type;
+``emit_vjp(g, ops, out, types, out_type, aux, need)`` returns statements to
+run first and, per operand, the source and static shape of its raw
+gradient (shaped like the output for an elementwise row, like the operand
+otherwise, as ``backward`` reduces them) or None.  A static type is
+``(kind, batched, core)``; a static shape is ``(batched, core)``; ``B`` is
+the batch size in the generated source.  A form raises the
+``ShapeMismatch`` its op raises, with its message, on operands the op
+rejects.
+
+One-op functions.  A row's ``forward`` and ``vjp`` columns call a function
+generated from its form for the static types of the operands (and, for a
+VJP, its ``need`` mask), made once per process and kept in ``_ONE_OPS``;
+each row also remembers which function and batch size go with the
+operands' shapes, so a call with shapes it has seen builds one tuple and
+looks it up.  A call with shapes it has not seen checks the batch sizes
+first.  The functions run with numpy's floating-point errors ignored: their
+callers (``apply_primitive``, ``pow_immediate``, the executor and
+``backward``) enter that state once.
+
+Whole-program kernels.  A straight-line program is a top-level block with
+an ``exit`` tail whose output is an op's result and that holds no ``loop``
+or ``call`` instruction, and whose every op has emit forms.  Its array runs
+(every run that is not a raw-slot one, see ``machine``) can go through
+Python source generated for it here:
 
 - the signature of a run is each input's and parameter's batchedness and
   core shape (its kind follows from the core's rank); batch sizes are
   checked equal at entry, not keyed.  A signature with an unbatched scalar
-  held as a ``numpy.float64``, or with an empty core axis, takes the
-  executor;
+  held as a ``numpy.float64`` takes the executor;
 - an untaped run and a taped run each get their kernel on the second run
   of that kind with that signature, and keep it in the program's
   ``kernels`` cache; the first run of each kind takes the executor, as does
-  every run of a program or signature that gets no kernel.  Programs
-  compiled from the same text share their kernels, so a formula compiled
-  again for another fit generates nothing.
+  every run of a program or signature that gets no kernel (a program that
+  raises a ``ShapeMismatch``).  Programs compiled from the same text share
+  their kernels, so a formula compiled again for another fit generates
+  nothing.
 
-The forward kernel keeps slots as locals, calls each op's ufunc with the
-shape alignment resolved at generation, inlines a result read once into
+The forward kernel keeps slots as locals, inlines a result read once into
 the expression that reads it and deletes every other temporary after its
-last use, and runs with numpy's floating-point errors ignored, as under
-``np.errstate(all="ignore")``.  It makes the calls the executor makes, on
-arrays of the same shapes, so its values are bitwise the executor's; an
-unbatched scalar it returns or keeps is a 0-d array, as in a Value.  The
-machine tests only the output under the error policy and redoes a
-non-finite run through the executor, which raises the error such a run
-has always raised.
+last use.  Its sources are the one-op functions' sources, so its values are
+bitwise the executor's; an unbatched scalar it returns or keeps is a 0-d
+array, as in a Value.  The machine tests only the output under the error
+policy and redoes a non-finite run through the executor, which raises the
+error such a run has always raised.
 
 A taped run through a kernel appends its input and parameter leaves and
 then one ``fused`` record, whose value is the output.  The record keeps
@@ -40,16 +61,6 @@ makes the calls ``backward`` would make, and returns one contribution per
 use, already reduced to the leaf's shape.  ``backward`` adds them to its
 running sums one by one, so every gradient is the sum of the same terms in
 the same order as over one record per instruction, and bitwise the same.
-
-The emit forms are columns of the op table (``ops.py``): ``emit(ops,
-types, aux)`` returns the source of the op's result from its operands'
-sources and static types, and ``emit_vjp(g, ops, out, types, out_type,
-aux, need)`` returns statements to run first and, per operand, the
-source and static shape of its raw gradient or None, mirroring the row's
-``vjp`` in ``runtime``.  A static type is ``(kind, batched, core)``; a
-static shape is ``(batched, core)``.  ``B`` is the batch size in the
-generated source; a form raises ``Refuse`` on operands its forward would
-reject, and the executor then runs and raises.
 """
 
 from __future__ import annotations
@@ -59,52 +70,66 @@ import re
 import numpy as np
 
 from . import runtime as rt
-from .values import Value
+from .errors import ShapeMismatch
+from .values import F64, Value
 
 FUSED = "fused"  # the op name of a taped kernel run's record
 
 _SCALAR = ("scalar", False, ())
 _KINDS = ("scalar", "vector", "matrix")
 
-try:  # numpy >= 2: np.errstate sets a context variable; set it without building one
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-
-    _IGNORE = _make_extobj(all="ignore")
-
-    def _quiet():
-        return _extobj_contextvar.set(_IGNORE)
-
-    _restore = _extobj_contextvar.reset
-except ImportError:  # numpy 1: the same through the global error state
-    def _quiet():
-        return np.seterr(all="ignore")
-
-    def _restore(saved):
-        np.seterr(**saved)
-
 
 def quietly(fn, *args):
     """``fn(*args)`` with numpy's floating-point errors ignored, as under
     ``np.errstate(all="ignore")``: every generated function runs so."""
-    saved = _quiet()
+    saved = rt.quiet()
     try:
         return fn(*args)
     finally:
-        _restore(saved)
+        rt.restore(saved)
 
+
+def _as_float(mask) -> np.ndarray:
+    """Truth values as 1.0/0.0; a numpy bool becomes a 0-d array."""
+    return np.asarray(mask, dtype=np.float64)
+
+
+def _cross(a, b):
+    """a x b over the last axis; also the cross VJP's two products."""
+    return np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+_ZERO = np.zeros(())  # unary minus is 0 - x; shared, so read-only
+_ZERO.flags.writeable = False
 
 # The globals of every generated function, besides its constants: the numpy
-# functions the emit forms call, by their numpy names, and runtime's helpers.
+# functions the emit forms call, by their numpy names, and the helpers.
 _NAMESPACE = {name: getattr(np, name) for name in (
     "add", "subtract", "multiply", "divide", "power", "mod", "fmod", "minimum", "maximum",
     "abs", "sin", "cos", "exp", "sqrt", "log", "equal", "less", "greater", "less_equal",
     "greater_equal", "logical_and", "logical_or", "where", "stack", "ones", "sign", "floor",
-    "trunc", "asarray", "broadcast_to")}
-_NAMESPACE.update(_as_float=rt._as_float, _osl=rt.ordered_sum_last, _ZERO=rt._ZERO.data)
+    "trunc", "asarray", "broadcast_to", "swapaxes", "moveaxis", "diagonal", "matmul", "eye")}
+_NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
+                  _pow_lanes=rt.power_lanes)
 
 
-class Refuse(Exception):
-    """The program or signature gets no kernel; the executor runs it."""
+def _define(ns: dict, name: str, params: str, body: list):
+    """A function of ``params`` running ``body`` with globals ``ns``; a body
+    that is one ``return`` compiles as a lambda, which costs less to
+    compile."""
+    if len(body) == 1 and body[0].startswith("return "):
+        return eval(compile(f"lambda {params}: ({body[0][7:]})", f"<kernel {name}>", "eval",
+                            dont_inherit=True), ns)
+    src = "\n".join([f"def {name}({params}):"] + ["    " + line for line in body])
+    exec(compile(src, f"<kernel {name}>", "exec", dont_inherit=True), ns)
+    return ns[name]
 
 
 _HOLES = tuple(f"{{{i}}}" for i in range(16))
@@ -127,32 +152,42 @@ def _shape_src(batched: bool, core: tuple) -> str:
 
 
 def _aligned(o: str, t: tuple, out: tuple) -> str:
-    """The executor's alignment of a batched scalar against a batched
-    vector or matrix: (B,) -> (B, 1[, 1])."""
+    """The alignment of a batched scalar against a batched vector or
+    matrix: (B,) -> (B, 1[, 1])."""
     if out[1] and t[1] and t[0] == "scalar" and out[0] != "scalar":
         return f"{o}.reshape((B{', 1' * len(out[2])}))"
     return o
 
 
-def _elementwise(types: list) -> tuple:
-    kind, core = "scalar", ()
+def _elementwise(op: str, types: list) -> tuple:
+    """The result type of an elementwise op: scalars broadcast against
+    vectors and matrices, unbatched values against batched ones, and
+    anything else must match exactly."""
+    kind, core = "scalar", None
     for k, _, c in types:
         if k != "scalar":
-            if kind != "scalar" and (k != kind or c != core):
-                raise Refuse
+            if kind != "scalar" and k != kind:
+                raise ShapeMismatch(f"{op}: mixed kinds {kind}/{k}")
+            if core is not None and c != core:
+                raise ShapeMismatch(f"{op}: core shapes {core} vs {c} differ")
             kind, core = k, c
-    return kind, any(t[1] for t in types), core
+    return kind, any(t[1] for t in types), core or ()
+
+
+def _expect(op: str, t: tuple, kind: str) -> None:
+    if t[0] != kind:
+        raise ShapeMismatch(f"{op}: expected {kind}, got {t[0]}")
 
 
 # ---------------------------------------------------------------------------
 # forward emit forms: (ops, types, aux) -> (source, static type)
 
 
-def fold(ufunc: str):
+def fold(op: str, ufunc: str):
     """An n-ary elementwise op folding ``ufunc`` left to right; one operand
     is the result itself."""
     def emit(ops, types, aux):
-        out = _elementwise(types)
+        out = _elementwise(op, types)
         src, *rest = [_aligned(o, t, out) for o, t in zip(ops, types)]
         for x in rest:
             src = f"{ufunc}({src}, {x})"
@@ -160,7 +195,7 @@ def fold(ufunc: str):
     return emit
 
 
-_subtract, _power = fold("subtract"), fold("power")
+_subtract = fold("-", "subtract")
 
 
 def emit_sub(ops, types, aux):
@@ -169,10 +204,18 @@ def emit_sub(ops, types, aux):
     return _subtract(ops, types, aux)
 
 
+def _power_of(exponent: tuple) -> str:
+    """np.power, or for a batched scalar exponent runtime's ``power_lanes``,
+    which keeps each lane bitwise its unbatched run."""
+    return "_pow_lanes" if exponent[:2] == ("scalar", True) else "power"
+
+
 def emit_pow(ops, types, aux):
     if aux is not None:  # a constant exponent: pow_immediate, on the base as it is
         return f"power({ops[0]}, {aux})", types[0]
-    return _power(ops, types, aux)
+    out = _elementwise("pow", types)
+    a, b = [_aligned(o, t, out) for o, t in zip(ops, types)]
+    return f"{_power_of(types[1])}({a}, {b})", out
 
 
 def unary(ufunc: str):
@@ -181,17 +224,19 @@ def unary(ufunc: str):
     return emit
 
 
-def compare(ufunc: str):
+def compare(op: str, ufunc: str):
+    """A binary comparison; true is 1.0 and false 0.0."""
     def emit(ops, types, aux):
-        out = _elementwise(types)
+        out = _elementwise(op, types)
         a, b = [_aligned(o, t, out) for o, t in zip(ops, types)]
         return f"_as_float({ufunc}({a}, {b}))", out
     return emit
 
 
-def logical(ufunc: str):
+def logical(op: str, ufunc: str):
+    """n-ary and/or over truth values (non-zero is true)."""
     def emit(ops, types, aux):
-        out = _elementwise(types)
+        out = _elementwise(op, types)
         src, *rest = [f"({_aligned(o, t, out)} != 0.0)" for o, t in zip(ops, types)]
         for x in rest:
             src = f"{ufunc}({src}, {x})"
@@ -204,58 +249,129 @@ def emit_not(ops, types, aux):
 
 
 def emit_if(ops, types, aux):
-    out = _elementwise(types)
+    """Elementwise branch blend: picks the second operand where the first
+    is non-zero."""
+    out = _elementwise("if", types)
     c, t, e = [_aligned(o, t, out) for o, t in zip(ops, types)]
     return f"where(({c} != 0.0), {t}, {e})", out
 
 
 def emit_vec(ops, types, aux):
-    if any(t[0] != "scalar" for t in types):
-        raise Refuse
+    for t in types:
+        _expect("vec", t, "scalar")
     batched = any(t[1] for t in types)
     if batched:
         ops = [o if t[1] else f"broadcast_to({o}, (B,))" for o, t in zip(ops, types)]
     return f"stack([{', '.join(ops)}], axis=-1)", ("vector", batched, (len(ops),))
 
 
+def emit_dot(ops, types, aux):
+    (a, b), (ta, tb) = ops, types
+    _expect("dot", ta, "vector")
+    _expect("dot", tb, "vector")
+    if ta[2] != tb[2]:
+        raise ShapeMismatch(f"dot: lengths {ta[2]} vs {tb[2]}")
+    return f"_osl(({a} * {b}))", ("scalar", ta[1] or tb[1], ())
+
+
+def emit_cross(ops, types, aux):
+    for t in types:
+        _expect("cross", t, "vector")
+        if t[2] != (3,):
+            raise ShapeMismatch("cross: vectors must have length 3")
+    return f"_cross({ops[0]}, {ops[1]})", ("vector", types[0][1] or types[1][1], (3,))
+
+
+def emit_norm(ops, types, aux):
+    _expect("norm", types[0], "vector")
+    return f"sqrt(_osl(({ops[0]} * {ops[0]})))", ("scalar", types[0][1], ())
+
+
+def emit_normalize(ops, types, aux):
+    _expect("normalize", types[0], "vector")
+    v = ops[0]
+    return f"({v} / sqrt(_osl(({v} * {v})))[..., None])", types[0]
+
+
+def emit_vsum(ops, types, aux):
+    _expect("vsum", types[0], "vector")
+    return f"_osl({ops[0]})", ("scalar", types[0][1], ())
+
+
+def emit_vlen(ops, types, aux):
+    _expect("vlen", types[0], "vector")
+    return f"asarray({float(types[0][2][-1])!r})", _SCALAR
+
+
 def emit_scale(ops, types, aux):
     (s, v), (ts, tv) = ops, types
-    if ts[0] != "scalar" or tv[0] == "scalar":
-        raise Refuse
+    _expect("scale", ts, "scalar")
+    if tv[0] not in ("vector", "matrix"):
+        raise ShapeMismatch("scale: second argument must be a vector or matrix")
     if ts[1]:
         s = f"{s}.reshape((B{', 1' * len(tv[2])}))"
     return f"({s} * {v})", (tv[0], ts[1] or tv[1], tv[2])
 
 
-def emit_norm(ops, types, aux):
-    if types[0][0] != "vector":
-        raise Refuse
-    return f"sqrt(_osl(({ops[0]} * {ops[0]})))", ("scalar", types[0][1], ())
+def emit_mat(ops, types, aux):
+    n = types[0][2]
+    for t in types:
+        _expect("mat", t, "vector")
+        if t[2] != n:
+            raise ShapeMismatch("mat: rows have differing lengths")
+    batched = any(t[1] for t in types)
+    if batched:
+        ops = [o if t[1] else f"broadcast_to({o}, {_shape_src(True, n)})"
+               for o, t in zip(ops, types)]
+    return f"stack([{', '.join(ops)}], axis=-2)", ("matrix", batched, (len(ops),) + n)
 
 
-def emit_dot(ops, types, aux):
+def emit_matmul(ops, types, aux):
     (a, b), (ta, tb) = ops, types
-    if ta[0] != "vector" or tb[0] != "vector" or ta[2] != tb[2]:
-        raise Refuse
-    return f"_osl(({a} * {b}))", ("scalar", ta[1] or tb[1], ())
-
-
-def emit_vsum(ops, types, aux):
-    if types[0][0] != "vector":
-        raise Refuse
-    return f"_osl({ops[0]})", ("scalar", types[0][1], ())
+    _expect("matmul", ta, "matrix")
+    _expect("matmul", tb, "matrix")
+    if ta[2][-1] != tb[2][-2]:
+        raise ShapeMismatch(f"matmul: inner dims {ta[2]} x {tb[2]} do not agree")
+    # the products summed over the inner axis, moved last, left to right
+    return (f"_osl(moveaxis(({a}[..., :, :, None] * {b}[..., None, :, :]), -2, -1))",
+            ("matrix", ta[1] or tb[1], (ta[2][0], tb[2][1])))
 
 
 def emit_matvec(ops, types, aux):
     (m, v), (tm, tv) = ops, types
-    if tm[0] != "matrix" or tv[0] != "vector" or tm[2][-1] != tv[2][-1]:
-        raise Refuse
+    _expect("matvec", tm, "matrix")
+    _expect("matvec", tv, "vector")
+    if tm[2][-1] != tv[2][-1]:
+        raise ShapeMismatch(f"matvec: {tm[2]} x {tv[2]} do not agree")
     return f"_osl(({m} * {v}[..., None, :]))", ("vector", tm[1] or tv[1], tm[2][:1])
+
+
+def emit_transpose(ops, types, aux):
+    t = types[0]
+    _expect("transpose", t, "matrix")
+    return f"swapaxes({ops[0]}, -1, -2)", ("matrix", t[1], t[2][::-1])
+
+
+def emit_trace(ops, types, aux):
+    t = types[0]
+    _expect("trace", t, "matrix")
+    if t[2][-1] != t[2][-2]:
+        raise ShapeMismatch("trace: matrix must be square")
+    return f"_osl(diagonal({ops[0]}, axis1=-2, axis2=-1))", ("scalar", t[1], ())
+
+
+def emit_outer(ops, types, aux):
+    (a, b), (ta, tb) = ops, types
+    _expect("outer", ta, "vector")
+    _expect("outer", tb, "vector")
+    return f"({a}[..., :, None] * {b}[..., None, :])", ("matrix", ta[1] or tb[1], ta[2] + tb[2])
 
 
 # ---------------------------------------------------------------------------
 # VJP emit forms: (g, ops, out, types, out_type, aux, need) ->
-# (statements, [(source, static shape) or None per operand]), as runtime's vjp_*
+# (statements, [(source, static shape) or None per operand]).  ``need``
+# holds one bool per operand: an operand that reaches no root of the
+# backward pass gets None.  Unary forms run only with need == [True].
 
 
 def _each(out_t, srcs) -> tuple:
@@ -303,8 +419,9 @@ def vjp_pow(g, ops, out, types, out_t, aux, need):
     if aux is not None:
         return _each(out_t, [f"(({g} * {aux}) * power({ops[0]}, ({aux} - 1.0)))"])
     a, b = [_aligned(o, t, out_t) for o, t in zip(ops, types)]
-    return _each(out_t, [f"(({g} * {b}) * power({a}, ({b} - 1.0)))" if need[0] else None,
-                         f"(({g} * {out}) * log({a}))" if need[1] else None])
+    return _each(out_t, [
+        f"(({g} * {b}) * {_power_of(types[1])}({a}, ({b} - 1.0)))" if need[0] else None,
+        f"(({g} * {out}) * log({a}))" if need[1] else None])
 
 
 def rounding_vjp(rounder: str):
@@ -317,6 +434,8 @@ def rounding_vjp(rounder: str):
 
 
 def vjp_minmax(g, ops, out, types, out_t, aux, need):
+    # an operand takes the gradient where it is the first to equal the
+    # output, so the mask runs over every operand, needed or not
     avail = f"m{out}"
     lines = [f"{avail} = ones({_shape_src(*out_t[1:])}, dtype=bool)"]
     srcs = []
@@ -349,12 +468,17 @@ def vjp_vec(g, ops, out, types, out_t, aux, need):
     return [], [(f"{g}[..., {i}]", (out_t[1], ())) if n else None for i, n in enumerate(need)]
 
 
-def vjp_scale(g, ops, out, types, out_t, aux, need):
-    (s, v), (ts, tv) = ops, types
-    nd = out_t[1] + len(tv[2])
-    axes = tuple(range(nd - len(tv[2]), nd))
-    return [], [(f"({g} * {v}).sum(axis={axes!r})", (out_t[1], ())) if need[0] else None,
-                (f"({_aligned(s, ts, out_t)} * {g})", out_t[1:]) if need[1] else None]
+def vjp_dot(g, ops, out, types, out_t, aux, need):
+    (a, b), (ta, tb) = ops, types
+    ge = f"asarray({g})[..., None]"
+    return [], [(f"({ge} * {b})", (out_t[1], ta[2])) if need[0] else None,
+                (f"({ge} * {a})", (out_t[1], tb[2])) if need[1] else None]
+
+
+def vjp_cross(g, ops, out, types, out_t, aux, need):
+    a, b = ops
+    return [], [(f"_cross({b}, {g})", out_t[1:]) if need[0] else None,
+                (f"_cross({g}, {a})", out_t[1:]) if need[1] else None]
 
 
 def vjp_norm(g, ops, out, types, out_t, aux, need):
@@ -363,11 +487,10 @@ def vjp_norm(g, ops, out, types, out_t, aux, need):
                  types[0][1:])]
 
 
-def vjp_dot(g, ops, out, types, out_t, aux, need):
-    (a, b), (ta, tb) = ops, types
-    ge = f"asarray({g})[..., None]"
-    return [], [(f"({ge} * {b})", (out_t[1], ta[2])) if need[0] else None,
-                (f"({ge} * {a})", (out_t[1], tb[2])) if need[1] else None]
+def vjp_normalize(g, ops, out, types, out_t, aux, need):
+    v = ops[0]
+    return [], [(f"(({g} - ({out} * ({out} * {g}).sum(axis=-1, keepdims=True)))"
+                 f" / sqrt(({v} * {v}).sum(axis=-1, keepdims=True)))", types[0][1:])]
 
 
 def vjp_vsum(g, ops, out, types, out_t, aux, need):
@@ -375,11 +498,45 @@ def vjp_vsum(g, ops, out, types, out_t, aux, need):
     return [], [(f"broadcast_to(asarray({g})[..., None], {_shape_src(*t[1:])})", t[1:])]
 
 
+def vjp_scale(g, ops, out, types, out_t, aux, need):
+    (s, v), (ts, tv) = ops, types
+    nd = out_t[1] + len(tv[2])
+    axes = tuple(range(nd - len(tv[2]), nd))
+    return [], [(f"({g} * {v}).sum(axis={axes!r})", (out_t[1], ())) if need[0] else None,
+                (f"({_aligned(s, ts, out_t)} * {g})", out_t[1:]) if need[1] else None]
+
+
+def vjp_mat(g, ops, out, types, out_t, aux, need):
+    return [], [(f"{g}[..., {i}, :]", (out_t[1], out_t[2][1:])) if n else None
+                for i, n in enumerate(need)]
+
+
+def vjp_matmul(g, ops, out, types, out_t, aux, need):
+    (a, b), (ta, tb) = ops, types
+    return [], [(f"matmul({g}, swapaxes({b}, -1, -2))", (out_t[1], ta[2])) if need[0] else None,
+                (f"matmul(swapaxes({a}, -1, -2), {g})", (out_t[1], tb[2])) if need[1] else None]
+
+
 def vjp_matvec(g, ops, out, types, out_t, aux, need):
     (m, v), (tm, tv) = ops, types
     ge = f"asarray({g})[..., :, None]"
     return [], [(f"({ge} * {v}[..., None, :])", (out_t[1], tm[2])) if need[0] else None,
                 (f"({m} * {ge}).sum(axis=-2)", (out_t[1], tv[2])) if need[1] else None]
+
+
+def vjp_transpose(g, ops, out, types, out_t, aux, need):
+    return [], [(f"swapaxes({g}, -1, -2)", types[0][1:])]
+
+
+def vjp_trace(g, ops, out, types, out_t, aux, need):
+    t = types[0]
+    return [], [(f"(asarray({g})[..., None, None] * eye({t[2][-1]}))", t[1:])]
+
+
+def vjp_outer(g, ops, out, types, out_t, aux, need):
+    (a, b), (ta, tb) = ops, types
+    return [], [(f"({g} * {b}[..., None, :]).sum(axis=-1)", (out_t[1], ta[2])) if need[0] else None,
+                (f"({g} * {a}[..., :, None]).sum(axis=-2)", (out_t[1], tb[2])) if need[1] else None]
 
 
 def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
@@ -402,6 +559,120 @@ def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -
     if (b, core) != arg[1:]:
         src = f"broadcast_to({src}, {_shape_src(*arg[1:])})"
     return src
+
+
+# ---------------------------------------------------------------------------
+# one-op functions: the forward and VJP columns of the rows with emit forms
+
+# (row name, operand types, whether aux is given, need or None) ->
+# (generated function, out type)
+_ONE_OPS: dict = {}
+_SEEN_MAX = 512  # operand shapes a row remembers before it forgets them all
+
+
+def _one_op(row, types: tuple, aux: bool, need=None) -> tuple:
+    """The generated forward (``need`` None) or VJP of ``row`` for operands
+    of these static types, and the out type: ``forward(o0, .., aux, B)``
+    returns the result array, ``vjp(g, o0, .., out, aux, B)`` the list of
+    raw gradients."""
+    key = (row.name, types, aux, need)
+    made = _ONE_OPS.get(key)
+    if made is None:
+        names = [f"o{i}" for i in range(len(types))]
+        aux_src = "aux" if aux else None
+        src, out = row.emit(_holes(len(types)), list(types), aux_src)
+        if need is None:
+            fn = _define(dict(_NAMESPACE), "forward", ", ".join(names + ["aux", "B"]),
+                         [f"return {src.format(*names)}"])
+        else:
+            pre, raw = row.emit_vjp("g", names, "out", list(types), out, aux_src, list(need))
+            ret = ", ".join("None" if r is None else r[0] for r in raw)
+            fn = _define(dict(_NAMESPACE), "vjp", ", ".join(["g", *names, "out", "aux", "B"]),
+                         pre + [f"return [{ret}]"])
+        made = _ONE_OPS[key] = (fn, out)
+    return made
+
+
+def _static_types(row, args) -> tuple:
+    """The operands' static types and batch size, once their batch sizes
+    are found to agree."""
+    types, batch = [], None
+    for a in args:
+        shape = a.data.shape
+        if a.batched:
+            if batch is not None and shape[0] != batch:
+                raise ShapeMismatch(f"{row.name}: batch sizes {batch} vs {shape[0]} differ"
+                                    if row.category == "scalar"
+                                    else f"{row.name}: batch sizes differ")
+            batch, shape = shape[0], shape[1:]
+        types.append((a.kind, a.batched, shape))
+    return tuple(types), batch
+
+
+def _shapes(args) -> tuple:
+    if len(args) == 2:  # the common arity, without a comprehension
+        a, b = args
+        return a.batched, a.data.shape, b.batched, b.data.shape
+    return tuple([(a.batched, a.data.shape) for a in args])
+
+
+def _remember(memo: dict, key, made) -> tuple:
+    if len(memo) >= _SEEN_MAX:
+        memo.clear()
+    memo[key] = made
+    return made
+
+
+def forward_of(row):
+    """The ``forward`` column of a row with emit forms: ``forward(args,
+    policy, aux)`` -> Value, through the one-op function for the operands'
+    static types.  It ignores the policy (the row's caller judges)."""
+    plain, immediate = {}, {}  # operand shapes -> (fn, out kind, out batched, B)
+
+    def miss(memo, key, args, aux):
+        types, batch = _static_types(row, args)
+        fn, out = _one_op(row, types, aux is not None)
+        return _remember(memo, key, (fn, out[0], out[1], batch))
+
+    def forward(args, policy=None, aux=None):
+        # A ufunc's numpy scalar result stays one when an operand was one (a
+        # raw-slot run's output, say) and is a 0-d array, as a Value holds
+        # it, else.
+        memo = plain if aux is None else immediate
+        if len(args) == 2:
+            a, b = args
+            x, y = a.data, b.data
+            key = (a.batched, x.shape, b.batched, y.shape)
+            fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
+            data = fn(x, y, aux, batch)
+            if type(data) is F64 and type(x) is not F64 and type(y) is not F64:
+                data = np.asarray(data)
+        else:
+            key = _shapes(args)
+            fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
+            data = fn(*[a.data for a in args], aux, batch)
+            if type(data) is F64 and all(type(a.data) is not F64 for a in args):
+                data = np.asarray(data)
+        return Value.trusted(data, kind, batched)
+
+    return forward
+
+
+def vjp_of(row):
+    """The ``vjp`` column of a row with emit forms: ``vjp(g, args, out,
+    aux, need)`` -> one raw gradient or None per argument, through the
+    one-op VJP for the operands' static types and ``need``."""
+    seen = {}  # (need, aux given, operand shapes) -> (fn, B)
+
+    def vjp(g, args, out, aux, need):
+        key = (need, aux is not None, _shapes(args))
+        hit = seen.get(key)
+        if hit is None:
+            types, batch = _static_types(row, args)
+            hit = _remember(seen, key, (_one_op(row, types, aux is not None, need)[0], batch))
+        return hit[0](g, *[a.data for a in args], out.data, aux, hit[1])
+
+    return vjp
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +738,7 @@ def _shared_kernel(prog, sig):
     else:
         try:
             k = Kernel(prog, sig)
-        except Refuse:
+        except ShapeMismatch:  # the executor raises it
             k = None
         if len(_SHARED) >= _SHARED_MAX:
             del _SHARED[next(iter(_SHARED))]
@@ -504,8 +775,6 @@ class Kernel:
                 prims.append((dest, ins[5], ops, aux, src))
             else:  # input or param
                 batched, core = sig[len(self.leaf_slots)]
-                if 0 in core:
-                    raise Refuse
                 ref[dest] = f"l{len(self.leaf_slots)}"
                 types[dest] = (_KINDS[len(core)], batched, core)
                 self.leaf_slots.append(dest)
@@ -526,16 +795,6 @@ class Kernel:
         self.kept = self.kept_leaves = ()  # read by the reverse sweep, set with the taped forward
 
     # -- code generation -----------------------------------------------------
-
-    def _define(self, name: str, params: str, body: list):
-        """A function of ``params`` running ``body``; a body that is one
-        ``return`` compiles as a lambda, which costs less to compile."""
-        if len(body) == 1 and body[0].startswith("return "):
-            return eval(compile(f"lambda {params}: ({body[0][7:]})", f"<kernel {name}>", "eval",
-                                dont_inherit=True), self.ns)
-        src = "\n".join([f"def {name}({params}):"] + ["    " + line for line in body])
-        exec(compile(src, f"<kernel {name}>", "exec", dont_inherit=True), self.ns)
-        return self.ns[name]
 
     def _forward_body(self, keep) -> tuple:
         """The forward's statements and the source of its output.  Results
@@ -578,7 +837,7 @@ class Kernel:
         if self.forward is not None:
             return
         lines, out = self._forward_body(())
-        self.forward = self._define("forward", self._leaf_params(), lines + [f"return {out}"])
+        self.forward = _define(self.ns, "forward", self._leaf_params(), lines + [f"return {out}"])
 
     def define_taped(self) -> None:
         """The taped forward, which also returns the internal values the
@@ -591,7 +850,7 @@ class Kernel:
         self.kept_leaves = tuple(sorted(_names_in(sweep, "l")))
         lines, out = self._forward_body(set(self.kept))
         kept = "".join(f"s{s}, " for s in self.kept)
-        self.taped = self._define("taped", self._leaf_params(),
+        self.taped = _define(self.ns, "taped", self._leaf_params(),
                                   lines + [f"return {out}, ({kept})"])
 
     def _vjp_body(self, active_leaves) -> list:
@@ -640,7 +899,7 @@ class Kernel:
                 ("".join(f"l{i}, " for i in self.kept_leaves), "L"),
                 ("".join(f"s{s}, " for s in self.kept), "K")) if names]
             lines = self._vjp_body(active)
-            fn = self.vjps[need] = self._define("vjp", f"g{self.out}, L, K, B", unpack + lines)
+            fn = self.vjps[need] = _define(self.ns, "vjp", f"g{self.out}, L, K, B", unpack + lines)
         return fn
 
 
@@ -665,4 +924,4 @@ class Fused:
 
 
 def vjp_fused(g, args, out, aux, need):
-    return quietly(aux.kernel.vjp(need), g, aux.leaves, aux.kept, aux.batch)
+    return aux.kernel.vjp(need)(g, aux.leaves, aux.kept, aux.batch)  # backward runs it quietly

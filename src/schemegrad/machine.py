@@ -42,7 +42,8 @@ from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 # The kernels are called through these module globals, which the traced
 # benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa: F401
-                      Violations, all_finite, apply_primitive, pow_immediate, select)
+                      Violations, all_finite, apply_primitive, pow_immediate, quiet, restore,
+                      select)
 from .values import F64, Value, frozen_scalar
 
 
@@ -67,7 +68,8 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
 
     Ops run under the propagate policy, except that eager rows (det, inv)
     get ``policy`` and so raise at once, naming their instruction.  In
-    error mode the run applies the rule of ``runtime.Violations``.
+    error mode the run applies the rule of ``runtime.Violations``.  The run
+    ignores numpy's floating-point errors (``runtime.quiet``).
     """
     violations = Violations() if policy.raises else None
     taping = tape is not None
@@ -80,6 +82,7 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
     body = None      # BodyIR of the running loop or function; None at top level
     frames = []      # suspended callers: (slots, ids, instrs, tail, pc, body, dest, called)
     depth = 0
+    saved = quiet()
     try:
         while True:
             while pc < n:
@@ -197,6 +200,8 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
             instrs, tail, pc, n = chosen.instrs, chosen.tail, 0, len(chosen.instrs)
     except SingularMatrix as err:
         raise SingularMatrix(err.op, where=err.where, instruction=ins[1]) from None
+    finally:
+        restore(saved)
 
     if violations is not None:
         violations.finalize(value if raw else value.data, prog.output_slot)

@@ -1,18 +1,24 @@
 """The op table: one ``Op`` row per primitive.
 
 A row holds everything the package knows about an op: its name, category
-and arity, which the parser checks; its forward kernel and its VJP, both
-in ``runtime``; for the 24 scalar ops, its scalar kernel (``scalar``, also
-in ``runtime``), the op on ``numpy.float64`` operands, which the machine
-calls in a raw-slot run and a two-operand fold calls on two numpy
-scalars; its two emit forms (``emit``, ``emit_vjp``, in ``kernels``), the
-source of its forward and of its VJP in a generated kernel, for the rows a
-kernel can hold: the scalar rows and vec, dot, norm, vsum, scale and
-matvec; and three flags.  ``elementwise`` tells ``backward`` to undo
-broadcasting on the VJP's gradients, ``partial`` puts the op under the
-error policy's safe-domain rule (``runtime.Violations``), and ``eager``
-passes the error policy to the kernel, so the op raises at once (det and
-inv, on a singular matrix).
+and arity, which the parser checks; its two emit forms (``emit``,
+``emit_vjp``, in ``kernels``), the source of its forward and of its VJP;
+for the 24 scalar ops, its scalar kernel (``scalar``, in ``runtime``), the
+op on ``numpy.float64`` operands, which the machine calls in a raw-slot
+run; its forward and VJP columns; and three flags.  ``elementwise`` tells
+``backward`` to undo broadcasting on the VJP's gradients, ``partial`` puts
+the op under the error policy's safe-domain rule (``runtime.Violations``),
+and ``eager`` passes the error policy to the kernel, so the op raises at
+once (det and inv, on a singular matrix).
+
+The emit forms are the one array definition of the 38 rows that have them:
+the scalar rows and vec, dot, cross, norm, normalize, vsum, vlen, scale,
+mat, matmul, matvec, transpose, trace and outer.  Their forward and VJP
+columns are filled in by the row itself, with callers of the one-op
+functions generated from the forms (``kernels.forward_of``,
+``kernels.vjp_of``).  The other rows give a hand-written forward and VJP:
+ref, eye, zeros and ones, whose result's shape comes from an operand's
+value; det and inv, which are eager; and the tape-only rows.
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,
@@ -50,87 +56,79 @@ class Op:
     emit: Callable | None = None  # (ops, types, aux) -> (source, type), in a kernel
     emit_vjp: Callable | None = None  # (g, ops, out, types, out_type, aux, need) -> ...
 
+    def __post_init__(self):
+        # A row with emit forms gets its forward and VJP generated from them;
+        # a copy made by dataclasses.replace keeps the columns it is given.
+        if self.emit is not None and self.forward is None:
+            object.__setattr__(self, "forward", kn.forward_of(self))
+            object.__setattr__(self, "vjp", kn.vjp_of(self))
+
+
+def _emitted(name, category, min_arity, max_arity, emit, emit_vjp, scalar=None, **flags):
+    return Op(name, category, min_arity, max_arity, scalar=scalar, emit=emit, emit_vjp=emit_vjp,
+              **flags)
+
 
 _ROWS = (
-    Op("+", "scalar", 1, None, rt.op_add, rt.vjp_add, rt.scalar_add, elementwise=True,
-       emit=kn.fold("add"), emit_vjp=kn.vjp_add),
-    Op("-", "scalar", 1, None, rt.op_sub, rt.vjp_sub, rt.scalar_sub, elementwise=True,
-       emit=kn.emit_sub, emit_vjp=kn.vjp_sub),
-    Op("*", "scalar", 1, None, rt.op_mul, rt.vjp_mul, rt.scalar_mul, elementwise=True,
-       emit=kn.fold("multiply"), emit_vjp=kn.vjp_mul),
-    Op("/", "scalar", 2, None, rt.op_div, rt.vjp_div, rt.scalar_div,
-       elementwise=True, partial=True,
-       emit=kn.fold("divide"), emit_vjp=kn.vjp_div),
-    Op("pow", "scalar", 2, 2, rt.op_pow, rt.vjp_pow, rt.scalar_pow,
-       elementwise=True, partial=True,
-       emit=kn.emit_pow, emit_vjp=kn.vjp_pow),
-    Op("modulo", "scalar", 2, 2, rt.op_modulo, rt.vjp_modulo, rt.scalar_modulo,
-       elementwise=True, partial=True,
-       emit=kn.fold("mod"), emit_vjp=kn.rounding_vjp("floor")),
-    Op("remainder", "scalar", 2, 2, rt.op_remainder, rt.vjp_remainder, rt.scalar_remainder,
-       elementwise=True, partial=True,
-       emit=kn.fold("fmod"), emit_vjp=kn.rounding_vjp("trunc")),
-    Op("abs", "scalar", 1, 1, rt.op_abs, rt.vjp_abs, rt.scalar_abs, elementwise=True,
-       emit=kn.unary("abs"), emit_vjp=kn.unary_vjp("({g} * sign({x}))")),
-    Op("min", "scalar", 1, None, rt.op_min, rt.vjp_minmax, rt.scalar_min, elementwise=True,
-       emit=kn.fold("minimum"), emit_vjp=kn.vjp_minmax),
-    Op("max", "scalar", 1, None, rt.op_max, rt.vjp_minmax, rt.scalar_max, elementwise=True,
-       emit=kn.fold("maximum"), emit_vjp=kn.vjp_minmax),
-    Op("sin", "scalar", 1, 1, rt.op_sin, rt.vjp_sin, rt.scalar_sin, elementwise=True,
-       emit=kn.unary("sin"), emit_vjp=kn.unary_vjp("({g} * cos({x}))")),
-    Op("cos", "scalar", 1, 1, rt.op_cos, rt.vjp_cos, rt.scalar_cos, elementwise=True,
-       emit=kn.unary("cos"), emit_vjp=kn.unary_vjp("(-{g} * sin({x}))")),
-    Op("exp", "scalar", 1, 1, rt.op_exp, rt.vjp_exp, rt.scalar_exp, elementwise=True,
-       emit=kn.unary("exp"), emit_vjp=kn.unary_vjp("({g} * {out})")),
-    Op("sqrt", "scalar", 1, 1, rt.op_sqrt, rt.vjp_sqrt, rt.scalar_sqrt,
-       elementwise=True, partial=True,
-       emit=kn.unary("sqrt"), emit_vjp=kn.unary_vjp("(({g} * 0.5) / {out})")),
-    Op("log", "scalar", 1, 1, rt.op_log, rt.vjp_log, rt.scalar_log,
-       elementwise=True, partial=True,
-       emit=kn.unary("log"), emit_vjp=kn.unary_vjp("({g} / {x})")),
-    Op("=", "scalar", 2, 2, rt.op_eq, rt.vjp_none, rt.scalar_eq,
-       emit=kn.compare("equal"), emit_vjp=kn.vjp_none),
-    Op("<", "scalar", 2, 2, rt.op_lt, rt.vjp_none, rt.scalar_lt,
-       emit=kn.compare("less"), emit_vjp=kn.vjp_none),
-    Op(">", "scalar", 2, 2, rt.op_gt, rt.vjp_none, rt.scalar_gt,
-       emit=kn.compare("greater"), emit_vjp=kn.vjp_none),
-    Op("<=", "scalar", 2, 2, rt.op_le, rt.vjp_none, rt.scalar_le,
-       emit=kn.compare("less_equal"), emit_vjp=kn.vjp_none),
-    Op(">=", "scalar", 2, 2, rt.op_ge, rt.vjp_none, rt.scalar_ge,
-       emit=kn.compare("greater_equal"), emit_vjp=kn.vjp_none),
-    Op("and", "scalar", 1, None, rt.op_and, rt.vjp_none, rt.scalar_and,
-       emit=kn.logical("logical_and"), emit_vjp=kn.vjp_none),
-    Op("or", "scalar", 1, None, rt.op_or, rt.vjp_none, rt.scalar_or,
-       emit=kn.logical("logical_or"), emit_vjp=kn.vjp_none),
-    Op("not", "scalar", 1, 1, rt.op_not, rt.vjp_none, rt.scalar_not,
-       emit=kn.emit_not, emit_vjp=kn.vjp_none),
-    Op("if", "scalar", 3, 3, rt.op_if, rt.vjp_if, rt.scalar_if, elementwise=True,
-       emit=kn.emit_if, emit_vjp=kn.vjp_if),
+    _emitted("+", "scalar", 1, None, kn.fold("+", "add"), kn.vjp_add, rt.scalar_add,
+             elementwise=True),
+    _emitted("-", "scalar", 1, None, kn.emit_sub, kn.vjp_sub, rt.scalar_sub, elementwise=True),
+    _emitted("*", "scalar", 1, None, kn.fold("*", "multiply"), kn.vjp_mul, rt.scalar_mul,
+             elementwise=True),
+    _emitted("/", "scalar", 2, None, kn.fold("/", "divide"), kn.vjp_div, rt.scalar_div,
+             elementwise=True, partial=True),
+    _emitted("pow", "scalar", 2, 2, kn.emit_pow, kn.vjp_pow, rt.scalar_pow,
+             elementwise=True, partial=True),
+    _emitted("modulo", "scalar", 2, 2, kn.fold("modulo", "mod"), kn.rounding_vjp("floor"),
+             rt.scalar_modulo, elementwise=True, partial=True),
+    _emitted("remainder", "scalar", 2, 2, kn.fold("remainder", "fmod"), kn.rounding_vjp("trunc"),
+             rt.scalar_remainder, elementwise=True, partial=True),
+    _emitted("abs", "scalar", 1, 1, kn.unary("abs"), kn.unary_vjp("({g} * sign({x}))"),
+             rt.scalar_abs, elementwise=True),
+    _emitted("min", "scalar", 1, None, kn.fold("min", "minimum"), kn.vjp_minmax, rt.scalar_min,
+             elementwise=True),
+    _emitted("max", "scalar", 1, None, kn.fold("max", "maximum"), kn.vjp_minmax, rt.scalar_max,
+             elementwise=True),
+    _emitted("sin", "scalar", 1, 1, kn.unary("sin"), kn.unary_vjp("({g} * cos({x}))"),
+             rt.scalar_sin, elementwise=True),
+    _emitted("cos", "scalar", 1, 1, kn.unary("cos"), kn.unary_vjp("(-{g} * sin({x}))"),
+             rt.scalar_cos, elementwise=True),
+    _emitted("exp", "scalar", 1, 1, kn.unary("exp"), kn.unary_vjp("({g} * {out})"),
+             rt.scalar_exp, elementwise=True),
+    _emitted("sqrt", "scalar", 1, 1, kn.unary("sqrt"), kn.unary_vjp("(({g} * 0.5) / {out})"),
+             rt.scalar_sqrt, elementwise=True, partial=True),
+    _emitted("log", "scalar", 1, 1, kn.unary("log"), kn.unary_vjp("({g} / {x})"),
+             rt.scalar_log, elementwise=True, partial=True),
+    _emitted("=", "scalar", 2, 2, kn.compare("=", "equal"), kn.vjp_none, rt.scalar_eq),
+    _emitted("<", "scalar", 2, 2, kn.compare("<", "less"), kn.vjp_none, rt.scalar_lt),
+    _emitted(">", "scalar", 2, 2, kn.compare(">", "greater"), kn.vjp_none, rt.scalar_gt),
+    _emitted("<=", "scalar", 2, 2, kn.compare("<=", "less_equal"), kn.vjp_none, rt.scalar_le),
+    _emitted(">=", "scalar", 2, 2, kn.compare(">=", "greater_equal"), kn.vjp_none,
+             rt.scalar_ge),
+    _emitted("and", "scalar", 1, None, kn.logical("and", "logical_and"), kn.vjp_none,
+             rt.scalar_and),
+    _emitted("or", "scalar", 1, None, kn.logical("or", "logical_or"), kn.vjp_none, rt.scalar_or),
+    _emitted("not", "scalar", 1, 1, kn.emit_not, kn.vjp_none, rt.scalar_not),
+    _emitted("if", "scalar", 3, 3, kn.emit_if, kn.vjp_if, rt.scalar_if, elementwise=True),
 
-    Op("vec", "vector", 1, None, rt.op_vec, rt.vjp_vec,
-       emit=kn.emit_vec, emit_vjp=kn.vjp_vec),
+    _emitted("vec", "vector", 1, None, kn.emit_vec, kn.vjp_vec),
     Op("ref", "vector", 2, 2, rt.op_ref, rt.vjp_ref),
-    Op("dot", "vector", 2, 2, rt.op_dot, rt.vjp_dot,
-       emit=kn.emit_dot, emit_vjp=kn.vjp_dot),
-    Op("cross", "vector", 2, 2, rt.op_cross, rt.vjp_cross),
-    Op("norm", "vector", 1, 1, rt.op_norm, rt.vjp_norm,
-       emit=kn.emit_norm, emit_vjp=kn.vjp_norm),
-    Op("normalize", "vector", 1, 1, rt.op_normalize, rt.vjp_normalize, partial=True),
-    Op("vsum", "vector", 1, None, rt.op_vsum, rt.vjp_vsum,
-       emit=kn.emit_vsum, emit_vjp=kn.vjp_vsum),
-    Op("vlen", "vector", 1, 1, rt.op_vlen, rt.vjp_none),
-    Op("scale", "vector", 2, 2, rt.op_scale, rt.vjp_scale,
-       emit=kn.emit_scale, emit_vjp=kn.vjp_scale),
+    _emitted("dot", "vector", 2, 2, kn.emit_dot, kn.vjp_dot),
+    _emitted("cross", "vector", 2, 2, kn.emit_cross, kn.vjp_cross),
+    _emitted("norm", "vector", 1, 1, kn.emit_norm, kn.vjp_norm),
+    _emitted("normalize", "vector", 1, 1, kn.emit_normalize, kn.vjp_normalize, partial=True),
+    _emitted("vsum", "vector", 1, None, kn.emit_vsum, kn.vjp_vsum),
+    _emitted("vlen", "vector", 1, 1, kn.emit_vlen, kn.vjp_none),
+    _emitted("scale", "vector", 2, 2, kn.emit_scale, kn.vjp_scale),
 
-    Op("mat", "matrix", 1, None, rt.op_mat, rt.vjp_mat),
-    Op("matmul", "matrix", 2, 2, rt.op_matmul, rt.vjp_matmul),
-    Op("matvec", "matrix", 2, 2, rt.op_matvec, rt.vjp_matvec,
-       emit=kn.emit_matvec, emit_vjp=kn.vjp_matvec),
-    Op("transpose", "matrix", 1, 1, rt.op_transpose, rt.vjp_transpose),
-    Op("trace", "matrix", 1, 1, rt.op_trace, rt.vjp_trace),
+    _emitted("mat", "matrix", 1, None, kn.emit_mat, kn.vjp_mat),
+    _emitted("matmul", "matrix", 2, 2, kn.emit_matmul, kn.vjp_matmul),
+    _emitted("matvec", "matrix", 2, 2, kn.emit_matvec, kn.vjp_matvec),
+    _emitted("transpose", "matrix", 1, 1, kn.emit_transpose, kn.vjp_transpose),
+    _emitted("trace", "matrix", 1, 1, kn.emit_trace, kn.vjp_trace),
     Op("det", "matrix", 1, 1, rt.op_det, rt.vjp_det, partial=True, eager=True),
     Op("inv", "matrix", 1, 1, rt.op_inv, rt.vjp_inv, partial=True, eager=True),
-    Op("outer", "matrix", 2, 2, rt.op_outer, rt.vjp_outer),
+    _emitted("outer", "matrix", 2, 2, kn.emit_outer, kn.vjp_outer),
     Op("eye", "matrix", 1, 1, rt.op_eye, rt.vjp_none),
     Op("zeros", "matrix", 1, 2, rt.op_zeros, rt.vjp_none),
     Op("ones", "matrix", 1, 2, rt.op_ones, rt.vjp_none),

@@ -1,15 +1,19 @@
-"""Forward kernels and vector-Jacobian products of the primitive operations.
+"""The numeric core under the op table: the safe-domain rule, the scalar
+kernels, the rows that keep a hand-written array forward, and the entry
+points that apply one op.
 
-Each op's row in the op table (``ops.py``) names its forward kernel here,
-an ``op_*(args, policy)`` function, and its VJP, a ``vjp_*(g, args, out,
-aux, need)`` function.  ``apply_primitive`` looks an op up by name in
-``OPS``, the table's name -> row lookup, and calls its forward; this module
-reads nothing else of the table.
+The array forward and VJP of most rows are generated from their emit forms
+(``kernels``); the rows here keep hand-written numpy for the reasons the
+op table (``ops.py``) gives: ``ref``, ``eye``, ``zeros`` and ``ones`` take
+their result's shape from an operand's value, and ``det`` and ``inv`` are
+eager.  ``apply_primitive`` looks an op up by name in ``OPS``, the table's
+name -> row lookup, and calls its forward; this module reads nothing else
+of the table.
 
 Reductions (dot, norm, vsum, trace, matvec, matmul, det) accumulate
-left-to-right over the trailing axes so that a batched evaluation is
-bit-identical to stacking unbatched evaluations regardless of how numpy
-would otherwise reassociate sums.
+left-to-right over the trailing axes (``ordered_sum_last``) so that a
+batched evaluation is bit-identical to stacking unbatched evaluations
+regardless of how numpy would otherwise reassociate sums.
 
 det, inv and the det gradient share one LU, ``lu_factor``, vectorised
 across the batch axis.  Each lane does the float operations of an LU of
@@ -21,12 +25,13 @@ Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
 kernel (the table's ``scalar`` column): the op on ``numpy.float64``
 operands, returning a ``numpy.float64`` with the bits of the forward on
 0-d arrays.  The machine calls them directly in a raw-slot run (see
-``machine``).  The forwards take the array path, except that a fold of
-two ``numpy.float64`` operands calls the row's kernel: ``TapeContext``
-arithmetic on raw-slot outputs does that.  Ufuncs return numpy scalars
-for 0-d operands; an elementwise result stays one when an operand was
-one, and is a 0-d array when all were 0-d arrays, so a run that holds no
-numpy scalars sees the 0-d arrays it always did.
+``machine``).
+
+Floating-point errors.  Runs, lone ops and backward work with numpy's
+floating-point errors ignored (``quiet``), entered once per run, per
+``apply_primitive`` or ``pow_immediate`` call and per backward pass, so no
+numpy ``RuntimeWarning`` leaves the library: the error policy judges
+non-finite values instead (``Violations``).
 """
 
 from __future__ import annotations
@@ -106,79 +111,33 @@ def _judge(op: str, value: Value) -> Value:
     return value
 
 
-# ---------------------------------------------------------------------------
-# shape alignment
+try:  # numpy >= 2: np.errstate sets a context variable; set it without building one
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 
+    _IGNORE = _make_extobj(all="ignore")
+    _state, restore = _extobj_contextvar.get, _extobj_contextvar.set
+    # Set once to its own value, the state is an entry of this context, which
+    # ``quiet`` and ``restore`` replace: a run keeps no token and does not
+    # grow the context (about 180 bytes a run otherwise).
+    restore(_state())
 
-def _align_elementwise(args: list[Value], op: str):
-    """Return (arrays, kind, batched) for an elementwise application.
+    def quiet():
+        """Ignore numpy's floating-point errors, as under
+        ``np.errstate(all="ignore")``, until ``restore`` is given what this
+        returns."""
+        saved = _state()
+        restore(_IGNORE)
+        return saved
+except ImportError:  # numpy 1: the same through the global error state
+    def quiet():
+        return np.seterr(all="ignore")
 
-    Scalars broadcast against vectors/matrices; unbatched values broadcast
-    against batched ones.  Anything else must match exactly.  All-scalar
-    operands, the common case of small-batch programs, take a fast path
-    that only compares batch sizes: their arrays need no reshaping.
-    """
-    size = None
-    arrays = []
-    for a in args:
-        if a.kind != "scalar":
-            break
-        if a.batched:
-            n = a.data.shape[0]
-            if size is not None and n != size:
-                raise ShapeMismatch(f"{op}: batch sizes {size} vs {n} differ")
-            size = n
-        arrays.append(a.data)
-    else:
-        return arrays, "scalar", size is not None
-
-    kind = "scalar"
-    core = None
-    batch = None
-    for a in args:
-        if a.kind != "scalar":
-            if kind != "scalar" and a.kind != kind:
-                raise ShapeMismatch(f"{op}: mixed kinds {kind}/{a.kind}")
-            if core is not None and a.core_shape != core:
-                raise ShapeMismatch(
-                    f"{op}: core shapes {core} vs {a.core_shape} differ"
-                )
-            kind = a.kind
-            core = a.core_shape
-        if a.batched:
-            if batch is not None and a.batch_size != batch:
-                raise ShapeMismatch(
-                    f"{op}: batch sizes {batch} vs {a.batch_size} differ"
-                )
-            batch = a.batch_size
-    batched = batch is not None
-    arrays = []
-    for a in args:
-        arr = a.data
-        if batched and a.batched and a.kind == "scalar" and kind != "scalar":
-            # batched scalar against batched tensor: (B,) -> (B, 1[, 1])
-            arr = arr.reshape((arr.shape[0],) + (1,) * len(core))
-        arrays.append(arr)
-    return arrays, kind, batched
-
-
-def _require_kind(a: Value, kind: str, op: str) -> None:
-    if a.kind != kind:
-        raise ShapeMismatch(f"{op}: expected {kind}, got {a.kind}")
-
-
-def _batch_of(args: list[Value], op: str) -> int | None:
-    batch = None
-    for a in args:
-        if a.batched:
-            if batch is not None and a.batch_size != batch:
-                raise ShapeMismatch(f"{op}: batch sizes differ")
-            batch = a.batch_size
-    return batch
+    def restore(saved):
+        np.seterr(**saved)
 
 
 # ---------------------------------------------------------------------------
-# ordered reductions
+# helpers of the generated code
 
 
 def ordered_sum_last(arr: np.ndarray) -> np.ndarray:
@@ -192,9 +151,24 @@ def ordered_sum_last(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def ordered_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    arr = np.moveaxis(arr, axis, -1)
-    return ordered_sum_last(arr)
+_EXACT_EXPONENTS = (2.0, 0.5, -1.0)
+
+
+def power_lanes(a, b: np.ndarray) -> np.ndarray:
+    """``np.power(a, b)`` for a batched scalar exponent ``b`` (shaped (B,) or,
+    against a vector or matrix base, (B, 1[, 1])), bitwise each lane's unbatched
+    run.  numpy computes an exponent of 2, 0.5 or -1 given as a scalar as a
+    square, a square root or a reciprocal, and as an array another way that
+    differs in the last bit in a few percent of lanes; those lanes are
+    redone with the exponent as a scalar.  ``a`` is batched when it has the
+    result's rank."""
+    out = np.power(a, b)
+    lane_exponents = b.reshape(b.shape[0])
+    for e in _EXACT_EXPONENTS:
+        lanes = np.nonzero(lane_exponents == e)[0]
+        if lanes.size:
+            out[lanes] = np.power(a[lanes] if np.ndim(a) == out.ndim else a, e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,46 +181,26 @@ def ordered_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
 # comparisons and truth ops are plain Python with numpy's rules.  exp, sin,
 # cos, log, pow, modulo and remainder call their ufuncs: numpy's SIMD
 # transcendentals may differ from libm by an ulp, which would break batched
-# == stacked.  ``np.errstate`` costs more than the op, so it is entered only
-# where a divide or invalid flag can fire.
+# == stacked.  A raw-slot run calls them with numpy's errors ignored.
 
 _T = F64(1.0)
 _F = F64(0.0)
 
-
-def _quiet(ufunc):
-    """``ufunc`` with numpy's divide and invalid flags ignored."""
-    def call(*xs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return ufunc(*xs)
-    return call
-
-
-_divide, _power, _sqrt, _log = (_quiet(f) for f in (np.divide, np.power, np.sqrt, np.log))
-scalar_add, scalar_sub, scalar_mul, scalar_abs = operator.add, operator.sub, operator.mul, abs
-scalar_sin, scalar_cos, scalar_exp = np.sin, np.cos, np.exp
-scalar_modulo, scalar_remainder = _quiet(np.mod), _quiet(np.fmod)
-
-
-def scalar_div(a, b):
-    return a / b if b != 0.0 and _isfinite(b) else _divide(a, b)  # a finite b: no flag
+scalar_add, scalar_sub, scalar_mul, scalar_div = (operator.add, operator.sub, operator.mul,
+                                                  operator.truediv)
+scalar_abs, scalar_sin, scalar_cos, scalar_exp, scalar_log = abs, np.sin, np.cos, np.exp, np.log
+scalar_modulo, scalar_remainder = np.mod, np.fmod
 
 
 def scalar_pow(a, b):
     """pow of a base and an exponent; the exponent may be a compile-time float.
     A square is one multiply, bit for bit what np.power returns on 0-d
     arrays, which square the same way."""
-    if b == 2.0:
-        return a * a
-    return np.power(a, b) if a > 0.0 else _power(a, b)  # a positive base raises no flag
+    return a * a if b == 2.0 else np.power(a, b)
 
 
 def scalar_sqrt(x):
-    return F64(math.sqrt(x)) if x >= 0.0 else _sqrt(x)
-
-
-def scalar_log(x):
-    return np.log(x) if x > 0.0 else _log(x)
+    return F64(math.sqrt(x)) if x >= 0.0 else np.sqrt(x)
 
 
 def scalar_min(a, b):
@@ -296,147 +250,12 @@ def scalar_if(c, then, orelse):
 
 
 # ---------------------------------------------------------------------------
-# elementwise forwards
+# value-shaped rows: the result's shape comes from an operand's value
 
 
-def _result(data, kind: str, batched: bool, arrays) -> Value:
-    """Wrap an elementwise result computed from ``arrays``.  An all-scalar
-    one skips the Value checks, since ``batched`` implies its ndim.  Ufuncs
-    return numpy scalars for 0-d operands: the result stays one when an
-    operand was one, and is a 0-d array again when all were 0-d arrays, so
-    runs on 0-d arrays keep the types they always had."""
-    if kind == "scalar":
-        if type(data) is F64:
-            for x in arrays:
-                if type(x) is F64:
-                    break
-            else:
-                data = np.asarray(data)
-        return Value.trusted(data, "scalar", batched)
-    return Value(data, kind, batched)
-
-
-def _as_float(mask) -> np.ndarray:
-    """Truth values as 1.0/0.0; a numpy bool becomes a 0-d array."""
-    return np.asarray(mask, dtype=np.float64)
-
-
-def _folding(op: str, ufunc, scalar):
-    """An n-ary elementwise op that folds ``ufunc`` left to right; two numpy
-    scalars, such as raw-slot outputs in ``TapeContext`` arithmetic, take
-    the row's scalar kernel."""
-    def impl(args, policy=None):
-        out = args[0].data
-        if type(out) is F64 and len(args) == 2:  # the one test a batched run pays
-            b = args[1].data
-            if type(b) is F64:
-                return Value.trusted(scalar(out, b), "scalar", False)
-        arrays, kind, batched = _align_elementwise(args, op)
-        out = arrays[0]
-        for x in arrays[1:]:
-            out = ufunc(out, x)
-        return _result(out, kind, batched, arrays)
-    return impl
-
-
-def _unary(op: str, ufunc):
-    def impl(args, policy=None):
-        arrays, kind, batched = _align_elementwise(args, op)
-        return _result(ufunc(arrays[0]), kind, batched, arrays)
-    return impl
-
-
-def _comparing(op: str, ufunc):
-    """A binary comparison; true is 1.0 and false 0.0."""
-    def impl(args, policy):
-        arrays, kind, batched = _align_elementwise(args, op)
-        return _result(_as_float(ufunc(arrays[0], arrays[1])), kind, batched, arrays)
-    return impl
-
-
-def _logical(op: str, ufunc):
-    """n-ary and/or over truth values (non-zero is true)."""
-    def impl(args, policy):
-        arrays, kind, batched = _align_elementwise(args, op)
-        out = arrays[0] != 0.0
-        for x in arrays[1:]:
-            out = ufunc(out, x != 0.0)
-        return _result(_as_float(out), kind, batched, arrays)
-    return impl
-
-
-op_add = _folding("+", np.add, scalar_add)
-_subtract = _folding("-", np.subtract, scalar_sub)
-op_mul = _folding("*", np.multiply, scalar_mul)
-op_div = _folding("/", _divide, scalar_div)
-op_pow = _folding("pow", _power, scalar_pow)
-op_modulo = _folding("modulo", scalar_modulo, scalar_modulo)
-op_remainder = _folding("remainder", scalar_remainder, scalar_remainder)
-op_min = _folding("min", np.minimum, scalar_min)
-op_max = _folding("max", np.maximum, scalar_max)
-op_abs = _unary("abs", np.abs)
-op_sin = _unary("sin", np.sin)
-op_cos = _unary("cos", np.cos)
-op_exp = _unary("exp", np.exp)
-op_sqrt = _unary("sqrt", _sqrt)
-op_log = _unary("log", _log)
-op_eq = _comparing("=", np.equal)
-op_lt = _comparing("<", np.less)
-op_gt = _comparing(">", np.greater)
-op_le = _comparing("<=", np.less_equal)
-op_ge = _comparing(">=", np.greater_equal)
-op_and = _logical("and", np.logical_and)
-op_or = _logical("or", np.logical_or)
-
-# unary minus is 0 - x; shared, so read-only
-_ZERO = Value.scalar(0.0)
-_ZERO.data.flags.writeable = False
-
-
-def op_sub(args, policy):
-    if len(args) == 1:
-        args = [_ZERO, args[0]]
-    return _subtract(args)
-
-
-def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
-    """pow with a compile-time constant exponent (no exponent operand),
-    judged under the error policy as ``apply_primitive`` judges pow."""
-    # the result has the base's shape, so the base's kind and batching fit it
-    out = Value.trusted(np.asarray(_power(base.data, exponent)), base.kind, base.batched)
-    return _judge("pow", out) if policy.raises else out
-
-
-def op_not(args, policy):
-    arrays, kind, batched = _align_elementwise(args, "not")
-    return _result(_as_float(np.equal(arrays[0], 0.0)), kind, batched, arrays)
-
-
-def select(cond: Value, then: Value, orelse: Value) -> Value:
-    """Elementwise branch blend: picks `then` where cond is non-zero."""
-    arrays, kind, batched = _align_elementwise([cond, then, orelse], "if")
-    return _result(np.where(arrays[0] != 0.0, arrays[1], arrays[2]), kind, batched, arrays)
-
-
-def op_if(args, policy):
-    return select(args[0], args[1], args[2])
-
-
-# ---------------------------------------------------------------------------
-# vector ops
-
-
-def op_vec(args, policy):
-    batch = _batch_of(args, "vec")
-    for a in args:
-        _require_kind(a, "scalar", "vec")
-    if batch is None:
-        return Value(np.stack([a.data for a in args], axis=-1), "vector")
-    parts = [
-        a.data if a.batched else np.broadcast_to(a.data, (batch,))
-        for a in args
-    ]
-    return Value(np.stack(parts, axis=-1), "vector", batched=True)
+def _require_kind(a: Value, kind: str, op: str) -> None:
+    if a.kind != kind:
+        raise ShapeMismatch(f"{op}: expected {kind}, got {a.kind}")
 
 
 def _static_index(a: Value, op: str) -> int:
@@ -457,136 +276,47 @@ def op_ref(args, policy):
     return Value(v.data[..., idx], "scalar", v.batched)
 
 
-def op_dot(args, policy):
-    a, b = args
-    _require_kind(a, "vector", "dot")
-    _require_kind(b, "vector", "dot")
-    if a.core_shape != b.core_shape:
-        raise ShapeMismatch(f"dot: lengths {a.core_shape} vs {b.core_shape}")
-    _batch_of(args, "dot")
-    return Value(ordered_sum_last(a.data * b.data), "scalar",
-                 a.batched or b.batched)
-
-
-def op_cross(args, policy):
-    a, b = args
-    for x in (a, b):
-        _require_kind(x, "vector", "cross")
-        if x.core_shape != (3,):
-            raise ShapeMismatch("cross: vectors must have length 3")
-    _batch_of(args, "cross")
-    return Value(_cross(a.data, b.data), "vector", a.batched or b.batched)
-
-
-def _cross(a, b):
-    """a x b over the last axis; also the cross VJP's two products."""
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
-
-
-def op_norm(args, policy):
+def vjp_ref(g, args, out, aux, need):
+    if not need[0]:
+        return [None, None]
     v = args[0]
-    _require_kind(v, "vector", "norm")
-    return Value(np.sqrt(ordered_sum_last(v.data * v.data)), "scalar", v.batched)
+    idx = int(float(args[1].data))
+    gv = np.zeros_like(v.data)
+    gv[..., idx] = np.broadcast_to(g, gv[..., idx].shape)
+    return [gv, None]
 
 
-def op_normalize(args, policy):
-    v = args[0]
-    _require_kind(v, "vector", "normalize")
-    n = np.sqrt(ordered_sum_last(v.data * v.data))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return Value(v.data / n[..., None], "vector", v.batched)
+def op_eye(args, policy):
+    n = _static_index(args[0], "eye")
+    if n <= 0:
+        raise ShapeMismatch("eye: size must be positive")
+    return Value(np.eye(n), "matrix")
 
 
-def op_vsum(args, policy):
-    v = args[0]
-    _require_kind(v, "vector", "vsum")
-    return Value(ordered_sum_last(v.data), "scalar", v.batched)
+def op_zeros(args, policy):
+    dims = [_static_index(a, "zeros") for a in args]
+    if any(d <= 0 for d in dims):
+        raise ShapeMismatch("zeros: sizes must be positive")
+    if len(dims) == 1:
+        return Value(np.zeros(dims[0]), "vector")
+    return Value(np.zeros((dims[0], dims[1])), "matrix")
 
 
-def op_vlen(args, policy):
-    v = args[0]
-    _require_kind(v, "vector", "vlen")
-    return Value.scalar(float(v.core_shape[-1]))
+def op_ones(args, policy):
+    dims = [_static_index(a, "ones") for a in args]
+    if any(d <= 0 for d in dims):
+        raise ShapeMismatch("ones: sizes must be positive")
+    if len(dims) == 1:
+        return Value(np.ones(dims[0]), "vector")
+    return Value(np.ones((dims[0], dims[1])), "matrix")
 
 
-def op_scale(args, policy):
-    s, v = args
-    _require_kind(s, "scalar", "scale")
-    if v.kind not in ("vector", "matrix"):
-        raise ShapeMismatch("scale: second argument must be a vector or matrix")
-    _batch_of(args, "scale")
-    sv = s.data
-    if s.batched:
-        sv = sv.reshape((sv.shape[0],) + (1,) * len(v.core_shape))
-    return Value(sv * v.data, v.kind, s.batched or v.batched)
+def vjp_none(g, args, out, aux, need):
+    return [None for _ in args]
 
 
 # ---------------------------------------------------------------------------
-# matrix ops
-
-
-def op_mat(args, policy):
-    batch = _batch_of(args, "mat")
-    n = args[0].core_shape
-    for a in args:
-        _require_kind(a, "vector", "mat")
-        if a.core_shape != n:
-            raise ShapeMismatch("mat: rows have differing lengths")
-    if batch is None:
-        return Value(np.stack([a.data for a in args], axis=-2), "matrix")
-    parts = [
-        a.data if a.batched else np.broadcast_to(a.data, (batch,) + a.core_shape)
-        for a in args
-    ]
-    return Value(np.stack(parts, axis=-2), "matrix", batched=True)
-
-
-def op_matmul(args, policy):
-    a, b = args
-    _require_kind(a, "matrix", "matmul")
-    _require_kind(b, "matrix", "matmul")
-    if a.core_shape[-1] != b.core_shape[-2]:
-        raise ShapeMismatch(
-            f"matmul: inner dims {a.core_shape} x {b.core_shape} do not agree"
-        )
-    _batch_of(args, "matmul")
-    prod = a.data[..., :, :, None] * b.data[..., None, :, :]
-    return Value(ordered_sum_axis(prod, -2), "matrix", a.batched or b.batched)
-
-
-def op_matvec(args, policy):
-    m, v = args
-    _require_kind(m, "matrix", "matvec")
-    _require_kind(v, "vector", "matvec")
-    if m.core_shape[-1] != v.core_shape[-1]:
-        raise ShapeMismatch(
-            f"matvec: {m.core_shape} x {v.core_shape} do not agree"
-        )
-    _batch_of(args, "matvec")
-    prod = m.data * v.data[..., None, :]
-    return Value(ordered_sum_last(prod), "vector", m.batched or v.batched)
-
-
-def op_transpose(args, policy):
-    m = args[0]
-    _require_kind(m, "matrix", "transpose")
-    return Value(np.swapaxes(m.data, -1, -2), "matrix", m.batched)
-
-
-def op_trace(args, policy):
-    m = args[0]
-    _require_kind(m, "matrix", "trace")
-    if m.core_shape[-1] != m.core_shape[-2]:
-        raise ShapeMismatch("trace: matrix must be square")
-    diag = np.diagonal(m.data, axis1=-2, axis2=-1)
-    return Value(ordered_sum_last(diag), "scalar", m.batched)
+# eager rows: det and inv
 
 
 def lu_factor(stack: np.ndarray):
@@ -680,12 +410,12 @@ def _refuse_singular(singular: np.ndarray, policy: SafeDomainPolicy, op: str) ->
 def matrix_inverse(m: Value, policy: SafeDomainPolicy, op: str = "inv") -> np.ndarray:
     """Inverse of a (batched) square matrix through ``lu_factor``, shaped
     like ``m.data``.  Singular lanes raise under the error policy and are
-    NaN otherwise; ``op`` names the caller in the error."""
+    NaN otherwise; ``op`` names the caller in the error.  Its callers run it
+    with numpy's floating-point errors ignored."""
     stack = _square_stack(m, op)
     lu, perm, _, singular = lu_factor(stack)
     _refuse_singular(singular, policy, op)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = _lu_inverse(lu, perm)
+    inv = _lu_inverse(lu, perm)
     inv[singular] = np.nan
     return inv if m.batched else inv[0]
 
@@ -706,256 +436,6 @@ def op_inv(args, policy):
     return Value(matrix_inverse(m, policy), "matrix", m.batched)
 
 
-def op_outer(args, policy):
-    a, b = args
-    _require_kind(a, "vector", "outer")
-    _require_kind(b, "vector", "outer")
-    _batch_of(args, "outer")
-    out = a.data[..., :, None] * b.data[..., None, :]
-    return Value(out, "matrix", a.batched or b.batched)
-
-
-def op_eye(args, policy):
-    n = _static_index(args[0], "eye")
-    if n <= 0:
-        raise ShapeMismatch("eye: size must be positive")
-    return Value(np.eye(n), "matrix")
-
-
-def op_zeros(args, policy):
-    dims = [_static_index(a, "zeros") for a in args]
-    if any(d <= 0 for d in dims):
-        raise ShapeMismatch("zeros: sizes must be positive")
-    if len(dims) == 1:
-        return Value(np.zeros(dims[0]), "vector")
-    return Value(np.zeros((dims[0], dims[1])), "matrix")
-
-
-def op_ones(args, policy):
-    dims = [_static_index(a, "ones") for a in args]
-    if any(d <= 0 for d in dims):
-        raise ShapeMismatch("ones: sizes must be positive")
-    if len(dims) == 1:
-        return Value(np.ones(dims[0]), "vector")
-    return Value(np.ones((dims[0], dims[1])), "matrix")
-
-
-# ---------------------------------------------------------------------------
-# vector-Jacobian products
-
-
-def _aligned(arg: Value, out_value: Value) -> np.ndarray:
-    """Mirror the forward elementwise alignment of a batched scalar against
-    a batched tensor so gradient arithmetic broadcasts the same way."""
-    arr = arg.data
-    if (
-        out_value.batched
-        and arg.batched
-        and arg.kind == "scalar"
-        and out_value.kind != "scalar"
-    ):
-        arr = arr.reshape((arr.shape[0],) + (1,) * len(out_value.core_shape))
-    return arr
-
-
-def _swap(m):
-    return np.swapaxes(m, -1, -2)
-
-
-# Each VJP returns a list of raw per-argument gradients, shaped like the op
-# output; backward reduces them to argument shapes.  ``need`` holds one
-# bool per argument: an argument that reaches no root of the backward pass
-# gets None, and its gradient is never computed.  Unary VJPs run only with
-# need == (True,) and ignore it.
-
-
-def vjp_add(g, args, out, aux, need):
-    return [g if n else None for n in need]
-
-
-def vjp_sub(g, args, out, aux, need):
-    if len(args) == 1:
-        return [-g]
-    return [g if need[0] else None] + [-g if n else None for n in need[1:]]
-
-
-def vjp_mul(g, args, out, aux, need):
-    outs = []
-    for i, n in enumerate(need):
-        p = None
-        if n:
-            p = g
-            for j, other in enumerate(args):
-                if j != i:
-                    p = p * _aligned(other, out)
-        outs.append(p)
-    return outs
-
-
-def vjp_div(g, args, out, aux, need):
-    grads = [None]
-    if need[0]:
-        denom = None
-        for a in args[1:]:
-            arr = _aligned(a, out)
-            denom = arr if denom is None else denom * arr
-        grads[0] = g / denom
-    for a, n in zip(args[1:], need[1:]):
-        grads.append(-g * out.data / _aligned(a, out) if n else None)
-    return grads
-
-
-def vjp_pow(g, args, out, aux, need):
-    if aux is not None:  # immediate exponent
-        a = args[0].data
-        return [g * aux * np.power(a, aux - 1.0)]
-    a = _aligned(args[0], out)
-    b = _aligned(args[1], out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        da = g * b * np.power(a, b - 1.0) if need[0] else None
-        db = g * out.data * np.log(a) if need[1] else None
-    return [da, db]
-
-
-def vjp_modulo(g, args, out, aux, need):
-    db = None
-    if need[1]:
-        db = -g * np.floor(_aligned(args[0], out) / _aligned(args[1], out))
-    return [g if need[0] else None, db]
-
-
-def vjp_remainder(g, args, out, aux, need):
-    db = None
-    if need[1]:
-        db = -g * np.trunc(_aligned(args[0], out) / _aligned(args[1], out))
-    return [g if need[0] else None, db]
-
-
-def vjp_abs(g, args, out, aux, need):
-    return [g * np.sign(args[0].data)]
-
-
-def vjp_minmax(g, args, out, aux, need):
-    # an argument takes the gradient where it is the first to equal the
-    # output, so the mask runs over every argument, needed or not
-    avail = np.ones(out.data.shape, dtype=bool)
-    grads = []
-    for a, n in zip(args, need):
-        take = (_aligned(a, out) == out.data) & avail
-        grads.append(g * take if n else None)
-        avail = avail & ~take
-    return grads
-
-
-def vjp_sin(g, args, out, aux, need):
-    return [g * np.cos(args[0].data)]
-
-
-def vjp_cos(g, args, out, aux, need):
-    return [-g * np.sin(args[0].data)]
-
-
-def vjp_exp(g, args, out, aux, need):
-    return [g * out.data]
-
-
-def vjp_sqrt(g, args, out, aux, need):
-    return [g * 0.5 / out.data]
-
-
-def vjp_log(g, args, out, aux, need):
-    return [g / args[0].data]
-
-
-def vjp_none(g, args, out, aux, need):
-    return [None for _ in args]
-
-
-def vjp_if(g, args, out, aux, need):
-    c = _aligned(args[0], out)
-    return [None, g * (c != 0.0) if need[1] else None, g * (c == 0.0) if need[2] else None]
-
-
-def vjp_vec(g, args, out, aux, need):
-    return [g[..., i] if n else None for i, n in enumerate(need)]
-
-
-def vjp_ref(g, args, out, aux, need):
-    if not need[0]:
-        return [None, None]
-    v = args[0]
-    idx = int(float(args[1].data))
-    gv = np.zeros_like(v.data)
-    gv[..., idx] = np.broadcast_to(g, gv[..., idx].shape)
-    return [gv, None]
-
-
-def vjp_dot(g, args, out, aux, need):
-    a, b = args
-    ge = np.asarray(g)[..., None]
-    return [ge * b.data if need[0] else None, ge * a.data if need[1] else None]
-
-
-def vjp_cross(g, args, out, aux, need):
-    a, b = args
-    return [_cross(b.data, g) if need[0] else None,
-            _cross(g, a.data) if need[1] else None]
-
-
-def vjp_norm(g, args, out, aux, need):
-    v = args[0]
-    n = np.asarray(out.data)[..., None]
-    return [np.asarray(g)[..., None] * v.data / n]
-
-
-def vjp_normalize(g, args, out, aux, need):
-    v = args[0].data
-    n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    u = out.data
-    inner = (u * g).sum(axis=-1, keepdims=True)
-    return [(g - u * inner) / n]
-
-
-def vjp_vsum(g, args, out, aux, need):
-    v = args[0]
-    return [np.broadcast_to(np.asarray(g)[..., None], v.data.shape)]
-
-
-def vjp_scale(g, args, out, aux, need):
-    s, v = args
-    gs = None
-    if need[0]:
-        core = tuple(range(g.ndim - len(v.core_shape), g.ndim))
-        gs = (g * v.data).sum(axis=core) if core else g * v.data
-    return [gs, _aligned(s, out) * g if need[1] else None]
-
-
-def vjp_mat(g, args, out, aux, need):
-    return [g[..., i, :] if n else None for i, n in enumerate(need)]
-
-
-def vjp_matmul(g, args, out, aux, need):
-    a, b = args
-    return [np.matmul(g, _swap(b.data)) if need[0] else None,
-            np.matmul(_swap(a.data), g) if need[1] else None]
-
-
-def vjp_matvec(g, args, out, aux, need):
-    m, v = args
-    ge = np.asarray(g)[..., :, None]
-    return [ge * v.data[..., None, :] if need[0] else None,
-            (m.data * ge).sum(axis=-2) if need[1] else None]
-
-
-def vjp_transpose(g, args, out, aux, need):
-    return [_swap(g)]
-
-
-def vjp_trace(g, args, out, aux, need):
-    n = args[0].core_shape[-1]
-    return [np.asarray(g)[..., None, None] * np.eye(n)]
-
-
 def vjp_det(g, args, out, aux, need):
     inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
     return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
@@ -966,14 +446,12 @@ def vjp_inv(g, args, out, aux, need):
     return [-np.matmul(np.matmul(it, g), it)]
 
 
-def vjp_outer(g, args, out, aux, need):
-    a, b = args
-    return [(g * b.data[..., None, :]).sum(axis=-1) if need[0] else None,
-            (g * a.data[..., :, None]).sum(axis=-2) if need[1] else None]
+def _swap(m):
+    return np.swapaxes(m, -1, -2)
 
 
 # ---------------------------------------------------------------------------
-# dispatch by name
+# applying one op
 
 # name -> Op row for every row with kernels.  The rows are declared in
 # ``ops.py``, which fills this lookup when the package is imported;
@@ -989,6 +467,27 @@ def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR
         row = OPS[op]
     except KeyError:
         raise ShapeMismatch(f"not an applicable primitive: {op!r}") from None
+    saved = quiet()
+    try:
+        out = row.forward(args, policy)
+    finally:
+        restore(saved)
     if policy.raises and row.partial and not row.eager:
-        return _judge(op, row.forward(args, policy))
-    return row.forward(args, policy)
+        return _judge(op, out)
+    return out
+
+
+def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
+    """pow with a compile-time constant exponent (no exponent operand),
+    judged under the error policy as ``apply_primitive`` judges pow."""
+    saved = quiet()
+    try:
+        out = OPS["pow"].forward([base], policy, exponent)
+    finally:
+        restore(saved)
+    return _judge("pow", out) if policy.raises else out
+
+
+def select(cond: Value, then: Value, orelse: Value) -> Value:
+    """Elementwise branch blend: the ``if`` row on its three operands."""
+    return OPS["if"].forward([cond, then, orelse])

@@ -11,7 +11,6 @@ of a Lotka-Volterra epoch and the peak memory of a warmed eval.
 
 import random
 import tracemalloc
-import warnings
 import zlib
 
 import numpy as np
@@ -273,7 +272,9 @@ def _scalar_source(r, depth):
     if c < 0.75:
         return "(if " + " ".join(_scalar_source(r, depth - 1) for _ in range(3)) + ")"
     if c < 0.85:
-        return f"({r.choice(['norm', 'vsum'])} {_vector_source(r, depth - 1)})"
+        return f"({r.choice(['norm', 'vsum', 'vlen'])} {_vector_source(r, depth - 1)})"
+    if c < 0.9:
+        return f"(trace {_matrix_source(r, depth - 1)})"
     return f"(dot {_vector_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
 
 
@@ -281,14 +282,33 @@ def _vector_source(r, depth):
     if depth == 0 or r.random() < 0.3:
         return r.choice(["v", "w", "(vec x y k)"])
     c = r.random()
-    if c < 0.3:
+    if c < 0.2:
         return f"(scale {_scalar_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
-    if c < 0.5:
-        return f"(matvec M {_vector_source(r, depth - 1)})"
-    if c < 0.7:
+    if c < 0.35:
+        return f"(matvec {_matrix_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
+    if c < 0.45:
+        return f"(cross {_vector_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
+    if c < 0.55:
+        return f"(normalize {_vector_source(r, depth - 1)})"
+    if c < 0.75:
         other = _vector_source(r, depth - 1) if r.random() < 0.5 else _scalar_source(r, depth - 1)
         return f"({r.choice(['+', '-', '*'])} {_vector_source(r, depth - 1)} {other})"
     return "(vec " + " ".join(_scalar_source(r, depth - 1) for _ in range(3)) + ")"
+
+
+def _matrix_source(r, depth):
+    if depth == 0 or r.random() < 0.4:
+        return "M"
+    c = r.random()
+    if c < 0.2:
+        return "(mat " + " ".join(_vector_source(r, depth - 1) for _ in range(3)) + ")"
+    if c < 0.4:
+        return f"(matmul {_matrix_source(r, depth - 1)} {_matrix_source(r, depth - 1)})"
+    if c < 0.6:
+        return f"(transpose {_matrix_source(r, depth - 1)})"
+    if c < 0.8:
+        return f"(outer {_vector_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
+    return f"(scale {_scalar_source(r, depth - 1)} {_matrix_source(r, depth - 1)})"
 
 
 def _generated_feed(r, batch):
@@ -309,29 +329,26 @@ def test_generated_programs_match_the_executor_bitwise(seed):
     payloads included."""
     r = random.Random(seed)
     kernels_made = 0
-    with warnings.catch_warnings():
-        # the executor's overflow warnings (exp, *), which a kernel's errstate silences
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(100):
-            src = _scalar_source(r, 4) if r.random() < 0.7 else _vector_source(r, 4)
-            prog = compile_source(src, inputs=("x", "y", "v", "w", "M"), params=("k",))
-            feed = _generated_feed(r, r.choice([1, 2, 5]))
-            params = {"k": r.uniform(-2.0, 2.0)}
-            store = truth_store(params)
-            for policy in (PROPAGATE_POLICY, ERROR_POLICY):
-                runs = []
-                for _ in range(3):
-                    try:
-                        runs.append(_output(eval_program(prog, feed, store, policy)))
-                    except SchemegradError as err:
-                        runs.append((type(err), str(err)))
-                assert runs[1] == runs[0] and runs[2] == runs[0], src
-            taped = []
+    for _ in range(100):
+        src = _scalar_source(r, 4) if r.random() < 0.7 else _vector_source(r, 4)
+        prog = compile_source(src, inputs=("x", "y", "v", "w", "M"), params=("k",))
+        feed = _generated_feed(r, r.choice([1, 2, 5]))
+        params = {"k": r.uniform(-2.0, 2.0)}
+        store = truth_store(params)
+        for policy in (PROPAGATE_POLICY, ERROR_POLICY):
+            runs = []
             for _ in range(3):
                 try:
-                    taped.append(_taped(prog, feed, params)[:3])
+                    runs.append(_output(eval_program(prog, feed, store, policy)))
                 except SchemegradError as err:
-                    taped.append((type(err), str(err)))
-            assert taped[1] == taped[0] and taped[2] == taped[0], src
-            kernels_made += _has_kernel(prog)
+                    runs.append((type(err), str(err)))
+            assert runs[1] == runs[0] and runs[2] == runs[0], src
+        taped = []
+        for _ in range(3):
+            try:
+                taped.append(_taped(prog, feed, params)[:3])
+            except SchemegradError as err:
+                taped.append((type(err), str(err)))
+        assert taped[1] == taped[0] and taped[2] == taped[0], src
+        kernels_made += _has_kernel(prog)
     assert kernels_made >= 50

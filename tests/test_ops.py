@@ -2,12 +2,14 @@
 replaced, replay through every row's forward, and the behaviour that
 hangs on the flags (partial-domain reporting, the one branch-op name)."""
 
+import ast
+import inspect
 import zlib
 
 import numpy as np
 import pytest
 
-from schemegrad import optim, runtime
+from schemegrad import kernels, optim, runtime
 from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, EmptyObservations, SingularMatrix
@@ -45,9 +47,32 @@ def test_every_row_with_kernels_has_a_forward_and_a_vjp():
 
 
 def test_non_differentiable_rows_have_the_explicit_none_vjp():
-    none = {name for name, row in OPS.items() if row.vjp is runtime.vjp_none}
-    assert none == {"=", "<", ">", "<=", ">=", "and", "or", "not", "vlen", "eye", "zeros",
-                    "ones"}
+    emitted = {name for name, row in OPS.items() if row.emit_vjp is kernels.vjp_none}
+    assert emitted == {"=", "<", ">", "<=", ">=", "and", "or", "not", "vlen"}
+    value_shaped = {name for name, row in OPS.items() if row.vjp is runtime.vjp_none}
+    assert value_shaped == {"eye", "zeros", "ones"}
+
+
+# The rows whose one array forward and VJP are their emit forms: the 24
+# scalar rows and 14 vector and matrix rows.
+_EMITTED = {name for name, row in REGISTRY.items() if row.category == "scalar"} | {
+    "vec", "dot", "norm", "vsum", "scale", "matvec", "cross", "normalize", "mat", "matmul",
+    "transpose", "trace", "outer", "vlen"}
+
+
+def test_a_row_with_emit_forms_has_no_other_array_definition():
+    emitted = {name for name, row in OPS.items() if row.emit is not None}
+    assert emitted == {name for name, row in OPS.items() if row.emit_vjp is not None}
+    assert emitted == _EMITTED and len(emitted) == 38
+    for name in emitted:  # the generated callers, not hand-written numpy
+        assert OPS[name].forward.__module__ == OPS[name].vjp.__module__ == kernels.__name__
+    tree = ast.parse(inspect.getsource(runtime))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith(("op_", "vjp_"))}
+    kept = {fn.__name__ for row in OPS.values() if row.emit is None
+            for fn in (row.forward, row.vjp) if getattr(fn, "__module__", None) == runtime.__name__}
+    assert defined == kept == {"op_ref", "vjp_ref", "op_det", "vjp_det", "op_inv", "vjp_inv",
+                               "op_eye", "op_zeros", "op_ones", "vjp_none"}
 
 
 def test_flags_match_the_op_lists_they_replace():
@@ -168,22 +193,20 @@ def test_a_lone_op_raises_where_its_one_op_program_raises(case):
     op, source, data, where = _LONE_OP_CASES[case]
     args = {n: _lanes(d) for n, d in data.items()}
     errors = (DomainViolation, SingularMatrix)
-    with np.errstate(over="ignore"):  # numpy also warns on the overflow
-        with pytest.raises(errors) as program:
-            eval_program(compile_source(source, inputs=tuple(data)), args, policy=ERROR_POLICY)
-        with pytest.raises(errors) as lone:
-            runtime.apply_primitive(op, list(args.values()), ERROR_POLICY)
+    with pytest.raises(errors) as program:
+        eval_program(compile_source(source, inputs=tuple(data)), args, policy=ERROR_POLICY)
+    with pytest.raises(errors) as lone:
+        runtime.apply_primitive(op, list(args.values()), ERROR_POLICY)
     assert type(lone.value) is type(program.value)
     assert ((_named(lone.value), lone.value.where)
             == (_named(program.value), program.value.where) == (op, where))
 
 
 def test_a_tape_context_judges_pow_with_a_constant_exponent():
-    with np.errstate(over="ignore"):
-        with pytest.raises(DomainViolation) as lone:
-            TapeContext(ERROR_POLICY).prim("pow", 1e200, aux=2.0)
-        with pytest.raises(DomainViolation) as program:
-            eval_program(compile_source("(pow x 2)", inputs=("x",)), {"x": 1e200})
+    with pytest.raises(DomainViolation) as lone:
+        TapeContext(ERROR_POLICY).prim("pow", 1e200, aux=2.0)
+    with pytest.raises(DomainViolation) as program:
+        eval_program(compile_source("(pow x 2)", inputs=("x",)), {"x": 1e200})
     assert (lone.value.kind, lone.value.where) == (program.value.kind, program.value.where)
     assert program.value.kind == "pow"
 

@@ -1,13 +1,18 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import schemegrad
 from schemegrad import interpreter, runtime
+from schemegrad.autodiff import backward
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, ShapeMismatch, SingularMatrix
-from schemegrad.machine import eval_program
+from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.ops import PRIM_NAMES
 from schemegrad.runtime import (
     ERROR_POLICY,
@@ -496,3 +501,73 @@ def test_shape_table_conformance():
         assert (out.core_shape, out.kind, out.batched) == (out_core, out_kind, False), op
         out = apply_primitive(op, [batched(s) for s in arg_shapes], PROPAGATE_POLICY)
         assert (out.core_shape, out.kind, out.batched) == (out_core, out_kind, True), op
+
+
+def test_pow_with_a_batched_exponent_is_bitwise_its_unbatched_runs():
+    # numpy's power on an array of exponents differs in the last bit, in a
+    # few percent of lanes, from a scalar exponent of 2, 0.5 or -1; the
+    # exponents 3 and 1.5 put 2 and 0.5 in the gradient's power(x, y - 1)
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0.1, 4.0, 2000)
+    y = rng.choice([2.0, 0.5, -1.0, 3.0, 1.5, 1.7], 2000)
+    prog = compile_source("(pow x y)", inputs=("x", "y"))
+
+    def run(xs, ys):
+        out, tape = eval_with_tape(prog, {"x": xs, "y": ys}, policy=PROPAGATE_POLICY)
+        grads = backward(tape, Value(np.ones_like(out.data), "scalar", out.batched),
+                         wrt_inputs=["x", "y"]).input_grads
+        return [np.asarray(a, dtype=np.float64) for a in
+                (out.data, grads["x"].data, grads["y"].data)]
+
+    batched = run(Value.batch_scalars(x), Value.batch_scalars(y))
+    stacked = np.array([run(S(a), S(b)) for a, b in zip(x, y)]).T
+    for name, got, want in zip(("forward", "dx", "dy"), batched, stacked):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+# (source, input): the IEEE value of each under the propagate policy
+_WARNING_PROBES = {"(+ x 1e308)": (1e308, np.inf), "(pow x 2)": (1e200, np.inf),
+                   "(* x 0)": (np.inf, np.nan)}
+_PROBE_SCRIPT = """
+from math import inf
+
+import numpy as np
+from schemegrad.compiler import compile_source
+from schemegrad.errors import DomainViolation
+from schemegrad.interpreter import interpret_ast
+from schemegrad.machine import eval_program
+from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
+from schemegrad.sexpr import parse
+from schemegrad.values import Value
+
+for src, x in {probes!r}.items():
+    prog = compile_source(src, inputs=("x",))
+    for x_value in (Value.scalar(x), Value.batch_scalars(np.full(3, x))):
+        # a raw-slot run each time, or an executor run and then kernel runs
+        engines = [lambda p: eval_program(prog, {{"x": x_value}}, policy=p)] * 3
+        engines.append(lambda p: interpret_ast(parse(src), {{"x": x_value}}, p))
+        for engine in engines:
+            print(src, x_value.batched, np.ravel(engine(PROPAGATE_POLICY).data)[0].item())
+            try:
+                engine(ERROR_POLICY)
+                print("no error")
+            except DomainViolation as err:
+                print(src, x_value.batched, "DomainViolation", err.kind)
+"""
+
+
+def test_no_float_warning_leaves_a_run_under_w_error():
+    probes = {src: x for src, (x, _) in _WARNING_PROBES.items()}
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(schemegrad.__file__)))
+    run = subprocess.run([sys.executable, "-W", "error", "-c",
+                          _PROBE_SCRIPT.format(probes=probes)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src_dir})
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    want = []
+    for src, (_, ieee) in _WARNING_PROBES.items():
+        for batched in (False, True):
+            want += [f"{src} {batched} {ieee}", f"{src} {batched} DomainViolation "
+                     f"{'pow' if 'pow' in src else 'non-finite output'}"] * 4
+    assert lines == want
