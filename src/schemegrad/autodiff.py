@@ -38,7 +38,8 @@ from .errors import MissingGradient, ShapeMismatch
 from .kernels import FUSED
 from .ops import OPS
 # The kernels are called through these module globals, which the traced
-# benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
+# benchmark run (perfbench/spans.py) rebinds; pow_immediate and select are
+# bound here for it.
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, apply_primitive,  # noqa: F401
                       pow_immediate, quiet, restore, select)
 from .values import Value, bit_equal
@@ -174,10 +175,8 @@ class Tape:
             vals = [self.nodes[a][2] for a in args]
             if op == FUSED:
                 redo = aux.replay(vals)
-            elif op == "pow" and aux is not None:
-                redo = pow_immediate(vals[0], aux, PROPAGATE_POLICY)
             else:
-                redo = apply_primitive(op, vals, PROPAGATE_POLICY)
+                redo = apply_primitive(op, vals, PROPAGATE_POLICY, aux)
             if not bit_equal(redo, value):
                 return False
         return True
@@ -344,10 +343,7 @@ class TapeContext:
 
     def prim(self, op: str, *args, aux=None) -> TapeRef:
         refs = [self.lift(a) for a in args]
-        if op == "pow" and aux is not None:
-            value = pow_immediate(refs[0].value, aux, self.policy)
-        else:
-            value = apply_primitive(op, [r.value for r in refs], self.policy)
+        value = apply_primitive(op, [r.value for r in refs], self.policy, aux)
         nid = self.tape.record(op, tuple(r.tape_id for r in refs), value, aux)
         return TapeRef(nid, value)
 

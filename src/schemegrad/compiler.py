@@ -104,8 +104,8 @@ def _instr_text(ins) -> str:
         op, operands, aux = ins[2:5]
         if op in _INFIX and len(operands) == 2:
             return f"{_slot(operands[0])} {op} {_slot(operands[1])}"
-        if op == "pow" and aux is not None:
-            return f"pow({_slot(operands[0])}, {aux!r})"
+        if aux is not None:
+            return f"{op}({_slot(operands[0])}, {aux!r})"
         return f"{op}(" + ", ".join(_slot(o) for o in operands) + ")"
     if kind == "loop":
         _, _, ir, inits, caps = ins

@@ -101,7 +101,7 @@ def _pack(ctx, ins):
     r = ctx.lift(ins["r"])
     comps = [ctx.lift(ins["m1"]), ctx.lift(ins["m2"])]
     for i in range(3):
-        comps.append(ctx.prim("ref", r, ctx.constant(float(i))))
+        comps.append(ctx.prim("ref", r, aux=float(i)))
     return pack_scalars(ctx, comps)
 
 

@@ -62,9 +62,8 @@ def make_system(store) -> OdeSystem:
 
 def generate_observations(ics) -> list:
     """Clean trajectories from the true parameters, one [T+1, 2] array per
-    initial condition."""
-    sys = make_system(truth_store(TRUE_PARAMS))
-    return [rollout(sys, ic, int(round(T_END / DT))) for ic in ics]
+    initial condition, stepped together as one batched rollout."""
+    return list(rollout(make_system(truth_store(TRUE_PARAMS)), ics, int(round(T_END / DT))))
 
 
 def trajectory_mse(sys: OdeSystem, horizon_steps: int) -> float:

@@ -2,11 +2,12 @@
 
 Each binding becomes one node; constants dedupe by bit pattern within a
 block; inputs and parameters get one node per name on first use.  A `pow`
-whose exponent is a literal folds the exponent into the node instead of
-materializing a constant.  A value-position `if` is a prim node of the
-`if` row over its condition and both arms' results; a tail `if` ends its
-block in a branch.  Loop and function bodies become nested frames that
-import outer values through capture nodes.
+whose exponent is a literal, or a `ref` whose index is, folds it into the
+node as its aux instead of materializing a constant.  A value-position
+`if` is a prim node of the `if` row over its condition and both arms'
+results; a tail `if` ends its block in a branch.  Loop and function
+bodies become nested frames that import outer values through capture
+nodes.
 
 The builder makes each node's instruction tuple (see ``machine``) as it
 makes the node, in one pass.  A ``Node`` is a named tuple, so it cannot
@@ -32,6 +33,10 @@ from .values import frozen_scalar
 # writes.
 Node = namedtuple("Node", "id kind op operands aux debug_name",
                   defaults=(None, (), None, None))
+
+# Rows whose literal second operand folds into the node as its aux: pow's
+# exponent and ref's index.
+_IMMEDIATE = frozenset(("pow", "ref"))
 
 _new_tuple = tuple.__new__
 
@@ -272,9 +277,11 @@ class _Builder:
         op = rhs.op
         args = rhs.args
         aux = None
-        if op == "pow" and args[1].__class__ is Const:
+        if op in _IMMEDIATE and args[1].__class__ is Const:
             aux = args[1].value
             operands = (frame.triv(args[0]),)
+            if OPS[op].scalar is None:
+                self.scalar_closed = False
         elif op == "-" and len(args) == 1:
             zero = frame.const(0.0)
             operands = (zero, frame.triv(args[0]))

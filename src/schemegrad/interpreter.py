@@ -3,9 +3,9 @@
 Evaluates the parse tree directly with the same primitive semantics and
 domain rule as the compiled path; used as the independent oracle for
 compiled evaluation.  Every primitive and every batched `if` goes through
-``apply_primitive``; a literal `pow` exponent is an operand, not folded.
-It recurses in Python once per call, so past Python's recursion limit
-(below the compiled depth limit) it raises `EvalError`.
+``apply_primitive``; a literal `pow` exponent or `ref` index is an operand,
+not folded.  It recurses in Python once per call, so past Python's
+recursion limit (below the compiled depth limit) it raises `EvalError`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,20 @@
 """The emit forms of the ops, and the code generated from them.
 
 The emit forms are columns of the op table (``ops.py``) and the one array
-definition of the 38 rows that have them: the 24 scalar rows and vec, dot,
-norm, vsum, scale, matvec, cross, normalize, mat, matmul, transpose, trace,
-outer and vlen.  ``emit(ops, types, aux)`` returns the source of the op's
-result from its operands' sources and static types, with its static type;
+definition of the 39 rows that have them: the 24 scalar rows and vec, ref,
+dot, norm, vsum, scale, matvec, cross, normalize, mat, matmul, transpose,
+trace, outer and vlen.  ``emit(ops, types, aux)`` returns the source of the
+op's result from its operands' sources and static types, with its static
+type;
 ``emit_vjp(g, ops, out, types, out_type, aux, need)`` returns statements to
 run first and, per operand, the source and static shape of its raw
 gradient (shaped like the output for an elementwise row, like the operand
 otherwise, as ``backward`` reduces them) or None.  A static type is
 ``(kind, batched, core)``; a static shape is ``(batched, core)``; ``B`` is
-the batch size in the generated source.  A form raises the
+the batch size in the generated source.  ``aux`` is the source of a row's
+constant operand (pow's exponent, ref's index), or None: a finite one is
+spliced into a whole-program kernel as its literal, and a one-op function
+takes it as the argument ``aux``.  A form raises the
 ``ShapeMismatch`` its op raises, with its message, on operands the op
 rejects.
 
@@ -65,12 +69,13 @@ the same order as over one record per instruction, and bitwise the same.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 from . import runtime as rt
-from .errors import ShapeMismatch
+from .errors import EvalError, ShapeMismatch
 from .values import F64, Value
 
 FUSED = "fused"  # the op name of a taped kernel run's record
@@ -115,9 +120,10 @@ _NAMESPACE = {name: getattr(np, name) for name in (
     "add", "subtract", "multiply", "divide", "power", "mod", "fmod", "minimum", "maximum",
     "abs", "sin", "cos", "exp", "sqrt", "log", "equal", "less", "greater", "less_equal",
     "greater_equal", "logical_and", "logical_or", "where", "stack", "ones", "sign", "floor",
-    "trunc", "asarray", "broadcast_to", "swapaxes", "moveaxis", "diagonal", "matmul", "eye")}
+    "trunc", "asarray", "broadcast_to", "swapaxes", "moveaxis", "diagonal", "matmul", "eye",
+    "zeros")}
 _NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
-                  _pow_lanes=rt.power_lanes)
+                  _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index)
 
 
 def _define(ns: dict, name: str, params: str, body: list):
@@ -263,6 +269,25 @@ def emit_vec(ops, types, aux):
     if batched:
         ops = [o if t[1] else f"broadcast_to({o}, (B,))" for o, t in zip(ops, types)]
     return f"stack([{', '.join(ops)}], axis=-1)", ("vector", batched, (len(ops),))
+
+
+def _ref_position(ops, types, aux) -> str:
+    """The source of a ``ref``'s checked position: its index is ``aux`` when
+    it is a constant, else its second operand, an unbatched scalar.  A
+    literal index is checked here, any other where the function runs."""
+    _expect("ref", types[0], "vector")
+    n = types[0][2][-1]
+    if aux is None:
+        if types[1][0] != "scalar" or types[1][1]:
+            raise ShapeMismatch("ref: index must be an unbatched scalar")
+        aux = ops[1]
+    elif not aux.isidentifier():
+        return str(rt.ref_index(float(aux), n))
+    return f"_ref_index({aux}, {n})"
+
+
+def emit_ref(ops, types, aux):
+    return f"{ops[0]}[..., {_ref_position(ops, types, aux)}]", ("scalar", types[0][1], ())
 
 
 def emit_dot(ops, types, aux):
@@ -468,6 +493,15 @@ def vjp_vec(g, ops, out, types, out_t, aux, need):
     return [], [(f"{g}[..., {i}]", (out_t[1], ())) if n else None for i, n in enumerate(need)]
 
 
+def vjp_ref(g, ops, out, types, out_t, aux, need):
+    if not need[0]:
+        return [], [None] * len(ops)
+    t, gv = types[0], f"r{out}"
+    return ([f"{gv} = zeros({_shape_src(*t[1:])})",
+             f"{gv}[..., {_ref_position(ops, types, aux)}] = {g}"],
+            [(gv, t[1:])] + [None] * (len(ops) - 1))
+
+
 def vjp_dot(g, ops, out, types, out_t, aux, need):
     (a, b), (ta, tb) = ops, types
     ge = f"asarray({g})[..., None]"
@@ -542,20 +576,22 @@ def vjp_outer(g, ops, out, types, out_t, aux, need):
 def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
     """``backward``'s reduction of a raw gradient to its argument's shape,
     resolved at generation: ``_reduce_elementwise`` or
-    ``_reduce_structural``."""
+    ``_reduce_structural``.  ``add.reduce`` is the ufunc reduction that
+    ``ndarray.sum`` calls, without the Python wrapper."""
     b, core = shape
     if (b, core) == arg[1:]:
         return src
     if not elementwise:
         if b + len(core) == arg[1] + len(arg[2]) + 1:
-            return f"{src}.sum(axis=0)"
+            return f"add.reduce({src}, axis=0)"
         return f"broadcast_to({src}, {_shape_src(*arg[1:])})"
     n = len(out[2])
     if arg[0] == "scalar" and n:
         nd = b + len(core)
-        src, core = f"{src}.sum(axis={tuple(range(nd - n, nd))!r})", core[:len(core) - n]
+        axes = tuple(range(nd - n, nd))
+        src, core = f"add.reduce({src}, axis={axes!r})", core[:len(core) - n]
     if out[1] and not arg[1]:
-        src, b = f"{src}.sum(axis=0)", False
+        src, b = f"add.reduce({src}, axis=0)", False
     if (b, core) != arg[1:]:
         src = f"broadcast_to({src}, {_shape_src(*arg[1:])})"
     return src
@@ -631,6 +667,10 @@ def forward_of(row):
 
     def miss(memo, key, args, aux):
         types, batch = _static_types(row, args)
+        n = len(args) + (aux is not None)  # aux stands for an operand
+        if n < row.min_arity or row.max_arity is not None and n > row.max_arity:
+            hi = "unbounded" if row.max_arity is None else row.max_arity
+            raise EvalError(f"{row.name} takes {row.min_arity}..{hi} operands, got {n}")
         fn, out = _one_op(row, types, aux is not None)
         return _remember(memo, key, (fn, out[0], out[1], batch))
 
@@ -765,10 +805,12 @@ class Kernel:
                 self.ns[ref[dest]] = ins[3].data
                 types[dest] = _SCALAR
             elif kind == "prim":
-                aux = None
-                if ins[4] is not None:
-                    aux = f"a{dest}"
-                    self.ns[aux] = ins[4]
+                aux = ins[4]
+                if aux is not None:
+                    if type(aux) in (float, int) and math.isfinite(aux):
+                        aux = repr(aux)  # a constant operand is spliced as its literal
+                    else:
+                        self.ns[f"a{dest}"], aux = aux, f"a{dest}"
                 ops = ins[3]
                 # the forward's source as a template over the operands' sources
                 src, types[dest] = ins[5].emit(_holes(len(ops)), [types[o] for o in ops], aux)

@@ -40,7 +40,8 @@ from . import kernels
 from .autodiff import TapeRef
 from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 # The kernels are called through these module globals, which the traced
-# benchmark run (perfbench/spans.py) rebinds; select is bound here for it.
+# benchmark run (perfbench/spans.py) rebinds; pow_immediate and select are
+# bound here for it.
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa: F401
                       Violations, all_finite, apply_primitive, pow_immediate, quiet, restore,
                       select)
@@ -95,7 +96,7 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                         fn = row.scalar
                         if len(operands) == 2:
                             out = fn(slots[operands[0]], slots[operands[1]])
-                        elif aux is not None:  # pow with a constant exponent
+                        elif aux is not None:  # a constant operand: pow's exponent
                             out = fn(slots[operands[0]], aux)
                         elif len(operands) == 1:
                             out = fn(slots[operands[0]])
@@ -105,15 +106,13 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                                 out = fn(out, slots[i])
                         else:  # fixed arity three (if): the kernel takes all three
                             out = fn(slots[operands[0]], slots[operands[1]], slots[operands[2]])
-                    elif aux is not None:
-                        out = pow_immediate(slots[operands[0]], aux, PROPAGATE_POLICY)
                     else:
                         if len(operands) == 2:  # the common arity, without a comprehension
                             args = [slots[operands[0]], slots[operands[1]]]
                         else:
                             args = [slots[i] for i in operands]
                         out = apply_primitive(
-                            op, args, policy if row.eager else PROPAGATE_POLICY)
+                            op, args, policy if row.eager else PROPAGATE_POLICY, aux)
                     if violations is not None and row.partial:
                         violations.check(op, dest, out if raw else out.data)
                     slots[dest] = out

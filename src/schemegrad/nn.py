@@ -150,7 +150,7 @@ def pack_scalars(ctx: TapeContext, refs) -> TapeRef:
 
 
 def unpack_scalar(ctx: TapeContext, vec_ref: TapeRef, index: int) -> TapeRef:
-    return ctx.prim("ref", vec_ref, ctx.constant(float(index)))
+    return ctx.prim("ref", vec_ref, aux=float(index))
 
 
 # ---------------------------------------------------------------------------

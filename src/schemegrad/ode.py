@@ -3,9 +3,25 @@ for trajectory fitting.
 
 System state is a tuple of refs (scalars or vectors, optionally batched);
 the right-hand side maps a state tuple to a derivative tuple on the same
-tape so gradients reach the RHS parameters.  A right-hand side made of
-compiled programs (``make_compiled_rhs``) steps as one linked program per
-RK4 step (``link_rk4``), with the stage-by-stage step's bits.
+tape so gradients reach the RHS parameters.
+
+A right-hand side made of compiled programs (``make_compiled_rhs``) is
+linked into larger straight-line programs (``link_rk4``), with the bits of
+the stage-by-stage Python stepper:
+
+- one RK4 step is one program: ``rk4_step`` makes one run of it, and
+  ``rollout`` steps one or many initial states with one untaped run of it
+  per step;
+- the k steps of a shooting segment and their residuals are one program:
+  ``multiple_shooting_loss`` makes one taped run of it, on every segment at
+  once, scored by one ``shooting_mse`` record, and ``shooting_residuals``
+  one untaped run.
+
+Linked programs are kept process-wide, keyed by their programs' texts and
+names, dt, the number of steps and the depth limit, so a system built again
+over the same programs compiles nothing and finds its kernels warm.  Any
+other right-hand side (a dense network, a hybrid, a Python function) is
+stepped stage by stage, one record per operation.
 """
 
 from __future__ import annotations
@@ -14,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import optim
+from . import machine, optim
 from .autodiff import TapeContext, TapeRef
 from .compiler import CompileConfig, compile_source
 from .errors import EmptyObservations, SourceError
+from .ops import Op, register
+from .runtime import PROPAGATE_POLICY
 from .sexpr import tokenize
 from .values import Value
 
@@ -57,7 +75,7 @@ def rk4_step(ctx: TapeContext, sys: OdeSystem, state, t: float, dt: float):
         prog = rhs.step_program(dt)
         if prog is not None:
             out = ctx.run(prog, dict(zip(rhs.input_names, state)), rhs.stores[0])
-            return tuple(ctx.prim("ref", out, float(i)) for i in range(len(rhs.programs)))
+            return tuple(ctx.prim("ref", out, aux=float(i)) for i in range(len(rhs.programs)))
     k1 = sys.rhs(ctx, state, t)
     s2 = tuple(_axpy(ctx, y, dt / 2.0, k) for y, k in zip(state, k1))
     k2 = sys.rhs(ctx, s2, t + dt / 2.0)
@@ -86,18 +104,34 @@ def integrate(ctx: TapeContext, sys: OdeSystem, state, t0: float, n_steps: int):
 
 
 def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
-    """[n_steps + 1, state_dim] rows of the RK4 trajectory from the scalar
-    state `y0` at t = 0; row 0 is `y0`.  Nothing differentiates a rollout,
-    so each step records on a fresh tape and only the state values carry
-    over: memory stays that of one step however long the horizon."""
-    rows = [list(y0)]
-    t = 0.0
+    """The RK4 trajectory from t = 0 of one initial state ``y0`` (d floats),
+    as [n_steps + 1, d] rows, or of many ([N, d]), as [N, n_steps + 1, d];
+    row 0 is the initial state.  Nothing differentiates a rollout: a system
+    with a linked step (see ``CompiledRhs``) steps every initial state at
+    once, with one untaped run of the step program per step; any other
+    system steps each initial state on a fresh tape per step, keeping only
+    the state values, so memory stays that of one step."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    rhs = sys.rhs
+    prog = rhs.step_program(sys.dt) if isinstance(rhs, CompiledRhs) else None
+    if prog is None:
+        if y0.ndim == 2:
+            return np.stack([rollout(sys, y, n_steps) for y in y0])
+        rows = [y0]
+        t = 0.0
+        for _ in range(n_steps):
+            ctx = TapeContext()
+            state = tuple(ctx.constant(Value.scalar(v)) for v in rows[-1])
+            rows.append(np.array([s.value.data for s in rk4_step(ctx, sys, state, t, sys.dt)]))
+            t += sys.dt
+        return np.stack(rows)
+    many = y0.ndim == 2
+    rows = [y0]
     for _ in range(n_steps):
-        ctx = TapeContext()
-        state = tuple(ctx.constant(Value.scalar(v)) for v in rows[-1])
-        rows.append([float(s.value.data) for s in rk4_step(ctx, sys, state, t, sys.dt)])
-        t += sys.dt
-    return np.asarray(rows)
+        feed = {name: Value(rows[-1][..., i], "scalar", many)
+                for i, name in enumerate(rhs.input_names)}
+        rows.append(machine.eval_program(prog, feed, rhs.stores[0], PROPAGATE_POLICY).data)
+    return np.stack(rows, axis=-2)
 
 
 def _segment_table(cfg: ShootingConfig):
@@ -142,13 +176,58 @@ def _shooting_steps(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
         yield state, targets, valid
 
 
+def _linked_segments(sys: OdeSystem, cfg: ShootingConfig, segment_indices=None):
+    """The run of every segment through the system's linked segment program
+    (see ``CompiledRhs``), or None when it has none: (program, its inputs,
+    the store, the loss weight B / N, the masks).
+
+    The inputs are each segment's observed start state, one batched scalar
+    per component, and two batched vectors of k * d entries, step-major and
+    component-minor: ``T`` holds the observation row s + j of segment s
+    after step j, ``M`` 1.0 where that row exists and 0.0 past the end of a
+    ragged trajectory, where ``T`` holds 0.0.  N counts the rows that exist."""
+    rhs = sys.rhs
+    if not isinstance(rhs, CompiledRhs) or len(rhs.input_names) != sys.state_dim:
+        return None
+    prog = rhs.segment_program(sys.dt, max(1, int(cfg.segment_length)))
+    trajs, seg, entries = _segment_table(cfg)
+    if segment_indices is not None:
+        entries = [entries[i] for i in segment_indices]
+    if prog is None or not entries:  # no segment: the stepper raises as it always has
+        return None
+    flat = np.concatenate(trajs)[:, :sys.state_dim]
+    first = np.cumsum([0] + [len(obs) for obs in trajs])
+    where, start = np.array(entries).T
+    last = first[where + 1] - first[where] - 1
+    rows = start[:, None] + np.arange(1, seg + 1)  # (B, k): the rows step j reaches
+    valid = rows <= last[:, None]
+    targets = flat[first[where][:, None] + np.minimum(rows, last[:, None])]  # (B, k, d)
+    targets = np.where(valid[..., None], targets, 0.0).reshape(len(entries), -1)
+    masks = np.repeat(valid.astype(np.float64), sys.state_dim, axis=1)
+    x0 = flat[first[where] + start]
+    feed = {name: Value.batch_scalars(np.ascontiguousarray(x0[:, i]))
+            for i, name in enumerate(rhs.input_names)}
+    feed.update(zip(prog.input_names[len(feed):], (Value.batch_vectors(targets),
+                                                   Value.batch_vectors(masks))))
+    weight = len(entries) / (int(valid.sum()) * sys.state_dim)
+    return prog, feed, rhs.stores[0], weight, masks
+
+
 def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
                            segment_indices=None) -> TapeRef:
     """Each segment restarts from an observed state and integrates
     segment_length steps; the mean squared error is taken against every
     observation the segments cover, each covered point weighted equally.
     Segments from all trajectories are batched together; `segment_indices`
-    restricts one evaluation to a minibatch of segments."""
+    restricts one evaluation to a minibatch of segments.
+
+    A system with a linked segment program makes one taped run of it and
+    one ``shooting_mse`` record; any other steps with ``rk4_step`` and
+    records its terms one by one.  Both give the same bits."""
+    linked = _linked_segments(sys, cfg, segment_indices)
+    if linked is not None:
+        prog, feed, store, weight, _ = linked
+        return ctx.prim(SHOOTING_MSE, ctx.run(prog, feed, store), aux=weight)
     terms = []
     covered = 0  # observed points the terms cover; each term averages over all lanes
     for state, targets, valid in _shooting_steps(ctx, sys, cfg, segment_indices):
@@ -169,13 +248,46 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
 
 def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) -> np.ndarray:
     """Flat residual vector (prediction minus observation) over every
-    point the shooting segments cover; the mean of its squares equals the
-    multiple-shooting loss."""
+    point the shooting segments cover, step-major, then component, then
+    segment; the mean of its squares equals the multiple-shooting loss.  A
+    system with a linked segment program makes one untaped run of it and
+    keeps each column's rows that exist."""
+    linked = _linked_segments(sys, cfg)
+    if linked is not None:
+        prog, feed, store, _, masks = linked
+        residuals = machine.eval_program(prog, feed, store, ctx.policy).data
+        return residuals.T[masks.T != 0.0]
     return np.concatenate([
         (y.value.data - target)[valid]
         for state, targets, valid in _shooting_steps(ctx, sys, cfg)
         for y, target in zip(state, targets)
     ])
+
+
+def _shooting_mse(args, policy=None, weight=None) -> Value:
+    """The multiple-shooting loss from a segment run's residuals r, (B, k *
+    d): the terms the step-by-step loss records, in its order.  Each column
+    is one mean squared error over the segments, ``np.mean(r * r)``; they
+    are summed left to right and the sum is scaled by ``weight``."""
+    r = args[0].data
+    squares = r * r
+    terms = np.add.reduce(np.ascontiguousarray(squares.T), axis=1) / r.shape[0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return Value.scalar(weight * total)
+
+
+def _vjp_shooting_mse(g, args, out, weight, need):
+    """Each residual's gradient as the step-by-step loss gives it: the
+    scale's adjoint passes unchanged through the sum to every mean squared
+    error, whose adjoint is ``g * (2 r / B)``."""
+    r = args[0].data
+    return [(g * weight) * (2.0 * r / r.shape[0])]
+
+
+SHOOTING_MSE = "shooting_mse"
+register(Op(SHOOTING_MSE, "tape", 1, 1, _shooting_mse, _vjp_shooting_mse))
 
 
 def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names) -> None:
@@ -192,79 +304,139 @@ class CompiledRhs:
     """The right-hand side of a system with one compiled program per state
     component, each seeing the state components under ``input_names``.
     Called as ``rhs(ctx, state, t)``, it runs every program on the state, as
-    any RHS does.  ``step_program(dt)`` links the programs into one program
-    for a whole RK4 step, which ``rk4_step`` runs instead."""
+    any RHS does.  ``step_program(dt)`` and ``segment_program(dt, k)`` are
+    the programs linked into one RK4 step or one k-step shooting segment
+    (see ``link_rk4``), which ``rk4_step``, ``rollout``,
+    ``multiple_shooting_loss`` and ``shooting_residuals`` run instead."""
 
     def __init__(self, programs, stores, input_names):
         self.programs, self.stores = tuple(programs), tuple(stores)
         self.input_names = tuple(input_names)
-        self._steps = {}  # dt -> the linked step program, or None
+        self._linked = {}  # (dt, steps) -> the linked program, or None
 
     def __call__(self, ctx, state, t):
         feed = {name: ref for name, ref in zip(self.input_names, state)}
         return tuple(ctx.run(prog, feed, store) for prog, store in zip(self.programs, self.stores))
 
     def step_program(self, dt: float):
-        """The RK4 step over ``dt`` as one compiled program (see
-        ``link_rk4``), made on first use and kept; None when the programs
-        cannot be linked."""
-        if dt not in self._steps:
-            self._steps[dt] = link_rk4(self.programs, self.stores, self.input_names, dt)
-        return self._steps[dt]
+        """The RK4 step over ``dt`` as one compiled program, or None when
+        the programs cannot be linked."""
+        return self._link(dt, None)
+
+    def segment_program(self, dt: float, steps: int):
+        """``steps`` RK4 steps over ``dt`` and their residuals as one
+        compiled program, or None when the programs cannot be linked."""
+        return self._link(dt, steps)
+
+    def _link(self, dt, steps):
+        key = (dt, steps)
+        if key not in self._linked:
+            self._linked[key] = link_rk4(self.programs, self.stores, self.input_names, dt, steps)
+        return self._linked[key]
 
 
-def link_rk4(programs, stores, input_names, dt: float):
-    """One compiled program for an RK4 step over ``dt`` of the state
+# Linked programs (or None) by (the programs' texts and names, the state names,
+# dt, steps, depth limit), oldest first: a system built again over programs
+# compiled from the same texts, as every fit and benchmark set-up builds one,
+# gets the same program, compiled once and its kernels warm.
+_LINKED: dict = {}
+_LINKED_MAX = 64
+
+
+def link_rk4(programs, stores, input_names, dt: float, steps: int | None = None):
+    """One compiled program for RK4 stepping over ``dt`` of the state
     ``input_names``, whose derivatives are ``programs``, or None.
 
     Each stage binds every program's output, its body spliced in with its
-    inputs bound to the stage's state, and the step returns the new state
-    as a vector::
+    inputs bound to the stage's state.  With ``steps`` None the program is
+    one step and returns the new state as a vector::
 
         (let* ((k0_0 (let ((x x) (y y)) <body 0>)) ...
                (s1_0 (+ x (* 0.05 k0_0))) ...)
           (vec (+ x (* 0.016666666666666666
                        (+ (+ (+ k0_0 (* 2.0 k1_0)) (* 2.0 k2_0)) k3_0))) ...))
 
+    With ``steps`` k it is one shooting segment: k such steps, each binding
+    the new state to the state names, and right after step j the residual
+    of every component against the batched vector inputs ``T`` (targets)
+    and ``M`` (masks), read at i = (j - 1) * d + component::
+
+        (x (+ x (* 0.016666666666666666 ...))) (y ...)
+        (r1_0 (- (* (ref M 0) x) (ref T 0))) (r1_1 (- (* (ref M 1) y) (ref T 1)))
+        ... (vec r1_0 r1_1 ... rk_1)
+
     Its constants and its order of operations are ``rk4_step``'s, so its
-    values are bitwise those of the stage-by-stage step, and so are its
-    gradients: a taped run through a generated kernel sums each leaf's
-    contributions in the order of one record per instruction.  The
-    template's names are chosen apart from every name in the programs, so
-    a parameter called ``k0_0`` is not captured.  Programs are linked only
-    when they read one store, know no input outside ``input_names``, share
-    their depth limit, name no parameter like an input and fit the parser's
-    nesting limit once spliced."""
-    n = len(programs)
-    if (not n or n != len(input_names) or any(s is not stores[0] for s in stores)
+    values are bitwise those of the stage-by-stage step (a mask of 1.0
+    keeps a state's bits), and so are its gradients: a taped run through a
+    generated kernel sums each leaf's contributions in the order of one
+    record per instruction.  A residual bound before the next step's stages
+    gets its state's gradient after that step's, the order in which the
+    step-by-step tape sums them.  The template's names are chosen apart
+    from every name in the programs, so a parameter called ``k0_0`` is not
+    captured.  Programs are linked only when they read one store, know no
+    input outside ``input_names``, share their depth limit, name no
+    parameter like an input and fit the parser's nesting limit once
+    spliced.  Linked programs are kept in ``_LINKED``."""
+    if (not programs or len(programs) != len(input_names)
+            or any(s is not stores[0] for s in stores)
             or any(not set(prog.input_names) <= set(input_names) for prog in programs)
             or len({prog.max_recursion_depth for prog in programs}) != 1):
         return None
+    key = (tuple((prog.source_text, prog.input_names, prog.param_names) for prog in programs),
+           tuple(input_names), dt, steps, programs[0].max_recursion_depth)
+    if key in _LINKED:
+        prog = _LINKED.pop(key)
+    else:
+        prog = _link(programs, tuple(input_names), dt, steps)
+        if len(_LINKED) >= _LINKED_MAX:
+            del _LINKED[next(iter(_LINKED))]
+    _LINKED[key] = prog  # the most recently used last
+    return prog
+
+
+def _link(programs, input_names, dt, steps):
+    n = len(programs)
     params = tuple(dict.fromkeys(p for prog in programs for p in prog.param_names))
     taken = set(input_names) | set(params)
     for prog in programs:
         taken.update(tok.text for tok in tokenize(prog.source_text) if tok.kind == "symbol")
+    names = [f"{c}{i}_{j}" for c in "ks" for i in range(4) for j in range(n)]
+    if steps is not None:
+        names += ["T", "M"] + [f"r{s}_{j}" for s in range(1, steps + 1) for j in range(n)]
     mark = ""
-    while any(f"{c}{i}_{j}{mark}" in taken for c in "ks" for i in range(4) for j in range(n)):
+    while any(name + mark in taken for name in names):
         mark += "_"
     k = [[f"k{i}_{j}{mark}" for j in range(n)] for i in range(4)]
     stage = [list(input_names)] + [[f"s{i}_{j}{mark}" for j in range(n)] for i in (1, 2, 3)]
-    binds = []
+    step = []
     for i, h in enumerate((None, dt / 2.0, dt / 2.0, dt)):
         if h is not None:
-            binds += [f"({stage[i][j]} (+ {y} (* {h!r} {k[i - 1][j]})))"
-                      for j, y in enumerate(input_names)]
+            step += [f"({stage[i][j]} (+ {y} (* {h!r} {k[i - 1][j]})))"
+                     for j, y in enumerate(input_names)]
         state = dict(zip(input_names, stage[i]))
         for j, prog in enumerate(programs):
             let = " ".join(f"({a} {state[a]})" for a in prog.input_names)
             # the newline ends a comment on the body's last line
             body = f"(let ({let}) {prog.source_text}\n)" if let else f"{prog.source_text}\n"
-            binds.append(f"({k[i][j]} {body})")
-    outs = [f"(+ {y} (* {dt / 6.0!r} (+ (+ (+ {k[0][j]} (* 2.0 {k[1][j]})) (* 2.0 {k[2][j]}))"
-            f" {k[3][j]})))" for j, y in enumerate(input_names)]
-    source = "(let* (" + "\n".join(binds) + ")\n(vec " + " ".join(outs) + "))"
+            step.append(f"({k[i][j]} {body})")
+    new = [f"(+ {y} (* {dt / 6.0!r} (+ (+ (+ {k[0][j]} (* 2.0 {k[1][j]})) (* 2.0 {k[2][j]}))"
+           f" {k[3][j]})))" for j, y in enumerate(input_names)]
+    inputs = input_names
+    if steps is None:
+        binds, out = step, new
+    else:
+        targets, masks = f"T{mark}", f"M{mark}"
+        inputs += (targets, masks)
+        binds, out = [], []
+        for s in range(1, steps + 1):
+            binds += step + [f"({y} {x})" for y, x in zip(input_names, new)]
+            for j, y in enumerate(input_names):
+                i = (s - 1) * n + j
+                out.append(f"r{s}_{j}{mark}")
+                binds.append(f"({out[-1]} (- (* (ref {masks} {i}) {y}) (ref {targets} {i})))")
+    source = "(let* (" + "\n".join(binds) + ")\n(vec " + " ".join(out) + "))"
     try:
-        return compile_source(source, inputs=input_names, params=params,
+        return compile_source(source, inputs=inputs, params=params,
                               config=CompileConfig(programs[0].max_recursion_depth))
     except SourceError:  # a parameter named like an input, a body near the nesting limit
         return None

@@ -11,14 +11,19 @@ the op under the error policy's safe-domain rule (``runtime.Violations``),
 and ``eager`` passes the error policy to the kernel, so the op raises at
 once (det and inv, on a singular matrix).
 
-The emit forms are the one array definition of the 38 rows that have them:
-the scalar rows and vec, dot, cross, norm, normalize, vsum, vlen, scale,
-mat, matmul, matvec, transpose, trace and outer.  Their forward and VJP
-columns are filled in by the row itself, with callers of the one-op
+The emit forms are the one array definition of the 39 rows that have them:
+the scalar rows and vec, ref, dot, cross, norm, normalize, vsum, vlen,
+scale, mat, matmul, matvec, transpose, trace and outer.  Their forward and
+VJP columns are filled in by the row itself, with callers of the one-op
 functions generated from the forms (``kernels.forward_of``,
-``kernels.vjp_of``).  The other rows give a hand-written forward and VJP:
-ref, eye, zeros and ones, whose result's shape comes from an operand's
-value; det and inv, which are eager; and the tape-only rows.
+``kernels.vjp_of``); a caller checks the row's arity when it first sees
+its operands' shapes.  The other rows give a hand-written forward and VJP:
+eye, zeros and ones, whose result's shape comes from an operand's value;
+det and inv, which are eager; and the tape-only rows.
+
+Two rows take a compile-time constant operand as ``aux``, in place of the
+operand: pow a literal exponent, and ref a literal index.  Their forms, the
+executor, ``apply_primitive`` and ``TapeContext.prim`` treat it alike.
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,
@@ -112,12 +117,12 @@ _ROWS = (
     _emitted("if", "scalar", 3, 3, kn.emit_if, kn.vjp_if, rt.scalar_if, elementwise=True),
 
     _emitted("vec", "vector", 1, None, kn.emit_vec, kn.vjp_vec),
-    Op("ref", "vector", 2, 2, rt.op_ref, rt.vjp_ref),
+    _emitted("ref", "vector", 2, 2, kn.emit_ref, kn.vjp_ref),
     _emitted("dot", "vector", 2, 2, kn.emit_dot, kn.vjp_dot),
     _emitted("cross", "vector", 2, 2, kn.emit_cross, kn.vjp_cross),
     _emitted("norm", "vector", 1, 1, kn.emit_norm, kn.vjp_norm),
     _emitted("normalize", "vector", 1, 1, kn.emit_normalize, kn.vjp_normalize, partial=True),
-    _emitted("vsum", "vector", 1, None, kn.emit_vsum, kn.vjp_vsum),
+    _emitted("vsum", "vector", 1, 1, kn.emit_vsum, kn.vjp_vsum),  # the parser desugars n-ary
     _emitted("vlen", "vector", 1, 1, kn.emit_vlen, kn.vjp_none),
     _emitted("scale", "vector", 2, 2, kn.emit_scale, kn.vjp_scale),
 

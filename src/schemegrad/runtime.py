@@ -4,11 +4,12 @@ points that apply one op.
 
 The array forward and VJP of most rows are generated from their emit forms
 (``kernels``); the rows here keep hand-written numpy for the reasons the
-op table (``ops.py``) gives: ``ref``, ``eye``, ``zeros`` and ``ones`` take
-their result's shape from an operand's value, and ``det`` and ``inv`` are
-eager.  ``apply_primitive`` looks an op up by name in ``OPS``, the table's
-name -> row lookup, and calls its forward; this module reads nothing else
-of the table.
+op table (``ops.py``) gives: ``eye``, ``zeros`` and ``ones`` take their
+result's shape from an operand's value, and ``det`` and ``inv`` are eager.
+``ref_index`` checks a ``ref``'s index where its generated code runs.
+``apply_primitive`` looks an op up by name in ``OPS``, the table's name ->
+row lookup, and calls its forward; this module reads nothing else of the
+table.
 
 Reductions (dot, norm, vsum, trace, matvec, matmul, det) accumulate
 left-to-right over the trailing axes (``ordered_sum_last``) so that a
@@ -151,6 +152,19 @@ def ordered_sum_last(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def ref_index(i, n: int) -> int:
+    """The position a ``ref`` reads in a vector of length ``n``: its index
+    ``i`` (a number or an unbatched scalar's array), which must be an
+    integer in range."""
+    idx = float(i)
+    if idx != int(idx):
+        raise ShapeMismatch(f"ref: index {idx} is not an integer")
+    idx = int(idx)
+    if not 0 <= idx < n:
+        raise ShapeMismatch(f"ref: index {idx} out of range for length {n}")
+    return idx
+
+
 _EXACT_EXPONENTS = (2.0, 0.5, -1.0)
 
 
@@ -265,25 +279,6 @@ def _static_index(a: Value, op: str) -> int:
     if idx != int(idx):
         raise ShapeMismatch(f"{op}: index {idx} is not an integer")
     return int(idx)
-
-
-def op_ref(args, policy):
-    v, i = args
-    _require_kind(v, "vector", "ref")
-    idx = _static_index(i, "ref")
-    if not 0 <= idx < v.core_shape[-1]:
-        raise ShapeMismatch(f"ref: index {idx} out of range for length {v.core_shape[-1]}")
-    return Value(v.data[..., idx], "scalar", v.batched)
-
-
-def vjp_ref(g, args, out, aux, need):
-    if not need[0]:
-        return [None, None]
-    v = args[0]
-    idx = int(float(args[1].data))
-    gv = np.zeros_like(v.data)
-    gv[..., idx] = np.broadcast_to(g, gv[..., idx].shape)
-    return [gv, None]
 
 
 def op_eye(args, policy):
@@ -459,17 +454,20 @@ def _swap(m):
 OPS: dict = {}
 
 
-def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
-    """Evaluate one primitive application on already-computed values.  Under
-    the error policy a partial op is judged as the one-op program (see
-    ``Violations``); det and inv judge their matrix in the kernel."""
+def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR_POLICY,
+                    aux=None) -> Value:
+    """Evaluate one primitive application on already-computed values.  A row
+    that takes a compile-time constant as ``aux`` (pow's exponent, ref's
+    index) is given it in place of that operand.  Under the error policy a
+    partial op is judged as the one-op program (see ``Violations``); det and
+    inv judge their matrix in the kernel."""
     try:
         row = OPS[op]
     except KeyError:
         raise ShapeMismatch(f"not an applicable primitive: {op!r}") from None
     saved = quiet()
     try:
-        out = row.forward(args, policy)
+        out = row.forward(args, policy) if aux is None else row.forward(args, policy, aux)
     finally:
         restore(saved)
     if policy.raises and row.partial and not row.eager:
@@ -478,14 +476,8 @@ def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR
 
 
 def pow_immediate(base: Value, exponent: float, policy: SafeDomainPolicy) -> Value:
-    """pow with a compile-time constant exponent (no exponent operand),
-    judged under the error policy as ``apply_primitive`` judges pow."""
-    saved = quiet()
-    try:
-        out = OPS["pow"].forward([base], policy, exponent)
-    finally:
-        restore(saved)
-    return _judge("pow", out) if policy.raises else out
+    """pow with a compile-time constant exponent (no exponent operand)."""
+    return apply_primitive("pow", [base], policy, exponent)
 
 
 def select(cond: Value, then: Value, orelse: Value) -> Value:

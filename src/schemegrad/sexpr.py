@@ -256,12 +256,17 @@ def _bindings(toks: list, i: int, depth: int, distinct: bool) -> tuple:
         bindings.append((name, value))
 
 
+# Surface arities wider than the row's: (vsum a b ...) is (vsum (+ a b ...)).
+_SURFACE_MAX_ARITY = {"vsum": None}
+
+
 def _check_arity(op: str, nargs: int, pos) -> None:
     entry = REGISTRY[op]
-    if nargs < entry.min_arity or (entry.max_arity is not None and nargs > entry.max_arity):
-        hi = entry.max_arity if entry.max_arity is not None else "unbounded"
+    hi = _SURFACE_MAX_ARITY.get(op, entry.max_arity)
+    if nargs < entry.min_arity or (hi is not None and nargs > hi):
         raise ParseError(
-            f"{op} takes {entry.min_arity}..{hi} arguments, got {nargs}", pos
+            f"{op} takes {entry.min_arity}..{'unbounded' if hi is None else hi} arguments,"
+            f" got {nargs}", pos
         )
 
 

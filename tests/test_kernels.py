@@ -194,7 +194,7 @@ def test_a_changed_signature_takes_the_executor(src, first, then):
     assert [n[0] for n in _taped(prog, then, {})[3].nodes].count(kernels.FUSED) == 1
 
 
-def test_a_warm_lotka_volterra_epoch_holds_117_records():
+def test_a_warm_lotka_volterra_epoch_holds_10_records():
     store = truth_store(lv_exp.TRUE_PARAMS)
     cfg = ode.ShootingConfig(segment_length=lv_exp.SEGMENT_LENGTH,
                              observations=lv_exp.generate_observations())
@@ -217,8 +217,9 @@ def test_a_warm_lotka_volterra_epoch_holds_117_records():
         epochs.append((len(ctx.tape), [n[0] for n in ctx.tape.nodes].count(kernels.FUSED),
                        _bits(loss.value.data), {n: _bits(store[n].grad) for n in store.names()}))
     (warm_len, fused, warm_loss, warm_grads), (exec_len, none, exec_loss, exec_grads) = epochs
-    # a warm step is one fused record split by two refs
-    assert (warm_len, fused, exec_len, none) == (117, 10, 767, 0)
+    # a warm epoch is one fused record of the linked segment program, its loss
+    # record and eight leaves: two start states, targets, masks, four parameters
+    assert (warm_len, fused, exec_len, none) == (10, 1, 767, 0)
     assert (warm_loss, warm_grads) == (exec_loss, exec_grads)
 
 

@@ -1,11 +1,15 @@
-"""The linked RK4 step against the stage-by-stage one.
+"""The linked RK4 step and shooting segment against the stage-by-stage
+stepper.
 
-A ``CompiledRhs`` links its programs into one program per step, so
-``rk4_step`` makes one run of it where the Python stepper makes one run per
-program per stage and the stage arithmetic in between.  Both must give the
-same bits: shooting losses, parameter gradients, every state, rollouts,
-replayed tapes and errors.  The stage-by-stage reference is the same RHS
-called through a plain function, which has no linked step.
+A ``CompiledRhs`` links its programs into one program per step, and the k
+steps of a shooting segment with their residuals into one program, so
+``rk4_step`` makes one run where the Python stepper makes one run per
+program per stage and the stage arithmetic in between, and
+``multiple_shooting_loss`` one run and one loss record where it records
+every step and every term.  Both must give the same bits: shooting losses,
+parameter gradients, every state, rollouts, residuals, replayed tapes and
+errors.  The stage-by-stage reference is the same RHS called through a
+plain function, which has no linked programs.
 """
 
 import numpy as np
@@ -15,9 +19,10 @@ from schemegrad import kernels, ode
 from schemegrad.autodiff import TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation
+from schemegrad.machine import eval_program
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments import pendulum as pendulum_exp
-from schemegrad.runtime import ERROR_POLICY
+from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.training import truth_store
 from schemegrad.values import Value
 
@@ -33,12 +38,34 @@ def _stage_by_stage(system: ode.OdeSystem) -> ode.OdeSystem:
                          state_dim=system.state_dim, dt=system.dt)
 
 
+@pytest.fixture(autouse=True)
+def fresh_links(monkeypatch):
+    """An empty table of linked programs, so that a test's first run of a
+    linked program takes the executor and its later ones the kernels."""
+    monkeypatch.setattr(ode, "_LINKED", {})
+
+
+def _segment_states(system, store, cfg, segment_indices=None):
+    """Every state of every segment, from the linked segment program with
+    targets 0.0 and masks 1.0, whose residuals are then the states."""
+    prog, feed, _, _, masks = ode._linked_segments(system, cfg, segment_indices)
+    targets, masked = prog.input_names[-2:]
+    feed[targets] = Value.batch_vectors(np.zeros_like(masks))
+    feed[masked] = Value.batch_vectors(np.ones_like(masks))
+    out = eval_program(prog, feed, store, PROPAGATE_POLICY).data
+    return [_bits(out[:, c]) for c in range(out.shape[1])]
+
+
 def _epoch(system, store, cfg, segment_indices=None):
     """Bits of one taped shooting epoch: every state, the loss and every
-    parameter gradient, with the tape's record kinds and its replay."""
+    parameter gradient, with the tape's record kinds and its replay.  The
+    states of a linked system come from its linked step and, as residuals,
+    from its segment program."""
     ctx = TapeContext()
     states = [_bits(y.value.data) for state, _, _ in
               ode._shooting_steps(ctx, system, cfg, segment_indices) for y in state]
+    if isinstance(system.rhs, ode.CompiledRhs):
+        assert _segment_states(system, store, cfg, segment_indices) == states
     ctx = TapeContext()
     loss = ode.multiple_shooting_loss(ctx, system, cfg, segment_indices)
     store.zero_grads()
@@ -62,24 +89,64 @@ def _ragged_pendulum():
     return pendulum_exp.make_system(store), store, ode.ShootingConfig(10, obs)
 
 
-@pytest.mark.parametrize("case", [_lv, _ragged_pendulum], ids=["lotka_volterra", "pendulum"])
-def test_a_linked_epoch_is_bitwise_the_stage_by_stage_one(case):
+@pytest.mark.parametrize("case, idx", [(_lv, None), (_ragged_pendulum, None),
+                                       (_ragged_pendulum, [0, 5, 11, 12, 17])],
+                         ids=["lotka_volterra", "pendulum", "minibatch"])
+def test_a_linked_epoch_is_bitwise_the_stage_by_stage_one(case, idx):
     system, store, cfg = case()
-    for _ in range(3):  # the first runs take the executor, later ones the kernels
-        linked = _epoch(system, store, cfg)
-        staged = _epoch(_stage_by_stage(system), store, cfg)
+    for run in range(3):  # the first run takes the executor, later ones the kernel
+        linked = _epoch(system, store, cfg, idx)
+        staged = _epoch(_stage_by_stage(system), store, cfg, idx)
         assert linked[:3] == staged[:3]
-    steps = cfg.segment_length
-    assert linked[3].count("ref") == 2 * steps and linked[3].count(kernels.FUSED) == steps
-    assert "ref" not in staged[3]
+        # one run of the segment program, scored by one loss record
+        assert linked[3].count(ode.SHOOTING_MSE) == 1 and "mse" not in linked[3]
+        assert linked[3].count(kernels.FUSED) == (run > 0)
+    # leaves: the start states, targets, masks and parameters
+    assert linked[3] == ["leaf"] * (4 + len(store.names())) + [kernels.FUSED, ode.SHOOTING_MSE]
+    assert ode.SHOOTING_MSE not in staged[3]
 
 
-def test_a_minibatch_of_ragged_segments_is_bitwise_too():
+def test_the_fused_segment_record_is_bitwise_the_executor_tape():
     system, store, cfg = _ragged_pendulum()
-    idx = [0, 5, 11, 12, 17]
-    for _ in range(3):
-        assert _epoch(system, store, cfg, idx)[:3] == \
-            _epoch(_stage_by_stage(system), store, cfg, idx)[:3]
+    linked = system.rhs.segment_program(system.dt, cfg.segment_length)
+    prog, feed, _, weight, _ = ode._linked_segments(system, cfg)
+    assert prog is linked
+    results = []
+    for _ in range(3):  # a copy: its first taped run takes the executor
+        copy = compile_source(linked.source_text, inputs=linked.input_names,
+                              params=linked.param_names)
+        for _ in range(2):
+            ctx = TapeContext()
+            loss = ctx.prim(ode.SHOOTING_MSE, ctx.run(copy, feed, store), aux=weight)
+            store.zero_grads()
+            ctx.backward(loss)
+            assert ctx.tape.replay()
+            ops = [node[0] for node in ctx.tape.nodes]
+            results.append((ops.count(kernels.FUSED), _bits(loss.value.data),
+                            {n: _bits(store[n].grad) for n in store.names()}))
+    assert [r[0] for r in results] == [0, 1] * 3
+    assert all(r[1:] == results[0][1:] for r in results)
+
+
+def test_shooting_residuals_are_bitwise_the_stage_by_stage_ones():
+    for system, store, cfg in (_lv(), _ragged_pendulum()):
+        staged = _stage_by_stage(system)
+        for _ in range(3):
+            linked = ode.shooting_residuals(TapeContext(), system, cfg)
+            assert _bits(linked) == _bits(ode.shooting_residuals(TapeContext(), staged, cfg))
+        ctx = TapeContext()
+        loss = ode.multiple_shooting_loss(ctx, system, cfg)
+        assert np.mean(linked * linked) == pytest.approx(float(loss.value.data), rel=1e-12)
+
+
+def test_a_second_system_gets_the_same_linked_programs():
+    first = _lv()[0].rhs
+    again = lv_exp.make_system(truth_store(lv_exp.TRUE_PARAMS)).rhs
+    assert again.programs[0] is not first.programs[0]
+    for dt, steps in ((0.1, None), (0.1, 10), (0.1, 3)):
+        assert again._link(dt, steps) is first._link(dt, steps) is not None
+    assert first.segment_program(0.1, 10) is not first.segment_program(0.1, 3)
+    assert first.segment_program(0.1, 10) is not first.segment_program(0.05, 10)
 
 
 @pytest.mark.parametrize("exp, y0", [(lv_exp, lv_exp.Y0), (pendulum_exp, (1.2, 0.4))],
@@ -88,7 +155,22 @@ def test_a_b1_rollout_is_bitwise_the_stage_by_stage_one(exp, y0):
     system = exp.make_system(truth_store(exp.TRUE_PARAMS))
     linked = ode.rollout(system, y0, 40)
     staged = ode.rollout(_stage_by_stage(system), y0, 40)
-    assert _bits(linked) == _bits(staged)
+    assert linked.shape == (41, 2) and _bits(linked) == _bits(staged)
+
+
+def test_a_batched_rollout_is_bitwise_each_single_one():
+    ics = pendulum_exp.training_ics(np.random.default_rng(11))[:9]
+    system = pendulum_exp.make_system(truth_store(pendulum_exp.TRUE_PARAMS))
+    for _ in range(3):  # the executor, then the kernel
+        batched = ode.rollout(system, ics, 30)
+        assert batched.shape == (9, 31, 2)
+        staged = ode.rollout(_stage_by_stage(system), ics, 30)
+        assert _bits(batched) == _bits(staged)
+        for ic, rows in zip(ics, batched):
+            assert _bits(rows) == _bits(ode.rollout(system, ic, 30))
+    observations = pendulum_exp.generate_observations(ics)
+    assert [_bits(o) for o in observations] == [_bits(rows[:121]) for rows in
+                                                ode.rollout(system, ics, 120)]
 
 
 def test_the_step_is_one_program_cached_per_dt():
@@ -100,6 +182,17 @@ def test_the_step_is_one_program_cached_per_dt():
     assert not step.functions and step.block.tail[0] == "exit"
 
 
+def test_a_linked_step_is_one_fused_record_split_by_refs_alone():
+    system, _, _ = _lv()
+    for _ in range(2):  # the executor, then the kernel
+        ctx = TapeContext()
+        state = (ctx.constant_batch([1.0, 2.0]), ctx.constant_batch([0.5, 0.4]))
+        ode.rk4_step(ctx, system, state, 0.0, 0.1)
+    # two states, four parameters; each ref takes its index as aux, not a leaf
+    assert [node[0] for node in ctx.tape.nodes] == ["leaf"] * 6 + [kernels.FUSED, "ref", "ref"]
+    assert [node[3] for node in ctx.tape.nodes[-2:]] == [0.0, 1.0]
+
+
 def test_template_names_do_not_capture_the_programs_names():
     # a parameter and a local named like the template's temporaries
     store = truth_store({"k0_0": 0.7, "s1_1": -0.4})
@@ -109,18 +202,24 @@ def test_template_names_do_not_capture_the_programs_names():
     system = ode.OdeSystem(ode.make_compiled_rhs(progs, [store, store], ("x", "y")), 2, 0.1)
     step = system.rhs.step_program(0.1)
     assert "(k0_0_ " in step.source_text and "(k0_0 " not in step.source_text
+    segment = system.rhs.segment_program(0.1, 2)
+    assert segment.input_names == ("x", "y", "T_", "M_") and "(r2_1_ " in segment.source_text
     obs = np.array([[1.0, 2.0], [1.1, 1.9], [1.3, 1.7], [1.4, 1.4], [1.6, 1.2]])
     cfg = ode.ShootingConfig(2, [obs, obs[:4]])
     for _ in range(3):
         assert _epoch(system, store, cfg)[:3] == _epoch(_stage_by_stage(system), store, cfg)[:3]
 
 
-def test_a_domain_error_in_stage_three_names_the_same_op():
+def _sqrt_system():
     # stage 3 reads y = 1 + 0.05 * (-12 / 0.4) = -0.5, so sqrt leaves its domain there
     progs = [compile_source("(sqrt y)", inputs=("x", "y")),
              compile_source("(/ (- 0 a) y)", inputs=("x", "y"), params=("a",))]
     store = truth_store({"a": 12.0})
-    system = ode.OdeSystem(ode.make_compiled_rhs(progs, [store, store], ("x", "y")), 2, 0.1)
+    return ode.OdeSystem(ode.make_compiled_rhs(progs, [store, store], ("x", "y")), 2, 0.1)
+
+
+def test_a_domain_error_in_stage_three_names_the_same_op():
+    system = _sqrt_system()
     errors = []
     for each in (system, _stage_by_stage(system)):
         for batched in (False, True):
@@ -160,3 +259,20 @@ def test_other_systems_keep_the_stage_by_stage_step():
     (out,) = ode.rk4_step(ctx, system, (ctx.constant(Value.vector([1.0, 2.0])),), 0.0, 0.1)
     assert out.value.kind == "vector"
     assert "ref" not in [node[0] for node in ctx.tape.nodes]
+
+
+def test_a_domain_error_inside_a_segment_names_the_same_op():
+    system = _sqrt_system()
+    obs = np.array([[1.0, 1.0], [1.1, 0.9], [1.2, 0.8], [1.3, 0.7]])
+    cfg = ode.ShootingConfig(3, [obs, obs[:3]])
+    errors = []
+    for _ in range(3):  # the executor, then the kernel, whose run is redone
+        for each in (system, _stage_by_stage(system)):
+            with pytest.raises(DomainViolation) as err:
+                ode.multiple_shooting_loss(TapeContext(ERROR_POLICY), each, cfg)
+            errors.append(err.value)
+    assert {(type(e), e.kind) for e in errors} == {(DomainViolation, "sqrt")}
+    # the segment names an instruction of its own program: step 1's third-stage sqrt
+    segment = system.rhs.segment_program(0.1, 3)
+    sqrts = [ins[1] for ins in segment.block.instrs if ins[0] == "prim" and ins[2] == "sqrt"]
+    assert {e.instruction for e in errors[::2]} == {sqrts[2]}

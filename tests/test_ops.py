@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from schemegrad import kernels, optim, runtime
+from schemegrad import kernels, ode, optim, runtime
 from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, EmptyObservations, SingularMatrix
@@ -36,7 +36,7 @@ def test_every_row_with_kernels_has_a_forward_and_a_vjp():
     assert control == {"let", "let*", "begin", "loop", "recur", "letrec", "call"}
     for name in control:
         assert REGISTRY[name].forward is None and REGISTRY[name].vjp is None
-    assert set(OPS) == (set(REGISTRY) - control) | _NN_ROWS | {FUSED}
+    assert set(OPS) == (set(REGISTRY) - control) | _NN_ROWS | {FUSED, ode.SHOOTING_MSE}
     for name, row in OPS.items():
         assert row.name == name
         assert callable(row.vjp), name
@@ -44,6 +44,7 @@ def test_every_row_with_kernels_has_a_forward_and_a_vjp():
         assert callable(row.forward) or name == FUSED, name
     for name in _NN_ROWS:
         assert name not in REGISTRY and OPS[name].category == "nn"
+    assert ode.SHOOTING_MSE not in REGISTRY and OPS[ode.SHOOTING_MSE].category == "tape"
 
 
 def test_non_differentiable_rows_have_the_explicit_none_vjp():
@@ -54,16 +55,16 @@ def test_non_differentiable_rows_have_the_explicit_none_vjp():
 
 
 # The rows whose one array forward and VJP are their emit forms: the 24
-# scalar rows and 14 vector and matrix rows.
+# scalar rows and 15 vector and matrix rows.
 _EMITTED = {name for name, row in REGISTRY.items() if row.category == "scalar"} | {
-    "vec", "dot", "norm", "vsum", "scale", "matvec", "cross", "normalize", "mat", "matmul",
-    "transpose", "trace", "outer", "vlen"}
+    "vec", "ref", "dot", "norm", "vsum", "scale", "matvec", "cross", "normalize", "mat",
+    "matmul", "transpose", "trace", "outer", "vlen"}
 
 
 def test_a_row_with_emit_forms_has_no_other_array_definition():
     emitted = {name for name, row in OPS.items() if row.emit is not None}
     assert emitted == {name for name, row in OPS.items() if row.emit_vjp is not None}
-    assert emitted == _EMITTED and len(emitted) == 38
+    assert emitted == _EMITTED and len(emitted) == 39
     for name in emitted:  # the generated callers, not hand-written numpy
         assert OPS[name].forward.__module__ == OPS[name].vjp.__module__ == kernels.__name__
     tree = ast.parse(inspect.getsource(runtime))
@@ -71,7 +72,7 @@ def test_a_row_with_emit_forms_has_no_other_array_definition():
                and node.name.startswith(("op_", "vjp_"))}
     kept = {fn.__name__ for row in OPS.values() if row.emit is None
             for fn in (row.forward, row.vjp) if getattr(fn, "__module__", None) == runtime.__name__}
-    assert defined == kept == {"op_ref", "vjp_ref", "op_det", "vjp_det", "op_inv", "vjp_inv",
+    assert defined == kept == {"op_det", "vjp_det", "op_inv", "vjp_inv",
                                "op_eye", "op_zeros", "op_ones", "vjp_none"}
 
 
@@ -134,6 +135,15 @@ def test_replay_runs_every_row_forward(batch):
     _, tape = eval_with_tape(compile_source(_COVERAGE, inputs=("x", "y")), xy)
     assert tape.replay()
     recorded |= {node[0] for node in tape.nodes}
+    # a shooting loss through a linked segment: one shooting_mse record
+    prog = compile_source("(- 0 (* k x))", inputs=("x",), params=("k",))
+    system = ode.OdeSystem(ode.make_compiled_rhs([prog], [truth_store({"k": 0.5})], ("x",)), 1,
+                           0.1)
+    obs = np.exp(-0.05 * np.arange(5.0 + batch))[:, None]
+    ctx = TapeContext()
+    ode.multiple_shooting_loss(ctx, system, ode.ShootingConfig(2, obs))
+    assert ctx.tape.replay()
+    recorded |= {node[0] for node in ctx.tape.nodes}
     assert recorded - {"leaf"} == set(OPS)
 
 

@@ -9,9 +9,9 @@ import pytest
 
 import schemegrad
 from schemegrad import interpreter, runtime
-from schemegrad.autodiff import backward
+from schemegrad.autodiff import TapeContext, backward
 from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation, ShapeMismatch, SingularMatrix
+from schemegrad.errors import DomainViolation, SchemegradError, ShapeMismatch, SingularMatrix
 from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.ops import PRIM_NAMES
 from schemegrad.runtime import (
@@ -426,6 +426,43 @@ def test_batch_consistency_ref():
     batched = apply_primitive("ref", [stack_batch(vecs), idx])
     singles = stack_batch([apply_primitive("ref", [v, idx]) for v in vecs])
     assert bit_equal(batched, singles)
+
+
+def test_a_lone_vsum_takes_one_operand_and_the_parser_desugars_more():
+    v, w = V(1, 2, 3), V(10, 20, 30)
+    with pytest.raises(SchemegradError, match="vsum takes 1..1 operands, got 2"):
+        apply_primitive("vsum", [v, w])
+    with pytest.raises(SchemegradError, match="vsum takes 1..1 operands, got 2"):
+        TapeContext().prim("vsum", v, w)
+    prog = compile_source("(vsum a b)", inputs=("a", "b"))
+    for _ in range(3):  # the executor, then the kernel
+        assert eval_program(prog, {"a": v, "b": w}).item() == 66.0
+    assert interpreter.interpret_ast(parse("(vsum a b)"), {"a": v, "b": w}).item() == 66.0
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_constant_ref_index_is_the_rows_aux(batched):
+    prog = compile_source("(+ (ref v 2) (ref v i))", inputs=("v", "i"))
+    consts = [ins for ins in prog.block.instrs if ins[0] == "prim" and ins[2] == "ref"]
+    assert [(len(ins[3]), ins[4]) for ins in consts] == [(1, 2.0), (2, None)]
+    v = Value.batch_vectors(np.arange(12.0).reshape(3, 4)) if batched else V(0, 1, 2, 3)
+    want = v.data[..., 2] + v.data[..., 1]
+    for _ in range(3):  # the executor, then the kernel
+        assert bit_equal(eval_program(prog, {"v": v, "i": S(1.0)}),
+                         Value(want, "scalar", batched))
+    # an index out of range or not an integer raises as it always has, in both runs
+    for src, message in (("(ref v 4)", "ref: index 4 out of range for length 4"),
+                         ("(ref v 1.5)", "ref: index 1.5 is not an integer")):
+        bad = compile_source(src, inputs=("v",))
+        for _ in range(3):
+            with pytest.raises(ShapeMismatch, match=message):
+                eval_program(bad, {"v": v})
+    # a record with a constant index has no index leaf, and the same gradient
+    ctx = TapeContext()
+    x = ctx.constant(v)
+    out = ctx.prim("ref", x, aux=2.0)
+    assert [node[0] for node in ctx.tape.nodes] == ["leaf", "ref"]
+    assert ctx.backward(out, wrt_inputs=[x]).input_grads[x.tape_id].data[..., 2].all()
 
 
 @pytest.mark.parametrize("src, leaf", [
