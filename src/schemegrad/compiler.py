@@ -22,9 +22,9 @@ class CompileConfig:
 @dataclass
 class CompiledProgram:
     """A frozen compiled program.  Nothing here mutates after compilation
-    but the kernel cache, ``kernels``, which a straight-line program's
-    array runs fill with code generated for it (see ``kernels``);
-    evaluation state lives in per-call slot arrays."""
+    but ``kernels``, the memo of the generated array kernels its runs have
+    taken (see ``kernels``); evaluation state lives in per-call slot
+    arrays."""
 
     block: BlockIR
     slot_count: int
@@ -40,7 +40,7 @@ class CompiledProgram:
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
     debug_names: dict = field(default_factory=dict, repr=False)
     scalar_closed: bool = False  # every prim has a scalar kernel (see machine)
-    kernels: object = field(default=None, repr=False, compare=False)  # a kernels.Cache
+    kernels: object = field(default=None, repr=False, compare=False)  # a kernels.Cache memo
 
     @property
     def num_params(self) -> int:

@@ -38,13 +38,10 @@ Python source generated for it here:
   core shape (its kind follows from the core's rank); batch sizes are
   checked equal at entry, not keyed.  A signature with an unbatched scalar
   held as a ``numpy.float64`` takes the executor;
-- an untaped run and a taped run each get their kernel on the second run
-  of that kind with that signature, and keep it in the program's
-  ``kernels`` cache; the first run of each kind takes the executor, as does
+- an untaped run and a taped run each get their kernel under the
+  first-run rule below, and the program keeps it in its ``kernels`` memo;
   every run of a program or signature that gets no kernel (a program that
-  raises a ``ShapeMismatch``).  Programs compiled from the same text share
-  their kernels, so a formula compiled again for another fit generates
-  nothing.
+  raises a ``ShapeMismatch``) takes the executor.
 
 The forward kernel keeps slots as locals, inlines a result read once into
 the expression that reads it and deletes every other temporary after its
@@ -65,11 +62,29 @@ makes the calls ``backward`` would make, and returns one contribution per
 use, already reduced to the leaf's shape.  ``backward`` adds them to its
 running sums one by one, so every gradient is the sum of the same terms in
 the same order as over one record per instruction, and bitwise the same.
+
+Raw kernels.  An untaped raw-slot run (see ``machine``) of a scalar-closed
+program can go through one Python function generated for the whole
+program, its loops, branches and calls included (``RawWriter``).  It calls
+the op table's scalar kernels, the one float definition of those runs, in
+the executor's order, so its output is bitwise the executor's; under the
+error policy the machine tests its output alone, as for array kernels.
+
+The first-run rule.  One process-wide table, ``_SHARED``, notes runs and
+keeps kernels for both kinds, keyed by the program's source text, input
+and parameter names and depth limit, and by the run's signature and kind
+(untaped, taped or raw).  A key's first run in the process takes the
+executor; its second generates the kernel; every later run of every
+program compiled from that text takes it, a fresh program's first run
+too.  Programs are often compiled again from the same text: a formula for
+another fit, the Lotka-Volterra experiment's two programs for every fit,
+and one program per op in the benchmark's ``scalar_programs``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -523,8 +538,8 @@ def vjp_norm(g, ops, out, types, out_t, aux, need):
 
 def vjp_normalize(g, ops, out, types, out_t, aux, need):
     v = ops[0]
-    return [], [(f"(({g} - ({out} * ({out} * {g}).sum(axis=-1, keepdims=True)))"
-                 f" / sqrt(({v} * {v}).sum(axis=-1, keepdims=True)))", types[0][1:])]
+    return [], [(f"(({g} - ({out} * add.reduce(({out} * {g}), axis=-1, keepdims=True)))"
+                 f" / sqrt(add.reduce(({v} * {v}), axis=-1, keepdims=True)))", types[0][1:])]
 
 
 def vjp_vsum(g, ops, out, types, out_t, aux, need):
@@ -536,7 +551,7 @@ def vjp_scale(g, ops, out, types, out_t, aux, need):
     (s, v), (ts, tv) = ops, types
     nd = out_t[1] + len(tv[2])
     axes = tuple(range(nd - len(tv[2]), nd))
-    return [], [(f"({g} * {v}).sum(axis={axes!r})", (out_t[1], ())) if need[0] else None,
+    return [], [(f"add.reduce(({g} * {v}), axis={axes!r})", (out_t[1], ())) if need[0] else None,
                 (f"({_aligned(s, ts, out_t)} * {g})", out_t[1:]) if need[1] else None]
 
 
@@ -555,7 +570,7 @@ def vjp_matvec(g, ops, out, types, out_t, aux, need):
     (m, v), (tm, tv) = ops, types
     ge = f"asarray({g})[..., :, None]"
     return [], [(f"({ge} * {v}[..., None, :])", (out_t[1], tm[2])) if need[0] else None,
-                (f"({m} * {ge}).sum(axis=-2)", (out_t[1], tv[2])) if need[1] else None]
+                (f"add.reduce(({m} * {ge}), axis=-2)", (out_t[1], tv[2])) if need[1] else None]
 
 
 def vjp_transpose(g, ops, out, types, out_t, aux, need):
@@ -569,8 +584,10 @@ def vjp_trace(g, ops, out, types, out_t, aux, need):
 
 def vjp_outer(g, ops, out, types, out_t, aux, need):
     (a, b), (ta, tb) = ops, types
-    return [], [(f"({g} * {b}[..., None, :]).sum(axis=-1)", (out_t[1], ta[2])) if need[0] else None,
-                (f"({g} * {a}[..., :, None]).sum(axis=-2)", (out_t[1], tb[2])) if need[1] else None]
+    return [], [(f"add.reduce(({g} * {b}[..., None, :]), axis=-1)", (out_t[1], ta[2]))
+                if need[0] else None,
+                (f"add.reduce(({g} * {a}[..., :, None]), axis=-2)", (out_t[1], tb[2]))
+                if need[1] else None]
 
 
 def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
@@ -716,20 +733,51 @@ def vjp_of(row):
 
 
 # ---------------------------------------------------------------------------
-# per-program cache and kernels
+# the first-run rule: the shared table and a program's memo
+
+# key -> False once its first run is noted, then its kernel, or None if it
+# gets none.  Oldest first: an entry moves last when it is noted, made, or
+# taken into a program's memo, and the first is dropped when the table is
+# full.  Generating a kernel costs one to two times compiling the program.
+_SHARED: dict = {}
+_SHARED_MAX = 256
+_ARRAY_RUNS = ("untaped", "taped")  # an array run's kind, by whether it is taped
+RAW = "raw"  # the kind of an untaped raw-slot run, whose signature is None
+_UNSEEN = object()
+
+
+def key(prog, sig, kind: str) -> tuple:
+    """The shared table's key of the runs of ``prog`` of a signature and kind."""
+    return (prog.source_text, prog.input_names, prog.param_names, prog.max_recursion_depth,
+            sig, kind)
+
+
+def _take(k: tuple, make, *args):
+    """What the run under key ``k`` takes: False on the key's first run,
+    which is noted; else its kernel, made by ``make(*args)`` on the second
+    run, or None when it gets none."""
+    got = _SHARED.pop(k, _UNSEEN)
+    if got is _UNSEEN:
+        if len(_SHARED) >= _SHARED_MAX:
+            del _SHARED[next(iter(_SHARED))]
+        got = False
+    elif got is False:
+        got = make(*args)
+    _SHARED[k] = got  # the most recently used last
+    return got
 
 
 class Cache:
-    """A program's kernels and the runs it has made.  ``leaves`` lists the
-    program's inputs and parameters in instruction order as (is a
+    """A program's memo of the array kernels it has taken from the shared
+    table, by signature, for untaped runs (``found``) and taped runs
+    (``found_taped``): the kernel, or None where it gets none.  ``leaves``
+    lists the program's inputs and parameters in instruction order as (is a
     parameter, name), or is None when the program is not straight-line."""
 
-    __slots__ = ("leaves", "untaped", "taped")
+    __slots__ = ("leaves", "found", "found_taped")
 
     def __init__(self, prog):
-        # per run kind, signature -> False after its first run, then the
-        # kernel, or None if it gets none
-        self.untaped, self.taped = {}, {}
+        self.found, self.found_taped = {}, {}
         block, prims = prog.block, set()
         self.leaves = None
         for ins in block.instrs:
@@ -743,47 +791,197 @@ class Cache:
 
     def get(self, prog, sig: tuple, taped: bool):
         """The kernel for a run of ``prog`` of this kind and signature, its
-        forward (or taped forward) defined, or None: the first run of each
-        kind, and every run of a signature that gets no kernel, take the
+        forward (or taped forward) defined, or None: the first run of its
+        key in the process, and every run that gets no kernel, take the
         executor."""
-        runs = self.taped if taped else self.untaped
-        k = runs.get(sig)
-        if k:
+        found = self.found_taped if taped else self.found
+        k = found.get(sig)
+        if k is not None or sig in found:
             return k
-        if sig not in runs:
-            runs[sig] = False
+        k = _take(key(prog, sig, _ARRAY_RUNS[taped]), _array_kernel, prog, sig, taped)
+        if k is False:
             return None
-        if k is None:
-            return None
-        k = runs[sig] = _shared_kernel(prog, sig)
-        if k is not None:
-            k.define_taped() if taped else k.define_forward()
+        found[sig] = k
         return k
 
 
-# Kernels by (source text, input names, parameter names, signature), oldest
-# first.  Programs compiled from the same text get the same kernel, as the
-# Lotka-Volterra experiment's, which compiles its two programs for every
-# fit: generating a kernel costs one to two times compiling the program.
-_SHARED: dict = {}
-_SHARED_MAX = 256
-
-
-def _shared_kernel(prog, sig):
-    """The kernel of ``prog`` for ``sig`` (None if it gets none), made once
-    for every program compiled from the same text."""
-    key = (prog.source_text, prog.input_names, prog.param_names, sig)
-    if key in _SHARED:
-        k = _SHARED.pop(key)
-    else:
-        try:
-            k = Kernel(prog, sig)
-        except ShapeMismatch:  # the executor raises it
-            k = None
-        if len(_SHARED) >= _SHARED_MAX:
-            del _SHARED[next(iter(_SHARED))]
-    _SHARED[key] = k  # the most recently used last
+def _array_kernel(prog, sig, taped: bool):
+    """The kernel of ``prog`` for ``sig``, shared with the other run kind's,
+    or None if it gets none."""
+    other = _SHARED.get(key(prog, sig, _ARRAY_RUNS[not taped]))
+    try:
+        k = other or Kernel(prog, sig)
+    except ShapeMismatch:  # the executor raises it
+        return None
+    k.define_taped() if taped else k.define_forward()
     return k
+
+
+def raw_kernel(prog):
+    """The raw kernel for an untaped raw-slot run of ``prog`` (see
+    ``RawWriter``), or None: the first such run of its text in the process,
+    and every run of a program that gets none, take the executor."""
+    k = key(prog, None, RAW)
+    got = _SHARED.get(k, False)
+    if got is False:
+        got = _take(k, _make_raw, prog)
+    return got or None
+
+
+def _make_raw(prog):
+    try:
+        return RawWriter(prog).define()
+    except (SyntaxError, RecursionError):  # nested deeper than Python compiles
+        return None
+
+
+# ---------------------------------------------------------------------------
+# raw kernels
+
+
+class _Abandoned(Exception):
+    """A raw kernel's call went past the program's depth limit."""
+
+
+# Scalar kernels that are Python operators, emitted as the operator: the
+# same call on the same operands.
+_OPERATORS = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+
+
+class RawWriter:
+    """The Python source of a scalar-closed program's untaped raw-slot runs,
+    control flow included, calling the op table's scalar kernels (the
+    ``scalar`` column) in the executor's order.
+
+    ``raw(L)`` runs the top level, with ``L`` the leaves' floats by name
+    (``machine._check_inputs``), and returns the output's
+    ``numpy.float64``, or None when the run is abandoned: when a call goes
+    past the program's depth limit or Python's stack limit, the executor
+    redoes the run and raises ``DepthLimitExceeded``, or finishes a
+    recursion deeper than Python's stack.  It runs with numpy's
+    floating-point errors ignored.  Each function body is a function
+    ``f<i>(vars, captures, d)`` of its call depth ``d``, around a ``while
+    True:`` that a ``recur`` tail continues and an ``exit`` tail leaves by
+    ``return``; each loop body is such a ``while True:`` where its loop
+    runs, which an ``exit`` tail breaks.  Every body names its slots
+    ``s<body>_<slot>``, as the executor gives each body fresh slots; a
+    constant is a global, and a loop body's capture is the source of the
+    value it imports.
+    """
+
+    def __init__(self, prog):
+        self.prog = prog
+        self.ns = {"_quiet": rt.quiet, "_restore": rt.restore, "_Abandoned": _Abandoned,
+                   "_ABANDONED": (_Abandoned, RecursionError)}
+        self.names = {}  # id of a constant or scalar kernel -> its global's name
+        self.fns = {id(ir): f"f{i}" for i, ir in enumerate(prog.functions)}
+        self.bodies = 0
+        self.lines = []
+        self.depth = "1"  # the depth the running function's calls pass
+
+    def define(self):
+        """The generated ``raw``."""
+        emit = self.lines.append
+        for i, ir in enumerate(self.prog.functions):
+            body = self._body()
+            params = [f"s{body}_{s}" for s in ir.var_slots + ir.capture_slots]
+            emit(f"def f{i}({''.join(p + ', ' for p in params)}d):")
+            emit(f"    if d > {self.prog.max_recursion_depth}:")
+            emit("        raise _Abandoned")
+            emit("    while True:")  # a recur tail continues it
+            self.depth = "d + 1"
+            self._block(ir.block, dict(zip(ir.var_slots + ir.capture_slots, params)), body,
+                        params[:len(ir.var_slots)], " " * 8, ("return {}",))
+        self.depth = "1"
+        emit("def raw(L):")
+        emit("    saved = _quiet()")
+        emit("    try:")
+        self._block(self.prog.block, {}, self._body(), (), " " * 8, ("return {}",))
+        emit("    except _ABANDONED:")
+        emit("        return None")
+        emit("    finally:")
+        emit("        _restore(saved)")
+        exec(compile("\n".join(self.lines), "<raw kernel>", "exec", dont_inherit=True), self.ns)
+        return self.ns["raw"]
+
+    def _body(self) -> int:
+        self.bodies += 1
+        return self.bodies - 1
+
+    def _global(self, obj, prefix: str) -> str:
+        name = self.names.get(id(obj))
+        if name is None:
+            name = self.names[id(obj)] = f"{prefix}{len(self.names)}"
+            self.ns[name] = obj
+        return name
+
+    def _prim(self, ins, ref: dict, local: str) -> list:
+        """The statements that set ``local`` to a prim's result."""
+        _, _, _, operands, aux, row = ins
+        fn, args = self._global(row.scalar, "k"), [ref[o] for o in operands]
+        op = _OPERATORS.get(row.scalar)
+
+        def call(a, b):
+            return f"{a} {op} {b}" if op else f"{fn}({a}, {b})"
+
+        if len(args) == 2:
+            src = call(*args)
+        elif aux is not None:  # a constant operand: pow's exponent
+            finite = type(aux) in (float, int) and math.isfinite(aux)
+            src = call(args[0], repr(aux) if finite else self._global(aux, "a"))
+        elif len(args) == 1:
+            src = f"{fn}({args[0]})"
+        elif row.max_arity is None:  # n-ary: fold left, one statement a step
+            return [f"{local} = {call(args[0], args[1])}"] + [
+                f"{local} = {call(local, a)}" for a in args[2:]]
+        else:  # fixed arity three (if)
+            src = f"{fn}({', '.join(args)})"
+        return [f"{local} = {src}"]
+
+    def _block(self, block, ref: dict, body: int, variables: list, pad: str, exit_: tuple):
+        """A block's statements: ``ref`` maps the body's slots to their
+        sources, ``variables`` are its variables' names, and ``exit_`` the
+        statements of an exit tail, formatted with the value's source."""
+        emit = self.lines.append
+        for ins in block.instrs:
+            kind, dest = ins[0], ins[1]
+            if kind == "const":
+                ref[dest] = self._global(ins[4], "c")
+                continue
+            local = f"s{body}_{dest}"
+            if kind == "prim":
+                self.lines += [pad + line for line in self._prim(ins, ref, local)]
+            elif kind == "input" or kind == "param":  # top level only: others capture them
+                emit(f"{pad}{local} = L[{ins[2]!r}]")
+            elif kind == "call":
+                _, _, ir, args, caps = ins
+                passed = "".join(ref[o] + ", " for o in args + caps)
+                emit(f"{pad}{local} = {self.fns[id(ir)]}({passed}{self.depth})")
+            else:  # loop: its body, written here
+                _, _, ir, inits, caps = ins
+                inner = self._body()
+                names = [f"s{inner}_{s}" for s in ir.var_slots]
+                for name, o in zip(names, inits):
+                    emit(f"{pad}{name} = {ref[o]}")
+                sources = dict(zip(ir.var_slots, names))
+                sources.update(zip(ir.capture_slots, [ref[o] for o in caps]))
+                emit(f"{pad}while True:")
+                self._block(ir.block, sources, inner, names, pad + "    ",
+                            (f"{local} = {{}}", "break"))
+            ref[dest] = local
+        tail = block.tail
+        if tail[0] == "branch":
+            emit(f"{pad}if {ref[tail[1]]} != 0.0:")
+            self._block(tail[2], ref, body, variables, pad + "    ", exit_)
+            emit(f"{pad}else:")
+            self._block(tail[3], ref, body, variables, pad + "    ", exit_)
+        elif tail[0] == "recur":
+            if variables:
+                emit(f"{pad}{', '.join(variables)} = {', '.join(ref[s] for s in tail[1])}")
+            emit(f"{pad}continue")
+        else:
+            for line in exit_:
+                emit(pad + line.format(ref[tail[1]]))
 
 
 class Kernel:

@@ -22,17 +22,26 @@ arrays, because a ufunc given a numpy scalar next to an array converts the
 scalar on every call.  The values, tapes and errors of the two are bitwise
 the same.
 
-Generated kernels.  An array run of a straight-line program (one block, no
-loop, call, branch or eager row) goes through Python source generated for
-that program and that signature of its leaves from the second run of its
-kind on (see ``kernels``): ``eval_program`` calls the generated forward,
-and ``run_on_tape`` appends the run's leaves and one ``fused`` record whose
-VJP is generated too.  Under the error policy such a run tests only its
-output; a non-finite one is redone by the executor, which raises.  Values,
+Generated kernels (see ``kernels``).  An array run of a straight-line
+program (one block, no loop, call, branch or eager row) can go through
+Python source generated for that program and that signature of its leaves:
+``eval_program`` calls the generated forward, and ``run_on_tape`` appends
+the run's leaves and one ``fused`` record whose VJP is generated too.  An
+untaped raw-slot run of any scalar-closed program can go through its raw
+kernel, one generated Python function with the program's loops, branches
+and calls, which returns the output's float (or None when a call goes past
+the depth limit or Python's stack limit, and the executor redoes the run).
+The first run of a source text's run kind and signature in the process
+takes the executor and is noted; from the second on, every program
+compiled from that text takes the kernel.  Taped raw-slot runs stay on the
+executor.  Under the error policy a kernel run tests only its output; a
+non-finite one is redone by the executor, which raises.  Values,
 gradients and errors are bitwise the executor's.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 import numpy as np
 
@@ -254,11 +263,12 @@ def _check_inputs(prog, inputs, params):
 
 def _kernel(prog, inputs, params, taped: bool):
     """(kernel, leaf Values, leaf arrays, batch size) for an array run that
-    goes through the program's generated kernel, else None (see
-    ``kernels``): the executor takes raw-slot runs, first runs of a kind,
-    everything a kernel does not cover, and a missing input or parameter,
-    whose error it raises.  The leaves are the program's inputs and
-    parameters in instruction order; their signature keys the kernel."""
+    goes through the generated kernel of the program's text, else None (see
+    ``kernels``): raw-slot runs, the first run of a text's kind and
+    signature, everything a kernel does not cover, and a missing input or
+    parameter, whose error the executor raises.  The leaves are the
+    program's inputs and parameters in instruction order; their signature
+    keys the kernel."""
     cache = prog.kernels
     if cache is None:
         cache = prog.kernels = kernels.Cache(prog)
@@ -299,24 +309,38 @@ def _kernel(prog, inputs, params, taped: bool):
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate a compiled program on concrete values.  A raw-slot run's
     result and a constant are read-only 0-d arrays; an array run returns its
-    output slot's Value, writable for ``(+ (dot v v) 1)``.  An array run of
-    a straight-line program goes through its generated kernel from the
-    second such run on; under the error policy a non-finite output is
-    redone through the executor, which raises."""
-    if prog.kernels is not None:  # the program has made an array run
-        run = _kernel(prog, inputs, params, False)
-        if run is not None:
-            k, _, arrays, batch = run
-            out = kernels.quietly(k.forward, *arrays, batch)
-            if not policy.raises or all_finite(out):
-                return Value.trusted(out, k.out_kind, k.out_batched)
+    output slot's Value, writable for ``(+ (dot v v) 1)``.  A raw-slot run
+    goes through its text's raw kernel, and an array run of a straight-line
+    program through its text's kernel for that signature, from the second
+    such run in the process on; under the error policy a non-finite output
+    is redone through the executor, which raises."""
+    if prog.kernels is None:  # no array run yet: a raw-slot run, or the first array run
+        leaves = _check_inputs(prog, inputs, params)
+        if leaves is not None:
+            return _eval_raw(prog, inputs, params, policy, leaves)
+    run = _kernel(prog, inputs, params, False)
+    if run is not None:
+        k, _, arrays, batch = run
+        out = kernels.quietly(k.forward, *arrays, batch)
+        if not policy.raises or all_finite(out):
+            return Value.trusted(out, k.out_kind, k.out_batched)
     leaves = _check_inputs(prog, inputs, params)
-    if leaves is None and prog.kernels is None:
-        _kernel(prog, inputs, params, False)  # the first array run: noted, not taken
-    out = _run(prog, inputs, params, policy, None, None, leaves)[0]
-    if type(out) is F64:  # a raw-slot run's output
-        return frozen_scalar(out)
+    if leaves is not None:
+        return _eval_raw(prog, inputs, params, policy, leaves)
+    out = _run(prog, inputs, params, policy, None, None, None)[0]
     return frozen_scalar(out.data) if type(out.data) is F64 else out
+
+
+def _eval_raw(prog, inputs, params, policy, leaves) -> Value:
+    """An untaped raw-slot run: through the raw kernel of the program's
+    text, or the executor, which also redoes an abandoned run and, under
+    the error policy, a non-finite output."""
+    raw = kernels.raw_kernel(prog)
+    if raw is not None:
+        out = raw(leaves)  # None when abandoned
+        if out is not None and (not policy.raises or isfinite(out)):
+            return frozen_scalar(out)
+    return frozen_scalar(_run(prog, inputs, params, policy, None, None, leaves)[0])
 
 
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
@@ -324,8 +348,9 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
     """Evaluate while appending records to an existing tape.  Inputs may be
     Values or tape references; returns (value, tape node id).  A run through
     a generated kernel appends its input and parameter leaves and one
-    ``fused`` record (see ``kernels``)."""
-    if prog.kernels is not None:
+    ``fused`` record (see ``kernels``); a raw-slot run takes the executor."""
+    leaves = _check_inputs(prog, inputs, params) if prog.kernels is None else None
+    if leaves is None:  # an array run, or a program that has made one
         run = _kernel(prog, inputs, params, True)
         if run is not None:
             k, values, arrays, batch = run
@@ -344,9 +369,7 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
                 aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
                 return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
                                           value, aux)
-    leaves = _check_inputs(prog, inputs, params)
-    if leaves is None and prog.kernels is None:
-        _kernel(prog, inputs, params, True)
+        leaves = _check_inputs(prog, inputs, params)
     out, out_id = _run(prog, inputs, params, policy, tape, store, leaves)
     return (Value.trusted(out, "scalar", False) if type(out) is F64 else out), out_id
 

@@ -25,8 +25,8 @@ bit-identical to stacked unbatched ones.
 Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
 kernel (the table's ``scalar`` column): the op on ``numpy.float64``
 operands, returning a ``numpy.float64`` with the bits of the forward on
-0-d arrays.  The machine calls them directly in a raw-slot run (see
-``machine``).
+0-d arrays.  A raw-slot run calls them directly, through the executor or
+its program's raw kernel (see ``machine`` and ``kernels``).
 
 Floating-point errors.  Runs, lone ops and backward work with numpy's
 floating-point errors ignored (``quiet``), entered once per run, per

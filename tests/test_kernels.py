@@ -1,14 +1,18 @@
 """Generated kernels against the executor.
 
-A straight-line program's first array run of each kind (untaped, taped)
-takes the executor and later runs go through its generated kernel, so the
-first run is the reference the later ones must match bit for bit: outputs
-with their writability, tape values, parameter and input gradients, and
-TapeRef gradients through a chain.  Errors under the error policy, changed
-signatures and ``Tape.replay`` are checked too, along with the record count
-of a Lotka-Volterra epoch and the peak memory of a warmed eval.
+The first run of a program text's run kind (untaped, taped, raw-slot) and
+signature in the process takes the executor, and later runs of programs
+compiled from that text go through its generated kernel.  Each test starts
+from an empty table of runs and kernels, so a text's first run is the
+reference the later ones must match bit for bit: outputs with their dtype
+and writability, tape values, parameter and input gradients, TapeRef
+gradients through a chain, and errors.  Changed signatures, the depth
+limit, ``Tape.replay``, the record count of a Lotka-Volterra epoch, the
+peak memory of a warmed eval and that a warm run takes the kernel are
+checked too.
 """
 
+import gc
 import random
 import tracemalloc
 import zlib
@@ -16,10 +20,10 @@ import zlib
 import numpy as np
 import pytest
 
-from schemegrad import kernels, ode
+from schemegrad import kernels, machine, ode
 from schemegrad.autodiff import Tape, TapeContext, backward
-from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation, SchemegradError
+from schemegrad.compiler import CompileConfig, compile_source
+from schemegrad.errors import DepthLimitExceeded, DomainViolation, SchemegradError
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments.registry import BENCH_PROGRAMS, FEYNMAN
 from schemegrad.machine import eval_program, run_on_tape
@@ -28,7 +32,7 @@ from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.training import truth_store
 from schemegrad.values import Value
 
-from corpus import CORPUS
+from corpus import CORPUS, integer_inputs
 
 STRAIGHT = [p for p in CORPUS if not p.has_loops]
 
@@ -43,7 +47,8 @@ def _compile(p):
 
 
 def _output(v: Value) -> tuple:
-    return (v.kind, v.batched, type(v.data), v.data.flags.writeable, _bits(v.data))
+    return (v.kind, v.batched, type(v.data), v.data.dtype, v.data.flags.writeable,
+            _bits(v.data))
 
 
 def _taped(prog, feed, params, policy=PROPAGATE_POLICY) -> tuple:
@@ -65,18 +70,32 @@ def _taped(prog, feed, params, policy=PROPAGATE_POLICY) -> tuple:
     return _output(out), _bits(tape.nodes[out_id][2].data), grads, tape
 
 
+@pytest.fixture(autouse=True)
+def fresh_kernels(monkeypatch):
+    """An empty table of runs and kernels: a text's first run in the test
+    takes the executor."""
+    monkeypatch.setattr(kernels, "_SHARED", {})
+
+
+def _kernel_kinds(prog) -> list:
+    """The run kinds for which the table holds a kernel of the program's
+    text, one entry per signature."""
+    text = kernels.key(prog, None, None)[:4]
+    return sorted(k[5] for k, made in kernels._SHARED.items() if k[:4] == text and made)
+
+
 def _has_kernel(prog) -> bool:
-    cache = prog.kernels
-    return cache is not None and (any(cache.untaped.values()) or any(cache.taped.values()))
+    return any(kind != kernels.RAW for kind in _kernel_kinds(prog))
 
 
 @pytest.mark.parametrize("batch", [2, 5])
 @pytest.mark.parametrize("p", STRAIGHT, ids=lambda p: p.id)
 def test_kernel_runs_match_the_executor_bitwise(p, batch):
-    prog = _compile(p)
     store = truth_store(p.params) if p.params else None
     feed = p.sampler(np.random.default_rng(zlib.crc32(p.id.encode()) + batch), batch)
     for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        kernels._SHARED.clear()  # each policy's first run takes the executor
+        prog = _compile(p)
         runs = [_output(eval_program(prog, feed, store, policy)) for _ in range(3)]
         assert runs[1] == runs[0] and runs[2] == runs[0], p.id
     taped = [_taped(prog, feed, p.params) for _ in range(3)]
@@ -126,7 +145,7 @@ def test_feynman_kernels_match_the_executor_at_10k(eid):
     runs = [_output(eval_program(prog, feed, store, PROPAGATE_POLICY)) for _ in range(3)]
     assert runs[1] == runs[0] and runs[2] == runs[0]
     closure = eq.closure(**{n: v.data for n, v in feed.items()}, **params)
-    assert runs[2][4] == _bits(closure)
+    assert runs[2][-1] == _bits(closure)
     taped = [_taped(prog, feed, params) for _ in range(3)]
     assert taped[1][:3] == taped[0][:3] and taped[2][:3] == taped[0][:3]
 
@@ -136,7 +155,9 @@ def test_feynman_kernels_match_the_executor_at_10k(eid):
 def test_taperef_gradients_through_an_8_deep_chain(src, x0):
     one = compile_source(src, inputs=("x",))
     results = []
-    for stages in ([one] * 8, [compile_source(src, inputs=("x",)) for _ in range(8)]):
+    # each executor stage has a text of its own, so its run is its text's first
+    own_texts = [compile_source(src + " " * (i + 1), inputs=("x",)) for i in range(8)]
+    for stages in ([one] * 8, own_texts):
         ctx = TapeContext()
         x = ctx.constant(x0)
         out = compose_chain(ctx, stages, x)
@@ -172,6 +193,7 @@ def test_a_domain_violation_raises_what_the_executor_raises():
             else:
                 eval_program(warm, good, store, ERROR_POLICY)
         assert _has_kernel(warm)
+        kernels._SHARED.clear()  # warm keeps its kernel; fresh's run is its text's first
         fresh = compile_source(src, inputs=("L", "g"), params=("k",))
         assert raised(warm, taped) == raised(fresh, taped) == (DomainViolation, "sqrt", 3, 2)
 
@@ -187,7 +209,9 @@ def test_a_changed_signature_takes_the_executor(src, first, then):
     for _ in range(3):
         eval_program(prog, first)
         _taped(prog, first, {})
-    assert len(prog.kernels.untaped) == len(prog.kernels.taped) == 1
+    assert _kernel_kinds(prog) == ["taped", "untaped"]  # one signature
+    # the changed signature's first run (prog's) takes the executor, its second
+    # (fresh's) the kernel
     fresh = compile_source(src, inputs=("x", "y"))
     assert _output(eval_program(prog, then)) == _output(eval_program(fresh, then))
     assert _taped(prog, then, {})[:3] == _taped(fresh, then, {})[:3]
@@ -200,9 +224,11 @@ def test_a_warm_lotka_volterra_epoch_holds_10_records():
                              observations=lv_exp.generate_observations())
     system = lv_exp.make_system(store)
 
-    # programs compiled anew: every run takes the executor, and a plain function
-    # has no linked step, so the system is stepped stage by stage
+    # programs compiled anew, each run its text's first in an emptied table, take
+    # the executor; a plain function has no linked step, so the system is
+    # stepped stage by stage (the linked programs keep the kernels they found)
     def first_runs(ctx, state, t):
+        kernels._SHARED.clear()
         return ode.make_compiled_rhs(lv_exp._programs(), [store, store], ("x", "y"))(ctx, state, t)
 
     executor = ode.OdeSystem(rhs=first_runs, state_dim=2, dt=lv_exp.DT)
@@ -332,11 +358,12 @@ def test_generated_programs_match_the_executor_bitwise(seed):
     kernels_made = 0
     for _ in range(100):
         src = _scalar_source(r, 4) if r.random() < 0.7 else _vector_source(r, 4)
-        prog = compile_source(src, inputs=("x", "y", "v", "w", "M"), params=("k",))
         feed = _generated_feed(r, r.choice([1, 2, 5]))
         params = {"k": r.uniform(-2.0, 2.0)}
         store = truth_store(params)
         for policy in (PROPAGATE_POLICY, ERROR_POLICY):
+            kernels._SHARED.clear()  # a text may come again; each policy's first run is its first
+            prog = compile_source(src, inputs=("x", "y", "v", "w", "M"), params=("k",))
             runs = []
             for _ in range(3):
                 try:
@@ -353,3 +380,198 @@ def test_generated_programs_match_the_executor_bitwise(seed):
         assert taped[1] == taped[0] and taped[2] == taped[0], src
         kernels_made += _has_kernel(prog)
     assert kernels_made >= 50
+
+
+# --- raw kernels ----------------------------------------------------------------
+
+# The loop and recursion samples of the benchmark's scalar_programs workload, at
+# its trip counts (loop:euler's inputs are drawn there).
+LOOP_SAMPLES = (
+    ("loop:sum", "(loop ((i 0) (acc 0)) (if (< i n) (recur (+ i 1) (+ acc i)) acc))",
+     {"n": 1000.0}),
+    ("letrec:fib", "(letrec ((fib (lambda (k) (if (< k 2) k"
+                   " (+ (call fib (- k 1)) (call fib (- k 2)))))))"
+                   " (call fib n))", {"n": 12.0}),
+    ("loop:euler", "(loop ((k 0) (y y0)) (if (< k 10)"
+                   " (recur (+ k 1) (+ y (* 0.1 (* rate y)))) y))", {"y0": 1.3, "rate": -0.4}),
+)
+_GUARD_PROBE = "(letrec ((f (lambda (n) (+ 1 (if (< n 1) 0 (call f (- n 1))))))) (call f 3))"
+_NON_TAIL = "(letrec ((s (lambda (k) (if (< k 1) 0 (+ 1 (call s (- k 1))))))) (call s n))"
+
+
+@pytest.fixture
+def executor_runs(monkeypatch):
+    """The programs of the executor's runs (``machine._run``), in order."""
+    calls, run = [], machine._run
+
+    def counted(prog, *rest):
+        calls.append(prog)
+        return run(prog, *rest)
+
+    monkeypatch.setattr(machine, "_run", counted)
+    return calls
+
+
+def _error(err) -> tuple:
+    return (type(err), str(err), *[getattr(err, a, None) for a in (
+        "kind", "op", "instruction", "where", "fn_name", "limit")])
+
+
+def _parity(src, inputs, params, feed, executor_runs, config=None, redone=False) -> tuple:
+    """Under each policy, three untaped runs from an emptied table, each of a
+    program compiled anew: the text's first, which takes the executor, and
+    two through its kernel.  They must give the same output (bits, dtype,
+    writability) or error; the kernel runs call the executor only to redo an
+    error, or every run when ``redone`` (a recursion deeper than Python's
+    stack, a program that gets no kernel).  Returns the first run's result
+    under each policy."""
+    store = truth_store(params) if params else None
+    firsts = []
+    for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        kernels._SHARED.clear()
+        runs, executed = [], []
+        for _ in range(3):
+            prog = compile_source(src, inputs=inputs, params=tuple(params), config=config)
+            before = len(executor_runs)
+            try:
+                runs.append(_output(eval_program(prog, feed, store, policy)))
+            except SchemegradError as err:
+                runs.append(_error(err))
+            executed.append(len(executor_runs) - before)
+        assert runs[1] == runs[0] and runs[2] == runs[0], src
+        executor_only = redone or isinstance(runs[0][0], type)
+        assert executed == ([1, 1, 1] if executor_only else [1, 0, 0]), src
+        firsts.append(runs[0])
+    return tuple(firsts)
+
+
+def _scalar_feed(p):
+    feed = p.sampler(np.random.default_rng(zlib.crc32(p.id.encode())), 1)
+    return integer_inputs(p, feed)
+
+
+RAW_CORPUS = [p for p in CORPUS if compile_source(p.source, inputs=p.inputs,
+                                                  params=tuple(p.params)).scalar_closed]
+
+
+@pytest.mark.parametrize("p", RAW_CORPUS, ids=lambda p: p.id)
+def test_raw_kernels_match_the_executor_on_the_corpus(p, executor_runs):
+    """Every corpus program a B=1 feed of scalars runs raw-slot: the
+    Feynman formulas, the ODE right-hand sides, the chains and the loop and
+    recursion samples."""
+    feed = _scalar_feed(p)
+    prog = compile_source(p.source, inputs=p.inputs, params=tuple(p.params))
+    store = truth_store(p.params) if p.params else None
+    assert machine._check_inputs(prog, feed, store) is not None
+    _parity(p.source, p.inputs, p.params, feed, executor_runs)
+
+
+@pytest.mark.parametrize("bid", sorted(BENCH_PROGRAMS))
+def test_bench_programs_match_the_executor_at_b1(bid, executor_runs):
+    src, names = BENCH_PROGRAMS[bid]
+    rng = np.random.default_rng(zlib.crc32(bid.encode()))
+    feed = {n: Value.scalar(rng.uniform(4.5, 6.0) if n == "b" else rng.uniform(1.0, 2.0))
+            for n in names}
+    _parity(src, names, {}, feed, executor_runs)  # dot4 is an array run of 0-d arrays
+
+
+@pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES, ids=[s[0] for s in LOOP_SAMPLES])
+def test_raw_kernels_match_the_executor_on_the_loop_samples(name, src, feed, executor_runs):
+    firsts = _parity(src, tuple(feed), {}, {n: Value.scalar(v) for n, v in feed.items()},
+                     executor_runs)
+    if name != "loop:euler":
+        assert firsts[0][-1] == _bits({"loop:sum": 499500.0, "letrec:fib": 144.0}[name])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_scalar_programs_match_the_executor_raw(seed, executor_runs):
+    """Random scalar-closed programs at B=1 with scalar leaves, at points
+    that leave partial domains: errors must match too."""
+    r = random.Random(1000 + seed)
+    tried = 0
+    while tried < 60:
+        src = _scalar_source(r, 4)
+        names = ("x", "y", "v", "w", "M")
+        if not compile_source(src, inputs=names, params=("k",)).scalar_closed:
+            continue  # reads a vector or a matrix
+        tried += 1
+        feed = {n: Value.scalar(r.uniform(-2.0, 2.0)) for n in "xy"}
+        _parity(src, names, {"k": r.uniform(-2.0, 2.0)}, feed, executor_runs)
+
+
+def test_the_recursion_guard_probe_raises_through_the_kernel(executor_runs):
+    errors = _parity(_GUARD_PROBE, (), {}, {}, executor_runs)
+    assert errors[0][0] is DepthLimitExceeded and errors[0][-2:] == ("f", 10_000)
+
+
+def test_a_recursion_deeper_than_pythons_stack_is_redone(executor_runs):
+    n = {"n": Value.scalar(3000.0)}
+    outputs = _parity(_NON_TAIL, ("n",), {}, n, executor_runs, redone=True)
+    assert outputs[0][-1] == _bits(3000.0)
+    errors = _parity(_NON_TAIL, ("n",), {}, {"n": Value.scalar(20_000.0)}, executor_runs)
+    assert errors[0][0] is DepthLimitExceeded and errors[0][-2:] == ("s", 10_000)
+    # the depth limit of a program compiled with its own
+    config = CompileConfig(max_recursion_depth=5)
+    assert _parity(_NON_TAIL, ("n",), {}, {"n": Value.scalar(4.0)}, executor_runs,
+                   config)[0][-1] == _bits(4.0)
+    errors = _parity(_NON_TAIL, ("n",), {}, {"n": Value.scalar(5.0)}, executor_runs, config)
+    assert errors[0][0] is DepthLimitExceeded and errors[0][-2:] == ("s", 5)
+
+
+def test_a_tail_call_takes_no_depth_in_the_kernel(executor_runs):
+    src = "(letrec ((down (lambda (k) (if (> k 0) (call down (- k 1)) k)))) (call down n))"
+    outputs = _parity(src, ("n",), {}, {"n": Value.scalar(2000.0)}, executor_runs)
+    assert outputs[0][-1] == _bits(0.0)
+
+
+def test_a_program_nested_deeper_than_python_compiles_takes_the_executor(executor_runs):
+    body = "i"
+    for j in range(120):  # tail ifs in a loop body: 120 nested Python blocks
+        body = f"(if (< x {j}) {j} {body})"
+    src = f"(loop ((i 0)) (if (< i 2) (recur (+ i 1)) {body}))"
+    outputs = _parity(src, ("x",), {}, {"x": Value.scalar(200.0)}, executor_runs, redone=True)
+    assert outputs[0][-1] == _bits(2.0)
+    assert list(kernels._SHARED.values()) == [None]
+
+
+@pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES[:2], ids=[s[0] for s in LOOP_SAMPLES[:2]])
+def test_a_fresh_program_of_a_text_with_a_kernel_takes_it(name, src, feed, executor_runs):
+    feed = {n: Value.scalar(v) for n, v in feed.items()}
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)
+    assert len(executor_runs) == 1  # the text's first run
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)  # its second makes the kernel
+    del executor_runs[:]
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)
+    assert executor_runs == []
+
+
+@pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES[:2], ids=[s[0] for s in LOOP_SAMPLES[:2]])
+def test_a_raw_kernel_eval_peaks_no_higher_than_the_executors(name, src, feed):
+    """tracemalloc, as the benchmark measures peak_mb: a full collection
+    first, then the least peak of three passes."""
+    feed = {n: Value.scalar(v) for n, v in feed.items()}
+
+    def least_peak(through_kernel: bool) -> int:
+        least = None
+        for _ in range(3):
+            if not through_kernel:
+                kernels._SHARED.clear()  # the run is its text's first
+            prog = compile_source(src, inputs=tuple(feed))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = eval_program(prog, feed)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            del out
+            least = peak if least is None else min(least, peak)
+        return least
+
+    for _ in range(2):
+        eval_program(compile_source(src, inputs=tuple(feed)), feed)
+    assert kernels.raw_kernel(compile_source(src, inputs=tuple(feed))) is not None
+    kernel = least_peak(True)
+    assert kernel <= least_peak(False)

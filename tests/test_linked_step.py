@@ -40,9 +40,11 @@ def _stage_by_stage(system: ode.OdeSystem) -> ode.OdeSystem:
 
 @pytest.fixture(autouse=True)
 def fresh_links(monkeypatch):
-    """An empty table of linked programs, so that a test's first run of a
-    linked program takes the executor and its later ones the kernels."""
+    """Empty tables of linked programs and of kernels, so that a test's
+    first run of a linked program takes the executor and its later ones
+    the kernels."""
     monkeypatch.setattr(ode, "_LINKED", {})
+    monkeypatch.setattr(kernels, "_SHARED", {})
 
 
 def _segment_states(system, store, cfg, segment_indices=None):
@@ -112,7 +114,8 @@ def test_the_fused_segment_record_is_bitwise_the_executor_tape():
     prog, feed, _, weight, _ = ode._linked_segments(system, cfg)
     assert prog is linked
     results = []
-    for _ in range(3):  # a copy: its first taped run takes the executor
+    for _ in range(3):  # a copy: its first taped run, its text's first, takes the executor
+        kernels._SHARED.clear()
         copy = compile_source(linked.source_text, inputs=linked.input_names,
                               params=linked.param_names)
         for _ in range(2):

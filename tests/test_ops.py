@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from schemegrad import kernels, ode, optim, runtime
+from schemegrad import kernels, ode, ops, optim, runtime
 from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, EmptyObservations, SingularMatrix
@@ -76,6 +76,48 @@ def test_a_row_with_emit_forms_has_no_other_array_definition():
                                "op_eye", "op_zeros", "op_ones", "vjp_none"}
 
 
+def test_no_emit_form_calls_ndarray_sum():
+    """Emitted reductions call ``add.reduce``, the ufunc reduction that
+    ``ndarray.sum`` calls, without its Python wrapper."""
+    for module in (kernels, ops):
+        assert ".sum(" not in inspect.getsource(module)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_emitted_reductions_are_bitwise_ndarray_sum(batched):
+    rng = np.random.default_rng(11)
+    lead = (4,) if batched else ()
+    s, a, b = rng.normal(size=lead), rng.normal(size=lead + (5,)), rng.normal(size=lead + (5,))
+    m = rng.normal(size=lead + (5, 5))
+
+    def value(data, kind):
+        return Value(data, kind, batched)
+
+    def grads(op, args, g):
+        row = OPS[op]
+        out = row.forward(args)
+        return out, row.vjp(g, args, out, None, (True,) * len(args))
+
+    g = rng.normal(size=lead + (5,))
+    _, (ds, _) = grads("scale", [value(s, "scalar"), value(a, "vector")], g)
+    assert _same(ds, (g * a).sum(axis=-1))
+    _, (_, dv) = grads("matvec", [value(m, "matrix"), value(a, "vector")], g)
+    assert _same(dv, (m * g[..., :, None]).sum(axis=-2))
+    out, (dn,) = grads("normalize", [value(a, "vector")], g)
+    n = out.data
+    assert _same(dn, (g - n * (n * g).sum(axis=-1, keepdims=True))
+                 / np.sqrt((a * a).sum(axis=-1, keepdims=True)))
+    gm = rng.normal(size=lead + (5, 5))
+    _, (da, db) = grads("outer", [value(a, "vector"), value(b, "vector")], gm)
+    assert _same(da, (gm * b[..., None, :]).sum(axis=-1))
+    assert _same(db, (gm * a[..., :, None]).sum(axis=-2))
+
+
+def _same(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_flags_match_the_op_lists_they_replace():
     assert _names("elementwise") == {
         "+", "-", "*", "/", "pow", "modulo", "remainder", "abs", "min", "max",
@@ -117,9 +159,11 @@ def _hybrid_tape(activation, batch):
 
 
 @pytest.mark.parametrize("batch", [1, 7])
-def test_replay_runs_every_row_forward(batch):
+def test_replay_runs_every_row_forward(batch, monkeypatch):
     recorded = set()
+    monkeypatch.setattr(kernels, "_SHARED", {})
     for prog in CORPUS:
+        kernels._SHARED.clear()  # the first taped run of the text records every instruction
         compiled = compile_source(prog.source, inputs=prog.inputs, params=tuple(prog.params))
         store = truth_store(prog.params) if prog.params else None
         for _ in range(2):  # an array run's second taped run is one fused record
