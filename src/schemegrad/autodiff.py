@@ -444,7 +444,7 @@ def finite_diff_check(prog, inputs, params=None, h: float = 1e-5, tol: float = 1
     for name, v in inputs.items():
         ad = result.input_grads.get(name)
         ad_arr = ad.data if ad is not None else np.zeros_like(v.data)
-        arr = np.array(v.data, dtype=np.float64)  # a writable copy, also of a numpy scalar
+        arr = np.array(v.data, dtype=np.float64)  # a writable copy
 
         def setter(a, _name=name, _v=v):
             inputs[_name] = Value(a, _v.kind, _v.batched)

@@ -83,7 +83,7 @@ _pack_double = struct.Struct("<d").pack
 def _const_values(v: float) -> tuple:
     """What a const instruction stores into its slot, built once and shared
     by every run and tape: a read-only 0-d array Value, and its bare
-    float64 for a raw-slot run (see ``machine``)."""
+    float64 for a raw kernel (see ``kernels.RawWriter``)."""
     arr = frozen_scalar(v)
     return arr, arr.data[()]
 

@@ -36,8 +36,7 @@ Python source generated for it here:
 
 - the signature of a run is each input's and parameter's batchedness and
   core shape (its kind follows from the core's rank); batch sizes are
-  checked equal at entry, not keyed.  A signature with an unbatched scalar
-  held as a ``numpy.float64`` takes the executor;
+  checked equal at entry, not keyed;
 - an untaped run and a taped run each get their kernel under the
   first-run rule below, and the program keeps it in its ``kernels`` memo;
   every run of a program or signature that gets no kernel (a program that
@@ -63,22 +62,24 @@ use, already reduced to the leaf's shape.  ``backward`` adds them to its
 running sums one by one, so every gradient is the sum of the same terms in
 the same order as over one record per instruction, and bitwise the same.
 
-Raw kernels.  An untaped raw-slot run (see ``machine``) of a scalar-closed
-program can go through one Python function generated for the whole
-program, its loops, branches and calls included (``RawWriter``).  It calls
-the op table's scalar kernels, the one float definition of those runs, in
-the executor's order, so its output is bitwise the executor's; under the
-error policy the machine tests its output alone, as for array kernels.
+Raw kernels.  A raw-slot run (see ``machine``) of a scalar-closed program
+goes through one Python function generated for the whole program, its
+loops, branches and calls included (``RawWriter``).  It calls the op
+table's scalar kernels in the executor's order, so its output is bitwise
+the executor's; under the error policy the machine tests its output alone,
+as for array kernels.
 
-The first-run rule.  One process-wide table, ``_SHARED``, notes runs and
-keeps kernels for both kinds, keyed by the program's source text, input
-and parameter names and depth limit, and by the run's signature and kind
-(untaped, taped or raw).  A key's first run in the process takes the
-executor; its second generates the kernel; every later run of every
-program compiled from that text takes it, a fresh program's first run
-too.  Programs are often compiled again from the same text: a formula for
-another fit, the Lotka-Volterra experiment's two programs for every fit,
-and one program per op in the benchmark's ``scalar_programs``.
+The shared table.  One process-wide table, ``_SHARED``, keeps kernels of
+both kinds, keyed by the program's source text, input and parameter names
+and depth limit, and by the run's signature and kind (untaped, taped or
+raw).  A raw kernel is generated on its key's first run.  An array run
+follows the first-run rule: a key's first run in the process takes the
+executor and is noted, its second generates the kernel.  Every later run
+of every program compiled from that text takes the kernel, a fresh
+program's first run too.  Programs are often compiled again from the same
+text: a formula for another fit, the Lotka-Volterra experiment's two
+programs for every fit, and one program per op in the benchmark's
+``scalar_programs``.
 """
 
 from __future__ import annotations
@@ -692,9 +693,6 @@ def forward_of(row):
         return _remember(memo, key, (fn, out[0], out[1], batch))
 
     def forward(args, policy=None, aux=None):
-        # A ufunc's numpy scalar result stays one when an operand was one (a
-        # raw-slot run's output, say) and is a 0-d array, as a Value holds
-        # it, else.
         memo = plain if aux is None else immediate
         if len(args) == 2:
             a, b = args
@@ -702,14 +700,12 @@ def forward_of(row):
             key = (a.batched, x.shape, b.batched, y.shape)
             fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
             data = fn(x, y, aux, batch)
-            if type(data) is F64 and type(x) is not F64 and type(y) is not F64:
-                data = np.asarray(data)
         else:
             key = _shapes(args)
             fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
             data = fn(*[a.data for a in args], aux, batch)
-            if type(data) is F64 and all(type(a.data) is not F64 for a in args):
-                data = np.asarray(data)
+        if type(data) is F64:  # a ufunc's result on 0-d arrays; a Value holds a 0-d array
+            data = np.asarray(data)
         return Value.trusted(data, kind, batched)
 
     return forward
@@ -733,16 +729,17 @@ def vjp_of(row):
 
 
 # ---------------------------------------------------------------------------
-# the first-run rule: the shared table and a program's memo
+# the shared table and a program's memo
 
-# key -> False once its first run is noted, then its kernel, or None if it
-# gets none.  Oldest first: an entry moves last when it is noted, made, or
-# taken into a program's memo, and the first is dropped when the table is
-# full.  Generating a kernel costs one to two times compiling the program.
+# key -> its kernel, or None if it gets none; an array run's key holds False
+# from its first run until its second.  Oldest first: an entry moves last
+# when it is noted, made, or taken into a program's memo, and the first is
+# dropped when the table is full.  Generating a kernel costs one to two
+# times compiling the program.
 _SHARED: dict = {}
 _SHARED_MAX = 256
 _ARRAY_RUNS = ("untaped", "taped")  # an array run's kind, by whether it is taped
-RAW = "raw"  # the kind of an untaped raw-slot run, whose signature is None
+RAW = "raw"  # the kind of a raw-slot run, whose signature is None
 _UNSEEN = object()
 
 
@@ -752,19 +749,25 @@ def key(prog, sig, kind: str) -> tuple:
             sig, kind)
 
 
+def _keep(k: tuple, got):
+    """Keep ``got`` under key ``k`` as the most recently used entry, and
+    return it."""
+    if _SHARED.pop(k, _UNSEEN) is _UNSEEN and len(_SHARED) >= _SHARED_MAX:
+        del _SHARED[next(iter(_SHARED))]
+    _SHARED[k] = got
+    return got
+
+
 def _take(k: tuple, make, *args):
-    """What the run under key ``k`` takes: False on the key's first run,
-    which is noted; else its kernel, made by ``make(*args)`` on the second
-    run, or None when it gets none."""
-    got = _SHARED.pop(k, _UNSEEN)
+    """What the array run under key ``k`` takes: False on the key's first
+    run, which is noted; else its kernel, made by ``make(*args)`` on the
+    second run, or None when it gets none."""
+    got = _SHARED.get(k, _UNSEEN)
     if got is _UNSEEN:
-        if len(_SHARED) >= _SHARED_MAX:
-            del _SHARED[next(iter(_SHARED))]
         got = False
     elif got is False:
         got = make(*args)
-    _SHARED[k] = got  # the most recently used last
-    return got
+    return _keep(k, got)
 
 
 class Cache:
@@ -818,14 +821,12 @@ def _array_kernel(prog, sig, taped: bool):
 
 
 def raw_kernel(prog):
-    """The raw kernel for an untaped raw-slot run of ``prog`` (see
-    ``RawWriter``), or None: the first such run of its text in the process,
-    and every run of a program that gets none, take the executor."""
+    """The raw kernel for a raw-slot run of ``prog`` (see ``RawWriter``),
+    made on its text's first such run in the process, or None for a program
+    that gets none, whose runs take the executor."""
     k = key(prog, None, RAW)
-    got = _SHARED.get(k, False)
-    if got is False:
-        got = _take(k, _make_raw, prog)
-    return got or None
+    got = _SHARED.get(k, _UNSEEN)
+    return _keep(k, _make_raw(prog)) if got is _UNSEEN else got
 
 
 def _make_raw(prog):
@@ -849,7 +850,7 @@ _OPERATORS = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.
 
 
 class RawWriter:
-    """The Python source of a scalar-closed program's untaped raw-slot runs,
+    """The Python source of a scalar-closed program's raw-slot runs,
     control flow included, calling the op table's scalar kernels (the
     ``scalar`` column) in the executor's order.
 

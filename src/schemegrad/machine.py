@@ -8,35 +8,31 @@ grow the Python stack.  A ``recur`` tail, a loop's or a function's call to
 itself in tail position, restarts the running body in place and takes no
 depth.  ``eval_program`` and ``run_on_tape`` share the executor; with a
 tape it also records every value for reverse-mode differentiation.  Every
-op, a value-position ``if`` included, is a ``prim`` instruction of its row.
+op, a value-position ``if`` included, is a ``prim`` instruction of its row,
+applied through ``apply_primitive`` to Values around 0-d or larger arrays.
 
-Run kinds.  A run of a scalar-closed program (every prim in every block
-has a scalar kernel, noted at emission) whose inputs and parameters are
-all unbatched scalars is a raw-slot run: it fetches each leaf's float
-once, its slots hold bare ``numpy.float64`` values, a prim calls its row's
-``scalar`` kernel (two operands at a time for a row of unbounded arity,
-all of them at once for a fixed-arity row such as ``if``), and a ``Value``
-is built only where one leaves the run: the output, and the records of a
-tape.  Every other run takes its constants, inputs and parameters as 0-d
-arrays, because a ufunc given a numpy scalar next to an array converts the
-scalar on every call.  The values, tapes and errors of the two are bitwise
-the same.
+Generated kernels (see ``kernels``).  An untaped run of a scalar-closed
+program (every prim in every block has a scalar kernel, noted at emission)
+whose inputs and parameters are all unbatched scalars is a raw-slot run.
+It goes through the raw kernel of the program's source text, one generated
+Python function with the program's loops, branches and calls, made on the
+text's first such run: it takes each leaf's float, calls the rows' scalar
+kernels on bare ``numpy.float64`` values and returns the output's float,
+or None when a call goes past the depth limit or Python's stack limit.
+The executor redoes an abandoned run, and runs a program whose raw kernel
+Python cannot compile.
 
-Generated kernels (see ``kernels``).  An array run of a straight-line
-program (one block, no loop, call, branch or eager row) can go through
-Python source generated for that program and that signature of its leaves:
+Every other run is an array run.  An array run of a straight-line program
+(one block, no loop, call, branch or eager row) can go through Python
+source generated for that program and that signature of its leaves:
 ``eval_program`` calls the generated forward, and ``run_on_tape`` appends
-the run's leaves and one ``fused`` record whose VJP is generated too.  An
-untaped raw-slot run of any scalar-closed program can go through its raw
-kernel, one generated Python function with the program's loops, branches
-and calls, which returns the output's float (or None when a call goes past
-the depth limit or Python's stack limit, and the executor redoes the run).
-The first run of a source text's run kind and signature in the process
-takes the executor and is noted; from the second on, every program
-compiled from that text takes the kernel.  Taped raw-slot runs stay on the
-executor.  Under the error policy a kernel run tests only its output; a
-non-finite one is redone by the executor, which raises.  Values,
-gradients and errors are bitwise the executor's.
+the run's leaves and one ``fused`` record whose VJP is generated too.  The
+first run of a source text's run kind and signature in the process takes
+the executor and is noted; from the second on, every program compiled
+from that text takes the kernel.  Under the error policy a kernel run, raw
+or array, tests only its output; a non-finite one is redone by the
+executor, which raises.  Values, gradients and errors are bitwise the
+executor's.
 """
 
 from __future__ import annotations
@@ -69,12 +65,8 @@ def _param_value(params, name: str) -> Value:
         raise MissingInput(f"missing parameter {name!r}") from None
 
 
-def _run(prog, inputs, params, policy, tape, store, leaves):
-    """Execute ``prog``; returns (output, its tape id or None).  The output
-    is a Value, or a ``numpy.float64`` from a raw-slot run.
-
-    ``leaves`` holds the floats of a raw-slot run by name (see the module
-    docstring), None in any other run.
+def _run(prog, inputs, params, policy, tape, store):
+    """Execute ``prog``; returns (output Value, its tape id or None).
 
     Ops run under the propagate policy, except that eager rows (det, inv)
     get ``policy`` and so raise at once, naming their instruction.  In
@@ -83,8 +75,6 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
     """
     violations = Violations() if policy.raises else None
     taping = tape is not None
-    raw = leaves is not None
-    const_at = 4 if raw else 3  # a const's bare float64 or 0-d array Value
     slots = [None] * prog.slot_count
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
@@ -101,51 +91,29 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
                 kind = ins[0]
                 if kind == "prim":
                     _, dest, op, operands, aux, row = ins
-                    if raw:
-                        fn = row.scalar
-                        if len(operands) == 2:
-                            out = fn(slots[operands[0]], slots[operands[1]])
-                        elif aux is not None:  # a constant operand: pow's exponent
-                            out = fn(slots[operands[0]], aux)
-                        elif len(operands) == 1:
-                            out = fn(slots[operands[0]])
-                        elif row.max_arity is None:  # n-ary: fold left
-                            out = slots[operands[0]]
-                            for i in operands[1:]:
-                                out = fn(out, slots[i])
-                        else:  # fixed arity three (if): the kernel takes all three
-                            out = fn(slots[operands[0]], slots[operands[1]], slots[operands[2]])
+                    if len(operands) == 2:  # the common arity, without a comprehension
+                        args = [slots[operands[0]], slots[operands[1]]]
                     else:
-                        if len(operands) == 2:  # the common arity, without a comprehension
-                            args = [slots[operands[0]], slots[operands[1]]]
-                        else:
-                            args = [slots[i] for i in operands]
-                        out = apply_primitive(
-                            op, args, policy if row.eager else PROPAGATE_POLICY, aux)
+                        args = [slots[i] for i in operands]
+                    out = apply_primitive(op, args, policy if row.eager else PROPAGATE_POLICY, aux)
                     if violations is not None and row.partial:
-                        violations.check(op, dest, out if raw else out.data)
+                        violations.check(op, dest, out.data)
                     slots[dest] = out
                     if taping:
-                        ids[dest] = tape.record(
-                            op, tuple([ids[i] for i in operands]),
-                            Value.trusted(out, "scalar", False) if raw else out, aux)
+                        ids[dest] = tape.record(op, tuple([ids[i] for i in operands]), out, aux)
                 elif kind == "const":
-                    slots[ins[1]] = ins[const_at]
+                    slots[ins[1]] = ins[3]
                     if taping:
                         ids[ins[1]] = tape.leaf(ins[3])
                 elif kind == "input" or kind == "param":
                     dest, name = ins[1], ins[2]
-                    if raw:
-                        v = leaves[name]
-                    elif kind == "param":
+                    if kind == "param":
                         v = _param_value(params, name)
                     else:
                         v = inputs[name]  # present: _check_inputs raised for an absent input
                         v = v.value if type(v) is TapeRef else Value.of(v)
                     slots[dest] = v
                     if taping:
-                        if raw:
-                            v = Value.trusted(v, "scalar", False)
                         if kind == "param":
                             ids[dest] = tape.param_leaf(
                                 store if store is not None else params, name, v)
@@ -176,13 +144,9 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
             # Instructions exhausted: resolve the tail.
             if tail[0] == "branch":
                 cond = slots[tail[1]]
-                if not raw:
-                    if cond.kind != "scalar" or cond.batched:
-                        raise EvalError(
-                            "recur cannot be guarded by a batched or non-scalar condition"
-                        )
-                    cond = float(cond.data)
-                chosen = tail[2] if cond != 0.0 else tail[3]
+                if cond.kind != "scalar" or cond.batched:
+                    raise EvalError("recur cannot be guarded by a batched or non-scalar condition")
+                chosen = tail[2] if float(cond.data) != 0.0 else tail[3]
             elif tail[0] == "recur":
                 new_vals = [slots[s] for s in tail[1]]
                 for s, v in zip(body.var_slots, new_vals):
@@ -212,7 +176,7 @@ def _run(prog, inputs, params, policy, tape, store, leaves):
         restore(saved)
 
     if violations is not None:
-        violations.finalize(value if raw else value.data, prog.output_slot)
+        violations.finalize(value.data, prog.output_slot)
     return value, value_id
 
 
@@ -228,7 +192,7 @@ def _scalar_float(v):
     if type(v) is Value:
         if v.batched or v.kind != "scalar":
             return None
-        return v.data if type(v.data) is F64 else v.data[()]
+        return v.data[()]
     if isinstance(v, (float, int)) or np.ndim(v) == 0:  # numpy.ndim would build an array
         return F64(v)
     return None
@@ -237,8 +201,8 @@ def _scalar_float(v):
 def _check_inputs(prog, inputs, params):
     """Raise MissingInput for an absent input.  When the program is
     scalar-closed and every input and parameter it reads is an unbatched
-    scalar, which makes the run a raw-slot one, return their floats by
-    name; else None.  The test stops at the first leaf that is not, so a
+    scalar, which makes an untaped run a raw-slot one, return their floats
+    by name; else None.  The test stops at the first leaf that is not, so a
     batched run whose first input is batched pays it once."""
     leaves = {} if prog.scalar_closed else None
     for name in prog.input_slots:
@@ -292,15 +256,13 @@ def _kernel(prog, inputs, params, taped: bool):
                 elif d.shape[0] != batch:  # the executor raises ShapeMismatch
                     return None
                 sig.append((True, d.shape[1:]))
-            elif type(d) is F64:
-                return None
             else:
                 sig.append((False, d.shape))
             values.append(v)
             arrays.append(d)
     except (KeyError, MissingInput):
         return None
-    if batch is None and prog.scalar_closed and not any(s[1] for s in sig):
+    if not taped and batch is None and prog.scalar_closed and not any(s[1] for s in sig):
         return None  # a raw-slot run
     k = cache.get(prog, tuple(sig), taped)
     return None if k is None else (k, values, arrays, batch)
@@ -311,7 +273,7 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
     result and a constant are read-only 0-d arrays; an array run returns its
     output slot's Value, writable for ``(+ (dot v v) 1)``.  A raw-slot run
     goes through its text's raw kernel, and an array run of a straight-line
-    program through its text's kernel for that signature, from the second
+    program through its text's kernel for that signature from the second
     such run in the process on; under the error policy a non-finite output
     is redone through the executor, which raises."""
     if prog.kernels is None:  # no array run yet: a raw-slot run, or the first array run
@@ -327,20 +289,19 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
     leaves = _check_inputs(prog, inputs, params)
     if leaves is not None:
         return _eval_raw(prog, inputs, params, policy, leaves)
-    out = _run(prog, inputs, params, policy, None, None, None)[0]
-    return frozen_scalar(out.data) if type(out.data) is F64 else out
+    return _run(prog, inputs, params, policy, None, None)[0]
 
 
 def _eval_raw(prog, inputs, params, policy, leaves) -> Value:
-    """An untaped raw-slot run: through the raw kernel of the program's
-    text, or the executor, which also redoes an abandoned run and, under
-    the error policy, a non-finite output."""
+    """A raw-slot run: through the raw kernel of the program's text, or the
+    executor, which also redoes an abandoned run and, under the error
+    policy, a non-finite output."""
     raw = kernels.raw_kernel(prog)
     if raw is not None:
         out = raw(leaves)  # None when abandoned
         if out is not None and (not policy.raises or isfinite(out)):
             return frozen_scalar(out)
-    return frozen_scalar(_run(prog, inputs, params, policy, None, None, leaves)[0])
+    return frozen_scalar(_run(prog, inputs, params, policy, None, None)[0].data)
 
 
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
@@ -348,30 +309,26 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
     """Evaluate while appending records to an existing tape.  Inputs may be
     Values or tape references; returns (value, tape node id).  A run through
     a generated kernel appends its input and parameter leaves and one
-    ``fused`` record (see ``kernels``); a raw-slot run takes the executor."""
-    leaves = _check_inputs(prog, inputs, params) if prog.kernels is None else None
-    if leaves is None:  # an array run, or a program that has made one
-        run = _kernel(prog, inputs, params, True)
-        if run is not None:
-            k, values, arrays, batch = run
-            out, kept = kernels.quietly(k.taped, *arrays, batch)
-            if not policy.raises or all_finite(out):
-                ids = []
-                for (is_param, name), v in zip(prog.kernels.leaves, values):
-                    if is_param:
-                        ids.append(tape.param_leaf(store if store is not None else params,
-                                                   name, v))
-                    elif type(inputs[name]) is TapeRef:
-                        ids.append(inputs[name].tape_id)
-                    else:
-                        ids.append(tape.input_leaf(name, v))
-                value = Value.trusted(out, k.out_kind, k.out_batched)
-                aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
-                return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
-                                          value, aux)
-        leaves = _check_inputs(prog, inputs, params)
-    out, out_id = _run(prog, inputs, params, policy, tape, store, leaves)
-    return (Value.trusted(out, "scalar", False) if type(out) is F64 else out), out_id
+    ``fused`` record (see ``kernels``); any other run takes the executor."""
+    run = _kernel(prog, inputs, params, True)
+    if run is not None:
+        k, values, arrays, batch = run
+        out, kept = kernels.quietly(k.taped, *arrays, batch)
+        if not policy.raises or all_finite(out):
+            ids = []
+            for (is_param, name), v in zip(prog.kernels.leaves, values):
+                if is_param:
+                    ids.append(tape.param_leaf(store if store is not None else params, name, v))
+                elif type(inputs[name]) is TapeRef:
+                    ids.append(inputs[name].tape_id)
+                else:
+                    ids.append(tape.input_leaf(name, v))
+            value = Value.trusted(out, k.out_kind, k.out_batched)
+            aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
+            return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
+                                      value, aux)
+    _check_inputs(prog, inputs, params)  # raises MissingInput for an absent input
+    return _run(prog, inputs, params, policy, tape, store)
 
 
 def eval_with_tape(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY):

@@ -4,8 +4,8 @@ A row holds everything the package knows about an op: its name, category
 and arity, which the parser checks; its two emit forms (``emit``,
 ``emit_vjp``, in ``kernels``), the source of its forward and of its VJP;
 for the 24 scalar ops, its scalar kernel (``scalar``, in ``runtime``), the
-op on ``numpy.float64`` operands, which a raw-slot run calls (in the
-executor or the program's raw kernel); its forward and VJP columns; and three flags.  ``elementwise`` tells
+op on ``numpy.float64`` operands, which a program's raw kernel calls; its
+forward and VJP columns; and three flags.  ``elementwise`` tells
 ``backward`` to undo broadcasting on the VJP's gradients, ``partial`` puts
 the op under the error policy's safe-domain rule (``runtime.Violations``),
 and ``eager`` passes the error policy to the kernel, so the op raises at

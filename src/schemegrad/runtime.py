@@ -25,8 +25,8 @@ bit-identical to stacked unbatched ones.
 Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
 kernel (the table's ``scalar`` column): the op on ``numpy.float64``
 operands, returning a ``numpy.float64`` with the bits of the forward on
-0-d arrays.  A raw-slot run calls them directly, through the executor or
-its program's raw kernel (see ``machine`` and ``kernels``).
+0-d arrays.  A raw-slot run calls them directly, through its program's raw
+kernel (see ``machine`` and ``kernels``).
 
 Floating-point errors.  Runs, lone ops and backward work with numpy's
 floating-point errors ignored (``quiet``), entered once per run, per
@@ -195,7 +195,7 @@ def power_lanes(a, b: np.ndarray) -> np.ndarray:
 # comparisons and truth ops are plain Python with numpy's rules.  exp, sin,
 # cos, log, pow, modulo and remainder call their ufuncs: numpy's SIMD
 # transcendentals may differ from libm by an ulp, which would break batched
-# == stacked.  A raw-slot run calls them with numpy's errors ignored.
+# == stacked.  A raw kernel calls them with numpy's errors ignored.
 
 _T = F64(1.0)
 _F = F64(0.0)

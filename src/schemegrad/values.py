@@ -2,9 +2,7 @@
 leading batch dimension.
 
 A ``Value`` is what crosses every interface: program inputs and outputs,
-tape records, parameters.  Inside one run the machine may hold less: a
-raw-slot run (see ``machine``) keeps bare ``numpy.float64`` values in its
-slots and wraps one in a Value only where it leaves the run.
+tape records, parameters.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ from .errors import ShapeMismatch
 
 _CORE_NDIM = {"scalar": 0, "vector": 1, "matrix": 2}
 _new_value = object.__new__
-# The exact type of an unbatched scalar's data in its numpy-scalar form;
-# an operand of this type is an unbatched scalar, with no other check.
+# numpy's scalar float64: what a ufunc returns on 0-d arrays, and the type
+# of the operands and results of the scalar kernels (see ``runtime``).
 F64 = np.float64
 
 
@@ -25,11 +23,9 @@ class Value:
 
     Shapes are [] / [n] / [n, m] for unbatched values and [B] / [B, n] /
     [B, n, m] when ``batched`` is set; the batch dimension is always
-    leading.  ``data`` is never written in place: values are shared
-    between slots, tapes and runs.  The constructors build ndarrays, but
-    the ``data`` of an unbatched scalar may also be a ``numpy.float64``,
-    as in the output and tape records of a raw-slot run (see ``machine``);
-    the ops' forwards give the same bits on it as on a 0-d array.
+    leading.  ``data`` is always an ndarray, 0-d for an unbatched
+    scalar, and is never written in place: values are shared between
+    slots, tapes and runs.
     """
 
     __slots__ = ("data", "kind", "batched")
@@ -76,8 +72,7 @@ class Value:
 
     @staticmethod
     def trusted(data: np.ndarray, kind: str, batched: bool) -> "Value":
-        """Wrap a float64 ndarray (or, for an unbatched scalar, a
-        ``numpy.float64``) whose ndim the caller already knows to fit
+        """Wrap a float64 ndarray whose ndim the caller already knows to fit
         ``kind`` and ``batched``; nothing is converted or checked."""
         v = _new_value(Value)
         v.data = data

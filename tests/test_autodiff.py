@@ -185,16 +185,13 @@ def test_finite_diff_quadratic_tight():
     assert report.max_rel_err < 1e-9
 
 
-def _numpy_scalar(x) -> Value:
-    return Value.trusted(np.float64(x), "scalar", False)
-
-
-def test_finite_diff_check_on_numpy_scalar_data():
-    # apply_primitive on numpy scalars returns numpy.float64 data; perturbing
-    # a copy of it must still reach the input and the parameter
-    x = apply_primitive("+", [_numpy_scalar(0.5), _numpy_scalar(0.2)])
-    k = apply_primitive("*", [_numpy_scalar(1.5), _numpy_scalar(2.0)])
-    assert type(x.data) is np.float64 and type(k.data) is np.float64
+def test_finite_diff_check_on_apply_primitive_results():
+    # apply_primitive on 0-d arrays returns 0-d array data, never a numpy
+    # scalar; perturbing a copy of it must still reach the input and the
+    # parameter
+    x = apply_primitive("+", [Value.scalar(0.5), Value.scalar(0.2)])
+    k = apply_primitive("*", [Value.scalar(1.5), Value.scalar(2.0)])
+    assert type(x.data) is np.ndarray and type(k.data) is np.ndarray
     prog = compile_source("(+ (* k (* x x)) (* 2 x))", inputs=("x",), params=("k",))
     report = finite_diff_check(prog, {"x": x}, {"k": k}, h=1e-5)
     assert report.max_rel_err < 1e-9, report.per_name

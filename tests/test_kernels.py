@@ -1,15 +1,17 @@
 """Generated kernels against the executor.
 
-The first run of a program text's run kind (untaped, taped, raw-slot) and
+The first run of a program text's array run kind (untaped or taped) and
 signature in the process takes the executor, and later runs of programs
 compiled from that text go through its generated kernel.  Each test starts
-from an empty table of runs and kernels, so a text's first run is the
+from an empty table of runs and kernels, so a text's first array run is the
 reference the later ones must match bit for bit: outputs with their dtype
 and writability, tape values, parameter and input gradients, TapeRef
-gradients through a chain, and errors.  Changed signatures, the depth
-limit, ``Tape.replay``, the record count of a Lotka-Volterra epoch, the
-peak memory of a warmed eval and that a warm run takes the kernel are
-checked too.
+gradients through a chain, and errors.  A raw-slot run takes its text's
+raw kernel from the text's first run on, so the raw-kernel tests compare
+it with an explicit executor run, ``machine._run`` on a program compiled
+anew.  Changed signatures, the depth limit, ``Tape.replay``, the record
+count of a Lotka-Volterra epoch, the peak memory of a warmed eval and that
+a run takes the kernel are checked too.
 """
 
 import gc
@@ -30,7 +32,7 @@ from schemegrad.machine import eval_program, run_on_tape
 from schemegrad.nn import compose_chain
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.training import truth_store
-from schemegrad.values import Value
+from schemegrad.values import Value, frozen_scalar
 
 from corpus import CORPUS, integer_inputs
 
@@ -167,7 +169,7 @@ def test_taperef_gradients_through_an_8_deep_chain(src, x0):
                         [n[0] for n in ctx.tape.nodes].count(kernels.FUSED)))
     (fused_out, fused_grad, fused), (exec_out, exec_grad, none) = results
     assert (fused_out, fused_grad) == (exec_out, exec_grad)
-    assert none == 0 and fused == (7 if x0.batched else 0)  # scalar chains run raw-slot
+    assert none == 0 and fused == 7
 
 
 def test_a_domain_violation_raises_what_the_executor_raises():
@@ -399,10 +401,13 @@ _GUARD_PROBE = "(letrec ((f (lambda (n) (+ 1 (if (< n 1) 0 (call f (- n 1)))))))
 _NON_TAIL = "(letrec ((s (lambda (k) (if (< k 1) 0 (+ 1 (call s (- k 1))))))) (call s n))"
 
 
+_EXECUTOR = machine._run  # uncounted by ``executor_runs``
+
+
 @pytest.fixture
 def executor_runs(monkeypatch):
     """The programs of the executor's runs (``machine._run``), in order."""
-    calls, run = [], machine._run
+    calls, run = [], _EXECUTOR
 
     def counted(prog, *rest):
         calls.append(prog)
@@ -417,17 +422,33 @@ def _error(err) -> tuple:
         "kind", "op", "instruction", "where", "fn_name", "limit")])
 
 
+def _reference(src, inputs, params, feed, config, policy) -> tuple:
+    """The executor's result: ``machine._run`` (uncounted) on a program
+    compiled anew, its output wrapped as ``eval_program`` wraps it, or its
+    error; and whether the feed makes the run a raw-slot one."""
+    store = truth_store(params) if params else None
+    prog = compile_source(src, inputs=inputs, params=tuple(params), config=config)
+    raw = machine._check_inputs(prog, feed, store) is not None
+    try:
+        out = _EXECUTOR(prog, feed, store, policy, None, None)[0]
+    except SchemegradError as err:
+        return _error(err), raw
+    return _output(frozen_scalar(out.data) if raw else out), raw
+
+
 def _parity(src, inputs, params, feed, executor_runs, config=None, redone=False) -> tuple:
     """Under each policy, three untaped runs from an emptied table, each of a
-    program compiled anew: the text's first, which takes the executor, and
-    two through its kernel.  They must give the same output (bits, dtype,
-    writability) or error; the kernel runs call the executor only to redo an
-    error, or every run when ``redone`` (a recursion deeper than Python's
-    stack, a program that gets no kernel).  Returns the first run's result
-    under each policy."""
+    program compiled anew, against the executor's result (``_reference``):
+    the same output (bits, dtype, writability) or error.  A raw-slot run
+    takes its text's raw kernel from the text's first run and calls the
+    executor only to redo an error, or every time when ``redone`` (a
+    recursion deeper than Python's stack, a program that gets no kernel);
+    an array run's first run takes the executor.  Returns the executor's
+    result under each policy."""
     store = truth_store(params) if params else None
-    firsts = []
+    references = []
     for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        reference, raw = _reference(src, inputs, params, feed, config, policy)
         kernels._SHARED.clear()
         runs, executed = [], []
         for _ in range(3):
@@ -438,11 +459,13 @@ def _parity(src, inputs, params, feed, executor_runs, config=None, redone=False)
             except SchemegradError as err:
                 runs.append(_error(err))
             executed.append(len(executor_runs) - before)
-        assert runs[1] == runs[0] and runs[2] == runs[0], src
-        executor_only = redone or isinstance(runs[0][0], type)
-        assert executed == ([1, 1, 1] if executor_only else [1, 0, 0]), src
-        firsts.append(runs[0])
-    return tuple(firsts)
+        assert runs == [reference] * 3, src
+        if redone or isinstance(reference[0], type):
+            assert executed == [1, 1, 1], src
+        else:
+            assert executed == ([0, 0, 0] if raw else [1, 0, 0]), src
+        references.append(reference)
+    return tuple(references)
 
 
 def _scalar_feed(p):
@@ -477,10 +500,10 @@ def test_bench_programs_match_the_executor_at_b1(bid, executor_runs):
 
 @pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES, ids=[s[0] for s in LOOP_SAMPLES])
 def test_raw_kernels_match_the_executor_on_the_loop_samples(name, src, feed, executor_runs):
-    firsts = _parity(src, tuple(feed), {}, {n: Value.scalar(v) for n, v in feed.items()},
-                     executor_runs)
+    references = _parity(src, tuple(feed), {}, {n: Value.scalar(v) for n, v in feed.items()},
+                         executor_runs)
     if name != "loop:euler":
-        assert firsts[0][-1] == _bits({"loop:sum": 499500.0, "letrec:fib": 144.0}[name])
+        assert references[0][-1] == _bits({"loop:sum": 499500.0, "letrec:fib": 144.0}[name])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -537,32 +560,33 @@ def test_a_program_nested_deeper_than_python_compiles_takes_the_executor(executo
 @pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES[:2], ids=[s[0] for s in LOOP_SAMPLES[:2]])
 def test_a_fresh_program_of_a_text_with_a_kernel_takes_it(name, src, feed, executor_runs):
     feed = {n: Value.scalar(v) for n, v in feed.items()}
-    eval_program(compile_source(src, inputs=tuple(feed)), feed)
-    assert len(executor_runs) == 1  # the text's first run
-    eval_program(compile_source(src, inputs=tuple(feed)), feed)  # its second makes the kernel
-    del executor_runs[:]
-    eval_program(compile_source(src, inputs=tuple(feed)), feed)
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)  # the text's first run
+    assert kernels.raw_kernel(compile_source(src, inputs=tuple(feed))) is not None
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)  # a fresh program takes it
     assert executor_runs == []
 
 
 @pytest.mark.parametrize("name, src, feed", LOOP_SAMPLES[:2], ids=[s[0] for s in LOOP_SAMPLES[:2]])
 def test_a_raw_kernel_eval_peaks_no_higher_than_the_executors(name, src, feed):
     """tracemalloc, as the benchmark measures peak_mb: a full collection
-    first, then the least peak of three passes."""
+    first, then the least peak of three passes of a run through the kernel
+    and of the executor's reference run (``_reference``)."""
     feed = {n: Value.scalar(v) for n, v in feed.items()}
 
     def least_peak(through_kernel: bool) -> int:
         least = None
         for _ in range(3):
-            if not through_kernel:
-                kernels._SHARED.clear()  # the run is its text's first
             prog = compile_source(src, inputs=tuple(feed))
             gc.collect()
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                out = eval_program(prog, feed)
+                if through_kernel:
+                    out = eval_program(prog, feed)
+                else:
+                    out = _EXECUTOR(prog, feed, None, ERROR_POLICY, None, None)[0]
+                    out = frozen_scalar(out.data)  # as eval_program wraps it
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -570,8 +594,7 @@ def test_a_raw_kernel_eval_peaks_no_higher_than_the_executors(name, src, feed):
             least = peak if least is None else min(least, peak)
         return least
 
-    for _ in range(2):
-        eval_program(compile_source(src, inputs=tuple(feed)), feed)
+    eval_program(compile_source(src, inputs=tuple(feed)), feed)
     assert kernels.raw_kernel(compile_source(src, inputs=tuple(feed))) is not None
     kernel = least_peak(True)
     assert kernel <= least_peak(False)

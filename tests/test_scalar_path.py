@@ -1,27 +1,33 @@
-"""The scalar path: a run of a scalar-closed program whose inputs and
-parameters are all unbatched scalars holds bare numpy.float64 slots and
-calls the op table's scalar kernels (a raw-slot run); every other run
-takes the array path on 0-d arrays.  Each test checks the scalar kernels
-and the raw-slot run bit for bit against the array path they bypass."""
+"""The scalar path: an untaped run of a scalar-closed program whose inputs
+and parameters are all unbatched scalars goes through the program's raw
+kernel, which calls the op table's scalar kernels on bare numpy.float64
+values (a raw-slot run); every other run, taped B=1 runs included, takes
+the array path on 0-d arrays, and every Value a run returns or records
+holds an array.  Each test checks the scalar kernels and the raw-slot run
+bit for bit against the array path they bypass."""
 
 import dataclasses
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schemegrad import machine
-from schemegrad.autodiff import ParameterStore, TapeContext, backward
+from schemegrad import kernels, machine
+from schemegrad.autodiff import ParameterStore, Tape, TapeContext, backward
 from schemegrad.compiler import CompileConfig, compile_source
 from schemegrad.errors import DepthLimitExceeded, DomainViolation
 from schemegrad.experiments.registry import BENCH_PROGRAMS
 from schemegrad.interpreter import interpret_ast
-from schemegrad.machine import eval_program, eval_with_tape
+from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
 from schemegrad.ops import OPS
 from schemegrad.runtime import PROPAGATE_POLICY, apply_primitive, pow_immediate
 from schemegrad.sexpr import parse
+from schemegrad.training import truth_store
 from schemegrad.values import Value, bit_equal
+
+from corpus import CORPUS, integer_inputs
 
 INF, NAN = float("inf"), float("nan")
 SPECIAL = [0.0, -0.0, INF, -INF, NAN, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -63,27 +69,25 @@ _PROGS = {src: compile_source(src, inputs=("a", "b", "c"))
 
 def _check_parity(src, values, expected):
     """All-scalar run == lane 0 of a B=2 run == interpret_ast == the op
-    applied to numpy scalars == ``expected``, bitwise.  ``src`` is one
-    primitive applied to variables, as ``(op a b)``."""
+    applied alone (``apply_primitive``) == ``expected``, bitwise.  ``src``
+    is one primitive applied to variables, as ``(op a b)``."""
     env = {n: Value.scalar(v) for n, v in zip("abc", values)}
     op, *names = src.strip("()").split()
     lanes = {n: Value.batch_scalars(np.array([v, 1.25])) for n, v in zip("abc", values)}
     prog = _PROGS[src]
-    with np.errstate(all="ignore"):  # inf - inf and overflow warn on every path
-        scalar = eval_program(prog, env, policy=PROPAGATE_POLICY)
-        batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
-        oracle = interpret_ast(parse(src), env, PROPAGATE_POLICY)
-        # the compiler turns (- a) into (- 0.0 a); apply it as written too
-        direct = apply_primitive(op, [Value.trusted(env[n].data[()], "scalar", False)
-                                      for n in names],
-                                 PROPAGATE_POLICY)
+    scalar = eval_program(prog, env, policy=PROPAGATE_POLICY)
+    batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
+    oracle = interpret_ast(parse(src), env, PROPAGATE_POLICY)
+    # the compiler turns (- a) into (- 0.0 a); apply it as written too
+    direct = apply_primitive(op, [env[n] for n in names], PROPAGATE_POLICY)
+    with np.errstate(all="ignore"):  # inf - inf and overflow warn in the ufunc oracle
         want = expected()
     assert not scalar.batched and scalar.data.shape == ()
     got = bits(scalar.data)
     assert got == bits(batched.data[0]), f"{src} {values}: scalar != lane 0 of B=2"
     assert got == bits(oracle.data), f"{src} {values}: compiled != interpret_ast"
-    assert not direct.batched and np.shape(direct.data) == ()
-    assert got == bits(direct.data), f"{src} {values}: != {op} on numpy scalars"
+    assert not direct.batched and type(direct.data) is np.ndarray and direct.data.shape == ()
+    assert got == bits(direct.data), f"{src} {values}: != {op} applied alone"
     assert got == bits(want), f"{src} {values}: != ufunc on 0-d arrays"
 
 
@@ -138,10 +142,9 @@ def _assert_column_parity(src, names, env, got, forward):
     assert prog.scalar_closed
     scalars = {n: Value.scalar(env[n]) for n in names}
     lanes = {n: Value.batch_scalars(np.array([env[n], 1.25])) for n in names}
-    with np.errstate(all="ignore"):  # inf - inf and overflow warn on every path
-        raw = eval_program(prog, scalars, policy=PROPAGATE_POLICY)
-        batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
-        oracle = interpret_ast(parse(src), scalars, PROPAGATE_POLICY)
+    raw = eval_program(prog, scalars, policy=PROPAGATE_POLICY)
+    batched = eval_program(prog, lanes, policy=PROPAGATE_POLICY)
+    oracle = interpret_ast(parse(src), scalars, PROPAGATE_POLICY)
     assert type(got) is np.float64 and type(forward.data) is np.ndarray
     for label, other in (("forward on 0-d arrays", forward.data), ("raw-slot run", raw.data),
                          ("lane 0 of B=2", batched.data[0]), ("interpret_ast", oracle.data)):
@@ -237,14 +240,29 @@ def test_all_scalar_run_holds_bare_floats(monkeypatch):
     assert prog.scalar_closed
     leaves = machine._check_inputs(prog, inputs, store)
     assert {n: type(x) for n, x in leaves.items()} == dict.fromkeys("xyk", np.float64)
-    # the slots hold the floats: no Value kernel runs
+    # the raw kernel holds the floats: no Value kernel runs
     for name in ("apply_primitive", "pow_immediate", "select"):
         monkeypatch.setattr(machine, name, _forbidden)
     out = eval_program(prog, inputs, store)
     assert type(out.data) is np.ndarray and not out.data.flags.writeable
-    # the tape's inputs, parameters and results are Values around numpy
-    # scalars; its constants are the compiled read-only 0-d arrays
-    assert _unbatched_scalar_types(prog, inputs, store) == ({np.ndarray}, {np.float64})
+
+
+def test_no_value_a_b1_run_returns_or_records_holds_a_numpy_scalar(monkeypatch):
+    """Over the corpus at B=1: the untaped output, and every record of a
+    text's first taped run (the executor's) and of a warm one."""
+    monkeypatch.setattr(kernels, "_SHARED", {})
+    for p in CORPUS:
+        feed = integer_inputs(p, p.sampler(np.random.default_rng(zlib.crc32(p.id.encode())), 1))
+        prog = compile_source(p.source, inputs=p.inputs, params=tuple(p.params))
+        store = truth_store(p.params) if p.params else None
+        out = eval_program(prog, feed, store, PROPAGATE_POLICY)
+        assert type(out.data) is np.ndarray, p.id
+        for run in range(3):
+            tape = Tape()
+            out, _ = run_on_tape(prog, feed, store, tape, PROPAGATE_POLICY, store=store)
+            assert type(out.data) is np.ndarray, (p.id, run)
+            for op, _, value, _ in tape.nodes:
+                assert type(value.data) is np.ndarray, (p.id, run, op)
 
 
 @pytest.mark.parametrize("case", ["batched", "vector", "batched_y"])
@@ -362,34 +380,31 @@ def test_raw_run_depth_limit_fires_at_the_same_depth():
     assert (err.value.fn_name, err.value.limit) == ("f", 20)
 
 
-@pytest.mark.parametrize("src", [
-    _RUN_KIND_SOURCE,
-    "(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (+ (* y k) (pow y 2))) (sqrt (abs y))))",
+@pytest.mark.parametrize("src, fused", [
+    (_RUN_KIND_SOURCE, 1),
+    ("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (+ (* y k) (pow y 2))) (sqrt (abs y))))", 0),
 ])
-def test_a_taped_raw_run_records_the_value_path_tape(src):
+def test_a_taped_b1_run_is_bitwise_the_same_from_its_first_run_on(src, fused, monkeypatch):
+    """A taped run of a scalar-closed program at scalar leaves is an array
+    run: its text's first takes the executor, a warm one of a straight-line
+    program one ``fused`` record.  Outputs and gradients match bitwise."""
+    monkeypatch.setattr(kernels, "_SHARED", {})
     prog = compile_source(src, inputs=("x", "y"), params=("k",))
     assert prog.scalar_closed
     inputs = {"x": Value.scalar(0.25), "y": Value.scalar(1.5)}
-    tapes, grads = [], []
-    for p in (prog, dataclasses.replace(prog, scalar_closed=False)):  # raw, then arrays
+    runs = []
+    for _ in range(3):
         store = ParameterStore()
         store.add("k", 0.8)
-        out, tape = eval_with_tape(p, inputs, store)
+        out, tape = eval_with_tape(prog, inputs, store)
         result = backward(tape, Value.scalar(1.0), wrt_inputs=("x", "y"))
-        tapes.append(tape)
-        grads.append({"k": store.require_grad("k"),
-                      **{n: g.data for n, g in result.input_grads.items()}})
         assert tape.replay()
-    raw, arrays = tapes
-    assert len(raw) == len(arrays)
-    for (op, args, value, aux), (op2, args2, value2, aux2) in zip(raw.nodes, arrays.nodes):
-        assert (op, args, aux) == (op2, args2, aux2)
-        assert (value.kind, value.batched) == (value2.kind, value2.batched) == ("scalar", False)
-        assert np.shape(value.data) == np.shape(value2.data) == ()
-        assert bits(value.data) == bits(value2.data)
-    assert grads[0].keys() == grads[1].keys() and "x" in grads[0]
-    for name, g in grads[0].items():
-        assert bits(g) == bits(grads[1][name]), name
+        grads = {"k": bits(store.require_grad("k")),
+                 **{n: bits(g.data) for n, g in result.input_grads.items()}}
+        assert {"k", "x"} <= grads.keys()
+        runs.append((bits(out.data), grads, [n[0] for n in tape.nodes].count(kernels.FUSED)))
+    assert [r[2] for r in runs] == [0, fused, fused]
+    assert runs[1][:2] == runs[0][:2] and runs[2][:2] == runs[0][:2]
 
 
 # ---------------------------------------------------------------------------
