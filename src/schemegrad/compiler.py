@@ -22,14 +22,18 @@ class CompileConfig:
 @dataclass
 class CompiledProgram:
     """A frozen compiled program.  Nothing here mutates after compilation
-    but ``kernels``, the memo of the generated array kernels its runs have
-    taken (see ``kernels``); evaluation state lives in per-call slot
-    arrays."""
+    but ``kernels``, the memo of the generated kernels its runs have taken
+    (see ``kernels``); evaluation state lives in per-call slot arrays.
+
+    ``leaves`` are the top level's ``input`` and ``param`` instructions in
+    order, each name once: every input and parameter the program reads,
+    and the order of a run's signature.  ``scalar_closed`` notes that every
+    prim in every block has a scalar kernel, and ``straight_line`` that the
+    program is one block of prims with emit forms whose output is a prim's
+    result (see ``machine``)."""
 
     block: BlockIR
     slot_count: int
-    input_slots: dict
-    param_slots: dict
     output_slot: int
     functions: tuple  # function BodyIRs, referenced by call instructions
     input_names: tuple
@@ -39,8 +43,10 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     max_recursion_depth: int = DEFAULT_MAX_DEPTH
     debug_names: dict = field(default_factory=dict, repr=False)
-    scalar_closed: bool = False  # every prim has a scalar kernel (see machine)
-    kernels: object = field(default=None, repr=False, compare=False)  # a kernels.Cache memo
+    leaves: tuple = ()
+    scalar_closed: bool = False
+    straight_line: bool = False
+    kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_params(self) -> int:
@@ -68,8 +74,6 @@ def compile_source(
     return CompiledProgram(
         block=graph.block,
         slot_count=len(graph.nodes),
-        input_slots=dict(graph.input_slots),
-        param_slots=dict(graph.param_slots),
         output_slot=graph.output,
         functions=tuple(graph.functions),
         input_names=tuple(inputs),
@@ -79,7 +83,9 @@ def compile_source(
         compile_seconds=elapsed,
         max_recursion_depth=config.max_recursion_depth,
         debug_names=debug,
+        leaves=graph.leaves,
         scalar_closed=graph.scalar_closed,
+        straight_line=graph.straight_line,
     )
 
 

@@ -10,7 +10,10 @@ bodies become nested frames that import outer values through capture
 nodes.
 
 The builder makes each node's instruction tuple (see ``machine``) as it
-makes the node, in one pass.  A ``Node`` is a named tuple, so it cannot
+makes the node, in one pass, and notes on the way what every run reads:
+the top level's ``input`` and ``param`` instructions in order, and
+whether the program is scalar-closed and straight-line (see
+``compiler.CompiledProgram``).  A ``Node`` is a named tuple, so it cannot
 change once built; ``ComputeGraph.nodes`` lists the top level's nodes, whose
 ids are their slots.
 """
@@ -66,11 +69,11 @@ class BlockIR:
 class ComputeGraph:
     nodes: list
     output: int
-    input_slots: dict
-    param_slots: dict
     functions: list  # function BodyIRs, in order of first call
     block: BlockIR  # the top level's instructions and tail
+    leaves: tuple = ()  # the top level's input and param instructions, in order
     scalar_closed: bool = False  # every prim in every block has a scalar kernel to apply
+    straight_line: bool = False  # one block of prims with emit forms; its output is a prim
 
 
 # Ops whose n-ary application folds from the right; their operands are
@@ -169,12 +172,12 @@ class _Builder:
     def __init__(self, inputs, params, functions):
         self.input_names = tuple(inputs)
         self.param_names = tuple(params)
-        self.input_slots: dict[str, int] = {}
-        self.param_slots: dict[str, int] = {}
         self.fn_defs = {fn.uid: fn for fn in functions}
         self.fn_captures = _function_captures(functions) if functions else {}
         self.fn_irs: dict[str, BodyIR] = {}
+        self.leaves: list[tuple] = []
         self.scalar_closed = True  # noted as prim nodes are built
+        self.straight_line = True  # noted as prim, loop and call nodes are built
         self.top = _Frame(self, None)
 
     def build_top(self, prog: AnfProgram) -> ComputeGraph:
@@ -183,24 +186,27 @@ class _Builder:
         return ComputeGraph(
             nodes=frame.nodes,
             output=block.tail[1] if block.tail[0] == "exit" else -1,
-            input_slots=self.input_slots,
-            param_slots=self.param_slots,
             functions=list(self.fn_irs.values()),
             block=block,
+            leaves=tuple(self.leaves),
             scalar_closed=self.scalar_closed,
+            straight_line=(self.straight_line and block.tail[0] == "exit"
+                           and frame.nodes[block.tail[1]].kind == "prim"),
         )
 
     def leaf(self, name: str) -> int:
         """Top-frame resolution: declared inputs/params become leaf nodes."""
         frame = self.top
         if name in self.input_names:
-            kind, slots = "input", self.input_slots
+            kind = "input"
         elif name in self.param_names:
-            kind, slots = "param", self.param_slots
+            kind = "param"
         else:
             raise UnboundVariable(f"unbound variable {name!r}")
-        nid = frame.env[name] = slots[name] = frame.node(kind, aux=name)
-        frame.instrs.append((kind, nid, name))
+        nid = frame.env[name] = frame.node(kind, aux=name)
+        ins = (kind, nid, name)
+        frame.instrs.append(ins)
+        self.leaves.append(ins)
         return nid
 
     def _block(self, frame: _Frame, prog: AnfProgram) -> BlockIR:
@@ -266,9 +272,9 @@ class _Builder:
             return self._call_node(frame, "call", fn_ir, arg_ids, cap_ids, temp)
         raise TypeError(f"not an ANF rhs: {rhs!r}")
 
-    @staticmethod
-    def _call_node(frame: _Frame, kind: str, ir: BodyIR, var_ids: tuple, cap_ids: tuple,
+    def _call_node(self, frame: _Frame, kind: str, ir: BodyIR, var_ids: tuple, cap_ids: tuple,
                    temp: str) -> int:
+        self.straight_line = False
         nid = frame.node(kind, operands=var_ids + cap_ids, aux=ir, debug_name=temp)
         frame.instrs.append((kind, nid, ir, var_ids, cap_ids))
         return nid
@@ -276,17 +282,19 @@ class _Builder:
     def _build_prim(self, frame: _Frame, rhs: PrimApp, temp: str) -> int:
         op = rhs.op
         args = rhs.args
+        row = OPS[op]
         aux = None
+        if row.emit is None:
+            self.straight_line = False
         if op in _IMMEDIATE and args[1].__class__ is Const:
             aux = args[1].value
             operands = (frame.triv(args[0]),)
-            if OPS[op].scalar is None:
+            if row.scalar is None:
                 self.scalar_closed = False
         elif op == "-" and len(args) == 1:
             zero = frame.const(0.0)
             operands = (zero, frame.triv(args[0]))
         else:
-            row = OPS[op]
             if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
                 self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
             if op in _RIGHT_FOLD:
@@ -297,7 +305,7 @@ class _Builder:
             else:
                 operands = tuple([frame.triv(a) for a in args])
         nid = frame.node("prim", op, operands, aux, temp)
-        frame.instrs.append(("prim", nid, op, operands, aux, OPS[op]))
+        frame.instrs.append(("prim", nid, op, operands, aux, row))
         return nid
 
     def _fn_ir(self, uid: str) -> BodyIR:

@@ -37,10 +37,11 @@ Python source generated for it here:
 - the signature of a run is each input's and parameter's batchedness and
   core shape (its kind follows from the core's rank); batch sizes are
   checked equal at entry, not keyed;
-- an untaped run and a taped run each get their kernel under the
-  first-run rule below, and the program keeps it in its ``kernels`` memo;
-  every run of a program or signature that gets no kernel (a program that
-  raises a ``ShapeMismatch``) takes the executor.
+- an untaped run and a taped run each get their kernel from the shared
+  table below, and the program keeps it in its ``kernels`` memo; every run
+  of a program or signature that gets no kernel (a program that raises a
+  ``ShapeMismatch``, or nests deeper than Python compiles) takes the
+  executor.
 
 The forward kernel keeps slots as locals, inlines a result read once into
 the expression that reads it and deletes every other temporary after its
@@ -70,14 +71,13 @@ the executor's; under the error policy the machine tests its output alone,
 as for array kernels.
 
 The shared table.  One process-wide table, ``_SHARED``, keeps kernels of
-both kinds, keyed by the program's source text, input and parameter names
+every kind, keyed by the program's source text, input and parameter names
 and depth limit, and by the run's signature and kind (untaped, taped or
-raw).  A raw kernel is generated on its key's first run.  An array run
-follows the first-run rule: a key's first run in the process takes the
-executor and is noted, its second generates the kernel.  Every later run
-of every program compiled from that text takes the kernel, a fresh
-program's first run too.  Programs are often compiled again from the same
-text: a formula for another fit, the Lotka-Volterra experiment's two
+raw), and ``lookup`` is the one way to them.  One rule holds for every
+kind: a kernel is generated on its key's first run in the process, and
+every later run of every program compiled from that text takes it, a
+fresh program's first run too.  Programs are often compiled again from the
+same text: a formula for another fit, the Lotka-Volterra experiment's two
 programs for every fit, and one program per op in the benchmark's
 ``scalar_programs``.
 """
@@ -731,15 +731,13 @@ def vjp_of(row):
 # ---------------------------------------------------------------------------
 # the shared table and a program's memo
 
-# key -> its kernel, or None if it gets none; an array run's key holds False
-# from its first run until its second.  Oldest first: an entry moves last
-# when it is noted, made, or taken into a program's memo, and the first is
-# dropped when the table is full.  Generating a kernel costs one to two
-# times compiling the program.
+# key -> its kernel, or None if it gets none, in the order they were made:
+# the oldest is dropped when the table is full, and made again on its key's
+# next run.  Generating a kernel costs one to two times compiling the
+# program.
 _SHARED: dict = {}
 _SHARED_MAX = 256
-_ARRAY_RUNS = ("untaped", "taped")  # an array run's kind, by whether it is taped
-RAW = "raw"  # the kind of a raw-slot run, whose signature is None
+RAW, UNTAPED, TAPED = "raw", "untaped", "taped"  # the kinds of run; a raw one's signature is None
 _UNSEEN = object()
 
 
@@ -749,90 +747,48 @@ def key(prog, sig, kind: str) -> tuple:
             sig, kind)
 
 
-def _keep(k: tuple, got):
-    """Keep ``got`` under key ``k`` as the most recently used entry, and
-    return it."""
-    if _SHARED.pop(k, _UNSEEN) is _UNSEEN and len(_SHARED) >= _SHARED_MAX:
-        del _SHARED[next(iter(_SHARED))]
-    _SHARED[k] = got
+def lookup(prog, sig, kind: str):
+    """The kernel of the runs of ``prog`` of this signature and kind, or
+    None for runs that take the executor: a raw kernel, or a ``Kernel``
+    with its forward (untaped) or taped forward defined.  It is made on its
+    key's first run in the process and kept in the shared table and the
+    program's memo."""
+    memo, run = prog.kernels, (sig, kind)
+    got = memo.get(run, _UNSEEN)
+    if got is _UNSEEN:
+        k = key(prog, sig, kind)
+        got = _SHARED.get(k, _UNSEEN)
+        if got is _UNSEEN:
+            got = _make_raw(prog) if kind == RAW else _array_kernel(prog, sig, kind == TAPED)
+            if len(_SHARED) >= _SHARED_MAX:
+                del _SHARED[next(iter(_SHARED))]
+            _SHARED[k] = got
+        memo[run] = got
     return got
 
 
-def _take(k: tuple, make, *args):
-    """What the array run under key ``k`` takes: False on the key's first
-    run, which is noted; else its kernel, made by ``make(*args)`` on the
-    second run, or None when it gets none."""
-    got = _SHARED.get(k, _UNSEEN)
-    if got is _UNSEEN:
-        got = False
-    elif got is False:
-        got = make(*args)
-    return _keep(k, got)
-
-
-class Cache:
-    """A program's memo of the array kernels it has taken from the shared
-    table, by signature, for untaped runs (``found``) and taped runs
-    (``found_taped``): the kernel, or None where it gets none.  ``leaves``
-    lists the program's inputs and parameters in instruction order as (is a
-    parameter, name), or is None when the program is not straight-line."""
-
-    __slots__ = ("leaves", "found", "found_taped")
-
-    def __init__(self, prog):
-        self.found, self.found_taped = {}, {}
-        block, prims = prog.block, set()
-        self.leaves = None
-        for ins in block.instrs:
-            if ins[0] in ("loop", "call") or ins[0] == "prim" and ins[5].emit is None:
-                return
-            if ins[0] == "prim":
-                prims.add(ins[1])
-        if block.tail[0] == "exit" and block.tail[1] in prims:
-            self.leaves = tuple((ins[0] == "param", ins[2]) for ins in block.instrs
-                                if ins[0] in ("input", "param"))
-
-    def get(self, prog, sig: tuple, taped: bool):
-        """The kernel for a run of ``prog`` of this kind and signature, its
-        forward (or taped forward) defined, or None: the first run of its
-        key in the process, and every run that gets no kernel, take the
-        executor."""
-        found = self.found_taped if taped else self.found
-        k = found.get(sig)
-        if k is not None or sig in found:
-            return k
-        k = _take(key(prog, sig, _ARRAY_RUNS[taped]), _array_kernel, prog, sig, taped)
-        if k is False:
-            return None
-        found[sig] = k
-        return k
+# What Python cannot compile: source nested deeper than its parser or
+# compiler allows.
+_TOO_DEEP = (SyntaxError, RecursionError)
 
 
 def _array_kernel(prog, sig, taped: bool):
-    """The kernel of ``prog`` for ``sig``, shared with the other run kind's,
-    or None if it gets none."""
-    other = _SHARED.get(key(prog, sig, _ARRAY_RUNS[not taped]))
+    """The kernel of a straight-line ``prog`` for ``sig``, shared with the
+    other run kind's, or None if it gets none: the program raises a
+    ``ShapeMismatch`` (the executor raises it) or nests too deep."""
+    other = _SHARED.get(key(prog, sig, UNTAPED if taped else TAPED))
     try:
         k = other or Kernel(prog, sig)
-    except ShapeMismatch:  # the executor raises it
+        k.define_taped() if taped else k.define_forward()
+    except (ShapeMismatch, *_TOO_DEEP):
         return None
-    k.define_taped() if taped else k.define_forward()
     return k
-
-
-def raw_kernel(prog):
-    """The raw kernel for a raw-slot run of ``prog`` (see ``RawWriter``),
-    made on its text's first such run in the process, or None for a program
-    that gets none, whose runs take the executor."""
-    k = key(prog, None, RAW)
-    got = _SHARED.get(k, _UNSEEN)
-    return _keep(k, _make_raw(prog)) if got is _UNSEEN else got
 
 
 def _make_raw(prog):
     try:
         return RawWriter(prog).define()
-    except (SyntaxError, RecursionError):  # nested deeper than Python compiles
+    except _TOO_DEEP:
         return None
 
 
@@ -854,12 +810,12 @@ class RawWriter:
     control flow included, calling the op table's scalar kernels (the
     ``scalar`` column) in the executor's order.
 
-    ``raw(L)`` runs the top level, with ``L`` the leaves' floats by name
-    (``machine._check_inputs``), and returns the output's
-    ``numpy.float64``, or None when the run is abandoned: when a call goes
-    past the program's depth limit or Python's stack limit, the executor
-    redoes the run and raises ``DepthLimitExceeded``, or finishes a
-    recursion deeper than Python's stack.  It runs with numpy's
+    ``raw(A)`` runs the top level, with ``A`` the arrays of the program's
+    leaves in order (``machine._leaves``), each 0-d, and returns the
+    output's ``numpy.float64``, or None when the run is abandoned: when a
+    call goes past the program's depth limit or Python's stack limit, the
+    executor redoes the run and raises ``DepthLimitExceeded``, or finishes
+    a recursion deeper than Python's stack.  It runs with numpy's
     floating-point errors ignored.  Each function body is a function
     ``f<i>(vars, captures, d)`` of its call depth ``d``, around a ``while
     True:`` that a ``recur`` tail continues and an ``exit`` tail leaves by
@@ -876,6 +832,7 @@ class RawWriter:
                    "_ABANDONED": (_Abandoned, RecursionError)}
         self.names = {}  # id of a constant or scalar kernel -> its global's name
         self.fns = {id(ir): f"f{i}" for i, ir in enumerate(prog.functions)}
+        self.leaves = {ins[1]: i for i, ins in enumerate(prog.leaves)}  # slot -> index in A
         self.bodies = 0
         self.lines = []
         self.depth = "1"  # the depth the running function's calls pass
@@ -894,7 +851,7 @@ class RawWriter:
             self._block(ir.block, dict(zip(ir.var_slots + ir.capture_slots, params)), body,
                         params[:len(ir.var_slots)], " " * 8, ("return {}",))
         self.depth = "1"
-        emit("def raw(L):")
+        emit("def raw(A):")
         emit("    saved = _quiet()")
         emit("    try:")
         self._block(self.prog.block, {}, self._body(), (), " " * 8, ("return {}",))
@@ -953,7 +910,7 @@ class RawWriter:
             if kind == "prim":
                 self.lines += [pad + line for line in self._prim(ins, ref, local)]
             elif kind == "input" or kind == "param":  # top level only: others capture them
-                emit(f"{pad}{local} = L[{ins[2]!r}]")
+                emit(f"{pad}{local} = A[{self.leaves[dest]}][()]")
             elif kind == "call":
                 _, _, ir, args, caps = ins
                 passed = "".join(ref[o] + ", " for o in args + caps)
@@ -1087,12 +1044,11 @@ class Kernel:
         if self.taped is not None:
             return
         sweep = "\n".join(self._vjp_body((True,) * len(self.leaf_slots)))
-        self.kept = tuple(sorted(_names_in(sweep, "s")))
-        self.kept_leaves = tuple(sorted(_names_in(sweep, "l")))
-        lines, out = self._forward_body(set(self.kept))
-        kept = "".join(f"s{s}, " for s in self.kept)
+        kept = tuple(sorted(_names_in(sweep, "s")))
+        lines, out = self._forward_body(set(kept))
         self.taped = _define(self.ns, "taped", self._leaf_params(),
-                                  lines + [f"return {out}, ({kept})"])
+                             lines + [f"return {out}, ({''.join(f's{s}, ' for s in kept)})"])
+        self.kept, self.kept_leaves = kept, tuple(sorted(_names_in(sweep, "l")))
 
     def _vjp_body(self, active_leaves) -> list:
         """The reverse sweep's statements for the given leaf activity."""
@@ -1154,14 +1110,14 @@ class Fused:
         self.kernel, self.leaves, self.kept, self.batch = kernel, leaves, kept, batch
 
     def replay(self, args: list):
-        """The record's output recomputed through the forward kernel from
-        its argument values (one per use)."""
+        """The record's output recomputed through the taped forward from its
+        argument values (one per use)."""
         k = self.kernel
-        k.define_forward()
         leaves = [None] * len(k.leaf_slots)  # a leaf with no use is read by nothing
         for li, v in zip(k.use_leaf, args):
             leaves[li] = v.data
-        return Value.trusted(quietly(k.forward, *leaves, self.batch), k.out_kind, k.out_batched)
+        out = quietly(k.taped, *leaves, self.batch)[0]
+        return Value.trusted(out, k.out_kind, k.out_batched)
 
 
 def vjp_fused(g, args, out, aux, need):

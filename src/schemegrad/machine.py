@@ -11,35 +11,37 @@ tape it also records every value for reverse-mode differentiation.  Every
 op, a value-position ``if`` included, is a ``prim`` instruction of its row,
 applied through ``apply_primitive`` to Values around 0-d or larger arrays.
 
-Generated kernels (see ``kernels``).  An untaped run of a scalar-closed
-program (every prim in every block has a scalar kernel, noted at emission)
-whose inputs and parameters are all unbatched scalars is a raw-slot run.
-It goes through the raw kernel of the program's source text, one generated
-Python function with the program's loops, branches and calls, made on the
-text's first such run: it takes each leaf's float, calls the rows' scalar
-kernels on bare ``numpy.float64`` values and returns the output's float,
-or None when a call goes past the depth limit or Python's stack limit.
-The executor redoes an abandoned run, and runs a program whose raw kernel
-Python cannot compile.
+One way into a run.  ``eval_program`` and ``run_on_tape`` first read each
+input and parameter once, in the program's leaf order (``_leaves``), and
+that pass picks the run's path; each path's kernel is generated (see
+``kernels``) on its key's first run in the process, and every program
+compiled from the same text takes it from then on:
 
-Every other run is an array run.  An array run of a straight-line program
-(one block, no loop, call, branch or eager row) can go through Python
-source generated for that program and that signature of its leaves:
-``eval_program`` calls the generated forward, and ``run_on_tape`` appends
-the run's leaves and one ``fused`` record whose VJP is generated too.  The
-first run of a source text's run kind and signature in the process takes
-the executor and is noted; from the second on, every program compiled
-from that text takes the kernel.  Under the error policy a kernel run, raw
-or array, tests only its output; a non-finite one is redone by the
-executor, which raises.  Values, gradients and errors are bitwise the
-executor's.
+- An untaped run of a scalar-closed program (every prim in every block has
+  a scalar kernel, noted at compilation) whose leaves are all unbatched
+  scalars is a raw-slot run.  It goes through the raw kernel of the
+  program's text, one generated Python function with the program's loops,
+  branches and calls: it takes each leaf's float, calls the rows' scalar
+  kernels on bare ``numpy.float64`` values and returns the output's float,
+  or None when a call goes past the depth limit or Python's stack limit.
+- Every other run is an array run.  An array run of a straight-line
+  program (one block of prims with emit forms, noted at compilation) goes
+  through Python source generated for that program and that signature of
+  its leaves: ``eval_program`` calls the generated forward, and
+  ``run_on_tape`` appends the run's leaves and one ``fused`` record whose
+  VJP is generated too.
+- The executor takes every other run, an abandoned raw run, a program
+  whose kernel Python cannot compile, and a run with a missing parameter
+  or differing batch sizes, which it raises where it reads them.
+
+Under the error policy a kernel run, raw or array, tests only its output; a
+non-finite one is redone by the executor, which raises.  Values, gradients
+and errors are bitwise the executor's.
 """
 
 from __future__ import annotations
 
 from math import isfinite
-
-import numpy as np
 
 from . import kernels
 from .autodiff import TapeRef
@@ -50,7 +52,9 @@ from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa: F401
                       Violations, all_finite, apply_primitive, pow_immediate, quiet, restore,
                       select)
-from .values import F64, Value, frozen_scalar
+from .values import Value, frozen_scalar
+
+_SCALAR = (False, ())  # the signature entry of an unbatched scalar
 
 
 def _param_value(params, name: str) -> Value:
@@ -105,22 +109,22 @@ def _run(prog, inputs, params, policy, tape, store):
                     slots[ins[1]] = ins[3]
                     if taping:
                         ids[ins[1]] = tape.leaf(ins[3])
-                elif kind == "input" or kind == "param":
+                elif kind == "param":
                     dest, name = ins[1], ins[2]
-                    if kind == "param":
-                        v = _param_value(params, name)
-                    else:
-                        v = inputs[name]  # present: _check_inputs raised for an absent input
-                        v = v.value if type(v) is TapeRef else Value.of(v)
-                    slots[dest] = v
+                    slots[dest] = v = _param_value(params, name)
                     if taping:
-                        if kind == "param":
-                            ids[dest] = tape.param_leaf(
-                                store if store is not None else params, name, v)
-                        elif type(inputs[name]) is TapeRef:
-                            ids[dest] = inputs[name].tape_id
-                        else:
-                            ids[dest] = tape.input_leaf(name, v)
+                        ids[dest] = tape.param_leaf(store if store is not None else params,
+                                                    name, v)
+                elif kind == "input":
+                    dest, x = ins[1], inputs[ins[2]]  # present: _leaves raised for an absent one
+                    if type(x) is TapeRef:
+                        slots[dest] = x.value
+                        if taping:
+                            ids[dest] = x.tape_id
+                    else:
+                        slots[dest] = v = Value.of(x)
+                        if taping:
+                            ids[dest] = tape.input_leaf(ins[2], v)
                 else:  # loop or call: suspend this frame and enter the body
                     _, dest, ir, outer, caps = ins
                     called = kind == "call"
@@ -184,88 +188,42 @@ def _run(prog, inputs, params, policy, tape, store):
 # public entry points
 
 
-def _scalar_float(v):
-    """The ``numpy.float64`` of an input or parameter that is an unbatched
-    scalar (a Value, a TapeRef's Value, a number or a 0-d array), else None."""
-    if type(v) is TapeRef:
-        v = v.value
-    if type(v) is Value:
-        if v.batched or v.kind != "scalar":
-            return None
-        return v.data[()]
-    if isinstance(v, (float, int)) or np.ndim(v) == 0:  # numpy.ndim would build an array
-        return F64(v)
-    return None
-
-
-def _check_inputs(prog, inputs, params):
-    """Raise MissingInput for an absent input.  When the program is
-    scalar-closed and every input and parameter it reads is an unbatched
-    scalar, which makes an untaped run a raw-slot one, return their floats
-    by name; else None.  The test stops at the first leaf that is not, so a
-    batched run whose first input is batched pays it once."""
-    leaves = {} if prog.scalar_closed else None
-    for name in prog.input_slots:
-        try:
-            v = inputs[name]
-        except KeyError:
-            raise MissingInput(f"missing input {name!r}") from None
-        if leaves is not None:
-            x = leaves[name] = _scalar_float(v)
-            if x is None:
-                leaves = None
-    if leaves is not None:
-        for name in prog.param_slots:
-            try:
-                x = leaves[name] = _scalar_float(_param_value(params, name))
-            except MissingInput:  # raised where the run reads it, as in other runs
-                return None
-            if x is None:
-                return None
-    return leaves
-
-
-def _kernel(prog, inputs, params, taped: bool):
-    """(kernel, leaf Values, leaf arrays, batch size) for an array run that
-    goes through the generated kernel of the program's text, else None (see
-    ``kernels``): raw-slot runs, the first run of a text's kind and
-    signature, everything a kernel does not cover, and a missing input or
-    parameter, whose error the executor raises.  The leaves are the
-    program's inputs and parameters in instruction order; their signature
-    keys the kernel."""
-    cache = prog.kernels
-    if cache is None:
-        cache = prog.kernels = kernels.Cache(prog)
-    leaves = cache.leaves
-    if leaves is None:
-        return None
+def _leaves(prog, inputs, params):
+    """One read of each input and parameter the program reads, in its leaf
+    order: (their Values, their arrays, the run's signature, its batch size
+    or None), or None for a run that only the executor takes, one with a
+    missing parameter or with differing batch sizes, which it raises where
+    it reads them.  An absent input raises MissingInput before anything
+    runs."""
     values, arrays, sig, batch = [], [], [], None
     value_of = getattr(params, "value_of", None)
-    try:
-        for is_param, name in leaves:
-            if not is_param:
+    for kind, _, name in prog.leaves:
+        try:
+            if kind == "param":
+                v = value_of(name) if value_of is not None else _param_value(params, name)
+            else:
                 v = inputs[name]
                 if type(v) is not Value:
                     v = v.value if type(v) is TapeRef else Value.of(v)
-            else:
-                v = value_of(name) if value_of is not None else _param_value(params, name)
-            d = v.data
-            if v.batched:
-                if batch is None:
-                    batch = d.shape[0]
-                elif d.shape[0] != batch:  # the executor raises ShapeMismatch
-                    return None
-                sig.append((True, d.shape[1:]))
-            else:
-                sig.append((False, d.shape))
-            values.append(v)
-            arrays.append(d)
-    except (KeyError, MissingInput):
-        return None
-    if not taped and batch is None and prog.scalar_closed and not any(s[1] for s in sig):
-        return None  # a raw-slot run
-    k = cache.get(prog, tuple(sig), taped)
-    return None if k is None else (k, values, arrays, batch)
+        except (KeyError, MissingInput):
+            break
+        d = v.data
+        if v.batched:
+            if batch is None:
+                batch = d.shape[0]
+            elif d.shape[0] != batch:
+                break
+            sig.append((True, d.shape[1:]))
+        else:
+            sig.append((False, d.shape))
+        values.append(v)
+        arrays.append(d)
+    else:
+        return values, arrays, tuple(sig), batch
+    for kind, _, name in prog.leaves:
+        if kind == "input" and name not in inputs:
+            raise MissingInput(f"missing input {name!r}")
+    return None
 
 
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
@@ -273,61 +231,54 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
     result and a constant are read-only 0-d arrays; an array run returns its
     output slot's Value, writable for ``(+ (dot v v) 1)``.  A raw-slot run
     goes through its text's raw kernel, and an array run of a straight-line
-    program through its text's kernel for that signature from the second
-    such run in the process on; under the error policy a non-finite output
-    is redone through the executor, which raises."""
-    if prog.kernels is None:  # no array run yet: a raw-slot run, or the first array run
-        leaves = _check_inputs(prog, inputs, params)
-        if leaves is not None:
-            return _eval_raw(prog, inputs, params, policy, leaves)
-    run = _kernel(prog, inputs, params, False)
+    program through its text's kernel for its signature; under the error
+    policy a non-finite output is redone through the executor, which
+    raises."""
+    run = _leaves(prog, inputs, params)
+    raw = False
     if run is not None:
-        k, _, arrays, batch = run
-        out = kernels.quietly(k.forward, *arrays, batch)
-        if not policy.raises or all_finite(out):
-            return Value.trusted(out, k.out_kind, k.out_batched)
-    leaves = _check_inputs(prog, inputs, params)
-    if leaves is not None:
-        return _eval_raw(prog, inputs, params, policy, leaves)
-    return _run(prog, inputs, params, policy, None, None)[0]
-
-
-def _eval_raw(prog, inputs, params, policy, leaves) -> Value:
-    """A raw-slot run: through the raw kernel of the program's text, or the
-    executor, which also redoes an abandoned run and, under the error
-    policy, a non-finite output."""
-    raw = kernels.raw_kernel(prog)
-    if raw is not None:
-        out = raw(leaves)  # None when abandoned
-        if out is not None and (not policy.raises or isfinite(out)):
-            return frozen_scalar(out)
-    return frozen_scalar(_run(prog, inputs, params, policy, None, None)[0].data)
+        _, arrays, sig, batch = run
+        raw = batch is None and prog.scalar_closed and sig.count(_SCALAR) == len(sig)
+        if raw:
+            k = kernels.lookup(prog, None, kernels.RAW)
+            out = None if k is None else k(arrays)  # None when abandoned
+            if out is not None and (not policy.raises or isfinite(out)):
+                return frozen_scalar(out)
+        elif prog.straight_line:
+            k = kernels.lookup(prog, sig, kernels.UNTAPED)
+            if k is not None:
+                out = kernels.quietly(k.forward, *arrays, batch)
+                if not policy.raises or all_finite(out):
+                    return Value.trusted(out, k.out_kind, k.out_batched)
+    out = _run(prog, inputs, params, policy, None, None)[0]
+    return frozen_scalar(out.data) if raw else out
 
 
 def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POLICY,
                 store=None):
     """Evaluate while appending records to an existing tape.  Inputs may be
-    Values or tape references; returns (value, tape node id).  A run through
-    a generated kernel appends its input and parameter leaves and one
-    ``fused`` record (see ``kernels``); any other run takes the executor."""
-    run = _kernel(prog, inputs, params, True)
-    if run is not None:
-        k, values, arrays, batch = run
-        out, kept = kernels.quietly(k.taped, *arrays, batch)
-        if not policy.raises or all_finite(out):
-            ids = []
-            for (is_param, name), v in zip(prog.kernels.leaves, values):
-                if is_param:
-                    ids.append(tape.param_leaf(store if store is not None else params, name, v))
-                elif type(inputs[name]) is TapeRef:
-                    ids.append(inputs[name].tape_id)
-                else:
-                    ids.append(tape.input_leaf(name, v))
-            value = Value.trusted(out, k.out_kind, k.out_batched)
-            aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
-            return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
-                                      value, aux)
-    _check_inputs(prog, inputs, params)  # raises MissingInput for an absent input
+    Values or tape references; returns (value, tape node id).  A run of a
+    straight-line program through its generated kernel appends its input
+    and parameter leaves and one ``fused`` record (see ``kernels``); any
+    other run takes the executor."""
+    run = _leaves(prog, inputs, params)
+    if run is not None and prog.straight_line:
+        values, arrays, sig, batch = run
+        k = kernels.lookup(prog, sig, kernels.TAPED)
+        if k is not None:
+            out, kept = kernels.quietly(k.taped, *arrays, batch)
+            if not policy.raises or all_finite(out):
+                ids = []
+                for (kind, _, name), v in zip(prog.leaves, values):
+                    if kind == "param":
+                        ids.append(tape.param_leaf(store if store is not None else params, name, v))
+                    else:
+                        x = inputs[name]
+                        ids.append(x.tape_id if type(x) is TapeRef else tape.input_leaf(name, v))
+                value = Value.trusted(out, k.out_kind, k.out_batched)
+                aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
+                return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
+                                          value, aux)
     return _run(prog, inputs, params, policy, tape, store)
 
 

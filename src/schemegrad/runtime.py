@@ -73,7 +73,7 @@ PROPAGATE_POLICY = SafeDomainPolicy("propagate_nan")
 
 
 def all_finite(data) -> bool:
-    """Whether every element of an array (or numpy scalar) is finite."""
+    """Whether every element of an array is finite."""
     return _isfinite(data) if data.ndim == 0 else bool(np.isfinite(data).all())
 
 

@@ -18,6 +18,20 @@ _new_value = object.__new__
 F64 = np.float64
 
 
+def _float64(data) -> np.ndarray:
+    """``data`` as a float64 array.  What is not real numbers (a string, a
+    dict, a complex number) raises ShapeMismatch naming it, where numpy
+    would raise its own error, read a numeric string, or drop an imaginary
+    part behind a warning.  None reads as NaN."""
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind in "biufO":  # bool, integer, float, or objects such as None
+            return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ShapeMismatch(f"not a real number, vector or matrix: {data!r:.80}")
+
+
 class Value:
     """An immutable float64 array with a kind tag.
 
@@ -31,7 +45,7 @@ class Value:
     __slots__ = ("data", "kind", "batched")
 
     def __init__(self, data, kind: str, batched: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = _float64(data)
         if kind not in _CORE_NDIM:
             raise ShapeMismatch(f"unknown kind {kind!r}")
         expected = _CORE_NDIM[kind] + (1 if batched else 0)
@@ -86,7 +100,7 @@ class Value:
         2-d -> matrix.  Batched values must be constructed explicitly."""
         if isinstance(x, Value):
             return x
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _float64(x)
         if arr.ndim == 0:
             return Value(arr, "scalar")
         if arr.ndim == 1:

@@ -385,7 +385,7 @@ def test_pruning_changes_no_gradient_bits_on_mixed_arguments(src, batch, monkeyp
     _check_pruning_bits(compiled, inputs, truth_store({"k": 1.3}))
 
 
-def test_vjp_of_a_record_no_root_reaches_is_never_called(monkeypatch):
+def test_vjp_of_a_record_no_root_reaches_is_never_called(monkeypatch, no_kernels):
     calls = []
 
     def spy(op):

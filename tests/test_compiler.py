@@ -92,7 +92,7 @@ def test_toposort_diamond():
 def test_cycle_detected_defensively():
     graph = ComputeGraph(
         nodes=[Node(0, "prim", "+", (1,)), Node(1, "prim", "+", (0,))],
-        output=0, input_slots={}, param_slots={}, functions=[], block=BlockIR((), ("exit", 0)),
+        output=0, functions=[], block=BlockIR((), ("exit", 0)),
     )
     with pytest.raises(CycleDetected):
         toposort(graph)
@@ -121,7 +121,7 @@ def test_gravity_graph_example():
 
 def test_planck_has_one_param_slot():
     prog = compile_source("(* h f)", inputs=("f",), params=("h",))
-    assert list(prog.param_slots) == ["h"]
+    assert [name for kind, _, name in prog.leaves if kind == "param"] == ["h"]
     assert prog.node_count == 3
 
 

@@ -1,23 +1,24 @@
 """Generated kernels against the executor.
 
-The first run of a program text's array run kind (untaped or taped) and
-signature in the process takes the executor, and later runs of programs
-compiled from that text go through its generated kernel.  Each test starts
-from an empty table of runs and kernels, so a text's first array run is the
-reference the later ones must match bit for bit: outputs with their dtype
-and writability, tape values, parameter and input gradients, TapeRef
-gradients through a chain, and errors.  A raw-slot run takes its text's
-raw kernel from the text's first run on, so the raw-kernel tests compare
-it with an explicit executor run, ``machine._run`` on a program compiled
-anew.  Changed signatures, the depth limit, ``Tape.replay``, the record
-count of a Lotka-Volterra epoch, the peak memory of a warmed eval and that
-a run takes the kernel are checked too.
+Every kind of kernel (raw, untaped, taped) is generated on its key's first
+run in the process, and every later run of a program compiled from that
+text goes through it.  Each test starts from an empty table of kernels, so
+its first runs generate them, and compares every run with an explicit
+executor reference: the same run with every lookup finding no kernel
+(``_by_executor``, the ``no_kernels`` fixture), or ``machine._run`` on a
+program compiled anew.  They must match bit for bit: outputs with their
+dtype and writability, tape values, parameter and input gradients, TapeRef
+gradients through a chain, and errors.  Changed signatures, the depth
+limit, ``Tape.replay``, the record count of a Lotka-Volterra epoch, the
+peak memory of a warmed eval, how often a run calls the executor and reads
+its inputs, and that a run takes the kernel are checked too.
 """
 
 import gc
 import random
 import tracemalloc
 import zlib
+from collections import UserDict
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from schemegrad.compiler import CompileConfig, compile_source
 from schemegrad.errors import DepthLimitExceeded, DomainViolation, SchemegradError
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments.registry import BENCH_PROGRAMS, FEYNMAN
-from schemegrad.machine import eval_program, run_on_tape
+from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
 from schemegrad.nn import compose_chain
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.training import truth_store
@@ -73,10 +74,16 @@ def _taped(prog, feed, params, policy=PROPAGATE_POLICY) -> tuple:
 
 
 @pytest.fixture(autouse=True)
-def fresh_kernels(monkeypatch):
-    """An empty table of runs and kernels: a text's first run in the test
-    takes the executor."""
-    monkeypatch.setattr(kernels, "_SHARED", {})
+def _fresh(fresh_kernels):
+    """Every test starts from an empty table of kernels."""
+
+
+def _by_executor(fn, *args):
+    """``fn(*args)`` with every kernel lookup finding none, so that its runs
+    take the executor, as under ``no_kernels``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "lookup", lambda prog, sig, kind: None)
+        return fn(*args)
 
 
 def _kernel_kinds(prog) -> list:
@@ -90,24 +97,28 @@ def _has_kernel(prog) -> bool:
     return any(kind != kernels.RAW for kind in _kernel_kinds(prog))
 
 
+def _fused_count(tape) -> int:
+    return [n[0] for n in tape.nodes].count(kernels.FUSED)
+
+
 @pytest.mark.parametrize("batch", [2, 5])
 @pytest.mark.parametrize("p", STRAIGHT, ids=lambda p: p.id)
 def test_kernel_runs_match_the_executor_bitwise(p, batch):
     store = truth_store(p.params) if p.params else None
     feed = p.sampler(np.random.default_rng(zlib.crc32(p.id.encode()) + batch), batch)
     for policy in (ERROR_POLICY, PROPAGATE_POLICY):
-        kernels._SHARED.clear()  # each policy's first run takes the executor
+        kernels._SHARED.clear()  # each policy's first run generates the kernel
         prog = _compile(p)
         runs = [_output(eval_program(prog, feed, store, policy)) for _ in range(3)]
-        assert runs[1] == runs[0] and runs[2] == runs[0], p.id
+        assert runs == [_output(_by_executor(eval_program, prog, feed, store,
+                                             policy))] * 3, p.id
     taped = [_taped(prog, feed, p.params) for _ in range(3)]
-    for later in taped[1:]:
-        assert later[:3] == taped[0][:3], p.id
-    eligible = kernels.Cache(prog).leaves is not None
-    assert _has_kernel(prog) == eligible, p.id
-    if eligible:
-        assert [n[0] for n in taped[2][3].nodes].count(kernels.FUSED) == 1
-        assert kernels.FUSED not in [n[0] for n in taped[0][3].nodes]
+    executor = _by_executor(_taped, prog, feed, p.params)
+    for run in taped:
+        assert run[:3] == executor[:3], p.id
+    assert _has_kernel(prog) == prog.straight_line, p.id
+    assert [_fused_count(run[3]) for run in taped] == [prog.straight_line] * 3
+    assert _fused_count(executor[3]) == 0
 
 
 @pytest.mark.parametrize("bid", sorted(BENCH_PROGRAMS))
@@ -119,9 +130,10 @@ def test_bench_programs_match_the_executor_bitwise(bid):
     feed["b"] = Value.batch_scalars(rng.uniform(4.5, 6.0, 5))  # discriminant: b*b >= 4ac
     feed = {n: feed[n] for n in names}
     runs = [_output(eval_program(prog, feed)) for _ in range(3)]
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs == [_output(_by_executor(eval_program, prog, feed))] * 3
     taped = [_taped(prog, feed, {}) for _ in range(3)]
-    assert taped[1][:3] == taped[0][:3] and taped[2][:3] == taped[0][:3]
+    executor = _by_executor(_taped, prog, feed, {})
+    assert all(run[:3] == executor[:3] for run in taped)
     assert _has_kernel(prog)
 
 
@@ -145,31 +157,33 @@ def test_feynman_kernels_match_the_executor_at_10k(eid):
     feed = {n: Value.batch_scalars(rng.uniform(lo, hi, 10_000)) for n, (lo, hi) in eq.ranges.items()}
     store = truth_store(params)
     runs = [_output(eval_program(prog, feed, store, PROPAGATE_POLICY)) for _ in range(3)]
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs == [_output(_by_executor(eval_program, prog, feed, store,
+                                         PROPAGATE_POLICY))] * 3
     closure = eq.closure(**{n: v.data for n, v in feed.items()}, **params)
     assert runs[2][-1] == _bits(closure)
     taped = [_taped(prog, feed, params) for _ in range(3)]
-    assert taped[1][:3] == taped[0][:3] and taped[2][:3] == taped[0][:3]
+    executor = _by_executor(_taped, prog, feed, params)
+    assert all(run[:3] == executor[:3] for run in taped)
 
 
 @pytest.mark.parametrize("src", ["(+ x (* x x))", "(* (sin x) (+ x 1))", "(/ x (+ 1 (* x x)))"])
 @pytest.mark.parametrize("x0", [Value.scalar(0.3), Value.batch_scalars([0.0, 0.5, -0.7])])
 def test_taperef_gradients_through_an_8_deep_chain(src, x0):
-    one = compile_source(src, inputs=("x",))
-    results = []
-    # each executor stage has a text of its own, so its run is its text's first
-    own_texts = [compile_source(src + " " * (i + 1), inputs=("x",)) for i in range(8)]
-    for stages in ([one] * 8, own_texts):
+    stages = [compile_source(src, inputs=("x",))] * 8
+
+    def chain():
         ctx = TapeContext()
         x = ctx.constant(x0)
         out = compose_chain(ctx, stages, x)
         res = ctx.backward(out, wrt_inputs=[x])
         assert ctx.tape.replay()
-        results.append((_bits(out.value.data), _bits(res.input_grads[x.tape_id].data),
-                        [n[0] for n in ctx.tape.nodes].count(kernels.FUSED)))
-    (fused_out, fused_grad, fused), (exec_out, exec_grad, none) = results
+        return (_bits(out.value.data), _bits(res.input_grads[x.tape_id].data),
+                _fused_count(ctx.tape))
+
+    (fused_out, fused_grad, fused), (exec_out, exec_grad, none) = (
+        chain(), _by_executor(chain))
     assert (fused_out, fused_grad) == (exec_out, exec_grad)
-    assert none == 0 and fused == 7
+    assert none == 0 and fused == 8
 
 
 def test_a_domain_violation_raises_what_the_executor_raises():
@@ -195,9 +209,8 @@ def test_a_domain_violation_raises_what_the_executor_raises():
             else:
                 eval_program(warm, good, store, ERROR_POLICY)
         assert _has_kernel(warm)
-        kernels._SHARED.clear()  # warm keeps its kernel; fresh's run is its text's first
-        fresh = compile_source(src, inputs=("L", "g"), params=("k",))
-        assert raised(warm, taped) == raised(fresh, taped) == (DomainViolation, "sqrt", 3, 2)
+        assert (raised(warm, taped) == _by_executor(raised, warm, taped)
+                == (DomainViolation, "sqrt", 3, 2))
 
 
 @pytest.mark.parametrize("src, first, then", [
@@ -206,37 +219,38 @@ def test_a_domain_violation_raises_what_the_executor_raises():
     ("(* x (+ y 1))", {"x": Value.batch_scalars([1.0, 2.0]), "y": Value.batch_scalars([3.0, 4.0])},
      {"x": Value.batch_vectors([[1.0, 2.0], [3.0, 4.0]]), "y": Value.batch_scalars([3.0, 4.0])}),
 ])
-def test_a_changed_signature_takes_the_executor(src, first, then):
+def test_a_changed_signature_gets_a_kernel_of_its_own(src, first, then):
     prog = compile_source(src, inputs=("x", "y"))
     for _ in range(3):
         eval_program(prog, first)
         _taped(prog, first, {})
     assert _kernel_kinds(prog) == ["taped", "untaped"]  # one signature
-    # the changed signature's first run (prog's) takes the executor, its second
-    # (fresh's) the kernel
+    # the changed signature's first run (prog's) generates its kernels, and a
+    # fresh program's run takes them
     fresh = compile_source(src, inputs=("x", "y"))
-    assert _output(eval_program(prog, then)) == _output(eval_program(fresh, then))
-    assert _taped(prog, then, {})[:3] == _taped(fresh, then, {})[:3]
-    assert [n[0] for n in _taped(prog, then, {})[3].nodes].count(kernels.FUSED) == 1
+    executor = _by_executor(eval_program, prog, then)
+    assert _output(eval_program(prog, then)) == _output(eval_program(fresh, then)) == _output(
+        executor)
+    assert _kernel_kinds(prog) == ["taped", "untaped", "untaped"]
+    executor = _by_executor(_taped, prog, then, {})
+    assert _taped(prog, then, {})[:3] == _taped(fresh, then, {})[:3] == executor[:3]
+    assert _kernel_kinds(prog) == ["taped", "taped", "untaped", "untaped"]
+    assert _fused_count(_taped(fresh, then, {})[3]) == 1
 
 
-def test_a_warm_lotka_volterra_epoch_holds_10_records():
+def test_a_warm_lotka_volterra_epoch_holds_10_records(request):
     store = truth_store(lv_exp.TRUE_PARAMS)
     cfg = ode.ShootingConfig(segment_length=lv_exp.SEGMENT_LENGTH,
                              observations=lv_exp.generate_observations())
     system = lv_exp.make_system(store)
-
-    # programs compiled anew, each run its text's first in an emptied table, take
-    # the executor; a plain function has no linked step, so the system is
-    # stepped stage by stage (the linked programs keep the kernels they found)
-    def first_runs(ctx, state, t):
-        kernels._SHARED.clear()
-        return ode.make_compiled_rhs(lv_exp._programs(), [store, store], ("x", "y"))(ctx, state, t)
-
-    executor = ode.OdeSystem(rhs=first_runs, state_dim=2, dt=lv_exp.DT)
-    ode.multiple_shooting_loss(TapeContext(), system, cfg)  # warms the kernels
+    rhs = system.rhs
+    # a plain function has no linked step, so the system is stepped stage by stage
+    staged = ode.OdeSystem(rhs=lambda ctx, state, t: rhs(ctx, state, t), state_dim=2,
+                           dt=lv_exp.DT)
     epochs = []
-    for each in (system, executor):
+    for each in (system, staged):
+        if each is staged:
+            request.getfixturevalue("no_kernels")  # from here on every run takes the executor
         ctx = TapeContext()
         loss = ode.multiple_shooting_loss(ctx, each, cfg)
         store.zero_grads()
@@ -245,7 +259,7 @@ def test_a_warm_lotka_volterra_epoch_holds_10_records():
         epochs.append((len(ctx.tape), [n[0] for n in ctx.tape.nodes].count(kernels.FUSED),
                        _bits(loss.value.data), {n: _bits(store[n].grad) for n in store.names()}))
     (warm_len, fused, warm_loss, warm_grads), (exec_len, none, exec_loss, exec_grads) = epochs
-    # a warm epoch is one fused record of the linked segment program, its loss
+    # an epoch is one fused record of the linked segment program, its loss
     # record and eight leaves: two start states, targets, masks, four parameters
     assert (warm_len, fused, exec_len, none) == (10, 1, 767, 0)
     assert (warm_loss, warm_grads) == (exec_loss, exec_grads)
@@ -350,14 +364,29 @@ def _generated_feed(r, batch):
     return feed
 
 
+def _outcome(fn, *args) -> tuple:
+    """``fn(*args)``'s result, or its error's class and message."""
+    try:
+        return fn(*args)
+    except SchemegradError as err:
+        return type(err), str(err)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_generated_programs_match_the_executor_bitwise(seed):
     """Random straight-line programs over every row with emit forms, with
     batched and unbatched scalars, vectors and matrices mixed, at points
-    that leave partial domains: kernel runs against the first run, NaN
+    that leave partial domains: kernel runs against the executor's, NaN
     payloads included."""
     r = random.Random(seed)
     kernels_made = 0
+
+    def untaped(prog, feed, store, policy):
+        return _output(eval_program(prog, feed, store, policy))
+
+    def taped(prog, feed, params):
+        return _taped(prog, feed, params)[:3]
+
     for _ in range(100):
         src = _scalar_source(r, 4) if r.random() < 0.7 else _vector_source(r, 4)
         feed = _generated_feed(r, r.choice([1, 2, 5]))
@@ -366,20 +395,11 @@ def test_generated_programs_match_the_executor_bitwise(seed):
         for policy in (PROPAGATE_POLICY, ERROR_POLICY):
             kernels._SHARED.clear()  # a text may come again; each policy's first run is its first
             prog = compile_source(src, inputs=("x", "y", "v", "w", "M"), params=("k",))
-            runs = []
-            for _ in range(3):
-                try:
-                    runs.append(_output(eval_program(prog, feed, store, policy)))
-                except SchemegradError as err:
-                    runs.append((type(err), str(err)))
-            assert runs[1] == runs[0] and runs[2] == runs[0], src
-        taped = []
-        for _ in range(3):
-            try:
-                taped.append(_taped(prog, feed, params)[:3])
-            except SchemegradError as err:
-                taped.append((type(err), str(err)))
-        assert taped[1] == taped[0] and taped[2] == taped[0], src
+            runs = [_outcome(untaped, prog, feed, store, policy) for _ in range(3)]
+            executor = _by_executor(_outcome, untaped, prog, feed, store, policy)
+            assert runs == [executor] * 3, src
+        runs = [_outcome(taped, prog, feed, params) for _ in range(3)]
+        assert runs == [_by_executor(_outcome, taped, prog, feed, params)] * 3, src
         kernels_made += _has_kernel(prog)
     assert kernels_made >= 50
 
@@ -423,32 +443,28 @@ def _error(err) -> tuple:
 
 
 def _reference(src, inputs, params, feed, config, policy) -> tuple:
-    """The executor's result: ``machine._run`` (uncounted) on a program
-    compiled anew, its output wrapped as ``eval_program`` wraps it, or its
-    error; and whether the feed makes the run a raw-slot one."""
+    """The executor's result: the run of a program compiled anew with every
+    lookup finding no kernel, its output or its error."""
     store = truth_store(params) if params else None
     prog = compile_source(src, inputs=inputs, params=tuple(params), config=config)
-    raw = machine._check_inputs(prog, feed, store) is not None
     try:
-        out = _EXECUTOR(prog, feed, store, policy, None, None)[0]
+        return _output(_by_executor(eval_program, prog, feed, store, policy))
     except SchemegradError as err:
-        return _error(err), raw
-    return _output(frozen_scalar(out.data) if raw else out), raw
+        return _error(err)
 
 
 def _parity(src, inputs, params, feed, executor_runs, config=None, redone=False) -> tuple:
     """Under each policy, three untaped runs from an emptied table, each of a
     program compiled anew, against the executor's result (``_reference``):
-    the same output (bits, dtype, writability) or error.  A raw-slot run
-    takes its text's raw kernel from the text's first run and calls the
+    the same output (bits, dtype, writability) or error.  A run takes its
+    text's kernel, raw or array, from the text's first run on and calls the
     executor only to redo an error, or every time when ``redone`` (a
-    recursion deeper than Python's stack, a program that gets no kernel);
-    an array run's first run takes the executor.  Returns the executor's
-    result under each policy."""
+    recursion deeper than Python's stack, a program that gets no kernel).
+    Returns the executor's result under each policy."""
     store = truth_store(params) if params else None
     references = []
     for policy in (ERROR_POLICY, PROPAGATE_POLICY):
-        reference, raw = _reference(src, inputs, params, feed, config, policy)
+        reference = _reference(src, inputs, params, feed, config, policy)
         kernels._SHARED.clear()
         runs, executed = [], []
         for _ in range(3):
@@ -460,10 +476,8 @@ def _parity(src, inputs, params, feed, executor_runs, config=None, redone=False)
                 runs.append(_error(err))
             executed.append(len(executor_runs) - before)
         assert runs == [reference] * 3, src
-        if redone or isinstance(reference[0], type):
-            assert executed == [1, 1, 1], src
-        else:
-            assert executed == ([0, 0, 0] if raw else [1, 0, 0]), src
+        redo = redone or isinstance(reference[0], type)
+        assert executed == [int(redo)] * 3, src
         references.append(reference)
     return tuple(references)
 
@@ -483,10 +497,8 @@ def test_raw_kernels_match_the_executor_on_the_corpus(p, executor_runs):
     Feynman formulas, the ODE right-hand sides, the chains and the loop and
     recursion samples."""
     feed = _scalar_feed(p)
-    prog = compile_source(p.source, inputs=p.inputs, params=tuple(p.params))
-    store = truth_store(p.params) if p.params else None
-    assert machine._check_inputs(prog, feed, store) is not None
     _parity(p.source, p.inputs, p.params, feed, executor_runs)
+    assert _kernel_kinds(_compile(p)) == [kernels.RAW]
 
 
 @pytest.mark.parametrize("bid", sorted(BENCH_PROGRAMS))
@@ -561,7 +573,7 @@ def test_a_program_nested_deeper_than_python_compiles_takes_the_executor(executo
 def test_a_fresh_program_of_a_text_with_a_kernel_takes_it(name, src, feed, executor_runs):
     feed = {n: Value.scalar(v) for n, v in feed.items()}
     eval_program(compile_source(src, inputs=tuple(feed)), feed)  # the text's first run
-    assert kernels.raw_kernel(compile_source(src, inputs=tuple(feed))) is not None
+    assert kernels.lookup(compile_source(src, inputs=tuple(feed)), None, kernels.RAW) is not None
     eval_program(compile_source(src, inputs=tuple(feed)), feed)  # a fresh program takes it
     assert executor_runs == []
 
@@ -595,6 +607,54 @@ def test_a_raw_kernel_eval_peaks_no_higher_than_the_executors(name, src, feed):
         return least
 
     eval_program(compile_source(src, inputs=tuple(feed)), feed)
-    assert kernels.raw_kernel(compile_source(src, inputs=tuple(feed))) is not None
+    assert kernels.lookup(compile_source(src, inputs=tuple(feed)), None, kernels.RAW) is not None
     kernel = least_peak(True)
     assert kernel <= least_peak(False)
+
+
+# --- one way into a run ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [Value.scalar(2.0), Value.batch_scalars([1.0, 2.0, 3.0])],
+                         ids=["b1", "b3"])
+def test_a_fresh_straight_line_programs_first_array_runs_take_its_kernels(x, executor_runs):
+    """From an emptied table: the first untaped array run and the first
+    taped run generate their kernels and call the executor 0 times."""
+    prog = compile_source("(+ (vsum (vec x g)) (* k (sqrt (/ x g))))", inputs=("x", "g"),
+                          params=("k",))
+    feed, store = {"x": x, "g": Value.scalar(9.8)}, truth_store({"k": 2.0})
+    out = eval_program(prog, feed, store)
+    taped, tape = eval_with_tape(prog, feed, store)
+    assert executor_runs == []
+    assert _fused_count(tape) == 1 and _kernel_kinds(prog) == ["taped", "untaped"]
+    assert _output(out) == _output(taped) == _output(_by_executor(eval_program, prog, feed,
+                                                                  store))
+
+
+class _CountingFeed(UserDict):
+    """A feed that counts the reads of each input (``feed[name]``)."""
+
+    def __init__(self, feed):
+        super().__init__(feed)
+        self.reads = dict.fromkeys(feed, 0)
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return super().__getitem__(name)
+
+
+_BATCH = Value.batch_scalars([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("src, x, reads", [
+    ("(* k (sqrt (/ x g)))", Value.scalar(2.0), 1),  # a raw kernel run
+    ("(* k (sqrt (/ x g)))", _BATCH, 1),  # an array kernel run
+    ("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (* y g)) (* k y)))", _BATCH, 2),
+], ids=["raw", "array", "executor"])
+def test_an_untaped_run_reads_each_input_once_and_the_executor_twice(src, x, reads):
+    prog = compile_source(src, inputs=("x", "g"), params=("k",))
+    store = truth_store({"k": 2.0})
+    for run in range(2):  # the key's first run, then a warm one
+        feed = _CountingFeed({"x": x, "g": Value.scalar(9.8)})
+        eval_program(prog, feed, store)
+        assert feed.reads == {"x": reads, "g": reads}, run

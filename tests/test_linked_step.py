@@ -39,12 +39,10 @@ def _stage_by_stage(system: ode.OdeSystem) -> ode.OdeSystem:
 
 
 @pytest.fixture(autouse=True)
-def fresh_links(monkeypatch):
+def fresh_links(monkeypatch, fresh_kernels):
     """Empty tables of linked programs and of kernels, so that a test's
-    first run of a linked program takes the executor and its later ones
-    the kernels."""
+    first run of a linked program generates its kernel."""
     monkeypatch.setattr(ode, "_LINKED", {})
-    monkeypatch.setattr(kernels, "_SHARED", {})
 
 
 def _segment_states(system, store, cfg, segment_indices=None):
@@ -94,28 +92,33 @@ def _ragged_pendulum():
 @pytest.mark.parametrize("case, idx", [(_lv, None), (_ragged_pendulum, None),
                                        (_ragged_pendulum, [0, 5, 11, 12, 17])],
                          ids=["lotka_volterra", "pendulum", "minibatch"])
-def test_a_linked_epoch_is_bitwise_the_stage_by_stage_one(case, idx):
+def test_a_linked_epoch_is_bitwise_the_stage_by_stage_one(case, idx, request):
     system, store, cfg = case()
-    for run in range(3):  # the first run takes the executor, later ones the kernel
+    for _ in range(3):
         linked = _epoch(system, store, cfg, idx)
         staged = _epoch(_stage_by_stage(system), store, cfg, idx)
         assert linked[:3] == staged[:3]
-        # one run of the segment program, scored by one loss record
-        assert linked[3].count(ode.SHOOTING_MSE) == 1 and "mse" not in linked[3]
-        assert linked[3].count(kernels.FUSED) == (run > 0)
-    # leaves: the start states, targets, masks and parameters
-    assert linked[3] == ["leaf"] * (4 + len(store.names())) + [kernels.FUSED, ode.SHOOTING_MSE]
-    assert ode.SHOOTING_MSE not in staged[3]
+        # one run of the segment program, scored by one loss record; leaves:
+        # the start states, targets, masks and parameters
+        assert linked[3] == ["leaf"] * (4 + len(store.names())) + [kernels.FUSED,
+                                                                   ode.SHOOTING_MSE]
+        assert ode.SHOOTING_MSE not in staged[3]
+    request.getfixturevalue("no_kernels")  # from here on every run takes the executor
+    executor = _epoch(system, store, cfg, idx)
+    assert executor[:3] == linked[:3]
+    assert executor[3].count(ode.SHOOTING_MSE) == 1 and kernels.FUSED not in executor[3]
 
 
-def test_the_fused_segment_record_is_bitwise_the_executor_tape():
+def test_the_fused_segment_record_is_bitwise_the_executor_tape(request):
     system, store, cfg = _ragged_pendulum()
     linked = system.rhs.segment_program(system.dt, cfg.segment_length)
     prog, feed, _, weight, _ = ode._linked_segments(system, cfg)
     assert prog is linked
     results = []
-    for _ in range(3):  # a copy: its first taped run, its text's first, takes the executor
-        kernels._SHARED.clear()
+    for run in range(4):  # three copies through the kernel, then one through the executor
+        kernels._SHARED.clear()  # each copy's first run generates the kernel anew
+        if run == 3:
+            request.getfixturevalue("no_kernels")
         copy = compile_source(linked.source_text, inputs=linked.input_names,
                               params=linked.param_names)
         for _ in range(2):
@@ -127,8 +130,8 @@ def test_the_fused_segment_record_is_bitwise_the_executor_tape():
             ops = [node[0] for node in ctx.tape.nodes]
             results.append((ops.count(kernels.FUSED), _bits(loss.value.data),
                             {n: _bits(store[n].grad) for n in store.names()}))
-    assert [r[0] for r in results] == [0, 1] * 3
-    assert all(r[1:] == results[0][1:] for r in results)
+    assert [r[0] for r in results] == [1] * 6 + [0] * 2
+    assert all(r[1:] == results[-1][1:] for r in results)
 
 
 def test_shooting_residuals_are_bitwise_the_stage_by_stage_ones():
@@ -164,7 +167,7 @@ def test_a_b1_rollout_is_bitwise_the_stage_by_stage_one(exp, y0):
 def test_a_batched_rollout_is_bitwise_each_single_one():
     ics = pendulum_exp.training_ics(np.random.default_rng(11))[:9]
     system = pendulum_exp.make_system(truth_store(pendulum_exp.TRUE_PARAMS))
-    for _ in range(3):  # the executor, then the kernel
+    for _ in range(3):
         batched = ode.rollout(system, ics, 30)
         assert batched.shape == (9, 31, 2)
         staged = ode.rollout(_stage_by_stage(system), ics, 30)
@@ -187,10 +190,9 @@ def test_the_step_is_one_program_cached_per_dt():
 
 def test_a_linked_step_is_one_fused_record_split_by_refs_alone():
     system, _, _ = _lv()
-    for _ in range(2):  # the executor, then the kernel
-        ctx = TapeContext()
-        state = (ctx.constant_batch([1.0, 2.0]), ctx.constant_batch([0.5, 0.4]))
-        ode.rk4_step(ctx, system, state, 0.0, 0.1)
+    ctx = TapeContext()
+    state = (ctx.constant_batch([1.0, 2.0]), ctx.constant_batch([0.5, 0.4]))
+    ode.rk4_step(ctx, system, state, 0.0, 0.1)
     # two states, four parameters; each ref takes its index as aux, not a leaf
     assert [node[0] for node in ctx.tape.nodes] == ["leaf"] * 6 + [kernels.FUSED, "ref", "ref"]
     assert [node[3] for node in ctx.tape.nodes[-2:]] == [0.0, 1.0]
@@ -269,7 +271,7 @@ def test_a_domain_error_inside_a_segment_names_the_same_op():
     obs = np.array([[1.0, 1.0], [1.1, 0.9], [1.2, 0.8], [1.3, 0.7]])
     cfg = ode.ShootingConfig(3, [obs, obs[:3]])
     errors = []
-    for _ in range(3):  # the executor, then the kernel, whose run is redone
+    for _ in range(3):  # the executor redoes each kernel run, and raises
         for each in (system, _stage_by_stage(system)):
             with pytest.raises(DomainViolation) as err:
                 ode.multiple_shooting_loss(TapeContext(ERROR_POLICY), each, cfg)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from schemegrad.autodiff import Tape
+from schemegrad.autodiff import ParameterStore, Tape
 from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation, EvalError, MissingInput, SingularMatrix
+from schemegrad.errors import (DomainViolation, EvalError, MissingInput, ShapeMismatch,
+                               SingularMatrix)
 from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.values import Value, bit_equal
@@ -122,3 +123,29 @@ def test_constant_output_is_read_only_and_reused_intact():
     with pytest.raises(ValueError):
         out.data[...] = 3.0
     assert eval_program(prog, {}).item() == 2.0
+
+
+@pytest.mark.parametrize("x", ["abc", "1.5", [1.0, "a"], {"a": 1.0}, 1 + 2j, np.array(1 + 2j)],
+                         ids=["str", "numeric_str", "mixed_list", "dict", "complex",
+                              "complex_array"])
+def test_a_value_that_is_not_real_numbers_raises_shape_mismatch(x):
+    """As an input, as a parameter and in a store: the error names the
+    value; numpy's ValueError or TypeError does not escape, and a complex
+    array does not lose its imaginary part."""
+    prog = compile_source("(* k (+ x 1))", inputs=("x",), params=("k",))
+    runs = (lambda: eval_program(prog, {"x": x}, {"k": 2.0}),
+            lambda: eval_with_tape(prog, {"x": x}, {"k": 2.0}),
+            lambda: eval_program(prog, {"x": 1.0}, {"k": x}),
+            lambda: eval_with_tape(prog, {"x": 1.0}, {"k": x}),
+            lambda: ParameterStore().add("k", x))
+    for run in runs:
+        with pytest.raises(ShapeMismatch, match="not a real number") as err:
+            run()
+        assert repr(x)[:20] in str(err.value)
+
+
+def test_none_reads_as_nan():
+    prog = compile_source("(+ x 1)", inputs=("x",))
+    for feed in ({"x": None}, {"x": Value.vector([None, 1.0])}):
+        out = eval_program(prog, feed, policy=PROPAGATE_POLICY)
+        assert np.isnan(out.data.flat[0])

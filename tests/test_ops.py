@@ -159,14 +159,17 @@ def _hybrid_tape(activation, batch):
 
 
 @pytest.mark.parametrize("batch", [1, 7])
-def test_replay_runs_every_row_forward(batch, monkeypatch):
+def test_replay_runs_every_row_forward(batch, request, fresh_kernels):
+    """Each corpus program is taped twice: through its kernels, which
+    record ``fused`` records, then with every lookup finding no kernel,
+    through the executor, which records one record per instruction."""
     recorded = set()
-    monkeypatch.setattr(kernels, "_SHARED", {})
-    for prog in CORPUS:
-        kernels._SHARED.clear()  # the first taped run of the text records every instruction
-        compiled = compile_source(prog.source, inputs=prog.inputs, params=tuple(prog.params))
-        store = truth_store(prog.params) if prog.params else None
-        for _ in range(2):  # an array run's second taped run is one fused record
+    for executor in (False, True):
+        if executor:
+            request.getfixturevalue("no_kernels")
+        for prog in CORPUS:
+            compiled = compile_source(prog.source, inputs=prog.inputs, params=tuple(prog.params))
+            store = truth_store(prog.params) if prog.params else None
             _, tape = eval_with_tape(compiled, _batch_inputs(prog, batch), store)
             assert tape.replay(), prog.id
             recorded |= {node[0] for node in tape.nodes}
@@ -281,7 +284,7 @@ def test_prim_if_differentiates_and_replays():
     assert ctx.tape.replay()
 
 
-def test_compiled_branches_record_if():
+def test_compiled_branches_record_if(no_kernels):
     prog = compile_source("(+ 1 (if (< x 1) (* k x) k))", inputs=("x",), params=("k",))
     _, tape = eval_with_tape(prog, {"x": Value.batch_scalars(np.array([0.5, 2.0]))},
                              truth_store({"k": 1.5}))

@@ -428,35 +428,39 @@ def test_batch_consistency_ref():
     assert bit_equal(batched, singles)
 
 
-def test_a_lone_vsum_takes_one_operand_and_the_parser_desugars_more():
+def test_a_lone_vsum_takes_one_operand_and_the_parser_desugars_more(request):
     v, w = V(1, 2, 3), V(10, 20, 30)
     with pytest.raises(SchemegradError, match="vsum takes 1..1 operands, got 2"):
         apply_primitive("vsum", [v, w])
     with pytest.raises(SchemegradError, match="vsum takes 1..1 operands, got 2"):
         TapeContext().prim("vsum", v, w)
     prog = compile_source("(vsum a b)", inputs=("a", "b"))
-    for _ in range(3):  # the executor, then the kernel
+    for run in range(4):  # three runs through the kernel, then one through the executor
+        if run == 3:
+            request.getfixturevalue("no_kernels")
         assert eval_program(prog, {"a": v, "b": w}).item() == 66.0
     assert interpreter.interpret_ast(parse("(vsum a b)"), {"a": v, "b": w}).item() == 66.0
 
 
 @pytest.mark.parametrize("batched", [False, True])
-def test_a_constant_ref_index_is_the_rows_aux(batched):
+def test_a_constant_ref_index_is_the_rows_aux(batched, request):
     prog = compile_source("(+ (ref v 2) (ref v i))", inputs=("v", "i"))
     consts = [ins for ins in prog.block.instrs if ins[0] == "prim" and ins[2] == "ref"]
     assert [(len(ins[3]), ins[4]) for ins in consts] == [(1, 2.0), (2, None)]
     v = Value.batch_vectors(np.arange(12.0).reshape(3, 4)) if batched else V(0, 1, 2, 3)
     want = v.data[..., 2] + v.data[..., 1]
-    for _ in range(3):  # the executor, then the kernel
+    bad = {message: compile_source(src, inputs=("v",)) for src, message in (
+        ("(ref v 4)", "ref: index 4 out of range for length 4"),
+        ("(ref v 1.5)", "ref: index 1.5 is not an integer"))}
+    for run in range(4):  # three runs through the kernel, then one through the executor
+        if run == 3:
+            request.getfixturevalue("no_kernels")
         assert bit_equal(eval_program(prog, {"v": v, "i": S(1.0)}),
                          Value(want, "scalar", batched))
-    # an index out of range or not an integer raises as it always has, in both runs
-    for src, message in (("(ref v 4)", "ref: index 4 out of range for length 4"),
-                         ("(ref v 1.5)", "ref: index 1.5 is not an integer")):
-        bad = compile_source(src, inputs=("v",))
-        for _ in range(3):
+        # an index out of range or not an integer raises as it always has
+        for message, wrong in bad.items():
             with pytest.raises(ShapeMismatch, match=message):
-                eval_program(bad, {"v": v})
+                eval_program(wrong, {"v": v})
     # a record with a constant index has no index leaf, and the same gradient
     ctx = TapeContext()
     x = ctx.constant(v)
@@ -472,10 +476,12 @@ def test_a_constant_ref_index_is_the_rows_aux(batched):
     ("(trace v)", Value.matrix(np.zeros((0, 0)))),
     ("(norm v)", Value.batch_vectors(np.zeros((3, 0)))),
 ])
-def test_an_empty_sum_is_zero_in_both_engines(src, leaf):
+def test_an_empty_sum_is_zero_in_both_engines(src, leaf, request):
     prog = compile_source(src, inputs=("v",))
     want = np.zeros(leaf.data.shape[:1] if leaf.batched else ())
-    for _ in range(3):  # the executor, then a kernel where one is generated
+    for run in range(4):  # three runs through a kernel where one is made, then the executor
+        if run == 3:
+            request.getfixturevalue("no_kernels")
         got = eval_program(prog, {"v": leaf})
         assert (got.kind, got.batched) == ("scalar", leaf.batched)
         assert bit_equal(got, Value(want, "scalar", leaf.batched))
@@ -569,6 +575,7 @@ _PROBE_SCRIPT = """
 from math import inf
 
 import numpy as np
+from schemegrad import kernels
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation
 from schemegrad.interpreter import interpret_ast
@@ -577,12 +584,21 @@ from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
 from schemegrad.sexpr import parse
 from schemegrad.values import Value
 
+
+def by_executor(p):
+    lookup, kernels.lookup = kernels.lookup, lambda prog, sig, kind: None
+    try:
+        return eval_program(prog, {{"x": x_value}}, policy=p)
+    finally:
+        kernels.lookup = lookup
+
+
 for src, x in {probes!r}.items():
     prog = compile_source(src, inputs=("x",))
     for x_value in (Value.scalar(x), Value.batch_scalars(np.full(3, x))):
-        # a raw-slot run each time, or an executor run and then kernel runs
-        engines = [lambda p: eval_program(prog, {{"x": x_value}}, policy=p)] * 3
-        engines.append(lambda p: interpret_ast(parse(src), {{"x": x_value}}, p))
+        # two kernel runs (raw-slot or array), the executor's and the interpreter's
+        engines = [lambda p: eval_program(prog, {{"x": x_value}}, policy=p)] * 2
+        engines += [by_executor, lambda p: interpret_ast(parse(src), {{"x": x_value}}, p)]
         for engine in engines:
             print(src, x_value.batched, np.ravel(engine(PROPAGATE_POLICY).data)[0].item())
             try:

@@ -232,41 +232,56 @@ def _unbatched_scalar_types(prog, inputs, store):
 
 
 def _forbidden(*args):
-    raise AssertionError("a raw-slot run called a Value kernel")
+    raise AssertionError("a kernel run applied a row to Values")
+
+
+def _lookups(monkeypatch) -> list:
+    """The kinds of kernel that the runs look up from here on, in order:
+    the path each run takes."""
+    kinds, lookup = [], kernels.lookup
+    monkeypatch.setattr(kernels, "lookup",
+                        lambda prog, sig, kind: kinds.append(kind) or lookup(prog, sig, kind))
+    return kinds
 
 
 def test_all_scalar_run_holds_bare_floats(monkeypatch):
     prog, inputs, store = _run_kind_case(Value.scalar(0.25), 1.5)
     assert prog.scalar_closed
-    leaves = machine._check_inputs(prog, inputs, store)
-    assert {n: type(x) for n, x in leaves.items()} == dict.fromkeys("xyk", np.float64)
+    values, arrays, sig, batch = machine._leaves(prog, inputs, store)
+    assert [a.shape for a in arrays] == [(), (), ()] and batch is None
+    assert sig == ((False, ()),) * 3
     # the raw kernel holds the floats: no Value kernel runs
+    kinds = _lookups(monkeypatch)
     for name in ("apply_primitive", "pow_immediate", "select"):
         monkeypatch.setattr(machine, name, _forbidden)
     out = eval_program(prog, inputs, store)
     assert type(out.data) is np.ndarray and not out.data.flags.writeable
+    assert kinds == [kernels.RAW]
 
 
-def test_no_value_a_b1_run_returns_or_records_holds_a_numpy_scalar(monkeypatch):
-    """Over the corpus at B=1: the untaped output, and every record of a
-    text's first taped run (the executor's) and of a warm one."""
-    monkeypatch.setattr(kernels, "_SHARED", {})
-    for p in CORPUS:
-        feed = integer_inputs(p, p.sampler(np.random.default_rng(zlib.crc32(p.id.encode())), 1))
-        prog = compile_source(p.source, inputs=p.inputs, params=tuple(p.params))
-        store = truth_store(p.params) if p.params else None
-        out = eval_program(prog, feed, store, PROPAGATE_POLICY)
-        assert type(out.data) is np.ndarray, p.id
-        for run in range(3):
-            tape = Tape()
-            out, _ = run_on_tape(prog, feed, store, tape, PROPAGATE_POLICY, store=store)
-            assert type(out.data) is np.ndarray, (p.id, run)
-            for op, _, value, _ in tape.nodes:
-                assert type(value.data) is np.ndarray, (p.id, run, op)
+def test_no_value_a_b1_run_returns_or_records_holds_a_numpy_scalar(request, fresh_kernels):
+    """Over the corpus at B=1: the untaped output and every record of three
+    taped runs, through the kernels, then through the executor."""
+    for executor in (False, True):
+        if executor:
+            request.getfixturevalue("no_kernels")
+        for p in CORPUS:
+            feed = integer_inputs(p, p.sampler(np.random.default_rng(zlib.crc32(p.id.encode())),
+                                               1))
+            prog = compile_source(p.source, inputs=p.inputs, params=tuple(p.params))
+            store = truth_store(p.params) if p.params else None
+            out = eval_program(prog, feed, store, PROPAGATE_POLICY)
+            assert type(out.data) is np.ndarray, p.id
+            for run in range(3):
+                tape = Tape()
+                out, _ = run_on_tape(prog, feed, store, tape, PROPAGATE_POLICY, store=store)
+                assert type(out.data) is np.ndarray, (p.id, run)
+                for op, _, value, _ in tape.nodes:
+                    assert type(value.data) is np.ndarray, (p.id, run, op)
 
 
 @pytest.mark.parametrize("case", ["batched", "vector", "batched_y"])
-def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
+def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case, request, monkeypatch):
     y = 1.5
     if case == "batched":
         x = Value.batch_scalars(_XS)
@@ -275,29 +290,33 @@ def test_other_runs_keep_0d_arrays_and_match_stacked_scalar_runs(case):
     else:  # a batched input other than the first
         x, y = Value.scalar(_XS[0]), Value.batch_scalars(np.array([1.5, -0.5, 3.0]))
     prog, inputs, store = _run_kind_case(x, y)
-    assert machine._check_inputs(prog, inputs, store) is None
-    # the param, the constants and what is computed from them alone, such
-    # as (* 0.5 y) for an unbatched y, stay 0-d arrays
-    assert _unbatched_scalar_types(prog, inputs, store) == ({np.ndarray}, {np.ndarray})
+    kinds = _lookups(monkeypatch)
     out = eval_program(prog, inputs, store)
+    assert kinds == [kernels.UNTAPED]
     assert out.data.shape == (3,)
     for i in range(3):
         xi = _XS[i] if case != "batched_y" else _XS[0]
         yi = y if case != "batched_y" else y.data[i]
         want = _all_scalar_run(xi, yi)
         assert bits(out.data[i]) == bits(want.data), f"{case}: element {i}"
+    # in the executor's records, the param, the constants and what is
+    # computed from them alone, such as (* 0.5 y) for an unbatched y, stay
+    # 0-d arrays
+    request.getfixturevalue("no_kernels")
+    assert _unbatched_scalar_types(prog, inputs, store) == ({np.ndarray}, {np.ndarray})
 
 
 @pytest.mark.parametrize("case", ["scalar", "batched", "vector"])
-def test_tape_ref_inputs_take_the_run_kind_of_their_values(case):
+def test_tape_ref_inputs_take_the_run_kind_of_their_values(case, monkeypatch):
     x = {"scalar": Value.scalar(0.25), "batched": Value.batch_scalars(_XS),
          "vector": Value.vector(_XS)}[case]
     prog, inputs, store = _run_kind_case(x, Value.scalar(1.5))
     ctx = TapeContext()
     refs = {name: ctx.constant(v) for name, v in inputs.items()}
-    leaves = machine._check_inputs(prog, refs, store)
-    assert leaves == machine._check_inputs(prog, inputs, store)
-    assert (leaves is not None) is (case == "scalar")
+    assert machine._leaves(prog, refs, store) == machine._leaves(prog, inputs, store)
+    kinds = _lookups(monkeypatch)
+    assert bit_equal(eval_program(prog, refs, store), eval_program(prog, inputs, store))
+    assert kinds == [kernels.RAW if case == "scalar" else kernels.UNTAPED] * 2
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -313,37 +332,37 @@ def test_a_run_is_raw_slot_exactly_when_closed_and_every_leaf_is_an_unbatched_sc
     store.add("k", np.array([0.5, -2.0, 3.0]) if leaf == "vector_param" else 0.8)
     inputs = {"x": x, "y": Value.scalar(1.5)}
     raw = closed and leaf == "scalars"
-    assert (machine._check_inputs(prog, inputs, store) is not None) is raw
-    kernels = []
-    apply = machine.apply_primitive
-    monkeypatch.setattr(machine, "apply_primitive",
-                        lambda op, *rest: kernels.append(op) or apply(op, *rest))
-    out = eval_program(prog, inputs, store)
-    assert (not kernels) is raw  # a raw-slot run calls the scalar column only
+    kinds = _lookups(monkeypatch)
+    for name in ("apply_primitive", "pow_immediate", "select"):
+        monkeypatch.setattr(machine, name, _forbidden)
+    out = eval_program(prog, inputs, store)  # a kernel run, raw or array: no Value row
+    assert kinds == [kernels.RAW if raw else kernels.UNTAPED]
     assert bit_equal(out, interpret_ast(parse(src), {**inputs, "k": store.value_of("k")}))
 
 
-def test_a_vector_parameter_takes_the_value_path():
+def test_a_vector_parameter_takes_the_value_path(monkeypatch):
     prog = compile_source("(* k x)", inputs=("x",), params=("k",))
     store = ParameterStore()
     store.add("k", np.array([0.5, -2.0, 3.0]))
     inputs = {"x": Value.scalar(1.5)}
-    assert machine._check_inputs(prog, inputs, store) is None
+    kinds = _lookups(monkeypatch)
     out = eval_program(prog, inputs, store)
+    assert kinds == [kernels.UNTAPED]
     want = interpret_ast(parse("(* k x)"), {**inputs, "k": store.value_of("k")})
     assert out.kind == "vector" and bit_equal(out, want)
 
 
 @pytest.mark.parametrize("src", [BENCH_PROGRAMS["dot4"][0], "(+ x)", "(and x)", "(min x)"])
-def test_programs_that_are_not_scalar_closed_match_the_interpreter(src):
+def test_programs_that_are_not_scalar_closed_match_the_interpreter(src, monkeypatch):
     # dot4 has vector ops; an n-ary op given one operand has nothing to fold
     names = BENCH_PROGRAMS["dot4"][1] if "dot" in src else ("x",)
     prog = compile_source(src, inputs=names)
     assert not prog.scalar_closed
+    kinds = _lookups(monkeypatch)
     for x in (0.0, -0.0, 2.5, NAN):
         env = {n: Value.scalar(x + i) for i, n in enumerate(names)}
-        assert machine._check_inputs(prog, env, None) is None  # the array path
         out = eval_program(prog, env, policy=PROPAGATE_POLICY)
+        assert kinds.pop() == kernels.UNTAPED  # the array path
         assert not out.batched and out.data.shape == ()
         assert bit_equal(out, interpret_ast(parse(src), env, PROPAGATE_POLICY))
 
@@ -384,16 +403,18 @@ def test_raw_run_depth_limit_fires_at_the_same_depth():
     (_RUN_KIND_SOURCE, 1),
     ("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (+ (* y k) (pow y 2))) (sqrt (abs y))))", 0),
 ])
-def test_a_taped_b1_run_is_bitwise_the_same_from_its_first_run_on(src, fused, monkeypatch):
+def test_a_taped_b1_run_is_bitwise_the_same_from_its_first_run_on(src, fused, request,
+                                                                  fresh_kernels):
     """A taped run of a scalar-closed program at scalar leaves is an array
-    run: its text's first takes the executor, a warm one of a straight-line
-    program one ``fused`` record.  Outputs and gradients match bitwise."""
-    monkeypatch.setattr(kernels, "_SHARED", {})
+    run: from its text's first on, one of a straight-line program is one
+    ``fused`` record.  Outputs and gradients match the executor's bitwise."""
     prog = compile_source(src, inputs=("x", "y"), params=("k",))
     assert prog.scalar_closed
     inputs = {"x": Value.scalar(0.25), "y": Value.scalar(1.5)}
     runs = []
-    for _ in range(3):
+    for run in range(4):  # three runs, then the executor's
+        if run == 3:
+            request.getfixturevalue("no_kernels")
         store = ParameterStore()
         store.add("k", 0.8)
         out, tape = eval_with_tape(prog, inputs, store)
@@ -403,8 +424,8 @@ def test_a_taped_b1_run_is_bitwise_the_same_from_its_first_run_on(src, fused, mo
                  **{n: bits(g.data) for n, g in result.input_grads.items()}}
         assert {"k", "x"} <= grads.keys()
         runs.append((bits(out.data), grads, [n[0] for n in tape.nodes].count(kernels.FUSED)))
-    assert [r[2] for r in runs] == [0, fused, fused]
-    assert runs[1][:2] == runs[0][:2] and runs[2][:2] == runs[0][:2]
+    assert [r[2] for r in runs] == [fused, fused, fused, 0]
+    assert all(r[:2] == runs[3][:2] for r in runs)
 
 
 # ---------------------------------------------------------------------------

@@ -249,18 +249,29 @@ def _nested_source(depth: int, forms) -> str:
 
 @pytest.mark.parametrize("forms", [tuple(NESTING_FORMS)] + [(f,) for f in NESTING_FORMS],
                          ids=lambda f: "+".join(f))
-def test_nesting_limit_program_runs_in_every_engine(forms):
+def test_nesting_limit_program_runs_in_every_engine(forms, fresh_kernels):
+    """Three runs of each engine: raw-slot, untaped at B=3 and taped at B=1
+    with a backward pass.  A kernel nested deeper than Python compiles is
+    no kernel, and its runs take the executor."""
     src = _nested_source(MAX_NESTING, [NESTING_FORMS[f] for f in forms])
     assert _nesting(src) == MAX_NESTING == 200
     prog = compile_source(src, inputs=("x",), params=("a",))
     store = ParameterStore()
     store.add("a", 0.5)
-    got = eval_program(prog, {"x": 1.5}, store)
-    assert bit_equal(got, interpret_ast(parse(src), {"x": 1.5, "a": 0.5}))
-    out, tape = eval_with_tape(prog, {"x": 1.5}, store)
-    assert bit_equal(out, got)
-    backward(tape, Value(np.ones_like(out.data), out.kind, out.batched))
-    assert store["a"].grad is not None
+    want = interpret_ast(parse(src), {"x": 1.5, "a": 0.5})
+    # the batch is a's: x guards the loop's tail `if`, which must be unbatched
+    batched = ParameterStore()
+    batched.add("a", Value.batch_scalars([0.5, 0.25, 2.0]))
+    want_batched = interpret_ast(parse(src), {"x": 1.5, "a": batched.value_of("a")})
+    for _ in range(3):
+        got = eval_program(prog, {"x": 1.5}, store)
+        assert bit_equal(got, want)
+        assert bit_equal(eval_program(prog, {"x": 1.5}, batched), want_batched)
+        out, tape = eval_with_tape(prog, {"x": 1.5}, store)
+        assert bit_equal(out, want)
+        store["a"].grad = None
+        backward(tape, Value(np.ones_like(out.data), out.kind, out.batched))
+        assert store["a"].grad is not None
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
