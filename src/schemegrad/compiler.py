@@ -29,8 +29,8 @@ class CompiledProgram:
     order, each name once: every input and parameter the program reads,
     and the order of a run's signature.  ``scalar_closed`` notes that every
     prim in every block has a scalar kernel, and ``straight_line`` that the
-    program is one block of prims with emit forms whose output is a prim's
-    result (see ``machine``)."""
+    program is one block of prims, none of them an eye, zeros or ones of a
+    computed size, whose output is a prim's result (see ``machine``)."""
 
     block: BlockIR
     slot_count: int
@@ -110,9 +110,10 @@ def _instr_text(ins) -> str:
         op, operands, aux = ins[2:5]
         if op in _INFIX and len(operands) == 2:
             return f"{_slot(operands[0])} {op} {_slot(operands[1])}"
-        if aux is not None:
-            return f"{op}({_slot(operands[0])}, {aux!r})"
-        return f"{op}(" + ", ".join(_slot(o) for o in operands) + ")"
+        parts = [_slot(o) for o in operands]
+        if aux is not None:  # constant operands: an exponent, an index or sizes
+            parts += map(repr, aux if type(aux) is tuple else (aux,))
+        return f"{op}(" + ", ".join(parts) + ")"
     if kind == "loop":
         _, _, ir, inits, caps = ins
         return "loop(" + ", ".join(_slot(o) for o in inits + caps) + ")"

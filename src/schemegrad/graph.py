@@ -2,8 +2,9 @@
 
 Each binding becomes one node; constants dedupe by bit pattern within a
 block; inputs and parameters get one node per name on first use.  A `pow`
-whose exponent is a literal, or a `ref` whose index is, folds it into the
-node as its aux instead of materializing a constant.  A value-position
+whose exponent is a literal, a `ref` whose index is, and an `eye`, `zeros`
+or `ones` whose sizes are finite literals fold them into the node as its
+aux instead of materializing constants.  A value-position
 `if` is a prim node of the `if` row over its condition and both arms'
 results; a tail `if` ends its block in a branch.  Loop and function
 bodies become nested frames that import outer values through capture
@@ -23,6 +24,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from math import isfinite
 
 from .anf import (AnfProgram, CallApp, LoopApp, PrimApp, Return, SelectApp, TailIf,
                   TailRecur, names_in_program)
@@ -40,6 +42,9 @@ Node = namedtuple("Node", "id kind op operands aux debug_name",
 # Rows whose literal second operand folds into the node as its aux: pow's
 # exponent and ref's index.
 _IMMEDIATE = frozenset(("pow", "ref"))
+# Rows whose finite literal sizes fold into the node as its aux, all as one
+# tuple; a program that computes a size is not straight-line.
+_SIZED = frozenset(("eye", "zeros", "ones"))
 
 _new_tuple = tuple.__new__
 
@@ -73,7 +78,7 @@ class ComputeGraph:
     block: BlockIR  # the top level's instructions and tail
     leaves: tuple = ()  # the top level's input and param instructions, in order
     scalar_closed: bool = False  # every prim in every block has a scalar kernel to apply
-    straight_line: bool = False  # one block of prims with emit forms; its output is a prim
+    straight_line: bool = False  # one block of prims, no computed size; its output is a prim
 
 
 # Ops whose n-ary application folds from the right; their operands are
@@ -284,9 +289,10 @@ class _Builder:
         args = rhs.args
         row = OPS[op]
         aux = None
-        if row.emit is None:
-            self.straight_line = False
-        if op in _IMMEDIATE and args[1].__class__ is Const:
+        if op in _SIZED and all([a.__class__ is Const and isfinite(a.value) for a in args]):
+            aux, operands = tuple([a.value for a in args]), ()
+            self.scalar_closed = False
+        elif op in _IMMEDIATE and args[1].__class__ is Const:
             aux = args[1].value
             operands = (frame.triv(args[0]),)
             if row.scalar is None:
@@ -297,6 +303,8 @@ class _Builder:
         else:
             if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
                 self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
+            if op in _SIZED:
+                self.straight_line = False  # a computed size
             if op in _RIGHT_FOLD:
                 # intern in fold order
                 operands = [frame.triv(a) for a in reversed(args)]

@@ -1,22 +1,22 @@
 """The emit forms of the ops, and the code generated from them.
 
 The emit forms are columns of the op table (``ops.py``) and the one array
-definition of the 39 rows that have them: the 24 scalar rows and vec, ref,
-dot, norm, vsum, scale, matvec, cross, normalize, mat, matmul, transpose,
-trace, outer and vlen.  ``emit(ops, types, aux)`` returns the source of the
-op's result from its operands' sources and static types, with its static
-type;
+definition of every language row with kernels.  ``emit(ops, types, aux)``
+returns the source of the op's result from its operands' sources and
+static types, with its static type;
 ``emit_vjp(g, ops, out, types, out_type, aux, need)`` returns statements to
 run first and, per operand, the source and static shape of its raw
 gradient (shaped like the output for an elementwise row, like the operand
 otherwise, as ``backward`` reduces them) or None.  A static type is
 ``(kind, batched, core)``; a static shape is ``(batched, core)``; ``B`` is
-the batch size in the generated source.  ``aux`` is the source of a row's
-constant operand (pow's exponent, ref's index), or None: a finite one is
-spliced into a whole-program kernel as its literal, and a one-op function
-takes it as the argument ``aux``.  A form raises the
+the batch size in the generated source, and ``raises`` whether the error
+policy raises, which only det and inv read.  ``aux`` is the source of a
+row's constant operands (pow's exponent, ref's index, the sizes of eye,
+zeros and ones), or None: a finite one is spliced into a whole-program
+kernel as its literal, and a one-op function takes a number as the
+argument ``aux`` and sizes as operands.  A form raises the
 ``ShapeMismatch`` its op raises, with its message, on operands the op
-rejects.
+rejects; the core of an eye, zeros or ones of computed sizes is None.
 
 One-op functions.  A row's ``forward`` and ``vjp`` columns call a function
 generated from its form for the static types of the operands (and, for a
@@ -30,9 +30,9 @@ callers (``apply_primitive``, ``pow_immediate``, the executor and
 
 Whole-program kernels.  A straight-line program is a top-level block with
 an ``exit`` tail whose output is an op's result and that holds no ``loop``
-or ``call`` instruction, and whose every op has emit forms.  Its array runs
-(every run that is not a raw-slot one, see ``machine``) can go through
-Python source generated for it here:
+or ``call`` instruction and no eye, zeros or ones of a computed size.  Its
+array runs (every run that is not a raw-slot one, see ``machine``) can go
+through Python source generated for it here:
 
 - the signature of a run is each input's and parameter's batchedness and
   core shape (its kind follows from the core's rank); batch sizes are
@@ -49,7 +49,9 @@ last use.  Its sources are the one-op functions' sources, so its values are
 bitwise the executor's; an unbatched scalar it returns or keeps is a 0-d
 array, as in a Value.  The machine tests only the output under the error
 policy and redoes a non-finite run through the executor, which raises the
-error such a run has always raised.
+error such a run has always raised; a run in which det or inv raises
+SingularMatrix is redone so too, and the error then names its
+instruction.
 
 A taped run through a kernel appends its input and parameter leaves and
 then one ``fused`` record, whose value is the output.  The record keeps
@@ -84,6 +86,7 @@ programs for every fit, and one program per op in the benchmark's
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
@@ -91,7 +94,7 @@ import re
 import numpy as np
 
 from . import runtime as rt
-from .errors import EvalError, ShapeMismatch
+from .errors import EvalError, ShapeMismatch, SingularMatrix
 from .values import F64, Value
 
 FUSED = "fused"  # the op name of a taped kernel run's record
@@ -102,10 +105,14 @@ _KINDS = ("scalar", "vector", "matrix")
 
 def quietly(fn, *args):
     """``fn(*args)`` with numpy's floating-point errors ignored, as under
-    ``np.errstate(all="ignore")``: every generated function runs so."""
+    ``np.errstate(all="ignore")``: every generated function runs so.  A
+    kernel run that raises SingularMatrix returns None: the executor redoes
+    it and names the instruction."""
     saved = rt.quiet()
     try:
         return fn(*args)
+    except SingularMatrix:
+        return None
     finally:
         rt.restore(saved)
 
@@ -139,7 +146,8 @@ _NAMESPACE = {name: getattr(np, name) for name in (
     "trunc", "asarray", "broadcast_to", "swapaxes", "moveaxis", "diagonal", "matmul", "eye",
     "zeros")}
 _NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
-                  _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index)
+                  _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index, _sizes=rt.sizes,
+                  _lu=rt.det_inv)
 
 
 def _define(ns: dict, name: str, params: str, body: list):
@@ -408,6 +416,36 @@ def emit_outer(ops, types, aux):
     return f"({a}[..., :, None] * {b}[..., None, :])", ("matrix", ta[1] or tb[1], ta[2] + tb[2])
 
 
+def eager(op: str):
+    """det and inv, through runtime's ``det_inv``, which raises on a
+    singular matrix when the function's ``raises`` argument is true."""
+    def emit(ops, types, aux):
+        t = types[0]
+        _expect(op, t, "matrix")
+        if t[2][-1] != t[2][-2]:
+            raise ShapeMismatch(f"{op}: matrix must be square")
+        return f"_lu({op!r}, {ops[0]}, {t[1]}, raises)", ("scalar", t[1], ()) if op == "det" else t
+    return emit
+
+
+def sized(op: str):
+    """eye, zeros and ones: an eye of n is n x n, zeros and ones of one size
+    a vector and of two a matrix.  Literal sizes (``aux``) are checked
+    here, and sizes read from operands where the function runs."""
+    def emit(ops, types, aux):
+        if aux is not None:
+            dims = rt.sizes(op, ast.literal_eval(aux))
+            src = repr(dims)
+        elif any(t != _SCALAR for t in types):
+            raise ShapeMismatch(f"{op}: index must be an unbatched scalar")
+        else:
+            dims, src = None, f"_sizes({op!r}, ({''.join(o + ', ' for o in ops)}))"
+        if op == "eye":
+            return f"eye(*{src})", ("matrix", False, dims and dims * 2)
+        return f"{op}({src})", (_KINDS[len(dims or ops)], False, dims)
+    return emit
+
+
 # ---------------------------------------------------------------------------
 # VJP emit forms: (g, ops, out, types, out_type, aux, need) ->
 # (statements, [(source, static shape) or None per operand]).  ``need``
@@ -583,6 +621,20 @@ def vjp_trace(g, ops, out, types, out_t, aux, need):
     return [], [(f"(asarray({g})[..., None, None] * eye({t[2][-1]}))", t[1:])]
 
 
+def vjp_det(g, ops, out, types, out_t, aux, need):
+    """g * det * inv(M)^T, the inverse from an LU of its own, which raises
+    on a singular matrix whatever the policy."""
+    t = types[0]
+    inv_t = f"swapaxes(_lu('det backward', {ops[0]}, {t[1]}, True), -1, -2)"
+    return [], [(f"((asarray({g})[..., None, None] * asarray({out})[..., None, None]) * {inv_t})",
+                 t[1:])]
+
+
+def vjp_inv(g, ops, out, types, out_t, aux, need):
+    it = f"swapaxes({out}, -1, -2)"
+    return [], [(f"(-matmul(matmul({it}, {g}), {it}))", types[0][1:])]
+
+
 def vjp_outer(g, ops, out, types, out_t, aux, need):
     (a, b), (ta, tb) = ops, types
     return [], [(f"add.reduce(({g} * {b}[..., None, :]), axis=-1)", (out_t[1], ta[2]))
@@ -626,9 +678,9 @@ _SEEN_MAX = 512  # operand shapes a row remembers before it forgets them all
 
 def _one_op(row, types: tuple, aux: bool, need=None) -> tuple:
     """The generated forward (``need`` None) or VJP of ``row`` for operands
-    of these static types, and the out type: ``forward(o0, .., aux, B)``
-    returns the result array, ``vjp(g, o0, .., out, aux, B)`` the list of
-    raw gradients."""
+    of these static types, and the out type: ``forward(o0, .., aux, B,
+    raises)`` returns the result array, ``vjp(g, o0, .., out, aux, B)`` the
+    list of raw gradients."""
     key = (row.name, types, aux, need)
     made = _ONE_OPS.get(key)
     if made is None:
@@ -636,7 +688,7 @@ def _one_op(row, types: tuple, aux: bool, need=None) -> tuple:
         aux_src = "aux" if aux else None
         src, out = row.emit(_holes(len(types)), list(types), aux_src)
         if need is None:
-            fn = _define(dict(_NAMESPACE), "forward", ", ".join(names + ["aux", "B"]),
+            fn = _define(dict(_NAMESPACE), "forward", ", ".join(names + ["aux", "B", "raises"]),
                          [f"return {src.format(*names)}"])
         else:
             pre, raw = row.emit_vjp("g", names, "out", list(types), out, aux_src, list(need))
@@ -680,7 +732,9 @@ def _remember(memo: dict, key, made) -> tuple:
 def forward_of(row):
     """The ``forward`` column of a row with emit forms: ``forward(args,
     policy, aux)`` -> Value, through the one-op function for the operands'
-    static types.  It ignores the policy (the row's caller judges)."""
+    static types.  It passes the function whether the policy raises (only
+    det and inv read it; the row's caller judges), and literal sizes (an
+    eye's, zeros' or ones' tuple ``aux``) as operands."""
     plain, immediate = {}, {}  # operand shapes -> (fn, out kind, out batched, B)
 
     def miss(memo, key, args, aux):
@@ -692,18 +746,20 @@ def forward_of(row):
         fn, out = _one_op(row, types, aux is not None)
         return _remember(memo, key, (fn, out[0], out[1], batch))
 
-    def forward(args, policy=None, aux=None):
+    def forward(args, policy=rt.PROPAGATE_POLICY, aux=None):
+        if type(aux) is tuple:  # literal sizes
+            args, aux = [Value.scalar(d) for d in aux], None
         memo = plain if aux is None else immediate
         if len(args) == 2:
             a, b = args
             x, y = a.data, b.data
             key = (a.batched, x.shape, b.batched, y.shape)
             fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
-            data = fn(x, y, aux, batch)
+            data = fn(x, y, aux, batch, policy.raises)
         else:
             key = _shapes(args)
             fn, kind, batched, batch = memo.get(key) or miss(memo, key, args, aux)
-            data = fn(*[a.data for a in args], aux, batch)
+            data = fn(*[a.data for a in args], aux, batch, policy.raises)
         if type(data) is F64:  # a ufunc's result on 0-d arrays; a Value holds a 0-d array
             data = np.asarray(data)
         return Value.trusted(data, kind, batched)
@@ -944,10 +1000,10 @@ class RawWriter:
 
 class Kernel:
     """The generated code of one straight-line program for one leaf
-    signature: ``forward(*leaf arrays, B)`` returns the output array;
-    ``taped(*leaf arrays, B)`` returns it with the values the reverse sweep
-    reads; ``vjp(need)`` is the reverse sweep for one ``need`` mask of a
-    ``fused`` record."""
+    signature: ``forward(*leaf arrays, B, raises)`` returns the output
+    array; ``taped(*leaf arrays, B, raises)`` returns it with the values the
+    reverse sweep reads; ``vjp(need)`` is the reverse sweep for one ``need``
+    mask of a ``fused`` record."""
 
     def __init__(self, prog, sig):
         self.ns = dict(_NAMESPACE)
@@ -963,7 +1019,7 @@ class Kernel:
             elif kind == "prim":
                 aux = ins[4]
                 if aux is not None:
-                    if type(aux) in (float, int) and math.isfinite(aux):
+                    if type(aux) is tuple or type(aux) in (float, int) and math.isfinite(aux):
                         aux = repr(aux)  # a constant operand is spliced as its literal
                     else:
                         self.ns[f"a{dest}"], aux = aux, f"a{dest}"
@@ -1029,7 +1085,7 @@ class Kernel:
         return lines, f"s{self.out}"
 
     def _leaf_params(self) -> str:
-        return "".join(f"l{i}, " for i in range(len(self.leaf_slots))) + "B"
+        return "".join(f"l{i}, " for i in range(len(self.leaf_slots))) + "B, raises"
 
     def define_forward(self) -> None:
         if self.forward is not None:
@@ -1116,7 +1172,7 @@ class Fused:
         leaves = [None] * len(k.leaf_slots)  # a leaf with no use is read by nothing
         for li, v in zip(k.use_leaf, args):
             leaves[li] = v.data
-        out = quietly(k.taped, *leaves, self.batch)[0]
+        out = quietly(k.taped, *leaves, self.batch, False)[0]
         return Value.trusted(out, k.out_kind, k.out_batched)
 
 

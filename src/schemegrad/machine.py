@@ -25,7 +25,7 @@ compiled from the same text takes it from then on:
   kernels on bare ``numpy.float64`` values and returns the output's float,
   or None when a call goes past the depth limit or Python's stack limit.
 - Every other run is an array run.  An array run of a straight-line
-  program (one block of prims with emit forms, noted at compilation) goes
+  program (one block of prims with static shapes, noted at compilation) goes
   through Python source generated for that program and that signature of
   its leaves: ``eval_program`` calls the generated forward, and
   ``run_on_tape`` appends the run's leaves and one ``fused`` record whose
@@ -35,8 +35,10 @@ compiled from the same text takes it from then on:
   or differing batch sizes, which it raises where it reads them.
 
 Under the error policy a kernel run, raw or array, tests only its output; a
-non-finite one is redone by the executor, which raises.  Values, gradients
-and errors are bitwise the executor's.
+non-finite one, and an array run in which det or inv raises SingularMatrix,
+is redone by the executor, which raises naming the instruction.  Values,
+gradients and errors are bitwise the executor's.  The executor takes the
+Values that the leaf pass read, when it completed.
 """
 
 from __future__ import annotations
@@ -69,17 +71,22 @@ def _param_value(params, name: str) -> Value:
         raise MissingInput(f"missing parameter {name!r}") from None
 
 
-def _run(prog, inputs, params, policy, tape, store):
+def _run(prog, inputs, params, policy, tape, store, leaves=None):
     """Execute ``prog``; returns (output Value, its tape id or None).
 
-    Ops run under the propagate policy, except that eager rows (det, inv)
-    get ``policy`` and so raise at once, naming their instruction.  In
-    error mode the run applies the rule of ``runtime.Violations``.  The run
+    ``leaves`` are the Values of the program's leaves that ``_leaves`` read,
+    if its pass completed: an ``input`` or ``param`` instruction takes its
+    Value from them (an input still reads the feed, for a TapeRef).  Ops
+    run under the propagate policy, except that eager rows (det, inv) get
+    ``policy`` and so raise at once, naming their instruction.  In error
+    mode the run applies the rule of ``runtime.Violations``.  The run
     ignores numpy's floating-point errors (``runtime.quiet``).
     """
     violations = Violations() if policy.raises else None
     taping = tape is not None
     slots = [None] * prog.slot_count
+    for ins, v in zip(prog.leaves, leaves or ()):
+        slots[ins[1]] = v
     ids = [None] * prog.slot_count if taping else None
     block = prog.block
     instrs, tail, pc, n = block.instrs, block.tail, 0, len(block.instrs)
@@ -111,7 +118,7 @@ def _run(prog, inputs, params, policy, tape, store):
                         ids[ins[1]] = tape.leaf(ins[3])
                 elif kind == "param":
                     dest, name = ins[1], ins[2]
-                    slots[dest] = v = _param_value(params, name)
+                    slots[dest] = v = slots[dest] or _param_value(params, name)
                     if taping:
                         ids[dest] = tape.param_leaf(store if store is not None else params,
                                                     name, v)
@@ -122,7 +129,7 @@ def _run(prog, inputs, params, policy, tape, store):
                         if taping:
                             ids[dest] = x.tape_id
                     else:
-                        slots[dest] = v = Value.of(x)
+                        slots[dest] = v = slots[dest] or Value.of(x)
                         if taping:
                             ids[dest] = tape.input_leaf(ins[2], v)
                 else:  # loop or call: suspend this frame and enter the body
@@ -235,9 +242,9 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
     policy a non-finite output is redone through the executor, which
     raises."""
     run = _leaves(prog, inputs, params)
-    raw = False
+    raw, values = False, None
     if run is not None:
-        _, arrays, sig, batch = run
+        values, arrays, sig, batch = run
         raw = batch is None and prog.scalar_closed and sig.count(_SCALAR) == len(sig)
         if raw:
             k = kernels.lookup(prog, None, kernels.RAW)
@@ -247,10 +254,10 @@ def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POL
         elif prog.straight_line:
             k = kernels.lookup(prog, sig, kernels.UNTAPED)
             if k is not None:
-                out = kernels.quietly(k.forward, *arrays, batch)
-                if not policy.raises or all_finite(out):
+                out = kernels.quietly(k.forward, *arrays, batch, policy.raises)
+                if out is not None and (not policy.raises or all_finite(out)):
                     return Value.trusted(out, k.out_kind, k.out_batched)
-    out = _run(prog, inputs, params, policy, None, None)[0]
+    out = _run(prog, inputs, params, policy, None, None, values)[0]
     return frozen_scalar(out.data) if raw else out
 
 
@@ -262,12 +269,14 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
     and parameter leaves and one ``fused`` record (see ``kernels``); any
     other run takes the executor."""
     run = _leaves(prog, inputs, params)
+    values = None if run is None else run[0]
     if run is not None and prog.straight_line:
-        values, arrays, sig, batch = run
+        _, arrays, sig, batch = run
         k = kernels.lookup(prog, sig, kernels.TAPED)
         if k is not None:
-            out, kept = kernels.quietly(k.taped, *arrays, batch)
-            if not policy.raises or all_finite(out):
+            got = kernels.quietly(k.taped, *arrays, batch, policy.raises)
+            if got is not None and (not policy.raises or all_finite(got[0])):
+                out, kept = got
                 ids = []
                 for (kind, _, name), v in zip(prog.leaves, values):
                     if kind == "param":
@@ -279,7 +288,7 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
                 aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
                 return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
                                           value, aux)
-    return _run(prog, inputs, params, policy, tape, store)
+    return _run(prog, inputs, params, policy, tape, store, values)
 
 
 def eval_with_tape(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY):

@@ -68,10 +68,10 @@ def _vjp_mse(g, args, out, aux, need):
     return [gd if need[0] else None, -gd if need[1] else None]
 
 
-register(Op("linear", "nn", 3, 3, _linear, _vjp_linear))
-register(Op("relu", "nn", 1, 1, _relu, _vjp_relu))
-register(Op("tanh", "nn", 1, 1, _tanh, _vjp_tanh))
-register(Op("mse", "nn", 2, 2, _mse, _vjp_mse))
+register(Op("linear", "nn", 3, 3, forward=_linear, vjp=_vjp_linear))
+register(Op("relu", "nn", 1, 1, forward=_relu, vjp=_vjp_relu))
+register(Op("tanh", "nn", 1, 1, forward=_tanh, vjp=_vjp_tanh))
+register(Op("mse", "nn", 2, 2, forward=_mse, vjp=_vjp_mse))
 
 
 def mse_record(ctx: TapeContext, pred: TapeRef, target) -> TapeRef:

@@ -287,7 +287,7 @@ def _vjp_shooting_mse(g, args, out, weight, need):
 
 
 SHOOTING_MSE = "shooting_mse"
-register(Op(SHOOTING_MSE, "tape", 1, 1, _shooting_mse, _vjp_shooting_mse))
+register(Op(SHOOTING_MSE, "tape", 1, 1, forward=_shooting_mse, vjp=_vjp_shooting_mse))
 
 
 def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names) -> None:

@@ -8,22 +8,20 @@ op on ``numpy.float64`` operands, which a program's raw kernel calls; its
 forward and VJP columns; and three flags.  ``elementwise`` tells
 ``backward`` to undo broadcasting on the VJP's gradients, ``partial`` puts
 the op under the error policy's safe-domain rule (``runtime.Violations``),
-and ``eager`` passes the error policy to the kernel, so the op raises at
-once (det and inv, on a singular matrix).
+and ``eager`` has the executor pass the error policy to the op, whose
+generated code then raises at once (det and inv, on a singular matrix).
 
-The emit forms are the one array definition of the 39 rows that have them:
-the scalar rows and vec, ref, dot, cross, norm, normalize, vsum, vlen,
-scale, mat, matmul, matvec, transpose, trace and outer.  Their forward and
-VJP columns are filled in by the row itself, with callers of the one-op
-functions generated from the forms (``kernels.forward_of``,
-``kernels.vjp_of``); a caller checks the row's arity when it first sees
-its operands' shapes.  The other rows give a hand-written forward and VJP:
-eye, zeros and ones, whose result's shape comes from an operand's value;
-det and inv, which are eager; and the tape-only rows.
+The emit forms are the one array definition of all 44 language rows with
+kernels.  Their forward and VJP columns are filled in by the row itself,
+with callers of the one-op functions generated from the forms
+(``kernels.forward_of``, ``kernels.vjp_of``); a caller checks the row's
+arity when it first sees its operands' shapes.  Only the tape-only rows
+give a hand-written forward and VJP.
 
-Two rows take a compile-time constant operand as ``aux``, in place of the
-operand: pow a literal exponent, and ref a literal index.  Their forms, the
-executor, ``apply_primitive`` and ``TapeContext.prim`` treat it alike.
+Five rows take compile-time constant operands as ``aux``, in place of the
+operands: pow a literal exponent, ref a literal index, and eye, zeros and
+ones their literal sizes, as one tuple.  Their forms, the executor,
+``apply_primitive`` and ``TapeContext.prim`` treat it alike.
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,
@@ -52,14 +50,14 @@ class Op:
     category: str  # scalar | vector | matrix | control | nn
     min_arity: int
     max_arity: int | None  # None = unbounded
-    forward: Callable | None = None  # (args, policy) -> Value; None for control forms
-    vjp: Callable | None = None  # (g, args, out, aux, need) -> raw gradient per argument
+    emit: Callable | None = None  # (ops, types, aux) -> (source, type), in a kernel
+    emit_vjp: Callable | None = None  # (g, ops, out, types, out_type, aux, need) -> ...
     scalar: Callable | None = None  # on numpy.float64 operands, two at a time if n-ary
     elementwise: bool = False  # gradients are output-shaped; backward undoes broadcasting
     partial: bool = False  # partial domain
     eager: bool = False  # raises at once under the error policy
-    emit: Callable | None = None  # (ops, types, aux) -> (source, type), in a kernel
-    emit_vjp: Callable | None = None  # (g, ops, out, types, out_type, aux, need) -> ...
+    forward: Callable | None = None  # (args, policy) -> Value; None for control forms
+    vjp: Callable | None = None  # (g, args, out, aux, need) -> raw gradient per argument
 
     def __post_init__(self):
         # A row with emit forms gets its forward and VJP generated from them;
@@ -69,74 +67,66 @@ class Op:
             object.__setattr__(self, "vjp", kn.vjp_of(self))
 
 
-def _emitted(name, category, min_arity, max_arity, emit, emit_vjp, scalar=None, **flags):
-    return Op(name, category, min_arity, max_arity, scalar=scalar, emit=emit, emit_vjp=emit_vjp,
-              **flags)
-
-
 _ROWS = (
-    _emitted("+", "scalar", 1, None, kn.fold("+", "add"), kn.vjp_add, rt.scalar_add,
-             elementwise=True),
-    _emitted("-", "scalar", 1, None, kn.emit_sub, kn.vjp_sub, rt.scalar_sub, elementwise=True),
-    _emitted("*", "scalar", 1, None, kn.fold("*", "multiply"), kn.vjp_mul, rt.scalar_mul,
-             elementwise=True),
-    _emitted("/", "scalar", 2, None, kn.fold("/", "divide"), kn.vjp_div, rt.scalar_div,
-             elementwise=True, partial=True),
-    _emitted("pow", "scalar", 2, 2, kn.emit_pow, kn.vjp_pow, rt.scalar_pow,
-             elementwise=True, partial=True),
-    _emitted("modulo", "scalar", 2, 2, kn.fold("modulo", "mod"), kn.rounding_vjp("floor"),
-             rt.scalar_modulo, elementwise=True, partial=True),
-    _emitted("remainder", "scalar", 2, 2, kn.fold("remainder", "fmod"), kn.rounding_vjp("trunc"),
-             rt.scalar_remainder, elementwise=True, partial=True),
-    _emitted("abs", "scalar", 1, 1, kn.unary("abs"), kn.unary_vjp("({g} * sign({x}))"),
-             rt.scalar_abs, elementwise=True),
-    _emitted("min", "scalar", 1, None, kn.fold("min", "minimum"), kn.vjp_minmax, rt.scalar_min,
-             elementwise=True),
-    _emitted("max", "scalar", 1, None, kn.fold("max", "maximum"), kn.vjp_minmax, rt.scalar_max,
-             elementwise=True),
-    _emitted("sin", "scalar", 1, 1, kn.unary("sin"), kn.unary_vjp("({g} * cos({x}))"),
-             rt.scalar_sin, elementwise=True),
-    _emitted("cos", "scalar", 1, 1, kn.unary("cos"), kn.unary_vjp("(-{g} * sin({x}))"),
-             rt.scalar_cos, elementwise=True),
-    _emitted("exp", "scalar", 1, 1, kn.unary("exp"), kn.unary_vjp("({g} * {out})"),
-             rt.scalar_exp, elementwise=True),
-    _emitted("sqrt", "scalar", 1, 1, kn.unary("sqrt"), kn.unary_vjp("(({g} * 0.5) / {out})"),
-             rt.scalar_sqrt, elementwise=True, partial=True),
-    _emitted("log", "scalar", 1, 1, kn.unary("log"), kn.unary_vjp("({g} / {x})"),
-             rt.scalar_log, elementwise=True, partial=True),
-    _emitted("=", "scalar", 2, 2, kn.compare("=", "equal"), kn.vjp_none, rt.scalar_eq),
-    _emitted("<", "scalar", 2, 2, kn.compare("<", "less"), kn.vjp_none, rt.scalar_lt),
-    _emitted(">", "scalar", 2, 2, kn.compare(">", "greater"), kn.vjp_none, rt.scalar_gt),
-    _emitted("<=", "scalar", 2, 2, kn.compare("<=", "less_equal"), kn.vjp_none, rt.scalar_le),
-    _emitted(">=", "scalar", 2, 2, kn.compare(">=", "greater_equal"), kn.vjp_none,
-             rt.scalar_ge),
-    _emitted("and", "scalar", 1, None, kn.logical("and", "logical_and"), kn.vjp_none,
-             rt.scalar_and),
-    _emitted("or", "scalar", 1, None, kn.logical("or", "logical_or"), kn.vjp_none, rt.scalar_or),
-    _emitted("not", "scalar", 1, 1, kn.emit_not, kn.vjp_none, rt.scalar_not),
-    _emitted("if", "scalar", 3, 3, kn.emit_if, kn.vjp_if, rt.scalar_if, elementwise=True),
+    Op("+", "scalar", 1, None, kn.fold("+", "add"), kn.vjp_add, rt.scalar_add, elementwise=True),
+    Op("-", "scalar", 1, None, kn.emit_sub, kn.vjp_sub, rt.scalar_sub, elementwise=True),
+    Op("*", "scalar", 1, None, kn.fold("*", "multiply"), kn.vjp_mul, rt.scalar_mul,
+       elementwise=True),
+    Op("/", "scalar", 2, None, kn.fold("/", "divide"), kn.vjp_div, rt.scalar_div, elementwise=True,
+       partial=True),
+    Op("pow", "scalar", 2, 2, kn.emit_pow, kn.vjp_pow, rt.scalar_pow, elementwise=True,
+       partial=True),
+    Op("modulo", "scalar", 2, 2, kn.fold("modulo", "mod"), kn.rounding_vjp("floor"),
+       rt.scalar_modulo, elementwise=True, partial=True),
+    Op("remainder", "scalar", 2, 2, kn.fold("remainder", "fmod"), kn.rounding_vjp("trunc"),
+       rt.scalar_remainder, elementwise=True, partial=True),
+    Op("abs", "scalar", 1, 1, kn.unary("abs"), kn.unary_vjp("({g} * sign({x}))"), rt.scalar_abs,
+       elementwise=True),
+    Op("min", "scalar", 1, None, kn.fold("min", "minimum"), kn.vjp_minmax, rt.scalar_min,
+       elementwise=True),
+    Op("max", "scalar", 1, None, kn.fold("max", "maximum"), kn.vjp_minmax, rt.scalar_max,
+       elementwise=True),
+    Op("sin", "scalar", 1, 1, kn.unary("sin"), kn.unary_vjp("({g} * cos({x}))"), rt.scalar_sin,
+       elementwise=True),
+    Op("cos", "scalar", 1, 1, kn.unary("cos"), kn.unary_vjp("(-{g} * sin({x}))"), rt.scalar_cos,
+       elementwise=True),
+    Op("exp", "scalar", 1, 1, kn.unary("exp"), kn.unary_vjp("({g} * {out})"), rt.scalar_exp,
+       elementwise=True),
+    Op("sqrt", "scalar", 1, 1, kn.unary("sqrt"), kn.unary_vjp("(({g} * 0.5) / {out})"),
+       rt.scalar_sqrt, elementwise=True, partial=True),
+    Op("log", "scalar", 1, 1, kn.unary("log"), kn.unary_vjp("({g} / {x})"), rt.scalar_log,
+       elementwise=True, partial=True),
+    Op("=", "scalar", 2, 2, kn.compare("=", "equal"), kn.vjp_none, rt.scalar_eq),
+    Op("<", "scalar", 2, 2, kn.compare("<", "less"), kn.vjp_none, rt.scalar_lt),
+    Op(">", "scalar", 2, 2, kn.compare(">", "greater"), kn.vjp_none, rt.scalar_gt),
+    Op("<=", "scalar", 2, 2, kn.compare("<=", "less_equal"), kn.vjp_none, rt.scalar_le),
+    Op(">=", "scalar", 2, 2, kn.compare(">=", "greater_equal"), kn.vjp_none, rt.scalar_ge),
+    Op("and", "scalar", 1, None, kn.logical("and", "logical_and"), kn.vjp_none, rt.scalar_and),
+    Op("or", "scalar", 1, None, kn.logical("or", "logical_or"), kn.vjp_none, rt.scalar_or),
+    Op("not", "scalar", 1, 1, kn.emit_not, kn.vjp_none, rt.scalar_not),
+    Op("if", "scalar", 3, 3, kn.emit_if, kn.vjp_if, rt.scalar_if, elementwise=True),
 
-    _emitted("vec", "vector", 1, None, kn.emit_vec, kn.vjp_vec),
-    _emitted("ref", "vector", 2, 2, kn.emit_ref, kn.vjp_ref),
-    _emitted("dot", "vector", 2, 2, kn.emit_dot, kn.vjp_dot),
-    _emitted("cross", "vector", 2, 2, kn.emit_cross, kn.vjp_cross),
-    _emitted("norm", "vector", 1, 1, kn.emit_norm, kn.vjp_norm),
-    _emitted("normalize", "vector", 1, 1, kn.emit_normalize, kn.vjp_normalize, partial=True),
-    _emitted("vsum", "vector", 1, 1, kn.emit_vsum, kn.vjp_vsum),  # the parser desugars n-ary
-    _emitted("vlen", "vector", 1, 1, kn.emit_vlen, kn.vjp_none),
-    _emitted("scale", "vector", 2, 2, kn.emit_scale, kn.vjp_scale),
+    Op("vec", "vector", 1, None, kn.emit_vec, kn.vjp_vec),
+    Op("ref", "vector", 2, 2, kn.emit_ref, kn.vjp_ref),
+    Op("dot", "vector", 2, 2, kn.emit_dot, kn.vjp_dot),
+    Op("cross", "vector", 2, 2, kn.emit_cross, kn.vjp_cross),
+    Op("norm", "vector", 1, 1, kn.emit_norm, kn.vjp_norm),
+    Op("normalize", "vector", 1, 1, kn.emit_normalize, kn.vjp_normalize, partial=True),
+    Op("vsum", "vector", 1, 1, kn.emit_vsum, kn.vjp_vsum),  # the parser desugars n-ary
+    Op("vlen", "vector", 1, 1, kn.emit_vlen, kn.vjp_none),
+    Op("scale", "vector", 2, 2, kn.emit_scale, kn.vjp_scale),
 
-    _emitted("mat", "matrix", 1, None, kn.emit_mat, kn.vjp_mat),
-    _emitted("matmul", "matrix", 2, 2, kn.emit_matmul, kn.vjp_matmul),
-    _emitted("matvec", "matrix", 2, 2, kn.emit_matvec, kn.vjp_matvec),
-    _emitted("transpose", "matrix", 1, 1, kn.emit_transpose, kn.vjp_transpose),
-    _emitted("trace", "matrix", 1, 1, kn.emit_trace, kn.vjp_trace),
-    Op("det", "matrix", 1, 1, rt.op_det, rt.vjp_det, partial=True, eager=True),
-    Op("inv", "matrix", 1, 1, rt.op_inv, rt.vjp_inv, partial=True, eager=True),
-    _emitted("outer", "matrix", 2, 2, kn.emit_outer, kn.vjp_outer),
-    Op("eye", "matrix", 1, 1, rt.op_eye, rt.vjp_none),
-    Op("zeros", "matrix", 1, 2, rt.op_zeros, rt.vjp_none),
-    Op("ones", "matrix", 1, 2, rt.op_ones, rt.vjp_none),
+    Op("mat", "matrix", 1, None, kn.emit_mat, kn.vjp_mat),
+    Op("matmul", "matrix", 2, 2, kn.emit_matmul, kn.vjp_matmul),
+    Op("matvec", "matrix", 2, 2, kn.emit_matvec, kn.vjp_matvec),
+    Op("transpose", "matrix", 1, 1, kn.emit_transpose, kn.vjp_transpose),
+    Op("trace", "matrix", 1, 1, kn.emit_trace, kn.vjp_trace),
+    Op("det", "matrix", 1, 1, kn.eager("det"), kn.vjp_det, partial=True, eager=True),
+    Op("inv", "matrix", 1, 1, kn.eager("inv"), kn.vjp_inv, partial=True, eager=True),
+    Op("outer", "matrix", 2, 2, kn.emit_outer, kn.vjp_outer),
+    Op("eye", "matrix", 1, 1, kn.sized("eye"), kn.vjp_none),
+    Op("zeros", "matrix", 1, 2, kn.sized("zeros"), kn.vjp_none),
+    Op("ones", "matrix", 1, 2, kn.sized("ones"), kn.vjp_none),
 
     # Structural forms.  Arities describe the surface syntax: (let <bindings>
     # <body>), (loop <bindings> <body>), (letrec <bindings> <body>), (call f a...).

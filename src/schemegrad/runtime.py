@@ -1,12 +1,12 @@
 """The numeric core under the op table: the safe-domain rule, the scalar
-kernels, the rows that keep a hand-written array forward, and the entry
-points that apply one op.
+kernels, the helpers of the generated code, and the entry points that
+apply one op.
 
-The array forward and VJP of most rows are generated from their emit forms
-(``kernels``); the rows here keep hand-written numpy for the reasons the
-op table (``ops.py``) gives: ``eye``, ``zeros`` and ``ones`` take their
-result's shape from an operand's value, and ``det`` and ``inv`` are eager.
-``ref_index`` checks a ``ref``'s index where its generated code runs.
+The array forward and VJP of every language row are generated from its
+emit forms (``kernels``), which call numpy and the helpers here:
+``ref_index`` and ``sizes`` check a ``ref``'s index and the sizes of an
+``eye``, ``zeros`` or ``ones`` where the code runs, and ``det_inv`` is det
+and inv, told by the code whether the error policy raises.
 ``apply_primitive`` looks an op up by name in ``OPS``, the table's name ->
 row lookup, and calls its forward; this module reads nothing else of the
 table.
@@ -152,17 +152,31 @@ def ordered_sum_last(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(op: str, x) -> int:
+    idx = float(x)
+    if not _isfinite(idx) or idx != int(idx):
+        raise ShapeMismatch(f"{op}: index {idx} is not an integer")
+    return int(idx)
+
+
 def ref_index(i, n: int) -> int:
     """The position a ``ref`` reads in a vector of length ``n``: its index
     ``i`` (a number or an unbatched scalar's array), which must be an
     integer in range."""
-    idx = float(i)
-    if idx != int(idx):
-        raise ShapeMismatch(f"ref: index {idx} is not an integer")
-    idx = int(idx)
+    idx = _integer("ref", i)
     if not 0 <= idx < n:
         raise ShapeMismatch(f"ref: index {idx} out of range for length {n}")
     return idx
+
+
+def sizes(op: str, dims) -> tuple:
+    """The sizes of an ``eye``, ``zeros`` or ``ones`` (numbers or unbatched
+    scalars' arrays), which must be positive integers."""
+    dims = tuple([_integer(op, d) for d in dims])
+    if min(dims) <= 0:
+        raise ShapeMismatch("eye: size must be positive" if op == "eye"
+                            else f"{op}: sizes must be positive")
+    return dims
 
 
 _EXACT_EXPONENTS = (2.0, 0.5, -1.0)
@@ -264,54 +278,7 @@ def scalar_if(c, then, orelse):
 
 
 # ---------------------------------------------------------------------------
-# value-shaped rows: the result's shape comes from an operand's value
-
-
-def _require_kind(a: Value, kind: str, op: str) -> None:
-    if a.kind != kind:
-        raise ShapeMismatch(f"{op}: expected {kind}, got {a.kind}")
-
-
-def _static_index(a: Value, op: str) -> int:
-    if a.kind != "scalar" or a.batched:
-        raise ShapeMismatch(f"{op}: index must be an unbatched scalar")
-    idx = float(a.data)
-    if idx != int(idx):
-        raise ShapeMismatch(f"{op}: index {idx} is not an integer")
-    return int(idx)
-
-
-def op_eye(args, policy):
-    n = _static_index(args[0], "eye")
-    if n <= 0:
-        raise ShapeMismatch("eye: size must be positive")
-    return Value(np.eye(n), "matrix")
-
-
-def op_zeros(args, policy):
-    dims = [_static_index(a, "zeros") for a in args]
-    if any(d <= 0 for d in dims):
-        raise ShapeMismatch("zeros: sizes must be positive")
-    if len(dims) == 1:
-        return Value(np.zeros(dims[0]), "vector")
-    return Value(np.zeros((dims[0], dims[1])), "matrix")
-
-
-def op_ones(args, policy):
-    dims = [_static_index(a, "ones") for a in args]
-    if any(d <= 0 for d in dims):
-        raise ShapeMismatch("ones: sizes must be positive")
-    if len(dims) == 1:
-        return Value(np.ones(dims[0]), "vector")
-    return Value(np.ones((dims[0], dims[1])), "matrix")
-
-
-def vjp_none(g, args, out, aux, need):
-    return [None for _ in args]
-
-
-# ---------------------------------------------------------------------------
-# eager rows: det and inv
+# det and inv: one LU
 
 
 def lu_factor(stack: np.ndarray):
@@ -389,60 +356,23 @@ def _lu_inverse(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return x
 
 
-def _square_stack(m: Value, op: str) -> np.ndarray:
-    """The matrix as a (B, n, n) stack; an unbatched one is a batch of one."""
-    _require_kind(m, "matrix", op)
-    if m.core_shape[-1] != m.core_shape[-2]:
-        raise ShapeMismatch(f"{op}: matrix must be square")
-    return m.data if m.batched else m.data[None]
-
-
-def _refuse_singular(singular: np.ndarray, policy: SafeDomainPolicy, op: str) -> None:
-    if policy.raises and singular.any():
+def det_inv(op: str, m: np.ndarray, batched: bool, raises: bool) -> np.ndarray:
+    """The determinant (``op`` "det") or the inverse ("inv", "det backward")
+    of a square matrix, or of each of a batch, through ``lu_factor``, an
+    unbatched one as a batch of one.  A singular lane raises SingularMatrix
+    naming ``op`` when ``raises``, and is NaN in an inverse otherwise.  The
+    generated code of det and inv calls it, with numpy's errors ignored."""
+    lu, perm, sign, singular = lu_factor(m if batched else m[None])
+    if raises and singular.any():
         raise SingularMatrix(op, where=int(np.argmax(singular)))
-
-
-def matrix_inverse(m: Value, policy: SafeDomainPolicy, op: str = "inv") -> np.ndarray:
-    """Inverse of a (batched) square matrix through ``lu_factor``, shaped
-    like ``m.data``.  Singular lanes raise under the error policy and are
-    NaN otherwise; ``op`` names the caller in the error.  Its callers run it
-    with numpy's floating-point errors ignored."""
-    stack = _square_stack(m, op)
-    lu, perm, _, singular = lu_factor(stack)
-    _refuse_singular(singular, policy, op)
-    inv = _lu_inverse(lu, perm)
-    inv[singular] = np.nan
-    return inv if m.batched else inv[0]
-
-
-def op_det(args, policy):
-    m = args[0]
-    stack = _square_stack(m, "det")
-    lu, _, sign, singular = lu_factor(stack)
-    _refuse_singular(singular, policy, "det")
-    d = sign
-    for k in range(stack.shape[-1]):
-        d = d * lu[:, k, k]
-    return Value(d if m.batched else d[0], "scalar", m.batched)
-
-
-def op_inv(args, policy):
-    m = args[0]
-    return Value(matrix_inverse(m, policy), "matrix", m.batched)
-
-
-def vjp_det(g, args, out, aux, need):
-    inv_t = _swap(matrix_inverse(args[0], ERROR_POLICY, "det backward"))
-    return [np.asarray(g)[..., None, None] * np.asarray(out.data)[..., None, None] * inv_t]
-
-
-def vjp_inv(g, args, out, aux, need):
-    it = _swap(out.data)
-    return [-np.matmul(np.matmul(it, g), it)]
-
-
-def _swap(m):
-    return np.swapaxes(m, -1, -2)
+    if op == "det":
+        out = sign
+        for k in range(m.shape[-1]):
+            out = out * lu[:, k, k]
+    else:
+        out = _lu_inverse(lu, perm)
+        out[singular] = np.nan
+    return out if batched else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +387,9 @@ OPS: dict = {}
 def apply_primitive(op: str, args: list[Value], policy: SafeDomainPolicy = ERROR_POLICY,
                     aux=None) -> Value:
     """Evaluate one primitive application on already-computed values.  A row
-    that takes a compile-time constant as ``aux`` (pow's exponent, ref's
-    index) is given it in place of that operand.  Under the error policy a
+    that takes compile-time constants as ``aux`` (pow's exponent, ref's
+    index, the sizes of eye, zeros and ones) is given them in place of
+    those operands.  Under the error policy a
     partial op is judged as the one-op program (see ``Violations``); det and
     inv judge their matrix in the kernel."""
     try:

@@ -164,6 +164,19 @@ def build_corpus() -> list[CorpusProgram]:
         sampler=_spd_matrix_sampler("M"),
     ))
     progs.append(CorpusProgram(
+        id="vm:detinv", source="(det (inv (scale s M)))", inputs=("M",), params={"s": 0.8},
+        sampler=_spd_matrix_sampler("M"),
+    ))
+    progs.append(CorpusProgram(
+        id="vm:eye", source="(matvec (eye 3) v)", inputs=("v",),
+        sampler=_vec_sampler(("v",)),
+    ))
+    progs.append(CorpusProgram(
+        id="vm:ones_zeros",
+        source="(* x (+ (vsum (ones 3)) (vlen (zeros 2)) (trace (ones 2 2))))", inputs=("x",),
+        sampler=_range_sampler({"x": (-2.0, 2.0)}),
+    ))
+    progs.append(CorpusProgram(
         id="vm:normalize_dot", source="(dot (normalize v) w)", inputs=("v", "w"),
         sampler=_vec_sampler(("v", "w"), lo=0.5, hi=2.0),
     ))

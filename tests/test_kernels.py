@@ -10,8 +10,10 @@ program compiled anew.  They must match bit for bit: outputs with their
 dtype and writability, tape values, parameter and input gradients, TapeRef
 gradients through a chain, and errors.  Changed signatures, the depth
 limit, ``Tape.replay``, the record count of a Lotka-Volterra epoch, the
-peak memory of a warmed eval, how often a run calls the executor and reads
-its inputs, and that a run takes the kernel are checked too.
+peak memory of a warmed eval, how often a run calls the executor, reads its
+inputs and converts them, that a run takes the kernel, det and inv on a
+singular lane, and eye, zeros and ones of literal, computed and bad sizes
+are checked too.
 """
 
 import gc
@@ -26,12 +28,15 @@ import pytest
 from schemegrad import kernels, machine, ode
 from schemegrad.autodiff import Tape, TapeContext, backward
 from schemegrad.compiler import CompileConfig, compile_source
-from schemegrad.errors import DepthLimitExceeded, DomainViolation, SchemegradError
+from schemegrad.errors import (DepthLimitExceeded, DomainViolation, SchemegradError, ShapeMismatch,
+                               SingularMatrix)
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments.registry import BENCH_PROGRAMS, FEYNMAN
+from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
 from schemegrad.nn import compose_chain
-from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY
+from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY, apply_primitive
+from schemegrad.sexpr import parse
 from schemegrad.training import truth_store
 from schemegrad.values import Value, frozen_scalar
 
@@ -317,13 +322,13 @@ def _scalar_source(r, depth):
     if c < 0.85:
         return f"({r.choice(['norm', 'vsum', 'vlen'])} {_vector_source(r, depth - 1)})"
     if c < 0.9:
-        return f"(trace {_matrix_source(r, depth - 1)})"
+        return f"({r.choice(['trace', 'det'])} {_matrix_source(r, depth - 1)})"
     return f"(dot {_vector_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
 
 
 def _vector_source(r, depth):
     if depth == 0 or r.random() < 0.3:
-        return r.choice(["v", "w", "(vec x y k)"])
+        return r.choice(["v", "w", "(vec x y k)", "(ones 3)"])
     c = r.random()
     if c < 0.2:
         return f"(scale {_scalar_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
@@ -341,7 +346,7 @@ def _vector_source(r, depth):
 
 def _matrix_source(r, depth):
     if depth == 0 or r.random() < 0.4:
-        return "M"
+        return r.choice(["M", "M", "M", "(eye 3)", "(zeros 3 3)"])
     c = r.random()
     if c < 0.2:
         return "(mat " + " ".join(_vector_source(r, depth - 1) for _ in range(3)) + ")"
@@ -351,6 +356,8 @@ def _matrix_source(r, depth):
         return f"(transpose {_matrix_source(r, depth - 1)})"
     if c < 0.8:
         return f"(outer {_vector_source(r, depth - 1)} {_vector_source(r, depth - 1)})"
+    if c < 0.9:
+        return f"(inv {_matrix_source(r, depth - 1)})"
     return f"(scale {_scalar_source(r, depth - 1)} {_matrix_source(r, depth - 1)})"
 
 
@@ -658,3 +665,184 @@ def test_an_untaped_run_reads_each_input_once_and_the_executor_twice(src, x, rea
         feed = _CountingFeed({"x": x, "g": Value.scalar(9.8)})
         eval_program(prog, feed, store)
         assert feed.reads == {"x": reads, "g": reads}, run
+
+
+def test_an_executor_run_converts_each_plain_input_once(monkeypatch, executor_runs):
+    """The executor takes the Values the leaf pass made: a plain number
+    fed to a program that only the executor runs is converted once."""
+    conversions = []
+    of = Value.of
+
+    def counted(x):
+        conversions.append(x)
+        return of(x)
+
+    monkeypatch.setattr(Value, "of", staticmethod(counted))
+    prog = compile_source("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (vsum (vec y x))) y))",
+                          inputs=("x",))
+    assert _output(eval_program(prog, {"x": 1.5})) == _output(
+        _by_executor(eval_program, prog, {"x": Value.scalar(1.5)}))
+    assert len(executor_runs) == 2 and conversions == [1.5]
+
+
+# --- det, inv, eye, zeros and ones ----------------------------------------------
+
+# Three well-conditioned 3x3 matrices, and the stack with its middle lane
+# singular (its second row twice its first).
+_WELL = np.array([[[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
+                  [[3.0, -1.0, 0.5], [0.0, 2.5, 1.0], [1.0, 0.0, 3.0]],
+                  [[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]]])
+_ONE_SINGULAR = _WELL.copy()
+_ONE_SINGULAR[1] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]
+_LINALG = [("(det M)", {}), ("(trace (inv M))", {}), ("(det (inv (scale s M)))", {"s": 0.8})]
+
+
+def _result(fn, *args) -> tuple:
+    """``fn(*args)``'s result, or its error's class, message and position."""
+    try:
+        return fn(*args)
+    except SchemegradError as err:
+        return _error(err)
+
+
+def _matrices(stack, batch) -> dict:
+    return {"M": Value.batch_matrices(stack) if batch == 3 else Value.matrix(stack[1])}
+
+
+@pytest.mark.parametrize("stack", [_WELL, _ONE_SINGULAR], ids=["well", "one_singular"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("src, params", _LINALG, ids=["det", "inv", "detinv"])
+def test_det_and_inv_kernels_match_the_executor(src, params, batch, stack, executor_runs):
+    """Three kernel runs against one executor run, untaped under each
+    policy and taped with the gradients of ``s`` and ``M``: outputs,
+    gradients and errors bitwise, and a singular matrix raises from the
+    executor's redo, naming its instruction."""
+    feed, store = _matrices(stack, batch), truth_store(params) if params else None
+    singular = stack is _ONE_SINGULAR
+    for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        kernels._SHARED.clear()
+        prog = compile_source(src, inputs=("M",), params=tuple(params))
+        assert prog.straight_line
+
+        def untaped():
+            return _output(eval_program(prog, feed, store, policy))
+
+        def taped():
+            return _taped(prog, feed, params, policy)[:3]
+
+        results = []
+        for run in (untaped, taped):
+            before = len(executor_runs)
+            runs = [_result(run) for _ in range(3)]
+            assert len(executor_runs) - before == (3 if singular and policy.raises else 0)
+            assert runs == [_by_executor(_result, run)] * 3, (src, policy.mode, run.__name__)
+            results.append(runs[0])
+        if singular and policy.raises:  # the first of det and inv to run raises
+            op = "det" if src == "(det M)" else "inv"
+            slot = next(ins[1] for ins in prog.block.instrs if ins[0] == "prim" and ins[2] == op)
+            assert results[0][:1] + results[0][3:6] == (SingularMatrix, op, slot, batch // 3)
+        elif singular and "inv" in src:  # the singular lane's inverse is NaN
+            nan = np.isnan(eval_program(prog, feed, store, policy).data).ravel().tolist()
+            assert nan == ([True] if batch == 1 else [False, True, False])
+    assert _has_kernel(prog)
+
+
+def test_a_taped_detinv_run_at_b256_is_one_fused_record(executor_runs):
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1.0, 1.0, (256, 3, 3))
+    feed = {"M": Value.batch_matrices(a @ np.swapaxes(a, 1, 2) + 3.0 * np.eye(3))}
+    prog = compile_source("(det (inv (scale s M)))", inputs=("M",), params=("s",))
+    runs = [_taped(prog, feed, {"s": 0.8}) for _ in range(3)]
+    assert executor_runs == []
+    assert [[n[0] for n in run[3].nodes] for run in runs] == [["leaf", "leaf", kernels.FUSED]] * 3
+    executor = _by_executor(_taped, prog, feed, {"s": 0.8})
+    assert len(executor[3].nodes) == 5
+    assert all(run[:3] == executor[:3] for run in runs)
+
+
+def test_det_at_b1_never_calls_the_executor(executor_runs):
+    prog = compile_source("(det M)", inputs=("M",))
+    outs = [_output(eval_program(prog, {"M": Value.matrix(_WELL[0])})) for _ in range(3)]
+    assert executor_runs == [] and outs == [_output(_by_executor(
+        eval_program, prog, {"M": Value.matrix(_WELL[0])}))] * 3
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("src", ["(matvec (eye 3) v)", "(+ (vsum (ones 3)) (vlen (zeros 2)))",
+                                 "(trace (ones 2 2))"], ids=["eye", "ones_zeros", "ones_2x2"])
+def test_literal_sizes_take_the_kernel(src, batch, executor_runs):
+    v = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0], [2.0, 2.0, 2.0]])
+    feed = {"v": Value.batch_vectors(v) if batch == 3 else Value.vector(v[0])}
+    prog = compile_source(src, inputs=("v",))
+    assert prog.straight_line and all(ins[3] == () for ins in prog.block.instrs
+                                      if ins[0] == "prim" and ins[2] in ("eye", "zeros", "ones"))
+    for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        kernels._SHARED.clear()
+        runs = [_output(eval_program(prog, feed, None, policy)) for _ in range(3)]
+        taped = [_taped(prog, feed, {}, policy) for _ in range(3)]
+        assert executor_runs == [] and [_fused_count(run[3]) for run in taped] == [1] * 3
+        assert runs == [_output(_by_executor(eval_program, prog, feed, None, policy))] * 3
+        executor = _by_executor(_taped, prog, feed, {}, policy)
+        assert all(run[:3] == executor[:3] for run in taped)
+        executor_runs.clear()
+
+
+def test_a_computed_size_takes_the_executor(executor_runs):
+    feed = {"v": Value.vector([1.0, -2.0, 0.5]), "n": Value.scalar(3.0)}
+    prog = compile_source("(matvec (eye n) v)", inputs=("v", "n"))
+    literal = compile_source("(matvec (eye 3) v)", inputs=("v", "n"))
+    assert not prog.straight_line
+    runs = [_output(eval_program(prog, feed)) for _ in range(3)]
+    assert len(executor_runs) == 3 and not _has_kernel(prog)
+    assert runs == [_output(eval_program(literal, feed))] * 3
+    taped = [_taped(prog, feed, {}) for _ in range(3)]
+    assert all(run[:3] == _taped(literal, feed, {})[:3] for run in taped)
+    assert _output(apply_primitive("eye", [Value.scalar(3.0)])) == _output(
+        Value.matrix(np.eye(3)))
+
+
+@pytest.mark.parametrize("src, message", [
+    ("(trace (eye 2.5))", "eye: index 2.5 is not an integer"),
+    ("(vsum (zeros 0))", "zeros: sizes must be positive"),
+    ("(trace (ones 2 -1))", "ones: sizes must be positive"),
+    ("(trace (eye x))", "eye: index must be an unbatched scalar"),
+])
+def test_a_bad_size_raises_what_it_always_raised(src, message):
+    """From the kernel's generation, the executor and the interpreter
+    alike."""
+    feed = {"x": Value.batch_scalars([2.0, 3.0])}
+    prog = compile_source(src, inputs=("x",))
+    for run in (lambda: eval_program(prog, feed), lambda: _taped(prog, feed, {}),
+                lambda: interpret_ast(parse(src), feed)):
+        with pytest.raises(ShapeMismatch) as err:
+            run()
+        assert str(err.value) == message
+    assert _by_executor(_outcome, eval_program, prog, feed) == (ShapeMismatch, message)
+
+
+def test_the_det_under_a_select_still_raises_in_both_paths(executor_runs):
+    """``(if (> s 0) (det M) 0)`` at a singular M and s = -1: the select
+    evaluates both arms, so the error policy raises in the kernel's redo as
+    in the executor (making the arm lazy is a separate change)."""
+    prog = compile_source("(if (> s 0) (det M) 0)", inputs=("M", "s"))
+    feed = {"M": Value.matrix(_ONE_SINGULAR[1]), "s": Value.scalar(-1.0)}
+    kernel = _result(eval_program, prog, feed)
+    assert kernel[0] is SingularMatrix and kernel == _by_executor(_result, eval_program, prog,
+                                                                   feed)
+    assert _has_kernel(prog) and len(executor_runs) == 2
+    assert eval_program(prog, feed, None, PROPAGATE_POLICY).item() == 0.0
+
+
+@pytest.mark.parametrize("src, message", [
+    ("(trace (eye 1e999))", "eye: index inf is not an integer"),
+    ("(vsum (zeros 2 1e999))", "zeros: index inf is not an integer"),
+    ("(ref v 1e999)", "ref: index inf is not an integer"),
+])
+def test_an_infinite_size_or_index_raises_shape_mismatch(src, message):
+    feed = {"v": Value.vector([1.0, 2.0])}
+    prog = compile_source(src, inputs=("v",))
+    for run in (lambda: eval_program(prog, feed), lambda: _by_executor(eval_program, prog, feed),
+                lambda: interpret_ast(parse(src), feed)):
+        with pytest.raises(ShapeMismatch) as err:
+            run()
+        assert str(err.value) == message

@@ -49,22 +49,22 @@ def test_every_row_with_kernels_has_a_forward_and_a_vjp():
 
 def test_non_differentiable_rows_have_the_explicit_none_vjp():
     emitted = {name for name, row in OPS.items() if row.emit_vjp is kernels.vjp_none}
-    assert emitted == {"=", "<", ">", "<=", ">=", "and", "or", "not", "vlen"}
-    value_shaped = {name for name, row in OPS.items() if row.vjp is runtime.vjp_none}
-    assert value_shaped == {"eye", "zeros", "ones"}
+    assert emitted == {"=", "<", ">", "<=", ">=", "and", "or", "not", "vlen",
+                       "eye", "zeros", "ones"}
 
 
-# The rows whose one array forward and VJP are their emit forms: the 24
-# scalar rows and 15 vector and matrix rows.
+# The rows whose one array forward and VJP are their emit forms: every
+# language row with kernels, the 24 scalar rows and 20 vector and matrix rows.
 _EMITTED = {name for name, row in REGISTRY.items() if row.category == "scalar"} | {
     "vec", "ref", "dot", "norm", "vsum", "scale", "matvec", "cross", "normalize", "mat",
-    "matmul", "transpose", "trace", "outer", "vlen"}
+    "matmul", "transpose", "trace", "outer", "vlen", "det", "inv", "eye", "zeros", "ones"}
 
 
 def test_a_row_with_emit_forms_has_no_other_array_definition():
     emitted = {name for name, row in OPS.items() if row.emit is not None}
     assert emitted == {name for name, row in OPS.items() if row.emit_vjp is not None}
-    assert emitted == _EMITTED and len(emitted) == 39
+    assert emitted == _EMITTED and len(emitted) == 44
+    assert emitted == {name for name, row in REGISTRY.items() if row.forward is not None}
     for name in emitted:  # the generated callers, not hand-written numpy
         assert OPS[name].forward.__module__ == OPS[name].vjp.__module__ == kernels.__name__
     tree = ast.parse(inspect.getsource(runtime))
@@ -72,8 +72,7 @@ def test_a_row_with_emit_forms_has_no_other_array_definition():
                and node.name.startswith(("op_", "vjp_"))}
     kept = {fn.__name__ for row in OPS.values() if row.emit is None
             for fn in (row.forward, row.vjp) if getattr(fn, "__module__", None) == runtime.__name__}
-    assert defined == kept == {"op_det", "vjp_det", "op_inv", "vjp_inv",
-                               "op_eye", "op_zeros", "op_ones", "vjp_none"}
+    assert defined == kept == set()
 
 
 def test_no_emit_form_calls_ndarray_sum():

@@ -9,8 +9,10 @@ the output's bits, dtype and writability, or the error's class, message and
 position; a taped run's hash also covers its parameter and input
 gradients.  Cases: every program of ``tests/corpus.py`` and every
 ``BENCH_PROGRAMS`` entry at B=1 and B=3, the recursion-guard probe, a
-non-tail recursion at n=3000 and n=20000, and a loop ending in 120 nested
-``if``s.  Each runs three times under each policy, from an emptied table of
+non-tail recursion at n=3000 and n=20000, a loop ending in 120 nested
+``if``s, ``det`` and ``inv`` on a singular matrix and on a stack of three
+with one singular lane, and ``eye`` and ``zeros`` of bad and computed
+sizes.  Each runs three times under each policy, from an emptied table of
 kernels.  Run it in both trees and ``diff`` the two outputs; identical files
 mean bitwise-identical results on every case.
 """
@@ -39,6 +41,16 @@ from schemegrad.values import Value, stack_batch  # noqa: E402
 RUNS = 3
 _ERROR_FIELDS = ("kind", "op", "instruction", "where", "fn_name", "limit", "pos")
 _NON_TAIL = "(letrec ((s (lambda (k) (if (< k 1) 0 (+ 1 (call s (- k 1))))))) (call s n))"
+
+
+# three 3x3 matrices; the middle one is singular (its second row is twice its first)
+_STACK = np.array([[[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
+                   [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+                   [[2.0, -1.0, 0.5], [0.0, 1.5, 1.0], [1.0, 0.0, 3.0]]])
+_LINALG = (("det", "(det M)", {}), ("inv", "(trace (inv M))", {}),
+           ("detinv", "(det (inv (scale s M)))", {"s": 0.8}))
+_SIZES = (("eye_fraction", "(trace (eye 2.5))"), ("zeros_zero", "(vsum (zeros 0))"),
+          ("eye_computed", "(trace (scale x (eye n)))"))
 
 
 def _nested_ifs() -> str:
@@ -123,6 +135,12 @@ def cases():
     for n in (3000, 20_000):
         yield f"non_tail:{n}", 1, _NON_TAIL, ("n",), {}, {"n": Value.scalar(float(n))}
     yield "nested_ifs", 1, _nested_ifs(), ("x",), {}, {"x": Value.scalar(200.0)}
+    for name, src, params in _LINALG:
+        yield f"singular:{name}", 1, src, ("M",), params, {"M": Value.matrix(_STACK[1])}
+        yield f"singular:{name}", 3, src, ("M",), params, {"M": Value.batch_matrices(_STACK)}
+    for name, src in _SIZES:
+        yield (f"sizes:{name}", 1, src, ("x", "n"), {},
+               {"x": Value.scalar(1.5), "n": Value.scalar(3.0)})
 
 
 def main() -> None:
