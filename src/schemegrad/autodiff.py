@@ -5,16 +5,15 @@ iterations append one group per pass).  Backward walks it strictly in
 reverse, with numpy's floating-point errors ignored, calling the
 vector-Jacobian product of each record's op row (``ops.OPS``; most are
 generated from the rows' emit forms, see ``kernels``) and accumulating
-into input leaves and named parameters.  The row's
-``elementwise`` flag says how a raw gradient is reduced to its argument's
-shape.  ``Tape.replay`` recomputes every record through its row's
-forward.
+into input leaves and named parameters.  Every VJP returns each gradient
+already reduced to its argument's shape, and backward adds it as it is.
+``Tape.replay`` recomputes every record through its row's forward.
 
 A taped run through a generated kernel (see ``kernels``) is one ``fused``
 record in place of one record per instruction.  Its arguments list a leaf
-once per use, and its emitted VJP returns one contribution per use,
-already reduced, in the order the per-instruction records would give
-them; the loop below adds them one at a time, so the sums are the same.
+once per use, and its emitted VJP returns one contribution per use, in
+the order the per-instruction records would give them; the loop below
+adds them one at a time, so the sums are the same.
 ``Tape.replay`` recomputes a fused record through its kernel.
 
 Backward differentiates only the *active* part of the tape (activity
@@ -192,32 +191,6 @@ class GradResult:
 # backward
 
 
-# Elementwise rows produce raw gradients shaped like the op output and need
-# the full broadcast undo; structural rows (vec, dot, matvec, ...) already
-# return argument-shaped gradients, possibly with a leading batch to sum.
-
-
-def _reduce_elementwise(g: np.ndarray, arg: Value, out: Value) -> np.ndarray:
-    if g.shape == arg.data.shape:
-        return g  # no sum or broadcast applies
-    core = len(out.core_shape)
-    if arg.kind == "scalar" and core > 0:
-        g = g.sum(axis=tuple(range(g.ndim - core, g.ndim)))
-    if out.batched and not arg.batched:
-        g = g.sum(axis=0)
-    if g.shape != arg.data.shape:
-        g = np.broadcast_to(g, arg.data.shape)
-    return g
-
-
-def _reduce_structural(g: np.ndarray, arg: Value) -> np.ndarray:
-    if g.shape == arg.data.shape:
-        return g
-    if g.ndim == arg.data.ndim + 1:
-        return g.sum(axis=0)  # batched output feeding an unbatched argument
-    return np.broadcast_to(g, arg.data.shape)
-
-
 def backward(tape: Tape, seed, wrt_inputs=(), output_id: int | None = None) -> GradResult:
     """Walk the active part of the tape in reverse, accumulating gradients.
 
@@ -291,19 +264,11 @@ def _sweep(nodes, visit, active, out_id, seed) -> dict:
         if row is None:
             raise MissingGradient(f"no gradient rule for op {op!r}")
         arg_values = [nodes[a][2] for a in args]
-        raw = row.vjp(g, arg_values, value, aux, tuple([active[a] for a in args]))
-        elementwise, fused = row.elementwise, op == FUSED
-        for a_id, contrib in zip(args, raw):
-            if contrib is None:
-                continue
-            if fused:  # reduced in the kernel, as below
-                reduced = contrib
-            elif elementwise:
-                reduced = _reduce_elementwise(np.asarray(contrib), nodes[a_id][2], value)
-            else:
-                reduced = _reduce_structural(np.asarray(contrib), nodes[a_id][2])
-            prev = grads.get(a_id)
-            grads[a_id] = reduced if prev is None else prev + reduced
+        for a_id, contrib in zip(args, row.vjp(g, arg_values, value, aux,
+                                               tuple([active[a] for a in args]))):
+            if contrib is not None:
+                prev = grads.get(a_id)
+                grads[a_id] = contrib if prev is None else prev + contrib
     return grads
 
 

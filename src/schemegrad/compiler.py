@@ -29,8 +29,8 @@ class CompiledProgram:
     order, each name once: every input and parameter the program reads,
     and the order of a run's signature.  ``scalar_closed`` notes that every
     prim in every block has a scalar kernel, and ``straight_line`` that the
-    program is one block of prims, none of them an eye, zeros or ones of a
-    computed size, whose output is a prim's result (see ``machine``)."""
+    program is one block of prims whose output is a prim's result (see
+    ``machine``)."""
 
     block: BlockIR
     slot_count: int

@@ -43,7 +43,7 @@ Node = namedtuple("Node", "id kind op operands aux debug_name",
 # exponent and ref's index.
 _IMMEDIATE = frozenset(("pow", "ref"))
 # Rows whose finite literal sizes fold into the node as its aux, all as one
-# tuple; a program that computes a size is not straight-line.
+# tuple.
 _SIZED = frozenset(("eye", "zeros", "ones"))
 
 _new_tuple = tuple.__new__
@@ -78,7 +78,7 @@ class ComputeGraph:
     block: BlockIR  # the top level's instructions and tail
     leaves: tuple = ()  # the top level's input and param instructions, in order
     scalar_closed: bool = False  # every prim in every block has a scalar kernel to apply
-    straight_line: bool = False  # one block of prims, no computed size; its output is a prim
+    straight_line: bool = False  # one block of prims whose output is a prim's result
 
 
 # Ops whose n-ary application folds from the right; their operands are
@@ -91,7 +91,7 @@ _pack_double = struct.Struct("<d").pack
 def _const_values(v: float) -> tuple:
     """What a const instruction stores into its slot, built once and shared
     by every run and tape: a read-only 0-d array Value, and its bare
-    float64 for a raw kernel (see ``kernels.RawWriter``)."""
+    float64 for a raw run's kernel (see ``kernels.Kernel``)."""
     arr = frozen_scalar(v)
     return arr, arr.data[()]
 
@@ -182,7 +182,7 @@ class _Builder:
         self.fn_irs: dict[str, BodyIR] = {}
         self.leaves: list[tuple] = []
         self.scalar_closed = True  # noted as prim nodes are built
-        self.straight_line = True  # noted as prim, loop and call nodes are built
+        self.straight_line = True  # noted as loop and call nodes are built
         self.top = _Frame(self, None)
 
     def build_top(self, prog: AnfProgram) -> ComputeGraph:
@@ -303,8 +303,6 @@ class _Builder:
         else:
             if row.scalar is None or (len(args) == 1 and row.max_arity != 1):
                 self.scalar_closed = False  # no kernel, or an n-ary op with nothing to fold
-            if op in _SIZED:
-                self.straight_line = False  # a computed size
             if op in _RIGHT_FOLD:
                 # intern in fold order
                 operands = [frame.triv(a) for a in reversed(args)]

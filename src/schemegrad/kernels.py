@@ -7,81 +7,64 @@ static types, with its static type;
 ``emit_vjp(g, ops, out, types, out_type, aux, need)`` returns statements to
 run first and, per operand, the source and static shape of its raw
 gradient (shaped like the output for an elementwise row, like the operand
-otherwise, as ``backward`` reduces them) or None.  A static type is
+otherwise, as ``_reduce`` reduces them) or None.  A static type is
 ``(kind, batched, core)``; a static shape is ``(batched, core)``; ``B`` is
 the batch size in the generated source, and ``raises`` whether the error
 policy raises, which only det and inv read.  ``aux`` is the source of a
 row's constant operands (pow's exponent, ref's index, the sizes of eye,
-zeros and ones), or None: a finite one is spliced into a whole-program
-kernel as its literal, and a one-op function takes a number as the
-argument ``aux`` and sizes as operands.  A form raises the
-``ShapeMismatch`` its op raises, with its message, on operands the op
-rejects; the core of an eye, zeros or ones of computed sizes is None.
+zeros and ones), or None: a kernel splices a finite one as its literal,
+and a one-op function takes a number as ``aux`` and sizes as operands.  A
+form raises the ``ShapeMismatch`` its op raises, with its message, on
+operands the op rejects; the core of an eye, zeros or ones of computed
+sizes is None.
 
 One-op functions.  A row's ``forward`` and ``vjp`` columns call a function
 generated from its form for the static types of the operands (and, for a
 VJP, its ``need`` mask), made once per process and kept in ``_ONE_OPS``;
 each row also remembers which function and batch size go with the
-operands' shapes, so a call with shapes it has seen builds one tuple and
-looks it up.  A call with shapes it has not seen checks the batch sizes
-first.  The functions run with numpy's floating-point errors ignored: their
+operands' shapes.  A VJP returns each gradient reduced to its operand's
+shape.  The functions run with numpy's floating-point errors ignored: their
 callers (``apply_primitive``, ``pow_immediate``, the executor and
 ``backward``) enter that state once.
 
-Whole-program kernels.  A straight-line program is a top-level block with
-an ``exit`` tail whose output is an op's result and that holds no ``loop``
-or ``call`` instruction and no eye, zeros or ones of a computed size.  Its
-array runs (every run that is not a raw-slot one, see ``machine``) can go
-through Python source generated for it here:
+Kernels.  One writer (``Kernel``) generates the source of a whole program,
+branches, loops and calls included, for every run but a taped run of a
+program with control flow: a raw-slot run (see ``machine``) calls the rows'
+scalar kernels on floats, and an array run the emit forms, for one
+signature of its leaves (each leaf's batchedness and core shape).  A
+kernel makes the executor's calls in its order, so its values are bitwise
+the executor's.  Where an array run meets what the writer cannot type, the
+writer puts an abandon: an emit form's ``ShapeMismatch``, a computed size,
+a branch on a batched or non-scalar condition, a ``recur`` whose values'
+types differ from the loop variables', an exit whose type differs from its
+body's first exit, or a call whose function's result type is not yet known
+there; a call past the depth limit abandons too.  A run that abandons, goes
+past Python's stack limit, or in which det or inv raises SingularMatrix
+returns None from ``quietly``, and the executor redoes it and raises or
+finishes as it always has; under the error policy the machine tests a
+kernel's output alone, and redoes a non-finite run so too.
 
-- the signature of a run is each input's and parameter's batchedness and
-  core shape (its kind follows from the core's rank); batch sizes are
-  checked equal at entry, not keyed;
-- an untaped run and a taped run each get their kernel from the shared
-  table below, and the program keeps it in its ``kernels`` memo; every run
-  of a program or signature that gets no kernel (a program that raises a
-  ``ShapeMismatch``, or nests deeper than Python compiles) takes the
-  executor.
-
-The forward kernel keeps slots as locals, inlines a result read once into
-the expression that reads it and deletes every other temporary after its
-last use.  Its sources are the one-op functions' sources, so its values are
-bitwise the executor's; an unbatched scalar it returns or keeps is a 0-d
-array, as in a Value.  The machine tests only the output under the error
-policy and redoes a non-finite run through the executor, which raises the
-error such a run has always raised; a run in which det or inv raises
-SingularMatrix is redone so too, and the error then names its
-instruction.
-
-A taped run through a kernel appends its input and parameter leaves and
-then one ``fused`` record, whose value is the output.  The record keeps
-only the values its reverse sweep reads (the to-be-recorded analysis of
-Hascoet, Naumann & Pascual, FGCS 21(8), 2005).  Its arguments are the tape
-ids of the leaves, one entry per use of a leaf, in the order a reverse
-sweep over one record per instruction reaches those uses.  Its VJP is
-emitted per ``need`` mask on first use, from the rows' VJP emit forms; it
-makes the calls ``backward`` would make, and returns one contribution per
-use, already reduced to the leaf's shape.  ``backward`` adds them to its
-running sums one by one, so every gradient is the sum of the same terms in
-the same order as over one record per instruction, and bitwise the same.
-
-Raw kernels.  A raw-slot run (see ``machine``) of a scalar-closed program
-goes through one Python function generated for the whole program, its
-loops, branches and calls included (``RawWriter``).  It calls the op
-table's scalar kernels in the executor's order, so its output is bitwise
-the executor's; under the error policy the machine tests its output alone,
-as for array kernels.
+A taped run of a straight-line program (a top-level block of prims whose
+output is an op's result) goes through a kernel unless its forward
+abandons.  It appends its input and parameter leaves and one ``fused``
+record, whose value is the output and which keeps only the values its
+reverse sweep reads (the to-be-recorded analysis of Hascoet, Naumann &
+Pascual, FGCS 21(8), 2005).  Its arguments are the tape ids of the leaves,
+one per use of a leaf, in the order a reverse sweep over one record per
+instruction reaches those uses.  Its VJP, emitted per ``need`` mask on
+first use from the rows' VJP emit forms, makes the calls ``backward``
+would make and returns one reduced contribution per use, which
+``backward`` adds one by one: every gradient is the sum of the same terms
+in the same order as over one record per instruction, bitwise.
 
 The shared table.  One process-wide table, ``_SHARED``, keeps kernels of
 every kind, keyed by the program's source text, input and parameter names
 and depth limit, and by the run's signature and kind (untaped, taped or
-raw), and ``lookup`` is the one way to them.  One rule holds for every
-kind: a kernel is generated on its key's first run in the process, and
-every later run of every program compiled from that text takes it, a
-fresh program's first run too.  Programs are often compiled again from the
-same text: a formula for another fit, the Lotka-Volterra experiment's two
-programs for every fit, and one program per op in the benchmark's
-``scalar_programs``.
+raw), and ``lookup`` is the one way to them.  A kernel is generated on its
+key's first run in the process, and every later run of every program
+compiled from that text takes it, a fresh program's first run too: a
+formula compiled for another fit, the Lotka-Volterra experiment's two
+programs for every fit, one program per op in ``scalar_programs``.
 """
 
 from __future__ import annotations
@@ -103,18 +86,26 @@ _SCALAR = ("scalar", False, ())
 _KINDS = ("scalar", "vector", "matrix")
 
 
+class _Abandoned(Exception):
+    """A kernel run reached an abandon (see the module docstring)."""
+
+
+_quiet, _restore = rt.quiet, rt.restore
+_ABANDONED = (_Abandoned, RecursionError, SingularMatrix)
+
+
 def quietly(fn, *args):
-    """``fn(*args)`` with numpy's floating-point errors ignored, as under
-    ``np.errstate(all="ignore")``: every generated function runs so.  A
-    kernel run that raises SingularMatrix returns None: the executor redoes
-    it and names the instruction."""
-    saved = rt.quiet()
+    """``fn(*args)`` with numpy's floating-point errors ignored, as every
+    generated function runs, or None for a kernel run that the executor
+    redoes: one that abandons, goes past Python's stack limit, or in which
+    det or inv raises SingularMatrix."""
+    saved = _quiet()
     try:
         return fn(*args)
-    except SingularMatrix:
+    except _ABANDONED:
         return None
     finally:
-        rt.restore(saved)
+        _restore(saved)
 
 
 def _as_float(mask) -> np.ndarray:
@@ -147,13 +138,15 @@ _NAMESPACE = {name: getattr(np, name) for name in (
     "zeros")}
 _NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
                   _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index, _sizes=rt.sizes,
-                  _lu=rt.det_inv)
+                  _lu=rt.det_inv, _Abandoned=_Abandoned)
 
 
-def _define(ns: dict, name: str, params: str, body: list):
-    """A function of ``params`` running ``body`` with globals ``ns``; a body
-    that is one ``return`` compiles as a lambda, which costs less to
-    compile."""
+def _define(ns: dict, name: str, params: str, body: list, defs=()):
+    """A function of ``params`` running ``body`` with globals ``ns``, after
+    the functions ``defs``; a body that is one ``return`` compiles as a
+    lambda, which costs less to compile."""
+    for src in defs:
+        exec(compile(src, "<kernel>", "exec", dont_inherit=True), ns)
     if len(body) == 1 and body[0].startswith("return "):
         return eval(compile(f"lambda {params}: ({body[0][7:]})", f"<kernel {name}>", "eval",
                             dont_inherit=True), ns)
@@ -162,18 +155,9 @@ def _define(ns: dict, name: str, params: str, body: list):
     return ns[name]
 
 
-_HOLES = tuple(f"{{{i}}}" for i in range(16))
-
-
 def _holes(n: int) -> tuple:
     """Placeholders ``{0}``, ``{1}``, ... for the sources of n operands."""
-    return _HOLES[:n] if n <= len(_HOLES) else tuple(f"{{{i}}}" for i in range(n))
-
-
-def _names_in(src: str, prefix: str) -> set:
-    """The numbers n of the names ``<prefix>n`` that ``src`` reads: slots
-    (``s``) and leaves (``l``)."""
-    return {int(d) for d in re.findall(rf"\b{prefix}(\d+)\b", src)}
+    return tuple([f"{{{i}}}" for i in range(n)])
 
 
 def _shape_src(batched: bool, core: tuple) -> str:
@@ -643,12 +627,15 @@ def vjp_outer(g, ops, out, types, out_t, aux, need):
                 if need[1] else None]
 
 
-def _reduce(src: str, shape: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
-    """``backward``'s reduction of a raw gradient to its argument's shape,
-    resolved at generation: ``_reduce_elementwise`` or
-    ``_reduce_structural``.  ``add.reduce`` is the ufunc reduction that
-    ``ndarray.sum`` calls, without the Python wrapper."""
-    b, core = shape
+def _reduce(c: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
+    """The source of a raw gradient ``c`` (source, static shape) reduced to
+    its argument's shape, resolved at generation: an elementwise row's
+    gradient is output-shaped and undoes the broadcast, another row's may
+    have a batch axis to sum.  An unbatched scalar's is a 0-d array.
+    ``add.reduce`` is the ufunc reduction that ``ndarray.sum`` calls."""
+    src, (b, core) = c
+    if (b, core) == (False, ()):
+        src = f"asarray({src})"
     if (b, core) == arg[1:]:
         return src
     if not elementwise:
@@ -680,7 +667,7 @@ def _one_op(row, types: tuple, aux: bool, need=None) -> tuple:
     """The generated forward (``need`` None) or VJP of ``row`` for operands
     of these static types, and the out type: ``forward(o0, .., aux, B,
     raises)`` returns the result array, ``vjp(g, o0, .., out, aux, B)`` the
-    list of raw gradients."""
+    list of gradients, each reduced to its operand's shape, or None."""
     key = (row.name, types, aux, need)
     made = _ONE_OPS.get(key)
     if made is None:
@@ -692,7 +679,8 @@ def _one_op(row, types: tuple, aux: bool, need=None) -> tuple:
                          [f"return {src.format(*names)}"])
         else:
             pre, raw = row.emit_vjp("g", names, "out", list(types), out, aux_src, list(need))
-            ret = ", ".join("None" if r is None else r[0] for r in raw)
+            ret = ", ".join("None" if r is None else _reduce(r, t, out, row.elementwise)
+                            for r, t in zip(raw, types))
             fn = _define(dict(_NAMESPACE), "vjp", ", ".join(["g", *names, "out", "aux", "B"]),
                          pre + [f"return [{ret}]"])
         made = _ONE_OPS[key] = (fn, out)
@@ -769,8 +757,9 @@ def forward_of(row):
 
 def vjp_of(row):
     """The ``vjp`` column of a row with emit forms: ``vjp(g, args, out,
-    aux, need)`` -> one raw gradient or None per argument, through the
-    one-op VJP for the operands' static types and ``need``."""
+    aux, need)`` -> one gradient, reduced to its argument's shape, or None
+    per argument, through the one-op VJP for the operands' static types and
+    ``need``."""
     seen = {}  # (need, aux given, operand shapes) -> (fn, B)
 
     def vjp(g, args, out, aux, need):
@@ -787,10 +776,9 @@ def vjp_of(row):
 # ---------------------------------------------------------------------------
 # the shared table and a program's memo
 
-# key -> its kernel, or None if it gets none, in the order they were made:
-# the oldest is dropped when the table is full, and made again on its key's
-# next run.  Generating a kernel costs one to two times compiling the
-# program.
+# key -> its kernel or None, in the order they were made: the oldest is
+# dropped when the table is full.  Generating a kernel costs one to two times
+# compiling the program.
 _SHARED: dict = {}
 _SHARED_MAX = 256
 RAW, UNTAPED, TAPED = "raw", "untaped", "taped"  # the kinds of run; a raw one's signature is None
@@ -804,18 +792,16 @@ def key(prog, sig, kind: str) -> tuple:
 
 
 def lookup(prog, sig, kind: str):
-    """The kernel of the runs of ``prog`` of this signature and kind, or
-    None for runs that take the executor: a raw kernel, or a ``Kernel``
-    with its forward (untaped) or taped forward defined.  It is made on its
-    key's first run in the process and kept in the shared table and the
-    program's memo."""
+    """The ``Kernel`` of the runs of ``prog`` of this signature and kind, or
+    None for runs that take the executor, made on its key's first run in
+    the process and kept in the shared table and the program's memo."""
     memo, run = prog.kernels, (sig, kind)
     got = memo.get(run, _UNSEEN)
     if got is _UNSEEN:
         k = key(prog, sig, kind)
         got = _SHARED.get(k, _UNSEEN)
         if got is _UNSEEN:
-            got = _make_raw(prog) if kind == RAW else _array_kernel(prog, sig, kind == TAPED)
+            got = _make(prog, sig, kind)
             if len(_SHARED) >= _SHARED_MAX:
                 del _SHARED[next(iter(_SHARED))]
             _SHARED[k] = got
@@ -823,288 +809,301 @@ def lookup(prog, sig, kind: str):
     return got
 
 
-# What Python cannot compile: source nested deeper than its parser or
-# compiler allows.
-_TOO_DEEP = (SyntaxError, RecursionError)
-
-
-def _array_kernel(prog, sig, taped: bool):
-    """The kernel of a straight-line ``prog`` for ``sig``, shared with the
-    other run kind's, or None if it gets none: the program raises a
-    ``ShapeMismatch`` (the executor raises it) or nests too deep."""
-    other = _SHARED.get(key(prog, sig, UNTAPED if taped else TAPED))
+def _make(prog, sig, kind: str):
+    """The kernel of ``prog`` for ``sig`` and ``kind``, shared with the other
+    array kind's, or None: Python cannot compile it, or it is taped and its
+    forward abandons."""
+    other = kind != RAW and _SHARED.get(key(prog, sig, UNTAPED if kind == TAPED else TAPED))
     try:
         k = other or Kernel(prog, sig)
-        k.define_taped() if taped else k.define_forward()
-    except (ShapeMismatch, *_TOO_DEEP):
+        if kind == TAPED:
+            k.define_taped()
+    except (SyntaxError, RecursionError):  # source nested deeper than Python compiles
         return None
-    return k
-
-
-def _make_raw(prog):
-    try:
-        return RawWriter(prog).define()
-    except _TOO_DEEP:
-        return None
+    return None if kind == TAPED and k.taped is None else k
 
 
 # ---------------------------------------------------------------------------
-# raw kernels
+# the kernel writer
 
-
-class _Abandoned(Exception):
-    """A raw kernel's call went past the program's depth limit."""
-
-
-# Scalar kernels that are Python operators, emitted as the operator: the
-# same call on the same operands.
+# Scalar kernels written as their Python operator: the same call on the same operands.
 _OPERATORS = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
 
 
-class RawWriter:
-    """The Python source of a scalar-closed program's raw-slot runs,
-    control flow included, calling the op table's scalar kernels (the
-    ``scalar`` column) in the executor's order.
+def _indent(lines: list) -> list:
+    return ["    " + line for line in lines]
 
-    ``raw(A)`` runs the top level, with ``A`` the arrays of the program's
-    leaves in order (``machine._leaves``), each 0-d, and returns the
-    output's ``numpy.float64``, or None when the run is abandoned: when a
-    call goes past the program's depth limit or Python's stack limit, the
-    executor redoes the run and raises ``DepthLimitExceeded``, or finishes
-    a recursion deeper than Python's stack.  It runs with numpy's
-    floating-point errors ignored.  Each function body is a function
-    ``f<i>(vars, captures, d)`` of its call depth ``d``, around a ``while
-    True:`` that a ``recur`` tail continues and an ``exit`` tail leaves by
-    ``return``; each loop body is such a ``while True:`` where its loop
-    runs, which an ``exit`` tail breaks.  Every body names its slots
-    ``s<body>_<slot>``, as the executor gives each body fresh slots; a
-    constant is a global, and a loop body's capture is the source of the
-    value it imports.
-    """
 
-    def __init__(self, prog):
-        self.prog = prog
-        self.ns = {"_quiet": rt.quiet, "_restore": rt.restore, "_Abandoned": _Abandoned,
-                   "_ABANDONED": (_Abandoned, RecursionError)}
-        self.names = {}  # id of a constant or scalar kernel -> its global's name
-        self.fns = {id(ir): f"f{i}" for i, ir in enumerate(prog.functions)}
-        self.leaves = {ins[1]: i for i, ins in enumerate(prog.leaves)}  # slot -> index in A
-        self.bodies = 0
-        self.lines = []
-        self.depth = "1"  # the depth the running function's calls pass
+def _reads(block) -> set:
+    """The slots that a block and the arms of its branch tails read."""
+    got = set()
+    for ins in block.instrs:
+        if ins[0] == "prim":
+            got.update(ins[3])
+        elif ins[0] == "loop" or ins[0] == "call":
+            got.update(ins[3] + ins[4])
+    tail = block.tail
+    if tail[0] == "branch":
+        got |= {tail[1]} | _reads(tail[2]) | _reads(tail[3])
+    else:
+        got.update(tail[1] if tail[0] == "recur" else (tail[1],))
+    return got
 
-    def define(self):
-        """The generated ``raw``."""
-        emit = self.lines.append
-        for i, ir in enumerate(self.prog.functions):
-            body = self._body()
-            params = [f"s{body}_{s}" for s in ir.var_slots + ir.capture_slots]
-            emit(f"def f{i}({''.join(p + ', ' for p in params)}d):")
-            emit(f"    if d > {self.prog.max_recursion_depth}:")
-            emit("        raise _Abandoned")
-            emit("    while True:")  # a recur tail continues it
-            self.depth = "d + 1"
-            self._block(ir.block, dict(zip(ir.var_slots + ir.capture_slots, params)), body,
-                        params[:len(ir.var_slots)], " " * 8, ("return {}",))
-        self.depth = "1"
-        emit("def raw(A):")
-        emit("    saved = _quiet()")
-        emit("    try:")
-        self._block(self.prog.block, {}, self._body(), (), " " * 8, ("return {}",))
-        emit("    except _ABANDONED:")
-        emit("        return None")
-        emit("    finally:")
-        emit("        _restore(saved)")
-        exec(compile("\n".join(self.lines), "<raw kernel>", "exec", dont_inherit=True), self.ns)
-        return self.ns["raw"]
 
-    def _body(self) -> int:
-        self.bodies += 1
-        return self.bodies - 1
+class _Body:
+    """The writer's state of one body: its number, each slot's source and
+    static type, the depth its calls pass, its variables' slots, the
+    template of an ``exit`` tail and its first exit's type.  ``name`` names
+    a local (``s3`` at the top level, ``s2_3`` in body 2) or a constant."""
 
-    def _global(self, obj, prefix: str) -> str:
-        name = self.names.get(id(obj))
-        if name is None:
-            name = self.names[id(obj)] = f"{prefix}{len(self.names)}"
-            self.ns[name] = obj
-        return name
+    __slots__ = ("n", "ref", "types", "depth", "variables", "exit", "result")
 
-    def _prim(self, ins, ref: dict, local: str) -> list:
-        """The statements that set ``local`` to a prim's result."""
-        _, _, _, operands, aux, row = ins
-        fn, args = self._global(row.scalar, "k"), [ref[o] for o in operands]
-        op = _OPERATORS.get(row.scalar)
+    def __init__(self, n: int, depth: str, exit_: str, result):
+        self.n, self.depth, self.exit, self.result = n, depth, exit_, result
+        self.ref, self.types, self.variables = {}, {}, ()
 
-        def call(a, b):
-            return f"{a} {op} {b}" if op else f"{fn}({a}, {b})"
-
-        if len(args) == 2:
-            src = call(*args)
-        elif aux is not None:  # a constant operand: pow's exponent
-            finite = type(aux) in (float, int) and math.isfinite(aux)
-            src = call(args[0], repr(aux) if finite else self._global(aux, "a"))
-        elif len(args) == 1:
-            src = f"{fn}({args[0]})"
-        elif row.max_arity is None:  # n-ary: fold left, one statement a step
-            return [f"{local} = {call(args[0], args[1])}"] + [
-                f"{local} = {call(local, a)}" for a in args[2:]]
-        else:  # fixed arity three (if)
-            src = f"{fn}({', '.join(args)})"
-        return [f"{local} = {src}"]
-
-    def _block(self, block, ref: dict, body: int, variables: list, pad: str, exit_: tuple):
-        """A block's statements: ``ref`` maps the body's slots to their
-        sources, ``variables`` are its variables' names, and ``exit_`` the
-        statements of an exit tail, formatted with the value's source."""
-        emit = self.lines.append
-        for ins in block.instrs:
-            kind, dest = ins[0], ins[1]
-            if kind == "const":
-                ref[dest] = self._global(ins[4], "c")
-                continue
-            local = f"s{body}_{dest}"
-            if kind == "prim":
-                self.lines += [pad + line for line in self._prim(ins, ref, local)]
-            elif kind == "input" or kind == "param":  # top level only: others capture them
-                emit(f"{pad}{local} = A[{self.leaves[dest]}][()]")
-            elif kind == "call":
-                _, _, ir, args, caps = ins
-                passed = "".join(ref[o] + ", " for o in args + caps)
-                emit(f"{pad}{local} = {self.fns[id(ir)]}({passed}{self.depth})")
-            else:  # loop: its body, written here
-                _, _, ir, inits, caps = ins
-                inner = self._body()
-                names = [f"s{inner}_{s}" for s in ir.var_slots]
-                for name, o in zip(names, inits):
-                    emit(f"{pad}{name} = {ref[o]}")
-                sources = dict(zip(ir.var_slots, names))
-                sources.update(zip(ir.capture_slots, [ref[o] for o in caps]))
-                emit(f"{pad}while True:")
-                self._block(ir.block, sources, inner, names, pad + "    ",
-                            (f"{local} = {{}}", "break"))
-            ref[dest] = local
-        tail = block.tail
-        if tail[0] == "branch":
-            emit(f"{pad}if {ref[tail[1]]} != 0.0:")
-            self._block(tail[2], ref, body, variables, pad + "    ", exit_)
-            emit(f"{pad}else:")
-            self._block(tail[3], ref, body, variables, pad + "    ", exit_)
-        elif tail[0] == "recur":
-            if variables:
-                emit(f"{pad}{', '.join(variables)} = {', '.join(ref[s] for s in tail[1])}")
-            emit(f"{pad}continue")
-        else:
-            for line in exit_:
-                emit(pad + line.format(ref[tail[1]]))
+    def name(self, prefix: str, slot: int) -> str:
+        return f"{prefix}{slot}" if self.n == 0 else f"{prefix}{self.n}_{slot}"
 
 
 class Kernel:
-    """The generated code of one straight-line program for one leaf
-    signature: ``forward(*leaf arrays, B, raises)`` returns the output
-    array; ``taped(*leaf arrays, B, raises)`` returns it with the values the
-    reverse sweep reads; ``vjp(need)`` is the reverse sweep for one ``need``
-    mask of a ``fused`` record."""
+    """The code of one program for one signature of its leaves (``sig``
+    None: a raw-slot run), and its writer, which walks the top level, the
+    arms of each branch tail, each loop body where its loop runs, as a
+    ``while True:`` that a ``recur`` tail continues and an ``exit`` tail
+    breaks, and each function body, once per static type of its arguments
+    and captures, as a function ``f<i>(args, captures, d)`` of its call
+    depth around such a loop.  Run kinds differ only in ``_prim``.
+    ``forward(leaf arrays, B, raises)`` returns the output; a straight-line
+    program's ``taped`` returns it with the values its reverse sweep,
+    ``vjp(need)``, reads."""
 
     def __init__(self, prog, sig):
-        self.ns = dict(_NAMESPACE)
-        self.forward = self.taped = None
-        self.vjps = {}
-        ref, types, self.leaf_slots, prims = {}, {}, [], []
-        for ins in prog.block.instrs:
-            kind, dest = ins[0], ins[1]
-            if kind == "const":
-                ref[dest] = f"c{dest}"
-                self.ns[ref[dest]] = ins[3].data
-                types[dest] = _SCALAR
-            elif kind == "prim":
-                aux = ins[4]
-                if aux is not None:
-                    if type(aux) is tuple or type(aux) in (float, int) and math.isfinite(aux):
-                        aux = repr(aux)  # a constant operand is spliced as its literal
-                    else:
-                        self.ns[f"a{dest}"], aux = aux, f"a{dest}"
-                ops = ins[3]
-                # the forward's source as a template over the operands' sources
-                src, types[dest] = ins[5].emit(_holes(len(ops)), [types[o] for o in ops], aux)
-                prims.append((dest, ins[5], ops, aux, src))
-            else:  # input or param
-                batched, core = sig[len(self.leaf_slots)]
-                ref[dest] = f"l{len(self.leaf_slots)}"
-                types[dest] = (_KINDS[len(core)], batched, core)
-                self.leaf_slots.append(dest)
-        self.out = prog.output_slot
-        live = {self.out}
+        self.block, self.out, self.limit = prog.block, prog.output_slot, prog.max_recursion_depth
+        self.sig, self.raw = sig, sig is None
+        self.leaf_slots = [ins[1] for ins in prog.leaves]
+        self.ns, self.kernels = dict(_NAMESPACE), {}  # scalar kernel -> the name of its global
+        self.taped, self.vjps = None, {}
+        self.kept = ()  # the values the reverse sweep reads, set with the taped forward
+        self.forward = _define(self.ns, "forward", "L, B, raises", self._write(None), self.defs)
+        self.out_kind, self.out_batched = (self.top.result or (None, None))[:2]
+
+    # -- the writer ------------------------------------------------------------
+
+    def _write(self, keep) -> list:
+        """The forward's statements, and the functions they call in ``defs``;
+        a taped one also returns the top-level slots in ``keep``."""
+        self.keep, self.defs, self.fns = set(keep or ()), [], {}
+        self.bodies, self.abandons = 0, False
+        self.top = self._body("1", "return {}" + (
+            "" if keep is None else f", ({''.join(f's{s}, ' for s in keep)})"))
+        return self._block(self.block, self.top)
+
+    def _body(self, depth: str, exit_: str, ir=None, types=(), captures=None) -> _Body:
+        """A new body; a loop's or function's names its variables and captures."""
+        self.bodies += 1
+        b = _Body(self.bodies - 1, depth, exit_, _SCALAR if self.raw else None)
+        if ir is not None:
+            b.variables = ir.var_slots
+            slots, n = ir.var_slots + ir.capture_slots, len(ir.var_slots)
+            names = [b.name("s", s) for s in slots]
+            b.ref.update(zip(slots, names[:n] + (captures or names[n:])))
+            b.types.update(zip(slots, types))
+        return b
+
+    def _block(self, block, b: _Body) -> list:
+        """A block's statements, unindented, up to an abandon if any."""
+        pinned = set(self.keep) if b.n == 0 else set()  # slots read where nothing is inlined
+        for ins in block.instrs:
+            if ins[0] == "loop" or ins[0] == "call":
+                pinned.update(ins[3] + ins[4])
+        tail = block.tail
+        if tail[0] == "branch":
+            pinned |= _reads(tail[2]) | _reads(tail[3])
+        items, end = [], None
+        try:
+            for ins in block.instrs:
+                items.append(self._instr(ins, b))
+            end = self._tail(tail, b)
+        except (_Abandoned, ShapeMismatch):
+            self.abandons = True
+            items.append(["raise _Abandoned"])
+        return self._render(items, end, b, pinned)
+
+    def _instr(self, ins, b: _Body):
+        """A prim's (dest, row, operands, aux source, template), or the
+        statements of any other instruction."""
+        kind, dest = ins[0], ins[1]
+        local = b.name("s", dest)
+        if kind == "prim":
+            return self._prim(ins, b, local)
+        if kind == "const":
+            b.ref[dest], b.types[dest] = b.name("c", dest), _SCALAR
+            self.ns[b.ref[dest]] = ins[4] if self.raw else ins[3].data
+            return []
+        if kind == "input" or kind == "param":  # the leaf's array; a raw run reads its float
+            i = self.leaf_slots.index(dest)
+            if self.raw:  # as a prim of no operands, so that a leaf read once is inlined
+                b.ref[dest], b.types[dest] = local, _SCALAR
+                return dest, None, (), None, f"L[{i}][()]"
+            batched, core = self.sig[i]
+            b.ref[dest], b.types[dest] = f"L[{i}]", (_KINDS[len(core)], batched, core)
+            return []
+        _, _, ir, outer, caps = ins
+        passed = [b.ref[o] for o in outer + caps]
+        types = tuple([b.types[o] for o in outer + caps])
+        if kind == "call":
+            fn, body = self.fns.get((id(ir), types)) or self._function(ir, types)
+            lines = [f"{local} = {fn}({''.join(p + ', ' for p in passed)}{b.depth}"
+                     f"{'' if self.raw else ', B, raises'})"]
+        else:  # loop: its body, written here
+            body = self._body(b.depth, f"{local} = {{}}\nbreak", ir, types,
+                              passed[len(ir.var_slots):])
+            lines = ([f"{body.ref[v]} = {p}" for v, p in zip(body.variables, passed)]
+                     + ["while True:"]
+                     + _indent(self._block(ir.block, body)))
+        if body.result is None:  # no exit of the body is written: it never returns
+            raise _Abandoned
+        b.ref[dest], b.types[dest] = local, body.result
+        return lines
+
+    def _function(self, ir, types: tuple) -> tuple:
+        """The name and body of a function for arguments and captures of these
+        types, registered before its body is written, for the calls in it."""
+        name, body = f"f{len(self.fns)}", self._body("d + 1", "return {}", ir, types)
+        params = [body.ref[s] for s in ir.var_slots + ir.capture_slots]
+        made = self.fns[(id(ir), types)] = name, body
+        lines = self._block(ir.block, body)
+        self.defs.append("\n".join([
+            f"def {name}({''.join(p + ', ' for p in params)}d{'' if self.raw else ', B, raises'}):",
+            f"    if d > {self.limit}:", "        raise _Abandoned", "    while True:",
+            *_indent(_indent(lines))]))
+        return made
+
+    def _prim(self, ins, b: _Body, local: str) -> tuple:
+        _, dest, _, ops, aux, row = ins
+        if aux is not None:  # constant operands, spliced as their literal when finite
+            if type(aux) is tuple or type(aux) in (float, int) and math.isfinite(aux):
+                aux = repr(aux)
+            else:
+                self.ns[b.name("a", dest)], aux = aux, b.name("a", dest)
+        if self.raw:
+            template, t = self._scalar(row, len(ops), aux), _SCALAR
+        else:
+            template, t = row.emit(_holes(len(ops)), [b.types[o] for o in ops], aux)
+            if t[2] is None:  # an eye, zeros or ones of computed sizes
+                raise _Abandoned
+        b.ref[dest], b.types[dest] = local, t
+        return dest, row, ops, aux, template
+
+    def _scalar(self, row, n: int, aux) -> str:
+        """A raw run's template of a prim: the row's scalar kernel (or its
+        Python operator), folded left over an n-ary op's operands."""
+        fn = self.kernels.get(row.scalar)
+        if fn is None:
+            fn = self.kernels[row.scalar] = f"k{len(self.kernels)}"
+            self.ns[fn] = row.scalar
+        holes = _holes(n) if aux is None else ("{0}", aux)
+        if len(holes) != 2 and row.max_arity is not None:  # unary, or if
+            return f"{fn}({', '.join(holes)})"
+        op, src = _OPERATORS.get(row.scalar), holes[0]
+        for h in holes[1:]:
+            src = f"({src} {op} {h})" if op else f"{fn}({src}, {h})"
+        return src
+
+    def _tail(self, tail, b: _Body) -> tuple:
+        """A block's tail: its operands, its statements as a template over
+        their sources, and the statements after them."""
+        if tail[0] == "branch":
+            if b.types[tail[1]] != _SCALAR:  # the executor raises for it
+                raise _Abandoned
+            return ((tail[1],), "if {0} != 0.0:", _indent(self._block(tail[2], b)) + ["else:"]
+                    + _indent(self._block(tail[3], b)))
+        if tail[0] == "recur":
+            ops = tail[1]
+            if [b.types[o] for o in ops] != [b.types[v] for v in b.variables]:
+                raise _Abandoned
+            names = ", ".join([b.ref[v] for v in b.variables])
+            assign = f"{names} = {', '.join(_holes(len(ops)))}\n" if ops else ""
+            return ops, assign + "continue", []
+        slot = tail[1]
+        t = b.types[slot]
+        if b.result is None:
+            b.result = t
+        elif t != b.result:
+            raise _Abandoned
+        src = "{0}"
+        if b.n == 0 and not self.raw and t[:2] == ("scalar", False) and slot not in self.keep:
+            src = "asarray({0})"  # a 0-d array, as a Value holds it
+        return (slot,), b.exit.format(src), []
+
+    def _render(self, items: list, end, b: _Body, pinned: set) -> list:
+        """A block's statements: a result that nothing reads is left out, one
+        read once and not pinned is inlined into its reader, and any other is
+        named and deleted after the statement that reads it last."""
+        end_ops, end_src, after = end or ((), "", [])
+        prims = [item for item in items if type(item) is tuple]
+        live = pinned | set(end_ops)
         for dest, _, ops, _, _ in reversed(prims):
             if dest in live:
                 live.update(ops)
-        self.prims = [p for p in prims if p[0] in live]
-        self.ref, self.types = ref, types
-        self.out_kind, self.out_batched = types[self.out][:2]
+        prims = [p for p in prims if p[0] in live]
+        if b.n == 0:
+            self.prims = prims
+        uses = {}  # slot -> times the sources read it (norm's reads its operand twice)
+        for _, _, ops, _, template in prims + [(None, None, end_ops, None, end_src)]:
+            for o, hole in zip(ops, _holes(len(ops))):
+                uses[o] = uses.get(o, 0) + template.count(hole)
+        ref, reads_of, left, lines = b.ref, {}, {}, []
+        for item in items:
+            if type(item) is list:
+                lines += item
+                continue
+            dest, _, ops, _, template = item
+            if dest not in live:
+                continue
+            src = template.format(*[ref[o] for o in ops])
+            reads = [r for o, hole in zip(ops, _holes(len(ops))) if o in reads_of
+                     for r in reads_of[o] * template.count(hole)]
+            if dest not in pinned and uses.get(dest) == 1:
+                ref[dest], reads_of[dest] = src, reads
+                continue
+            if dest in self.keep and b.n == 0 and b.types[dest][:2] == ("scalar", False):
+                # a 0-d array: the reverse sweep's Python operators on a numpy
+                # scalar would take numpy's scalar math, not the ufunc
+                src = f"asarray({src})"
+            ref[dest], reads_of[dest], left[dest] = b.name("s", dest), [dest], uses.get(dest, 0)
+            lines.append(f"{ref[dest]} = {src}")
+            dead = []
+            for r in reads:
+                left[r] -= 1
+                if left[r] == 0 and r not in pinned:
+                    dead.append(ref[r])
+            if dead:
+                lines.append("del " + ", ".join(dead))
+        if end is not None:
+            lines += end_src.format(*[ref[o] for o in end_ops]).split("\n") + after
+        return lines
+
+    def define_taped(self) -> None:
+        """A straight-line program's taped forward, unless it abandons: it also
+        returns the values that the reverse sweep with every leaf active reads."""
+        if self.taped is not None or self.abandons:
+            return
+        live = {p[0] for p in self.prims}
+        self.ref = {o: r for o, r in self.top.ref.items() if o not in live}  # leaves, constants
         leaf_index = {s: i for i, s in enumerate(self.leaf_slots)}
+        self.types = self.top.types
         # (consumer slot, operand position, leaf index): the fused record's
         # arguments, in the order the reverse sweep reaches them
         self.uses = [(dest, pos, leaf_index[o]) for dest, _, ops, _, _ in reversed(self.prims)
                      for pos, o in enumerate(ops) if o in leaf_index]
         self.use_leaf = tuple(u[2] for u in self.uses)
-        self.kept = self.kept_leaves = ()  # read by the reverse sweep, set with the taped forward
-
-    # -- code generation -----------------------------------------------------
-
-    def _forward_body(self, keep) -> tuple:
-        """The forward's statements and the source of its output.  Results
-        read once are inlined unless kept; other temporaries are deleted
-        after the statement that reads them last."""
-        uses = {}  # slot -> times the sources read it (norm's reads its operand twice)
-        for _, _, ops, _, template in self.prims:
-            for o, hole in zip(ops, _holes(len(ops))):
-                uses[o] = uses.get(o, 0) + template.count(hole)
-        ref, reads_of, left, lines = dict(self.ref), {}, {}, []
-        for dest, _, ops, _, template in self.prims:
-            src = template.format(*[ref[o] for o in ops])
-            reads = [r for o, hole in zip(ops, _holes(len(ops))) if o in reads_of
-                     for r in reads_of[o] * template.count(hole)]
-            if dest != self.out and dest not in keep and uses.get(dest) == 1:
-                ref[dest], reads_of[dest] = src, reads
-                continue
-            if (dest == self.out or dest in keep) and self.types[dest][:2] == ("scalar", False):
-                # a 0-d array, as a Value holds it.  Inside the forward a ufunc's numpy
-                # scalar gives the same bits, but Python's operators in the reverse
-                # sweep would take numpy's scalar math on it, not the ufunc.
-                src = f"asarray({src})"
-            if dest == self.out and dest not in keep:
-                return lines, src
-            lines.append(f"s{dest} = {src}")
-            ref[dest], reads_of[dest], left[dest] = f"s{dest}", [dest], uses.get(dest, 0)
-            dead = []
-            for r in reads:
-                left[r] -= 1
-                if left[r] == 0 and r not in keep:
-                    dead.append(f"s{r}")
-            if dead:
-                lines.append("del " + ", ".join(dead))
-        return lines, f"s{self.out}"
-
-    def _leaf_params(self) -> str:
-        return "".join(f"l{i}, " for i in range(len(self.leaf_slots))) + "B, raises"
-
-    def define_forward(self) -> None:
-        if self.forward is not None:
-            return
-        lines, out = self._forward_body(())
-        self.forward = _define(self.ns, "forward", self._leaf_params(), lines + [f"return {out}"])
-
-    def define_taped(self) -> None:
-        """The taped forward, which also returns the internal values the
-        reverse sweep reads with every leaf active; a sweep with fewer
-        active reads fewer."""
-        if self.taped is not None:
-            return
         sweep = "\n".join(self._vjp_body((True,) * len(self.leaf_slots)))
-        kept = tuple(sorted(_names_in(sweep, "s")))
-        lines, out = self._forward_body(set(kept))
-        self.taped = _define(self.ns, "taped", self._leaf_params(),
-                             lines + [f"return {out}, ({''.join(f's{s}, ' for s in kept)})"])
-        self.kept, self.kept_leaves = kept, tuple(sorted(_names_in(sweep, "l")))
+        self.kept = tuple(sorted({int(d) for d in re.findall(r"\bs(\d+)\b", sweep)}))
+        self.taped = _define(self.ns, "taped", "L, B, raises", self._write(self.kept), self.defs)
+
+    # -- the reverse sweep ---------------------------------------------------------
 
     def _vjp_body(self, active_leaves) -> list:
         """The reverse sweep's statements for the given leaf activity."""
@@ -1124,8 +1123,7 @@ class Kernel:
             for pos, (o, c) in enumerate(zip(ops, raw)):
                 if c is None:
                     continue
-                src = c[0] if c[1] != (False, ()) else f"asarray({c[0]})"  # as backward does
-                src = _reduce(src, c[1], self.types[o], self.types[dest], row.elementwise)
+                src = _reduce(c, self.types[o], self.types[dest], row.elementwise)
                 if (dest, pos) in use_of:
                     k = use_of[(dest, pos)]
                     lines.append(f"u{k} = {src}")
@@ -1148,17 +1146,15 @@ class Kernel:
             active = [False] * len(self.leaf_slots)
             for n, li in zip(need, self.use_leaf):
                 active[li] = n
-            unpack = [names + "= " + src for names, src in (
-                ("".join(f"l{i}, " for i in self.kept_leaves), "L"),
-                ("".join(f"s{s}, " for s in self.kept), "K")) if names]
+            unpack = [f"{''.join(f's{s}, ' for s in self.kept)}= K"] if self.kept else []
             lines = self._vjp_body(active)
             fn = self.vjps[need] = _define(self.ns, "vjp", f"g{self.out}, L, K, B", unpack + lines)
         return fn
 
 
 class Fused:
-    """The ``aux`` of a ``fused`` tape record: its kernel, the leaf arrays
-    and internal values its reverse sweep reads, and the batch size."""
+    """The ``aux`` of a ``fused`` tape record: its kernel, the run's leaf
+    arrays, the internal values its reverse sweep reads, and the batch size."""
 
     __slots__ = ("kernel", "leaves", "kept", "batch")
 
@@ -1172,7 +1168,7 @@ class Fused:
         leaves = [None] * len(k.leaf_slots)  # a leaf with no use is read by nothing
         for li, v in zip(k.use_leaf, args):
             leaves[li] = v.data
-        out = quietly(k.taped, *leaves, self.batch, False)[0]
+        out = quietly(k.taped, leaves, self.batch, False)[0]
         return Value.trusted(out, k.out_kind, k.out_batched)
 
 

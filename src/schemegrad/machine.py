@@ -19,26 +19,27 @@ compiled from the same text takes it from then on:
 
 - An untaped run of a scalar-closed program (every prim in every block has
   a scalar kernel, noted at compilation) whose leaves are all unbatched
-  scalars is a raw-slot run.  It goes through the raw kernel of the
-  program's text, one generated Python function with the program's loops,
-  branches and calls: it takes each leaf's float, calls the rows' scalar
-  kernels on bare ``numpy.float64`` values and returns the output's float,
-  or None when a call goes past the depth limit or Python's stack limit.
-- Every other run is an array run.  An array run of a straight-line
-  program (one block of prims with static shapes, noted at compilation) goes
-  through Python source generated for that program and that signature of
-  its leaves: ``eval_program`` calls the generated forward, and
-  ``run_on_tape`` appends the run's leaves and one ``fused`` record whose
-  VJP is generated too.
-- The executor takes every other run, an abandoned raw run, a program
-  whose kernel Python cannot compile, and a run with a missing parameter
-  or differing batch sizes, which it raises where it reads them.
+  scalars is a raw-slot run: its kernel takes each leaf's float, calls the
+  rows' scalar kernels on bare ``numpy.float64`` values and returns the
+  output's float.
+- Every other untaped run is an array run, through the kernel of its
+  program and of that signature of its leaves, branches, loops and calls
+  included.
+- A taped run of a straight-line program (one block of prims, noted at
+  compilation) goes through its kernel, which appends the run's leaves and
+  one ``fused`` record whose VJP is generated too.
+- The executor takes every other run: a taped run of a program with
+  control flow, a program whose kernel Python cannot compile, and a run
+  with a missing parameter or differing batch sizes, which it raises where
+  it reads them.
 
-Under the error policy a kernel run, raw or array, tests only its output; a
-non-finite one, and an array run in which det or inv raises SingularMatrix,
-is redone by the executor, which raises naming the instruction.  Values,
-gradients and errors are bitwise the executor's.  The executor takes the
-Values that the leaf pass read, when it completed.
+A kernel is called one way, through ``kernels.quietly``, which returns
+None for a run that abandons (see ``kernels``) or in which det or inv
+raises SingularMatrix; under the error policy a kernel run also tests only
+its output, and a non-finite one is redone too.  The executor redoes such a
+run, and raises naming the instruction, or finishes it.  Values, gradients
+and errors are bitwise the executor's.  The executor takes the Values that
+the leaf pass read, when it completed.
 """
 
 from __future__ import annotations
@@ -236,27 +237,20 @@ def _leaves(prog, inputs, params):
 def eval_program(prog, inputs, params=None, policy: SafeDomainPolicy = ERROR_POLICY) -> Value:
     """Evaluate a compiled program on concrete values.  A raw-slot run's
     result and a constant are read-only 0-d arrays; an array run returns its
-    output slot's Value, writable for ``(+ (dot v v) 1)``.  A raw-slot run
-    goes through its text's raw kernel, and an array run of a straight-line
-    program through its text's kernel for its signature; under the error
-    policy a non-finite output is redone through the executor, which
-    raises."""
+    output slot's Value, writable for ``(+ (dot v v) 1)``.  A run goes
+    through its text's raw kernel or its kernel for the run's signature; one
+    that the kernel abandons, and under the error policy a non-finite
+    output, is redone through the executor."""
     run = _leaves(prog, inputs, params)
     raw, values = False, None
     if run is not None:
         values, arrays, sig, batch = run
         raw = batch is None and prog.scalar_closed and sig.count(_SCALAR) == len(sig)
-        if raw:
-            k = kernels.lookup(prog, None, kernels.RAW)
-            out = None if k is None else k(arrays)  # None when abandoned
-            if out is not None and (not policy.raises or isfinite(out)):
-                return frozen_scalar(out)
-        elif prog.straight_line:
-            k = kernels.lookup(prog, sig, kernels.UNTAPED)
-            if k is not None:
-                out = kernels.quietly(k.forward, *arrays, batch, policy.raises)
-                if out is not None and (not policy.raises or all_finite(out)):
-                    return Value.trusted(out, k.out_kind, k.out_batched)
+        k = kernels.lookup(prog, None, kernels.RAW) if raw else kernels.lookup(
+            prog, sig, kernels.UNTAPED)
+        out = None if k is None else kernels.quietly(k.forward, arrays, batch, policy.raises)
+        if out is not None and (not policy.raises or (isfinite(out) if raw else all_finite(out))):
+            return frozen_scalar(out) if raw else Value.trusted(out, k.out_kind, k.out_batched)
     out = _run(prog, inputs, params, policy, None, None, values)[0]
     return frozen_scalar(out.data) if raw else out
 
@@ -274,7 +268,7 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
         _, arrays, sig, batch = run
         k = kernels.lookup(prog, sig, kernels.TAPED)
         if k is not None:
-            got = kernels.quietly(k.taped, *arrays, batch, policy.raises)
+            got = kernels.quietly(k.taped, arrays, batch, policy.raises)
             if got is not None and (not policy.raises or all_finite(got[0])):
                 out, kept = got
                 ids = []
@@ -285,7 +279,7 @@ def run_on_tape(prog, inputs, params, tape, policy: SafeDomainPolicy = ERROR_POL
                         x = inputs[name]
                         ids.append(x.tape_id if type(x) is TapeRef else tape.input_leaf(name, v))
                 value = Value.trusted(out, k.out_kind, k.out_batched)
-                aux = kernels.Fused(k, [arrays[i] for i in k.kept_leaves], kept, batch)
+                aux = kernels.Fused(k, arrays, kept, batch)
                 return value, tape.record(kernels.FUSED, tuple([ids[i] for i in k.use_leaf]),
                                           value, aux)
     return _run(prog, inputs, params, policy, tape, store, values)

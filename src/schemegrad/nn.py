@@ -55,17 +55,17 @@ def _vjp_linear(g, args, out, aux, need):
 
 
 def _vjp_relu(g, args, out, aux, need):
-    return [g * (args[0].data > 0.0)]
+    return [np.asarray(g * (args[0].data > 0.0))]  # a 0-d array for a 0-d operand
 
 
 def _vjp_tanh(g, args, out, aux, need):
-    return [g * (1.0 - out.data * out.data)]
+    return [np.asarray(g * (1.0 - out.data * out.data))]
 
 
 def _vjp_mse(g, args, out, aux, need):
     pred, target = args
     gd = g * (2.0 * (pred.data - target.data) / pred.data.size)
-    return [gd if need[0] else None, -gd if need[1] else None]
+    return [np.asarray(gd) if need[0] else None, np.asarray(-gd) if need[1] else None]
 
 
 register(Op("linear", "nn", 3, 3, forward=_linear, vjp=_vjp_linear))

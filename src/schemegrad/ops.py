@@ -149,9 +149,10 @@ OPS.update((op.name, op) for op in _ROWS if op.forward is not None)
 
 def register(op: Op) -> None:
     """Add a tape-only row: a record that ``TapeContext`` code writes to a
-    tape and that is no language name.  Its VJP must return None for every
-    argument whose ``need`` entry is false; ``backward`` calls it only when
-    at least one entry is true."""
+    tape and that is no language name.  Its VJP must return, per argument,
+    None where the ``need`` entry is false and otherwise an array shaped
+    like the argument, which ``backward`` adds as it is; ``backward`` calls
+    it only when at least one entry is true."""
     OPS[op.name] = op
 
 

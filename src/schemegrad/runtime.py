@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,20 +116,14 @@ def _judge(op: str, value: Value) -> Value:
 try:  # numpy >= 2: np.errstate sets a context variable; set it without building one
     from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 
-    _IGNORE = _make_extobj(all="ignore")
-    _state, restore = _extobj_contextvar.get, _extobj_contextvar.set
+    # ``quiet()`` ignores numpy's floating-point errors, as under
+    # ``np.errstate(all="ignore")``, and returns a token; ``restore(token)``
+    # sets back the state it replaced.  Both are C calls.
+    quiet = partial(_extobj_contextvar.set, _make_extobj(all="ignore"))
+    restore = _extobj_contextvar.reset
     # Set once to its own value, the state is an entry of this context, which
-    # ``quiet`` and ``restore`` replace: a run keeps no token and does not
-    # grow the context (about 180 bytes a run otherwise).
-    restore(_state())
-
-    def quiet():
-        """Ignore numpy's floating-point errors, as under
-        ``np.errstate(all="ignore")``, until ``restore`` is given what this
-        returns."""
-        saved = _state()
-        restore(_IGNORE)
-        return saved
+    # ``quiet`` and ``restore`` replace: a run does not grow the context.
+    _extobj_contextvar.set(_extobj_contextvar.get())
 except ImportError:  # numpy 1: the same through the global error state
     def quiet():
         return np.seterr(all="ignore")

@@ -434,3 +434,47 @@ def test_singular_data_matrix_does_not_fail_a_parameter_gradient():
     store.zero_grads()
     ctx.backward(loss)
     assert store["s"].grad == pytest.approx(np.mean(2.0 * (1.5 * dets - target) * dets))
+
+
+def _tape_only_case(op: str, batched: bool) -> tuple:
+    """Operands, aux and each operand's gradient under a seed of ones for a
+    tape-only row: 0-d scalars where the row takes them, else vectors,
+    with four lanes when batched."""
+    rng = np.random.default_rng(zlib.crc32(op.encode()) + batched)
+    lanes = (4,) if batched else ()
+    if op in ("relu", "tanh"):
+        x = rng.uniform(-1.0, 1.0, lanes)
+        grad = (x > 0.0) * 1.0 if op == "relu" else 1.0 - np.tanh(x) * np.tanh(x)
+        return [Value(x, "scalar", batched)], None, [grad]
+    if op == "mse":
+        p, t = rng.uniform(-1.0, 1.0, lanes), rng.uniform(-1.0, 1.0, lanes)
+        gd = 2.0 * (p - t) / p.size
+        return [Value(p, "scalar", batched), Value(t, "scalar", batched)], None, [gd, -gd]
+    if op == "linear":
+        x, w, b = rng.uniform(-1.0, 1.0, lanes + (3,)), rng.uniform(-1.0, 1.0, (3, 2)), np.zeros(2)
+        g = np.ones(lanes + (2,))
+        gw = np.matmul(x.T, g) if batched else np.outer(x, g)
+        return ([Value(x, "vector", batched), Value.matrix(w), Value.vector(b)], None,
+                [np.matmul(g, w.T), gw, g.sum(axis=0) if batched else g])
+    r = rng.uniform(-1.0, 1.0, (4, 3))  # the shooting loss: residuals of four segments
+    return [Value(r, "vector", True)], 0.5, [0.5 * (2.0 * r / 4)]
+
+
+@pytest.mark.parametrize("op, batched", [
+    (op, batched) for op in ("relu", "tanh", "mse", "linear") for batched in (False, True)
+] + [("shooting_mse", True)])  # the shooting loss takes a batch of residuals
+def test_every_tape_only_vjp_returns_operand_shaped_arrays(op, batched):
+    """``backward`` adds a tape-only row's gradients as the VJP returns
+    them: each is an array shaped like its operand, a 0-d one for a 0-d
+    operand, and backward's gradient has the bits of the row's formula."""
+    args, aux, want = _tape_only_case(op, batched)
+    ctx = TapeContext()
+    refs = [ctx.constant(a) for a in args]
+    out = ctx.prim(op, *refs, aux=aux)
+    g = np.ones_like(out.value.data)
+    for a, contrib in zip(args, OPS[op].vjp(g, args, out.value, aux, (True,) * len(args))):
+        assert type(contrib) is np.ndarray and contrib.shape == a.data.shape, op
+    res = ctx.backward(out, wrt_inputs=refs)
+    for r, w in zip(refs, want):
+        got = res.input_grads[r.tape_id].data
+        assert got.shape == w.shape and got.tobytes() == np.asarray(w).tobytes(), op

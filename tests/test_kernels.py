@@ -28,8 +28,8 @@ import pytest
 from schemegrad import kernels, machine, ode
 from schemegrad.autodiff import Tape, TapeContext, backward
 from schemegrad.compiler import CompileConfig, compile_source
-from schemegrad.errors import (DepthLimitExceeded, DomainViolation, SchemegradError, ShapeMismatch,
-                               SingularMatrix)
+from schemegrad.errors import (DepthLimitExceeded, DomainViolation, EvalError, SchemegradError,
+                               ShapeMismatch, SingularMatrix)
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments.registry import BENCH_PROGRAMS, FEYNMAN
 from schemegrad.interpreter import interpret_ast
@@ -121,7 +121,7 @@ def test_kernel_runs_match_the_executor_bitwise(p, batch):
     executor = _by_executor(_taped, prog, feed, p.params)
     for run in taped:
         assert run[:3] == executor[:3], p.id
-    assert _has_kernel(prog) == prog.straight_line, p.id
+    assert _has_kernel(prog), p.id
     assert [_fused_count(run[3]) for run in taped] == [prog.straight_line] * 3
     assert _fused_count(executor[3]) == 0
 
@@ -619,6 +619,70 @@ def test_a_raw_kernel_eval_peaks_no_higher_than_the_executors(name, src, feed):
     assert kernel <= least_peak(False)
 
 
+# --- control flow in array runs -------------------------------------------------
+
+LOOPS = [p for p in CORPUS if p.has_loops]
+
+
+@pytest.mark.parametrize("p", LOOPS, ids=lambda p: p.id)
+def test_array_runs_of_loops_and_calls_match_the_executor(p, executor_runs):
+    """Every corpus loop and recursion with three draws of each input
+    stacked: loop:geom and loop:euler finish in the kernel, and a batched
+    trip count abandons the kernel at its branch and raises from the
+    executor's redo."""
+    feed = integer_inputs(p, p.sampler(np.random.default_rng(zlib.crc32(p.id.encode())), 3))
+    references = _parity(p.source, p.inputs, p.params, feed, executor_runs)
+    if "n" in p.inputs:
+        assert references[0][:2] == (
+            EvalError, "recur cannot be guarded by a batched or non-scalar condition")
+
+
+_VECTOR_LOOP = "(loop ((k 0) (v v0)) (if (< k 10) (recur (+ k 1) (scale 0.5 v)) (norm v)))"
+_VECTOR_RECURSION = ("(letrec ((f (lambda (k v) (if (< k 1) v (scale 2 (call f (- k 1) v))))))"
+                     " (call f n v0))")
+_V3 = Value.batch_vectors([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0], [2.0, 2.0, 2.0]])
+
+
+@pytest.mark.parametrize("src, feed, redone, error", [
+    (_VECTOR_LOOP, {"v0": Value.vector([1.0, -2.0, 0.5])}, False, None),
+    (_VECTOR_LOOP, {"v0": _V3}, False, None),
+    (_VECTOR_RECURSION, {"n": Value.scalar(4.0), "v0": Value.vector([1.0, -2.0, 0.5])}, False,
+     None),
+    (_VECTOR_RECURSION, {"n": Value.scalar(4.0), "v0": _V3}, False, None),
+    # x turns batched on its first recur: the kernel abandons there
+    ("(loop ((k 0) (x 0)) (if (< k 3) (recur (+ k 1) (+ x xs)) x))",
+     {"xs": Value.batch_scalars([1.0, 2.0, 3.0])}, True, None),
+    # the dot of a scalar is a ShapeMismatch in an arm that no run takes
+    ("(loop ((k 0) (x x0)) (if (< k 2) (recur (+ k 1) (* x 2)) (if (> k 5) (dot x x) x)))",
+     {"x0": Value.batch_scalars([1.0, 2.0, 3.0])}, False, None),
+    # ... and in the arm that every run takes: the redo raises it
+    ("(loop ((k 0) (x x0)) (if (< k 2) (recur (+ k 1) (* x 2)) (if (> k 1) (dot x x) x)))",
+     {"x0": Value.batch_scalars([1.0, 2.0, 3.0])}, False, ShapeMismatch),
+    # a NaN lane: the error policy's redo raises DomainViolation at the sqrt
+    ("(loop ((k 0) (x x0)) (if (< k 2) (recur (+ k 1) (sqrt x)) x))",
+     {"x0": Value.batch_scalars([4.0, -1.0, 9.0])}, False, DomainViolation),
+], ids=["vector_loop_b1", "vector_loop_b3", "vector_recursion_b1", "vector_recursion_b3",
+        "turns_batched", "untaken_mismatch", "taken_mismatch", "domain"])
+def test_control_flow_in_array_runs_matches_the_executor(src, feed, redone, error,
+                                                         executor_runs):
+    """Under each policy, kernel runs against the executor's, errors with
+    their positions included: a run that finishes in the kernel calls the
+    executor 0 times, and one that abandons or raises exactly once.
+    ``error`` is what the error policy raises, if anything."""
+    first = _parity(src, tuple(feed), {}, feed, executor_runs, redone=redone)[0][0]
+    assert (first if isinstance(first, type) else None) is error
+
+
+def test_an_array_run_past_the_depth_limit_raises_from_the_redo(executor_runs):
+    config = CompileConfig(max_recursion_depth=5)
+    feed = {"n": Value.scalar(4.0), "v0": _V3}
+    outputs = _parity(_VECTOR_RECURSION, ("n", "v0"), {}, feed, executor_runs, config)
+    assert outputs[0][-1] == _bits(_V3.data * 16.0)
+    errors = _parity(_VECTOR_RECURSION, ("n", "v0"), {}, {**feed, "n": Value.scalar(5.0)},
+                     executor_runs, config)
+    assert errors[0][0] is DepthLimitExceeded and errors[0][-2:] == ("f", 5)
+
+
 # --- one way into a run ---------------------------------------------------------
 
 
@@ -656,8 +720,10 @@ _BATCH = Value.batch_scalars([1.0, 2.0, 3.0])
 @pytest.mark.parametrize("src, x, reads", [
     ("(* k (sqrt (/ x g)))", Value.scalar(2.0), 1),  # a raw kernel run
     ("(* k (sqrt (/ x g)))", _BATCH, 1),  # an array kernel run
-    ("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (* y g)) (* k y)))", _BATCH, 2),
-], ids=["raw", "array", "executor"])
+    ("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (* y g)) (* k y)))", _BATCH, 1),  # a loop
+    # y turns batched on its first recur: the kernel abandons, and the executor redoes the run
+    ("(loop ((i 0) (y g)) (if (< i 3) (recur (+ i 1) (* y x)) (* k y)))", _BATCH, 2),
+], ids=["raw", "array", "array_loop", "executor"])
 def test_an_untaped_run_reads_each_input_once_and_the_executor_twice(src, x, reads):
     prog = compile_source(src, inputs=("x", "g"), params=("k",))
     store = truth_store({"k": 2.0})
@@ -669,7 +735,8 @@ def test_an_untaped_run_reads_each_input_once_and_the_executor_twice(src, x, rea
 
 def test_an_executor_run_converts_each_plain_input_once(monkeypatch, executor_runs):
     """The executor takes the Values the leaf pass made: a plain number
-    fed to a program that only the executor runs is converted once."""
+    fed to a run that its kernel abandons (y turns a vector on its first
+    recur) is converted once."""
     conversions = []
     of = Value.of
 
@@ -678,7 +745,7 @@ def test_an_executor_run_converts_each_plain_input_once(monkeypatch, executor_ru
         return of(x)
 
     monkeypatch.setattr(Value, "of", staticmethod(counted))
-    prog = compile_source("(loop ((i 0) (y x)) (if (< i 3) (recur (+ i 1) (vsum (vec y x))) y))",
+    prog = compile_source("(loop ((i 0) (y x)) (if (< i 1) (recur (+ i 1) (vec y x)) y))",
                           inputs=("x",))
     assert _output(eval_program(prog, {"x": 1.5})) == _output(
         _by_executor(eval_program, prog, {"x": Value.scalar(1.5)}))
@@ -788,15 +855,17 @@ def test_literal_sizes_take_the_kernel(src, batch, executor_runs):
 
 
 def test_a_computed_size_takes_the_executor(executor_runs):
+    """The untaped kernel abandons at the eye, and the taped run gets no
+    kernel: every run is the executor's."""
     feed = {"v": Value.vector([1.0, -2.0, 0.5]), "n": Value.scalar(3.0)}
     prog = compile_source("(matvec (eye n) v)", inputs=("v", "n"))
     literal = compile_source("(matvec (eye 3) v)", inputs=("v", "n"))
-    assert not prog.straight_line
     runs = [_output(eval_program(prog, feed)) for _ in range(3)]
-    assert len(executor_runs) == 3 and not _has_kernel(prog)
+    assert len(executor_runs) == 3 and _kernel_kinds(prog) == [kernels.UNTAPED]
     assert runs == [_output(eval_program(literal, feed))] * 3
     taped = [_taped(prog, feed, {}) for _ in range(3)]
     assert all(run[:3] == _taped(literal, feed, {})[:3] for run in taped)
+    assert [_fused_count(run[3]) for run in taped] == [0] * 3 and len(executor_runs) == 6
     assert _output(apply_primitive("eye", [Value.scalar(3.0)])) == _output(
         Value.matrix(np.eye(3)))
 

@@ -11,8 +11,11 @@ gradients.  Cases: every program of ``tests/corpus.py`` and every
 ``BENCH_PROGRAMS`` entry at B=1 and B=3, the recursion-guard probe, a
 non-tail recursion at n=3000 and n=20000, a loop ending in 120 nested
 ``if``s, ``det`` and ``inv`` on a singular matrix and on a stack of three
-with one singular lane, and ``eye`` and ``zeros`` of bad and computed
-sizes.  Each runs three times under each policy, from an emptied table of
+with one singular lane, ``eye`` and ``zeros`` of bad and computed sizes,
+and control flow in array runs at B=1 and B=3: a loop over a vector, a
+non-tail recursion that returns a vector, a loop variable that turns
+batched on its first ``recur``, and a ``ShapeMismatch`` in an arm that no
+run takes.  Each runs three times under each policy, from an emptied table of
 kernels.  Run it in both trees and ``diff`` the two outputs; identical files
 mean bitwise-identical results on every case.
 """
@@ -51,6 +54,18 @@ _LINALG = (("det", "(det M)", {}), ("inv", "(trace (inv M))", {}),
            ("detinv", "(det (inv (scale s M)))", {"s": 0.8}))
 _SIZES = (("eye_fraction", "(trace (eye 2.5))"), ("zeros_zero", "(vsum (zeros 0))"),
           ("eye_computed", "(trace (scale x (eye n)))"))
+_V = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0], [2.0, 2.0, 2.0]])
+_CONTROL = (  # (id, source, inputs), each fed v0 and x0 as above
+    ("vector_loop", "(loop ((k 0) (v v0)) (if (< k 10) (recur (+ k 1) (scale 0.5 v)) (norm v)))",
+     ("v0",)),
+    ("vector_recursion",
+     "(letrec ((f (lambda (k v) (if (< k 1) v (scale 2 (call f (- k 1) v)))))) (call f n v0))",
+     ("n", "v0")),
+    ("turns_batched", "(loop ((k 0) (x 0)) (if (< k 3) (recur (+ k 1) (+ x x0)) x))", ("x0",)),
+    ("untaken_mismatch",
+     "(loop ((k 0) (x x0)) (if (< k 2) (recur (+ k 1) (* x 2)) (if (> k 5) (dot x x) x)))",
+     ("x0",)),
+)
 
 
 def _nested_ifs() -> str:
@@ -141,6 +156,11 @@ def cases():
     for name, src in _SIZES:
         yield (f"sizes:{name}", 1, src, ("x", "n"), {},
                {"x": Value.scalar(1.5), "n": Value.scalar(3.0)})
+    for name, src, inputs in _CONTROL:
+        for batch, v0, x0 in ((1, Value.vector(_V[0]), Value.scalar(1.5)),
+                              (3, Value.batch_vectors(_V), Value.batch_scalars(_V[:, 0]))):
+            feed = {"n": Value.scalar(4.0), "v0": v0, "x0": x0}
+            yield f"control:{name}", batch, src, inputs, {}, {n: feed[n] for n in inputs}
 
 
 def main() -> None:
