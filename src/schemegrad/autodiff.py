@@ -90,8 +90,12 @@ class ParameterStore:
 
     def set_value(self, name: str, data) -> None:
         e = self.entries[name]
-        e.value = Value(np.asarray(data, dtype=np.float64).reshape(e.value.data.shape),
-                        e.value.kind, e.value.batched)
+        shape = e.value.data.shape
+        try:
+            data = np.asarray(data, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as err:
+            raise ShapeMismatch(f"parameter {name!r} of shape {shape}: {err}") from None
+        e.value = Value(data, e.value.kind, e.value.batched)
 
     def zero_grads(self) -> None:
         for e in self.entries.values():

@@ -1,5 +1,9 @@
-"""End-to-end compilation: source text to a frozen slot-addressed
-instruction program, plus the textual disassembly used by golden tests."""
+"""End-to-end compilation to a frozen slot-addressed instruction program,
+plus the textual disassembly used by golden tests.
+
+There are two entries: ``compile_source`` parses source text and hands the
+tree to ``compile_tree``, which every other program is compiled through too
+(``ode.link_rk4`` builds its linked programs as trees)."""
 
 from __future__ import annotations
 
@@ -59,10 +63,18 @@ def compile_source(
     params=(),
     config: CompileConfig | None = None,
 ) -> CompiledProgram:
-    """parse -> scope check -> ANF -> letrec check -> graph -> emit."""
-    config = config or CompileConfig()
+    """parse -> ``compile_tree``; ``compile_seconds`` counts the parse."""
     t0 = time.perf_counter()
-    ast = sexpr.parse(source)
+    return compile_tree(sexpr.parse(source), source, inputs, params, config, t0)
+
+
+def compile_tree(ast, source_text: str, inputs=(), params=(),
+                 config: CompileConfig | None = None, t0: float | None = None) -> CompiledProgram:
+    """scope check -> ANF -> letrec check -> graph -> emit, on a parse tree
+    whose text is ``source_text``, the key its kernels are shared by.  The
+    compile time counts from ``t0``, by default from this call."""
+    t0 = time.perf_counter() if t0 is None else t0
+    config = config or CompileConfig()
     sexpr.check_scope(ast, inputs, params)
     anf = to_anf(ast)
     anf = lower_tail_calls(anf)
@@ -78,7 +90,7 @@ def compile_source(
         functions=tuple(graph.functions),
         input_names=tuple(inputs),
         param_names=tuple(params),
-        source_text=source,
+        source_text=source_text,
         node_count=len(graph.nodes),
         compile_seconds=elapsed,
         max_recursion_depth=config.max_recursion_depth,

@@ -7,7 +7,9 @@ tape so gradients reach the RHS parameters.
 
 A right-hand side made of compiled programs (``make_compiled_rhs``) is
 linked into larger straight-line programs (``link_rk4``), with the bits of
-the stage-by-stage Python stepper:
+the stage-by-stage Python stepper.  Linking splices the programs' parse
+trees into an RK4 tree whose own names start with ``__``, which no
+program's text can name, and compiles that tree:
 
 - one RK4 step is one program: ``rk4_step`` makes one run of it, and
   ``rollout`` steps one or many initial states with one untaped run of it
@@ -32,11 +34,11 @@ import numpy as np
 
 from . import machine, optim
 from .autodiff import TapeContext, TapeRef
-from .compiler import CompileConfig, compile_source
-from .errors import EmptyObservations, SourceError
+from .compiler import CompileConfig, compile_tree
+from .errors import EmptyObservations, ShapeMismatch
 from .ops import Op, register
 from .runtime import PROPAGATE_POLICY
-from .sexpr import tokenize
+from .sexpr import Const, Let, Prim, Var, parse, pretty
 from .values import Value
 
 
@@ -63,20 +65,30 @@ def _axpy(ctx: TapeContext, y: TapeRef, c: float, k: TapeRef) -> TapeRef:
     return ctx.add(y, ctx.mul(ctx.constant(c), k))
 
 
+def _check_width(rhs_width: int, state_width: int) -> None:
+    if rhs_width != state_width:
+        raise ShapeMismatch(f"the right-hand side has {rhs_width} components,"
+                            f" the state {state_width}")
+
+
 def rk4_step(ctx: TapeContext, sys: OdeSystem, state, t: float, dt: float):
     """One classical RK4 step; weights (1,2,2,1)/6, fully on tape.  When the
     RHS is a ``CompiledRhs`` with a linked step for ``dt`` and every state
     component is a scalar ``TapeRef``, the step is one run of that program,
     split by one ``ref`` record per component; any other RHS is stepped here
-    stage by stage, with the same constants in the same order."""
+    stage by stage, with the same constants in the same order.  A RHS that
+    gives another number of components than the state has raises
+    ``ShapeMismatch``."""
     rhs = sys.rhs
     if isinstance(rhs, CompiledRhs) and all(type(y) is TapeRef and y.value.kind == "scalar"
                                             for y in state):
         prog = rhs.step_program(dt)
         if prog is not None:
+            _check_width(len(rhs.programs), len(state))
             out = ctx.run(prog, dict(zip(rhs.input_names, state)), rhs.stores[0])
             return tuple(ctx.prim("ref", out, aux=float(i)) for i in range(len(rhs.programs)))
     k1 = sys.rhs(ctx, state, t)
+    _check_width(len(k1), len(state))
     s2 = tuple(_axpy(ctx, y, dt / 2.0, k) for y, k in zip(state, k1))
     k2 = sys.rhs(ctx, s2, t + dt / 2.0)
     s3 = tuple(_axpy(ctx, y, dt / 2.0, k) for y, k in zip(state, k2))
@@ -110,8 +122,12 @@ def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
     with a linked step (see ``CompiledRhs``) steps every initial state at
     once, with one untaped run of the step program per step; any other
     system steps each initial state on a fresh tape per step, keeping only
-    the state values, so memory stays that of one step."""
+    the state values, so memory stays that of one step.  Initial states of
+    another width than the system's raise ``ShapeMismatch``."""
     y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim not in (1, 2) or y0.shape[-1] != sys.state_dim:
+        raise ShapeMismatch(f"initial states of shape {y0.shape} for a state of"
+                            f" {sys.state_dim} components")
     rhs = sys.rhs
     prog = rhs.step_program(sys.dt) if isinstance(rhs, CompiledRhs) else None
     if prog is None:
@@ -125,6 +141,7 @@ def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
             rows.append(np.array([s.value.data for s in rk4_step(ctx, sys, state, t, sys.dt)]))
             t += sys.dt
         return np.stack(rows)
+    _check_width(len(rhs.programs), sys.state_dim)
     many = y0.ndim == 2
     rows = [y0]
     for _ in range(n_steps):
@@ -134,13 +151,19 @@ def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def _segment_table(cfg: ShootingConfig):
+def _segment_table(cfg: ShootingConfig, state_dim: int = 0):
+    """The trajectories, the segment length and every segment's (trajectory
+    index, start row); observations narrower than ``state_dim`` raise
+    ``ShapeMismatch``, and wider ones are read up to it."""
     trajs = cfg.trajectory_list()
     seg = max(1, int(cfg.segment_length))
     entries = []  # (trajectory index, start row)
     for ti, obs in enumerate(trajs):
         if obs.ndim != 2 or obs.shape[0] < 2:
             raise EmptyObservations("need at least two observation rows per trajectory")
+        if obs.shape[1] < state_dim:
+            raise ShapeMismatch(f"observations of {obs.shape[1]} components for a state of"
+                                f" {state_dim}")
         for s in range(0, obs.shape[0] - 1, seg):
             entries.append((ti, s))
     if not entries:
@@ -158,7 +181,7 @@ def _shooting_steps(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
     one target array per component (observation row s + j, clipped to the
     last row) and the mask of segments that row exists for.  Callers record
     their terms for step j before step j + 1 is taken."""
-    trajs, seg, entries = _segment_table(cfg)
+    trajs, seg, entries = _segment_table(cfg, sys.state_dim)
     if segment_indices is not None:
         entries = [entries[i] for i in segment_indices]
     state = tuple(
@@ -183,14 +206,14 @@ def _linked_segments(sys: OdeSystem, cfg: ShootingConfig, segment_indices=None):
 
     The inputs are each segment's observed start state, one batched scalar
     per component, and two batched vectors of k * d entries, step-major and
-    component-minor: ``T`` holds the observation row s + j of segment s
-    after step j, ``M`` 1.0 where that row exists and 0.0 past the end of a
-    ragged trajectory, where ``T`` holds 0.0.  N counts the rows that exist."""
+    component-minor: ``__T`` holds the observation row s + j of segment s
+    after step j, ``__M`` 1.0 where that row exists and 0.0 past the end of a
+    ragged trajectory, where ``__T`` holds 0.0.  N counts the rows that exist."""
     rhs = sys.rhs
     if not isinstance(rhs, CompiledRhs) or len(rhs.input_names) != sys.state_dim:
         return None
     prog = rhs.segment_program(sys.dt, max(1, int(cfg.segment_length)))
-    trajs, seg, entries = _segment_table(cfg)
+    trajs, seg, entries = _segment_table(cfg, sys.state_dim)
     if segment_indices is not None:
         entries = [entries[i] for i in segment_indices]
     if prog is None or not entries:  # no segment: the stepper raises as it always has
@@ -347,99 +370,78 @@ def link_rk4(programs, stores, input_names, dt: float, steps: int | None = None)
     """One compiled program for RK4 stepping over ``dt`` of the state
     ``input_names``, whose derivatives are ``programs``, or None.
 
-    Each stage binds every program's output, its body spliced in with its
-    inputs bound to the stage's state.  With ``steps`` None the program is
-    one step and returns the new state as a vector::
-
-        (let* ((k0_0 (let ((x x) (y y)) <body 0>)) ...
-               (s1_0 (+ x (* 0.05 k0_0))) ...)
-          (vec (+ x (* 0.016666666666666666
-                       (+ (+ (+ k0_0 (* 2.0 k1_0)) (* 2.0 k2_0)) k3_0))) ...))
-
-    With ``steps`` k it is one shooting segment: k such steps, each binding
-    the new state to the state names, and right after step j the residual
-    of every component against the batched vector inputs ``T`` (targets)
-    and ``M`` (masks), read at i = (j - 1) * d + component::
-
-        (x (+ x (* 0.016666666666666666 ...))) (y ...)
-        (r1_0 (- (* (ref M 0) x) (ref T 0))) (r1_1 (- (* (ref M 1) y) (ref T 1)))
-        ... (vec r1_0 r1_1 ... rk_1)
-
-    Its constants and its order of operations are ``rk4_step``'s, so its
-    values are bitwise those of the stage-by-stage step (a mask of 1.0
-    keeps a state's bits), and so are its gradients: a taped run through a
-    generated kernel sums each leaf's contributions in the order of one
-    record per instruction.  A residual bound before the next step's stages
-    gets its state's gradient after that step's, the order in which the
-    step-by-step tape sums them.  The template's names are chosen apart
-    from every name in the programs, so a parameter called ``k0_0`` is not
-    captured.  Programs are linked only when they read one store, know no
-    input outside ``input_names``, share their depth limit, name no
-    parameter like an input and fit the parser's nesting limit once
-    spliced.  Linked programs are kept in ``_LINKED``."""
+    Its tree is one ``let`` that binds, stage by stage, the state, such as
+    ``(__s1_0 (+ x (* 0.05 __k0_0)))``, then each program's parse tree under
+    a ``let`` that binds its inputs to that state.  With ``steps`` None it
+    returns the new state as a vector.  With ``steps`` k it is a shooting
+    segment: after each step j it rebinds the state names, then binds each
+    component's residual ``(- (* (ref __M i) x) (ref __T i))`` at i = (j - 1)
+    * d + component of the batched inputs ``__T`` (targets) and ``__M``
+    (masks), and it returns the residuals as a vector.  Its constants and
+    order of operations are ``rk4_step``'s, and a residual is bound before
+    the next step's stages, so its values and gradients are bitwise the
+    stage-by-stage ones.  Its own names start with ``__``, which no
+    program's text can name.  Programs link only when they read one store,
+    know no input outside ``input_names``, share their depth limit, name no
+    parameter like a state input and declare no ``__`` name."""
+    params = tuple(dict.fromkeys(p for prog in programs for p in prog.param_names))
     if (not programs or len(programs) != len(input_names)
             or any(s is not stores[0] for s in stores)
             or any(not set(prog.input_names) <= set(input_names) for prog in programs)
-            or len({prog.max_recursion_depth for prog in programs}) != 1):
+            or len({prog.max_recursion_depth for prog in programs}) != 1
+            or set(params) & set(input_names)
+            or any(name.startswith("__") for name in params + tuple(input_names))):
         return None
     key = (tuple((prog.source_text, prog.input_names, prog.param_names) for prog in programs),
            tuple(input_names), dt, steps, programs[0].max_recursion_depth)
     if key in _LINKED:
         prog = _LINKED.pop(key)
     else:
-        prog = _link(programs, tuple(input_names), dt, steps)
+        prog = _link(programs, tuple(input_names), params, dt, steps)
         if len(_LINKED) >= _LINKED_MAX:
             del _LINKED[next(iter(_LINKED))]
     _LINKED[key] = prog  # the most recently used last
     return prog
 
 
-def _link(programs, input_names, dt, steps):
+def _axpy_tree(y, c: float, k):
+    """``(+ y (* c k))``, as ``_axpy`` records it."""
+    return Prim("+", (y, Prim("*", (Const(float(c)), k))))
+
+
+def _link(programs, input_names, params, dt, steps):
     n = len(programs)
-    params = tuple(dict.fromkeys(p for prog in programs for p in prog.param_names))
-    taken = set(input_names) | set(params)
-    for prog in programs:
-        taken.update(tok.text for tok in tokenize(prog.source_text) if tok.kind == "symbol")
-    names = [f"{c}{i}_{j}" for c in "ks" for i in range(4) for j in range(n)]
-    if steps is not None:
-        names += ["T", "M"] + [f"r{s}_{j}" for s in range(1, steps + 1) for j in range(n)]
-    mark = ""
-    while any(name + mark in taken for name in names):
-        mark += "_"
-    k = [[f"k{i}_{j}{mark}" for j in range(n)] for i in range(4)]
-    stage = [list(input_names)] + [[f"s{i}_{j}{mark}" for j in range(n)] for i in (1, 2, 3)]
+    bodies = [parse(prog.source_text) for prog in programs]
+    y = [Var(name) for name in input_names]
+    k = [[Var(f"__k{i}_{j}") for j in range(n)] for i in range(4)]
+    stage = [y] + [[Var(f"__s{i}_{j}") for j in range(n)] for i in (1, 2, 3)]
     step = []
     for i, h in enumerate((None, dt / 2.0, dt / 2.0, dt)):
         if h is not None:
-            step += [f"({stage[i][j]} (+ {y} (* {h!r} {k[i - 1][j]})))"
-                     for j, y in enumerate(input_names)]
+            step += [(v.name, _axpy_tree(y[j], h, k[i - 1][j])) for j, v in enumerate(stage[i])]
         state = dict(zip(input_names, stage[i]))
-        for j, prog in enumerate(programs):
-            let = " ".join(f"({a} {state[a]})" for a in prog.input_names)
-            # the newline ends a comment on the body's last line
-            body = f"(let ({let}) {prog.source_text}\n)" if let else f"{prog.source_text}\n"
-            step.append(f"({k[i][j]} {body})")
-    new = [f"(+ {y} (* {dt / 6.0!r} (+ (+ (+ {k[0][j]} (* 2.0 {k[1][j]})) (* 2.0 {k[2][j]}))"
-           f" {k[3][j]})))" for j, y in enumerate(input_names)]
-    inputs = input_names
-    if steps is None:
-        binds, out = step, new
-    else:
-        targets, masks = f"T{mark}", f"M{mark}"
-        inputs += (targets, masks)
+        for j, (prog, body) in enumerate(zip(programs, bodies)):
+            let = tuple((a, state[a]) for a in prog.input_names)
+            step.append((k[i][j].name, Let(let, body) if let else body))
+    new = []
+    for j in range(n):
+        acc = _axpy_tree(_axpy_tree(k[0][j], 2.0, k[1][j]), 2.0, k[2][j])
+        new.append(_axpy_tree(y[j], dt / 6.0, Prim("+", (acc, k[3][j]))))
+    inputs, binds, out = input_names, step, new
+    if steps is not None:
+        inputs += ("__T", "__M")
         binds, out = [], []
-        for s in range(1, steps + 1):
-            binds += step + [f"({y} {x})" for y, x in zip(input_names, new)]
-            for j, y in enumerate(input_names):
-                i = (s - 1) * n + j
-                out.append(f"r{s}_{j}{mark}")
-                binds.append(f"({out[-1]} (- (* (ref {masks} {i}) {y}) (ref {targets} {i})))")
-    source = "(let* (" + "\n".join(binds) + ")\n(vec " + " ".join(out) + "))"
-    try:
-        return compile_source(source, inputs=inputs, params=params,
-                              config=CompileConfig(programs[0].max_recursion_depth))
-    except SourceError:  # a parameter named like an input, a body near the nesting limit
-        return None
+        for s in range(steps):
+            binds += step + list(zip(input_names, new))
+            for j in range(n):
+                at = Const(float(s * n + j))
+                out.append(Var(f"__r{s + 1}_{j}"))
+                residual = Prim("-", (Prim("*", (Prim("ref", (Var("__M"), at)), y[j])),
+                                      Prim("ref", (Var("__T"), at))))
+                binds.append((out[-1].name, residual))
+    tree = Let(tuple(binds), Prim("vec", tuple(out)))  # its text keys the kernels
+    return compile_tree(tree, pretty(tree), inputs, params,
+                        CompileConfig(programs[0].max_recursion_depth))
 
 
 def make_compiled_rhs(programs, stores, input_names) -> CompiledRhs:

@@ -157,6 +157,19 @@ def test_missing_gradient_raised_by_require():
         store.require_grad("a")
 
 
+def test_set_value_of_a_wrong_shape_raises_shape_mismatch():
+    store = ParameterStore()
+    store.add("a", 1.0)
+    store.add("v", [1.0, 2.0])
+    with pytest.raises(ShapeMismatch, match="'a'"):
+        store.set_value("a", [1.0, 2.0])
+    with pytest.raises(ShapeMismatch, match="'v'"):
+        store.set_value("v", [1.0, 2.0, 3.0])
+    assert store["a"].value.data == 1.0 and store["v"].value.data.tolist() == [1.0, 2.0]
+    store.set_value("v", np.array([[3.0], [4.0]]))  # same size: reshaped, as ever
+    assert store["v"].value.data.tolist() == [3.0, 4.0]
+
+
 def test_non_requested_gradients_absent():
     prog = compile_source("(+ x y)", inputs=("x", "y"))
     out, tape = eval_with_tape(prog, {"x": 1.0, "y": 2.0})

@@ -12,13 +12,15 @@ errors.  The stage-by-stage reference is the same RHS called through a
 plain function, which has no linked programs.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from schemegrad import kernels, ode
+from schemegrad import kernels, ode, sexpr
 from schemegrad.autodiff import TapeContext
 from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation
+from schemegrad.errors import DomainViolation, ParseError, ShapeMismatch
 from schemegrad.machine import eval_program
 from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments import pendulum as pendulum_exp
@@ -117,10 +119,12 @@ def test_the_fused_segment_record_is_bitwise_the_executor_tape(request):
     results = []
     for run in range(4):  # three copies through the kernel, then one through the executor
         kernels._SHARED.clear()  # each copy's first run generates the kernel anew
+        ode._LINKED.clear()  # and each copy is linked anew
         if run == 3:
             request.getfixturevalue("no_kernels")
-        copy = compile_source(linked.source_text, inputs=linked.input_names,
-                              params=linked.param_names)
+        copy = ode.link_rk4(system.rhs.programs, system.rhs.stores, system.rhs.input_names,
+                            system.dt, cfg.segment_length)
+        assert copy is not linked and copy.source_text == linked.source_text
         for _ in range(2):
             ctx = TapeContext()
             loss = ctx.prim(ode.SHOOTING_MSE, ctx.run(copy, feed, store), aux=weight)
@@ -199,16 +203,21 @@ def test_a_linked_step_is_one_fused_record_split_by_refs_alone():
 
 
 def test_template_names_do_not_capture_the_programs_names():
-    # a parameter and a local named like the template's temporaries
-    store = truth_store({"k0_0": 0.7, "s1_1": -0.4})
-    progs = [compile_source("(* k0_0 y)", inputs=("x", "y"), params=("k0_0",)),
-             compile_source("(let ((k1_0 (* x s1_1))) (+ k1_0 y))", inputs=("x", "y"),
-                            params=("s1_1",))]
+    # parameters and locals named like the template's names, without their "__"
+    store = truth_store({"k0_0": 0.7, "T": -0.4})
+    progs = [compile_source("(let ((M (* 2 y))) (* k0_0 M))", inputs=("x", "y"),
+                            params=("k0_0",)),
+             compile_source("(let ((s1_1 (* x T))) (+ s1_1 y))", inputs=("x", "y"),
+                            params=("T",))]
     system = ode.OdeSystem(ode.make_compiled_rhs(progs, [store, store], ("x", "y")), 2, 0.1)
     step = system.rhs.step_program(0.1)
-    assert "(k0_0_ " in step.source_text and "(k0_0 " not in step.source_text
     segment = system.rhs.segment_program(0.1, 2)
-    assert segment.input_names == ("x", "y", "T_", "M_") and "(r2_1_ " in segment.source_text
+    assert step.input_names == ("x", "y")
+    assert segment.input_names == ("x", "y", "__T", "__M")
+    for prog in (step, segment):  # the programs' names as they wrote them, and no marks
+        names = set(re.findall(r"[^\s()]+", prog.source_text))
+        assert {"k0_0", "T", "M", "s1_1", "__k0_0", "__s1_1"} <= names
+        assert not [name for name in names if name.endswith("_")]
     obs = np.array([[1.0, 2.0], [1.1, 1.9], [1.3, 1.7], [1.4, 1.4], [1.6, 1.2]])
     cfg = ode.ShootingConfig(2, [obs, obs[:4]])
     for _ in range(3):
@@ -256,6 +265,11 @@ def test_other_systems_keep_the_stage_by_stage_step():
     state = ode.rk4_step(ctx, ode.OdeSystem(clashing, 2, 0.1),
                          (ctx.constant(1.0), ctx.constant(1.0)), 0.0, 0.1)
     assert "ref" not in [node[0] for node in ctx.tape.nodes] and len(state) == 2
+    # a state declared with a "__" name, like the template's own names
+    dunder = [compile_source("y", inputs=("__s1_0", "y")),
+              compile_source("(- 0 y)", inputs=("y",))]
+    assert ode.make_compiled_rhs(dunder, [truth_store({})] * 2,
+                                 ("__s1_0", "y")).step_program(0.1) is None
     # a vector state component runs each program once per stage
     prog = compile_source("(scale r v)", inputs=("v",), params=("r",))
     store = truth_store({"r": -0.5})
@@ -281,3 +295,71 @@ def test_a_domain_error_inside_a_segment_names_the_same_op():
     segment = system.rhs.segment_program(0.1, 3)
     sqrts = [ins[1] for ins in segment.block.instrs if ins[0] == "prim" and ins[2] == "sqrt"]
     assert {e.instruction for e in errors[::2]} == {sqrts[2]}
+
+
+def test_a_component_at_the_nesting_limit_links():
+    deep = "y"
+    for _ in range(sexpr.MAX_NESTING - 1):
+        deep = f"(+ {deep} 0.001)"
+    deep = f"(* a {deep})"  # nested as deep as the parser takes
+    with pytest.raises(ParseError):
+        compile_source(f"(- {deep})", inputs=("x", "y"), params=("a",))
+    progs = [compile_source(deep, inputs=("x", "y"), params=("a",)),
+             compile_source("(- 0 x)", inputs=("x", "y"))]
+    store = truth_store({"a": 0.5})
+    system = ode.OdeSystem(ode.make_compiled_rhs(progs, [store, store], ("x", "y")), 2, 0.1)
+    assert system.rhs.step_program(0.1) is not None
+    assert system.rhs.segment_program(0.1, 3) is not None
+    staged = _stage_by_stage(system)
+    rows = ode.rollout(system, (1.0, 0.5), 12)
+    assert _bits(rows) == _bits(ode.rollout(staged, (1.0, 0.5), 12))
+    ctx = TapeContext()
+    state = (ctx.constant(1.0), ctx.constant(0.5))
+    again = TapeContext()
+    assert ([_bits(y.value.data) for y in ode.rk4_step(ctx, system, state, 0.0, 0.1)]
+            == [_bits(y.value.data) for y in ode.rk4_step(again, staged, state, 0.0, 0.1)])
+    assert [node[0] for node in ctx.tape.nodes][-2:] == ["ref", "ref"]  # one linked run
+    store.set_value("a", 0.6)
+    cfg = ode.ShootingConfig(3, [rows, rows[:8]])
+    assert _epoch(system, store, cfg)[:3] == _epoch(staged, store, cfg)[:3]
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["linked", "stage_by_stage"])
+def test_a_rollout_of_another_width_raises_shape_mismatch(staged):
+    system = _lv()[0]
+    system = _stage_by_stage(system) if staged else system
+    for y0 in ((1.0, 0.0, 2.0), [[1.0, 0.0, 2.0]], (1.0,)):
+        with pytest.raises(ShapeMismatch, match="2 components"):
+            ode.rollout(system, y0, 3)
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["linked", "stage_by_stage"])
+def test_observations_narrower_than_the_state_raise_shape_mismatch(staged):
+    system, _, cfg = _lv()
+    system = _stage_by_stage(system) if staged else system
+    obs = cfg.observations
+    narrow = ode.ShootingConfig(cfg.segment_length, [obs, obs[:, :1]])
+    with pytest.raises(ShapeMismatch, match="1 components for a state of 2"):
+        ode.multiple_shooting_loss(TapeContext(), system, narrow)
+    with pytest.raises(ShapeMismatch, match="1 components for a state of 2"):
+        ode.shooting_residuals(TapeContext(), system, narrow)
+    # wider observations are read up to the state's width, as ever
+    wide = ode.ShootingConfig(cfg.segment_length, np.hstack([obs, obs[:, :1]]))
+    assert (_bits(ode.multiple_shooting_loss(TapeContext(), system, wide).value.data)
+            == _bits(ode.multiple_shooting_loss(TapeContext(), system, cfg).value.data))
+    assert (_bits(ode.shooting_residuals(TapeContext(), system, wide))
+            == _bits(ode.shooting_residuals(TapeContext(), system, cfg)))
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["linked", "stage_by_stage"])
+def test_a_state_wider_than_the_right_hand_side_raises_shape_mismatch(staged):
+    system = _lv()[0]
+    system = ode.OdeSystem(system.rhs, 3, system.dt)  # two programs, three components
+    system = _stage_by_stage(system) if staged else system
+    cfg = ode.ShootingConfig(3, np.zeros((7, 3)))
+    with pytest.raises(ShapeMismatch, match="2 components, the state 3"):
+        ode.multiple_shooting_loss(TapeContext(), system, cfg)
+    with pytest.raises(ShapeMismatch, match="2 components, the state 3"):
+        ode.shooting_residuals(TapeContext(), system, cfg)
+    with pytest.raises(ShapeMismatch, match="2 components, the state 3"):
+        ode.rollout(system, (1.0, 0.0, 2.0), 3)

@@ -15,14 +15,19 @@ with one singular lane, ``eye`` and ``zeros`` of bad and computed sizes,
 and control flow in array runs at B=1 and B=3: a loop over a vector, a
 non-tail recursion that returns a vector, a loop variable that turns
 batched on its first ``recur``, and a ``ShapeMismatch`` in an arm that no
-run takes.  Each runs three times under each policy, from an emptied table of
-kernels.  Run it in both trees and ``diff`` the two outputs; identical files
-mean bitwise-identical results on every case.
+run takes.  Linked RK4 programs (``ode.link_rk4``) are cases too: the
+Lotka-Volterra and pendulum step and 3-step shooting segment, and the step and
+segment of a system whose ``sqrt`` leaves its domain in stage three, each at
+B=1 and B=3.  Each runs three times under each policy, from an emptied table of
+kernels and, for a linked program, an emptied table of linked programs.  Run
+it in both trees and ``diff`` the two outputs; identical files mean
+bitwise-identical results on every case.
 """
 
 import hashlib
 import sys
 import zlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import CORPUS, integer_inputs  # noqa: E402
-from schemegrad import kernels  # noqa: E402
+from schemegrad import kernels, ode  # noqa: E402
 from schemegrad.autodiff import Tape, backward  # noqa: E402
 from schemegrad.compiler import compile_source  # noqa: E402
 from schemegrad.errors import SchemegradError  # noqa: E402
+from schemegrad.experiments import lotka_volterra, pendulum  # noqa: E402
 from schemegrad.experiments.registry import BENCH_PROGRAMS  # noqa: E402
 from schemegrad.machine import eval_program, run_on_tape  # noqa: E402
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY  # noqa: E402
@@ -107,9 +113,12 @@ def _taped(prog, feed, params, policy) -> str:
     except SchemegradError as err:
         return _digest(*_error(err))
     grads = [store[n].grad for n in store.names()] if store else []
-    inputs = [result.input_grads[n].data for n in sorted(result.input_grads)]
+    # inputs by their place in the feed: a linked segment's target and mask
+    # inputs are named apart from the state's names, by a name that may change
+    wrt = [i for i, n in enumerate(feed) if n in result.input_grads]
+    inputs = [result.input_grads[n].data for n in feed if n in result.input_grads]
     return _digest(out.kind, out.batched, type(out.data).__name__, out.data, *grads,
-                   sorted(result.input_grads), *inputs)
+                   wrt, *inputs)
 
 
 def _corpus_feed(p, batch: int) -> dict:
@@ -135,8 +144,60 @@ def _bench_feed(bid: str, names, batch: int) -> dict:
     return feed
 
 
+def _sqrt_programs():
+    # stage 3 reads y = 1 + 0.05 * (-12 / 0.4) = -0.5 from (1, 1), where sqrt fails
+    return [compile_source("(sqrt y)", inputs=("x", "y")),
+            compile_source("(/ (- 0 a) y)", inputs=("x", "y"), params=("a",))]
+
+
+_LINKED_SYSTEMS = (  # (id, programs, state names, parameters, initial states of 3 lanes)
+    ("lotka_volterra", lotka_volterra._programs, ("x", "y"),
+     lotka_volterra.TRUE_PARAMS, _V[:, :2] + 2.5),
+    ("pendulum", lambda: [pendulum._dtheta_prog(), pendulum._domega_prog()],
+     ("theta", "omega"), pendulum.TRUE_PARAMS, _V[:, 1:]),
+    ("sqrt", _sqrt_programs, ("x", "y"), {"a": 12.0}, np.array([[1.0, 1.0], [2.0, 3.0],
+                                                                 [1.0, 0.5]])),
+)
+
+
+def _linker(programs, names, steps):
+    """A program made by linking ``programs`` anew."""
+    def make():
+        ode._LINKED.clear()
+        progs = programs()
+        return ode.link_rk4(progs, [None] * len(progs), names, 0.1, steps)
+    return make
+
+
+def _linked_cases():
+    """(id, B, make, params, feed): the feed's -2 and -1 keys name the
+    segment's target and mask inputs, whatever their names."""
+    for sid, programs, names, params, y0 in _LINKED_SYSTEMS:
+        for steps in (None, 3):
+            for batch in (1, 3):
+                feed = {n: Value.scalar(y0[0, i]) if batch == 1 else
+                        Value.batch_scalars(np.ascontiguousarray(y0[:, i]))
+                        for i, n in enumerate(names)}
+                if steps is not None:
+                    rows = 1.0 + 0.1 * np.arange(3 * steps * 2).reshape(3, -1)
+                    masks = (rows < 2.5).astype(np.float64)  # a ragged tail on the third lane
+                    for k, v in ((-2, rows), (-1, masks)):
+                        feed[k] = Value.vector(v[0]) if batch == 1 else Value.batch_vectors(v)
+                yield (f"linked:{sid}:{steps or 'step'}", batch,
+                       _linker(programs, names, steps), params, feed)
+
+
 def cases():
-    """(id, B, source, inputs, params, feed) for every case."""
+    """(id, B, make, params, feed) for every case, ``make`` making the
+    program anew."""
+    for cid, batch, src, inputs, params, feed in _source_cases():
+        yield cid, batch, partial(compile_source, src, inputs=inputs, params=tuple(params)), \
+            params, feed
+    yield from _linked_cases()
+
+
+def _source_cases():
+    """(id, B, source, inputs, params, feed) for every compiled source."""
     for p in CORPUS:
         for batch in (1, 3):
             yield p.id, batch, p.source, p.inputs, p.params, _corpus_feed(p, batch)
@@ -164,13 +225,15 @@ def cases():
 
 
 def main() -> None:
-    for cid, batch, src, inputs, params, feed in cases():
+    for cid, batch, make, params, feed in cases():
         for policy in (ERROR_POLICY, PROPAGATE_POLICY):
             for kind, run in (("untaped", _untaped), ("taped", _taped)):
                 kernels._SHARED.clear()
-                prog = compile_source(src, inputs=inputs, params=tuple(params))
+                prog = make()
+                named = {prog.input_names[k] if type(k) is int else k: v
+                         for k, v in feed.items()}
                 for i in range(RUNS):
-                    print(cid, batch, policy.mode, i, kind, run(prog, feed, params, policy))
+                    print(cid, batch, policy.mode, i, kind, run(prog, named, params, policy))
 
 
 if __name__ == "__main__":
