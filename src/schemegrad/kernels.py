@@ -13,7 +13,9 @@ the batch size in the generated source, and ``raises`` whether the error
 policy raises, which only det and inv read.  ``aux`` is the source of a
 row's constant operands (pow's exponent, ref's index, the sizes of eye,
 zeros and ones), or None: a kernel splices a finite one as its literal,
-and a one-op function takes a number as ``aux`` and sizes as operands.  A
+and a one-op function takes a number as ``aux`` and sizes as operands.
+det, which has none, takes as ``aux`` in a taped forward and in the reverse
+sweep of a ``fused`` record the name of the local that keeps its factors.  A
 form raises the ``ShapeMismatch`` its op raises, with its message, on
 operands the op rejects; the core of an eye, zeros or ones of computed
 sizes is None.
@@ -48,7 +50,8 @@ A taped run of a straight-line program (a top-level block of prims whose
 output is an op's result) goes through a kernel unless its forward
 abandons.  It appends its input and parameter leaves and one ``fused``
 record, whose value is the output and which keeps only the values its
-reverse sweep reads (the to-be-recorded analysis of Hascoet, Naumann &
+reverse sweep reads, a det's LU factors among them, so that its VJP does not
+factor again (the to-be-recorded analysis of Hascoet, Naumann &
 Pascual, FGCS 21(8), 2005).  Its arguments are the tape ids of the leaves,
 one per use of a leaf, in the order a reverse sweep over one record per
 instruction reaches those uses.  Its VJP, emitted per ``need`` mask on
@@ -138,7 +141,7 @@ _NAMESPACE = {name: getattr(np, name) for name in (
     "zeros")}
 _NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
                   _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index, _sizes=rt.sizes,
-                  _lu=rt.det_inv, _Abandoned=_Abandoned)
+                  _factors=rt.factors, _det_inv=rt.det_inv, _Abandoned=_Abandoned)
 
 
 def _define(ns: dict, name: str, params: str, body: list, defs=()):
@@ -401,14 +404,19 @@ def emit_outer(ops, types, aux):
 
 
 def eager(op: str):
-    """det and inv, through runtime's ``det_inv``, which raises on a
-    singular matrix when the function's ``raises`` argument is true."""
+    """det and inv, through runtime's ``factors`` and ``det_inv``, which
+    raises on a singular matrix when the function's ``raises`` argument is
+    true.  A taped forward gives det an ``aux``: the name of a local in
+    which it keeps its factors for its VJP (``vjp_det``)."""
     def emit(ops, types, aux):
         t = types[0]
         _expect(op, t, "matrix")
         if t[2][-1] != t[2][-2]:
             raise ShapeMismatch(f"{op}: matrix must be square")
-        return f"_lu({op!r}, {ops[0]}, {t[1]}, raises)", ("scalar", t[1], ()) if op == "det" else t
+        lu = f"_factors({ops[0]}, {t[1]})"
+        if aux is not None:
+            lu = f"({aux} := {lu})"
+        return f"_det_inv({op!r}, {lu}, {t[1]}, raises)", ("scalar", t[1], ()) if op == "det" else t
     return emit
 
 
@@ -606,10 +614,12 @@ def vjp_trace(g, ops, out, types, out_t, aux, need):
 
 
 def vjp_det(g, ops, out, types, out_t, aux, need):
-    """g * det * inv(M)^T, the inverse from an LU of its own, which raises
-    on a singular matrix whatever the policy."""
+    """g * det * inv(M)^T, the inverse from the factors that the forward
+    kept in the local ``aux`` (in a fused record's sweep), or else from an LU
+    of its own, which raises on a singular matrix whatever the policy."""
     t = types[0]
-    inv_t = f"swapaxes(_lu('det backward', {ops[0]}, {t[1]}, True), -1, -2)"
+    lu = aux or f"_factors({ops[0]}, {t[1]})"
+    inv_t = f"swapaxes(_det_inv('det backward', {lu}, {t[1]}, True), -1, -2)"
     return [], [(f"((asarray({g})[..., None, None] * asarray({out})[..., None, None]) * {inv_t})",
                  t[1:])]
 
@@ -884,7 +894,7 @@ class Kernel:
         self.leaf_slots = [ins[1] for ins in prog.leaves]
         self.ns, self.kernels = dict(_NAMESPACE), {}  # scalar kernel -> the name of its global
         self.taped, self.vjps = None, {}
-        self.kept = ()  # the values the reverse sweep reads, set with the taped forward
+        self.kept = ()  # names of the values the reverse sweep reads, set with the taped forward
         self.forward = _define(self.ns, "forward", "L, B, raises", self._write(None), self.defs)
         self.out_kind, self.out_batched = (self.top.result or (None, None))[:2]
 
@@ -892,11 +902,11 @@ class Kernel:
 
     def _write(self, keep) -> list:
         """The forward's statements, and the functions they call in ``defs``;
-        a taped one also returns the top-level slots in ``keep``."""
-        self.keep, self.defs, self.fns = set(keep or ()), [], {}
-        self.bodies, self.abandons = 0, False
+        a taped one also returns the top-level locals named in ``keep``."""
+        self.keep = {int(name[1:]) for name in keep or () if name[0] == "s"}  # slots
+        self.defs, self.fns, self.bodies, self.abandons = [], {}, 0, False
         self.top = self._body("1", "return {}" + (
-            "" if keep is None else f", ({''.join(f's{s}, ' for s in keep)})"))
+            "" if keep is None else f", ({''.join(name + ', ' for name in keep)})"))
         return self._block(self.block, self.top)
 
     def _body(self, depth: str, exit_: str, ir=None, types=(), captures=None) -> _Body:
@@ -987,6 +997,8 @@ class Kernel:
                 aux = repr(aux)
             else:
                 self.ns[b.name("a", dest)], aux = aux, b.name("a", dest)
+        if f"lu{dest}" in self.kept:  # det in a taped forward keeps its factors
+            aux = f"lu{dest}"
         if self.raw:
             template, t = self._scalar(row, len(ops), aux), _SCALAR
         else:
@@ -1100,7 +1112,7 @@ class Kernel:
                      for pos, o in enumerate(ops) if o in leaf_index]
         self.use_leaf = tuple(u[2] for u in self.uses)
         sweep = "\n".join(self._vjp_body((True,) * len(self.leaf_slots)))
-        self.kept = tuple(sorted({int(d) for d in re.findall(r"\bs(\d+)\b", sweep)}))
+        self.kept = tuple(sorted(set(re.findall(r"\b(?:s|lu)\d+\b", sweep))))
         self.taped = _define(self.ns, "taped", "L, B, raises", self._write(self.kept), self.defs)
 
     # -- the reverse sweep ---------------------------------------------------------
@@ -1116,6 +1128,8 @@ class Kernel:
             if not active[dest] or dest not in has:
                 continue
             types = [self.types[o] for o in ops]
+            if row.eager:  # det's VJP reads the factors its taped forward keeps
+                aux = f"lu{dest}"
             pre, raw = row.emit_vjp(f"g{dest}", [self.ref.get(o, f"s{o}") for o in ops], f"s{dest}",
                                     types, self.types[dest], aux,
                                     [active.get(o, False) for o in ops])
@@ -1146,7 +1160,7 @@ class Kernel:
             active = [False] * len(self.leaf_slots)
             for n, li in zip(need, self.use_leaf):
                 active[li] = n
-            unpack = [f"{''.join(f's{s}, ' for s in self.kept)}= K"] if self.kept else []
+            unpack = [f"{''.join(name + ', ' for name in self.kept)}= K"] if self.kept else []
             lines = self._vjp_body(active)
             fn = self.vjps[need] = _define(self.ns, "vjp", f"g{self.out}, L, K, B", unpack + lines)
         return fn

@@ -6,7 +6,8 @@ The array forward and VJP of every language row are generated from its
 emit forms (``kernels``), which call numpy and the helpers here:
 ``ref_index`` and ``sizes`` check a ``ref``'s index and the sizes of an
 ``eye``, ``zeros`` or ``ones`` where the code runs, and ``det_inv`` is det
-and inv, told by the code whether the error policy raises.
+and inv on a matrix's ``factors``, told by the code whether the error
+policy raises.
 ``apply_primitive`` looks an op up by name in ``OPS``, the table's name ->
 row lookup, and calls its forward; this module reads nothing else of the
 table.
@@ -17,10 +18,16 @@ batched evaluation is bit-identical to stacking unbatched evaluations
 regardless of how numpy would otherwise reassociate sums.
 
 det, inv and the det gradient share one LU, ``lu_factor``, vectorised
-across the batch axis.  Each lane does the float operations of an LU of
-that matrix alone, in the same order, and an unbatched matrix goes
-through it as a batch of one, so for them too a batched evaluation is
-bit-identical to stacked unbatched ones.
+across the batch axis.  It copies the stack once into lane-minor order,
+(n, n, B), so that each step works on contiguous (B,) lane vectors, and
+``_lu_inverse`` solves on those arrays.  Each lane does the float
+operations of an LU of that matrix alone, in the same order, and an
+unbatched matrix goes through it as a batch of one, so for them too a
+batched evaluation is bit-identical to stacked unbatched ones.  The
+generated code calls ``factors`` and then ``det_inv`` on its result; a
+taped kernel keeps a det's factors, and the det's VJP in its ``fused``
+record reads them instead of factoring again.  A det that the executor
+records has no kept factors, and its VJP factors the matrix again.
 
 Scalar kernels.  The rows of the scalar ops also name a ``scalar_*``
 kernel (the table's ``scalar`` column): the op on ``numpy.float64``
@@ -280,89 +287,98 @@ def lu_factor(stack: np.ndarray):
     """LU with partial pivoting on a (B, n, n) stack of square matrices.
 
     Returns (lu, perm, sign, singular) shaped (B, n, n), (B, n), (B,) and
-    (B,).  The batch axis is vectorised, but each lane does the same float
-    operations in the same order as an LU of its matrix alone: the pivot
-    is the first row of largest |a| in the column, rows swap only in the
-    lanes whose pivot is off the diagonal, every row below k is updated
-    with f = a_ik / piv and a_ij - f * a_kj, and a lane whose pivot is
-    exactly zero skips that step.  No lane reads another, so a lane's
-    factors are bit-identical whatever the batch around it, and batched ==
-    stacked holds bitwise.  A lane is singular when some pivot has
-    |piv| <= 1e-12 * max|a| over its matrix; row k is final once step k
-    has pivoted, so the pivots are the diagonal of ``lu``.
+    (B,); lu and perm are views of lane-minor arrays, (n, n, B) and (n, B),
+    made from one copy of the stack, so that every pivot search, row swap
+    and row update works on contiguous (B,) lane vectors.  Each lane does
+    the same float operations in the same order as an LU of its matrix
+    alone: the pivot is the first row of largest |a| in the column (the
+    first NaN, if any), rows swap only in the lanes whose pivot is off the
+    diagonal, every row below k is updated with f = a_ik / piv and
+    a_ij - f * a_kj, and a lane whose pivot is exactly zero skips that
+    step.  No lane reads another, so a lane's factors are bit-identical
+    whatever the batch around it, and batched == stacked holds bitwise.  A
+    lane is singular when some pivot has |piv| <= 1e-12 * max|a| over its
+    matrix; row k is final once step k has pivoted, so the pivots are the
+    diagonal of ``lu``.
     """
     b, n, _ = stack.shape
-    lu = stack.copy()
-    perm = np.tile(np.arange(n), (b, 1))
+    # a copy even where the transpose is contiguous (B=1): the elimination
+    # writes into it
+    a = np.array(stack.transpose(1, 2, 0), order="C")
+    perm = np.repeat(np.arange(n), b).reshape(n, b)
     sign = np.ones(b)
-    scale = np.abs(stack).max(axis=(1, 2)) if n else np.zeros(b)
-    threshold = _SINGULAR_RTOL * scale
-    for k in range(n):
-        below = np.argmax(np.abs(lu[:, k:, k]), axis=1)
-        swap = np.nonzero(below)[0]
-        if swap.size:
-            ps = k + below[swap]
-            lu[swap, k], lu[swap, ps] = lu[swap, ps], lu[swap, k]
-            perm[swap, k], perm[swap, ps] = perm[swap, ps], perm[swap, k]
-            sign[swap] = -sign[swap]
-        if k + 1 == n:
-            break
-        piv = lu[:, k, k]
+    rows = a.reshape(n * n, b)  # row i * n + j is entry (i, j) of every lane
+    threshold = _SINGULAR_RTOL * np.abs(rows).max(axis=0, initial=0.0)  # 0 when n is 0
+    for k in range(n - 1):  # the last step has one row to pivot on and none to update
+        below = np.argmax(np.abs(a[k:, k]), axis=0)
+        if below.any():
+            _swap(a, perm, k, below)
+            np.negative(sign, out=sign, where=below != 0)
+        piv, f, trailing = a[k, k], a[k + 1:, k], a[k + 1:, k + 1:]
         if piv.all():
-            _eliminate(lu, k, piv)
+            f /= piv
+            trailing -= f[:, None] * a[k, None, k + 1:]
         else:
             live = piv != 0.0
-            part = lu[live]
-            _eliminate(part, k, piv[live])
-            lu[live] = part
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    singular = (pivots <= threshold[:, None]).any(axis=1)
-    return lu, perm, sign, singular
+            np.divide(f, piv, out=f, where=live)
+            np.subtract(trailing, f[:, None] * a[k, None, k + 1:], out=trailing, where=live)
+    singular = (np.abs(rows[::n + 1]) <= threshold).any(axis=0)
+    return a.transpose(2, 0, 1), perm.T, sign, singular
 
 
-def _eliminate(lu: np.ndarray, k: int, piv: np.ndarray) -> None:
-    # In-place updates of views: f and the trailing block are written
-    # straight into lu.
-    f = lu[:, k + 1:, k]
-    f /= piv[:, None]
-    trailing = lu[:, k + 1:, k + 1:]
-    trailing -= f[:, :, None] * lu[:, k, None, k + 1:]
+def _swap(a: np.ndarray, perm: np.ndarray, k: int, below: np.ndarray) -> None:
+    """Swap row k with row k + below in the lanes where below > 0."""
+    row, p = a[k].copy(), perm[k].copy()
+    for r in range(1, len(a) - k):
+        lanes = below == r
+        np.copyto(a[k], a[k + r], where=lanes)
+        np.copyto(a[k + r], row, where=lanes)
+        np.copyto(perm[k], perm[k + r], where=lanes)
+        np.copyto(perm[k + r], p, where=lanes)
 
 
 def _lu_inverse(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Solve LU x = P e_col for every unit column of every lane at once.
+    """Solve LU x = P e_col for every unit column of every lane at once,
+    returning a C-contiguous (B, n, n) array.
 
-    Row i of the forward pass subtracts l_ij * y_j for j = 0, 1, ... and of
-    the back pass u_ij * x_j for j = i+1, i+2, ..., as the one-matrix
-    solve does.  The forward pass applies column j to all rows below it in
-    one update, which keeps that order.
+    It works on the lane-minor arrays that ``lu_factor``'s views are of,
+    on x as (n, n, B).  Row i of the forward pass subtracts l_ij * y_j for
+    j = 0, 1, ... and of the back pass u_ij * x_j for j = i+1, i+2, ..., as
+    the one-matrix solve does.  The forward pass applies column j to all
+    rows below it in one update, which keeps that order.
     """
     n = lu.shape[-1]
-    x = np.eye(n)[perm]
-    rows = [x[:, i] for i in range(n)]  # views: in-place updates write x
+    a = lu.transpose(1, 2, 0)
+    x = (perm.T[:, None] == np.arange(n)[:, None]).astype(np.float64)  # x[i, c] = (perm_i == c)
     for j in range(n - 1):
-        below = x[:, j + 1:]
-        below -= lu[:, j + 1:, j, None] * rows[j][:, None]
+        x[j + 1:] -= a[j + 1:, j, None] * x[j]
     for i in range(n - 1, -1, -1):
-        row = rows[i]
+        row = x[i]
         for j in range(i + 1, n):
-            row -= lu[:, i, j, None] * rows[j]
-        row /= lu[:, i, i, None]
-    return x
+            row -= a[i, j] * x[j]
+        row /= a[i, i]
+    return np.ascontiguousarray(x.transpose(2, 0, 1))  # x is ours: a view at B=1 is fine
 
 
-def det_inv(op: str, m: np.ndarray, batched: bool, raises: bool) -> np.ndarray:
+def factors(m: np.ndarray, batched: bool):
+    """``lu_factor`` of a square matrix, or of each of a batch, an unbatched
+    one as a batch of one."""
+    return lu_factor(m if batched else m[None])
+
+
+def det_inv(op: str, factored: tuple, batched: bool, raises: bool) -> np.ndarray:
     """The determinant (``op`` "det") or the inverse ("inv", "det backward")
-    of a square matrix, or of each of a batch, through ``lu_factor``, an
-    unbatched one as a batch of one.  A singular lane raises SingularMatrix
-    naming ``op`` when ``raises``, and is NaN in an inverse otherwise.  The
-    generated code of det and inv calls it, with numpy's errors ignored."""
-    lu, perm, sign, singular = lu_factor(m if batched else m[None])
+    of a square matrix, or of each of a batch, from its ``factors``.  A
+    singular lane raises SingularMatrix naming ``op`` when ``raises``, and
+    is NaN in an inverse otherwise.  The generated code of det and inv
+    calls it, with numpy's errors ignored; det's VJP in a fused record
+    passes the factors its forward kept."""
+    lu, perm, sign, singular = factored
     if raises and singular.any():
         raise SingularMatrix(op, where=int(np.argmax(singular)))
     if op == "det":
         out = sign
-        for k in range(m.shape[-1]):
+        for k in range(lu.shape[-1]):
             out = out * lu[:, k, k]
     else:
         out = _lu_inverse(lu, perm)

@@ -9,7 +9,7 @@ from schemegrad.compiler import compile_source
 from schemegrad.errors import MissingGradient, ShapeMismatch, SingularMatrix
 from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.ops import OPS
-from schemegrad.runtime import apply_primitive
+from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY, apply_primitive
 from schemegrad.training import truth_store
 from schemegrad.values import Value, bit_equal, stack_batch
 
@@ -306,6 +306,23 @@ def test_det_inv_gradients_batched_equal_stacked(src, batch):
     batched = grad_m(Value.batch_matrices(stack))
     stacked = stack_batch([grad_m(Value.matrix(m)) for m in stack])
     assert bit_equal(batched, stacked)
+
+
+@pytest.mark.parametrize("src", ["(det M)", "(inv M)", "(det (inv (scale s M)))"])
+@pytest.mark.parametrize("batch", [None, 1, 3, 256])  # None: one unbatched matrix
+def test_det_inv_leave_their_input_unchanged(src, batch):
+    # the LU eliminates in place in a copy of the stack, which must be a copy
+    # even where the stack's lane-minor transpose is contiguous (one matrix)
+    prog = compile_source(src, inputs=("M",), params=("s",))
+    stack = _pivoting_matrices(np.random.default_rng(400), batch or 1)
+    m = Value.matrix(stack[0]) if batch is None else Value.batch_matrices(stack)
+    before = m.data.copy()
+    store = truth_store({"s": 0.8})
+    for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+        eval_program(prog, {"M": m}, store, policy)
+        ctx = TapeContext(policy)
+        ctx.backward(ctx.run(prog, {"M": m}, store), wrt_inputs=["M"])
+        assert m.data.tobytes() == before.tobytes(), policy.mode
 
 
 # --- activity: only parameters and requested inputs are differentiated -------

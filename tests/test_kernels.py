@@ -827,6 +827,24 @@ def test_a_taped_detinv_run_at_b256_is_one_fused_record(executor_runs):
     assert all(run[:3] == executor[:3] for run in runs)
 
 
+def test_the_fused_det_vjp_reads_the_factors_of_its_forward(monkeypatch):
+    """A taped (det (inv (scale s M))) factors its two matrices in the
+    forward, and its backward reads the det's kept factors: no third LU."""
+    factored, factors = [], kernels._NAMESPACE["_factors"]
+
+    def counted(m, batched):
+        factored.append(m.shape)
+        return factors(m, batched)
+
+    monkeypatch.setitem(kernels._NAMESPACE, "_factors", counted)
+    prog = compile_source("(det (inv (scale s M)))", inputs=("M",), params=("s",))
+    ctx = TapeContext()
+    out = ctx.run(prog, {"M": Value.batch_matrices(_WELL)}, truth_store({"s": 0.8}))
+    assert factored == [(3, 3, 3)] * 2
+    ctx.backward(out, wrt_inputs=["M"])
+    assert factored == [(3, 3, 3)] * 2
+
+
 def test_det_at_b1_never_calls_the_executor(executor_runs):
     prog = compile_source("(det M)", inputs=("M",))
     outs = [_output(eval_program(prog, {"M": Value.matrix(_WELL[0])})) for _ in range(3)]

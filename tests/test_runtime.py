@@ -225,7 +225,14 @@ def _lu_stacks(n, rng, batch=12):
     zero_pivot = rng.integers(-2, 3, (batch, n, n)).astype(float)
     zero_pivot[batch // 2] = 0.0
     zero_pivot[batch // 2, :, -1] = 1.0
-    return {"spd": spd, "swapping": swapping, "zero_pivot": zero_pivot}
+    # a NaN lane, whose pivot search must take the first NaN of a column
+    # (rows 1 and below of column 0), and a lane with +inf and -inf on its
+    # diagonal, which is singular (its threshold is inf); the other lanes
+    # must not see them
+    non_finite = swapping.copy()
+    non_finite[1, min(1, n - 1):, 0] = np.nan
+    non_finite[2][np.diag_indices(n)] = np.where(np.arange(n) % 2, -np.inf, np.inf)
+    return {"spd": spd, "swapping": swapping, "zero_pivot": zero_pivot, "non_finite": non_finite}
 
 
 def _bits(x):

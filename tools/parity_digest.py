@@ -6,21 +6,23 @@ It imports ``src/`` and ``tests/corpus.py`` of the tree it lives in and
 prints one line per case: the program id, the batch size, the policy, the
 run number, the run's kind (untaped or taped) and a hash.  The hash covers
 the output's bits, dtype and writability, or the error's class, message and
-position; a taped run's hash also covers its parameter and input
-gradients.  Cases: every program of ``tests/corpus.py`` and every
-``BENCH_PROGRAMS`` entry at B=1 and B=3, the recursion-guard probe, a
-non-tail recursion at n=3000 and n=20000, a loop ending in 120 nested
-``if``s, ``det`` and ``inv`` on a singular matrix and on a stack of three
-with one singular lane, ``eye`` and ``zeros`` of bad and computed sizes,
-and control flow in array runs at B=1 and B=3: a loop over a vector, a
-non-tail recursion that returns a vector, a loop variable that turns
+position; a taped run's hash also covers its parameter and input gradients.
+Cases: every program of ``tests/corpus.py`` and every ``BENCH_PROGRAMS``
+entry at B=1 and B=3, the recursion-guard probe, a non-tail recursion at
+n=3000 and n=20000, a loop ending in 120 nested ``if``s, ``det``, ``inv``
+and ``(det (inv ...))`` on a singular matrix, on a stack of three with one
+singular lane, on a matrix that pivots off the diagonal and on a stack of
+four whose lanes pivot at different steps, with an exact zero pivot in one
+lane and another lane singular, ``eye`` and ``zeros`` of bad and computed
+sizes, and control flow in array runs at B=1 and B=3: a loop over a vector,
+a non-tail recursion that returns a vector, a loop variable that turns
 batched on its first ``recur``, and a ``ShapeMismatch`` in an arm that no
 run takes.  Linked RK4 programs (``ode.link_rk4``) are cases too: the
 Lotka-Volterra and pendulum step and 3-step shooting segment, and the step and
 segment of a system whose ``sqrt`` leaves its domain in stage three, each at
-B=1 and B=3.  Each runs three times under each policy, from an emptied table of
-kernels and, for a linked program, an emptied table of linked programs.  Run
-it in both trees and ``diff`` the two outputs; identical files mean
+B=1 and B=3.  Each runs three times under each policy, from an emptied table
+of kernels and, for a linked program, an emptied table of linked programs.
+Run it in both trees and ``diff`` the two outputs; identical files mean
 bitwise-identical results on every case.
 """
 
@@ -56,6 +58,14 @@ _NON_TAIL = "(letrec ((s (lambda (k) (if (< k 1) 0 (+ 1 (call s (- k 1))))))) (c
 _STACK = np.array([[[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
                    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
                    [[2.0, -1.0, 0.5], [0.0, 1.5, 1.0], [1.0, 0.0, 3.0]]])
+# a 3x3 that swaps rows at both steps, and four lanes: one that swaps at
+# steps 0 and 1, one at step 1 only, one whose first column is zero (an exact
+# zero pivot, so the step is skipped) and one singular (pivot ~1e-16)
+_PIVOTING = np.array([[1.0, 2.0, 0.5], [3.0, -1.0, 2.0], [0.5, 4.0, 1.0]])
+_PIVOTING_STACK = np.array([[[1.0, 0.5, 2.0], [4.0, 1.0, 0.0], [2.0, 3.0, 1.0]],
+                            [[4.0, 1.0, 2.0], [1.0, 0.5, 3.0], [2.0, 3.0, 1.0]],
+                            [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 7.0]],
+                            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]])
 _LINALG = (("det", "(det M)", {}), ("inv", "(trace (inv M))", {}),
            ("detinv", "(det (inv (scale s M)))", {"s": 0.8}))
 _SIZES = (("eye_fraction", "(trace (eye 2.5))"), ("zeros_zero", "(vsum (zeros 0))"),
@@ -214,6 +224,9 @@ def _source_cases():
     for name, src, params in _LINALG:
         yield f"singular:{name}", 1, src, ("M",), params, {"M": Value.matrix(_STACK[1])}
         yield f"singular:{name}", 3, src, ("M",), params, {"M": Value.batch_matrices(_STACK)}
+        yield f"pivoting:{name}", 1, src, ("M",), params, {"M": Value.matrix(_PIVOTING)}
+        yield (f"pivoting:{name}", 4, src, ("M",), params,
+               {"M": Value.batch_matrices(_PIVOTING_STACK)})
     for name, src in _SIZES:
         yield (f"sizes:{name}", 1, src, ("x", "n"), {},
                {"x": Value.scalar(1.5), "n": Value.scalar(3.0)})
