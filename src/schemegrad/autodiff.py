@@ -3,10 +3,11 @@
 The tape is a flat record of every operation in execution order (loop
 iterations append one group per pass).  Backward walks it strictly in
 reverse, with numpy's floating-point errors ignored, calling the
-vector-Jacobian product of each record's op row (``ops.OPS``; most are
-generated from the rows' emit forms, see ``kernels``) and accumulating
-into input leaves and named parameters.  Every VJP returns each gradient
-already reduced to its argument's shape, and backward adds it as it is.
+vector-Jacobian product of each record's op row (``ops.OPS``; all but
+``fused``'s are generated from the rows' emit forms, see ``kernels``) and
+accumulating into input leaves and named parameters.  Every VJP returns
+each gradient already reduced to its argument's shape, and backward adds
+it as it is.
 ``Tape.replay`` recomputes every record through its row's forward.
 
 A taped run through a generated kernel (see ``kernels``) is one ``fused``

@@ -1,7 +1,7 @@
 """The emit forms of the ops, and the code generated from them.
 
 The emit forms are columns of the op table (``ops.py``) and the one array
-definition of every language row with kernels.  ``emit(ops, types, aux)``
+definition of every row but ``fused``.  ``emit(ops, types, aux)``
 returns the source of the op's result from its operands' sources and
 static types, with its static type;
 ``emit_vjp(g, ops, out, types, out_type, aux, need)`` returns statements to
@@ -12,8 +12,9 @@ otherwise, as ``_reduce`` reduces them) or None.  A static type is
 the batch size in the generated source, and ``raises`` whether the error
 policy raises, which only det and inv read.  ``aux`` is the source of a
 row's constant operands (pow's exponent, ref's index, the sizes of eye,
-zeros and ones), or None: a kernel splices a finite one as its literal,
-and a one-op function takes a number as ``aux`` and sizes as operands.
+zeros and ones, shooting_mse's weight), or None: a kernel splices a finite
+one as its literal, and a one-op function takes a number as ``aux`` and
+sizes as operands.
 det, which has none, takes as ``aux`` in a taped forward and in the reverse
 sweep of a ``fused`` record the name of the local that keeps its factors.  A
 form raises the ``ShapeMismatch`` its op raises, with its message, on
@@ -138,10 +139,11 @@ _NAMESPACE = {name: getattr(np, name) for name in (
     "abs", "sin", "cos", "exp", "sqrt", "log", "equal", "less", "greater", "less_equal",
     "greater_equal", "logical_and", "logical_or", "where", "stack", "ones", "sign", "floor",
     "trunc", "asarray", "broadcast_to", "swapaxes", "moveaxis", "diagonal", "matmul", "eye",
-    "zeros")}
+    "zeros", "tanh", "mean", "outer", "ascontiguousarray")}
 _NAMESPACE.update(_as_float=_as_float, _osl=rt.ordered_sum_last, _ZERO=_ZERO, _cross=_cross,
                   _pow_lanes=rt.power_lanes, _ref_index=rt.ref_index, _sizes=rt.sizes,
-                  _factors=rt.factors, _det_inv=rt.det_inv, _Abandoned=_Abandoned)
+                  _factors=rt.factors, _det_inv=rt.det_inv, _observed=rt.observed,
+                  _Abandoned=_Abandoned)
 
 
 def _define(ns: dict, name: str, params: str, body: list, defs=()):
@@ -438,6 +440,33 @@ def sized(op: str):
     return emit
 
 
+def emit_linear(ops, types, aux):
+    (x, w, b), (tx, tw, tb) = ops, types
+    if ((tx[0], tw[:2], tb[:2]) != ("vector", ("matrix", False), ("vector", False))
+            or tx[2] + tb[2] != tw[2]):
+        raise ShapeMismatch(f"linear: {tx} x {tw} + {tb} do not agree")
+    return f"(matmul({x}, {w}) + {b})", ("vector", tx[1], tb[2])
+
+
+def emit_relu(ops, types, aux):
+    return f"maximum({ops[0]}, 0.0)", types[0]
+
+
+def emit_mse(ops, types, aux):
+    p, t = ops
+    return f"mean(((_d := (_observed({p}, {t}) - {t})) * _d))", _SCALAR
+
+
+def emit_shooting_mse(ops, types, aux):
+    """The loss over residuals (B, k * d), as the step-by-step loss takes it:
+    each column's mean square, summed left to right, weighted by ``aux``."""
+    r = ops[0]
+    if types[0][:2] != ("vector", True):
+        raise ShapeMismatch("shooting_mse: expects a batch of residual vectors")
+    columns = f"ascontiguousarray(swapaxes(({r} * {r}), -1, -2))"
+    return f"({aux} * _osl((add.reduce({columns}, axis=1) / {r}.shape[0])))", _SCALAR
+
+
 # ---------------------------------------------------------------------------
 # VJP emit forms: (g, ops, out, types, out_type, aux, need) ->
 # (statements, [(source, static shape) or None per operand]).  ``need``
@@ -635,6 +664,25 @@ def vjp_outer(g, ops, out, types, out_t, aux, need):
                 if need[0] else None,
                 (f"add.reduce(({g} * {a}[..., :, None]), axis=-2)", (out_t[1], tb[2]))
                 if need[1] else None]
+
+
+def vjp_linear(g, ops, out, types, out_t, aux, need):
+    """The bias's gradient is ``g``, whose batch axis ``_reduce`` sums."""
+    (x, w, b), (tx, tw, tb) = ops, types
+    gw = f"matmul(swapaxes({x}, -1, -2), {g})" if tx[1] else f"outer({x}, {g})"
+    return [], [(f"matmul({g}, swapaxes({w}, -1, -2))", tx[1:]) if need[0] else None,
+                (gw, tw[1:]) if need[1] else None, (g, out_t[1:]) if need[2] else None]
+
+
+def vjp_mse(g, ops, out, types, out_t, aux, need):
+    (p, t), gd = ops, f"d{out}"
+    return [f"{gd} = ({g} * ((2.0 * ({p} - {t})) / {p}.size))"], [
+        (gd, types[0][1:]) if need[0] else None, (f"(-{gd})", types[1][1:]) if need[1] else None]
+
+
+def vjp_shooting_mse(g, ops, out, types, out_t, aux, need):
+    r = ops[0]
+    return [], [(f"(({g} * {aux}) * ((2.0 * {r}) / {r}.shape[0]))", types[0][1:])]
 
 
 def _reduce(c: tuple, arg: tuple, out: tuple, elementwise: bool) -> str:
@@ -838,6 +886,8 @@ def _make(prog, sig, kind: str):
 
 # Scalar kernels written as their Python operator: the same call on the same operands.
 _OPERATORS = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+# Brackets an inlined source may nest: Python's parser refuses 200.
+_NESTING_MAX = 64
 
 
 def _indent(lines: list) -> list:
@@ -1051,8 +1101,9 @@ class Kernel:
 
     def _render(self, items: list, end, b: _Body, pinned: set) -> list:
         """A block's statements: a result that nothing reads is left out, one
-        read once and not pinned is inlined into its reader, and any other is
-        named and deleted after the statement that reads it last."""
+        read once and not pinned is inlined into its reader while its source
+        nests at most ``_NESTING_MAX`` brackets, and any other is named and
+        deleted after the statement that reads it last."""
         end_ops, end_src, after = end or ((), "", [])
         prims = [item for item in items if type(item) is tuple]
         live = pinned | set(end_ops)
@@ -1067,6 +1118,7 @@ class Kernel:
             for o, hole in zip(ops, _holes(len(ops))):
                 uses[o] = uses.get(o, 0) + template.count(hole)
         ref, reads_of, left, lines = b.ref, {}, {}, []
+        nests = {}  # inlined slot -> the brackets its source nests
         for item in items:
             if type(item) is list:
                 lines += item
@@ -1078,8 +1130,12 @@ class Kernel:
             reads = [r for o, hole in zip(ops, _holes(len(ops))) if o in reads_of
                      for r in reads_of[o] * template.count(hole)]
             if dest not in pinned and uses.get(dest) == 1:
-                ref[dest], reads_of[dest] = src, reads
-                continue
+                # at most the template's brackets around its deepest operand
+                nest = (template.count("(") + template.count("[")
+                        + max([nests.get(o, 0) for o in ops], default=0))
+                if nest <= _NESTING_MAX:
+                    ref[dest], reads_of[dest], nests[dest] = src, reads, nest
+                    continue
             if dest in self.keep and b.n == 0 and b.types[dest][:2] == ("scalar", False):
                 # a 0-d array: the reverse sweep's Python operators on a numpy
                 # scalar would take numpy's scalar math, not the ufunc

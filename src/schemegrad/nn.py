@@ -1,77 +1,16 @@
-"""Minimal dense network built on the tape: fused linear layers, relu/tanh,
-an MSE record, and the hybrid/composition forward patterns."""
+"""Minimal dense network, an MSE record, and the hybrid/composition forward
+patterns.  A network is one compiled straight-line tree of ``linear`` and
+activation prims, so a network call is one ``fused`` record."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .autodiff import ParameterStore, TapeContext, TapeRef
-from .errors import EmptyObservations, ShapeMismatch
-from .ops import Op, register
+from .compiler import compile_tree
+from .errors import ConfigError, ShapeMismatch
+from .sexpr import Prim, Var, pretty
 from .values import Value
-
-
-# ---------------------------------------------------------------------------
-# tape records: op rows that are no language names
-
-
-def _linear(args, policy=None) -> Value:
-    x, w, b = args
-    return Value(np.matmul(x.data, w.data) + b.data, "vector", x.batched)
-
-
-def _relu(args, policy=None) -> Value:
-    x = args[0]
-    return Value(np.maximum(x.data, 0.0), x.kind, x.batched)
-
-
-def _tanh(args, policy=None) -> Value:
-    x = args[0]
-    return Value(np.tanh(x.data), x.kind, x.batched)
-
-
-def _mse(args, policy=None) -> Value:
-    pred, target = args
-    if pred.data.shape != target.data.shape:
-        raise ShapeMismatch(
-            f"mse: prediction shape {pred.data.shape} != target shape {target.data.shape}"
-        )
-    if pred.data.size == 0:
-        raise EmptyObservations("mse: the batch is empty")
-    d = pred.data - target.data
-    return Value.scalar(np.mean(d * d))
-
-
-def _vjp_linear(g, args, out, aux, need):
-    x, w, b = args
-    gx = np.matmul(g, w.data.T) if need[0] else None  # None for a data input
-    if x.batched:
-        gw = np.matmul(x.data.T, g) if need[1] else None
-        gb = g.sum(axis=0) if need[2] else None
-    else:
-        gw = np.outer(x.data, g) if need[1] else None
-        gb = g if need[2] else None
-    return [gx, gw, gb]
-
-
-def _vjp_relu(g, args, out, aux, need):
-    return [np.asarray(g * (args[0].data > 0.0))]  # a 0-d array for a 0-d operand
-
-
-def _vjp_tanh(g, args, out, aux, need):
-    return [np.asarray(g * (1.0 - out.data * out.data))]
-
-
-def _vjp_mse(g, args, out, aux, need):
-    pred, target = args
-    gd = g * (2.0 * (pred.data - target.data) / pred.data.size)
-    return [np.asarray(gd) if need[0] else None, np.asarray(-gd) if need[1] else None]
-
-
-register(Op("linear", "nn", 3, 3, forward=_linear, vjp=_vjp_linear))
-register(Op("relu", "nn", 1, 1, forward=_relu, vjp=_vjp_relu))
-register(Op("tanh", "nn", 1, 1, forward=_tanh, vjp=_vjp_tanh))
-register(Op("mse", "nn", 2, 2, forward=_mse, vjp=_vjp_mse))
 
 
 def mse_record(ctx: TapeContext, pred: TapeRef, target) -> TapeRef:
@@ -92,12 +31,13 @@ class MlpModel:
     def __init__(self, layer_sizes, activation: str = "relu", rng=None,
                  zero_output: bool = False):
         if activation not in ("relu", "tanh"):
-            raise ValueError(f"unsupported activation {activation!r}")
+            raise ConfigError(f"unsupported activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.activation = activation
         self.store = ParameterStore()
         last = len(self.layer_sizes) - 2
+        h = Var("x")
         for i, (n_in, n_out) in enumerate(zip(self.layer_sizes, self.layer_sizes[1:])):
             if activation == "relu":
                 bound = np.sqrt(6.0 / n_in)
@@ -110,10 +50,8 @@ class MlpModel:
                 w = np.zeros((n_in, n_out))
             self.store.add(f"w{i}", Value.matrix(w))
             self.store.add(f"b{i}", Value.vector(np.zeros(n_out)))
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_sizes) - 1
+            h = Prim("linear", (Prim(activation, (h,)) if i else h, Var(f"w{i}"), Var(f"b{i}")))
+        self.program = compile_tree(h, pretty(h), ("x",), self.store.names())
 
     @property
     def param_count(self) -> int:
@@ -121,27 +59,17 @@ class MlpModel:
             a * b + b for a, b in zip(self.layer_sizes, self.layer_sizes[1:])
         )
 
-    def weight_names(self):
-        for i in range(self.num_layers):
-            yield f"w{i}", f"b{i}"
-
 
 def mlp_forward(ctx: TapeContext, model: MlpModel, x: TapeRef) -> TapeRef:
-    """Affine -> activation per hidden layer, affine output; all on tape."""
+    """Affine -> activation per hidden layer, affine output: one run of the
+    network's program."""
     if x.value.kind != "vector":
         raise ShapeMismatch("mlp_forward expects a vector input; pack scalars first")
     if x.value.core_shape[-1] != model.layer_sizes[0]:
         raise ShapeMismatch(
             f"mlp input width {x.value.core_shape[-1]} != layer width {model.layer_sizes[0]}"
         )
-    h = x
-    for i, (wn, bn) in enumerate(model.weight_names()):
-        w = ctx.param(model.store, wn)
-        b = ctx.param(model.store, bn)
-        h = ctx.prim("linear", h, w, b)
-        if i < model.num_layers - 1:
-            h = ctx.prim(model.activation, h)
-    return h
+    return ctx.run(model.program, {"x": x}, model.store)
 
 
 def pack_scalars(ctx: TapeContext, refs) -> TapeRef:

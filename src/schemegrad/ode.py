@@ -23,7 +23,7 @@ Linked programs are kept process-wide, keyed by their programs' texts and
 names, dt, the number of steps and the depth limit, so a system built again
 over the same programs compiles nothing and finds its kernels warm.  Any
 other right-hand side (a dense network, a hybrid, a Python function) is
-stepped stage by stage, one record per operation.
+stepped stage by stage, one record per operation or network call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import machine, optim
 from .autodiff import TapeContext, TapeRef
 from .compiler import CompileConfig, compile_tree
 from .errors import EmptyObservations, ShapeMismatch
-from .ops import Op, register
+from .nn import mlp_forward, pack_scalars, unpack_scalar
 from .runtime import PROPAGATE_POLICY
 from .sexpr import Const, Let, Prim, Var, parse, pretty
 from .values import Value
@@ -287,30 +287,7 @@ def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) ->
     ])
 
 
-def _shooting_mse(args, policy=None, weight=None) -> Value:
-    """The multiple-shooting loss from a segment run's residuals r, (B, k *
-    d): the terms the step-by-step loss records, in its order.  Each column
-    is one mean squared error over the segments, ``np.mean(r * r)``; they
-    are summed left to right and the sum is scaled by ``weight``."""
-    r = args[0].data
-    squares = r * r
-    terms = np.add.reduce(np.ascontiguousarray(squares.T), axis=1) / r.shape[0]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return Value.scalar(weight * total)
-
-
-def _vjp_shooting_mse(g, args, out, weight, need):
-    """Each residual's gradient as the step-by-step loss gives it: the
-    scale's adjoint passes unchanged through the sum to every mean squared
-    error, whose adjoint is ``g * (2 r / B)``."""
-    r = args[0].data
-    return [(g * weight) * (2.0 * r / r.shape[0])]
-
-
-SHOOTING_MSE = "shooting_mse"
-register(Op(SHOOTING_MSE, "tape", 1, 1, forward=_shooting_mse, vjp=_vjp_shooting_mse))
+SHOOTING_MSE = "shooting_mse"  # the row of the loss over a segment run's residuals
 
 
 def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names) -> None:
@@ -456,8 +433,6 @@ def make_compiled_rhs(programs, stores, input_names) -> CompiledRhs:
 
 def make_mlp_rhs(model, n_components):
     """RHS where a dense network maps the packed state to its derivative."""
-    from .nn import mlp_forward, pack_scalars, unpack_scalar
-
     def rhs(ctx, state, t):
         x = pack_scalars(ctx, list(state))
         y = mlp_forward(ctx, model, x)

@@ -11,17 +11,17 @@ the op under the error policy's safe-domain rule (``runtime.Violations``),
 and ``eager`` has the executor pass the error policy to the op, whose
 generated code then raises at once (det and inv, on a singular matrix).
 
-The emit forms are the one array definition of all 44 language rows with
-kernels.  Their forward and VJP columns are filled in by the row itself,
-with callers of the one-op functions generated from the forms
+The emit forms are the one array definition of every row but ``fused``.
+Their forward and VJP columns are filled in by the row itself, with
+callers of the one-op functions generated from the forms
 (``kernels.forward_of``, ``kernels.vjp_of``); a caller checks the row's
-arity when it first sees its operands' shapes.  Only the tape-only rows
-give a hand-written forward and VJP.
+arity when it first sees its operands' shapes.
 
-Five rows take compile-time constant operands as ``aux``, in place of the
-operands: pow a literal exponent, ref a literal index, and eye, zeros and
-ones their literal sizes, as one tuple.  Their forms, the executor,
-``apply_primitive`` and ``TapeContext.prim`` treat it alike.
+Six rows take compile-time constant operands as ``aux``, in place of the
+operands: pow a literal exponent, ref a literal index, eye, zeros and ones
+their literal sizes, as one tuple, and shooting_mse its weight.  Their
+forms, the executor, ``apply_primitive`` and ``TapeContext.prim`` treat it
+alike.
 
 Four categories of language names: scalar arithmetic (24), vector (9),
 matrix (11) and control flow (7).  Control forms are parsed structurally,
@@ -29,10 +29,10 @@ not as prim applications, so their rows have no kernels; they are here so
 their names are reserved and the category counts are checkable.
 
 ``REGISTRY`` maps the 51 language names to their rows; the parser reads
-it.  ``OPS`` (``runtime.OPS``) maps the name of every row with kernels to
-its row; ``apply_primitive``, the machine, ``Tape.replay`` and
-``backward`` read it.  ``register`` adds a tape-only row, such as the
-dense-layer records in ``nn``, to ``OPS`` alone.
+it.  ``OPS`` (``runtime.OPS``) also holds the rows that are no language
+name: a network's layers (linear, relu, tanh; see ``nn``), the losses mse
+and shooting_mse, and ``fused``; ``apply_primitive``, the machine,
+``Tape.replay`` and ``backward`` read it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from . import runtime as rt
 @dataclass(frozen=True, slots=True)
 class Op:
     name: str
-    category: str  # scalar | vector | matrix | control | nn
+    category: str  # scalar | vector | matrix | control | nn | tape
     min_arity: int
     max_arity: int | None  # None = unbounded
     emit: Callable | None = None  # (ops, types, aux) -> (source, type), in a kernel
@@ -139,26 +139,24 @@ _ROWS = (
     Op("call", "control", 1, None),
 )
 
+# Rows no program text names; shooting_mse's weight (aux) counts as an operand.
+_UNNAMED_ROWS = (
+    Op("linear", "nn", 3, 3, kn.emit_linear, kn.vjp_linear),
+    Op("relu", "nn", 1, 1, kn.emit_relu, kn.unary_vjp("({g} * ({x} > 0.0))")),
+    Op("tanh", "nn", 1, 1, kn.unary("tanh"), kn.unary_vjp("({g} * (1.0 - ({out} * {out})))")),
+    Op("mse", "nn", 2, 2, kn.emit_mse, kn.vjp_mse),
+    Op("shooting_mse", "tape", 2, 2, kn.emit_shooting_mse, kn.vjp_shooting_mse),
+)
+
 REGISTRY: dict[str, Op] = {op.name: op for op in _ROWS}
 
 assert len(REGISTRY) == 51
 
 OPS = rt.OPS
-OPS.update((op.name, op) for op in _ROWS if op.forward is not None)
-
-
-def register(op: Op) -> None:
-    """Add a tape-only row: a record that ``TapeContext`` code writes to a
-    tape and that is no language name.  Its VJP must return, per argument,
-    None where the ``need`` entry is false and otherwise an array shaped
-    like the argument, which ``backward`` adds as it is; ``backward`` calls
-    it only when at least one entry is true."""
-    OPS[op.name] = op
-
-
+OPS.update((op.name, op) for op in _ROWS + _UNNAMED_ROWS if op.forward is not None)
 # The one record of a taped run through a generated kernel (see ``kernels``):
 # its VJP returns one contribution per argument, already argument-shaped.
-register(Op(kn.FUSED, "tape", 0, None, vjp=kn.vjp_fused))
+OPS[kn.FUSED] = Op(kn.FUSED, "tape", 0, None, vjp=kn.vjp_fused)
 
 
 # Names that appear as Prim nodes in the AST (everything except the

@@ -11,7 +11,8 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .errors import ShapeMismatch
-from .nn import _mse, _vjp_mse
+from .ops import OPS
+from .runtime import apply_primitive
 from .values import Value
 
 
@@ -66,15 +67,14 @@ def mse_loss(pred: Value, target: Value):
     """Mean squared error plus the matching backward seed
     2*(pred-target)/count: the forward and, at g = 1, the VJP of the
     tape's ``mse`` record."""
-    pred = Value.of(pred)
-    target = Value.of(target)
+    pred, target = Value.of(pred), Value.of(target)
     try:
-        loss = _mse([pred, target])
+        loss = apply_primitive("mse", [pred, target])
     except ShapeMismatch:
         raise ShapeMismatch(
             f"mse_loss: shapes {pred.data.shape} vs {target.data.shape}"
         ) from None
-    grad = _vjp_mse(1.0, (pred, target), loss, None, (True, False))[0]
+    grad = OPS["mse"].vjp(1.0, [pred, target], loss, None, (True, False))[0]
     return loss, Value(grad, pred.kind, pred.batched)
 
 

@@ -5,9 +5,9 @@ apply one op.
 The array forward and VJP of every language row are generated from its
 emit forms (``kernels``), which call numpy and the helpers here:
 ``ref_index`` and ``sizes`` check a ``ref``'s index and the sizes of an
-``eye``, ``zeros`` or ``ones`` where the code runs, and ``det_inv`` is det
-and inv on a matrix's ``factors``, told by the code whether the error
-policy raises.
+``eye``, ``zeros`` or ``ones`` and ``observed`` an ``mse``'s operands
+where the code runs, and ``det_inv`` is det and inv on a matrix's
+``factors``, told by the code whether the error policy raises.
 ``apply_primitive`` looks an op up by name in ``OPS``, the table's name ->
 row lookup, and calls its forward; this module reads nothing else of the
 table.
@@ -51,7 +51,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainViolation, ShapeMismatch, SingularMatrix
+from .errors import (ConfigError, DomainViolation, EmptyObservations, ShapeMismatch,
+                     SingularMatrix)
 from .values import F64, Value
 
 _SINGULAR_RTOL = 1e-12
@@ -71,7 +72,7 @@ class SafeDomainPolicy:
 
     def __post_init__(self):
         if self.mode not in ("error", "propagate_nan"):
-            raise ValueError(f"unknown safe-domain mode {self.mode!r}")
+            raise ConfigError(f"unknown safe-domain mode {self.mode!r}")
         # a plain attribute, not a property: apply_primitive reads it per call
         object.__setattr__(self, "raises", self.mode == "error")
 
@@ -179,6 +180,15 @@ def sizes(op: str, dims) -> tuple:
         raise ShapeMismatch("eye: size must be positive" if op == "eye"
                             else f"{op}: sizes must be positive")
     return dims
+
+
+def observed(pred, target):
+    """An ``mse``'s prediction, found to be shaped like its target and not empty."""
+    if pred.shape != target.shape:
+        raise ShapeMismatch(f"mse: prediction shape {pred.shape} != target shape {target.shape}")
+    if pred.size == 0:
+        raise EmptyObservations("mse: the batch is empty")
+    return pred
 
 
 _EXACT_EXPONENTS = (2.0, 0.5, -1.0)

@@ -2,9 +2,11 @@
 and exactness of compiled programs far outside any training range."""
 
 import numpy as np
+import pytest
 
 from schemegrad.autodiff import TapeContext
 from schemegrad.compiler import compile_source
+from schemegrad.errors import ConfigError
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program
 from schemegrad.nn import MlpModel, mlp_forward, unpack_scalar
@@ -94,3 +96,8 @@ def test_hybrid_sum_gradients_reach_both_components():
     ctx.backward(loss)
     assert store["a"].grad is not None and abs(float(store["a"].grad)) > 0
     assert any(np.abs(mlp.store[n].grad).max() > 0 for n in mlp.store.names())
+
+
+def test_an_unsupported_activation_raises_config_error():
+    with pytest.raises(ConfigError, match="unsupported activation 'sigmoid'"):
+        MlpModel([2, 4, 1], activation="sigmoid")

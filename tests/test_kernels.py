@@ -13,7 +13,8 @@ limit, ``Tape.replay``, the record count of a Lotka-Volterra epoch, the
 peak memory of a warmed eval, how often a run calls the executor, reads its
 inputs and converts them, that a run takes the kernel, det and inv on a
 singular lane, and eye, zeros and ones of literal, computed and bad sizes
-are checked too.
+are checked too, and so are a network call, which is one ``fused`` record,
+and programs nested as deep as the parser takes, which get every kernel.
 """
 
 import gc
@@ -25,7 +26,7 @@ from collections import UserDict
 import numpy as np
 import pytest
 
-from schemegrad import kernels, machine, ode
+from schemegrad import kernels, machine, ode, sexpr
 from schemegrad.autodiff import Tape, TapeContext, backward
 from schemegrad.compiler import CompileConfig, compile_source
 from schemegrad.errors import (DepthLimitExceeded, DomainViolation, EvalError, SchemegradError,
@@ -34,7 +35,7 @@ from schemegrad.experiments import lotka_volterra as lv_exp
 from schemegrad.experiments.registry import BENCH_PROGRAMS, FEYNMAN
 from schemegrad.interpreter import interpret_ast
 from schemegrad.machine import eval_program, eval_with_tape, run_on_tape
-from schemegrad.nn import compose_chain
+from schemegrad.nn import MlpModel, compose_chain, mlp_forward
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY, apply_primitive
 from schemegrad.sexpr import parse
 from schemegrad.training import truth_store
@@ -933,3 +934,71 @@ def test_an_infinite_size_or_index_raises_shape_mismatch(src, message):
         with pytest.raises(ShapeMismatch) as err:
             run()
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# a network call, and programs at the nesting limit
+
+
+def _network_run(model, x, target) -> tuple:
+    """The ops of the tape of one network call and its loss, and the bits of
+    the output, the loss and every weight and input gradient."""
+    ctx = TapeContext()
+    xr = ctx.constant(x)
+    out = mlp_forward(ctx, model, xr)
+    loss = ctx.mse(out, target)
+    model.store.zero_grads()
+    res = ctx.backward(loss, wrt_inputs=[xr])
+    assert ctx.tape.replay()
+    return ([node[0] for node in ctx.tape.nodes],
+            [_bits(out.value.data), _bits(loss.value.data), _bits(res.input_grads[xr.tape_id].data)]
+            + [_bits(model.store[n].grad) for n in model.store.names()])
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "b3"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_a_network_call_is_one_fused_record_bitwise_the_executors(activation, batch):
+    rng = np.random.default_rng(zlib.crc32(activation.encode()))
+    model = MlpModel([3, 5, 4, 2], activation=activation, rng=rng)
+    x, target = rng.uniform(-1.0, 1.0, (batch or 1, 3)), rng.uniform(-1.0, 1.0, (batch or 1, 2))
+    if batch:
+        x, target = Value.batch_vectors(x), Value.batch_vectors(target)
+    else:
+        x, target = Value.vector(x[0]), Value.vector(target[0])
+    ops, got = _network_run(model, x, target)
+    assert ops == ["leaf"] * 7 + [kernels.FUSED, "leaf", "mse"]  # x, then the six weights
+    executor_ops, want = _by_executor(_network_run, model, x, target)
+    assert executor_ops == ["leaf", "leaf", "leaf", "linear", activation, "leaf", "leaf", "linear",
+                            activation, "leaf", "leaf", "linear", "leaf", "mse"]
+    assert got == want
+    assert _network_run(model, x, target) == (ops, got)  # the warm kernel too
+
+
+def _nested(depth: int, inner: str, template: str) -> str:
+    src = inner
+    for _ in range(depth):
+        src = template.format(src)
+    return src
+
+
+# (source, inputs, params): a chain of 199 additions, and a component nested
+# 200 levels deep, as ``test_linked_step`` links it
+_AT_THE_LIMIT = [
+    (_nested(sexpr.MAX_NESTING - 1, "x", "(+ 1 {})"), ("x",), {}),
+    (f"(* a {_nested(sexpr.MAX_NESTING - 1, 'y', '(+ {} 0.001)')})", ("x", "y"), {"a": 0.5}),
+]
+
+
+@pytest.mark.parametrize("src, inputs, params", _AT_THE_LIMIT, ids=["chain", "component"])
+def test_a_program_at_the_nesting_limit_takes_every_kernel(src, inputs, params, executor_runs):
+    for x in (0.25, -1.5):
+        _parity(src, inputs, params, {n: Value.scalar(x) for n in inputs}, executor_runs)
+    batched = {n: Value.batch_scalars([0.25, -1.5, 3.0]) for n in inputs}
+    _parity(src, inputs, params, batched, executor_runs)
+    prog = compile_source(src, inputs=inputs, params=tuple(params))
+    taped = _taped(prog, batched, params)
+    assert _fused_count(taped[3]) == 1 and len(taped[3]) == len(prog.leaves) + 1
+    assert taped[:3] == _by_executor(_taped, prog, batched, params)[:3]
+    sig = machine._leaves(prog, batched, truth_store(params) if params else None)[2]
+    for kind, at in ((kernels.RAW, None), (kernels.UNTAPED, sig), (kernels.TAPED, sig)):
+        assert kernels.lookup(prog, at, kind) is not None, kind

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from schemegrad import kernels, ode, ops, optim, runtime
+from schemegrad import kernels, nn, ode, ops, optim, runtime
 from schemegrad.autodiff import ParameterStore, TapeContext
 from schemegrad.compiler import compile_source
 from schemegrad.errors import DomainViolation, EmptyObservations, SingularMatrix
@@ -42,9 +42,8 @@ def test_every_row_with_kernels_has_a_forward_and_a_vjp():
         assert callable(row.vjp), name
         # a fused record is recomputed through its generated kernel, not a row
         assert callable(row.forward) or name == FUSED, name
-    for name in _NN_ROWS:
-        assert name not in REGISTRY and OPS[name].category == "nn"
-    assert ode.SHOOTING_MSE not in REGISTRY and OPS[ode.SHOOTING_MSE].category == "tape"
+    for name in _NN_ROWS | {ode.SHOOTING_MSE}:  # no language names
+        assert name not in REGISTRY and name not in ops.PRIM_NAMES
 
 
 def test_non_differentiable_rows_have_the_explicit_none_vjp():
@@ -53,26 +52,32 @@ def test_non_differentiable_rows_have_the_explicit_none_vjp():
                        "eye", "zeros", "ones"}
 
 
-# The rows whose one array forward and VJP are their emit forms: every
-# language row with kernels, the 24 scalar rows and 20 vector and matrix rows.
+# The rows whose one array forward and VJP are their emit forms: every row
+# but ``fused``, the 24 scalar rows, 20 vector and matrix rows, the three
+# network layers and the two losses.
 _EMITTED = {name for name, row in REGISTRY.items() if row.category == "scalar"} | {
     "vec", "ref", "dot", "norm", "vsum", "scale", "matvec", "cross", "normalize", "mat",
-    "matmul", "transpose", "trace", "outer", "vlen", "det", "inv", "eye", "zeros", "ones"}
+    "matmul", "transpose", "trace", "outer", "vlen", "det", "inv", "eye", "zeros", "ones",
+    "linear", "relu", "tanh", "mse", "shooting_mse"}
 
 
 def test_a_row_with_emit_forms_has_no_other_array_definition():
     emitted = {name for name, row in OPS.items() if row.emit is not None}
     assert emitted == {name for name, row in OPS.items() if row.emit_vjp is not None}
-    assert emitted == _EMITTED and len(emitted) == 44
-    assert emitted == {name for name, row in REGISTRY.items() if row.forward is not None}
+    assert emitted == _EMITTED and len(emitted) == 49
+    assert emitted == set(OPS) - {FUSED}
+    assert {name for name, row in REGISTRY.items() if row.forward is not None} == emitted - (
+        _NN_ROWS | {ode.SHOOTING_MSE})
     for name in emitted:  # the generated callers, not hand-written numpy
         assert OPS[name].forward.__module__ == OPS[name].vjp.__module__ == kernels.__name__
-    tree = ast.parse(inspect.getsource(runtime))
-    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name.startswith(("op_", "vjp_"))}
-    kept = {fn.__name__ for row in OPS.values() if row.emit is None
-            for fn in (row.forward, row.vjp) if getattr(fn, "__module__", None) == runtime.__name__}
-    assert defined == kept == set()
+    assert OPS[FUSED].vjp is kernels.vjp_fused
+    for module in (runtime, nn, ode):  # no forward (args, policy) or VJP by hand
+        tree = ast.parse(inspect.getsource(module))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and (node.name.startswith(("op_", "vjp_", "_vjp_"))
+                        or [a.arg for a in node.args.args[:2]] == ["args", "policy"])}
+        assert defined == set(), module.__name__
+    assert not hasattr(ops, "register")
 
 
 def test_no_emit_form_calls_ndarray_sum():

@@ -11,12 +11,14 @@ import schemegrad
 from schemegrad import interpreter, runtime
 from schemegrad.autodiff import TapeContext, backward
 from schemegrad.compiler import compile_source
-from schemegrad.errors import DomainViolation, SchemegradError, ShapeMismatch, SingularMatrix
+from schemegrad.errors import (ConfigError, DomainViolation, SchemegradError, ShapeMismatch,
+                               SingularMatrix)
 from schemegrad.machine import eval_program, eval_with_tape
 from schemegrad.ops import PRIM_NAMES
 from schemegrad.runtime import (
     ERROR_POLICY,
     PROPAGATE_POLICY,
+    SafeDomainPolicy,
     apply_primitive,
     lu_factor,
     pow_immediate,
@@ -139,6 +141,11 @@ def test_singular_matrix_policy():
         apply_primitive("inv", [singular], ERROR_POLICY)
     out = apply_primitive("inv", [singular], PROPAGATE_POLICY)
     assert np.isnan(out.data).all()
+
+
+def test_an_unknown_safe_domain_mode_raises_config_error():
+    with pytest.raises(ConfigError, match="unknown safe-domain mode 'bogus'"):
+        SafeDomainPolicy("bogus")
 
 
 def test_singular_matrix_names_first_singular_lane():

@@ -22,6 +22,14 @@ Lotka-Volterra and pendulum step and 3-step shooting segment, and the step and
 segment of a system whose ``sqrt`` leaves its domain in stage three, each at
 B=1 and B=3.  Each runs three times under each policy, from an emptied table
 of kernels and, for a linked program, an emptied table of linked programs.
+Network cases run each on a fresh tape and take a backward, hashing the loss
+or output with every parameter's gradient: ``mlp_forward`` then ``ctx.mse``
+on a relu network, a tanh one and a tanh one built with ``zero_output``, on
+an unbatched and a batched input (with the input's gradient too); one
+stage-by-stage RK4 step of the pendulum hybrid right-hand side (its compiled
+gravity term plus a tanh correction) and of ``make_mlp_rhs`` on a relu
+network, at B=1 and B=3; and one Lotka-Volterra ``multiple_shooting_loss``
+epoch over two ragged trajectories, whose loss is a ``shooting_mse`` record.
 Run it in both trees and ``diff`` the two outputs; identical files mean
 bitwise-identical results on every case.
 """
@@ -39,12 +47,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import CORPUS, integer_inputs  # noqa: E402
 from schemegrad import kernels, ode  # noqa: E402
-from schemegrad.autodiff import Tape, backward  # noqa: E402
+from schemegrad.autodiff import Tape, TapeContext, backward  # noqa: E402
 from schemegrad.compiler import compile_source  # noqa: E402
 from schemegrad.errors import SchemegradError  # noqa: E402
 from schemegrad.experiments import lotka_volterra, pendulum  # noqa: E402
 from schemegrad.experiments.registry import BENCH_PROGRAMS  # noqa: E402
 from schemegrad.machine import eval_program, run_on_tape  # noqa: E402
+from schemegrad.nn import MlpModel, mlp_forward, pack_scalars, unpack_scalar  # noqa: E402
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY  # noqa: E402
 from schemegrad.training import truth_store  # noqa: E402
 from schemegrad.values import Value, stack_batch  # noqa: E402
@@ -237,7 +246,90 @@ def _source_cases():
             yield f"control:{name}", batch, src, inputs, {}, {n: feed[n] for n in inputs}
 
 
+def _network_loss(activation, zero_output, batch, ctx):
+    model = MlpModel([3, 8, 8, 2], activation=activation, rng=np.random.default_rng(5),
+                     zero_output=zero_output)
+    x = _V if batch == 3 else _V[0]
+    x = ctx.constant(Value.batch_vectors(x) if batch == 3 else Value.vector(x))
+    target = Value.batch_vectors(_V[:, :2]) if batch == 3 else Value.vector(_V[0, :2])
+    return ctx.mse(mlp_forward(ctx, model, x), target), [model.store], [x]
+
+
+def _hybrid_rhs():
+    """The pendulum's scenario 2 right-hand side: omega, and the compiled
+    gravity term plus a tanh correction of (theta, omega)."""
+    gravity = compile_source("(* (- 0 g_L) (sin theta))", inputs=("theta", "omega"),
+                             params=("g_L",))
+    store = truth_store({"g_L": 9.0})
+    model = MlpModel([2, 33, 33, 1], activation="tanh", rng=np.random.default_rng(9))
+
+    def rhs(ctx, state, t):
+        theta, omega = state
+        known = ctx.run(gravity, {"theta": theta, "omega": omega}, store)
+        corr = unpack_scalar(ctx, mlp_forward(ctx, model, pack_scalars(ctx, [theta, omega])), 0)
+        return (omega, ctx.add(known, corr))
+
+    return rhs, [store, model.store]
+
+
+def _mlp_rhs():
+    model = MlpModel([2, 16, 16, 2], activation="relu", rng=np.random.default_rng(3))
+    return ode.make_mlp_rhs(model, 2), [model.store]
+
+
+def _rk4_loss(make_rhs, batch, ctx):
+    rhs, stores = make_rhs()
+    y0 = _V[:, 1:] if batch == 3 else _V[:1, 1:]
+    state = tuple(ctx.constant(Value.batch_scalars(np.ascontiguousarray(y0[:, i])) if batch == 3
+                               else Value.scalar(y0[0, i])) for i in range(2))
+    out = ode.rk4_step(ctx, ode.OdeSystem(rhs, 2, 0.1), state, 0.0, 0.1)
+    loss = ctx.mse(out[0], out[1].value)
+    return ctx.add(loss, ctx.mse(out[1], state[0].value)), stores, list(state)
+
+
+def _shooting_loss(ctx):
+    store = truth_store({"alpha": 1.4, "beta": 0.9, "delta": 1.1, "gamma": 2.8})
+    system = lotka_volterra.make_system(store)
+    rows = ode.rollout(lotka_volterra.make_system(truth_store(lotka_volterra.TRUE_PARAMS)),
+                       (1.0, 1.0), 24)
+    cfg = ode.ShootingConfig(5, [rows, rows[:13] * 1.01])
+    return ode.multiple_shooting_loss(ctx, system, cfg), [store], []
+
+
+def _network_cases():
+    """(id, B, loss) for every network case, ``loss(ctx)`` returning the
+    loss, its stores and the refs whose gradients are hashed too."""
+    for activation, zero_output in (("relu", False), ("tanh", False), ("tanh", True)):
+        for batch in (1, 3):
+            yield (f"network:mlp_mse:{activation}{':zero_output' * zero_output}", batch,
+                   partial(_network_loss, activation, zero_output, batch))
+    for name, make_rhs in (("hybrid", _hybrid_rhs), ("mlp", _mlp_rhs)):
+        for batch in (1, 3):
+            yield f"network:rk4_step:{name}", batch, partial(_rk4_loss, make_rhs, batch)
+    yield "network:lv_shooting", 8, _shooting_loss
+
+
+def _network_run(loss_fn, policy) -> str:
+    ctx = TapeContext(policy)
+    try:
+        loss, stores, refs = loss_fn(ctx)
+        for store in stores:
+            store.zero_grads()
+        result = ctx.backward(loss, wrt_inputs=refs)
+    except SchemegradError as err:
+        return _digest(*_error(err))
+    grads = [store[n].grad for store in stores for n in store.names()]
+    inputs = [result.input_grads[r.tape_id].data for r in refs]
+    return _digest(loss.value.kind, loss.value.batched, loss.value.data, *grads, *inputs)
+
+
 def main() -> None:
+    for cid, batch, loss_fn in _network_cases():
+        for policy in (ERROR_POLICY, PROPAGATE_POLICY):
+            kernels._SHARED.clear()
+            ode._LINKED.clear()
+            for i in range(RUNS):
+                print(cid, batch, policy.mode, i, "network", _network_run(loss_fn, policy))
     for cid, batch, make, params, feed in cases():
         for policy in (ERROR_POLICY, PROPAGATE_POLICY):
             for kind, run in (("untaped", _untaped), ("taped", _taped)):
