@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingGradient, ShapeMismatch
+from .errors import MissingGradient, MissingInput, ShapeMismatch
 from .kernels import FUSED
 from .ops import OPS
 # The kernels are called through these module globals, which the traced
@@ -85,8 +85,6 @@ class ParameterStore:
         try:
             return self.entries[name].value
         except KeyError:
-            from .errors import MissingInput
-
             raise MissingInput(f"missing parameter {name!r}") from None
 
     def set_value(self, name: str, data) -> None:
@@ -117,6 +115,17 @@ class ParameterStore:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: e.value.data.copy() for n, e in self.entries.items()}
+
+
+def param_value(params, name: str) -> Value:
+    """The parameter ``name`` of a store or a mapping; a missing store or
+    parameter raises ``MissingInput``."""
+    getter = getattr(params, "value_of", None)
+    if getter is not None:
+        return getter(name)
+    if params is None or name not in params:
+        raise MissingInput(f"missing parameter {name!r}")
+    return Value.of(params[name])
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +329,11 @@ class TapeContext:
     def add(self, *args) -> TapeRef:
         return self.prim("+", *args)
 
-    def sub(self, a, b) -> TapeRef:
-        return self.prim("-", a, b)
-
     def mul(self, *args) -> TapeRef:
         return self.prim("*", *args)
 
-    def scale(self, s, v) -> TapeRef:
-        return self.prim("scale", s, v)
-
     def param(self, store: ParameterStore, name: str) -> TapeRef:
-        v = store.value_of(name)
+        v = param_value(store, name)
         return TapeRef(self.tape.param_leaf(store, name, v), v)
 
     def mse(self, pred: TapeRef, target) -> TapeRef:

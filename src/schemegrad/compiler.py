@@ -2,8 +2,9 @@
 plus the textual disassembly used by golden tests.
 
 There are two entries: ``compile_source`` parses source text and hands the
-tree to ``compile_tree``, which every other program is compiled through too
-(``ode.link_rk4`` builds its linked programs as trees)."""
+tree to ``compile_tree``, which every other program is compiled through too.
+A program keeps its tree, which ``ode.link_rk4`` splices into the trees it
+links."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class CompiledProgram:
     and the order of a run's signature.  ``scalar_closed`` notes that every
     prim in every block has a scalar kernel, and ``straight_line`` that the
     program is one block of prims whose output is a prim's result (see
-    ``machine``)."""
+    ``machine``).  ``tree`` is the tree it was compiled from."""
 
     block: BlockIR
     slot_count: int
@@ -50,6 +51,7 @@ class CompiledProgram:
     leaves: tuple = ()
     scalar_closed: bool = False
     straight_line: bool = False
+    tree: object = field(default=None, repr=False, compare=False)
     kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -98,6 +100,7 @@ def compile_tree(ast, source_text: str, inputs=(), params=(),
         leaves=graph.leaves,
         scalar_closed=graph.scalar_closed,
         straight_line=graph.straight_line,
+        tree=ast,
     )
 
 

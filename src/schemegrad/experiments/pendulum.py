@@ -8,8 +8,9 @@ import numpy as np
 
 from .. import training
 from ..compiler import compile_source
-from ..nn import MlpModel, mlp_forward, pack_scalars, unpack_scalar
+from ..nn import MlpModel
 from ..ode import (
+    CompiledRhs,
     OdeSystem,
     ShootingConfig,
     gauss_newton_refine,
@@ -58,6 +59,21 @@ def make_system(store) -> OdeSystem:
     rhs = make_compiled_rhs([_dtheta_prog(), _domega_prog()], [store, store],
                             ("theta", "omega"))
     return OdeSystem(rhs=rhs, state_dim=2, dt=DT)
+
+
+def make_hybrid_system(store, model) -> OdeSystem:
+    """Scenario 2's system: d theta = omega, and d omega the compiled gravity
+    term (``g_L`` from ``store``) plus component 0 of ``model``."""
+    gravity = compile_source("(* (- 0 g_L) (sin theta))", inputs=("theta", "omega"),
+                             params=("g_L",))
+
+    def derivatives(ctx, state):
+        theta, omega = state
+        known = ctx.run(gravity, {"theta": theta, "omega": omega}, store)
+        corr = ctx.run(model.program, {"x": ctx.prim("vec", theta, omega)}, model.store)
+        return (omega, ctx.add(known, ctx.prim("ref", corr, aux=0.0)))
+
+    return OdeSystem(rhs=CompiledRhs(("theta", "omega"), derivatives), state_dim=2, dt=DT)
 
 
 def generate_observations(ics) -> list:
@@ -124,19 +140,9 @@ def fit_s2_hybrid(seed: int = DEFAULT_SEED, epochs: int = ADAM_EPOCHS,
     consuming (theta, omega); the correction must absorb the damping."""
     rng = np.random.default_rng(seed + 2)
     noisy = _noisy_observations(rng, noise)
-    gravity = compile_source("(* (- 0 g_L) (sin theta))",
-                             inputs=("theta", "omega"), params=("g_L",))
     store = init_param_store({"g_L": TRUE_PARAMS["g_L"]}, None, rng)
     model = MlpModel([2, 33, 33, 1], activation="tanh", rng=rng)
-
-    def rhs(ctx, state, t):
-        theta, omega = state
-        known = ctx.run(gravity, {"theta": theta, "omega": omega}, store)
-        x = pack_scalars(ctx, [theta, omega])
-        corr = unpack_scalar(ctx, mlp_forward(ctx, model, x), 0)
-        return (omega, ctx.add(known, corr))
-
-    sys = OdeSystem(rhs=rhs, state_dim=2, dt=DT)
+    sys = make_hybrid_system(store, model)
     curve = _shooting_fit(sys, ShootingConfig(SEGMENT_LENGTH, noisy),
                           [(store, 3e-3, 1e-4), (model.store, 3e-3, 1e-4)], epochs, seed)
     final_loss = curve[-1][1]

@@ -47,7 +47,7 @@ from __future__ import annotations
 from math import isfinite
 
 from . import kernels
-from .autodiff import TapeRef
+from .autodiff import TapeRef, param_value
 from .errors import DepthLimitExceeded, EvalError, MissingInput, SingularMatrix
 # The kernels are called through these module globals, which the traced
 # benchmark run (perfbench/spans.py) rebinds; pow_immediate and select are
@@ -58,18 +58,6 @@ from .runtime import (ERROR_POLICY, PROPAGATE_POLICY, SafeDomainPolicy,  # noqa:
 from .values import Value, frozen_scalar
 
 _SCALAR = (False, ())  # the signature entry of an unbatched scalar
-
-
-def _param_value(params, name: str) -> Value:
-    if params is None:
-        raise MissingInput(f"missing parameter {name!r}")
-    getter = getattr(params, "value_of", None)
-    if getter is not None:
-        return getter(name)
-    try:
-        return Value.of(params[name])
-    except KeyError:
-        raise MissingInput(f"missing parameter {name!r}") from None
 
 
 def _run(prog, inputs, params, policy, tape, store, leaves=None):
@@ -119,7 +107,7 @@ def _run(prog, inputs, params, policy, tape, store, leaves=None):
                         ids[ins[1]] = tape.leaf(ins[3])
                 elif kind == "param":
                     dest, name = ins[1], ins[2]
-                    slots[dest] = v = slots[dest] or _param_value(params, name)
+                    slots[dest] = v = slots[dest] or param_value(params, name)
                     if taping:
                         ids[dest] = tape.param_leaf(store if store is not None else params,
                                                     name, v)
@@ -208,7 +196,7 @@ def _leaves(prog, inputs, params):
     for kind, _, name in prog.leaves:
         try:
             if kind == "param":
-                v = value_of(name) if value_of is not None else _param_value(params, name)
+                v = value_of(name) if value_of is not None else param_value(params, name)
             else:
                 v = inputs[name]
                 if type(v) is not Value:

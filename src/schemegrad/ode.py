@@ -5,25 +5,20 @@ System state is a tuple of refs (scalars or vectors, optionally batched);
 the right-hand side maps a state tuple to a derivative tuple on the same
 tape so gradients reach the RHS parameters.
 
-A right-hand side made of compiled programs (``make_compiled_rhs``) is
-linked into larger straight-line programs (``link_rk4``), with the bits of
-the stage-by-stage Python stepper.  Linking splices the programs' parse
-trees into an RK4 tree whose own names start with ``__``, which no
-program's text can name, and compiles that tree:
-
-- one RK4 step is one program: ``rk4_step`` makes one run of it, and
-  ``rollout`` steps one or many initial states with one untaped run of it
-  per step;
-- the k steps of a shooting segment and their residuals are one program:
-  ``multiple_shooting_loss`` makes one taped run of it, on every segment at
-  once, scored by one ``shooting_mse`` record, and ``shooting_residuals``
-  one untaped run.
-
-Linked programs are kept process-wide, keyed by their programs' texts and
-names, dt, the number of steps and the depth limit, so a system built again
-over the same programs compiles nothing and finds its kernels warm.  Any
-other right-hand side (a dense network, a hybrid, a Python function) is
-stepped stage by stage, one record per operation or network call.
+RK4 is written once, in ``rk4_step``.  Every right-hand side the library
+builds (compiled programs, a network, a hybrid of both, over any number of
+parameter stores) is a ``CompiledRhs``, which ``link_rk4`` links: it runs
+``rk4_step`` on a context that records a tree, splicing each program's
+own tree, and compiles one straight-line program with the bits of the
+stage-by-stage stepper.  One RK4 step is one program, which ``rk4_step``
+runs once and ``rollout`` once per step for every initial state; the k
+steps of a shooting segment and their residuals are one program, which
+``multiple_shooting_loss`` runs once on every segment, scored by one
+``shooting_mse`` record, and ``shooting_residuals`` once untaped.  A plain
+Python function is stepped stage by stage, one record per op or program
+run, and so is a ``CompiledRhs`` over a state component that is not a
+scalar, over programs that declare a ``__`` name, or over programs of
+differing depth limits.
 """
 
 from __future__ import annotations
@@ -33,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine, optim
-from .autodiff import TapeContext, TapeRef
-from .compiler import CompileConfig, compile_tree
+from .autodiff import TapeContext, TapeRef, param_value
+from .compiler import DEFAULT_MAX_DEPTH, CompileConfig, compile_tree
 from .errors import EmptyObservations, ShapeMismatch
-from .nn import mlp_forward, pack_scalars, unpack_scalar
 from .runtime import PROPAGATE_POLICY
-from .sexpr import Const, Let, Prim, Var, parse, pretty
+from .sexpr import Const, Let, Prim, Var, pretty
 from .values import Value
 
 
@@ -53,12 +47,6 @@ class OdeSystem:
 class ShootingConfig:
     segment_length: int
     observations: object  # [T+1, state_dim] array, or a list of them
-
-    def trajectory_list(self) -> list:
-        obs = self.observations
-        if isinstance(obs, np.ndarray):
-            return [obs]
-        return [np.asarray(o, dtype=np.float64) for o in obs]
 
 
 def _axpy(ctx: TapeContext, y: TapeRef, c: float, k: TapeRef) -> TapeRef:
@@ -76,30 +64,24 @@ def rk4_step(ctx: TapeContext, sys: OdeSystem, state, t: float, dt: float):
     RHS is a ``CompiledRhs`` with a linked step for ``dt`` and every state
     component is a scalar ``TapeRef``, the step is one run of that program,
     split by one ``ref`` record per component; any other RHS is stepped here
-    stage by stage, with the same constants in the same order.  A RHS that
+    stage by stage, and so is the trace that links a step.  A RHS that
     gives another number of components than the state has raises
     ``ShapeMismatch``."""
     rhs = sys.rhs
     if isinstance(rhs, CompiledRhs) and all(type(y) is TapeRef and y.value.kind == "scalar"
                                             for y in state):
-        prog = rhs.step_program(dt)
-        if prog is not None:
-            _check_width(len(rhs.programs), len(state))
-            out = ctx.run(prog, dict(zip(rhs.input_names, state)), rhs.stores[0])
-            return tuple(ctx.prim("ref", out, aux=float(i)) for i in range(len(rhs.programs)))
-    k1 = sys.rhs(ctx, state, t)
-    _check_width(len(k1), len(state))
-    s2 = tuple(_axpy(ctx, y, dt / 2.0, k) for y, k in zip(state, k1))
-    k2 = sys.rhs(ctx, s2, t + dt / 2.0)
-    s3 = tuple(_axpy(ctx, y, dt / 2.0, k) for y, k in zip(state, k2))
-    k3 = sys.rhs(ctx, s3, t + dt / 2.0)
-    s4 = tuple(_axpy(ctx, y, dt, k) for y, k in zip(state, k3))
-    k4 = sys.rhs(ctx, s4, t + dt)
+        linked = rhs.link(dt)
+        if linked is not None:
+            _check_width(len(rhs.input_names), len(state))
+            out = ctx.run(linked[0], _linked_feed(state, linked[1], ctx))
+            return tuple(ctx.prim("ref", out, aux=float(i)) for i in range(len(state)))
+    ks = [sys.rhs(ctx, state, t)]
+    _check_width(len(ks[0]), len(state))
+    for h in (dt / 2.0, dt / 2.0, dt):  # each stage's state, then its derivatives
+        ks.append(sys.rhs(ctx, tuple(_axpy(ctx, y, h, k) for y, k in zip(state, ks[-1])), t + h))
     out = []
-    for y, a, b, c, d in zip(state, k1, k2, k3, k4):
-        acc = ctx.add(a, ctx.mul(ctx.constant(2.0), b))
-        acc = ctx.add(acc, ctx.mul(ctx.constant(2.0), c))
-        acc = ctx.add(acc, d)
+    for y, a, b, c, d in zip(state, *ks):
+        acc = ctx.add(_axpy(ctx, _axpy(ctx, a, 2.0, b), 2.0, c), d)  # a + 2b + 2c + d
         out.append(_axpy(ctx, y, dt / 6.0, acc))
     return tuple(out)
 
@@ -129,11 +111,11 @@ def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
         raise ShapeMismatch(f"initial states of shape {y0.shape} for a state of"
                             f" {sys.state_dim} components")
     rhs = sys.rhs
-    prog = rhs.step_program(sys.dt) if isinstance(rhs, CompiledRhs) else None
-    if prog is None:
+    linked = rhs.link(sys.dt) if isinstance(rhs, CompiledRhs) else None
+    rows = [y0]
+    if linked is None:
         if y0.ndim == 2:
             return np.stack([rollout(sys, y, n_steps) for y in y0])
-        rows = [y0]
         t = 0.0
         for _ in range(n_steps):
             ctx = TapeContext()
@@ -141,21 +123,25 @@ def rollout(sys: OdeSystem, y0, n_steps: int) -> np.ndarray:
             rows.append(np.array([s.value.data for s in rk4_step(ctx, sys, state, t, sys.dt)]))
             t += sys.dt
         return np.stack(rows)
-    _check_width(len(rhs.programs), sys.state_dim)
-    many = y0.ndim == 2
-    rows = [y0]
+    _check_width(len(rhs.input_names), sys.state_dim)
     for _ in range(n_steps):
-        feed = {name: Value(rows[-1][..., i], "scalar", many)
-                for i, name in enumerate(rhs.input_names)}
-        rows.append(machine.eval_program(prog, feed, rhs.stores[0], PROPAGATE_POLICY).data)
+        feed = _linked_feed([Value(rows[-1][..., i], "scalar", y0.ndim == 2)
+                             for i in range(sys.state_dim)], linked[1])
+        rows.append(machine.eval_program(linked[0], feed, None, PROPAGATE_POLICY).data)
     return np.stack(rows, axis=-2)
 
 
-def _segment_table(cfg: ShootingConfig, state_dim: int = 0):
-    """The trajectories, the segment length and every segment's (trajectory
-    index, start row); observations narrower than ``state_dim`` raise
-    ``ShapeMismatch``, and wider ones are read up to it."""
-    trajs = cfg.trajectory_list()
+def _segments(cfg: ShootingConfig, state_dim: int, segment_indices=None):
+    """Every segment's (or the minibatch ``segment_indices``'s) observed
+    start state, one (B,) array per component, the observation row s + j
+    that step j of segment s reaches (B, k, d; 0.0 past the end of a ragged
+    trajectory) and where that row exists (B, k).  Observations narrower
+    than ``state_dim`` raise ``ShapeMismatch``, and wider ones are read up
+    to it."""
+    trajs = cfg.observations
+    if isinstance(trajs, np.ndarray):
+        trajs = [trajs]
+    trajs = [np.asarray(obs, dtype=np.float64) for obs in trajs]
     seg = max(1, int(cfg.segment_length))
     entries = []  # (trajectory index, start row)
     for ti, obs in enumerate(trajs):
@@ -168,72 +154,59 @@ def _segment_table(cfg: ShootingConfig, state_dim: int = 0):
             entries.append((ti, s))
     if not entries:
         raise EmptyObservations("no shooting segments")
-    return trajs, seg, entries
+    if segment_indices is not None:
+        entries = [entries[i] for i in segment_indices]
+    flat = np.concatenate([obs[:, :state_dim] for obs in trajs])
+    first = np.cumsum([0] + [len(obs) for obs in trajs])
+    where, start = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    last = first[where + 1] - first[where] - 1
+    rows = start[:, None] + np.arange(1, seg + 1)  # (B, k): the rows step j reaches
+    valid = rows <= last[:, None]
+    targets = flat[first[where][:, None] + np.minimum(rows, last[:, None])]
+    x0 = [np.ascontiguousarray(column) for column in flat[first[where] + start].T]
+    return x0, np.where(valid[..., None], targets, 0.0), valid
 
 
 def segment_count(cfg: ShootingConfig) -> int:
-    return len(_segment_table(cfg)[2])
+    return len(_segments(cfg, 0)[2])
 
 
 def _shooting_steps(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
                     segment_indices=None):
     """Step every segment together, lazily: after step j, yield the state,
-    one target array per component (observation row s + j, clipped to the
-    last row) and the mask of segments that row exists for.  Callers record
-    their terms for step j before step j + 1 is taken."""
-    trajs, seg, entries = _segment_table(cfg, sys.state_dim)
-    if segment_indices is not None:
-        entries = [entries[i] for i in segment_indices]
-    state = tuple(
-        ctx.constant_batch(np.array([trajs[ti][s, d] for ti, s in entries]))
-        for d in range(sys.state_dim)
-    )
+    one target array per component and the mask of segments whose row
+    exists (see ``_segments``).  Callers record their terms for step j
+    before step j + 1 is taken."""
+    x0, targets, valid = _segments(cfg, sys.state_dim, segment_indices)
+    state = tuple(ctx.constant_batch(column) for column in x0)
     t = 0.0
-    for j in range(1, seg + 1):
+    for j in range(valid.shape[1]):
         state = rk4_step(ctx, sys, state, t, sys.dt)
         t += sys.dt
-        valid = np.array([s + j <= trajs[ti].shape[0] - 1 for ti, s in entries])
-        rows = [min(s + j, trajs[ti].shape[0] - 1) for ti, s in entries]
-        targets = [np.array([trajs[ti][r, d] for (ti, _), r in zip(entries, rows)])
-                   for d in range(sys.state_dim)]
-        yield state, targets, valid
+        yield state, [targets[:, j, d] for d in range(sys.state_dim)], valid[:, j]
 
 
-def _linked_segments(sys: OdeSystem, cfg: ShootingConfig, segment_indices=None):
-    """The run of every segment through the system's linked segment program
-    (see ``CompiledRhs``), or None when it has none: (program, its inputs,
-    the store, the loss weight B / N, the masks).
-
-    The inputs are each segment's observed start state, one batched scalar
-    per component, and two batched vectors of k * d entries, step-major and
-    component-minor: ``__T`` holds the observation row s + j of segment s
-    after step j, ``__M`` 1.0 where that row exists and 0.0 past the end of a
-    ragged trajectory, where ``__T`` holds 0.0.  N counts the rows that exist."""
+def _linked_segments(sys: OdeSystem, cfg: ShootingConfig, segment_indices=None, ctx=None):
+    """The run of every segment through the system's linked segment program,
+    or None when it has none: (program, its feed, the loss weight B / N, the
+    masks), the parameters fed as ``ctx``'s leaves when it is given.  The
+    feed holds each segment's observed start state, one batched scalar per
+    component, and two batched vectors of k * d entries, step-major and
+    component-minor: ``__T`` the targets of ``_segments``, ``__M`` 1.0 where
+    their row exists and 0.0 where not.  N counts the rows that exist."""
     rhs = sys.rhs
     if not isinstance(rhs, CompiledRhs) or len(rhs.input_names) != sys.state_dim:
         return None
-    prog = rhs.segment_program(sys.dt, max(1, int(cfg.segment_length)))
-    trajs, seg, entries = _segment_table(cfg, sys.state_dim)
-    if segment_indices is not None:
-        entries = [entries[i] for i in segment_indices]
-    if prog is None or not entries:  # no segment: the stepper raises as it always has
+    linked = rhs.link(sys.dt, max(1, int(cfg.segment_length)))
+    x0, targets, valid = _segments(cfg, sys.state_dim, segment_indices)
+    if linked is None or not len(valid):  # no segment: the stepper raises as it always has
         return None
-    flat = np.concatenate(trajs)[:, :sys.state_dim]
-    first = np.cumsum([0] + [len(obs) for obs in trajs])
-    where, start = np.array(entries).T
-    last = first[where + 1] - first[where] - 1
-    rows = start[:, None] + np.arange(1, seg + 1)  # (B, k): the rows step j reaches
-    valid = rows <= last[:, None]
-    targets = flat[first[where][:, None] + np.minimum(rows, last[:, None])]  # (B, k, d)
-    targets = np.where(valid[..., None], targets, 0.0).reshape(len(entries), -1)
     masks = np.repeat(valid.astype(np.float64), sys.state_dim, axis=1)
-    x0 = flat[first[where] + start]
-    feed = {name: Value.batch_scalars(np.ascontiguousarray(x0[:, i]))
-            for i, name in enumerate(rhs.input_names)}
-    feed.update(zip(prog.input_names[len(feed):], (Value.batch_vectors(targets),
-                                                   Value.batch_vectors(masks))))
-    weight = len(entries) / (int(valid.sum()) * sys.state_dim)
-    return prog, feed, rhs.stores[0], weight, masks
+    feed = _linked_feed([Value.batch_scalars(column) for column in x0], linked[1], ctx)
+    feed["__T"] = Value.batch_vectors(targets.reshape(len(valid), -1))
+    feed["__M"] = Value.batch_vectors(masks)
+    weight = len(valid) / (int(valid.sum()) * sys.state_dim)
+    return linked[0], feed, weight, masks
 
 
 def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig,
@@ -247,22 +220,18 @@ def multiple_shooting_loss(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig
     A system with a linked segment program makes one taped run of it and
     one ``shooting_mse`` record; any other steps with ``rk4_step`` and
     records its terms one by one.  Both give the same bits."""
-    linked = _linked_segments(sys, cfg, segment_indices)
+    linked = _linked_segments(sys, cfg, segment_indices, ctx)
     if linked is not None:
-        prog, feed, store, weight, _ = linked
-        return ctx.prim(SHOOTING_MSE, ctx.run(prog, feed, store), aux=weight)
+        prog, feed, weight, _ = linked
+        return ctx.prim(SHOOTING_MSE, ctx.run(prog, feed), aux=weight)
     terms = []
     covered = 0  # observed points the terms cover; each term averages over all lanes
     for state, targets, valid in _shooting_steps(ctx, sys, cfg, segment_indices):
         for y, target in zip(state, targets):
             covered += int(valid.sum())
-            if valid.all():
-                terms.append(ctx.mse(y, Value.batch_scalars(target)))
-            else:
-                # ragged tail: mask the error to zero where no row exists
-                masked = ctx.mul(ctx.constant_batch(valid.astype(np.float64)), y)
-                target = np.where(valid, target, 0.0)
-                terms.append(ctx.mse(masked, Value.batch_scalars(target)))
+            if not valid.all():  # ragged tail: mask the error to zero where no row exists
+                y = ctx.mul(ctx.constant_batch(valid.astype(np.float64)), y)
+            terms.append(ctx.mse(y, Value.batch_scalars(target)))
     total = terms[0]
     for term in terms[1:]:
         total = ctx.add(total, term)
@@ -277,8 +246,8 @@ def shooting_residuals(ctx: TapeContext, sys: OdeSystem, cfg: ShootingConfig) ->
     keeps each column's rows that exist."""
     linked = _linked_segments(sys, cfg)
     if linked is not None:
-        prog, feed, store, _, masks = linked
-        residuals = machine.eval_program(prog, feed, store, ctx.policy).data
+        prog, feed, _, masks = linked
+        residuals = machine.eval_program(prog, feed, None, ctx.policy).data
         return residuals.T[masks.T != 0.0]
     return np.concatenate([
         (y.value.data - target)[valid]
@@ -301,141 +270,171 @@ def gauss_newton_refine(store, sys: OdeSystem, cfg: ShootingConfig, names) -> No
 
 
 class CompiledRhs:
-    """The right-hand side of a system with one compiled program per state
-    component, each seeing the state components under ``input_names``.
-    Called as ``rhs(ctx, state, t)``, it runs every program on the state, as
-    any RHS does.  ``step_program(dt)`` and ``segment_program(dt, k)`` are
-    the programs linked into one RK4 step or one k-step shooting segment
-    (see ``link_rk4``), which ``rk4_step``, ``rollout``,
-    ``multiple_shooting_loss`` and ``shooting_residuals`` run instead."""
+    """A right-hand side that the library builds, over any number of
+    stores: ``derivatives(ctx, state)`` maps the state, named
+    ``input_names``, to its derivatives through the context's methods alone
+    and reads no value, so that ``link_rk4`` can trace it.  It links unless
+    a state component is not a scalar, a program it runs declares a ``__``
+    name or lacks an input, or programs differ in their depth limits.
+    ``link(dt, steps)`` keeps ``link_rk4``'s result per (dt, steps)."""
 
-    def __init__(self, programs, stores, input_names):
-        self.programs, self.stores = tuple(programs), tuple(stores)
+    def __init__(self, input_names, derivatives):
         self.input_names = tuple(input_names)
-        self._linked = {}  # (dt, steps) -> the linked program, or None
+        self.derivatives = derivatives
+        self._linked = {}  # (dt, steps) -> (the linked program, its leaf pairs), or None
 
     def __call__(self, ctx, state, t):
-        feed = {name: ref for name, ref in zip(self.input_names, state)}
-        return tuple(ctx.run(prog, feed, store) for prog, store in zip(self.programs, self.stores))
+        return self.derivatives(ctx, state)
 
-    def step_program(self, dt: float):
-        """The RK4 step over ``dt`` as one compiled program, or None when
-        the programs cannot be linked."""
-        return self._link(dt, None)
-
-    def segment_program(self, dt: float, steps: int):
-        """``steps`` RK4 steps over ``dt`` and their residuals as one
-        compiled program, or None when the programs cannot be linked."""
-        return self._link(dt, steps)
-
-    def _link(self, dt, steps):
+    def link(self, dt: float, steps: int | None = None):
         key = (dt, steps)
         if key not in self._linked:
-            self._linked[key] = link_rk4(self.programs, self.stores, self.input_names, dt, steps)
+            self._linked[key] = link_rk4(self, dt, steps)
         return self._linked[key]
 
 
-# Linked programs (or None) by (the programs' texts and names, the state names,
-# dt, steps, depth limit), oldest first: a system built again over programs
-# compiled from the same texts, as every fit and benchmark set-up builds one,
-# gets the same program, compiled once and its kernels warm.
+class _Unlinkable(Exception):
+    """A traced run that ``link_rk4`` refuses."""
+
+
+class _Trace:
+    """A context with ``TapeContext``'s interface that computes nothing: each
+    result is a tree bound to a fresh ``__k<n>`` name, a constant a ``Const``
+    and a parameter a ``__p<n>`` name.  ``run`` binds a program's tree under
+    a ``let`` of its inputs and parameters.  ANF names its own temporaries
+    ``__t``, ``__v`` and ``__f``, which these names avoid."""
+
+    def __init__(self):
+        self.bindings = []  # (name, tree) in order
+        self.pairs = []  # (store, name) of __p0, __p1, ...
+        self.leaves = {}  # (id(store), name) -> its __p<n> variable
+        self.depth = None  # the depth limit of the programs run
+
+    def _bind(self, tree) -> Var:
+        self.bindings.append((f"__k{len(self.bindings)}", tree))
+        return Var(self.bindings[-1][0])
+
+    def constant(self, value) -> Const:
+        return Const(float(value))
+
+    def prim(self, op: str, *args, aux=None) -> Var:
+        return self._bind(Prim(op, args if aux is None else args + (Const(float(aux)),)))
+
+    def add(self, *args) -> Var:
+        return self.prim("+", *args)
+
+    def mul(self, *args) -> Var:
+        return self.prim("*", *args)
+
+    def param(self, store, name: str) -> Var:
+        key = (id(store), name)
+        if key not in self.leaves:
+            self.leaves[key] = Var(f"__p{len(self.pairs)}")
+            self.pairs.append((store, name))
+        return self.leaves[key]
+
+    def run(self, prog, inputs: dict, store=None) -> Var:
+        # a declared "__" name bound in the let could shadow a trace name
+        if (any(name.startswith("__") for name in prog.input_names + prog.param_names)
+                or not set(prog.input_names) <= set(inputs)
+                or self.depth not in (None, prog.max_recursion_depth)):
+            raise _Unlinkable
+        self.depth = prog.max_recursion_depth
+        binds = tuple((name, inputs[name]) for name in prog.input_names)
+        binds += tuple((name, self.param(store, name)) for name in prog.param_names)
+        return self._bind(Let(binds, prog.tree) if binds else prog.tree)
+
+
+# Linked programs by (the text of the traced step, the number of steps, the
+# depth limit), oldest first: a system built again, as every fit and set-up
+# builds one, traces one step and gets the same program, its kernels warm.
 _LINKED: dict = {}
 _LINKED_MAX = 64
 
 
-def link_rk4(programs, stores, input_names, dt: float, steps: int | None = None):
-    """One compiled program for RK4 stepping over ``dt`` of the state
-    ``input_names``, whose derivatives are ``programs``, or None.
-
-    Its tree is one ``let`` that binds, stage by stage, the state, such as
-    ``(__s1_0 (+ x (* 0.05 __k0_0)))``, then each program's parse tree under
-    a ``let`` that binds its inputs to that state.  With ``steps`` None it
+def link_rk4(rhs: CompiledRhs, dt: float, steps: int | None = None):
+    """RK4 over ``dt`` of the right-hand side ``rhs`` as one compiled
+    program, with the (store, name) pair of each of its ``__p<n>`` inputs:
+    (program, pairs), or None.  A step is ``rk4_step`` run on a ``_Trace``
+    from the state inputs ``__y<j>``.  With ``steps`` None the program
     returns the new state as a vector.  With ``steps`` k it is a shooting
-    segment: after each step j it rebinds the state names, then binds each
-    component's residual ``(- (* (ref __M i) x) (ref __T i))`` at i = (j - 1)
-    * d + component of the batched inputs ``__T`` (targets) and ``__M``
-    (masks), and it returns the residuals as a vector.  Its constants and
-    order of operations are ``rk4_step``'s, and a residual is bound before
-    the next step's stages, so its values and gradients are bitwise the
-    stage-by-stage ones.  Its own names start with ``__``, which no
-    program's text can name.  Programs link only when they read one store,
-    know no input outside ``input_names``, share their depth limit, name no
-    parameter like a state input and declare no ``__`` name."""
-    params = tuple(dict.fromkeys(p for prog in programs for p in prog.param_names))
-    if (not programs or len(programs) != len(input_names)
-            or any(s is not stores[0] for s in stores)
-            or any(not set(prog.input_names) <= set(input_names) for prog in programs)
-            or len({prog.max_recursion_depth for prog in programs}) != 1
-            or set(params) & set(input_names)
-            or any(name.startswith("__") for name in params + tuple(input_names))):
+    segment, the traced step k times, whose names each step binds again (a
+    ``let`` binds in sequence): after step s it binds the state to the new
+    state and traces each component j's residual ``(- (* (ref __M i) y)
+    (ref __T i))`` at i = s * d + j of the batched inputs ``__T`` (targets)
+    and ``__M`` (masks), and it returns the residuals as a vector.  The
+    traced ops, constants and order are the stage-by-stage run's, so values
+    and gradients are bitwise that run's.  A run feeds each pair's
+    parameter as an input (``_linked_feed``).  See ``CompiledRhs`` for
+    what does not link."""
+    trace = _Trace()
+    n = len(rhs.input_names)
+    try:
+        new = rk4_step(trace, OdeSystem(rhs, n, dt), tuple(Var(f"__y{j}") for j in range(n)),
+                       0.0, dt)
+    except _Unlinkable:
         return None
-    key = (tuple((prog.source_text, prog.input_names, prog.param_names) for prog in programs),
-           tuple(input_names), dt, steps, programs[0].max_recursion_depth)
-    if key in _LINKED:
-        prog = _LINKED.pop(key)
-    else:
-        prog = _link(programs, tuple(input_names), params, dt, steps)
+    tree = Let(tuple(trace.bindings), Prim("vec", new))
+    key = (pretty(tree), steps, DEFAULT_MAX_DEPTH if trace.depth is None else trace.depth)
+    prog = _LINKED.pop(key, None)
+    if prog is None:
+        inputs = [f"__y{j}" for j in range(n)] + [f"__p{i}" for i in range(len(trace.pairs))]
+        if steps is not None:
+            step = trace.bindings[:]
+            trace.bindings.clear()  # the residuals' names count on from the step's
+            out = []
+            for s in range(steps):
+                trace.bindings += step + [(f"__y{j}", y) for j, y in enumerate(new)]
+                for j in range(n):
+                    at = float(s * n + j)
+                    masked = trace.mul(trace.prim("ref", Var("__M"), aux=at), Var(f"__y{j}"))
+                    out.append(trace.prim("-", masked, trace.prim("ref", Var("__T"), aux=at)))
+            tree = Let(tuple(trace.bindings), Prim("vec", tuple(out)))
+            inputs += ["__T", "__M"]
+        prog = compile_tree(tree, pretty(tree), inputs, (), CompileConfig(key[2]))
         if len(_LINKED) >= _LINKED_MAX:
             del _LINKED[next(iter(_LINKED))]
     _LINKED[key] = prog  # the most recently used last
-    return prog
+    return prog, tuple(trace.pairs)
 
 
-def _axpy_tree(y, c: float, k):
-    """``(+ y (* c k))``, as ``_axpy`` records it."""
-    return Prim("+", (y, Prim("*", (Const(float(c)), k))))
-
-
-def _link(programs, input_names, params, dt, steps):
-    n = len(programs)
-    bodies = [parse(prog.source_text) for prog in programs]
-    y = [Var(name) for name in input_names]
-    k = [[Var(f"__k{i}_{j}") for j in range(n)] for i in range(4)]
-    stage = [y] + [[Var(f"__s{i}_{j}") for j in range(n)] for i in (1, 2, 3)]
-    step = []
-    for i, h in enumerate((None, dt / 2.0, dt / 2.0, dt)):
-        if h is not None:
-            step += [(v.name, _axpy_tree(y[j], h, k[i - 1][j])) for j, v in enumerate(stage[i])]
-        state = dict(zip(input_names, stage[i]))
-        for j, (prog, body) in enumerate(zip(programs, bodies)):
-            let = tuple((a, state[a]) for a in prog.input_names)
-            step.append((k[i][j].name, Let(let, body) if let else body))
-    new = []
-    for j in range(n):
-        acc = _axpy_tree(_axpy_tree(k[0][j], 2.0, k[1][j]), 2.0, k[2][j])
-        new.append(_axpy_tree(y[j], dt / 6.0, Prim("+", (acc, k[3][j]))))
-    inputs, binds, out = input_names, step, new
-    if steps is not None:
-        inputs += ("__T", "__M")
-        binds, out = [], []
-        for s in range(steps):
-            binds += step + list(zip(input_names, new))
-            for j in range(n):
-                at = Const(float(s * n + j))
-                out.append(Var(f"__r{s + 1}_{j}"))
-                residual = Prim("-", (Prim("*", (Prim("ref", (Var("__M"), at)), y[j])),
-                                      Prim("ref", (Var("__T"), at))))
-                binds.append((out[-1].name, residual))
-    tree = Let(tuple(binds), Prim("vec", tuple(out)))  # its text keys the kernels
-    return compile_tree(tree, pretty(tree), inputs, params,
-                        CompileConfig(programs[0].max_recursion_depth))
+def _linked_feed(state, pairs, ctx=None) -> dict:
+    """A linked program's inputs: the state components as ``__y<j>``, and as
+    ``__p<n>`` the parameter of each (store, name) pair, a ``ctx.param``
+    leaf with ``ctx``, its value without.  A missing store or parameter
+    raises ``MissingInput``, as a stage-by-stage run does."""
+    feed = {f"__y{j}": y for j, y in enumerate(state)}
+    for i, (store, name) in enumerate(pairs):
+        feed[f"__p{i}"] = param_value(store, name) if ctx is None else ctx.param(store, name)
+    return feed
 
 
 def make_compiled_rhs(programs, stores, input_names) -> CompiledRhs:
-    """RHS from one compiled program per state component.  Each program
-    sees the state components under ``input_names``.  When every program
-    reads the same store, ``rk4_step`` steps the system as one linked
-    program (see ``link_rk4``), so a domain error inside a step names an
-    instruction of that program; otherwise, and for a state component that
-    is not a scalar, it runs each program once per stage."""
-    return CompiledRhs(programs, stores, input_names)
+    """RHS from one compiled program per state component, each run with its
+    own store and seeing the state components under ``input_names``.  It
+    links as a ``CompiledRhs`` does, so a domain error inside a step names
+    an instruction of the linked program."""
+    runs = tuple(zip(programs, stores))
+    input_names = tuple(input_names)
+
+    def derivatives(ctx, state):
+        feed = dict(zip(input_names, state))
+        return tuple(ctx.run(prog, feed, store) for prog, store in runs)
+
+    return CompiledRhs(input_names, derivatives)
 
 
-def make_mlp_rhs(model, n_components):
-    """RHS where a dense network maps the packed state to its derivative."""
-    def rhs(ctx, state, t):
-        x = pack_scalars(ctx, list(state))
-        y = mlp_forward(ctx, model, x)
-        return tuple(unpack_scalar(ctx, y, d) for d in range(n_components))
+def make_mlp_rhs(model, n_components) -> CompiledRhs:
+    """RHS where a dense network maps the packed state to its derivative:
+    ``vec``, one run of the network's program, one ``ref`` per component.
+    A network whose input is not ``n_components`` wide raises
+    ``ShapeMismatch``."""
+    if model.layer_sizes[0] != n_components:
+        raise ShapeMismatch(f"mlp input width {n_components} != layer width"
+                            f" {model.layer_sizes[0]}")
 
-    return rhs
+    def derivatives(ctx, state):
+        y = ctx.run(model.program, {"x": ctx.prim("vec", *state)}, model.store)
+        return tuple(ctx.prim("ref", y, aux=float(d)) for d in range(n_components))
+
+    return CompiledRhs([f"y{d}" for d in range(n_components)], derivatives)

@@ -141,7 +141,7 @@ def frozen_scalar(x) -> Value:
 
 
 def bit_equal(a: Value, b: Value) -> bool:
-    """Exact bit-level equality (NaNs compare equal to NaNs)."""
+    """Equal kind, batching, shape and raw bits: NaNs of another sign or payload differ."""
     if a.kind != b.kind or a.batched != b.batched or a.data.shape != b.data.shape:
         return False
     av = a.data.view(np.uint64)

@@ -640,3 +640,23 @@ def test_no_float_warning_leaves_a_run_under_w_error():
             want += [f"{src} {batched} {ieee}", f"{src} {batched} DomainViolation "
                      f"{'pow' if 'pow' in src else 'non-finite output'}"] * 4
     assert lines == want
+
+
+def test_bit_equal_compares_raw_bits_so_nans_of_another_sign_differ():
+    quiet_nan = np.array([0x7FF8000000000000], dtype=np.uint64).view(np.float64)
+    negative = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    assert bit_equal(Value.batch_scalars(quiet_nan), Value.batch_scalars(quiet_nan.copy()))
+    assert not bit_equal(Value.batch_scalars(quiet_nan), Value.batch_scalars(negative))
+
+
+def test_mse_of_another_batch_size_raises_shape_mismatch():
+    """A prediction and a target batched to different sizes raise
+    ``ShapeMismatch("mse: batch sizes differ")``, through a tape and as a
+    lone op, for scalars and for vectors."""
+    for make, a, b in ((Value.batch_scalars, np.ones(4), np.ones(5)),
+                       (Value.batch_vectors, np.ones((4, 2)), np.ones((5, 2)))):
+        ctx = TapeContext()
+        with pytest.raises(ShapeMismatch, match=r"^mse: batch sizes differ$"):
+            ctx.mse(ctx.lift(make(a)), make(b))
+        with pytest.raises(ShapeMismatch, match=r"^mse: batch sizes differ$"):
+            apply_primitive("mse", [make(a), make(b)])

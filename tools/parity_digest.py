@@ -17,7 +17,8 @@ lane and another lane singular, ``eye`` and ``zeros`` of bad and computed
 sizes, and control flow in array runs at B=1 and B=3: a loop over a vector,
 a non-tail recursion that returns a vector, a loop variable that turns
 batched on its first ``recur``, and a ``ShapeMismatch`` in an arm that no
-run takes.  Linked RK4 programs (``ode.link_rk4``) are cases too: the
+run takes.  Linked RK4 programs (``ode.link_rk4``, over a store holding the
+case's parameters, which a run feeds from a fresh store) are cases too: the
 Lotka-Volterra and pendulum step and 3-step shooting segment, and the step and
 segment of a system whose ``sqrt`` leaves its domain in stage three, each at
 B=1 and B=3.  Each runs three times under each policy, from an emptied table
@@ -26,10 +27,15 @@ Network cases run each on a fresh tape and take a backward, hashing the loss
 or output with every parameter's gradient: ``mlp_forward`` then ``ctx.mse``
 on a relu network, a tanh one and a tanh one built with ``zero_output``, on
 an unbatched and a batched input (with the input's gradient too); one
-stage-by-stage RK4 step of the pendulum hybrid right-hand side (its compiled
-gravity term plus a tanh correction) and of ``make_mlp_rhs`` on a relu
-network, at B=1 and B=3; and one Lotka-Volterra ``multiple_shooting_loss``
-epoch over two ragged trajectories, whose loss is a ``shooting_mse`` record.
+linked RK4 step of the pendulum hybrid right-hand side (its compiled
+gravity term plus a tanh correction, ``pendulum.make_hybrid_system``) and of
+``make_mlp_rhs`` on a relu network, at B=1 and B=3; and one Lotka-Volterra
+``multiple_shooting_loss`` epoch over two ragged trajectories, whose loss is
+a ``shooting_mse`` record.  Last come the linked shooting segment cases of
+the two network right-hand sides: a ``multiple_shooting_loss`` epoch with
+its backward over two ragged pendulum trajectories, linked and then stage
+by stage (the same right-hand side called through a plain function), so
+that each pair of lines must hash alike.
 Run it in both trees and ``diff`` the two outputs; identical files mean
 bitwise-identical results on every case.
 """
@@ -47,13 +53,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import CORPUS, integer_inputs  # noqa: E402
 from schemegrad import kernels, ode  # noqa: E402
-from schemegrad.autodiff import Tape, TapeContext, backward  # noqa: E402
+from schemegrad.autodiff import TapeContext  # noqa: E402
 from schemegrad.compiler import compile_source  # noqa: E402
 from schemegrad.errors import SchemegradError  # noqa: E402
 from schemegrad.experiments import lotka_volterra, pendulum  # noqa: E402
 from schemegrad.experiments.registry import BENCH_PROGRAMS  # noqa: E402
-from schemegrad.machine import eval_program, run_on_tape  # noqa: E402
-from schemegrad.nn import MlpModel, mlp_forward, pack_scalars, unpack_scalar  # noqa: E402
+from schemegrad.machine import eval_program  # noqa: E402
+from schemegrad.nn import MlpModel, mlp_forward  # noqa: E402
 from schemegrad.runtime import ERROR_POLICY, PROPAGATE_POLICY  # noqa: E402
 from schemegrad.training import truth_store  # noqa: E402
 from schemegrad.values import Value, stack_batch  # noqa: E402
@@ -112,28 +118,32 @@ def _error(err) -> tuple:
     return (type(err).__name__, str(err), *[getattr(err, a, None) for a in _ERROR_FIELDS])
 
 
-def _untaped(prog, feed, params, policy) -> str:
+def _leaf_feed(store, leaves, ctx=None) -> dict:
+    """A linked program's parameter inputs, read from ``store``."""
+    return ode._linked_feed((), [(store, name) for name in leaves], ctx)
+
+
+def _untaped(prog, leaves, feed, params, policy) -> str:
     store = truth_store(params) if params else None
     try:
-        out = eval_program(prog, feed, store, policy)
+        out = eval_program(prog, {**feed, **_leaf_feed(store, leaves)}, store, policy)
     except SchemegradError as err:
         return _digest(*_error(err))
     return _digest(out.kind, out.batched, type(out.data).__name__, out.data)
 
 
-def _taped(prog, feed, params, policy) -> str:
+def _taped(prog, leaves, feed, params, policy) -> str:
     store = truth_store(params) if params else None
-    tape = Tape()
+    ctx = TapeContext(policy)
     try:
-        out, out_id = run_on_tape(prog, feed, store, tape, policy, store=store)
-        tape.output_id = out_id
-        result = backward(tape, Value(np.ones_like(out.data), out.kind, out.batched),
-                          wrt_inputs=list(feed))
+        out = ctx.run(prog, {**feed, **_leaf_feed(store, leaves, ctx)}, store)
+        result = ctx.backward(out, wrt_inputs=list(feed))
+        out = out.value
     except SchemegradError as err:
         return _digest(*_error(err))
     grads = [store[n].grad for n in store.names()] if store else []
-    # inputs by their place in the feed: a linked segment's target and mask
-    # inputs are named apart from the state's names, by a name that may change
+    # inputs by their place in the feed, not by name: a linked program's
+    # inputs take names of the linker's, which may change
     wrt = [i for i, n in enumerate(feed) if n in result.input_grads]
     inputs = [result.input_grads[n].data for n in feed if n in result.input_grads]
     return _digest(out.kind, out.batched, type(out.data).__name__, out.data, *grads,
@@ -179,39 +189,46 @@ _LINKED_SYSTEMS = (  # (id, programs, state names, parameters, initial states of
 )
 
 
-def _linker(programs, names, steps):
-    """A program made by linking ``programs`` anew."""
+def _linker(programs, names, params, steps):
+    """A program made by linking ``programs`` anew, with the names of the
+    parameters its ``__p<n>`` inputs take."""
     def make():
         ode._LINKED.clear()
         progs = programs()
-        return ode.link_rk4(progs, [None] * len(progs), names, 0.1, steps)
+        store = truth_store(params)
+        rhs = ode.make_compiled_rhs(progs, [store] * len(progs), names)
+        prog, pairs = ode.link_rk4(rhs, 0.1, steps)
+        return prog, [name for _, name in pairs]
     return make
 
 
 def _linked_cases():
-    """(id, B, make, params, feed): the feed's -2 and -1 keys name the
-    segment's target and mask inputs, whatever their names."""
+    """(id, B, make, params, feed) of every linked program."""
     for sid, programs, names, params, y0 in _LINKED_SYSTEMS:
         for steps in (None, 3):
             for batch in (1, 3):
-                feed = {n: Value.scalar(y0[0, i]) if batch == 1 else
+                feed = {f"__y{i}": Value.scalar(y0[0, i]) if batch == 1 else
                         Value.batch_scalars(np.ascontiguousarray(y0[:, i]))
-                        for i, n in enumerate(names)}
+                        for i in range(len(names))}
                 if steps is not None:
                     rows = 1.0 + 0.1 * np.arange(3 * steps * 2).reshape(3, -1)
                     masks = (rows < 2.5).astype(np.float64)  # a ragged tail on the third lane
-                    for k, v in ((-2, rows), (-1, masks)):
+                    for k, v in (("__T", rows), ("__M", masks)):
                         feed[k] = Value.vector(v[0]) if batch == 1 else Value.batch_vectors(v)
                 yield (f"linked:{sid}:{steps or 'step'}", batch,
-                       _linker(programs, names, steps), params, feed)
+                       _linker(programs, names, params, steps), params, feed)
+
+
+def _compiler(src, inputs, params):
+    """A program made by compiling ``src`` anew; it has no parameter inputs."""
+    return lambda: (compile_source(src, inputs=inputs, params=tuple(params)), ())
 
 
 def cases():
     """(id, B, make, params, feed) for every case, ``make`` making the
-    program anew."""
+    program anew, with the names of its parameter inputs."""
     for cid, batch, src, inputs, params, feed in _source_cases():
-        yield cid, batch, partial(compile_source, src, inputs=inputs, params=tuple(params)), \
-            params, feed
+        yield cid, batch, _compiler(src, inputs, params), params, feed
     yield from _linked_cases()
 
 
@@ -258,18 +275,9 @@ def _network_loss(activation, zero_output, batch, ctx):
 def _hybrid_rhs():
     """The pendulum's scenario 2 right-hand side: omega, and the compiled
     gravity term plus a tanh correction of (theta, omega)."""
-    gravity = compile_source("(* (- 0 g_L) (sin theta))", inputs=("theta", "omega"),
-                             params=("g_L",))
     store = truth_store({"g_L": 9.0})
     model = MlpModel([2, 33, 33, 1], activation="tanh", rng=np.random.default_rng(9))
-
-    def rhs(ctx, state, t):
-        theta, omega = state
-        known = ctx.run(gravity, {"theta": theta, "omega": omega}, store)
-        corr = unpack_scalar(ctx, mlp_forward(ctx, model, pack_scalars(ctx, [theta, omega])), 0)
-        return (omega, ctx.add(known, corr))
-
-    return rhs, [store, model.store]
+    return pendulum.make_hybrid_system(store, model).rhs, [store, model.store]
 
 
 def _mlp_rhs():
@@ -296,6 +304,16 @@ def _shooting_loss(ctx):
     return ode.multiple_shooting_loss(ctx, system, cfg), [store], []
 
 
+def _segment_loss(make_rhs, staged, ctx):
+    library, stores = make_rhs()
+    rhs = library
+    if staged:  # a plain function has no linked programs
+        rhs = lambda ctx, state, t: library(ctx, state, t)  # noqa: E731
+    rows = ode.rollout(pendulum.make_system(truth_store(pendulum.TRUE_PARAMS)), (1.2, 0.4), 24)
+    cfg = ode.ShootingConfig(5, [rows, rows[:13] * 1.01])
+    return ode.multiple_shooting_loss(ctx, ode.OdeSystem(rhs, 2, 0.1), cfg), stores, []
+
+
 def _network_cases():
     """(id, B, loss) for every network case, ``loss(ctx)`` returning the
     loss, its stores and the refs whose gradients are hashed too."""
@@ -307,6 +325,15 @@ def _network_cases():
         for batch in (1, 3):
             yield f"network:rk4_step:{name}", batch, partial(_rk4_loss, make_rhs, batch)
     yield "network:lv_shooting", 8, _shooting_loss
+
+
+def _segment_cases():
+    """(id, B, loss) of the linked segment cases, each followed by its
+    stage-by-stage twin."""
+    for name, make_rhs in (("hybrid", _hybrid_rhs), ("mlp", _mlp_rhs)):
+        for staged in (False, True):
+            yield (f"network:segment:{name}{':staged' * staged}", 8,
+                   partial(_segment_loss, make_rhs, staged))
 
 
 def _network_run(loss_fn, policy) -> str:
@@ -323,22 +350,25 @@ def _network_run(loss_fn, policy) -> str:
     return _digest(loss.value.kind, loss.value.batched, loss.value.data, *grads, *inputs)
 
 
-def main() -> None:
-    for cid, batch, loss_fn in _network_cases():
+def _print_network(cases) -> None:
+    for cid, batch, loss_fn in cases:
         for policy in (ERROR_POLICY, PROPAGATE_POLICY):
             kernels._SHARED.clear()
             ode._LINKED.clear()
             for i in range(RUNS):
                 print(cid, batch, policy.mode, i, "network", _network_run(loss_fn, policy))
+
+
+def main() -> None:
+    _print_network(_network_cases())
     for cid, batch, make, params, feed in cases():
         for policy in (ERROR_POLICY, PROPAGATE_POLICY):
             for kind, run in (("untaped", _untaped), ("taped", _taped)):
                 kernels._SHARED.clear()
-                prog = make()
-                named = {prog.input_names[k] if type(k) is int else k: v
-                         for k, v in feed.items()}
+                prog, leaves = make()
                 for i in range(RUNS):
-                    print(cid, batch, policy.mode, i, kind, run(prog, named, params, policy))
+                    print(cid, batch, policy.mode, i, kind, run(prog, leaves, feed, params, policy))
+    _print_network(_segment_cases())
 
 
 if __name__ == "__main__":
